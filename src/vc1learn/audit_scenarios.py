@@ -109,7 +109,7 @@ def choosing_scenario(
 
 
 def median_scenario(epsilon: float = 1.0) -> AuditScenario:
-    """Private median of twenty small integers; the default backend is pure DP."""
+    """Private median of twenty small integers; the mechanism is pure DP."""
 
     def mech(data: Dataset, rng: np.random.Generator) -> int:
         return private_median(

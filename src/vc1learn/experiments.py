@@ -92,16 +92,15 @@ def _sample_subsets(
     """Draw t i.i.d. subsets of fixed size directly.
 
     Equal in distribution to drawing t * per_subset examples and randomly
-    partitioning them round-robin, but avoids materializing and shuffling
-    the combined sample.
+    partitioning them round-robin, but avoids shuffling the combined
+    sample. The subsets are views of one buffer: one large allocation per
+    trial instead of t small ones that the allocator would return to the
+    system and fault back in on every trial.
     """
     counts = rng.multinomial(per_subset, dist.weights, size=t)
-    out = []
-    base = np.arange(cls.domain_size, dtype=np.int64)
-    for i in range(t):
-        pts = np.repeat(base, counts[i])
-        out.append(Dataset(pts, concept_row[pts]))
-    return out
+    base = np.tile(np.arange(cls.domain_size, dtype=np.int64), t)
+    pts = np.split(np.repeat(base, counts.ravel()), t)
+    return [Dataset(p, concept_row[p]) for p in pts]
 
 
 def run_experiment(
@@ -130,42 +129,32 @@ def run_experiment(
             row_vals[list(c_star.ones)] = 1
 
         start = time.perf_counter()
+        data = subsets = stage2 = None
         if config.n_override is None:
             subsets = _sample_subsets(
                 cls, row_vals, dist, budget.t, budget.per_subset, trng
             )
-            if config.mode == "improper":
-                n_used = budget.N1
-                trace = improper_learn(
-                    cls, None, params, trng, context=ctx, subsets=subsets
-                )
-                hypothesis = trace.hypothesis
-                chosen = trace.chosen_point
-            else:
-                n_used = budget.N1 + budget.N2
+            n_used = budget.N1
+            if config.mode == "proper":
                 stage2 = sample_dataset(cls, c_star, dist, budget.N2, trng)
-                trace_p = proper_learn(
-                    cls,
-                    None,
-                    params,
-                    trng,
-                    context=ctx,
-                    stage1_subsets=subsets,
-                    stage2=stage2,
-                )
-                hypothesis = trace_p.hypothesis
-                chosen = trace_p.chosen_point
+                n_used += budget.N2
         else:
             n_used = config.n_override
             data = sample_dataset(cls, c_star, dist, n_used, trng)
-            if config.mode == "improper":
-                trace = improper_learn(cls, data, params, trng, context=ctx)
-                hypothesis = trace.hypothesis
-                chosen = trace.chosen_point
-            else:
-                trace_p = proper_learn(cls, data, params, trng, context=ctx)
-                hypothesis = trace_p.hypothesis
-                chosen = trace_p.chosen_point
+        if config.mode == "improper":
+            trace = improper_learn(
+                cls, data, params, trng, context=ctx, subsets=subsets
+            )
+        else:
+            trace = proper_learn(
+                cls,
+                data,
+                params,
+                trng,
+                context=ctx,
+                stage1_subsets=subsets,
+                stage2=stage2,
+            )
         elapsed_ms = (time.perf_counter() - start) * 1e3
 
         rows.append(
@@ -177,9 +166,9 @@ def run_experiment(
                 delta=params.privacy.delta,
                 alpha=params.alpha,
                 beta=params.beta,
-                error_d=error_on_distribution(hypothesis, c_star, dist),
-                proper_flag=hypothesis.proper_index is not None,
-                chosen_point=chosen,
+                error_d=error_on_distribution(trace.hypothesis, c_star, dist),
+                proper_flag=trace.hypothesis.proper_index is not None,
+                chosen_point=trace.chosen_point,
                 runtime_ms=elapsed_ms,
                 seed=config.seed,
             )

@@ -47,7 +47,16 @@ from .mechanisms import (
     private_median,
     required_median_size,
 )
-from .tree import ClassTree, SubTree, make_subtree, make_tree, mark_proper, node_stats, upward_closure
+from .tree import (
+    ClassTree,
+    SubTree,
+    forced_nodes,
+    make_subtree,
+    make_tree,
+    mark_proper,
+    node_stats,
+    upward_closure,
+)
 
 
 @dataclass(frozen=True)
@@ -175,10 +184,9 @@ class LearnerContext:
     """Precomputed representation shared by every run on one class.
 
     Holds the member concept used for relabeling, the canonical
-    representation with its point map, the marked order tree, and float
-    copies of the concept matrix for the batched consistency tests.
-    Building it once and passing it to the learners amortizes the tree
-    construction across repeated runs.
+    representation with its point map, and the marked order tree with
+    per-point depths. Building it once and passing it to the learners
+    amortizes the tree construction across repeated runs.
     """
 
     base: ConceptClass
@@ -195,22 +203,6 @@ class LearnerContext:
             row[list(self.f.ones)] = 1
         row.flags.writeable = False
         return row
-
-    @cached_property
-    def ones_f32(self) -> np.ndarray:
-        return self.class_f.matrix.astype(np.float32)
-
-    @cached_property
-    def zeros_f32(self) -> np.ndarray:
-        return (~self.class_f.matrix).astype(np.float32)
-
-    @cached_property
-    def zeros_f32_t(self) -> np.ndarray:
-        return np.ascontiguousarray(self.zeros_f32.T)
-
-    @cached_property
-    def ones_f32_t(self) -> np.ndarray:
-        return np.ascontiguousarray(self.ones_f32.T)
 
     @cached_property
     def depth_vec(self) -> np.ndarray:
@@ -331,35 +323,32 @@ def _transform_dataset(ctx: LearnerContext, dataset: Dataset) -> tuple[np.ndarra
 
 
 def _subset_summaries(
-    ctx: LearnerContext, subsets: Sequence[tuple[np.ndarray, np.ndarray]]
+    ctx: LearnerContext, subsets: Sequence[Dataset]
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Deterministic-point masks and deepest depths for many subsets at once.
+    """Deepest forced points and their depths for many subsets at once.
 
-    Returns ``(forced, depths)`` where ``forced[i, p]`` says point ``p`` is
-    labeled 1 by every concept consistent with subset ``i`` and
-    ``depths[i]`` is the largest tree depth among them (0 when none).
-    Raises when some subset is inconsistent with every concept.
+    Returns ``(deepest, depths)``: every concept consistent with subset
+    ``i`` labels the root path of ``deepest[i]`` with 1, and ``depths[i]``
+    is that point's tree depth (``deepest[i]`` is -1 and the depth 0 when
+    nothing is forced). Raises when some subset is inconsistent with every
+    concept.
     """
     t = len(subsets)
     n = ctx.class_f.domain_size
-    present1 = np.zeros((t, n), dtype=np.float32)
-    present0 = np.zeros((t, n), dtype=np.float32)
-    for i, (pts, labs) in enumerate(subsets):
-        pos = labs != 0
-        if pos.any():
-            present1[i] = np.bincount(pts[pos], minlength=n) > 0
-        if (~pos).any():
-            present0[i] = np.bincount(pts[~pos], minlength=n) > 0
-    # concept violates subset iff it gives 0 to a 1-labeled point or vice versa
-    viol = present1 @ ctx.zeros_f32_t + present0 @ ctx.ones_f32_t
-    consistent = viol < 0.5
-    if not consistent.any(axis=1).all():
+    # row i: where subset i has 0-labels in columns [0, n), 1-labels in
+    # [n, 2n); subsets are transformed one at a time so that no second copy
+    # of the sample is held
+    pres = np.zeros((t, 2 * n), dtype=bool)
+    for i, subset in enumerate(subsets):
+        pts, labs = _transform_dataset(ctx, subset)
+        pres[i, pts + n * labs.astype(np.int64)] = True
+    deepest, inconsistent = forced_nodes(ctx.tree, pres[:, :n], pres[:, n:])
+    if inconsistent.any():
         raise NotRealizableError("dataset not realizable by class")
-    # a point is forced iff no consistent concept assigns it 0
-    zero_hits = consistent.astype(np.float32) @ ctx.zeros_f32
-    forced = zero_hits < 0.5
-    depths = (forced * ctx.depth_vec).max(axis=1) if n else np.zeros(t, dtype=np.int64)
-    return forced, depths.astype(np.int64)
+    depths = np.zeros(t, dtype=np.int64)
+    hit = deepest >= 0
+    depths[hit] = ctx.depth_vec[deepest[hit]]
+    return deepest, depths
 
 
 def _back_transform(ctx: LearnerContext, ones_f: frozenset[int]) -> Hypothesis:
@@ -412,17 +401,8 @@ def improper_learn(
     elif not subsets:
         raise ValueError("at least one subset required")
 
-    transformed = [_transform_dataset(ctx, s) for s in subsets]
-    forced, depths = _subset_summaries(ctx, transformed)
+    deepest, depths = _subset_summaries(ctx, subsets)
     t = len(subsets)
-
-    deepest: list[int | None] = []
-    for i in range(t):
-        if depths[i] == 0:
-            deepest.append(None)
-        else:
-            row = forced[i] & (ctx.depth_vec == depths[i])
-            deepest.append(int(np.nonzero(row)[0][0]))
 
     if force_median is not None:
         z = int(force_median)
@@ -436,14 +416,16 @@ def improper_learn(
             rng,
         )
 
+    # a candidate's score counts the subsets whose forced path passes through it
     candidates = ctx.points_at_depth.get(z, ())
-    if candidates:
-        active = depths >= z
-        scores = tuple(
-            int((forced[active, p]).sum()) for p in candidates
-        )
-    else:
-        scores = ()
+    cand = np.array(candidates, dtype=np.int64)
+    forced_tin = np.sort(ctx.tree.tin[deepest[deepest >= 0]])
+    scores = tuple(
+        (
+            np.searchsorted(forced_tin, ctx.tree.tout[cand])
+            - np.searchsorted(forced_tin, ctx.tree.tin[cand])
+        ).tolist()
+    )
 
     inst = ChoosingInstance(
         scores=dict(zip(candidates, scores)), k=1, n=t
@@ -464,7 +446,7 @@ def improper_learn(
         reference_concept=ctx.f,
         reference_index=ctx.f_index,
         subset_depths=tuple(int(d) for d in depths),
-        subset_deepest=tuple(deepest),
+        subset_deepest=tuple(None if d < 0 else d for d in deepest.tolist()),
         median_depth=z,
         candidates=tuple(candidates),
         scores=scores,

@@ -1,8 +1,8 @@
 """Differential-privacy primitives.
 
 Laplace noise, the exponential mechanism, a bounded-quality selection
-mechanism with an abstain outcome, a pluggable private median over a
-finite ordered domain, and composition accounting. Mechanisms are pure
+mechanism with an abstain outcome, a private median over a finite
+ordered domain, and composition accounting. Mechanisms are pure
 given their random stream; concurrent calls need distinct streams.
 """
 
@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Hashable, Mapping, Sequence
+from typing import Hashable, Mapping, Sequence
 
 import numpy as np
 
@@ -140,12 +140,7 @@ def choosing_utility_bound(inst: ChoosingInstance, privacy: PrivacyParams, beta:
     )
 
 
-MedianBackend = Callable[
-    [Sequence[int], int, float, PrivacyParams, float, np.random.Generator], int
-]
-
-
-def rank_utility_median_backend(
+def private_median(
     values: Sequence[int],
     domain_max: int,
     alpha: float,
@@ -153,13 +148,25 @@ def rank_utility_median_backend(
     beta: float,
     rng: np.random.Generator,
 ) -> int:
-    """Exponential mechanism over [0, domain_max] with rank utility.
+    """A private alpha-median of integer values in [0, domain_max].
 
-    The utility of a candidate m is ``min(#{v <= m}, #{v >= m})``, which
-    has sensitivity 1 and peaks at true medians, giving a pure
-    epsilon-DP mechanism. ``beta`` enters only through the sample-size
-    requirement (:func:`required_median_size`), not the sampling itself.
+    The exponential mechanism over [0, domain_max] with rank utility
+    ``min(#{v <= m}, #{v >= m})``, which has sensitivity 1 and peaks at true
+    medians, giving a pure epsilon-DP mechanism. With probability at least
+    1 - beta the output m has at least a (1/2 - alpha) fraction of the
+    values on each side, provided the input is at least
+    :func:`required_median_size` large; ``beta`` enters only through that
+    requirement, not the sampling itself.
     """
+    values = list(values)
+    if not values:
+        raise ValueError("empty values")
+    if privacy.epsilon <= 0:
+        raise ValueError("epsilon must be positive")
+    if not 0 < alpha <= 0.5:
+        raise ValueError("alpha must be in (0, 1/2]")
+    if min(values) < 0 or max(values) > domain_max:
+        raise ValueError("values outside [0, domain_max]")
     vals = np.sort(np.asarray(values, dtype=np.int64))
     cands = np.arange(domain_max + 1)
     n_le = np.searchsorted(vals, cands, side="right")
@@ -172,48 +179,15 @@ def rank_utility_median_backend(
     return int(rng.choice(len(cands), p=probs))
 
 
-def private_median(
-    values: Sequence[int],
-    domain_max: int,
-    alpha: float,
-    privacy: PrivacyParams,
-    beta: float,
-    rng: np.random.Generator,
-    *,
-    backend: MedianBackend | None = None,
-) -> int:
-    """A private alpha-median of integer values in [0, domain_max].
-
-    With probability at least 1 - beta the output m has at least a
-    (1/2 - alpha) fraction of the values on each side, provided the input
-    is at least :func:`required_median_size` large. The default backend is
-    the pure-DP rank-utility exponential mechanism; pass ``backend`` to
-    substitute another construction behind the same contract.
-    """
-    values = list(values)
-    if not values:
-        raise ValueError("empty values")
-    if privacy.epsilon <= 0:
-        raise ValueError("epsilon must be positive")
-    if not 0 < alpha <= 0.5:
-        raise ValueError("alpha must be in (0, 1/2]")
-    if min(values) < 0 or max(values) > domain_max:
-        raise ValueError("values outside [0, domain_max]")
-    impl = backend if backend is not None else rank_utility_median_backend
-    return impl(values, domain_max, alpha, privacy, beta, rng)
-
-
 def required_median_size(
     domain_max: int, alpha: float, beta: float, privacy: PrivacyParams
 ) -> int:
-    """Sufficient input size for the default median backend's guarantee.
+    """Sufficient input size for :func:`private_median`'s guarantee.
 
     The rank-utility exponential mechanism misses an alpha-median with
     probability at most (domain_max + 1) * exp(-eps * alpha * n / 2), so
     ``n >= (2 / (alpha * eps)) * ln((domain_max + 1) / beta)`` suffices.
-    Grows additively by O(1 / (alpha * eps)) per doubling of the domain;
-    a plug-in backend with milder domain dependence can replace this bound
-    together with the mechanism.
+    Grows additively by O(1 / (alpha * eps)) per doubling of the domain.
     """
     if domain_max < 0:
         raise ValueError("domain_max must be nonnegative")

@@ -5,9 +5,11 @@ forest hanging under a virtual root (the empty set). Each node is a
 non-constant domain point, each concept's 1-set is a root path, and the
 depth of a point equals the length of its chain of strict upper bounds.
 
-The construction packs concept columns into uint64 bitsets so that
-superset tests vectorize; building the tree for a few thousand points
-takes seconds, and the result is immutable and reusable.
+The tree is read off the concepts themselves: listed by decreasing column
+count, each concept's points walk its root path downward. Euler-tour
+intervals then turn ancestor tests into integer comparisons, so forced
+sets are computed per node and example, never per concept. The result is
+immutable and reusable.
 """
 
 from __future__ import annotations
@@ -26,7 +28,10 @@ class ClassTree:
 
     ``parent[p]`` is ``None`` for children of the root. ``children`` uses
     ``None`` as the root key; child lists are ordered by ascending point id
-    for reproducible traversals. ``proper`` is ``None`` until
+    for reproducible traversals. ``tour`` lists the points in depth-first
+    preorder along those child lists; ``tin``/``tout`` index the domain, and
+    ``q`` is ``p`` or below it iff ``tin[p] <= tin[q] < tout[p]`` (both are
+    -1 at points off the tree). ``proper`` is ``None`` until
     :func:`mark_proper` fills it.
     """
 
@@ -35,6 +40,9 @@ class ClassTree:
     children: Mapping[int | None, tuple[int, ...]]
     depth: Mapping[int, int]
     height: int
+    tour: np.ndarray
+    tin: np.ndarray
+    tout: np.ndarray
     proper: Mapping[int, bool] | None = None
     root_proper: bool | None = None
 
@@ -80,91 +88,80 @@ class DeterministicSet:
     depth_of_deepest: int
 
 
-def _column_bits(class_f: ConceptClass) -> tuple[np.ndarray, np.ndarray]:
-    """Pack each point's concept column into rows of uint64 words."""
-    m = class_f.matrix
-    n_concepts, n_points = m.shape
-    words = max(1, -(-n_concepts // 64))
-    padded = np.zeros((n_points, words * 64), dtype=bool)
-    padded[:, :n_concepts] = m.T
-    bits = np.packbits(padded, axis=1, bitorder="little")
-    bits = bits.view(np.uint64).reshape(n_points, words)
-    neg = ~bits
-    return bits, neg
-
-
 def make_tree(class_f: ConceptClass) -> ClassTree:
     """Build the order tree of a canonical class containing the all-zeros concept.
 
     Each non-constant point appears once; its parent is the closest strict
     upper bound and its depth is the number of points order-above it plus
-    one. Raises when some up-set is not totally ordered, which is the
-    structural signature of VC dimension >= 2.
+    one. In a canonical class an ancestor lies in strictly more concepts
+    than its descendants, so each concept's points, listed by decreasing
+    column count, give the parent edges along its path. When no point gets
+    two different parents, every concept is the root path of its deepest
+    point. Otherwise this raises: some two points then share a concept and
+    each lies in a concept without the other, so with the all-zeros
+    concept they are shattered. It therefore raises exactly on the classes
+    of VC dimension 2 or more.
     """
     if not is_canonical(class_f):
         raise ValueError("class must be canonical before tree construction")
     if frozenset() not in class_f.concept_index:
         raise ValueError("class must contain the all-zeros concept")
 
-    pts = list(class_f.order_points)
-    if not pts:
-        return ClassTree(
-            points=(), parent={}, children={None: ()}, depth={}, height=0
-        )
+    m = class_f.matrix
+    n = class_f.domain_size
+    count = m.sum(axis=0)
+    by_count = np.argsort(-count, kind="stable")
+    # row-major nonzeros: each concept's points in decreasing-count order
+    rows, cols = np.nonzero(m[:, by_count])
+    pts = by_count[cols]
+    starts = np.ones(len(pts), dtype=bool)
+    starts[1:] = rows[1:] != rows[:-1]
+    above = np.where(starts, -1, np.roll(pts, 1))
+    parent_of = np.full(n, -1, dtype=np.int64)
+    parent_of[pts] = above
+    if (parent_of[pts] != above).any():
+        raise ValueError("class is not VC-1 tree-structured")
+    pos = np.arange(len(pts))
+    depth_of = np.zeros(n, dtype=np.int64)
+    depth_of[pts] = pos - np.maximum.accumulate(np.where(starts, pos, 0)) + 1
 
-    bits, neg = _column_bits(class_f)
-    idx = np.array(pts, dtype=np.int64)
-    sub_bits = bits[idx]
-    sub_neg = neg[idx]
-
-    # up_count[i] = number of points (including i) whose column is a superset.
-    k = len(pts)
-    up_count = np.empty(k, dtype=np.int64)
-    for i in range(k):
-        # superset of i <=> no concept word has a 1 in i's column missing in theirs
-        viol = (sub_bits[i][None, :] & sub_neg).any(axis=1)
-        up_count[i] = k - int(viol.sum())
-
+    points = tuple(np.nonzero(count)[0].tolist())
     parent: dict[int, int | None] = {}
-    depth: dict[int, int] = {}
-    for i in range(k):
-        viol = (sub_bits[i][None, :] & sub_neg).any(axis=1)
-        sup = ~viol
-        sup[i] = False
-        depth[pts[i]] = int(up_count[i])
-        if not sup.any():
-            parent[pts[i]] = None
-            continue
-        cand = np.nonzero(sup)[0]
-        parent[pts[i]] = pts[int(cand[np.argmax(up_count[cand])])]
-
-    # Chain validation: walking parents must visit every strict upper bound.
-    for i, p in enumerate(pts):
-        length = 0
-        q = parent[p]
-        while q is not None:
-            length += 1
-            q = parent[q]
-            if length > k:
-                raise ValueError("class is not VC-1 tree-structured")
-        if length != up_count[i] - 1:
-            raise ValueError("class is not VC-1 tree-structured")
-
     children: dict[int | None, list[int]] = {None: []}
-    for p in pts:
+    for p in points:
+        q = int(parent_of[p])
+        parent[p] = None if q < 0 else q
         children[p] = []
-    for p in pts:
+    for p in points:
         children[parent[p]].append(p)
-    frozen_children = {
-        key: tuple(sorted(v)) for key, v in children.items()
-    }
-    height = max(depth.values())
+
+    tour: list[int] = []
+    stack = children[None][::-1]
+    while stack:
+        p = stack.pop()
+        tour.append(p)
+        stack.extend(children[p][::-1])
+    tin = np.full(n, -1, dtype=np.int64)
+    tin[tour] = np.arange(len(tour))
+    size = dict.fromkeys(points, 1)
+    for p in reversed(tour):
+        if parent[p] is not None:
+            size[parent[p]] += size[p]
+    tout = np.full(n, -1, dtype=np.int64)
+    tout[tour] = tin[tour] + [size[p] for p in tour]
+    tour_arr = np.array(tour, dtype=np.int64)
+    for arr in (tour_arr, tin, tout):
+        arr.flags.writeable = False
+
     return ClassTree(
-        points=tuple(pts),
+        points=points,
         parent=parent,
-        children=frozen_children,
-        depth=depth,
-        height=height,
+        children={key: tuple(v) for key, v in children.items()},
+        depth=dict(zip(points, depth_of[list(points)].tolist())),
+        height=int(depth_of.max(initial=0)),
+        tour=tour_arr,
+        tin=tin,
+        tout=tout,
     )
 
 
@@ -183,28 +180,20 @@ def upward_closure(tree: ClassTree, x: int) -> frozenset[int]:
 def mark_proper(class_f: ConceptClass, tree: ClassTree) -> ClassTree:
     """Flag nodes whose root path is realized by some concept.
 
-    The virtual root is proper exactly when the all-zeros concept is
-    present, which holds for every representation built from a member
-    concept.
+    Every non-empty concept of a class :func:`make_tree` accepts is the
+    root path of its deepest point, the last of its points in tour order,
+    so that point is flagged. The virtual root is proper exactly when the
+    all-zeros concept is present, which holds for every representation
+    built from a member concept.
     """
-    proper = {p: False for p in tree.points}
-    bits, neg = _column_bits(class_f)
-    root_proper = False
-    for c in class_f.concepts:
-        if not c.ones:
-            root_proper = True
-            continue
-        members = [p for p in c.ones if p in tree.depth]
-        if len(members) != len(c.ones):
-            continue  # touches a constant point: not a root path
-        deepest = max(members, key=lambda p: tree.depth[p])
-        if tree.depth[deepest] != len(c.ones):
-            continue
-        ys = np.fromiter(c.ones, dtype=np.int64)
-        on_path = ~(bits[deepest][None, :] & neg[ys]).any(axis=1)
-        if on_path.all():
-            proper[deepest] = True
-    return replace(tree, proper=proper, root_proper=root_proper)
+    proper = dict.fromkeys(tree.points, False)
+    in_tour = class_f.matrix[:, tree.tour]
+    nonempty = in_tour.any(axis=1)
+    if nonempty.any():
+        last = len(tree.tour) - 1 - in_tour[:, ::-1].argmax(axis=1)
+        for p in tree.tour[last[nonempty]].tolist():
+            proper[p] = True
+    return replace(tree, proper=proper, root_proper=not nonempty.all())
 
 
 def make_subtree(tree: ClassTree, x_good: int) -> SubTree:
@@ -300,34 +289,80 @@ def node_stats(tree: ClassTree, sub: SubTree, dataset: Dataset) -> NodeStats:
     return NodeStats(weight=weight, value=value, min_leaf_value=min_leaf)
 
 
+def forced_nodes(
+    tree: ClassTree, pres0: np.ndarray, pres1: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Deepest forced node and inconsistency flag for each of many samples.
+
+    ``pres0[i, p]``/``pres1[i, p]`` say sample ``i`` has an example at
+    point ``p`` labeled 0/1; the tree must carry proper flags. The concepts
+    are the empty set and the root paths of proper nodes, so a sample with
+    1-labels is consistent only when they all lie on the root path of the
+    deepest one, ``d``. The consistent concepts are then the root paths of
+    the proper nodes at or below ``d`` that no 0-labeled point is at or
+    above (a 0-label on ``d``'s own path leaves none), and their common
+    points form the root path of the lowest common ancestor of those nodes:
+    the LCA of the first and the last of them in tour order.
+
+    Returns ``(deepest, inconsistent)``; ``deepest[i]`` is -1 when sample
+    ``i`` forces no point, and so is every inconsistent sample's.
+    """
+    t = pres1.shape[0]
+    has1 = pres1.any(axis=1)
+    k = len(tree.tour)
+    if k == 0:
+        return np.full(t, -1, dtype=np.int64), has1
+    tin, tout = tree.tin, tree.tout
+    # descendants come later in the tour, so a chain's deepest point has the largest tin
+    d = np.where(pres1, tin, -2).argmax(axis=1)
+    tin_d, tout_d = tin[d][:, None], tout[d][:, None]
+    # a 1-label off the tree (tin and tout -1) is never on the path
+    on_path = (tin <= tin_d) & (tin_d < tout)
+    chain = ~(pres1 & ~on_path).any(axis=1)
+
+    # tour position j lies under a 0-labeled point iff some such point's
+    # interval starts at or before j and ends after it
+    pos = np.arange(k)
+    blocked_to = np.maximum.accumulate(
+        np.where(pres0[:, tree.tour], tout[tree.tour], 0), axis=1
+    )
+    proper = np.fromiter((tree.proper[p] for p in tree.tour.tolist()), bool, k)
+    live = proper & (blocked_to <= pos) & (tin_d <= pos) & (pos < tout_d)
+    first = live.argmax(axis=1)[:, None]
+    last = k - 1 - live[:, ::-1].argmax(axis=1)[:, None]
+    lca = np.where((tin <= first) & (last < tout), tin, -1).argmax(axis=1)
+
+    consistent = chain & live.any(axis=1)
+    deepest = np.where(has1 & consistent, lca, -1)
+    return deepest, has1 & ~consistent
+
+
 def deterministic_points(
     class_f: ConceptClass, dataset: Dataset, *, tree: ClassTree | None = None
 ) -> DeterministicSet:
     """Points labeled 1 by every concept consistent with the dataset.
 
-    The intersection of the 1-sets of all consistent concepts. Raises
-    :class:`NotRealizableError` when no concept is consistent. Passing a
-    prebuilt tree avoids recomputing depths.
+    The intersection of the 1-sets of all consistent concepts, computed on
+    the class's tree by :func:`forced_nodes`; the class must be one that
+    :func:`make_tree` accepts. Raises :class:`NotRealizableError` when no
+    concept is consistent. Passing a prebuilt tree avoids rebuilding it.
     """
-    m = class_f.matrix
-    if len(dataset):
-        if dataset.points.max() >= class_f.domain_size:
-            raise ValueError("dataset point outside class domain")
-        agree = m[:, dataset.points] == (dataset.labels[None, :] != 0)
-        consistent = agree.all(axis=1)
-    else:
-        consistent = np.ones(len(class_f.concepts), dtype=bool)
-    if not consistent.any():
-        raise NotRealizableError("dataset not realizable by class")
-    forced = m[consistent].all(axis=0)
-    pts = frozenset(int(p) for p in np.nonzero(forced)[0])
-    if not pts:
-        return DeterministicSet(points=pts, deepest=None, depth_of_deepest=0)
+    if len(dataset) and dataset.points.max() >= class_f.domain_size:
+        raise ValueError("dataset point outside class domain")
     if tree is None:
         tree = make_tree(class_f)
-    deepest = max(pts, key=lambda p: tree.depth[p])
+    if tree.proper is None:
+        tree = mark_proper(class_f, tree)
+    pres = np.zeros((2, 1, class_f.domain_size), dtype=bool)
+    pres[dataset.labels, 0, dataset.points] = True
+    deepest, inconsistent = forced_nodes(tree, pres[0], pres[1])
+    if inconsistent[0]:
+        raise NotRealizableError("dataset not realizable by class")
+    if deepest[0] < 0:
+        return DeterministicSet(points=frozenset(), deepest=None, depth_of_deepest=0)
+    x = int(deepest[0])
     return DeterministicSet(
-        points=pts, deepest=deepest, depth_of_deepest=tree.depth[deepest]
+        points=upward_closure(tree, x), deepest=x, depth_of_deepest=tree.depth[x]
     )
 
 

@@ -173,7 +173,7 @@ def test_criterion_4_mechanism_distributions():
         slack = 2 * math.sqrt(beta * (1 - beta) / trials)
         assert violations / trials <= beta + slack
 
-        # private median alpha-property at the backend's required size
+        # private median alpha-property at its required size
         failures = 0
         for _ in range(trials):
             domain_max = int(rng.integers(4, 200))

@@ -23,7 +23,6 @@ from vc1learn import (
     thresholds_class,
     total_privacy,
 )
-from vc1learn.learners import _subset_summaries, _transform_dataset
 
 X1, X2, X3, X4, X5, X6, X7 = range(7)
 
@@ -172,11 +171,17 @@ def test_q_scores_are_one_bounded(example_cls):
     ]
 
     def scores_for(subs, z):
-        transformed = [_transform_dataset(ctx, s) for s in subs]
-        forced, depths = _subset_summaries(ctx, transformed)
-        pts = ctx.points_at_depth.get(z, ())
-        active = depths >= z
-        return [int(forced[active, p].sum()) for p in pts]
+        trace = improper_learn(
+            example_cls,
+            None,
+            PARAMS,
+            make_rng(0),
+            context=ctx,
+            subsets=subs,
+            force_median=z,
+            greedy=True,
+        )
+        return trace.scores
 
     for z in (1, 2, 3):
         base = scores_for(subsets, z)

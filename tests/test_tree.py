@@ -6,6 +6,7 @@ from vc1learn import (
     Dataset,
     NotRealizableError,
     canonicalize,
+    deterministic_oracle,
     deterministic_points,
     f_represent,
     leq,
@@ -70,11 +71,15 @@ def test_make_tree_requires_all_zeros_concept():
 
 
 def test_make_tree_rejects_branching_upsets():
-    # point 2 sits below two incomparable points: not tree-structured
-    cls = ConceptClass.from_ones(3, [set(), {0}, {1}, {0, 1, 2}])
-    assert canonicalize(cls)[0] == cls
-    with pytest.raises(ValueError, match="not VC-1 tree-structured"):
-        make_tree(cls)
+    for cls in (
+        # point 2 sits below two incomparable points: not tree-structured
+        ConceptClass.from_ones(3, [set(), {0}, {1}, {0, 1, 2}]),
+        # two points shattered (VC dimension 2), each without an upper bound
+        ConceptClass.from_ones(2, [set(), {0}, {1}, {0, 1}]),
+    ):
+        assert canonicalize(cls)[0] == cls
+        with pytest.raises(ValueError, match="not VC-1 tree-structured"):
+            make_tree(cls)
 
 
 def test_tree_height_bounded_by_thresholds_dimension(corpus):
@@ -241,6 +246,37 @@ def test_deterministic_points_examples(example_cls):
 def test_deterministic_points_unrealizable(example_cls):
     with pytest.raises(NotRealizableError):
         deterministic_points(example_cls, Dataset.from_pairs([(X2, 1), (X3, 1)]))
+
+
+def test_deterministic_points_match_oracle_across_corpus(corpus, rng):
+    # the tree kernel against the literal intersection, on samples labeled
+    # by a concept and on their neighbours with one label flipped
+    outcomes = {"forced": 0, "unrealizable": 0}
+    for cls in corpus:
+        base, _ = canonicalize(cls)
+        f = base.concepts[int(rng.integers(len(base.concepts)))]
+        rep, _ = canonicalize(f_represent(base, f))
+        tree = mark_proper(rep, make_tree(rep))
+        m = rep.matrix
+        for size in (1, 3, 20):
+            c_idx = int(rng.integers(len(rep.concepts)))
+            pts = rng.integers(0, rep.domain_size, size=size)
+            labs = m[c_idx, pts].astype(np.uint8)
+            flipped = labs.copy()
+            flipped[int(rng.integers(size))] ^= 1
+            for data in (Dataset(pts, labs), Dataset(pts, flipped)):
+                try:
+                    expected = deterministic_oracle(rep, data)
+                except NotRealizableError:
+                    with pytest.raises(NotRealizableError):
+                        deterministic_points(rep, data, tree=tree)
+                    outcomes["unrealizable"] += 1
+                    continue
+                got = deterministic_points(rep, data, tree=tree)
+                assert got.points == expected
+                assert got.depth_of_deepest == len(expected)
+                outcomes["forced"] += bool(expected)
+    assert min(outcomes.values()) > 100
 
 
 def test_deterministic_points_form_chains(corpus, rng):
