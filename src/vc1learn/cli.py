@@ -105,7 +105,11 @@ def _cmd_learn(args: argparse.Namespace) -> int:
         result = trace_p.to_json()
     if args.emit_trace:
         Path(args.emit_trace).write_text(json.dumps(result, indent=2) + "\n")
-    print(json.dumps(result["hypothesis"]))
+    # the learner ran on the canonical domain; point p carries merge[p]'s label
+    hypothesis = result["hypothesis"]
+    ones = set(hypothesis["ones"])
+    hypothesis["ones"] = [p for p, q in enumerate(merge.tolist()) if q in ones]
+    print(json.dumps(hypothesis))
     return 0
 
 

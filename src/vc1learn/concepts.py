@@ -147,13 +147,31 @@ class ConceptClass:
         )
         return cls(domain_size, concepts, name=name)
 
+    @classmethod
+    def from_matrix(
+        cls,
+        matrix: np.ndarray,
+        ids: Sequence[str | None],
+        merge_map: Sequence[int] = (),
+        name: str | None = None,
+    ) -> "ConceptClass":
+        """The class whose :attr:`matrix` is ``matrix``, one id per row."""
+        concepts = tuple(
+            Concept(frozenset(np.flatnonzero(row).tolist()), cid)
+            for row, cid in zip(matrix, ids, strict=True)
+        )
+        out = cls(matrix.shape[1], concepts, tuple(merge_map), name)
+        m = np.array(matrix, dtype=bool)
+        m.flags.writeable = False
+        out.__dict__["matrix"] = m  # seed the cached property
+        return out
+
     @cached_property
     def matrix(self) -> np.ndarray:
         """Boolean matrix, one row per concept, one column per point."""
         m = np.zeros((len(self.concepts), self.domain_size), dtype=bool)
         for i, c in enumerate(self.concepts):
-            if c.ones:
-                m[i, list(c.ones)] = True
+            m[i, np.fromiter(c.ones, np.int64, len(c.ones))] = True
         m.flags.writeable = False
         return m
 
@@ -190,14 +208,49 @@ class ConceptClass:
         return len(self.concepts)
 
 
+def _first_occurrences(packed: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Group equal rows of a 2-d byte array, numbering groups by first appearance.
+
+    Returns ``(first, group)``: the index of each group's first row, in
+    ascending order, and each row's group number.
+    """
+    index: dict[bytes, int] = {}
+    first: list[int] = []
+    group = np.empty(len(packed), dtype=np.int64)
+    for i, row in enumerate(packed):
+        g = index.setdefault(row.tobytes(), len(first))
+        if g == len(first):
+            first.append(i)
+        group[i] = g
+    return np.array(first, dtype=np.int64), group
+
+
+def canonical_layout(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The canonical reduction of a boolean concept matrix, as index arrays.
+
+    Returns ``(rows, cols, merge)``: the rows kept (the first of each set of
+    equal rows), the columns kept (the lowest index of each set of equal
+    columns), both ascending, and ``merge[p]``, the position of column
+    ``p``'s representative in ``cols``. The canonical matrix is
+    ``m[np.ix_(rows, cols)]``. Rows and columns are compared as packed bits.
+    """
+    rows, _ = _first_occurrences(np.packbits(m, axis=1))
+    # pack the columns eight rows at a time: far cheaper than transposing m
+    k = -(-m.shape[0] // 8)
+    bits = np.zeros((8 * k, m.shape[1]), dtype=np.uint8)
+    bits[: m.shape[0]] = m
+    bits = bits.reshape(k, 8, m.shape[1])
+    packed = np.zeros((k, m.shape[1]), dtype=np.uint8)
+    for b in range(8):
+        packed |= bits[:, b] << b
+    cols, merge = _first_occurrences(packed.T)
+    return rows, cols, merge
+
+
 def is_canonical(cls: ConceptClass) -> bool:
     """True when concepts are pairwise distinct and so are point columns."""
-    ones_seen = {c.ones for c in cls.concepts}
-    if len(ones_seen) != len(cls.concepts):
-        return False
-    m = cls.matrix
-    cols = {m[:, j].tobytes() for j in range(cls.domain_size)}
-    return len(cols) == cls.domain_size
+    rows, cols, _ = canonical_layout(cls.matrix)
+    return len(rows) == len(cls.concepts) and len(cols) == cls.domain_size
 
 
 def canonicalize(cls: ConceptClass) -> tuple[ConceptClass, np.ndarray]:
@@ -217,37 +270,12 @@ def canonicalize(cls: ConceptClass) -> tuple[ConceptClass, np.ndarray]:
     """
     if not cls.concepts:
         raise ValueError("empty concept class")
-
-    kept_concepts: list[Concept] = []
-    seen: set[frozenset[int]] = set()
-    for c in cls.concepts:
-        if c.ones not in seen:
-            seen.add(c.ones)
-            kept_concepts.append(c)
-
-    m = np.zeros((len(kept_concepts), cls.domain_size), dtype=bool)
-    for i, c in enumerate(kept_concepts):
-        if c.ones:
-            m[i, list(c.ones)] = True
-
-    rep_of: dict[bytes, int] = {}
-    merge = np.empty(cls.domain_size, dtype=np.int64)
-    reps: list[int] = []
-    for p in range(cls.domain_size):
-        key = m[:, p].tobytes()
-        if key not in rep_of:
-            rep_of[key] = len(reps)
-            reps.append(p)
-        merge[p] = rep_of[key]
-
-    new_concepts = tuple(
-        Concept(frozenset(int(merge[q]) for q in c.ones), c.id) for c in kept_concepts
-    )
-    canon = ConceptClass(
-        domain_size=len(reps),
-        concepts=new_concepts,
-        merge_map=tuple(int(v) for v in merge),
-        name=cls.name,
+    rows, cols, merge = canonical_layout(cls.matrix)
+    canon = ConceptClass.from_matrix(
+        cls.matrix[np.ix_(rows, cols)],
+        [cls.concepts[i].id for i in rows.tolist()],
+        merge.tolist(),
+        cls.name,
     )
     merge.flags.writeable = False
     return canon, merge

@@ -32,9 +32,8 @@ from .concepts import (
     ConceptClass,
     Dataset,
     Hypothesis,
-    NotRealizableError,
+    canonical_layout,
     canonicalize,
-    f_represent,
     is_canonical,
 )
 from .mechanisms import (
@@ -52,9 +51,9 @@ from .tree import (
     SubTree,
     forced_nodes,
     make_subtree,
-    make_tree,
-    mark_proper,
+    mark_proper_matrix,
     node_stats,
+    tree_from_matrix,
     upward_closure,
 )
 
@@ -183,30 +182,38 @@ def partition(dataset: Dataset, t: int, rng: np.random.Generator) -> list[Datase
 class LearnerContext:
     """Precomputed representation shared by every run on one class.
 
-    Holds the member concept used for relabeling, the canonical
-    representation with its point map, and the marked order tree with
-    per-point depths. Building it once and passing it to the learners
-    amortizes the tree construction across repeated runs.
+    Holds the member concept used for relabeling, the point map onto the
+    operational domain, and the marked order tree with per-point depths.
+    Building it once and passing it to the learners amortizes the tree
+    construction across repeated runs. The learners never need the
+    represented class's concepts, so ``class_f`` is built on first read.
     """
 
     base: ConceptClass
     f_index: int
     f: Concept
-    class_f: ConceptClass
     point_map: np.ndarray
     tree: ClassTree
 
     @cached_property
+    def class_f(self) -> ConceptClass:
+        """The canonical representation, ``canonicalize(f_represent(base, f))[0]``."""
+        represented = ConceptClass.from_matrix(
+            self.base.matrix ^ self.base.matrix[self.f_index],
+            [c.id for c in self.base.concepts],
+            name=self.base.name,
+        )
+        return canonicalize(represented)[0]
+
+    @cached_property
     def f_row(self) -> np.ndarray:
-        row = np.zeros(self.base.domain_size, dtype=np.uint8)
-        if self.f.ones:
-            row[list(self.f.ones)] = 1
+        row = self.base.matrix[self.f_index].astype(np.uint8)
         row.flags.writeable = False
         return row
 
     @cached_property
     def depth_vec(self) -> np.ndarray:
-        d = np.zeros(self.class_f.domain_size, dtype=np.int64)
+        d = np.zeros(len(self.tree.tin), dtype=np.int64)
         for p, dep in self.tree.depth.items():
             d[p] = dep
         d.flags.writeable = False
@@ -225,9 +232,11 @@ def prepare_context(cls: ConceptClass, f_index: int | None = None) -> LearnerCon
 
     ``f_index`` picks the member concept the class is represented against;
     the default is the first concept, and the learners' guarantees do not
-    depend on the choice. The represented class is re-canonicalized since
-    the transform can collapse point columns, and the composed point map
-    carries datasets onto the operational domain.
+    depend on the choice. Set-up works on the concept matrix: its rows are
+    XORed with the member's row, the result is reduced by the rule of
+    :func:`canonicalize` (the transform can collapse point columns), and
+    the tree is read off the reduced matrix. The column merge map carries
+    datasets onto the operational domain.
     """
     if not is_canonical(cls):
         raise ValueError("learners require a canonical class; call canonicalize first")
@@ -235,16 +244,16 @@ def prepare_context(cls: ConceptClass, f_index: int | None = None) -> LearnerCon
         f_index = 0
     if not 0 <= f_index < len(cls.concepts):
         raise ValueError("f_index out of range")
-    f = cls.concepts[f_index]
-    class_f, point_map = canonicalize(f_represent(cls, f))
-    tree = mark_proper(class_f, make_tree(class_f))
+    m = cls.matrix ^ cls.matrix[f_index]
+    rows, cols, point_map = canonical_layout(m)
+    canon = m[np.ix_(rows, cols)]
+    point_map.flags.writeable = False
     return LearnerContext(
         base=cls,
         f_index=f_index,
-        f=f,
-        class_f=class_f,
+        f=cls.concepts[f_index],
         point_map=point_map,
-        tree=tree,
+        tree=mark_proper_matrix(canon, tree_from_matrix(canon)),
     )
 
 
@@ -330,11 +339,12 @@ def _subset_summaries(
     Returns ``(deepest, depths)``: every concept consistent with subset
     ``i`` labels the root path of ``deepest[i]`` with 1, and ``depths[i]``
     is that point's tree depth (``deepest[i]`` is -1 and the depth 0 when
-    nothing is forced). Raises when some subset is inconsistent with every
-    concept.
+    nothing is forced). A subset that no concept is consistent with gets
+    that same data-independent summary, so that one changed example moves
+    one summary and the learner never raises on the data.
     """
     t = len(subsets)
-    n = ctx.class_f.domain_size
+    n = len(ctx.tree.tin)  # the operational domain
     # row i: where subset i has 0-labels in columns [0, n), 1-labels in
     # [n, 2n); subsets are transformed one at a time so that no second copy
     # of the sample is held
@@ -342,9 +352,8 @@ def _subset_summaries(
     for i, subset in enumerate(subsets):
         pts, labs = _transform_dataset(ctx, subset)
         pres[i, pts + n * labs.astype(np.int64)] = True
-    deepest, inconsistent = forced_nodes(ctx.tree, pres[:, :n], pres[:, n:])
-    if inconsistent.any():
-        raise NotRealizableError("dataset not realizable by class")
+    # forced_nodes gives inconsistent subsets deepest -1, like empty ones
+    deepest, _ = forced_nodes(ctx.tree, pres[:, :n], pres[:, n:])
     depths = np.zeros(t, dtype=np.int64)
     hit = deepest >= 0
     depths[hit] = ctx.depth_vec[deepest[hit]]
@@ -353,13 +362,33 @@ def _subset_summaries(
 
 def _back_transform(ctx: LearnerContext, ones_f: frozenset[int]) -> Hypothesis:
     """Lift a 1-set on the operational domain back to a hypothesis on the input domain."""
-    n_op = ctx.class_f.domain_size
-    row = np.zeros(n_op, dtype=np.uint8)
+    row = np.zeros(len(ctx.tree.tin), dtype=np.uint8)
     if ones_f:
         row[list(ones_f)] = 1
     values = row[ctx.point_map] ^ ctx.f_row
     ones = frozenset(int(p) for p in np.nonzero(values)[0])
     return Hypothesis(ones=ones, proper_index=ctx.base.concept_index.get(ones))
+
+
+def _checked_context(
+    cls: ConceptClass,
+    params: LearnParams,
+    context: LearnerContext | None,
+    f_index: int | None,
+) -> LearnerContext:
+    """Validate the privacy parameters, then return the context for ``cls``.
+
+    Runs before a learner touches the data, with the messages of
+    :func:`choosing_mechanism`, which needs the same range.
+    """
+    if not 0 < params.privacy.epsilon < 2:
+        raise ValueError("epsilon must be in (0, 2)")
+    if params.privacy.delta <= 0:
+        raise ValueError("delta must be positive")
+    ctx = context if context is not None else prepare_context(cls, f_index)
+    if ctx.base is not cls and ctx.base != cls:
+        raise ValueError("context was prepared for a different class")
+    return ctx
 
 
 def improper_learn(
@@ -383,14 +412,17 @@ def improper_learn(
     examples the subset count is capped at the sample size, which keeps
     the privacy guarantee and voids the accuracy one.
 
+    Raises ``ValueError`` before touching the data unless eps is in
+    (0, 2) and delta is positive. A subset that no concept is consistent
+    with is summarised as forcing nothing, so the run never raises on the
+    data.
+
     Keyword-only hooks exist for tests and pipelines: ``subsets`` bypasses
     partitioning, ``force_median`` pins the median outcome,
     ``greedy`` replaces each mechanism by its utility-optimal branch, and
     ``context``/``f_index`` control the shared representation.
     """
-    ctx = context if context is not None else prepare_context(cls, f_index)
-    if ctx.base is not cls and ctx.base != cls:
-        raise ValueError("context was prepared for a different class")
+    ctx = _checked_context(cls, params, context, f_index)
 
     if subsets is None:
         if dataset is None or len(dataset) == 0:
@@ -496,10 +528,11 @@ def proper_learn(
     The final hypothesis is the smallest-id realized leaf's path.
 
     ``stage1_subsets``/``stage2`` bypass the internal split and
-    ``force_chosen_point`` skips the improper stage; see
+    ``force_chosen_point`` skips the improper stage; the parameter and
+    context checks of :func:`improper_learn` still run first. See
     :func:`improper_learn` for the remaining hooks.
     """
-    ctx = context if context is not None else prepare_context(cls, f_index)
+    ctx = _checked_context(cls, params, context, f_index)
     budget = sample_budget(params, ctx.tree.height)
 
     if stage2 is None:

@@ -5,11 +5,11 @@ forest hanging under a virtual root (the empty set). Each node is a
 non-constant domain point, each concept's 1-set is a root path, and the
 depth of a point equals the length of its chain of strict upper bounds.
 
-The tree is read off the concepts themselves: listed by decreasing column
-count, each concept's points walk its root path downward. Euler-tour
-intervals then turn ancestor tests into integer comparisons, so forced
-sets are computed per node and example, never per concept. The result is
-immutable and reusable.
+The tree is read off the concept matrix itself: any concept containing a
+point, cut to the points in at least as many concepts, is that point's
+root path. Euler-tour intervals then turn ancestor tests into integer
+comparisons, so forced sets are computed per node and example, never per
+concept. The result is immutable and reusable.
 """
 
 from __future__ import annotations
@@ -94,36 +94,43 @@ def make_tree(class_f: ConceptClass) -> ClassTree:
     Each non-constant point appears once; its parent is the closest strict
     upper bound and its depth is the number of points order-above it plus
     one. In a canonical class an ancestor lies in strictly more concepts
-    than its descendants, so each concept's points, listed by decreasing
-    column count, give the parent edges along its path. When no point gets
-    two different parents, every concept is the root path of its deepest
-    point. Otherwise this raises: some two points then share a concept and
-    each lies in a concept without the other, so with the all-zeros
-    concept they are shattered. It therefore raises exactly on the classes
-    of VC dimension 2 or more.
+    than its descendants, so any concept containing a point ``p``, cut to
+    the points lying in at least as many concepts as ``p``, is ``p``'s root
+    path. Those cut rows give the depths and the parent edges, and are then
+    checked: each must be its parent's row plus the point itself, and each
+    concept must be the row of its deepest point. Both checks pass exactly
+    when the concepts are the root paths of a forest, so this raises
+    exactly on the classes of VC dimension 2 or more.
     """
     if not is_canonical(class_f):
         raise ValueError("class must be canonical before tree construction")
-    if frozenset() not in class_f.concept_index:
-        raise ValueError("class must contain the all-zeros concept")
+    return tree_from_matrix(class_f.matrix)
 
-    m = class_f.matrix
-    n = class_f.domain_size
-    count = m.sum(axis=0)
-    by_count = np.argsort(-count, kind="stable")
-    # row-major nonzeros: each concept's points in decreasing-count order
-    rows, cols = np.nonzero(m[:, by_count])
-    pts = by_count[cols]
-    starts = np.ones(len(pts), dtype=bool)
-    starts[1:] = rows[1:] != rows[:-1]
-    above = np.where(starts, -1, np.roll(pts, 1))
-    parent_of = np.full(n, -1, dtype=np.int64)
-    parent_of[pts] = above
-    if (parent_of[pts] != above).any():
+
+def tree_from_matrix(m: np.ndarray) -> ClassTree:
+    """:func:`make_tree` on a concept matrix the caller knows is canonical."""
+    if m.any(axis=1).all():
+        raise ValueError("class must contain the all-zeros concept")
+    n = m.shape[1]
+    # in a forest of root paths every point ends a concept or branches (one
+    # child would share its column), so n < 2C; this also bounds path below
+    if n >= 2 * len(m):
         raise ValueError("class is not VC-1 tree-structured")
-    pos = np.arange(len(pts))
-    depth_of = np.zeros(n, dtype=np.int64)
-    depth_of[pts] = pos - np.maximum.accumulate(np.where(starts, pos, 0)) + 1
+    count = m.sum(axis=0)
+    live = count > 0
+    # path[p]: p's root path, read off the first concept containing p;
+    # an extra all-False row stands for the virtual root
+    path = np.zeros((n + 1, n), dtype=bool)
+    path[:n] = m[m.argmax(axis=0)] & (count >= count[:, None]) & live[:, None]
+    depth_of = path[:n].sum(axis=1)
+    parent_of = np.full(n, -1, dtype=np.int64)
+    kid, up = np.nonzero(path[:n] & (depth_of == depth_of[:, None] - 1))
+    parent_of[kid] = up
+    grown = path[parent_of]
+    grown[np.flatnonzero(live), np.flatnonzero(live)] = True
+    ends = _path_ends(m, depth_of)
+    if not (np.array_equal(grown, path[:n]) and np.array_equal(m, path[ends])):
+        raise ValueError("class is not VC-1 tree-structured")
 
     points = tuple(np.nonzero(count)[0].tolist())
     parent: dict[int, int | None] = {}
@@ -143,12 +150,12 @@ def make_tree(class_f: ConceptClass) -> ClassTree:
         stack.extend(children[p][::-1])
     tin = np.full(n, -1, dtype=np.int64)
     tin[tour] = np.arange(len(tour))
-    size = dict.fromkeys(points, 1)
+    span = dict.fromkeys(points, 1)
     for p in reversed(tour):
         if parent[p] is not None:
-            size[parent[p]] += size[p]
+            span[parent[p]] += span[p]
     tout = np.full(n, -1, dtype=np.int64)
-    tout[tour] = tin[tour] + [size[p] for p in tour]
+    tout[tour] = tin[tour] + [span[p] for p in tour]
     tour_arr = np.array(tour, dtype=np.int64)
     for arr in (tour_arr, tin, tout):
         arr.flags.writeable = False
@@ -181,19 +188,34 @@ def mark_proper(class_f: ConceptClass, tree: ClassTree) -> ClassTree:
     """Flag nodes whose root path is realized by some concept.
 
     Every non-empty concept of a class :func:`make_tree` accepts is the
-    root path of its deepest point, the last of its points in tour order,
-    so that point is flagged. The virtual root is proper exactly when the
-    all-zeros concept is present, which holds for every representation
-    built from a member concept.
+    root path of its deepest point, its one point whose depth equals the
+    concept's size, so that point is flagged. The virtual root is proper
+    exactly when the all-zeros concept is present, which holds for every
+    representation built from a member concept.
     """
+    return mark_proper_matrix(class_f.matrix, tree)
+
+
+def mark_proper_matrix(m: np.ndarray, tree: ClassTree) -> ClassTree:
+    """:func:`mark_proper` on the concept matrix the tree was built from."""
+    depth = np.zeros(m.shape[1], dtype=np.int64)
+    depth[list(tree.depth)] = list(tree.depth.values())
+    ends = _path_ends(m, depth)
     proper = dict.fromkeys(tree.points, False)
-    in_tour = class_f.matrix[:, tree.tour]
-    nonempty = in_tour.any(axis=1)
-    if nonempty.any():
-        last = len(tree.tour) - 1 - in_tour[:, ::-1].argmax(axis=1)
-        for p in tree.tour[last[nonempty]].tolist():
-            proper[p] = True
-    return replace(tree, proper=proper, root_proper=not nonempty.all())
+    proper.update(dict.fromkeys(ends[ends >= 0].tolist(), True))
+    return replace(tree, proper=proper, root_proper=bool((ends < 0).any()))
+
+
+def _path_ends(m: np.ndarray, depth: np.ndarray) -> np.ndarray:
+    """Each concept's point whose depth equals the concept's size, else -1.
+
+    On a concept that is a root path this is the path's deepest point; the
+    empty concept gets -1.
+    """
+    row, point = np.nonzero(m & (depth == m.sum(axis=1)[:, None]))
+    ends = np.full(len(m), -1, dtype=np.int64)
+    ends[row] = point
+    return ends
 
 
 def make_subtree(tree: ClassTree, x_good: int) -> SubTree:

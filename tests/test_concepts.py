@@ -207,6 +207,13 @@ def test_upsets_are_chains(corpus):
                     assert comparable(rep, a, b)
 
 
+def _is_canonical_reference(cls):
+    # the definition, one point column at a time
+    columns = [tuple(c(p) for c in cls.concepts) for p in range(cls.domain_size)]
+    distinct_concepts = len({c.ones for c in cls.concepts}) == len(cls.concepts)
+    return distinct_concepts and len(set(columns)) == len(columns)
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     ones_sets=st.lists(
@@ -217,6 +224,7 @@ def test_canonicalize_random_classes_property(ones_sets):
     cls = ConceptClass.from_ones(6, ones_sets)
     canon, merge = canonicalize(cls)
     assert is_canonical(canon)
+    assert is_canonical(cls) == _is_canonical_reference(cls)
     assert len(merge) == 6
     # merging preserves every concept's value at every original point
     for orig, c_new in zip(

@@ -144,6 +144,37 @@ def test_cli_full_pipeline(tmp_path, capsys):
     assert "hypothesis" in trace and "chosen_point" in trace
 
 
+def test_cli_learn_prints_hypothesis_on_input_domain(tmp_path, capsys):
+    # points 2 and 3 lie in the same concepts, so the learner merges them
+    cls_path = tmp_path / "cls.json"
+    data_path = tmp_path / "data.csv"
+    concepts = {"empty": [], "a": [0], "target": [0, 2, 3], "b": [1]}
+    cls_path.write_text(
+        json.dumps(
+            {
+                "name": "merged",
+                "domain_size": 4,
+                "concepts": [{"id": k, "ones": v} for k, v in concepts.items()],
+            }
+        )
+    )
+    assert main(
+        [
+            "sample", "--class", str(cls_path), "--concept", "target",
+            "--n", "2000", "--seed", "1", "--out", str(data_path),
+        ]
+    ) == 0
+    assert main(
+        [
+            "learn", "--class", str(cls_path), "--data", str(data_path),
+            "--epsilon", "1", "--delta", "1e-5", "--alpha", "0.25",
+            "--beta", "0.25", "--seed", "0",
+        ]
+    ) == 0
+    hyp = json.loads(capsys.readouterr().out.splitlines()[-1])
+    assert hyp["ones"] == [0, 2, 3]
+
+
 def test_cli_tree_dot_output(tmp_path, capsys):
     cls_path = tmp_path / "cls.json"
     main(["gen", "--kind", "example", "--out", str(cls_path)])

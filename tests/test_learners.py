@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -11,9 +12,13 @@ from vc1learn import (
     NotRealizableError,
     PrivacyParams,
     canonicalize,
+    deterministic_oracle,
     error_on_distribution,
+    f_represent,
     improper_learn,
     make_rng,
+    make_tree,
+    mark_proper,
     partition,
     prepare_context,
     proper_learn,
@@ -23,6 +28,7 @@ from vc1learn import (
     thresholds_class,
     total_privacy,
 )
+from vc1learn import learners
 
 X1, X2, X3, X4, X5, X6, X7 = range(7)
 
@@ -102,12 +108,117 @@ def test_improper_single_concept_class(rng):
         assert trace.hypothesis.proper_index == 0
 
 
-def test_improper_unrealizable_subset_errors(example_cls):
+def test_improper_unrealizable_subset_gets_empty_summary(example_cls):
+    # no concept labels both x2 and x3 with 1; that subset is summarised
+    # like one that forces nothing, and the run goes on as for such a subset
+    ctx = prepare_context(example_cls, f_index=7)
     bad = Dataset.from_pairs([(X2, 1), (X3, 1)])
-    with pytest.raises(NotRealizableError):
+    empty = Dataset.from_pairs([(X3, 0)])
+    good = Dataset.from_pairs([(X1, 1), (X5, 1)])
+    trace = improper_learn(
+        example_cls, None, PARAMS, make_rng(0), context=ctx, subsets=[bad, good]
+    )
+    assert trace.subset_depths == (0, 2)
+    assert trace.subset_deepest == (None, X5)
+    same = improper_learn(
+        example_cls, None, PARAMS, make_rng(0), context=ctx, subsets=[empty, good]
+    )
+    assert trace.to_json() == same.to_json()
+
+
+def test_one_flipped_label_never_raises(example_cls):
+    # a realizable sample whose neighbour flips x2's label to 1: the subset
+    # holding that example is inconsistent, and neither learner raises
+    ctx = prepare_context(example_cls)
+    target = example_cls.concepts[5]  # {x1, x5, x6}
+    pairs = [(p, target(p)) for p in range(7)] * 8
+    assert pairs[0] == (X1, 1) and pairs[1] == (X2, 0)
+    flipped = Dataset.from_pairs([pairs[0], (X2, 1)] + pairs[2:])
+    for seed in range(5):
+        subsets = partition(flipped, 8, make_rng(seed))
+        unrealizable = 0
+        for s in subsets:
+            try:
+                deterministic_oracle(example_cls, s)
+            except NotRealizableError:
+                unrealizable += 1
+        assert unrealizable == 1
         improper_learn(
-            example_cls, None, PARAMS, make_rng(0), subsets=[bad]
+            example_cls, None, PARAMS, make_rng(seed), context=ctx, subsets=subsets
         )
+        trace = proper_learn(
+            example_cls,
+            None,
+            PARAMS,
+            make_rng(seed),
+            context=ctx,
+            stage1_subsets=subsets,
+            stage2=flipped,
+        )
+        assert trace.hypothesis.proper_index is not None
+    # and through the learners' own partitioning
+    many = Dataset(np.tile(flipped.points, 50), np.tile(flipped.labels, 50))
+    for seed in range(5):
+        improper_learn(example_cls, many, PARAMS, make_rng(seed), context=ctx)
+        proper_learn(example_cls, many, PARAMS, make_rng(seed), context=ctx)
+
+
+@pytest.mark.parametrize(
+    "privacy, message",
+    [
+        (PrivacyParams(2.0, 1e-5), "epsilon must be in (0, 2)"),
+        (PrivacyParams(0.0, 1e-5), "epsilon must be in (0, 2)"),
+        (PrivacyParams(1.0, 0.0), "delta must be positive"),
+    ],
+)
+def test_learners_validate_privacy_before_touching_data(
+    example_cls, monkeypatch, privacy, message
+):
+    calls = []
+    monkeypatch.setattr(learners, "partition", lambda *args: calls.append(args))
+    params = LearnParams(alpha=0.2, beta=0.2, privacy=privacy)
+    data = Dataset.from_pairs([(p, 0) for p in range(7)] * 10)
+    for learn in (improper_learn, proper_learn):
+        rng = make_rng(0)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            learn(example_cls, data, params, rng)
+        # no draw was made: the sample was neither split nor shuffled
+        assert rng.bit_generator.state == make_rng(0).bit_generator.state
+    assert not calls
+
+
+def test_proper_rejects_context_of_another_class(example_cls, modified_cls):
+    ctx = prepare_context(example_cls)
+    with pytest.raises(ValueError, match="different class"):
+        proper_learn(
+            modified_cls,
+            None,
+            PARAMS,
+            make_rng(0),
+            context=ctx,
+            force_chosen_point=X7,
+            stage2=Dataset.from_pairs([(X1, 1)]),
+        )
+
+
+def test_prepare_context_matches_canonicalized_representation(corpus):
+    # the matrix set-up equals the concept-level pipeline it replaces
+    for cls in corpus:
+        base, _ = canonicalize(cls)
+        last = len(base.concepts) - 1
+        for f_index in sorted({0, last // 2, last}):
+            ctx = prepare_context(base, f_index)
+            ref, ref_map = canonicalize(f_represent(base, base.concepts[f_index]))
+            assert np.array_equal(ctx.point_map, ref_map)
+            assert ctx.class_f.concepts == ref.concepts
+            assert ctx.class_f.merge_map == ref.merge_map
+            assert ctx.class_f.domain_size == ref.domain_size
+            assert ctx.class_f == ref
+            tree = mark_proper(ref, make_tree(ref))
+            for name in ("parent", "depth", "children", "proper", "root_proper", "height"):
+                assert getattr(ctx.tree, name) == getattr(tree, name), name
+            for name in ("tour", "tin", "tout"):
+                assert np.array_equal(getattr(ctx.tree, name), getattr(tree, name)), name
 
 
 def test_improper_learns_thresholds_statistically():
