@@ -39,3 +39,4 @@ print("\nComposition accounting:")
 step = v.PrivacyParams(0.1, 1e-7)
 total = v.advanced_composition(step.epsilon, step.delta, k=50, delta_prime=1e-6)
 print(f"  50 runs of (0.1, 1e-7): ({total.epsilon:.4f}, {total.delta:.2e})")
+print(f"  exact optimum of 50 pure 0.1-DP runs at delta' 1e-6: {v.optimal_composition(0.1, 50, 1e-6):.4f}")

@@ -68,6 +68,7 @@ from .oracles import (
     error_on_sample,
     floor_log2,
     littlestone_dimension,
+    optimal_composition,
     thresholds_dimension,
     vc_dimension,
 )

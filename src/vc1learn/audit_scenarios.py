@@ -167,3 +167,28 @@ def improper_learner_scenario(
         Dataset.from_pairs(other),
         PrivacyParams(2.0 * epsilon, 2.0 * delta),
     )
+
+
+def unrealizable_neighbour_scenario(
+    epsilon: float = 1.0,
+    delta: float = 1e-5,
+    alpha: float = 0.2,
+    beta: float = 0.1,
+    n: int = 30,
+    cls: ConceptClass | None = None,
+    context: LearnerContext | None = None,
+) -> AuditScenario:
+    """The improper pipeline next to an unrealizable neighbour; claimed (2 eps, 2 delta).
+
+    The realizable sample of :func:`improper_learner_scenario`, and the
+    same sample with the first example's label flipped. With ``n`` at
+    least the domain size the flipped point also appears with its true
+    label, so no concept realizes the neighbour; privacy must hold there
+    too.
+    """
+    mech, data, _, claimed = improper_learner_scenario(
+        epsilon, delta, alpha, beta, n, cls, context
+    )
+    flipped = data.labels.copy()
+    flipped[0] ^= 1
+    return mech, data, Dataset(data.points, flipped), claimed

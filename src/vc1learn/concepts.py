@@ -18,6 +18,7 @@ threads; operations are pure functions of their inputs.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Sequence
@@ -127,9 +128,17 @@ class ConceptClass:
             raise ValueError("domain_size must be nonnegative")
         if not self.concepts:
             raise ValueError("empty concept class")
-        for c in self.concepts:
-            if c.ones and (min(c.ones) < 0 or max(c.ones) >= self.domain_size):
-                raise ValueError(f"concept {c.id!r} has points outside the domain")
+        sizes = [len(c.ones) for c in self.concepts]
+        points = np.fromiter(
+            itertools.chain.from_iterable(c.ones for c in self.concepts),
+            np.int64,
+            sum(sizes),
+        )
+        outside = (points < 0) | (points >= self.domain_size)
+        if outside.any():
+            first = np.searchsorted(np.cumsum(sizes), outside.argmax(), "right")
+            c = self.concepts[first]
+            raise ValueError(f"concept {c.id!r} has points outside the domain")
         if not self.merge_map:
             object.__setattr__(self, "merge_map", tuple(range(self.domain_size)))
 

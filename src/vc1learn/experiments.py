@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .concepts import ConceptClass, Dataset
+from .concepts import Dataset
 from .generators import GeneratorSpec, generate_class, sample_dataset
 from .learners import (
     LearnParams,
@@ -82,25 +82,26 @@ class ReportRow:
 
 
 def _sample_subsets(
-    cls: ConceptClass,
     concept_row: np.ndarray,
     dist: Distribution,
     t: int,
     per_subset: int,
     rng: np.random.Generator,
 ) -> list[Dataset]:
-    """Draw t i.i.d. subsets of fixed size directly.
+    """Draw t i.i.d. subsets of fixed size, each given by its support.
 
-    Equal in distribution to drawing t * per_subset examples and randomly
-    partitioning them round-robin, but avoids shuffling the combined
-    sample. The subsets are views of one buffer: one large allocation per
-    trial instead of t small ones that the allocator would return to the
-    system and fault back in on every trial.
+    One multinomial draw of ``per_subset`` examples per subset is equal in
+    distribution to drawing ``t * per_subset`` examples and partitioning
+    them round-robin, without shuffling the combined sample. A subset's
+    summary depends only on which (point, label) pairs it holds, not on
+    how often, so each subset is handed over as its distinct points, each
+    once, labeled by ``concept_row``; the learners then give the same
+    trace as on the full draw, which is never materialised.
     """
     counts = rng.multinomial(per_subset, dist.weights, size=t)
-    base = np.tile(np.arange(cls.domain_size, dtype=np.int64), t)
-    pts = np.split(np.repeat(base, counts.ravel()), t)
-    return [Dataset(p, concept_row[p]) for p in pts]
+    rows, pts = np.nonzero(counts)
+    splits = np.searchsorted(rows, np.arange(1, t))
+    return [Dataset(p, concept_row[p]) for p in np.split(pts, splits)]
 
 
 def run_experiment(
@@ -132,7 +133,7 @@ def run_experiment(
         data = subsets = stage2 = None
         if config.n_override is None:
             subsets = _sample_subsets(
-                cls, row_vals, dist, budget.t, budget.per_subset, trng
+                row_vals, dist, budget.t, budget.per_subset, trng
             )
             n_used = budget.N1
             if config.mode == "proper":

@@ -7,7 +7,9 @@ path back-transforms to an accurate hypothesis.
 * :func:`improper_learn` partitions the sample, summarizes each subset by
   its deepest forced point, takes a private median of those depths, and
   privately selects among the points at the median depth. Its output may
-  fall outside the class.
+  fall outside the class. Subsets stay flat: :func:`partition` gives each
+  example a subset id, and one scatter of (subset, point, label) codes
+  into a presence matrix feeds the summaries of all subsets at once.
 * :func:`proper_learn` runs the improper stage on one slice of the data
   and, when the selected node's path is not realized by a class member,
   descends the pruned subtree with noisy weight tests and exponential
@@ -157,25 +159,23 @@ def sample_budget(params: LearnParams, tree_depth_bound: int) -> SampleBudget:
     )
 
 
-def partition(dataset: Dataset, t: int, rng: np.random.Generator) -> list[Dataset]:
+def partition(dataset: Dataset, t: int, rng: np.random.Generator) -> np.ndarray:
     """Shuffle and deal the dataset round-robin into ``t`` subsets.
 
-    Subset sizes differ by at most one and the union recovers the input as
-    a multiset.
+    Returns the int32 subset id of every example: with ``perm`` the
+    shuffle, the ``j``-th example dealt, ``perm[j]``, goes to subset
+    ``j % t``, so subset ``i`` holds the examples ``perm[i::t]``. Subset
+    sizes differ by at most one and no per-subset copy is built.
     """
     if t < 1:
         raise ValueError("t must be at least 1")
-    if len(dataset) < t:
+    n = len(dataset)
+    if n < t:
         raise ValueError("dataset smaller than the number of subsets")
-    perm = rng.permutation(len(dataset))
-    return [
-        Dataset(
-            dataset.points[perm[i::t]],
-            dataset.labels[perm[i::t]],
-            dataset.realizable_by,
-        )
-        for i in range(t)
-    ]
+    perm = rng.permutation(n)
+    ids = np.empty(n, dtype=np.int32)
+    ids[perm] = np.tile(np.arange(t, dtype=np.int32), -(-n // t))[:n]
+    return ids
 
 
 @dataclass(frozen=True, eq=False)
@@ -218,6 +218,19 @@ class LearnerContext:
             d[p] = dep
         d.flags.writeable = False
         return d
+
+    @cached_property
+    def code(self) -> np.ndarray:
+        """``code[l, p]``: the presence column of input example ``(p, l)``.
+
+        That is ``point_map[p] + n * (l ^ f_row[p])`` on the operational
+        domain of size ``n``: relabeled 0s in ``[0, n)``, 1s in ``[n, 2n)``.
+        """
+        n = len(self.tree.tin)
+        flipped = np.stack([self.f_row, self.f_row ^ 1]).astype(np.int32)
+        c = self.point_map.astype(np.int32) + n * flipped
+        c.flags.writeable = False
+        return c
 
     @cached_property
     def points_at_depth(self) -> dict[int, tuple[int, ...]]:
@@ -322,36 +335,38 @@ class ProperTrace:
         }
 
 
-def _transform_dataset(ctx: LearnerContext, dataset: Dataset) -> tuple[np.ndarray, np.ndarray]:
-    """Relabel against the reference concept and map points onto the operational domain."""
-    if len(dataset) and dataset.points.max() >= ctx.base.domain_size:
+def _check_domain(ctx: LearnerContext, points: np.ndarray) -> None:
+    if len(points) and points.max() >= ctx.base.domain_size:
         raise ValueError("dataset point outside class domain")
-    labels = dataset.labels ^ ctx.f_row[dataset.points]
-    points = ctx.point_map[dataset.points]
-    return points, labels
 
 
 def _subset_summaries(
-    ctx: LearnerContext, subsets: Sequence[Dataset]
+    ctx: LearnerContext,
+    points: np.ndarray,
+    labels: np.ndarray,
+    ids: np.ndarray,
+    t: int,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Deepest forced points and their depths for many subsets at once.
+    """Deepest forced points and their depths for ``t`` subsets at once.
 
-    Returns ``(deepest, depths)``: every concept consistent with subset
-    ``i`` labels the root path of ``deepest[i]`` with 1, and ``depths[i]``
-    is that point's tree depth (``deepest[i]`` is -1 and the depth 0 when
-    nothing is forced). A subset that no concept is consistent with gets
-    that same data-independent summary, so that one changed example moves
-    one summary and the learner never raises on the data.
+    Example ``j``, ``(points[j], labels[j])``, belongs to subset
+    ``ids[j]``. Returns ``(deepest, depths)``: every concept consistent
+    with subset ``i`` labels the root path of ``deepest[i]`` with 1, and
+    ``depths[i]`` is that point's tree depth (``deepest[i]`` is -1 and the
+    depth 0 when nothing is forced). A subset that no concept is
+    consistent with gets that same data-independent summary, so that one
+    changed example moves one summary and the learner never raises on the
+    data.
     """
-    t = len(subsets)
+    _check_domain(ctx, points)
     n = len(ctx.tree.tin)  # the operational domain
-    # row i: where subset i has 0-labels in columns [0, n), 1-labels in
-    # [n, 2n); subsets are transformed one at a time so that no second copy
-    # of the sample is held
+    # row i: where subset i has relabeled 0s in columns [0, n) and 1s in
+    # [n, 2n), all rows scattered at once through their flat positions
+    dtype = np.int32 if t * 2 * n < 2**31 else np.int64
+    flat = np.multiply(ids, 2 * n, dtype=dtype)
+    flat += ctx.code[labels, points]
     pres = np.zeros((t, 2 * n), dtype=bool)
-    for i, subset in enumerate(subsets):
-        pts, labs = _transform_dataset(ctx, subset)
-        pres[i, pts + n * labs.astype(np.int64)] = True
+    pres.ravel()[flat] = True
     # forced_nodes gives inconsistent subsets deepest -1, like empty ones
     deepest, _ = forced_nodes(ctx.tree, pres[:, :n], pres[:, n:])
     depths = np.zeros(t, dtype=np.int64)
@@ -429,18 +444,24 @@ def improper_learn(
             raise ValueError("dataset must be non-empty")
         budget = sample_budget(params, ctx.tree.height)
         t = min(budget.t, len(dataset))
-        subsets = partition(dataset, t, rng)
+        ids = partition(dataset, t, rng)
+        points, labels = dataset.points, dataset.labels
     elif not subsets:
         raise ValueError("at least one subset required")
+    else:
+        t = len(subsets)
+        ids = np.repeat(np.arange(t, dtype=np.int32), [len(s) for s in subsets])
+        points = np.concatenate([s.points for s in subsets])
+        labels = np.concatenate([s.labels for s in subsets])
 
-    deepest, depths = _subset_summaries(ctx, subsets)
-    t = len(subsets)
+    deepest, depths = _subset_summaries(ctx, points, labels, ids, t)
+    depth_list = depths.tolist()
 
     if force_median is not None:
         z = int(force_median)
     else:
         z = private_median(
-            [int(d) for d in depths],
+            depth_list,
             ctx.tree.height,
             params.constants.median_alpha,
             params.privacy,
@@ -477,7 +498,7 @@ def improper_learn(
     return ImproperTrace(
         reference_concept=ctx.f,
         reference_index=ctx.f_index,
-        subset_depths=tuple(int(d) for d in depths),
+        subset_depths=tuple(depth_list),
         subset_deepest=tuple(None if d < 0 else d for d in deepest.tolist()),
         median_depth=z,
         candidates=tuple(candidates),
@@ -580,7 +601,9 @@ def proper_learn(
             stage1=trace1,
         )
 
-    pts2, labs2 = _transform_dataset(ctx, stage2)
+    _check_domain(ctx, stage2.points)
+    # relabeled against the reference concept, on the operational domain
+    labs2, pts2 = np.divmod(ctx.code[stage2.labels, stage2.points], len(ctx.tree.tin))
     sub = make_subtree(ctx.tree, chosen)
     stats = node_stats(ctx.tree, sub, Dataset(pts2, labs2))
     n2_size = len(stage2)
@@ -634,8 +657,8 @@ def total_privacy(
 
     The improper stage costs (2 eps, 2 delta). Each descent iteration runs
     one Laplace test and one exponential mechanism, each eps-DP, so the
-    loop composes to ``(sqrt(2 T ln(1/delta')) * 2 eps, delta')`` by
-    advanced composition; the stages then add. ``loop_iterations``
+    loop of T iterations composes to :func:`advanced_composition` of T
+    steps of 2 eps with ``delta'``; the stages then add. ``loop_iterations``
     defaults to the budget's worst-case bound, and 0 gives the
     proper-exit path cost (2 eps, 2 delta) exactly.
     """

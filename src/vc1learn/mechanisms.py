@@ -221,9 +221,17 @@ def advanced_composition(
 ) -> PrivacyParams:
     """Budget of k adaptive runs of an (eps, delta)-DP mechanism.
 
-    Returns ``(sqrt(2 k ln(1/delta')) * eps, k * delta + delta')``.
+    Returns ``(min(k eps, sqrt(2 k ln(1/delta')) eps + k eps (e^eps - 1)),
+    k delta + delta')``: the smaller of basic composition and the full
+    Dwork-Rothblum-Vadhan bound, each a valid budget. The often-quoted
+    ``sqrt(2 k ln(1/delta')) eps`` drops the second term and can fall
+    below the exact optimum (30.3 against 37.9 at eps 1, k 40,
+    delta' 1e-5), so it is not used.
     """
     if epsilon_step < 0 or delta_step < 0 or k < 0 or delta_prime <= 0:
         raise ValueError("composition parameters must be positive")
-    eps = math.sqrt(2.0 * k * math.log(1.0 / delta_prime)) * epsilon_step
+    eps = float(k * epsilon_step)
+    if epsilon_step < math.log(2.0):  # from ln 2 on, e^eps - 1 >= 1 and basic wins
+        drv = math.sqrt(2.0 * k * math.log(1.0 / delta_prime)) * epsilon_step
+        eps = min(eps, drv + k * epsilon_step * math.expm1(epsilon_step))
     return PrivacyParams(epsilon=eps, delta=k * delta_step + delta_prime)

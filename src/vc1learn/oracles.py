@@ -17,6 +17,7 @@ from typing import Callable, Hashable, Sequence
 
 import numpy as np
 from scipy.stats import beta as beta_dist
+from scipy.stats import binom as binom_dist
 
 from .concepts import Concept, ConceptClass, Dataset, Hypothesis, NotRealizableError
 
@@ -204,6 +205,44 @@ def deterministic_oracle(class_f: ConceptClass, dataset: Dataset) -> frozenset[i
     for c in consistent[1:]:
         forced &= c.ones
     return frozenset(forced)
+
+
+def optimal_composition(epsilon_step: float, k: int, delta_prime: float) -> float:
+    """The exact optimal epsilon of k adaptive eps-DP steps at ``delta'``.
+
+    That is the smallest eps' for which every k-fold adaptive composition
+    of eps-DP mechanisms is (eps', delta')-DP. By Kairouz-Oh-Viswanath
+    (2015) the worst case is k-fold randomized response, whose outcome
+    with ``l`` truthful answers has probability ``P(l)``, Binomial(k,
+    e^eps / (1 + e^eps)), and privacy loss ``(2 l - k) eps``; so
+    (eps', delta') holds iff
+    ``sum_l P(l) (1 - e^(eps' - (2 l - k) eps))_+ <= delta'``, the
+    homogeneous case of Murtagh-Vadhan (2016). That sum falls as eps'
+    grows; bisection returns the smallest eps' it found to satisfy it,
+    which is never below the optimum by more than rounding.
+    """
+    if epsilon_step < 0 or k < 0 or delta_prime <= 0:
+        raise ValueError("composition parameters must be positive")
+    if k == 0 or epsilon_step == 0:
+        return 0.0
+    truthful = np.arange(k + 1)
+    pmf = binom_dist.pmf(truthful, k, 1.0 / (1.0 + math.exp(-epsilon_step)))
+    loss = (2 * truthful - k) * epsilon_step
+
+    def delta_at(eps: float) -> float:
+        return float(np.sum(pmf * -np.expm1(np.minimum(eps - loss, 0.0))))
+
+    lo, hi = 0.0, k * epsilon_step
+    if delta_at(lo) <= delta_prime:
+        return lo
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            return hi
+        if delta_at(mid) <= delta_prime:
+            hi = mid
+        else:
+            lo = mid
 
 
 def _clopper_pearson(successes: int, trials: int, tail: float) -> tuple[float, float]:

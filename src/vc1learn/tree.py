@@ -121,7 +121,7 @@ def tree_from_matrix(m: np.ndarray) -> ClassTree:
     # path[p]: p's root path, read off the first concept containing p;
     # an extra all-False row stands for the virtual root
     path = np.zeros((n + 1, n), dtype=bool)
-    path[:n] = m[m.argmax(axis=0)] & (count >= count[:, None]) & live[:, None]
+    path[:n] = m[_first_rows(m)] & (count >= count[:, None]) & live[:, None]
     depth_of = path[:n].sum(axis=1)
     parent_of = np.full(n, -1, dtype=np.int64)
     kid, up = np.nonzero(path[:n] & (depth_of == depth_of[:, None] - 1))
@@ -170,6 +170,23 @@ def tree_from_matrix(m: np.ndarray) -> ClassTree:
         tin=tin,
         tout=tout,
     )
+
+
+def _first_rows(m: np.ndarray) -> np.ndarray:
+    """``m.argmax(axis=0)``, the first row holding each column's True.
+
+    Scans blocks of 64 rows, so that no transposed copy of ``m`` is made.
+    """
+    first = np.zeros(m.shape[1], dtype=np.int64)
+    todo = np.ones(m.shape[1], dtype=bool)
+    for start in range(0, len(m), 64):
+        rows = m[start : start + 64]
+        hit = todo & rows.any(axis=0)
+        first[hit] = start + rows[:, hit].argmax(axis=0)
+        todo &= ~hit
+        if not todo.any():
+            break
+    return first
 
 
 def upward_closure(tree: ClassTree, x: int) -> frozenset[int]:

@@ -38,6 +38,7 @@ from vc1learn import (
     make_rng,
     make_subtree,
     make_tree,
+    optimal_composition,
     private_median,
     random_tree_class,
     required_median_size,
@@ -345,6 +346,12 @@ def test_criterion_9_privacy_audits():
 
 
 def test_criterion_10_budget_accounting():
+    def composed(eps, k, dp):
+        # min(basic, full Dwork-Rothblum-Vadhan); the truncated
+        # sqrt(2 k ln(1/dp)) eps can fall below the exact optimum
+        drv = math.sqrt(2 * k * math.log(1 / dp)) * eps + k * eps * (math.exp(eps) - 1)
+        return min(k * eps, drv)
+
     with criterion(10, "composition accounting to 1e-12 relative error"):
         rng = make_rng(10)
         for _ in range(100):
@@ -353,8 +360,9 @@ def test_criterion_10_budget_accounting():
             k = int(rng.integers(1, 500))
             dp = float(rng.uniform(1e-12, 0.1))
             out = advanced_composition(eps, delta, k, dp)
-            expect = math.sqrt(2 * k * math.log(1 / dp)) * eps
+            expect = composed(eps, k, dp)
             assert abs(out.epsilon - expect) <= 1e-12 * expect
+            assert out.epsilon >= optimal_composition(eps, k, dp)
             assert abs(out.delta - (k * delta + dp)) <= 1e-15
 
             params = LearnParams(
@@ -364,8 +372,9 @@ def test_criterion_10_budget_accounting():
             )
             budget = sample_budget(params, int(rng.integers(1, 5000)))
             total = total_privacy(params, budget, delta_prime=dp)
-            loop_eps = math.sqrt(2 * budget.T * math.log(1 / dp)) * 2 * eps
+            loop_eps = composed(2 * eps, budget.T, dp)
             assert abs((total.epsilon - 2 * eps) - loop_eps) <= 1e-12 * loop_eps
+            assert total.epsilon - 2 * eps >= optimal_composition(2 * eps, budget.T, dp)
             assert abs((total.delta - 2 * params.privacy.delta) - dp) <= 1e-15
             assert total_privacy(params, budget, loop_iterations=0) == PrivacyParams(
                 2 * eps, 2 * params.privacy.delta

@@ -5,17 +5,23 @@ import pytest
 
 from vc1learn import (
     Dataset,
+    Distribution,
     ExperimentConfig,
     GeneratorSpec,
     LearnParams,
     PrivacyParams,
     example_class,
+    improper_learn,
+    make_rng,
+    prepare_context,
+    proper_learn,
+    random_tree_class,
     run_experiment,
     thresholds_class,
     write_report_csv,
 )
 from vc1learn.cli import main
-from vc1learn.experiments import config_from_json, config_to_json
+from vc1learn.experiments import _sample_subsets, config_from_json, config_to_json
 from vc1learn.io import load_class, load_dataset, save_class, save_dataset
 
 PARAMS = LearnParams(alpha=0.25, beta=0.25, privacy=PrivacyParams(1.0, 1e-5))
@@ -68,6 +74,46 @@ def test_run_experiment_budgeted_path():
     rows = run_experiment(cfg)
     assert all(r.n > 1000 for r in rows)
     assert all(r.error_d <= 0.5 for r in rows)
+
+
+def test_support_subsets_give_the_full_draws_traces():
+    # each subset handed over as its support, against the full multinomial
+    # draw expanded with np.repeat: same draws, same traces
+    cls = random_tree_class(24, max_children=2, concept_rate=0.4, seed=7)
+    ctx = prepare_context(cls)
+    depth = ctx.depth_vec[ctx.point_map]
+    dist = Distribution(0.5**depth / (0.5**depth).sum())
+    t, per_subset = 25, 40
+    for seed in range(6):
+        row = cls.matrix[seed % len(cls.concepts)].astype(np.uint8)
+        support = _sample_subsets(row, dist, t, per_subset, make_rng(seed))
+        counts = make_rng(seed).multinomial(per_subset, dist.weights, size=t)
+        full = []
+        for c in counts:
+            pts = np.repeat(np.arange(cls.domain_size), c)
+            full.append(Dataset(pts, row[pts]))
+        assert len(support) == t
+        for s, f in zip(support, full):
+            assert len(f) == per_subset and len(s) < per_subset
+            assert sorted(set(f.pairs())) == s.pairs()
+        for greedy in (False, True):
+            a, b = (
+                improper_learn(
+                    cls, None, PARAMS, make_rng(100 + seed), context=ctx,
+                    subsets=subsets, greedy=greedy,
+                )
+                for subsets in (support, full)
+            )
+            assert a.to_json() == b.to_json()
+        stage2 = Dataset(np.arange(cls.domain_size), row)
+        a, b = (
+            proper_learn(
+                cls, None, PARAMS, make_rng(200 + seed), context=ctx,
+                stage1_subsets=subsets, stage2=stage2,
+            )
+            for subsets in (support, full)
+        )
+        assert a.to_json() == b.to_json()
 
 
 def test_config_json_round_trip():

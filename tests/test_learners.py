@@ -13,12 +13,14 @@ from vc1learn import (
     PrivacyParams,
     canonicalize,
     deterministic_oracle,
+    dp_audit,
     error_on_distribution,
     f_represent,
     improper_learn,
     make_rng,
     make_tree,
     mark_proper,
+    optimal_composition,
     partition,
     prepare_context,
     proper_learn,
@@ -27,8 +29,10 @@ from vc1learn import (
     sample_dataset,
     thresholds_class,
     total_privacy,
+    upward_closure,
 )
 from vc1learn import learners
+from vc1learn.audit_scenarios import unrealizable_neighbour_scenario
 
 X1, X2, X3, X4, X5, X6, X7 = range(7)
 
@@ -51,13 +55,18 @@ def test_sample_budget_monotonicity():
     assert sample_budget(looser, 64).t < sample_budget(PARAMS, 64).t
 
 
+def _subsets_of(data: Dataset, ids: np.ndarray, t: int) -> list[Dataset]:
+    return [Dataset(data.points[ids == i], data.labels[ids == i]) for i in range(t)]
+
+
 def test_partition_shapes(rng):
     data = Dataset.from_pairs([(i % 4, i % 2) for i in range(10)])
     whole = partition(data, 1, rng)
-    assert len(whole) == 1 and whole[0] == Dataset(
-        whole[0].points, whole[0].labels
-    )
-    assert sorted(len(s) for s in partition(data, 3, rng)) == [3, 3, 4]
+    assert whole.dtype == np.int32 and whole.tolist() == [0] * 10
+    for t in range(1, 11):
+        sizes = np.bincount(partition(data, t, rng), minlength=t)
+        assert len(sizes) == t and sizes.max() - sizes.min() <= 1
+    assert sorted(np.bincount(partition(data, 3, rng)).tolist()) == [3, 3, 4]
     with pytest.raises(ValueError):
         partition(data, 11, rng)
 
@@ -66,8 +75,12 @@ def test_partition_is_deterministic_and_preserves_multiset():
     data = Dataset.from_pairs([(i % 5, (i // 2) % 2) for i in range(23)])
     a = partition(data, 4, make_rng(9))
     b = partition(data, 4, make_rng(9))
-    assert all(x == y for x, y in zip(a, b))
-    merged = sorted(pair for s in a for pair in s.pairs())
+    assert np.array_equal(a, b)
+    # subset i is exactly the old round-robin deal perm[i::t] of one shuffle
+    perm = make_rng(9).permutation(len(data))
+    for i in range(4):
+        assert (a[perm[i::4]] == i).all()
+    merged = sorted(pair for s in _subsets_of(data, a, 4) for pair in s.pairs())
     assert merged == sorted(data.pairs())
 
 
@@ -135,7 +148,7 @@ def test_one_flipped_label_never_raises(example_cls):
     assert pairs[0] == (X1, 1) and pairs[1] == (X2, 0)
     flipped = Dataset.from_pairs([pairs[0], (X2, 1)] + pairs[2:])
     for seed in range(5):
-        subsets = partition(flipped, 8, make_rng(seed))
+        subsets = _subsets_of(flipped, partition(flipped, 8, make_rng(seed)), 8)
         unrealizable = 0
         for s in subsets:
             try:
@@ -161,6 +174,15 @@ def test_one_flipped_label_never_raises(example_cls):
     for seed in range(5):
         improper_learn(example_cls, many, PARAMS, make_rng(seed), context=ctx)
         proper_learn(example_cls, many, PARAMS, make_rng(seed), context=ctx)
+
+
+def test_unrealizable_neighbour_audit(example_cls):
+    mech, data_a, data_b, claimed = unrealizable_neighbour_scenario(1.0, 1e-5, n=30)
+    assert deterministic_oracle(example_cls, data_a) == example_cls.concepts[-2].ones
+    with pytest.raises(NotRealizableError):
+        deterministic_oracle(example_cls, data_b)
+    est = dp_audit(mech, data_a, data_b, 20_000, claimed.delta, make_rng(4100))
+    assert est <= claimed.epsilon + 0.3, f"{est} vs {claimed.epsilon}"
 
 
 @pytest.mark.parametrize(
@@ -219,6 +241,49 @@ def test_prepare_context_matches_canonicalized_representation(corpus):
                 assert getattr(ctx.tree, name) == getattr(tree, name), name
             for name in ("tour", "tin", "tout"):
                 assert np.array_equal(getattr(ctx.tree, name), getattr(tree, name)), name
+
+
+def test_subset_summaries_match_oracle_across_corpus(corpus, rng):
+    # the flat kernel against the literal intersection, subset by subset:
+    # random subset ids (some subsets empty), some subsets with one label
+    # flipped, and a member concept other than the first
+    outcomes = {"forced": 0, "nothing": 0, "empty": 0, "unrealizable": 0}
+    for cls in corpus:
+        base, _ = canonicalize(cls)
+        if len(base.concepts) < 2:
+            continue
+        f_index = int(rng.integers(1, len(base.concepts)))
+        f = base.concepts[f_index]
+        ctx = prepare_context(base, f_index)
+        rep, merge = canonicalize(f_represent(base, f))
+        size = int(rng.integers(1, 60))
+        t = int(rng.integers(1, 12))
+        pts = rng.integers(0, base.domain_size, size=size)
+        labs = base.matrix[int(rng.integers(len(base.concepts))), pts].astype(np.uint8)
+        ids = rng.integers(0, t, size=size).astype(np.int32)
+        for i in range(t):
+            members = np.flatnonzero(ids == i)
+            if len(members) and rng.random() < 0.5:
+                labs[rng.choice(members)] ^= 1
+        deepest, depths = learners._subset_summaries(ctx, pts, labs, ids, t)
+        assert deepest.shape == depths.shape == (t,)
+        for i in range(t):
+            sub_pts = pts[ids == i]
+            relabeled = labs[ids == i] ^ np.array([f(int(p)) for p in sub_pts], dtype=np.uint8)
+            try:
+                forced = deterministic_oracle(rep, Dataset(merge[sub_pts], relabeled))
+            except NotRealizableError:
+                forced = frozenset()
+                outcomes["unrealizable"] += 1
+            else:
+                kind = "forced" if forced else "nothing" if len(sub_pts) else "empty"
+                outcomes[kind] += 1
+            if forced:
+                assert upward_closure(ctx.tree, int(deepest[i])) == forced
+                assert depths[i] == len(forced)
+            else:
+                assert deepest[i] == -1 and depths[i] == 0
+    assert min(outcomes.values()) > 100, outcomes
 
 
 def test_improper_learns_thresholds_statistically():
@@ -437,14 +502,28 @@ def test_total_privacy_values():
         delta_prime=1e-6,
         loop_iterations=8,
     )
-    loop_eps = math.sqrt(2 * 8 * math.log(1e6)) * 2 * 0.1
-    assert t8.epsilon == pytest.approx(2 * 0.1 + loop_eps, rel=1e-12)
+    # the loop's 8 steps of 2 eps = 0.2 compose to basic 1.6 (full DRV: 3.3)
+    assert t8.epsilon == pytest.approx(2 * 0.1 + 8 * 0.2, rel=1e-12)
+    assert t8.epsilon - 2 * 0.1 >= optimal_composition(0.2, 8, 1e-6)
     assert t8.delta == pytest.approx(2e-5 + 1e-6)
 
+    # 2000 steps of 0.02: full DRV (5.5) beats basic (40)
+    t2000 = total_privacy(
+        LearnParams(alpha=0.2, beta=0.2, privacy=PrivacyParams(0.01, 1e-5)),
+        budget,
+        delta_prime=1e-6,
+        loop_iterations=2000,
+    )
+    loop_eps = math.sqrt(2 * 2000 * math.log(1e6)) * 0.02 + 2000 * 0.02 * (math.exp(0.02) - 1)
+    assert loop_eps < 6
+    assert t2000.epsilon == pytest.approx(2 * 0.01 + loop_eps, rel=1e-12)
+    assert t2000.epsilon - 2 * 0.01 >= optimal_composition(0.02, 2000, 1e-6)
+
     eps_prev = 0.0
-    for t in (1, 2, 5, 9):
+    for t in (1, 2, 5, 9, 40):
         eps_t = total_privacy(PARAMS, budget, loop_iterations=t).epsilon
         assert eps_t > eps_prev
+        assert eps_t - 2.0 >= optimal_composition(2.0, t, 1e-5)
         eps_prev = eps_t
 
 

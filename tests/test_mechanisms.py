@@ -14,6 +14,7 @@ from vc1learn import (
     choosing_utility_bound,
     exponential_mechanism,
     laplace_sample,
+    optimal_composition,
     private_median,
     required_median_size,
 )
@@ -171,14 +172,26 @@ def test_required_median_size_shape():
     assert required_median_size(100, 1 / 3, 0.1, priv) == base  # deterministic
 
 
+def _composed(eps, k, dp):
+    """min(basic, full Dwork-Rothblum-Vadhan), computed independently."""
+    drv = math.sqrt(2 * k * math.log(1 / dp)) * eps + k * eps * (math.exp(eps) - 1)
+    return min(k * eps, drv)
+
+
 def test_advanced_composition_values():
     out = advanced_composition(0.1, 0.0, 50, 1e-6)
-    assert abs(out.epsilon - math.sqrt(100 * math.log(1e6)) * 0.1) < 1e-12
-    assert out.epsilon == pytest.approx(3.7169, abs=1e-4)
+    assert out.epsilon == pytest.approx(3.7169 + 5 * (math.exp(0.1) - 1), abs=1e-4)
+    assert out.epsilon >= optimal_composition(0.1, 50, 1e-6)
     assert out.delta == pytest.approx(1e-6)
 
+    # the truncated sqrt(2 k ln(1/delta')) eps = 30.3 is below the optimum 37.9
+    forty = advanced_composition(1.0, 0.0, 40, 1e-5)
+    assert math.sqrt(80 * math.log(1e5)) < 30.4 < 37.8 < optimal_composition(1.0, 40, 1e-5)
+    assert forty.epsilon == 40.0 >= optimal_composition(1.0, 40, 1e-5)
+
     single = advanced_composition(0.2, 1e-9, 1, 1e-6)
-    assert single.epsilon == pytest.approx(math.sqrt(2 * math.log(1e6)) * 0.2)
+    assert single.epsilon == pytest.approx(0.2)
+    assert single.epsilon >= optimal_composition(0.2, 1, 1e-6)
     assert single.delta == pytest.approx(1e-9 + 1e-6)
 
     zero = advanced_composition(0.0, 0.0, 10, 1e-6)
@@ -195,8 +208,9 @@ def test_advanced_composition_values():
 def test_advanced_composition_formula_property(eps, delta, k, dp):
     assume(k * delta + dp < 1)  # composed delta must remain a probability
     out = advanced_composition(eps, delta, k, dp)
-    expect = math.sqrt(2 * k * math.log(1 / dp)) * eps
+    expect = _composed(eps, k, dp)
     assert abs(out.epsilon - expect) <= 1e-12 * max(1.0, abs(expect))
+    assert out.epsilon >= optimal_composition(eps, k, dp)
     assert out.delta == pytest.approx(k * delta + dp)
 
 

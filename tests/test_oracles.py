@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from vc1learn import (
     littlestone_dimension,
     make_rng,
     make_tree,
+    optimal_composition,
     point_functions_class,
     random_tree_class,
     thresholds_class,
@@ -171,3 +173,39 @@ def test_dp_audit_bins_real_outputs(rng):
     d1 = Dataset.from_pairs([(0, 1)] + [(0, 0)] * 2)
     est = dp_audit(mech, d0, d1, 30_000, 0.0, rng)
     assert np.isfinite(est) and est >= 0.0
+
+
+def _randomized_response_delta(eps, k, eps_total):
+    """Hockey-stick divergence of k-fold randomized response, by enumeration."""
+    keep = math.exp(eps) / (1 + math.exp(eps))
+    total = 0.0
+    for answers in itertools.product((0, 1), repeat=k):
+        s = sum(answers)
+        p = keep**s * (1 - keep) ** (k - s)
+        q = (1 - keep) ** s * keep ** (k - s)
+        total += max(0.0, p - math.exp(eps_total) * q)
+    return total
+
+
+@pytest.mark.parametrize(
+    "eps, k, dp",
+    [(0.3, 5, 1e-3), (1.0, 6, 1e-2), (2.0, 3, 1e-4), (0.1, 8, 1e-5), (0.05, 7, 0.2)],
+)
+def test_optimal_composition_matches_enumeration(eps, k, dp):
+    opt = optimal_composition(eps, k, dp)
+    assert 0.0 <= opt <= k * eps
+    assert _randomized_response_delta(eps, k, opt) <= dp * (1 + 1e-9)
+    if opt > 0:  # and nothing smaller is enough
+        assert _randomized_response_delta(eps, k, opt * (1 - 1e-7)) > dp
+
+
+def test_optimal_composition_edges():
+    assert optimal_composition(1.0, 0, 1e-5) == 0.0
+    assert optimal_composition(0.0, 10, 1e-5) == 0.0
+    # one step: eps' = eps + ln(1 - delta' / P[truthful])
+    keep = math.exp(0.5) / (1 + math.exp(0.5))
+    assert optimal_composition(0.5, 1, 1e-3) == pytest.approx(
+        0.5 + math.log(1 - 1e-3 / keep), abs=1e-12
+    )
+    with pytest.raises(ValueError):
+        optimal_composition(1.0, 3, 0.0)
