@@ -72,7 +72,7 @@ from .oracles import (
     thresholds_dimension,
     vc_dimension,
 )
-from .rng import make_rng, split
+from .rng import make_rng
 from .tree import (
     ClassTree,
     DeterministicSet,
@@ -81,7 +81,6 @@ from .tree import (
     deterministic_points,
     make_subtree,
     make_tree,
-    mark_proper,
     node_stats,
     tree_to_dot,
     tree_to_json,

@@ -174,7 +174,7 @@ def unrealizable_neighbour_scenario(
     delta: float = 1e-5,
     alpha: float = 0.2,
     beta: float = 0.1,
-    n: int = 30,
+    n: int = 2359,
     cls: ConceptClass | None = None,
     context: LearnerContext | None = None,
 ) -> AuditScenario:
@@ -184,7 +184,10 @@ def unrealizable_neighbour_scenario(
     same sample with the first example's label flipped. With ``n`` at
     least the domain size the flipped point also appears with its true
     label, so no concept realizes the neighbour; privacy must hold there
-    too.
+    too. The default ``n`` is seven times the subset count of the example
+    class's budget (t = 337), so subsets hold about seven examples and the
+    one holding the flipped example is usually inconsistent: the learner's
+    fallback summary for such subsets is what this neighbour exercises.
     """
     mech, data, _, claimed = improper_learner_scenario(
         epsilon, delta, alpha, beta, n, cls, context

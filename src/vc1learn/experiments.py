@@ -3,7 +3,7 @@
 A sweep fixes a generated class, draws fresh data per trial, runs a
 learner, and scores the output hypothesis exactly against the sampling
 distribution. Identical config and seed give identical rows; trials use
-split random streams keyed by index, so results do not depend on
+spawned random streams keyed by index, so results do not depend on
 execution order.
 """
 
@@ -87,7 +87,7 @@ def _sample_subsets(
     t: int,
     per_subset: int,
     rng: np.random.Generator,
-) -> list[Dataset]:
+) -> tuple[Dataset, np.ndarray]:
     """Draw t i.i.d. subsets of fixed size, each given by its support.
 
     One multinomial draw of ``per_subset`` examples per subset is equal in
@@ -95,13 +95,14 @@ def _sample_subsets(
     them round-robin, without shuffling the combined sample. A subset's
     summary depends only on which (point, label) pairs it holds, not on
     how often, so each subset is handed over as its distinct points, each
-    once, labeled by ``concept_row``; the learners then give the same
-    trace as on the full draw, which is never materialised.
+    once, labeled by ``concept_row``. Returns one dataset of every
+    subset's support and the subset id of each of its examples, the form
+    the learners' ``subset_ids`` hook takes; they then give the same trace
+    as on the full draw, which is never materialised.
     """
     counts = rng.multinomial(per_subset, dist.weights, size=t)
     rows, pts = np.nonzero(counts)
-    splits = np.searchsorted(rows, np.arange(1, t))
-    return [Dataset(p, concept_row[p]) for p in np.split(pts, splits)]
+    return Dataset(pts, concept_row[pts]), rows
 
 
 def run_experiment(
@@ -130,9 +131,9 @@ def run_experiment(
             row_vals[list(c_star.ones)] = 1
 
         start = time.perf_counter()
-        data = subsets = stage2 = None
+        ids = stage2 = None
         if config.n_override is None:
-            subsets = _sample_subsets(
+            data, ids = _sample_subsets(
                 row_vals, dist, budget.t, budget.per_subset, trng
             )
             n_used = budget.N1
@@ -144,7 +145,7 @@ def run_experiment(
             data = sample_dataset(cls, c_star, dist, n_used, trng)
         if config.mode == "improper":
             trace = improper_learn(
-                cls, data, params, trng, context=ctx, subsets=subsets
+                cls, data, params, trng, context=ctx, subset_ids=ids
             )
         else:
             trace = proper_learn(
@@ -153,7 +154,7 @@ def run_experiment(
                 params,
                 trng,
                 context=ctx,
-                stage1_subsets=subsets,
+                subset_ids=ids,
                 stage2=stage2,
             )
         elapsed_ms = (time.perf_counter() - start) * 1e3

@@ -7,14 +7,16 @@ path back-transforms to an accurate hypothesis.
 * :func:`improper_learn` partitions the sample, summarizes each subset by
   its deepest forced point, takes a private median of those depths, and
   privately selects among the points at the median depth. Its output may
-  fall outside the class. Subsets stay flat: :func:`partition` gives each
-  example a subset id, and one scatter of (subset, point, label) codes
-  into a presence matrix feeds the summaries of all subsets at once.
+  fall outside the class. Subsets stay flat: a subset is an id per
+  example, given by :func:`partition` or by the caller, and one scatter of
+  (subset, point, label) codes into a presence matrix feeds the summaries
+  of all subsets at once.
 * :func:`proper_learn` runs the improper stage on one slice of the data
   and, when the selected node's path is not realized by a class member,
   descends the pruned subtree with noisy weight tests and exponential
-  mechanisms until a realized leaf is reached. Its output is always a
-  class member.
+  mechanisms until a realized leaf is reached. The subtree and its
+  weights are read off tour slices of the class tree. Its output is
+  always a class member.
 
 Both return full execution traces so that statistical tests can inspect
 every intermediate quantity.
@@ -25,7 +27,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Sequence
 
 import numpy as np
 
@@ -53,7 +54,6 @@ from .tree import (
     SubTree,
     forced_nodes,
     make_subtree,
-    mark_proper_matrix,
     node_stats,
     tree_from_matrix,
     upward_closure,
@@ -248,8 +248,8 @@ def prepare_context(cls: ConceptClass, f_index: int | None = None) -> LearnerCon
     depend on the choice. Set-up works on the concept matrix: its rows are
     XORed with the member's row, the result is reduced by the rule of
     :func:`canonicalize` (the transform can collapse point columns), and
-    the tree is read off the reduced matrix. The column merge map carries
-    datasets onto the operational domain.
+    the proper-flagged tree is read off the reduced matrix. The column
+    merge map carries datasets onto the operational domain.
     """
     if not is_canonical(cls):
         raise ValueError("learners require a canonical class; call canonicalize first")
@@ -266,7 +266,7 @@ def prepare_context(cls: ConceptClass, f_index: int | None = None) -> LearnerCon
         f_index=f_index,
         f=cls.concepts[f_index],
         point_map=point_map,
-        tree=mark_proper_matrix(canon, tree_from_matrix(canon)),
+        tree=tree_from_matrix(canon),
     )
 
 
@@ -414,7 +414,7 @@ def improper_learn(
     *,
     context: LearnerContext | None = None,
     f_index: int | None = None,
-    subsets: Sequence[Dataset] | None = None,
+    subset_ids: np.ndarray | None = None,
     force_median: int | None = None,
     greedy: bool = False,
 ) -> ImproperTrace:
@@ -432,29 +432,27 @@ def improper_learn(
     with is summarised as forcing nothing, so the run never raises on the
     data.
 
-    Keyword-only hooks exist for tests and pipelines: ``subsets`` bypasses
-    partitioning, ``force_median`` pins the median outcome,
+    Keyword-only hooks exist for tests and pipelines: ``subset_ids``
+    bypasses partitioning, with ``dataset`` the whole stage-1 sample and
+    ``subset_ids[j]`` the subset of example ``j``; the subset count is the
+    largest id plus one. ``force_median`` pins the median outcome,
     ``greedy`` replaces each mechanism by its utility-optimal branch, and
     ``context``/``f_index`` control the shared representation.
     """
     ctx = _checked_context(cls, params, context, f_index)
 
-    if subsets is None:
-        if dataset is None or len(dataset) == 0:
-            raise ValueError("dataset must be non-empty")
-        budget = sample_budget(params, ctx.tree.height)
-        t = min(budget.t, len(dataset))
+    if dataset is None or len(dataset) == 0:
+        raise ValueError("dataset must be non-empty")
+    if subset_ids is None:
+        t = min(sample_budget(params, ctx.tree.height).t, len(dataset))
         ids = partition(dataset, t, rng)
-        points, labels = dataset.points, dataset.labels
-    elif not subsets:
-        raise ValueError("at least one subset required")
     else:
-        t = len(subsets)
-        ids = np.repeat(np.arange(t, dtype=np.int32), [len(s) for s in subsets])
-        points = np.concatenate([s.points for s in subsets])
-        labels = np.concatenate([s.labels for s in subsets])
+        ids = np.asarray(subset_ids)
+        if ids.shape != dataset.points.shape or ids.min() < 0:
+            raise ValueError("subset_ids must be one nonnegative id per example")
+        t = int(ids.max()) + 1
 
-    deepest, depths = _subset_summaries(ctx, points, labels, ids, t)
+    deepest, depths = _subset_summaries(ctx, dataset.points, dataset.labels, ids, t)
     depth_list = depths.tolist()
 
     if force_median is not None:
@@ -508,22 +506,6 @@ def improper_learn(
     )
 
 
-def _min_id_leaf(sub: SubTree, node: int) -> int:
-    """The smallest-id leaf below ``node`` in the subtree (deterministic pick)."""
-    best: int | None = None
-    stack = [node]
-    while stack:
-        p = stack.pop()
-        kids = sub.children.get(p, ())
-        if p in sub.leaves or not kids:
-            if best is None or p < best:
-                best = p
-            continue
-        stack.extend(kids)
-    assert best is not None
-    return best
-
-
 def proper_learn(
     cls: ConceptClass,
     dataset: Dataset | None,
@@ -532,7 +514,7 @@ def proper_learn(
     *,
     context: LearnerContext | None = None,
     f_index: int | None = None,
-    stage1_subsets: Sequence[Dataset] | None = None,
+    subset_ids: np.ndarray | None = None,
     stage2: Dataset | None = None,
     force_chosen_point: int | None = None,
     force_median: int | None = None,
@@ -546,14 +528,19 @@ def proper_learn(
     ``ceil(2/alpha)`` iterations: each pass draws a Laplace-noised minimum
     child weight and either selects a light child by weight (stopping) or
     descends by minimum leaf value, both via the exponential mechanism.
-    The final hypothesis is the smallest-id realized leaf's path.
+    The final hypothesis is the path of the smallest-id leaf in the last
+    node's tour slice.
 
-    ``stage1_subsets``/``stage2`` bypass the internal split and
-    ``force_chosen_point`` skips the improper stage; the parameter and
-    context checks of :func:`improper_learn` still run first. See
-    :func:`improper_learn` for the remaining hooks.
+    ``stage2`` bypasses the internal split, and ``dataset`` is then the
+    whole stage-1 sample; only with ``stage2`` may ``subset_ids`` be given,
+    and it is passed to :func:`improper_learn`. ``force_chosen_point``
+    skips the improper stage; the parameter and context checks of
+    :func:`improper_learn` still run first. See :func:`improper_learn` for
+    the remaining hooks.
     """
     ctx = _checked_context(cls, params, context, f_index)
+    if subset_ids is not None and stage2 is None:
+        raise ValueError("subset_ids requires stage2")
     budget = sample_budget(params, ctx.tree.height)
 
     if stage2 is None:
@@ -581,13 +568,12 @@ def proper_learn(
             params,
             rng,
             context=ctx,
-            subsets=stage1_subsets,
+            subset_ids=subset_ids,
             force_median=force_median,
             greedy=greedy,
         )
         chosen = trace1.chosen_point
 
-    assert ctx.tree.proper is not None
     if chosen is None or ctx.tree.proper[chosen]:
         closure = upward_closure(ctx.tree, chosen) if chosen is not None else frozenset()
         hypothesis = _back_transform(ctx, closure)
@@ -612,9 +598,9 @@ def proper_learn(
     flag = chosen
     path: list[tuple[int, str, int]] = []
     for _ in range(budget.T):
-        kids = sub.children.get(flag, ())
-        if not kids:
+        if flag in sub.leaves:
             break
+        kids = ctx.tree.children[flag]
         w_min = min(stats.weight[q] for q in kids)
         noisy = w_min if greedy else w_min + laplace_sample(1.0 / eps, rng)
         if noisy <= params.alpha * n2_size:
@@ -634,7 +620,8 @@ def proper_learn(
         path.append((flag, "uniform", nxt))
         flag = nxt
 
-    leaf = _min_id_leaf(sub, flag)
+    lo, hi = ctx.tree.tin[flag], ctx.tree.tout[flag]
+    leaf = min(q for q in sub.leaves if lo <= ctx.tree.tin[q] < hi)
     hypothesis = _back_transform(ctx, upward_closure(ctx.tree, leaf))
     assert hypothesis.proper_index is not None
     return ProperTrace(

@@ -14,6 +14,10 @@ from typing import Hashable, Mapping, Sequence
 
 import numpy as np
 
+# the gate of choosing_mechanism: noise scale and threshold factor, times 1 / eps
+GATE_NOISE_SCALE = 4.0
+GATE_THRESHOLD_SCALE = 4.0
+
 
 @dataclass(frozen=True)
 class PrivacyParams:
@@ -99,17 +103,16 @@ def choosing_mechanism(
     privacy: PrivacyParams,
     beta: float,
     rng: np.random.Generator,
-    *,
-    gate_noise_scale: float = 4.0,
-    gate_threshold_scale: float = 4.0,
 ) -> Hashable | None:
     """Privately select a high-scoring solution of a k-bounded quality, or abstain.
 
-    Gate-then-choose: the noisy maximum score is tested against a
-    threshold; below it the mechanism abstains (returns ``None``),
-    otherwise half the budget runs the exponential mechanism over the
-    solutions with nonzero score (at most k*n of them). With probability at
-    least 1 - beta the returned solution scores within
+    Gate-then-choose: the maximum score plus Laplace noise of scale
+    ``GATE_NOISE_SCALE / eps`` is tested against the threshold
+    ``(GATE_THRESHOLD_SCALE / eps) * ln(4 k n / (beta eps delta))``; below
+    it the mechanism abstains (returns ``None``), otherwise half the budget
+    runs the exponential mechanism over the solutions with nonzero score
+    (at most k*n of them). With probability at least 1 - beta the returned
+    solution scores within
     ``(16 / eps) * ln(4 k n / (beta eps delta))`` of the maximum.
     """
     eps = privacy.epsilon
@@ -121,10 +124,10 @@ def choosing_mechanism(
         raise ValueError("beta must be in (0, 1)")
     best = max(inst.scores.values(), default=0)
     n_eff = max(inst.n, 1)
-    threshold = (gate_threshold_scale / eps) * math.log(
+    threshold = (GATE_THRESHOLD_SCALE / eps) * math.log(
         4.0 * inst.k * n_eff / (beta * eps * privacy.delta)
     )
-    if best + laplace_sample(gate_noise_scale / eps, rng) < threshold:
+    if best + laplace_sample(GATE_NOISE_SCALE / eps, rng) < threshold:
         return None
     active = [(z, float(s)) for z, s in inst.scores.items() if s >= 1]
     if not active:

@@ -23,6 +23,9 @@ from .concepts import Concept, ConceptClass, Dataset, Hypothesis, NotRealizableE
 
 VC_SCALE_LIMIT = 24
 TD_SCALE_LIMIT = 16
+# dp_audit: joint confidence of its event bounds, and quantile bins for real outcomes
+AUDIT_CONFIDENCE = 0.99
+AUDIT_BINS = 64
 
 
 @dataclass(frozen=True)
@@ -294,19 +297,17 @@ def dp_audit(
     trials: int,
     delta: float,
     rng: np.random.Generator,
-    *,
-    confidence: float = 0.99,
-    bins: int = 64,
 ) -> float:
     """Statistical lower bound on the privacy loss between two neighbors.
 
     Runs the mechanism ``trials`` times on each dataset, estimates outcome
     probabilities, and maximizes ``ln((P[A in E] - delta) / P[B in E])``
     over ratio-ordered prefix events in both directions, with
-    Clopper-Pearson confidence adjustment (Bonferroni-corrected across the
-    tested events). The result refutes a claimed budget only when it
-    exceeds the claimed epsilon; it can never certify privacy. Real-valued
-    outcomes are discretized into quantile bins first.
+    Clopper-Pearson bounds at joint confidence ``AUDIT_CONFIDENCE``
+    (Bonferroni-corrected across the tested events). The result refutes a
+    claimed budget only when it exceeds the claimed epsilon; it can never
+    certify privacy. Real-valued outcomes are discretized into
+    ``AUDIT_BINS`` quantile bins first.
     """
     if trials <= 0:
         raise ValueError("trials must be positive")
@@ -316,7 +317,7 @@ def dp_audit(
 
     if out_a and isinstance(out_a[0], (float, np.floating)):
         pooled = np.asarray(out_a + out_b, dtype=np.float64)
-        edges = np.quantile(pooled, np.linspace(0.0, 1.0, bins + 1)[1:-1])
+        edges = np.quantile(pooled, np.linspace(0.0, 1.0, AUDIT_BINS + 1)[1:-1])
         out_a = [int(v) for v in np.digitize(out_a, edges)]
         out_b = [int(v) for v in np.digitize(out_b, edges)]
 
@@ -324,7 +325,7 @@ def dp_audit(
     counts_b = Counter(out_b)
     outcomes = sorted(set(counts_a) | set(counts_b), key=repr)
     # two directions, prefix events per outcome, two CP bounds per event
-    tail = (1.0 - confidence) / max(1, 4 * len(outcomes))
+    tail = (1.0 - AUDIT_CONFIDENCE) / max(1, 4 * len(outcomes))
     best = max(
         _direction_bound(counts_a, counts_b, trials, delta, outcomes, tail),
         _direction_bound(counts_b, counts_a, trials, delta, outcomes, tail),

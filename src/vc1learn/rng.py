@@ -1,9 +1,9 @@
-"""Seeded, splittable random streams.
+"""Seeded random streams.
 
 Every randomized function in the library takes an explicit
 ``numpy.random.Generator``. Identical seeds give identical output
-sequences; child streams from :func:`split` are statistically independent,
-so concurrent tasks should each take their own split.
+sequences; child streams from ``Generator.spawn`` are statistically
+independent, so concurrent tasks should each take their own child.
 """
 
 from __future__ import annotations
@@ -14,8 +14,3 @@ import numpy as np
 def make_rng(seed: int | None = 0) -> np.random.Generator:
     """A fresh PCG64 generator from a 64-bit seed."""
     return np.random.default_rng(seed)
-
-
-def split(rng: np.random.Generator, n: int) -> list[np.random.Generator]:
-    """Spawn ``n`` independent child streams from ``rng``."""
-    return rng.spawn(n)

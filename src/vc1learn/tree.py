@@ -7,14 +7,16 @@ depth of a point equals the length of its chain of strict upper bounds.
 
 The tree is read off the concept matrix itself: any concept containing a
 point, cut to the points in at least as many concepts, is that point's
-root path. Euler-tour intervals then turn ancestor tests into integer
-comparisons, so forced sets are computed per node and example, never per
+root path, and the concepts that are exactly a root path flag their
+deepest points proper during the same build. Euler-tour intervals then
+turn ancestor tests into integer comparisons: forced sets, pruned
+subtrees and label-0 weights are all computed on tour slices, never per
 concept. The result is immutable and reusable.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
@@ -31,8 +33,10 @@ class ClassTree:
     for reproducible traversals. ``tour`` lists the points in depth-first
     preorder along those child lists; ``tin``/``tout`` index the domain, and
     ``q`` is ``p`` or below it iff ``tin[p] <= tin[q] < tout[p]`` (both are
-    -1 at points off the tree). ``proper`` is ``None`` until
-    :func:`mark_proper` fills it.
+    -1 at points off the tree). ``proper[p]`` says that ``p``'s root path
+    is a concept, ``proper_mask`` holds the same flags as a boolean array
+    over the domain, and ``root_proper`` says that the empty set is one;
+    all three are set when the tree is built.
     """
 
     points: tuple[int, ...]
@@ -43,8 +47,9 @@ class ClassTree:
     tour: np.ndarray
     tin: np.ndarray
     tout: np.ndarray
-    proper: Mapping[int, bool] | None = None
-    root_proper: bool | None = None
+    proper: Mapping[int, bool]
+    proper_mask: np.ndarray
+    root_proper: bool
 
     def is_leaf(self, p: int) -> bool:
         return not self.children.get(p, ())
@@ -52,15 +57,15 @@ class ClassTree:
 
 @dataclass(frozen=True, eq=False)
 class SubTree:
-    """A pruned descendant tree whose leaves are exactly its proper nodes."""
+    """A pruned descendant tree whose leaves are exactly its proper nodes.
+
+    It is a slice of the class tree's tour, so it holds node sets only: a
+    node not in ``leaves`` has its tree children, all of them in ``nodes``.
+    """
 
     root: int
     nodes: frozenset[int]
-    children: Mapping[int, tuple[int, ...]]
     leaves: frozenset[int]
-
-    def is_leaf(self, p: int) -> bool:
-        return p in self.leaves
 
 
 @dataclass(frozen=True, eq=False)
@@ -100,7 +105,8 @@ def make_tree(class_f: ConceptClass) -> ClassTree:
     checked: each must be its parent's row plus the point itself, and each
     concept must be the row of its deepest point. Both checks pass exactly
     when the concepts are the root paths of a forest, so this raises
-    exactly on the classes of VC dimension 2 or more.
+    exactly on the classes of VC dimension 2 or more. A concept's deepest
+    point, the one whose depth equals its size, is flagged proper.
     """
     if not is_canonical(class_f):
         raise ValueError("class must be canonical before tree construction")
@@ -157,7 +163,9 @@ def tree_from_matrix(m: np.ndarray) -> ClassTree:
     tout = np.full(n, -1, dtype=np.int64)
     tout[tour] = tin[tour] + [span[p] for p in tour]
     tour_arr = np.array(tour, dtype=np.int64)
-    for arr in (tour_arr, tin, tout):
+    proper = np.zeros(n, dtype=bool)
+    proper[ends[ends >= 0]] = True
+    for arr in (tour_arr, tin, tout, proper):
         arr.flags.writeable = False
 
     return ClassTree(
@@ -169,6 +177,9 @@ def tree_from_matrix(m: np.ndarray) -> ClassTree:
         tour=tour_arr,
         tin=tin,
         tout=tout,
+        proper=dict(zip(points, proper[list(points)].tolist())),
+        proper_mask=proper,
+        root_proper=bool((ends < 0).any()),
     )
 
 
@@ -201,28 +212,6 @@ def upward_closure(tree: ClassTree, x: int) -> frozenset[int]:
     return frozenset(out)
 
 
-def mark_proper(class_f: ConceptClass, tree: ClassTree) -> ClassTree:
-    """Flag nodes whose root path is realized by some concept.
-
-    Every non-empty concept of a class :func:`make_tree` accepts is the
-    root path of its deepest point, its one point whose depth equals the
-    concept's size, so that point is flagged. The virtual root is proper
-    exactly when the all-zeros concept is present, which holds for every
-    representation built from a member concept.
-    """
-    return mark_proper_matrix(class_f.matrix, tree)
-
-
-def mark_proper_matrix(m: np.ndarray, tree: ClassTree) -> ClassTree:
-    """:func:`mark_proper` on the concept matrix the tree was built from."""
-    depth = np.zeros(m.shape[1], dtype=np.int64)
-    depth[list(tree.depth)] = list(tree.depth.values())
-    ends = _path_ends(m, depth)
-    proper = dict.fromkeys(tree.points, False)
-    proper.update(dict.fromkeys(ends[ends >= 0].tolist(), True))
-    return replace(tree, proper=proper, root_proper=bool((ends < 0).any()))
-
-
 def _path_ends(m: np.ndarray, depth: np.ndarray) -> np.ndarray:
     """Each concept's point whose depth equals the concept's size, else -1.
 
@@ -238,93 +227,52 @@ def _path_ends(m: np.ndarray, depth: np.ndarray) -> np.ndarray:
 def make_subtree(tree: ClassTree, x_good: int) -> SubTree:
     """Descendants of ``x_good`` pruned below the first proper node.
 
-    A proper ``x_good`` yields the single-node tree. Otherwise traversal
-    stops at each proper node, which becomes a leaf; interior nodes are all
-    improper.
+    Reads the tour slice ``[tin[x_good], tout[x_good])``. A point there is
+    left out when a proper node from ``x_good`` (inclusive) down to the
+    point (exclusive) lies above it, so a proper ``x_good`` yields the
+    single-node tree. The leaves are the proper or childless nodes; the
+    other nodes are improper, and their children are their tree children.
     """
-    if tree.proper is None:
-        raise ValueError("tree must have proper flags; run mark_proper first")
     if x_good not in tree.depth:
         raise ValueError(f"point {x_good} not in tree")
-    if tree.proper[x_good]:
-        return SubTree(
-            root=x_good,
-            nodes=frozenset({x_good}),
-            children={x_good: ()},
-            leaves=frozenset({x_good}),
-        )
-    nodes = {x_good}
-    children: dict[int, tuple[int, ...]] = {}
-    leaves = set()
-    stack = [x_good]
-    while stack:
-        p = stack.pop()
-        if p != x_good and tree.proper[p]:
-            children[p] = ()
-            leaves.add(p)
-            continue
-        kids = tree.children.get(p, ())
-        children[p] = kids
-        if not kids:
-            leaves.add(p)  # unreachable for valid classes: leaves are proper
-            continue
-        for q in kids:
-            nodes.add(q)
-            stack.append(q)
+    lo, hi = tree.tin[x_good], tree.tout[x_good]
+    seg = tree.tour[lo:hi]
+    # a proper node at an earlier slice position is above position j
+    # iff its interval ends after j: the running max of tout finds it
+    stop = np.where(tree.proper_mask[seg], tree.tout[seg], 0)
+    above = np.maximum.accumulate(np.concatenate(([0], stop[:-1])))
+    nodes = seg[above <= np.arange(lo, hi)]
+    leaf = tree.proper_mask[nodes] | (tree.tout[nodes] == tree.tin[nodes] + 1)
     return SubTree(
         root=x_good,
-        nodes=frozenset(nodes),
-        children=children,
-        leaves=frozenset(leaves),
+        nodes=frozenset(nodes.tolist()),
+        leaves=frozenset(nodes[leaf].tolist()),
     )
 
 
 def node_stats(tree: ClassTree, sub: SubTree, dataset: Dataset) -> NodeStats:
     """Per-node label-0 counts for a dataset over the tree's domain.
 
-    Weights aggregate over full-tree descendants; values and leaf minima
-    are computed on the subtree only.
+    A point's weight is the sum of the counts over its tour slice, read
+    off prefix sums along the tour. Values are running sums down the root
+    paths of the subtree, and leaf minima are taken bottom-up over it.
     """
-    size = max((p for p in tree.depth), default=-1) + 1
-    if len(dataset) and len(dataset.points):
-        size = max(size, int(dataset.points.max()) + 1)
-    counts = np.zeros(size, dtype=np.int64)
-    if len(dataset):
-        zero_pts = dataset.points[dataset.labels == 0]
-        if len(zero_pts):
-            # examples at non-tree (constant) points never land on any node
-            counts += np.bincount(zero_pts, minlength=size)
+    n = len(tree.tin)
+    # examples at non-tree (constant) points never land on any node
+    counts = np.bincount(dataset.points[dataset.labels == 0], minlength=n)[:n]
+    acc = np.concatenate(([0], np.cumsum(counts[tree.tour])))
+    slice_sums = acc[tree.tout[tree.tour]] - acc[:-1]
+    weight = dict(zip(tree.tour.tolist(), slice_sums.tolist()))
 
-    # iterative post-order to avoid recursion limits on deep chains
-    weight: dict[int, int] = {}
-    order: list[int] = []
-    stack = list(tree.children[None])
-    while stack:
-        p = stack.pop()
-        order.append(p)
-        stack.extend(tree.children.get(p, ()))
-    for p in reversed(order):
-        weight[p] = int(counts[p]) + sum(
-            weight[q] for q in tree.children.get(p, ())
-        )
-
-    value: dict[int, int] = {sub.root: 0}
-    stack = [sub.root]
-    visit: list[int] = []
-    while stack:
-        p = stack.pop()
-        visit.append(p)
-        for q in sub.children.get(p, ()):
-            value[q] = value[p] + int(counts[q])
-            stack.append(q)
-
+    lo, hi = tree.tin[sub.root], tree.tout[sub.root]
+    order = [p for p in tree.tour[lo:hi].tolist() if p in sub.nodes]
+    value = {sub.root: 0}
+    for q in order[1:]:  # preorder: a parent's value is set before its children's
+        value[q] = value[tree.parent[q]] + int(counts[q])
     min_leaf: dict[int, int] = {}
-    for p in reversed(visit):
-        kids = sub.children.get(p, ())
-        if p in sub.leaves:
-            min_leaf[p] = value[p]
-        else:
-            min_leaf[p] = min(min_leaf[q] for q in kids)
+    for q in reversed(order):
+        kids = () if q in sub.leaves else tree.children[q]
+        min_leaf[q] = min((min_leaf[c] for c in kids), default=value[q])
     return NodeStats(weight=weight, value=value, min_leaf_value=min_leaf)
 
 
@@ -334,14 +282,14 @@ def forced_nodes(
     """Deepest forced node and inconsistency flag for each of many samples.
 
     ``pres0[i, p]``/``pres1[i, p]`` say sample ``i`` has an example at
-    point ``p`` labeled 0/1; the tree must carry proper flags. The concepts
-    are the empty set and the root paths of proper nodes, so a sample with
-    1-labels is consistent only when they all lie on the root path of the
-    deepest one, ``d``. The consistent concepts are then the root paths of
-    the proper nodes at or below ``d`` that no 0-labeled point is at or
-    above (a 0-label on ``d``'s own path leaves none), and their common
-    points form the root path of the lowest common ancestor of those nodes:
-    the LCA of the first and the last of them in tour order.
+    point ``p`` labeled 0/1. The concepts are the empty set and the root
+    paths of proper nodes, so a sample with 1-labels is consistent only
+    when they all lie on the root path of the deepest one, ``d``. The
+    consistent concepts are then the root paths of the proper nodes at or
+    below ``d`` that no 0-labeled point is at or above (a 0-label on
+    ``d``'s own path leaves none), and their common points form the root
+    path of the lowest common ancestor of those nodes: the LCA of the
+    first and the last of them in tour order.
 
     Returns ``(deepest, inconsistent)``; ``deepest[i]`` is -1 when sample
     ``i`` forces no point, and so is every inconsistent sample's.
@@ -365,7 +313,7 @@ def forced_nodes(
     blocked_to = np.maximum.accumulate(
         np.where(pres0[:, tree.tour], tout[tree.tour], 0), axis=1
     )
-    proper = np.fromiter((tree.proper[p] for p in tree.tour.tolist()), bool, k)
+    proper = tree.proper_mask[tree.tour]
     live = proper & (blocked_to <= pos) & (tin_d <= pos) & (pos < tout_d)
     first = live.argmax(axis=1)[:, None]
     last = k - 1 - live[:, ::-1].argmax(axis=1)[:, None]
@@ -390,8 +338,6 @@ def deterministic_points(
         raise ValueError("dataset point outside class domain")
     if tree is None:
         tree = make_tree(class_f)
-    if tree.proper is None:
-        tree = mark_proper(class_f, tree)
     pres = np.zeros((2, 1, class_f.domain_size), dtype=bool)
     pres[dataset.labels, 0, dataset.points] = True
     deepest, inconsistent = forced_nodes(tree, pres[0], pres[1])
@@ -414,7 +360,7 @@ def tree_to_json(tree: ClassTree) -> dict:
                 "point": p,
                 "parent": tree.parent[p],
                 "depth": tree.depth[p],
-                "proper": bool(tree.proper[p]) if tree.proper is not None else None,
+                "proper": tree.proper[p],
             }
         )
     return {"nodes": nodes}
@@ -424,9 +370,7 @@ def tree_to_dot(tree: ClassTree) -> str:
     """Graphviz rendering with the virtual root drawn as a point."""
     lines = ["digraph class_tree {", '  root [shape=point, label=""];']
     for p in sorted(tree.points):
-        shape = ""
-        if tree.proper is not None:
-            shape = ', shape=doublecircle' if tree.proper[p] else ", shape=circle"
+        shape = ", shape=doublecircle" if tree.proper[p] else ", shape=circle"
         lines.append(f'  n{p} [label="x{p} (d={tree.depth[p]})"{shape}];')
     for p in sorted(tree.points):
         par = tree.parent[p]

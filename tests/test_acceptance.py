@@ -234,16 +234,14 @@ def test_criterion_6_worked_example(example_cls):
         assert layers == {1: {X1, X2, X3}, 2: {X4, X5}, 3: {X6, X7}}
 
         params = LearnParams(alpha=0.2, beta=0.2, privacy=PrivacyParams(1.0, 1e-5))
+        # subset 0 holds x1; subset 1 holds x1, x5 and x7
         trace = improper_learn(
             example_cls,
-            None,
+            Dataset.from_pairs([(X1, 1), (X1, 1), (X5, 1), (X7, 1)]),
             params,
             make_rng(0),
             context=ctx,
-            subsets=[
-                Dataset.from_pairs([(X1, 1)]),
-                Dataset.from_pairs([(X1, 1), (X5, 1), (X7, 1)]),
-            ],
+            subset_ids=np.array([0, 1, 1, 1]),
             force_median=2,
             greedy=True,
         )

@@ -86,32 +86,35 @@ def test_support_subsets_give_the_full_draws_traces():
     t, per_subset = 25, 40
     for seed in range(6):
         row = cls.matrix[seed % len(cls.concepts)].astype(np.uint8)
-        support = _sample_subsets(row, dist, t, per_subset, make_rng(seed))
+        support, support_ids = _sample_subsets(row, dist, t, per_subset, make_rng(seed))
         counts = make_rng(seed).multinomial(per_subset, dist.weights, size=t)
-        full = []
-        for c in counts:
-            pts = np.repeat(np.arange(cls.domain_size), c)
-            full.append(Dataset(pts, row[pts]))
-        assert len(support) == t
-        for s, f in zip(support, full):
+        full_ids = np.repeat(np.arange(t), per_subset)
+        pts = np.concatenate([np.repeat(np.arange(cls.domain_size), c) for c in counts])
+        full = Dataset(pts, row[pts])
+        assert support_ids.max() == t - 1
+        for i in range(t):
+            s = support.points[support_ids == i]
+            f = full.points[full_ids == i]
             assert len(f) == per_subset and len(s) < per_subset
-            assert sorted(set(f.pairs())) == s.pairs()
+            # distinct points in ascending order, labeled by the concept
+            assert s.tolist() == sorted(set(f.tolist()))
+        assert np.array_equal(support.labels, row[support.points])
         for greedy in (False, True):
             a, b = (
                 improper_learn(
-                    cls, None, PARAMS, make_rng(100 + seed), context=ctx,
-                    subsets=subsets, greedy=greedy,
+                    cls, data, PARAMS, make_rng(100 + seed), context=ctx,
+                    subset_ids=ids, greedy=greedy,
                 )
-                for subsets in (support, full)
+                for data, ids in ((support, support_ids), (full, full_ids))
             )
             assert a.to_json() == b.to_json()
         stage2 = Dataset(np.arange(cls.domain_size), row)
         a, b = (
             proper_learn(
-                cls, None, PARAMS, make_rng(200 + seed), context=ctx,
-                stage1_subsets=subsets, stage2=stage2,
+                cls, data, PARAMS, make_rng(200 + seed), context=ctx,
+                subset_ids=ids, stage2=stage2,
             )
-            for subsets in (support, full)
+            for data, ids in ((support, support_ids), (full, full_ids))
         )
         assert a.to_json() == b.to_json()
 

@@ -12,7 +12,6 @@ from vc1learn import (
     littlestone_dimension,
     make_rng,
     make_tree,
-    mark_proper,
     modified_example_class,
     point_functions_class,
     random_tree_class,
@@ -50,7 +49,7 @@ def test_random_tree_classes_are_vc1(seed):
 
 def test_random_tree_full_rate_is_maximum():
     cls = random_tree_class(12, max_children=3, concept_rate=1.0, seed=3)
-    tree = mark_proper(cls, make_tree(cls))
+    tree = make_tree(cls)
     assert all(tree.proper.values())
     assert tree.root_proper
 

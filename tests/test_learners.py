@@ -19,7 +19,6 @@ from vc1learn import (
     improper_learn,
     make_rng,
     make_tree,
-    mark_proper,
     optimal_composition,
     partition,
     prepare_context,
@@ -33,6 +32,7 @@ from vc1learn import (
 )
 from vc1learn import learners
 from vc1learn.audit_scenarios import unrealizable_neighbour_scenario
+from vc1learn.tree import forced_nodes
 
 X1, X2, X3, X4, X5, X6, X7 = range(7)
 
@@ -57,6 +57,14 @@ def test_sample_budget_monotonicity():
 
 def _subsets_of(data: Dataset, ids: np.ndarray, t: int) -> list[Dataset]:
     return [Dataset(data.points[ids == i], data.labels[ids == i]) for i in range(t)]
+
+
+def _flat(subsets: list[Dataset]) -> tuple[Dataset, np.ndarray]:
+    """The subsets as one sample and its ``subset_ids``, the learners' hook."""
+    ids = np.repeat(np.arange(len(subsets)), [len(s) for s in subsets])
+    points = np.concatenate([s.points for s in subsets])
+    labels = np.concatenate([s.labels for s in subsets])
+    return Dataset(points, labels), ids
 
 
 def test_partition_shapes(rng):
@@ -91,13 +99,14 @@ def test_improper_worked_example(example_cls):
         Dataset.from_pairs([(X1, 1)]),
         Dataset.from_pairs([(X1, 1), (X5, 1), (X7, 1)]),
     ]
+    data, ids = _flat(subsets)
     trace = improper_learn(
         example_cls,
-        None,
+        data,
         PARAMS,
         make_rng(0),
         context=ctx,
-        subsets=subsets,
+        subset_ids=ids,
         force_median=2,
         greedy=True,
     )
@@ -108,6 +117,11 @@ def test_improper_worked_example(example_cls):
     assert trace.chosen_point == X5
     assert trace.hypothesis.ones == frozenset({X1, X5})
     assert trace.hypothesis.proper_index == 4  # the {x1,x5} concept
+    for bad_ids in (ids[:-1], ids - 1):
+        with pytest.raises(ValueError, match="one nonnegative id per example"):
+            improper_learn(example_cls, data, PARAMS, make_rng(0), subset_ids=bad_ids)
+    with pytest.raises(ValueError, match="requires stage2"):
+        proper_learn(example_cls, data, PARAMS, make_rng(0), subset_ids=ids)
 
 
 def test_improper_single_concept_class(rng):
@@ -128,13 +142,15 @@ def test_improper_unrealizable_subset_gets_empty_summary(example_cls):
     bad = Dataset.from_pairs([(X2, 1), (X3, 1)])
     empty = Dataset.from_pairs([(X3, 0)])
     good = Dataset.from_pairs([(X1, 1), (X5, 1)])
+    data, ids = _flat([bad, good])
     trace = improper_learn(
-        example_cls, None, PARAMS, make_rng(0), context=ctx, subsets=[bad, good]
+        example_cls, data, PARAMS, make_rng(0), context=ctx, subset_ids=ids
     )
     assert trace.subset_depths == (0, 2)
     assert trace.subset_deepest == (None, X5)
+    data, ids = _flat([empty, good])
     same = improper_learn(
-        example_cls, None, PARAMS, make_rng(0), context=ctx, subsets=[empty, good]
+        example_cls, data, PARAMS, make_rng(0), context=ctx, subset_ids=ids
     )
     assert trace.to_json() == same.to_json()
 
@@ -148,24 +164,24 @@ def test_one_flipped_label_never_raises(example_cls):
     assert pairs[0] == (X1, 1) and pairs[1] == (X2, 0)
     flipped = Dataset.from_pairs([pairs[0], (X2, 1)] + pairs[2:])
     for seed in range(5):
-        subsets = _subsets_of(flipped, partition(flipped, 8, make_rng(seed)), 8)
+        ids = partition(flipped, 8, make_rng(seed))
         unrealizable = 0
-        for s in subsets:
+        for s in _subsets_of(flipped, ids, 8):
             try:
                 deterministic_oracle(example_cls, s)
             except NotRealizableError:
                 unrealizable += 1
         assert unrealizable == 1
         improper_learn(
-            example_cls, None, PARAMS, make_rng(seed), context=ctx, subsets=subsets
+            example_cls, flipped, PARAMS, make_rng(seed), context=ctx, subset_ids=ids
         )
         trace = proper_learn(
             example_cls,
-            None,
+            flipped,
             PARAMS,
             make_rng(seed),
             context=ctx,
-            stage1_subsets=subsets,
+            subset_ids=ids,
             stage2=flipped,
         )
         assert trace.hypothesis.proper_index is not None
@@ -177,10 +193,28 @@ def test_one_flipped_label_never_raises(example_cls):
 
 
 def test_unrealizable_neighbour_audit(example_cls):
-    mech, data_a, data_b, claimed = unrealizable_neighbour_scenario(1.0, 1e-5, n=30)
+    mech, data_a, data_b, claimed = unrealizable_neighbour_scenario(1.0, 1e-5)
     assert deterministic_oracle(example_cls, data_a) == example_cls.concepts[-2].ones
     with pytest.raises(NotRealizableError):
         deterministic_oracle(example_cls, data_b)
+    # the neighbour reaches the fallback summary: with about seven examples
+    # per subset, the subset holding the flipped label is mostly inconsistent
+    ctx = prepare_context(example_cls)
+    params = LearnParams(alpha=0.2, beta=0.1, privacy=PrivacyParams(1.0, 1e-5))
+    t = min(sample_budget(params, ctx.tree.height).t, len(data_b))
+    n = len(ctx.tree.tin)
+    runs, hits = 50, 0
+    for seed in range(runs):
+        for data in (data_a, data_b):
+            ids = partition(data, t, make_rng(seed))
+            pres = np.zeros((t, 2 * n), dtype=bool)
+            pres[ids, ctx.code[data.labels, data.points]] = True
+            _, inconsistent = forced_nodes(ctx.tree, pres[:, :n], pres[:, n:])
+            if data is data_a:
+                assert not inconsistent.any()
+            else:
+                hits += int(inconsistent.any())
+    assert hits >= 0.8 * runs, hits
     est = dp_audit(mech, data_a, data_b, 20_000, claimed.delta, make_rng(4100))
     assert est <= claimed.epsilon + 0.3, f"{est} vs {claimed.epsilon}"
 
@@ -236,7 +270,7 @@ def test_prepare_context_matches_canonicalized_representation(corpus):
             assert ctx.class_f.merge_map == ref.merge_map
             assert ctx.class_f.domain_size == ref.domain_size
             assert ctx.class_f == ref
-            tree = mark_proper(ref, make_tree(ref))
+            tree = make_tree(ref)
             for name in ("parent", "depth", "children", "proper", "root_proper", "height"):
                 assert getattr(ctx.tree, name) == getattr(tree, name), name
             for name in ("tour", "tin", "tout"):
@@ -347,13 +381,14 @@ def test_q_scores_are_one_bounded(example_cls):
     ]
 
     def scores_for(subs, z):
+        data, ids = _flat(subs)
         trace = improper_learn(
             example_cls,
-            None,
+            data,
             PARAMS,
             make_rng(0),
             context=ctx,
-            subsets=subs,
+            subset_ids=ids,
             force_median=z,
             greedy=True,
         )
@@ -384,8 +419,9 @@ def test_improper_sandwich_on_traces(example_cls):
         subsets = [
             sample_dataset(example_cls, c_star, dist, 6, rng) for _ in range(8)
         ]
+        data, ids = _flat(subsets)
         trace = improper_learn(
-            example_cls, None, PARAMS, rng, context=ctx, subsets=subsets
+            example_cls, data, PARAMS, rng, context=ctx, subset_ids=ids
         )
         if trace.chosen_point is None:
             continue

@@ -12,7 +12,6 @@ from vc1learn import (
     leq,
     make_subtree,
     make_tree,
-    mark_proper,
     node_stats,
     thresholds_class,
     tree_to_dot,
@@ -24,7 +23,7 @@ X1, X2, X3, X4, X5, X6, X7 = range(7)
 
 
 def marked_tree(cls):
-    return mark_proper(cls, make_tree(cls))
+    return make_tree(cls)  # the build sets the proper flags
 
 
 def test_make_tree_example_layers(example_cls):
@@ -203,27 +202,62 @@ def test_node_stats_duplicates_count_with_multiplicity(modified_cls):
 
 
 def test_node_stats_value_monotone_along_paths(corpus, rng):
-    for cls in corpus[:25]:
+    # the tour-slice subtree and stats at every improper root, against the
+    # literal definitions written with the partial order leq
+    roots = 0
+    for cls in corpus[:60]:
         base, _ = canonicalize(cls)
         rep, _ = canonicalize(f_represent(base, base.concepts[0]))
         tree = marked_tree(rep)
         improper = [p for p in tree.points if not tree.proper[p]]
         if not improper:
             continue
-        root = improper[0]
-        sub = make_subtree(tree, root)
+        pts_all = tree.points
+        ones = {c.ones for c in rep.concepts}
+        below = {(a, b): leq(rep, a, b) for a in pts_all for b in pts_all}
+        realized = {
+            p: frozenset(q for q in pts_all if below[p, q]) in ones for p in pts_all
+        }
+        childless = {
+            p: not any(below[q, p] for q in pts_all if q != p) for p in pts_all
+        }
         pts = rng.integers(0, rep.domain_size, size=30)
         labs = rng.integers(0, 2, size=30)
-        stats = node_stats(tree, sub, Dataset(pts, labs.astype(np.uint8)))
-        for p in sub.nodes:
-            for q in sub.children.get(p, ()):
-                assert stats.value[q] >= stats.value[p]
-        for p in sub.nodes:
-            assert stats.min_leaf_value[p] == min(
-                stats.value[l]
-                for l in sub.leaves
-                if p in upward_closure(tree, l) or p == l
-            )
+        data = Dataset(pts, labs.astype(np.uint8))
+        zeros = [p for p, l in data.pairs() if l == 0 and p in tree.depth]
+        for root in improper:
+            roots += 1
+            sub = make_subtree(tree, root)
+            # kept: below the root with no proper node from the root
+            # (inclusive) down to it (exclusive) above it
+            nodes = {
+                q
+                for q in pts_all
+                if below[q, root]
+                and not any(
+                    realized[y] and below[q, y] and below[y, root] and y != q
+                    for y in pts_all
+                )
+            }
+            assert sub.root == root and sub.nodes == nodes
+            assert sub.leaves == {q for q in nodes if realized[q] or childless[q]}
+            stats = node_stats(tree, sub, data)
+            assert stats.weight == {
+                x: sum(below[p, x] for p in zeros) for x in pts_all
+            }
+            oracle = _value_by_path_enumeration(rep, tree, root, data)
+            assert stats.value == {x: oracle[x] for x in nodes}
+            for p in sub.nodes - sub.leaves:
+                for q in tree.children[p]:
+                    assert q in sub.nodes
+                    assert stats.value[q] >= stats.value[p]
+            for p in sub.nodes:
+                assert stats.min_leaf_value[p] == min(
+                    stats.value[l]
+                    for l in sub.leaves
+                    if p in upward_closure(tree, l) or p == l
+                )
+    assert roots >= 80
 
 
 def test_deterministic_points_examples(example_cls):
@@ -256,7 +290,7 @@ def test_deterministic_points_match_oracle_across_corpus(corpus, rng):
         base, _ = canonicalize(cls)
         f = base.concepts[int(rng.integers(len(base.concepts)))]
         rep, _ = canonicalize(f_represent(base, f))
-        tree = mark_proper(rep, make_tree(rep))
+        tree = make_tree(rep)
         m = rep.matrix
         for size in (1, 3, 20):
             c_idx = int(rng.integers(len(rep.concepts)))
