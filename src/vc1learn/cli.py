@@ -41,7 +41,7 @@ def _cmd_gen(args: argparse.Namespace) -> int:
     )
     cls = generate_class(spec)
     io.save_class(cls, args.out)
-    print(f"wrote {args.out}: {len(cls.concepts)} concepts over {cls.domain_size} points")
+    print(f"wrote {args.out}: {len(cls)} concepts over {cls.domain_size} points")
     return 0
 
 
@@ -70,8 +70,9 @@ def _cmd_tree(args: argparse.Namespace) -> int:
 
 def _cmd_sample(args: argparse.Namespace) -> int:
     cls = io.load_class(getattr(args, "class_path"))
-    by_id = {c.id: c for c in cls.concepts}
-    if args.concept not in by_id:
+    # a repeated id names its last concept
+    index = {cid: i for i, cid in enumerate(cls.ids)}
+    if args.concept not in index:
         raise ValueError(f"concept {args.concept!r} not in class")
     if args.weights:
         import numpy as np
@@ -81,7 +82,8 @@ def _cmd_sample(args: argparse.Namespace) -> int:
         dist = Distribution.uniform(cls.domain_size)
     from .generators import sample_dataset
 
-    data = sample_dataset(cls, by_id[args.concept], dist, args.n, make_rng(args.seed))
+    concept = cls.concepts[index[args.concept]]
+    data = sample_dataset(cls, concept, dist, args.n, make_rng(args.seed))
     io.save_dataset(data, args.out)
     print(f"wrote {args.out}: {len(data)} examples")
     return 0

@@ -1,9 +1,11 @@
 """Finite boolean concept classes, canonicalization, and label transforms.
 
 A concept class is a finite set of 0/1-valued functions (concepts) over a
-finite domain ``{0, ..., domain_size - 1}``. Everything downstream (the
-partial order, the class tree, the learners) operates on a *canonical*
-class, in which
+finite domain ``{0, ..., domain_size - 1}``, stored as one boolean
+matrix with a row per concept and a column per point; a concept's
+1-set is built from its row only when it is read. Everything downstream
+(the partial order, the class tree, the learners) operates on a
+*canonical* class, in which
 
 * no two concepts are equal as functions,
 * no two domain points have identical value under every concept
@@ -18,10 +20,9 @@ threads; operations are pure functions of their inputs.
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -109,38 +110,54 @@ class Hypothesis:
         return 1 if point in self.ones else 0
 
 
-@dataclass(frozen=True)
+class _LazyConcepts:
+    """A class's concepts, built from matrix rows on access; sliceable and iterable."""
+
+    def __init__(self, cls: "ConceptClass") -> None:
+        self._cls = cls
+
+    def __len__(self) -> int:
+        return len(self._cls)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return tuple(self[j] for j in range(*i.indices(len(self))))
+        row = self._cls.matrix[i]
+        return Concept(frozenset(np.flatnonzero(row).tolist()), self._cls.ids[i])
+
+    def __iter__(self) -> Iterator[Concept]:
+        return (self[i] for i in range(len(self)))
+
+
+@dataclass(frozen=True, eq=False)
 class ConceptClass:
     """An ordered collection of concepts over a fixed finite domain.
 
-    ``merge_map`` maps the domain of the class this one was canonicalized
-    from onto the current domain; it is the identity for directly
-    constructed classes.
+    The class is its read-only boolean ``matrix``, one row per concept and
+    one column per point, with one id per row; ``concepts`` builds
+    :class:`Concept` values from the rows on access. ``merge_map`` maps the
+    domain of the class this one was canonicalized from onto the current
+    domain; it is the identity for directly constructed classes.
     """
 
-    domain_size: int
-    concepts: tuple[Concept, ...]
-    merge_map: tuple[int, ...] = field(default=())
+    matrix: np.ndarray
+    ids: Sequence[str | None]
+    merge_map: Sequence[int] = ()
     name: str | None = None
 
     def __post_init__(self) -> None:
-        if self.domain_size < 0:
-            raise ValueError("domain_size must be nonnegative")
-        if not self.concepts:
+        m = np.array(self.matrix, dtype=bool)
+        if m.ndim != 2:
+            raise ValueError("matrix must be 2-d")
+        if not len(m):
             raise ValueError("empty concept class")
-        sizes = [len(c.ones) for c in self.concepts]
-        points = np.fromiter(
-            itertools.chain.from_iterable(c.ones for c in self.concepts),
-            np.int64,
-            sum(sizes),
-        )
-        outside = (points < 0) | (points >= self.domain_size)
-        if outside.any():
-            first = np.searchsorted(np.cumsum(sizes), outside.argmax(), "right")
-            c = self.concepts[first]
-            raise ValueError(f"concept {c.id!r} has points outside the domain")
-        if not self.merge_map:
-            object.__setattr__(self, "merge_map", tuple(range(self.domain_size)))
+        if len(self.ids) != len(m):
+            raise ValueError("one id per concept")
+        m.flags.writeable = False
+        object.__setattr__(self, "matrix", m)
+        object.__setattr__(self, "ids", tuple(self.ids))
+        merge = tuple(self.merge_map) or tuple(range(m.shape[1]))
+        object.__setattr__(self, "merge_map", merge)
 
     @classmethod
     def from_ones(
@@ -150,54 +167,33 @@ class ConceptClass:
         ids: Sequence[str] | None = None,
         name: str | None = None,
     ) -> "ConceptClass":
-        concepts = tuple(
-            Concept(frozenset(o), ids[i] if ids else f"c{i}")
-            for i, o in enumerate(ones_sets)
-        )
-        return cls(domain_size, concepts, name=name)
+        """The class with the given 1-sets, its ids ``c0, c1, ...`` by default."""
+        if domain_size < 0:
+            raise ValueError("domain_size must be nonnegative")
+        m = np.zeros((len(ones_sets), domain_size), dtype=bool)
+        names = [ids[i] if ids else f"c{i}" for i in range(len(m))]
+        for i, ones in enumerate(ones_sets):
+            points = np.fromiter(ones, np.int64)
+            if len(points) and (points.min() < 0 or points.max() >= domain_size):
+                raise ValueError(f"concept {names[i]!r} has points outside the domain")
+            m[i, points] = True
+        return cls(m, names, name=name)
 
-    @classmethod
-    def from_matrix(
-        cls,
-        matrix: np.ndarray,
-        ids: Sequence[str | None],
-        merge_map: Sequence[int] = (),
-        name: str | None = None,
-    ) -> "ConceptClass":
-        """The class whose :attr:`matrix` is ``matrix``, one id per row."""
-        concepts = tuple(
-            Concept(frozenset(np.flatnonzero(row).tolist()), cid)
-            for row, cid in zip(matrix, ids, strict=True)
-        )
-        out = cls(matrix.shape[1], concepts, tuple(merge_map), name)
-        m = np.array(matrix, dtype=bool)
-        m.flags.writeable = False
-        out.__dict__["matrix"] = m  # seed the cached property
-        return out
+    @property
+    def domain_size(self) -> int:
+        return self.matrix.shape[1]
 
-    @cached_property
-    def matrix(self) -> np.ndarray:
-        """Boolean matrix, one row per concept, one column per point."""
-        m = np.zeros((len(self.concepts), self.domain_size), dtype=bool)
-        for i, c in enumerate(self.concepts):
-            m[i, np.fromiter(c.ones, np.int64, len(c.ones))] = True
-        m.flags.writeable = False
-        return m
+    @property
+    def concepts(self) -> _LazyConcepts:
+        """The concepts in row order, built from the matrix on access."""
+        return _LazyConcepts(self)
 
     @cached_property
     def constant_labels(self) -> dict[int, int]:
         """Points every concept agrees on, mapped to their forced label."""
         m = self.matrix
-        out: dict[int, int] = {}
-        if len(self.concepts) == 0 or self.domain_size == 0:
-            return out
-        all_one = m.all(axis=0)
-        all_zero = (~m).all(axis=0)
-        for p in np.nonzero(all_one)[0]:
-            out[int(p)] = 1
-        for p in np.nonzero(all_zero)[0]:
-            out[int(p)] = 0
-        return out
+        out = dict.fromkeys(np.flatnonzero(m.all(axis=0)).tolist(), 1)
+        return out | dict.fromkeys(np.flatnonzero(~m.any(axis=0)).tolist(), 0)
 
     @cached_property
     def order_points(self) -> tuple[int, ...]:
@@ -206,15 +202,37 @@ class ConceptClass:
         return tuple(p for p in range(self.domain_size) if p not in const)
 
     @cached_property
-    def concept_index(self) -> dict[frozenset[int], int]:
-        """First index of each distinct ones-set."""
-        out: dict[frozenset[int], int] = {}
-        for i, c in enumerate(self.concepts):
-            out.setdefault(c.ones, i)
+    def concept_index(self) -> dict[bytes, int]:
+        """First index of each distinct row, keyed by ``np.packbits(row).tobytes()``."""
+        out: dict[bytes, int] = {}
+        for i, row in enumerate(np.packbits(self.matrix, axis=1)):
+            out.setdefault(row.tobytes(), i)
         return out
 
+    def index_of(self, ones: Iterable[int]) -> int | None:
+        """Index of the first concept whose 1-set is ``ones``, else None.
+
+        A set with a point off the domain, negative ones included, is no member.
+        """
+        points = np.fromiter(ones, np.int64)
+        if len(points) and (points.min() < 0 or points.max() >= self.domain_size):
+            return None
+        row = np.zeros(self.domain_size, dtype=bool)
+        row[points] = True
+        return self.concept_index.get(np.packbits(row).tobytes())
+
     def __len__(self) -> int:
-        return len(self.concepts)
+        return len(self.ids)
+
+    def _key(self) -> tuple:
+        m = self.matrix
+        return (m.shape, m.tobytes(), self.ids, self.merge_map, self.name)
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, ConceptClass) and self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
 
 
 def _first_occurrences(packed: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -277,12 +295,10 @@ def canonicalize(cls: ConceptClass) -> tuple[ConceptClass, np.ndarray]:
         ``merge_map[p]`` is the new index of original point ``p``. The same
         map is stored on the returned class.
     """
-    if not cls.concepts:
-        raise ValueError("empty concept class")
     rows, cols, merge = canonical_layout(cls.matrix)
-    canon = ConceptClass.from_matrix(
+    canon = ConceptClass(
         cls.matrix[np.ix_(rows, cols)],
-        [cls.concepts[i].id for i in rows.tolist()],
+        [cls.ids[i] for i in rows.tolist()],
         merge.tolist(),
         cls.name,
     )
@@ -299,30 +315,15 @@ def f_represent(cls: ConceptClass, f: Concept) -> ConceptClass:
     columns can collapse onto each other when ``f`` splits them, so callers
     that need the partial order should re-canonicalize.
     """
-    if f.ones not in {c.ones for c in cls.concepts}:
+    i = cls.index_of(f.ones)
+    if i is None:
         raise ValueError("representative must belong to class")
-    new_concepts = tuple(
-        Concept(frozenset(c.ones ^ f.ones), c.id) for c in cls.concepts
-    )
-    return ConceptClass(
-        domain_size=cls.domain_size,
-        concepts=new_concepts,
-        merge_map=cls.merge_map,
-        name=cls.name,
-    )
+    return ConceptClass(cls.matrix ^ cls.matrix[i], cls.ids, cls.merge_map, cls.name)
 
 
 def relabel_dataset(dataset: Dataset, f: Concept) -> Dataset:
     """XOR every label with ``f``'s value at the example's point. Involutive."""
-    if len(dataset) == 0:
-        return dataset
-    size = int(dataset.points.max()) + 1
-    if f.ones:
-        size = max(size, max(f.ones) + 1)
-    f_row = np.zeros(size, dtype=np.uint8)
-    if f.ones:
-        f_row[list(f.ones)] = 1
-    new_labels = dataset.labels ^ f_row[dataset.points]
+    new_labels = dataset.labels ^ np.isin(dataset.points, list(f.ones))
     return Dataset(dataset.points.copy(), new_labels, dataset.realizable_by)
 
 

@@ -122,19 +122,16 @@ def run_experiment(
     streams = make_rng(config.seed).spawn(config.trials)
     for trial, trng in enumerate(streams):
         if config.concept_index is None:
-            c_idx = int(trng.integers(len(cls.concepts)))
+            c_idx = int(trng.integers(len(cls)))
         else:
             c_idx = config.concept_index
         c_star = cls.concepts[c_idx]
-        row_vals = np.zeros(cls.domain_size, dtype=np.uint8)
-        if c_star.ones:
-            row_vals[list(c_star.ones)] = 1
 
         start = time.perf_counter()
         ids = stage2 = None
         if config.n_override is None:
             data, ids = _sample_subsets(
-                row_vals, dist, budget.t, budget.per_subset, trng
+                cls.matrix[c_idx], dist, budget.t, budget.per_subset, trng
             )
             n_used = budget.N1
             if config.mode == "proper":

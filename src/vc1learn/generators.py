@@ -34,18 +34,18 @@ def thresholds_class(n: int) -> ConceptClass:
     """Threshold functions x >= t over [0, n), including both boundary concepts."""
     if n < 1:
         raise ValueError("n must be at least 1")
-    ones_sets = [range(t, n) for t in range(n + 1)]
+    m = np.arange(n) >= np.arange(n + 1)[:, None]
     ids = [f"ge{t}" for t in range(n + 1)]
-    return ConceptClass.from_ones(n, ones_sets, ids, name=f"thresholds({n})")
+    return ConceptClass(m, ids, name=f"thresholds({n})")
 
 
 def point_functions_class(n: int) -> ConceptClass:
     """Indicator functions of single points plus the empty concept."""
     if n < 1:
         raise ValueError("n must be at least 1")
-    ones_sets: list[set[int]] = [set()] + [{x} for x in range(n)]
+    m = np.vstack([np.zeros(n, dtype=bool), np.eye(n, dtype=bool)])
     ids = ["empty"] + [f"pt{x}" for x in range(n)]
-    return ConceptClass.from_ones(n, ones_sets, ids, name=f"points({n})")
+    return ConceptClass(m, ids, name=f"points({n})")
 
 
 def random_tree_class(
@@ -87,15 +87,12 @@ def random_tree_class(
             q = parent[q]
         return frozenset(out)
 
-    leaves = [x for x in range(n) if child_count[x] == 0]
+    leaves = {x for x in range(n) if child_count[x] == 0}
     ones_sets: list[frozenset[int]] = [frozenset()]
     ids = ["empty"]
     for x in range(n):
-        if x in set(leaves):
-            keep = True
-        else:
-            keep = bool(rng.random() < concept_rate)
-        if keep:
+        # a draw for interior points only
+        if x in leaves or rng.random() < concept_rate:
             ones_sets.append(path(x))
             ids.append(f"path{x}")
     raw = ConceptClass.from_ones(
@@ -103,9 +100,7 @@ def random_tree_class(
     )
     canon, _ = canonicalize(raw)
     # a fresh class, not a view of the raw one: reset the provenance map
-    return ConceptClass(
-        canon.domain_size, canon.concepts, name=canon.name
-    )
+    return ConceptClass(canon.matrix, canon.ids, name=canon.name)
 
 
 def example_class() -> ConceptClass:
@@ -174,12 +169,11 @@ def sample_dataset(
     rng: np.random.Generator,
 ) -> Dataset:
     """Draw ``n`` i.i.d. points from ``dist`` labeled by a member concept."""
-    if concept.ones not in cls.concept_index:
+    i = cls.index_of(concept.ones)
+    if i is None:
         raise ValueError("labeling concept must belong to class")
     if len(dist) != cls.domain_size:
         raise ValueError("distribution support must match the domain")
     points = rng.choice(cls.domain_size, size=n, p=dist.weights)
-    row = np.zeros(cls.domain_size, dtype=np.uint8)
-    if concept.ones:
-        row[list(concept.ones)] = 1
-    return Dataset(points.astype(np.int64), row[points], realizable_by=concept.id)
+    labels = cls.matrix[i, points]
+    return Dataset(points.astype(np.int64), labels, realizable_by=concept.id)

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .concepts import Concept, ConceptClass, Dataset
+from .concepts import ConceptClass, Dataset
 
 
 def class_to_json(cls: ConceptClass) -> dict:
@@ -26,13 +26,11 @@ def class_to_json(cls: ConceptClass) -> dict:
 
 
 def class_from_json(data: dict) -> ConceptClass:
-    concepts = tuple(
-        Concept(frozenset(int(p) for p in entry["ones"]), str(entry["id"]))
-        for entry in data["concepts"]
-    )
-    return ConceptClass(
-        domain_size=int(data["domain_size"]),
-        concepts=concepts,
+    entries = data["concepts"]
+    return ConceptClass.from_ones(
+        int(data["domain_size"]),
+        [[int(p) for p in entry["ones"]] for entry in entries],
+        [str(entry["id"]) for entry in entries],
         name=data.get("name"),
     )
 

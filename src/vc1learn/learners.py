@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -37,6 +37,7 @@ from .concepts import (
     Hypothesis,
     canonical_layout,
     canonicalize,
+    f_represent,
     is_canonical,
 )
 from .mechanisms import (
@@ -56,7 +57,6 @@ from .tree import (
     make_subtree,
     node_stats,
     tree_from_matrix,
-    upward_closure,
 )
 
 
@@ -112,6 +112,7 @@ def uniform_convergence_size(alpha: float, beta: float) -> int:
     )
 
 
+@lru_cache
 def sample_budget(params: LearnParams, tree_depth_bound: int) -> SampleBudget:
     """Sizing for a class whose tree depth is at most ``tree_depth_bound``.
 
@@ -120,6 +121,7 @@ def sample_budget(params: LearnParams, tree_depth_bound: int) -> SampleBudget:
     ``(gate / eps) * ln(4 t / (beta eps delta))``, the latter solved by
     iterating the max to its fixed point. ``N1 = t * per_subset`` and
     ``N2 = n2_scale * (ln(1/alpha) + ln(1/beta)) / (alpha^2 eps)``.
+    Results are memoised; the parameter dataclasses are frozen.
     """
     if tree_depth_bound < 0:
         raise ValueError("tree_depth_bound must be nonnegative")
@@ -198,12 +200,7 @@ class LearnerContext:
     @cached_property
     def class_f(self) -> ConceptClass:
         """The canonical representation, ``canonicalize(f_represent(base, f))[0]``."""
-        represented = ConceptClass.from_matrix(
-            self.base.matrix ^ self.base.matrix[self.f_index],
-            [c.id for c in self.base.concepts],
-            name=self.base.name,
-        )
-        return canonicalize(represented)[0]
+        return canonicalize(f_represent(self.base, self.f))[0]
 
     @cached_property
     def f_row(self) -> np.ndarray:
@@ -211,13 +208,9 @@ class LearnerContext:
         row.flags.writeable = False
         return row
 
-    @cached_property
+    @property
     def depth_vec(self) -> np.ndarray:
-        d = np.zeros(len(self.tree.tin), dtype=np.int64)
-        for p, dep in self.tree.depth.items():
-            d[p] = dep
-        d.flags.writeable = False
-        return d
+        return self.tree.depth_vec
 
     @cached_property
     def code(self) -> np.ndarray:
@@ -234,10 +227,11 @@ class LearnerContext:
 
     @cached_property
     def points_at_depth(self) -> dict[int, tuple[int, ...]]:
-        out: dict[int, list[int]] = {}
-        for p, dep in self.tree.depth.items():
-            out.setdefault(dep, []).append(p)
-        return {d: tuple(sorted(v)) for d, v in out.items()}
+        points = np.array(self.tree.points, dtype=np.int64)  # ascending
+        order = np.argsort(self.depth_vec[points], kind="stable")
+        levels, starts = np.unique(self.depth_vec[points[order]], return_index=True)
+        groups = np.split(points[order], starts[1:])
+        return {d: tuple(g.tolist()) for d, g in zip(levels.tolist(), groups)}
 
 
 def prepare_context(cls: ConceptClass, f_index: int | None = None) -> LearnerContext:
@@ -375,14 +369,18 @@ def _subset_summaries(
     return deepest, depths
 
 
-def _back_transform(ctx: LearnerContext, ones_f: frozenset[int]) -> Hypothesis:
-    """Lift a 1-set on the operational domain back to a hypothesis on the input domain."""
-    row = np.zeros(len(ctx.tree.tin), dtype=np.uint8)
-    if ones_f:
-        row[list(ones_f)] = 1
+def _back_transform(ctx: LearnerContext, x: int | None) -> Hypothesis:
+    """Lift node ``x``'s root path (empty for None) back to the input domain."""
+    tin, tout = ctx.tree.tin, ctx.tree.tout
+    if x is None:
+        row = np.zeros(len(tin), dtype=bool)
+    else:  # the points whose tour interval holds x's; off the tree, tout is -1
+        row = (tin <= tin[x]) & (tin[x] < tout)
     values = row[ctx.point_map] ^ ctx.f_row
-    ones = frozenset(int(p) for p in np.nonzero(values)[0])
-    return Hypothesis(ones=ones, proper_index=ctx.base.concept_index.get(ones))
+    return Hypothesis(
+        ones=frozenset(np.flatnonzero(values).tolist()),
+        proper_index=ctx.base.concept_index.get(np.packbits(values).tobytes()),
+    )
 
 
 def _checked_context(
@@ -489,10 +487,7 @@ def improper_learn(
     else:
         chosen = choosing_mechanism(inst, params.privacy, params.beta, rng)
 
-    closure = (
-        upward_closure(ctx.tree, chosen) if chosen is not None else frozenset()
-    )
-    hypothesis = _back_transform(ctx, closure)
+    hypothesis = _back_transform(ctx, chosen)
     return ImproperTrace(
         reference_concept=ctx.f,
         reference_index=ctx.f_index,
@@ -575,8 +570,7 @@ def proper_learn(
         chosen = trace1.chosen_point
 
     if chosen is None or ctx.tree.proper[chosen]:
-        closure = upward_closure(ctx.tree, chosen) if chosen is not None else frozenset()
-        hypothesis = _back_transform(ctx, closure)
+        hypothesis = _back_transform(ctx, chosen)
         assert hypothesis.proper_index is not None
         return ProperTrace(
             chosen_point=chosen,
@@ -622,7 +616,7 @@ def proper_learn(
 
     lo, hi = ctx.tree.tin[flag], ctx.tree.tout[flag]
     leaf = min(q for q in sub.leaves if lo <= ctx.tree.tin[q] < hi)
-    hypothesis = _back_transform(ctx, upward_closure(ctx.tree, leaf))
+    hypothesis = _back_transform(ctx, leaf)
     assert hypothesis.proper_index is not None
     return ProperTrace(
         chosen_point=chosen,

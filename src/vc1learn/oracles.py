@@ -16,8 +16,6 @@ from dataclasses import dataclass
 from typing import Callable, Hashable, Sequence
 
 import numpy as np
-from scipy.stats import beta as beta_dist
-from scipy.stats import binom as binom_dist
 
 from .concepts import Concept, ConceptClass, Dataset, Hypothesis, NotRealizableError
 
@@ -228,6 +226,10 @@ def optimal_composition(epsilon_step: float, k: int, delta_prime: float) -> floa
         raise ValueError("composition parameters must be positive")
     if k == 0 or epsilon_step == 0:
         return 0.0
+    # scipy.stats is imported here and in _clopper_pearson, not at module
+    # level: the import takes about half a second, most of `import vc1learn`
+    from scipy.stats import binom as binom_dist
+
     truthful = np.arange(k + 1)
     pmf = binom_dist.pmf(truthful, k, 1.0 / (1.0 + math.exp(-epsilon_step)))
     loss = (2 * truthful - k) * epsilon_step
@@ -250,6 +252,8 @@ def optimal_composition(epsilon_step: float, k: int, delta_prime: float) -> floa
 
 def _clopper_pearson(successes: int, trials: int, tail: float) -> tuple[float, float]:
     """Two-sided Clopper-Pearson interval at per-bound tail probability."""
+    from scipy.stats import beta as beta_dist
+
     if successes > 0:
         lo = float(beta_dist.ppf(tail, successes, trials - successes + 1))
     else:

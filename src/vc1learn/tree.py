@@ -33,16 +33,18 @@ class ClassTree:
     for reproducible traversals. ``tour`` lists the points in depth-first
     preorder along those child lists; ``tin``/``tout`` index the domain, and
     ``q`` is ``p`` or below it iff ``tin[p] <= tin[q] < tout[p]`` (both are
-    -1 at points off the tree). ``proper[p]`` says that ``p``'s root path
-    is a concept, ``proper_mask`` holds the same flags as a boolean array
-    over the domain, and ``root_proper`` says that the empty set is one;
-    all three are set when the tree is built.
+    -1 at points off the tree); ``depth_vec`` holds ``depth`` as an array
+    over the domain, 0 off the tree. ``proper[p]`` says that ``p``'s root
+    path is a concept, ``proper_mask`` holds the same flags as a boolean
+    array over the domain, and ``root_proper`` says that the empty set is
+    one; all three are set when the tree is built.
     """
 
     points: tuple[int, ...]
     parent: Mapping[int, int | None]
     children: Mapping[int | None, tuple[int, ...]]
     depth: Mapping[int, int]
+    depth_vec: np.ndarray
     height: int
     tour: np.ndarray
     tin: np.ndarray
@@ -165,7 +167,7 @@ def tree_from_matrix(m: np.ndarray) -> ClassTree:
     tour_arr = np.array(tour, dtype=np.int64)
     proper = np.zeros(n, dtype=bool)
     proper[ends[ends >= 0]] = True
-    for arr in (tour_arr, tin, tout, proper):
+    for arr in (depth_of, tour_arr, tin, tout, proper):
         arr.flags.writeable = False
 
     return ClassTree(
@@ -173,6 +175,7 @@ def tree_from_matrix(m: np.ndarray) -> ClassTree:
         parent=parent,
         children={key: tuple(v) for key, v in children.items()},
         depth=dict(zip(points, depth_of[list(points)].tolist())),
+        depth_vec=depth_of,
         height=int(depth_of.max(initial=0)),
         tour=tour_arr,
         tin=tin,

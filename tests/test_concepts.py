@@ -53,7 +53,9 @@ def test_canonicalize_flags_constant_points():
 
 def test_canonicalize_empty_class_errors():
     with pytest.raises(ValueError, match="empty concept class"):
-        ConceptClass(domain_size=2, concepts=())
+        ConceptClass(np.zeros((0, 2), dtype=bool), ())
+    with pytest.raises(ValueError, match="empty concept class"):
+        ConceptClass.from_ones(2, [])
 
 
 def test_canonicalize_idempotent(corpus):
@@ -100,8 +102,34 @@ def test_f_represent_involution():
 
 def test_f_represent_requires_membership():
     cls = example_class()
-    with pytest.raises(ValueError, match="must belong"):
-        f_represent(cls, Concept(frozenset({0, 1})))
+    # {0, 4, -1} would wrap onto the member {0, 4, 6}; 7 is past the domain
+    for ones in ({0, 1}, {0, 4, -1}, {0, 7}):
+        with pytest.raises(ValueError, match="must belong"):
+            f_represent(cls, Concept(frozenset(ones)))
+
+
+def test_class_equality_and_hash():
+    cls = example_class()
+    same = ConceptClass(cls.matrix.copy(), list(cls.ids), cls.merge_map, cls.name)
+    assert same == cls and hash(same) == hash(cls)
+    flipped = cls.matrix.copy()
+    flipped[3, 5] ^= True
+    ids = list(cls.ids)
+    ids[2] = "other"
+    for other in (
+        ConceptClass(flipped, cls.ids, cls.merge_map, cls.name),
+        ConceptClass(cls.matrix, ids, cls.merge_map, cls.name),
+        ConceptClass(cls.matrix, cls.ids, (0, 1, 2, 3, 4, 5, 5), cls.name),
+        ConceptClass(cls.matrix, cls.ids, cls.merge_map, "other"),
+    ):
+        assert other != cls
+
+
+def test_index_of_gives_first_member():
+    cls = ConceptClass.from_ones(3, [{0}, {1}, {0}, set()])
+    assert [cls.index_of(o) for o in ({0}, [1], set(), {2})] == [0, 1, 3, None]
+    # -1 would wrap onto point 2, and 3 is past the domain
+    assert cls.index_of({-1}) is None and cls.index_of({0, 3}) is None
 
 
 def test_relabel_dataset_zero_f_is_identity():

@@ -9,10 +9,17 @@ ROOT = Path(__file__).resolve().parents[1]
 
 
 @pytest.mark.parametrize(
-    "demo", ["01_tree_structure.py", "04_improper_learner.py", "05_proper_learner.py"]
+    "demo",
+    [
+        "01_tree_structure.py",
+        "03_mechanisms.py",
+        "04_improper_learner.py",
+        "05_proper_learner.py",
+    ],
 )
 def test_demo_runs(demo):
-    # these demos call make_subtree, improper_learn and proper_learn's hooks
+    # these demos call make_subtree, optimal_composition (which imports
+    # scipy.stats on first use), improper_learn and proper_learn's hooks
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.run(
         [sys.executable, str(ROOT / "demos" / demo)],

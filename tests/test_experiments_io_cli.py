@@ -1,9 +1,13 @@
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from vc1learn import (
+    ConceptClass,
     Dataset,
     Distribution,
     ExperimentConfig,
@@ -134,6 +138,33 @@ def test_class_json_round_trip(tmp_path):
     assert again == loaded
     assert [c.ones for c in loaded.concepts] == [c.ones for c in cls.concepts]
     assert loaded.name == cls.name
+
+
+def test_class_input_rejects_points_outside_domain(tmp_path):
+    # numpy would wrap -1 onto the last point, so negatives are checked too
+    path = tmp_path / "cls.json"
+    for bad in ([0, 3], [-1]):
+        with pytest.raises(ValueError, match="'b' has points outside the domain"):
+            ConceptClass.from_ones(3, [[0], bad], ["a", "b"])
+        entries = [{"id": "a", "ones": [0]}, {"id": "b", "ones": bad}]
+        path.write_text(json.dumps({"name": "x", "domain_size": 3, "concepts": entries}))
+        with pytest.raises(ValueError, match="'b' has points outside the domain"):
+            load_class(path)
+
+
+def test_import_leaves_scipy_stats_out():
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = (
+        "import sys; sys.path.insert(0, sys.argv[1]); import vc1learn; "
+        "print('scipy.stats' in sys.modules)"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code, str(src)],
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert out.stdout.strip() == "False"
 
 
 def test_dataset_csv_round_trip(tmp_path):

@@ -113,8 +113,10 @@ def test_sample_dataset_rejects_foreign_concept(rng):
     cls = thresholds_class(4)
     from vc1learn import Concept
 
-    with pytest.raises(ValueError, match="must belong"):
-        sample_dataset(cls, Concept(frozenset({0, 2})), Distribution.uniform(4), 5, rng)
+    # {-1} would wrap onto the member {3}; 4 is past the domain
+    for ones in ({0, 2}, {-1}, {3, 4}):
+        with pytest.raises(ValueError, match="must belong"):
+            sample_dataset(cls, Concept(frozenset(ones)), Distribution.uniform(4), 5, rng)
 
 
 def test_labels_match_concept(rng):

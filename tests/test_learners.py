@@ -266,15 +266,20 @@ def test_prepare_context_matches_canonicalized_representation(corpus):
             ctx = prepare_context(base, f_index)
             ref, ref_map = canonicalize(f_represent(base, base.concepts[f_index]))
             assert np.array_equal(ctx.point_map, ref_map)
-            assert ctx.class_f.concepts == ref.concepts
+            assert list(ctx.class_f.concepts) == list(ref.concepts)
             assert ctx.class_f.merge_map == ref.merge_map
             assert ctx.class_f.domain_size == ref.domain_size
             assert ctx.class_f == ref
             tree = make_tree(ref)
             for name in ("parent", "depth", "children", "proper", "root_proper", "height"):
                 assert getattr(ctx.tree, name) == getattr(tree, name), name
-            for name in ("tour", "tin", "tout"):
+            for name in ("tour", "tin", "tout", "depth_vec"):
                 assert np.array_equal(getattr(ctx.tree, name), getattr(tree, name)), name
+            levels = {}
+            for p, d in tree.depth.items():
+                assert ctx.depth_vec[p] == d
+                levels.setdefault(d, []).append(p)
+            assert ctx.points_at_depth == {d: tuple(sorted(v)) for d, v in levels.items()}
 
 
 def test_subset_summaries_match_oracle_across_corpus(corpus, rng):
