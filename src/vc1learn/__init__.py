@@ -32,7 +32,6 @@ from .generators import (
     thresholds_class,
 )
 from .learners import (
-    BudgetConstants,
     ImproperTrace,
     LearnParams,
     LearnerContext,

@@ -84,17 +84,15 @@ def exponential_mechanism_scenario(epsilon: float = 1.0) -> AuditScenario:
     )
 
 
-def choosing_scenario(
-    epsilon: float = 1.0, delta: float = 1e-6, beta: float = 0.1
-) -> AuditScenario:
-    """Bounded-quality selection with multiplicity scores (1-bounded)."""
+def choosing_scenario(epsilon: float = 1.0, delta: float = 1e-6) -> AuditScenario:
+    """Bounded-quality selection with multiplicity scores (1-bounded), beta 0.1."""
 
     def mech(data: Dataset, rng: np.random.Generator) -> int | None:
         scores = {
             v: int((data.points == v).sum()) for v in range(4)
         }
         inst = ChoosingInstance(scores=scores, k=1, n=len(data))
-        out = choosing_mechanism(inst, PrivacyParams(epsilon, delta), beta, rng)
+        out = choosing_mechanism(inst, PrivacyParams(epsilon, delta), 0.1, rng)
         return None if out is None else int(out)
 
     base = [(0, 0)] * 30 + [(1, 0)] * 3
@@ -135,22 +133,20 @@ def median_scenario(epsilon: float = 1.0) -> AuditScenario:
 def improper_learner_scenario(
     epsilon: float = 1.0,
     delta: float = 1e-5,
-    alpha: float = 0.2,
-    beta: float = 0.1,
     n: int = 30,
     cls: ConceptClass | None = None,
     context: LearnerContext | None = None,
 ) -> AuditScenario:
     """The whole improper pipeline on a tiny instance; claimed (2 eps, 2 delta).
 
-    The two datasets are realizable labelings differing in one example.
-    Outcomes are the output hypothesis 1-sets, a finite space.
+    The learner runs with alpha 0.2 and beta 0.1 on ``cls``, the example
+    class by default. The two datasets are realizable labelings of ``n``
+    examples differing in one example. Outcomes are the output hypothesis
+    1-sets, a finite space.
     """
     cls = cls if cls is not None else example_class()
     ctx = context if context is not None else prepare_context(cls)
-    params = LearnParams(
-        alpha=alpha, beta=beta, privacy=PrivacyParams(epsilon, delta)
-    )
+    params = LearnParams(alpha=0.2, beta=0.1, privacy=PrivacyParams(epsilon, delta))
 
     def mech(data: Dataset, rng: np.random.Generator) -> frozenset[int]:
         trace = improper_learn(cls, data, params, rng, context=ctx)
@@ -170,28 +166,21 @@ def improper_learner_scenario(
 
 
 def unrealizable_neighbour_scenario(
-    epsilon: float = 1.0,
-    delta: float = 1e-5,
-    alpha: float = 0.2,
-    beta: float = 0.1,
-    n: int = 2359,
-    cls: ConceptClass | None = None,
-    context: LearnerContext | None = None,
+    epsilon: float = 1.0, delta: float = 1e-5
 ) -> AuditScenario:
     """The improper pipeline next to an unrealizable neighbour; claimed (2 eps, 2 delta).
 
-    The realizable sample of :func:`improper_learner_scenario`, and the
-    same sample with the first example's label flipped. With ``n`` at
-    least the domain size the flipped point also appears with its true
-    label, so no concept realizes the neighbour; privacy must hold there
-    too. The default ``n`` is seven times the subset count of the example
-    class's budget (t = 337), so subsets hold about seven examples and the
-    one holding the flipped example is usually inconsistent: the learner's
-    fallback summary for such subsets is what this neighbour exercises.
+    The realizable sample of :func:`improper_learner_scenario` on the
+    example class, with n = 2,359 examples, and the same sample with the
+    first example's label flipped. As n is at least the domain size, the
+    flipped point also appears with its true label, so no concept realizes
+    the neighbour; privacy must hold there too. n is seven times the
+    subset count of the example class's budget (t = 337), so subsets hold
+    about seven examples and the one holding the flipped example is
+    usually inconsistent: the learner's fallback summary for such subsets
+    is what this neighbour exercises.
     """
-    mech, data, _, claimed = improper_learner_scenario(
-        epsilon, delta, alpha, beta, n, cls, context
-    )
+    mech, data, _, claimed = improper_learner_scenario(epsilon, delta, n=2359)
     flipped = data.labels.copy()
     flipped[0] ^= 1
     return mech, data, Dataset(data.points, flipped), claimed

@@ -92,6 +92,8 @@ def _cmd_sample(args: argparse.Namespace) -> int:
 def _cmd_learn(args: argparse.Namespace) -> int:
     cls, merge = canonicalize(io.load_class(getattr(args, "class_path")))
     raw = io.load_dataset(args.data)
+    if len(raw) and raw.points.max() >= len(merge):
+        raise ValueError("dataset point outside class domain")
     data = dataclasses.replace(raw, points=merge[raw.points])
     params = LearnParams(
         alpha=args.alpha,
@@ -176,7 +178,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("tree", help="export the order tree")
     p.add_argument("--class", dest="class_path", required=True)
     p.add_argument("--format", choices=["dot", "json"], default="json")
-    p.add_argument("--f-index", type=int, default=None)
+    p.add_argument("--f-index", type=int, default=0)
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_tree)
 

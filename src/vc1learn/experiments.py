@@ -180,28 +180,27 @@ def config_to_json(config: ExperimentConfig) -> dict:
 
 
 def config_from_json(data: dict) -> ExperimentConfig:
-    gen = GeneratorSpec(**data["generator"])
-    pdata = dict(data["params"])
-    privacy = PrivacyParams(**pdata.pop("privacy"))
-    constants = pdata.pop("constants", None)
-    from .learners import BudgetConstants
+    """The config that ``config_to_json`` wrote as ``data``.
 
-    params = LearnParams(
-        privacy=privacy,
-        constants=BudgetConstants(**constants) if constants else BudgetConstants(),
-        **pdata,
-    )
-    weights = data.get("weights")
-    return ExperimentConfig(
-        generator=gen,
-        params=params,
-        mode=data.get("mode", "improper"),
-        trials=data.get("trials", 1),
-        seed=data.get("seed", 0),
-        concept_index=data.get("concept_index"),
-        weights=tuple(weights) if weights else None,
-        n_override=data.get("n_override"),
-    )
+    Keys with defaults may be left out. A key that ``config_to_json``
+    never writes, or a missing one without a default, raises
+    ``ValueError`` (``KeyError`` for ``generator``, ``params`` and
+    ``privacy``).
+    """
+    fields = dict(data)
+    gen = fields.pop("generator")
+    pdata = dict(fields.pop("params"))
+    privacy = pdata.pop("privacy")
+    weights = fields.pop("weights", None)
+    try:
+        return ExperimentConfig(
+            generator=GeneratorSpec(**gen),
+            params=LearnParams(privacy=PrivacyParams(**privacy), **pdata),
+            weights=tuple(weights) if weights else None,
+            **fields,
+        )
+    except TypeError as exc:  # an unknown or missing key
+        raise ValueError(f"malformed config: {exc}") from None
 
 
 def write_report_csv(

@@ -11,10 +11,11 @@ dimension 1 by construction and is returned in canonical form.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
-from .concepts import Concept, ConceptClass, Dataset, canonicalize
+from .concepts import Concept, ConceptClass, Dataset, canonical_layout
 from .oracles import Distribution
 from .rng import make_rng
 
@@ -67,40 +68,28 @@ def random_tree_class(
         raise ValueError("concept_rate must be in [0, 1]")
     rng = make_rng(seed)
     order = rng.permutation(n)
-    parent: dict[int, int | None] = {}
-    child_count: dict[int | None, int] = {None: 0}
-    attached: list[int | None] = [None]
-    for x in order:
-        x = int(x)
+    # paths[x]: x's root path, filled as x attaches; row n is the virtual root
+    paths = np.zeros((n + 1, n), dtype=bool)
+    child_count = [0] * (n + 1)
+    attached = [n]
+    for x in order.tolist():
         slots = [v for v in attached if child_count[v] < max_children]
         p = slots[int(rng.integers(len(slots)))]
-        parent[x] = p
+        paths[x] = paths[p]
+        paths[x, x] = True
         child_count[p] += 1
-        child_count[x] = 0
         attached.append(x)
 
-    def path(x: int) -> frozenset[int]:
-        out = set()
-        q: int | None = x
-        while q is not None:
-            out.add(q)
-            q = parent[q]
-        return frozenset(out)
-
-    leaves = {x for x in range(n) if child_count[x] == 0}
-    ones_sets: list[frozenset[int]] = [frozenset()]
-    ids = ["empty"]
-    for x in range(n):
-        # a draw for interior points only
-        if x in leaves or rng.random() < concept_rate:
-            ones_sets.append(path(x))
-            ids.append(f"path{x}")
-    raw = ConceptClass.from_ones(
-        n, ones_sets, ids, name=f"random_tree({n},{max_children},{concept_rate},{seed})"
+    # a draw for interior points only
+    kept = [x for x in range(n) if child_count[x] == 0 or rng.random() < concept_rate]
+    m = paths[[n] + kept]
+    ids = ["empty"] + [f"path{x}" for x in kept]
+    rows, cols, _ = canonical_layout(m)
+    return ConceptClass(
+        m[np.ix_(rows, cols)],
+        [ids[i] for i in rows.tolist()],
+        name=f"random_tree({n},{max_children},{concept_rate},{seed})",
     )
-    canon, _ = canonicalize(raw)
-    # a fresh class, not a view of the raw one: reset the provenance map
-    return ConceptClass(canon.matrix, canon.ids, name=canon.name)
 
 
 def example_class() -> ConceptClass:
@@ -138,8 +127,13 @@ def modified_example_class() -> ConceptClass:
     return ConceptClass.from_ones(7, ones_sets, ids, name="modified_example")
 
 
+@lru_cache
 def generate_class(spec: GeneratorSpec) -> ConceptClass:
-    """Materialize a generator recipe."""
+    """Materialize a generator recipe.
+
+    The last 128 results are memoised: specs are frozen and classes
+    immutable, so one recipe gives one class object.
+    """
     if spec.kind == "thresholds":
         if spec.n is None:
             raise ValueError("thresholds generator needs n")

@@ -25,7 +25,7 @@ every intermediate quantity.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -45,6 +45,7 @@ from .mechanisms import (
     PrivacyParams,
     advanced_composition,
     choosing_mechanism,
+    choosing_utility_bound,
     exponential_mechanism,
     laplace_sample,
     private_median,
@@ -56,32 +57,29 @@ from .tree import (
     forced_nodes,
     make_subtree,
     node_stats,
+    root_path,
     tree_from_matrix,
 )
 
 
-@dataclass(frozen=True)
-class BudgetConstants:
-    """Multipliers behind every asymptotic term in the sizing formulas.
-
-    Defaults: the selection gate constant 16, a unit multiplier on the
-    second-stage size, and a 1/3 target for the depth median. All logs in
-    the sizing formulas are natural.
-    """
-
-    gate: float = 16.0
-    n2_scale: float = 1.0
-    median_alpha: float = 1.0 / 3.0
+# the depth median's alpha: given enough subsets, at least 1/2 - 1/3 of
+# the subset depths lie on each side of the private median's output
+MEDIAN_ALPHA = 1.0 / 3.0
 
 
 @dataclass(frozen=True)
 class LearnParams:
-    """Accuracy (alpha), confidence (beta), and per-mechanism privacy knobs."""
+    """Accuracy (alpha), confidence (beta), and per-mechanism privacy knobs.
+
+    The sizing constants are fixed by the analysis, not by these values:
+    the selection gate's 16, the depth median's :data:`MEDIAN_ALPHA` of
+    1/3 and a unit factor on the second-stage size (see
+    :func:`sample_budget`).
+    """
 
     alpha: float
     beta: float
     privacy: PrivacyParams
-    constants: BudgetConstants = field(default_factory=BudgetConstants)
 
     def __post_init__(self) -> None:
         if not 0 < self.alpha < 1:
@@ -117,27 +115,25 @@ def sample_budget(params: LearnParams, tree_depth_bound: int) -> SampleBudget:
     """Sizing for a class whose tree depth is at most ``tree_depth_bound``.
 
     The subset count ``t`` is the larger of the private-median requirement
-    on the depth domain and the selection gate requirement
-    ``(gate / eps) * ln(4 t / (beta eps delta))``, the latter solved by
-    iterating the max to its fixed point. ``N1 = t * per_subset`` and
-    ``N2 = n2_scale * (ln(1/alpha) + ln(1/beta)) / (alpha^2 eps)``.
-    Results are memoised; the parameter dataclasses are frozen.
+    for a :data:`MEDIAN_ALPHA` (1/3) median on the depth domain and the
+    selection gate requirement ``(16 / eps) * ln(4 t / (beta eps delta))``
+    of :func:`choosing_utility_bound`, the latter solved by iterating the
+    max to its fixed point. ``N1 = t * per_subset`` and
+    ``N2 = (ln(1/alpha) + ln(1/beta)) / (alpha^2 eps)``. Results are
+    memoised; the parameter dataclasses are frozen.
     """
     if tree_depth_bound < 0:
         raise ValueError("tree_depth_bound must be nonnegative")
     priv = params.privacy
     if priv.delta <= 0:
         raise ValueError("learners require delta > 0")
-    consts = params.constants
     t_median = required_median_size(
-        tree_depth_bound + 1, consts.median_alpha, params.beta, priv
+        tree_depth_bound + 1, MEDIAN_ALPHA, params.beta, priv
     )
 
     def gate(t: int) -> int:
-        return math.ceil(
-            (consts.gate / priv.epsilon)
-            * math.log(4.0 * max(t, 1) / (params.beta * priv.epsilon * priv.delta))
-        )
+        inst = ChoosingInstance({}, k=1, n=t)
+        return math.ceil(choosing_utility_bound(inst, priv, params.beta))
 
     t = max(t_median, 1)
     while True:
@@ -148,8 +144,7 @@ def sample_budget(params: LearnParams, tree_depth_bound: int) -> SampleBudget:
 
     per_subset = uniform_convergence_size(params.alpha, params.beta)
     n2 = math.ceil(
-        consts.n2_scale
-        * (math.log(1.0 / params.alpha) + math.log(1.0 / params.beta))
+        (math.log(1.0 / params.alpha) + math.log(1.0 / params.beta))
         / (params.alpha**2 * priv.epsilon)
     )
     return SampleBudget(
@@ -234,7 +229,7 @@ class LearnerContext:
         return {d: tuple(g.tolist()) for d, g in zip(levels.tolist(), groups)}
 
 
-def prepare_context(cls: ConceptClass, f_index: int | None = None) -> LearnerContext:
+def prepare_context(cls: ConceptClass, f_index: int = 0) -> LearnerContext:
     """Build the reusable learner context for a canonical class.
 
     ``f_index`` picks the member concept the class is represented against;
@@ -247,8 +242,6 @@ def prepare_context(cls: ConceptClass, f_index: int | None = None) -> LearnerCon
     """
     if not is_canonical(cls):
         raise ValueError("learners require a canonical class; call canonicalize first")
-    if f_index is None:
-        f_index = 0
     if not 0 <= f_index < len(cls.concepts):
         raise ValueError("f_index out of range")
     m = cls.matrix ^ cls.matrix[f_index]
@@ -371,11 +364,10 @@ def _subset_summaries(
 
 def _back_transform(ctx: LearnerContext, x: int | None) -> Hypothesis:
     """Lift node ``x``'s root path (empty for None) back to the input domain."""
-    tin, tout = ctx.tree.tin, ctx.tree.tout
     if x is None:
-        row = np.zeros(len(tin), dtype=bool)
-    else:  # the points whose tour interval holds x's; off the tree, tout is -1
-        row = (tin <= tin[x]) & (tin[x] < tout)
+        row = np.zeros(len(ctx.tree.tin), dtype=bool)
+    else:
+        row = root_path(ctx.tree, x)
     values = row[ctx.point_map] ^ ctx.f_row
     return Hypothesis(
         ones=frozenset(np.flatnonzero(values).tolist()),
@@ -387,7 +379,6 @@ def _checked_context(
     cls: ConceptClass,
     params: LearnParams,
     context: LearnerContext | None,
-    f_index: int | None,
 ) -> LearnerContext:
     """Validate the privacy parameters, then return the context for ``cls``.
 
@@ -398,7 +389,7 @@ def _checked_context(
         raise ValueError("epsilon must be in (0, 2)")
     if params.privacy.delta <= 0:
         raise ValueError("delta must be positive")
-    ctx = context if context is not None else prepare_context(cls, f_index)
+    ctx = context if context is not None else prepare_context(cls)
     if ctx.base is not cls and ctx.base != cls:
         raise ValueError("context was prepared for a different class")
     return ctx
@@ -411,7 +402,6 @@ def improper_learn(
     rng: np.random.Generator,
     *,
     context: LearnerContext | None = None,
-    f_index: int | None = None,
     subset_ids: np.ndarray | None = None,
     force_median: int | None = None,
     greedy: bool = False,
@@ -435,9 +425,10 @@ def improper_learn(
     ``subset_ids[j]`` the subset of example ``j``; the subset count is the
     largest id plus one. ``force_median`` pins the median outcome,
     ``greedy`` replaces each mechanism by its utility-optimal branch, and
-    ``context``/``f_index`` control the shared representation.
+    ``context`` passes a prebuilt :func:`prepare_context`; the default
+    represents the class against its first concept.
     """
-    ctx = _checked_context(cls, params, context, f_index)
+    ctx = _checked_context(cls, params, context)
 
     if dataset is None or len(dataset) == 0:
         raise ValueError("dataset must be non-empty")
@@ -459,7 +450,7 @@ def improper_learn(
         z = private_median(
             depth_list,
             ctx.tree.height,
-            params.constants.median_alpha,
+            MEDIAN_ALPHA,
             params.privacy,
             params.beta,
             rng,
@@ -508,7 +499,6 @@ def proper_learn(
     rng: np.random.Generator,
     *,
     context: LearnerContext | None = None,
-    f_index: int | None = None,
     subset_ids: np.ndarray | None = None,
     stage2: Dataset | None = None,
     force_chosen_point: int | None = None,
@@ -533,7 +523,7 @@ def proper_learn(
     :func:`improper_learn` still run first. See :func:`improper_learn` for
     the remaining hooks.
     """
-    ctx = _checked_context(cls, params, context, f_index)
+    ctx = _checked_context(cls, params, context)
     if subset_ids is not None and stage2 is None:
         raise ValueError("subset_ids requires stage2")
     budget = sample_budget(params, ctx.tree.height)
@@ -569,7 +559,7 @@ def proper_learn(
         )
         chosen = trace1.chosen_point
 
-    if chosen is None or ctx.tree.proper[chosen]:
+    if chosen is None or ctx.tree.proper_mask[chosen]:
         hypothesis = _back_transform(ctx, chosen)
         assert hypothesis.proper_index is not None
         return ProperTrace(

@@ -203,16 +203,25 @@ def _first_rows(m: np.ndarray) -> np.ndarray:
     return first
 
 
+def _check_in_tree(tree: ClassTree, x: int) -> None:
+    if not (0 <= x < len(tree.tin) and tree.tin[x] >= 0):
+        raise ValueError(f"point {x} not in tree")
+
+
+def root_path(tree: ClassTree, x: int) -> np.ndarray:
+    """Boolean mask over the domain of ``x``'s root path, ``x`` a tree point.
+
+    The points whose tour interval holds ``x``'s; off the tree, ``tout``
+    is -1, so no such point is on the path.
+    """
+    tin = tree.tin
+    return (tin <= tin[x]) & (tin[x] < tree.tout)
+
+
 def upward_closure(tree: ClassTree, x: int) -> frozenset[int]:
     """The path from ``x`` to the root, excluding the virtual root."""
-    if x not in tree.depth:
-        raise ValueError(f"point {x} not in tree")
-    out = []
-    q: int | None = x
-    while q is not None:
-        out.append(q)
-        q = tree.parent[q]
-    return frozenset(out)
+    _check_in_tree(tree, x)
+    return frozenset(np.flatnonzero(root_path(tree, x)).tolist())
 
 
 def _path_ends(m: np.ndarray, depth: np.ndarray) -> np.ndarray:
@@ -236,8 +245,7 @@ def make_subtree(tree: ClassTree, x_good: int) -> SubTree:
     single-node tree. The leaves are the proper or childless nodes; the
     other nodes are improper, and their children are their tree children.
     """
-    if x_good not in tree.depth:
-        raise ValueError(f"point {x_good} not in tree")
+    _check_in_tree(tree, x_good)
     lo, hi = tree.tin[x_good], tree.tout[x_good]
     seg = tree.tour[lo:hi]
     # a proper node at an earlier slice position is above position j

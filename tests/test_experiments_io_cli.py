@@ -15,6 +15,7 @@ from vc1learn import (
     LearnParams,
     PrivacyParams,
     example_class,
+    generate_class,
     improper_learn,
     make_rng,
     prepare_context,
@@ -121,6 +122,14 @@ def test_support_subsets_give_the_full_draws_traces():
             for data, ids in ((support, support_ids), (full, full_ids))
         )
         assert a.to_json() == b.to_json()
+
+
+def test_run_experiment_reuses_the_class_and_checks_the_context():
+    spec = GeneratorSpec("random_tree", n=10, seed=4)
+    assert generate_class(spec) is generate_class(spec)
+    other = prepare_context(generate_class(GeneratorSpec("random_tree", n=10, seed=5)))
+    with pytest.raises(ValueError, match="different class"):
+        run_experiment(small_config(), context=other)
 
 
 def test_config_json_round_trip():
@@ -302,3 +311,36 @@ def test_cli_validation_exit_codes(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["gen", "--kind", "bogus", "--out", "x.json"])
     assert exc.value.code == 2
+
+
+def test_cli_sweep_rejects_unknown_config_keys(tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    for part, key, value in (
+        ("generator", "colour", "red"),
+        ("params", "gamma", 0.5),
+        ("params", "constants", {"gate": 8.0}),  # no longer a setting
+        (None, "trails", 5),
+    ):
+        data = config_to_json(small_config(trials=1))
+        (data if part is None else data[part])[key] = value
+        cfg_path.write_text(json.dumps(data))
+        out = tmp_path / "report.csv"
+        assert main(["sweep", "--config", str(cfg_path), "--out", str(out)]) == 2
+        assert repr(key) in capsys.readouterr().err
+        assert not out.exists()
+
+
+def test_cli_learn_rejects_points_outside_domain(tmp_path, capsys):
+    cls_path = tmp_path / "cls.json"
+    data_path = tmp_path / "data.csv"
+    main(["gen", "--kind", "example", "--out", str(cls_path)])
+    save_dataset(Dataset.from_pairs([(0, 1), (99, 0)]), data_path)
+    capsys.readouterr()
+    assert main(
+        [
+            "learn", "--class", str(cls_path), "--data", str(data_path),
+            "--epsilon", "1", "--delta", "1e-5", "--alpha", "0.25",
+            "--beta", "0.25",
+        ]
+    ) == 2
+    assert "dataset point outside class domain" in capsys.readouterr().err

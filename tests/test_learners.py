@@ -46,6 +46,10 @@ def test_sample_budget_golden_values():
     assert budget.N1 == 325 * 16327
     assert budget.N2 == 81
     assert budget.T == 10
+    # a depth bound this large makes the 1/3-median term decide t
+    deep = sample_budget(PARAMS, 10**40)
+    assert deep.t == 563
+    assert deep.N1 == 9_192_101
 
 
 def test_sample_budget_monotonicity():

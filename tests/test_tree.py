@@ -98,8 +98,10 @@ def test_upward_closure_examples(example_cls):
     assert upward_closure(tree, X5) == {X1, X5}
     assert upward_closure(tree, X7) == {X1, X5, X7}
     assert upward_closure(tree, X2) == {X2}
-    with pytest.raises(ValueError):
-        upward_closure(tree, 99)
+    # -1 must not wrap onto the last point
+    for bad in (99, -1):
+        with pytest.raises(ValueError, match="not in tree"):
+            upward_closure(tree, bad)
 
 
 def test_mark_proper_example_all_proper(example_cls):
