@@ -23,21 +23,23 @@ print("  x5 <= x1:", v.leq(canon, 4, 0), " (every concept with x5 has x1)")
 print("  x4 ~ x5 comparable:", v.comparable(canon, 3, 4), " (different branches)")
 
 print("\ntree layers:")
+points = sorted(tree.tour.tolist())  # the tree's points; depth is 0 off the tree
 layers = {}
-for p, d in tree.depth.items():
-    layers.setdefault(d, []).append(p)
+for p in points:
+    layers.setdefault(int(tree.depth[p]), []).append(p)
 for d in sorted(layers):
     print(f"  depth {d}: points {sorted(layers[d])}")
 
 print("\nroot paths (each realized by a concept, so every node is proper):")
-for p in sorted(tree.points):
+for p in points:
     path = sorted(v.upward_closure(tree, p))
-    print(f"  x{p + 1}: {path}  proper={tree.proper[p]}")
+    print(f"  x{p + 1}: {path}  proper={tree.proper_mask[p]}")
 
 print("\nDropping the {x1,x5} concept makes that node unrealized:")
 mod, _ = v.canonicalize(v.modified_example_class())
 mctx = v.prepare_context(mod)
-print("  proper flags:", {p: mctx.tree.proper[p] for p in sorted(mctx.tree.points)})
+mpoints = sorted(mctx.tree.tour.tolist())
+print("  proper flags:", dict(zip(mpoints, mctx.tree.proper_mask[mpoints].tolist())))
 sub = v.make_subtree(mctx.tree, 4)
 print(f"  pruned subtree at x5: nodes={sorted(sub.nodes)} leaves={sorted(sub.leaves)}")
 

@@ -13,7 +13,9 @@ import vc1learn as v
 cls, _ = v.canonicalize(v.modified_example_class())
 ctx = v.prepare_context(cls)
 tree = ctx.tree
-print("proper flags:", {f"x{p+1}": tree.proper[p] for p in sorted(tree.points)})
+points = sorted(tree.tour.tolist())
+flags = tree.proper_mask[points].tolist()
+print("proper flags:", {f"x{p+1}": f for p, f in zip(points, flags)})
 
 params = v.LearnParams(alpha=0.25, beta=0.25, privacy=v.PrivacyParams(1.0, 1e-5))
 X5, X6, X7 = 4, 5, 6

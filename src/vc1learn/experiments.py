@@ -117,6 +117,8 @@ def run_experiment(
         dist = Distribution.uniform(cls.domain_size)
     else:
         dist = Distribution(np.array(config.weights))
+    if len(dist) != cls.domain_size:
+        raise ValueError("distribution support must match the domain")
 
     rows: list[ReportRow] = []
     streams = make_rng(config.seed).spawn(config.trials)

@@ -54,6 +54,7 @@ from .mechanisms import (
 from .tree import (
     ClassTree,
     SubTree,
+    _check_in_tree,
     forced_nodes,
     make_subtree,
     node_stats,
@@ -205,7 +206,8 @@ class LearnerContext:
 
     @property
     def depth_vec(self) -> np.ndarray:
-        return self.tree.depth_vec
+        """``tree.depth``, under the name the benchmark workloads read."""
+        return self.tree.depth
 
     @cached_property
     def code(self) -> np.ndarray:
@@ -219,14 +221,6 @@ class LearnerContext:
         c = self.point_map.astype(np.int32) + n * flipped
         c.flags.writeable = False
         return c
-
-    @cached_property
-    def points_at_depth(self) -> dict[int, tuple[int, ...]]:
-        points = np.array(self.tree.points, dtype=np.int64)  # ascending
-        order = np.argsort(self.depth_vec[points], kind="stable")
-        levels, starts = np.unique(self.depth_vec[points[order]], return_index=True)
-        groups = np.split(points[order], starts[1:])
-        return {d: tuple(g.tolist()) for d, g in zip(levels.tolist(), groups)}
 
 
 def prepare_context(cls: ConceptClass, f_index: int = 0) -> LearnerContext:
@@ -358,7 +352,7 @@ def _subset_summaries(
     deepest, _ = forced_nodes(ctx.tree, pres[:, :n], pres[:, n:])
     depths = np.zeros(t, dtype=np.int64)
     hit = deepest >= 0
-    depths[hit] = ctx.depth_vec[deepest[hit]]
+    depths[hit] = ctx.tree.depth[deepest[hit]]
     return deepest, depths
 
 
@@ -456,14 +450,16 @@ def improper_learn(
             rng,
         )
 
-    # a candidate's score counts the subsets whose forced path passes through it
-    candidates = ctx.points_at_depth.get(z, ())
-    cand = np.array(candidates, dtype=np.int64)
-    forced_tin = np.sort(ctx.tree.tin[deepest[deepest >= 0]])
+    # candidates: the tree points at depth z (off the tree, depth is 0 as
+    # well); a score counts the subsets whose forced path passes through it
+    tree = ctx.tree
+    cand = np.flatnonzero((tree.depth == z) & (tree.tin >= 0))
+    candidates = cand.tolist()
+    forced_tin = np.sort(tree.tin[deepest[deepest >= 0]])
     scores = tuple(
         (
-            np.searchsorted(forced_tin, ctx.tree.tout[cand])
-            - np.searchsorted(forced_tin, ctx.tree.tin[cand])
+            np.searchsorted(forced_tin, tree.tout[cand])
+            - np.searchsorted(forced_tin, tree.tin[cand])
         ).tolist()
     )
 
@@ -518,14 +514,16 @@ def proper_learn(
 
     ``stage2`` bypasses the internal split, and ``dataset`` is then the
     whole stage-1 sample; only with ``stage2`` may ``subset_ids`` be given,
-    and it is passed to :func:`improper_learn`. ``force_chosen_point``
-    skips the improper stage; the parameter and context checks of
-    :func:`improper_learn` still run first. See :func:`improper_learn` for
+    and it is passed to :func:`improper_learn`. ``force_chosen_point``, a
+    tree point, skips the improper stage; the parameter and context checks
+    of :func:`improper_learn` still run first. See :func:`improper_learn` for
     the remaining hooks.
     """
     ctx = _checked_context(cls, params, context)
     if subset_ids is not None and stage2 is None:
         raise ValueError("subset_ids requires stage2")
+    if force_chosen_point is not None:
+        _check_in_tree(ctx.tree, force_chosen_point)
     budget = sample_budget(params, ctx.tree.height)
 
     if stage2 is None:
@@ -584,25 +582,21 @@ def proper_learn(
     for _ in range(budget.T):
         if flag in sub.leaves:
             break
-        kids = ctx.tree.children[flag]
-        w_min = min(stats.weight[q] for q in kids)
+        kids = np.flatnonzero(ctx.tree.parent == flag)  # ascending ids
+        w_min = int(stats.weight[kids].min())
         noisy = w_min if greedy else w_min + laplace_sample(1.0 / eps, rng)
-        if noisy <= params.alpha * n2_size:
-            cands = [(q, -float(stats.weight[q])) for q in kids]
-            if greedy:
-                nxt = min(kids, key=lambda q: (stats.weight[q], q))
-            else:
-                nxt = int(exponential_mechanism(cands, 1.0, eps, rng))
-            path.append((flag, "nonuniform", nxt))
-            flag = nxt
-            break
-        cands = [(q, -float(stats.min_leaf_value[q])) for q in kids]
-        if greedy:
-            nxt = min(kids, key=lambda q: (stats.min_leaf_value[q], q))
+        case = "nonuniform" if noisy <= params.alpha * n2_size else "uniform"
+        # a light child ends the walk; otherwise descend by leaf value
+        score = stats.weight if case == "nonuniform" else stats.min_leaf_value
+        if greedy:  # argmin breaks ties toward the smallest id
+            nxt = int(kids[np.argmin(score[kids])])
         else:
+            cands = [(q, -float(score[q])) for q in kids.tolist()]
             nxt = int(exponential_mechanism(cands, 1.0, eps, rng))
-        path.append((flag, "uniform", nxt))
+        path.append((flag, case, nxt))
         flag = nxt
+        if case == "nonuniform":
+            break
 
     lo, hi = ctx.tree.tin[flag], ctx.tree.tout[flag]
     leaf = min(q for q in sub.leaves if lo <= ctx.tree.tin[q] < hi)

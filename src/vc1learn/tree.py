@@ -11,7 +11,8 @@ root path, and the concepts that are exactly a root path flag their
 deepest points proper during the same build. Euler-tour intervals then
 turn ancestor tests into integer comparisons: forced sets, pruned
 subtrees and label-0 weights are all computed on tour slices, never per
-concept. The result is immutable and reusable.
+concept. The tree is stored as those arrays plus a parent and a depth
+array over the domain; it is immutable and reusable.
 """
 
 from __future__ import annotations
@@ -28,23 +29,19 @@ from .concepts import ConceptClass, Dataset, NotRealizableError, is_canonical
 class ClassTree:
     """The order forest of a canonical class, rooted at a virtual node.
 
-    ``parent[p]`` is ``None`` for children of the root. ``children`` uses
-    ``None`` as the root key; child lists are ordered by ascending point id
-    for reproducible traversals. ``tour`` lists the points in depth-first
-    preorder along those child lists; ``tin``/``tout`` index the domain, and
-    ``q`` is ``p`` or below it iff ``tin[p] <= tin[q] < tout[p]`` (both are
-    -1 at points off the tree); ``depth_vec`` holds ``depth`` as an array
-    over the domain, 0 off the tree. ``proper[p]`` says that ``p``'s root
-    path is a concept, ``proper_mask`` holds the same flags as a boolean
-    array over the domain, and ``root_proper`` says that the empty set is
-    one; all three are set when the tree is built.
+    Every array indexes the domain and is read-only. ``parent[p]`` is -1
+    for children of the virtual root and off the tree; ``depth[p]`` is 0
+    off the tree. ``tour`` lists the points in depth-first preorder,
+    visiting children in ascending id order; ``q`` is ``p`` or below it
+    iff ``tin[p] <= tin[q] < tout[p]`` (both are -1 at points off the
+    tree). ``proper_mask[p]`` says that ``p``'s root path is a concept,
+    ``proper`` holds the same flags as a dict over the tree points (the
+    benchmark workloads read it), and ``root_proper`` says that the empty
+    set is one; all are set when the tree is built.
     """
 
-    points: tuple[int, ...]
-    parent: Mapping[int, int | None]
-    children: Mapping[int | None, tuple[int, ...]]
-    depth: Mapping[int, int]
-    depth_vec: np.ndarray
+    parent: np.ndarray
+    depth: np.ndarray
     height: int
     tour: np.ndarray
     tin: np.ndarray
@@ -52,9 +49,6 @@ class ClassTree:
     proper: Mapping[int, bool]
     proper_mask: np.ndarray
     root_proper: bool
-
-    def is_leaf(self, p: int) -> bool:
-        return not self.children.get(p, ())
 
 
 @dataclass(frozen=True, eq=False)
@@ -74,16 +68,18 @@ class SubTree:
 class NodeStats:
     """Label-0 example counts against the tree, as multiset counts.
 
-    ``weight[x]`` counts label-0 examples at points order-below-or-equal
-    ``x``. ``value[x]``, defined on subtree nodes, counts label-0 examples
-    at points on the path from ``x`` (inclusive) up to the subtree root
-    (exclusive); it is 0 at the root and nondecreasing toward the leaves.
-    ``min_leaf_value[x]`` is the minimum value over leaves below ``x``.
+    Read-only int arrays over the domain. ``weight[x]`` counts label-0
+    examples at points order-below-or-equal ``x``. ``value[x]`` counts
+    label-0 examples at points on the path from ``x`` (inclusive) up to
+    the subtree root (exclusive); it is 0 at the root, nondecreasing
+    toward the leaves and 0 outside the root's tour slice.
+    ``min_leaf_value[x]``, defined on subtree nodes and 0 elsewhere, is
+    the minimum value over the subtree leaves at or below ``x``.
     """
 
-    weight: Mapping[int, int]
-    value: Mapping[int, int]
-    min_leaf_value: Mapping[int, int]
+    weight: np.ndarray
+    value: np.ndarray
+    min_leaf_value: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -140,47 +136,34 @@ def tree_from_matrix(m: np.ndarray) -> ClassTree:
     if not (np.array_equal(grown, path[:n]) and np.array_equal(m, path[ends])):
         raise ValueError("class is not VC-1 tree-structured")
 
-    points = tuple(np.nonzero(count)[0].tolist())
-    parent: dict[int, int | None] = {}
-    children: dict[int | None, list[int]] = {None: []}
-    for p in points:
-        q = int(parent_of[p])
-        parent[p] = None if q < 0 else q
-        children[p] = []
-    for p in points:
-        children[parent[p]].append(p)
-
+    points = np.flatnonzero(live).tolist()
+    children: dict[int, list[int]] = {}
+    for p in points:  # ascending, so every child list is too
+        children.setdefault(int(parent_of[p]), []).append(p)
     tour: list[int] = []
-    stack = children[None][::-1]
+    stack = children.get(-1, [])[::-1]
     while stack:
         p = stack.pop()
         tour.append(p)
-        stack.extend(children[p][::-1])
-    tin = np.full(n, -1, dtype=np.int64)
-    tin[tour] = np.arange(len(tour))
-    span = dict.fromkeys(points, 1)
-    for p in reversed(tour):
-        if parent[p] is not None:
-            span[parent[p]] += span[p]
-    tout = np.full(n, -1, dtype=np.int64)
-    tout[tour] = tin[tour] + [span[p] for p in tour]
+        stack.extend(children.get(p, [])[::-1])
     tour_arr = np.array(tour, dtype=np.int64)
+    tin = np.full(n, -1, dtype=np.int64)
+    tin[tour_arr] = np.arange(len(tour))
+    # a point's slice holds every point whose root path contains it
+    tout = tin + path[:n].sum(axis=0)
     proper = np.zeros(n, dtype=bool)
     proper[ends[ends >= 0]] = True
-    for arr in (depth_of, tour_arr, tin, tout, proper):
+    for arr in (parent_of, depth_of, tour_arr, tin, tout, proper):
         arr.flags.writeable = False
 
     return ClassTree(
-        points=points,
-        parent=parent,
-        children={key: tuple(v) for key, v in children.items()},
-        depth=dict(zip(points, depth_of[list(points)].tolist())),
-        depth_vec=depth_of,
+        parent=parent_of,
+        depth=depth_of,
         height=int(depth_of.max(initial=0)),
         tour=tour_arr,
         tin=tin,
         tout=tout,
-        proper=dict(zip(points, proper[list(points)].tolist())),
+        proper=dict(zip(points, proper[points].tolist())),
         proper_mask=proper,
         root_proper=bool((ends < 0).any()),
     )
@@ -265,25 +248,39 @@ def node_stats(tree: ClassTree, sub: SubTree, dataset: Dataset) -> NodeStats:
     """Per-node label-0 counts for a dataset over the tree's domain.
 
     A point's weight is the sum of the counts over its tour slice, read
-    off prefix sums along the tour. Values are running sums down the root
-    paths of the subtree, and leaf minima are taken bottom-up over it.
+    off prefix sums along the tour. A value is a sum over the points
+    whose tour interval, inside the subtree root's slice, holds the
+    node's position: a prefix sum of the counts added at each interval's
+    start and taken off at its end. A leaf minimum is the least leaf value
+    in the node's tour slice.
     """
     n = len(tree.tin)
     # examples at non-tree (constant) points never land on any node
     counts = np.bincount(dataset.points[dataset.labels == 0], minlength=n)[:n]
     acc = np.concatenate(([0], np.cumsum(counts[tree.tour])))
-    slice_sums = acc[tree.tout[tree.tour]] - acc[:-1]
-    weight = dict(zip(tree.tour.tolist(), slice_sums.tolist()))
+    weight = np.zeros(n, dtype=np.int64)
+    weight[tree.tour] = acc[tree.tout[tree.tour]] - acc[:-1]
 
     lo, hi = tree.tin[sub.root], tree.tout[sub.root]
-    order = [p for p in tree.tour[lo:hi].tolist() if p in sub.nodes]
-    value = {sub.root: 0}
-    for q in order[1:]:  # preorder: a parent's value is set before its children's
-        value[q] = value[tree.parent[q]] + int(counts[q])
-    min_leaf: dict[int, int] = {}
-    for q in reversed(order):
-        kids = () if q in sub.leaves else tree.children[q]
-        min_leaf[q] = min((min_leaf[c] for c in kids), default=value[q])
+    seg = tree.tour[lo:hi]
+    c = counts[seg]
+    c[0] = 0  # the root's own examples count for no value
+    delta = np.append(c, 0)
+    np.subtract.at(delta, tree.tout[seg] - lo, c)
+    value = np.zeros(n, dtype=np.int64)
+    value[seg] = np.cumsum(delta[:-1])
+
+    # a node's subtree leaves are the leaves in its tour slice; reduceat over
+    # interleaved (start, end) offsets gives each slice's minimum at even places
+    big = np.iinfo(np.int64).max
+    at_leaf = np.isin(seg, np.fromiter(sub.leaves, np.int64))
+    leaf_values = np.append(np.where(at_leaf, value[seg], big), big)
+    nodes = np.fromiter(sub.nodes, np.int64)
+    bounds = np.stack([tree.tin[nodes], tree.tout[nodes]], axis=1).ravel() - lo
+    min_leaf = np.zeros(n, dtype=np.int64)
+    min_leaf[nodes] = np.minimum.reduceat(leaf_values, bounds)[::2]
+    for arr in (weight, value, min_leaf):
+        arr.flags.writeable = False
     return NodeStats(weight=weight, value=value, min_leaf_value=min_leaf)
 
 
@@ -358,34 +355,32 @@ def deterministic_points(
         return DeterministicSet(points=frozenset(), deepest=None, depth_of_deepest=0)
     x = int(deepest[0])
     return DeterministicSet(
-        points=upward_closure(tree, x), deepest=x, depth_of_deepest=tree.depth[x]
+        points=upward_closure(tree, x), deepest=x, depth_of_deepest=int(tree.depth[x])
     )
 
 
 def tree_to_json(tree: ClassTree) -> dict:
     """Serializable view: one record per node with parent, depth, and flag."""
-    nodes = []
-    for p in sorted(tree.points):
-        nodes.append(
-            {
-                "point": p,
-                "parent": tree.parent[p],
-                "depth": tree.depth[p],
-                "proper": tree.proper[p],
-            }
-        )
-    return {"nodes": nodes}
+    points = np.flatnonzero(tree.tin >= 0)
+    columns = (tree.parent, tree.depth, tree.proper_mask)
+    rows = zip(points.tolist(), *(col[points].tolist() for col in columns))
+    return {
+        "nodes": [
+            {"point": p, "parent": None if par < 0 else par, "depth": d, "proper": flag}
+            for p, par, d, flag in rows
+        ]
+    }
 
 
 def tree_to_dot(tree: ClassTree) -> str:
     """Graphviz rendering with the virtual root drawn as a point."""
     lines = ["digraph class_tree {", '  root [shape=point, label=""];']
-    for p in sorted(tree.points):
-        shape = ", shape=doublecircle" if tree.proper[p] else ", shape=circle"
-        lines.append(f'  n{p} [label="x{p} (d={tree.depth[p]})"{shape}];')
-    for p in sorted(tree.points):
-        par = tree.parent[p]
-        src = "root" if par is None else f"n{par}"
-        lines.append(f"  {src} -> n{p};")
+    records = tree_to_json(tree)["nodes"]
+    for r in records:
+        p, shape = r["point"], "doublecircle" if r["proper"] else "circle"
+        lines.append(f'  n{p} [label="x{p} (d={r["depth"]})", shape={shape}];')
+    for r in records:
+        src = "root" if r["parent"] is None else f"n{r['parent']}"
+        lines.append(f"  {src} -> n{r['point']};")
     lines.append("}")
     return "\n".join(lines)

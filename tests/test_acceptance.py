@@ -88,9 +88,10 @@ def test_criterion_1_structure_suite(corpus):
                 ctx = prepare_context(base, f_index=f_idx)
                 rep, tree = ctx.class_f, ctx.tree
                 # make_tree validates every up-set is a chain; recheck depth
-                for p in tree.points:
+                points = tree.tour.tolist()
+                for p in points:
                     par = tree.parent[p]
-                    expect = 1 if par is None else tree.depth[par] + 1
+                    expect = 1 if par < 0 else tree.depth[par] + 1
                     assert tree.depth[p] == expect
                 # every concept is the upward closure of its deepest element
                 for c in rep.concepts:
@@ -99,11 +100,11 @@ def test_criterion_1_structure_suite(corpus):
                     deepest = max(c.ones, key=lambda q: tree.depth[q])
                     assert c.ones == upward_closure(tree, deepest)
                 # every leaf is proper
-                for p in tree.points:
-                    if tree.is_leaf(p):
+                for p in points:
+                    if not (tree.parent == p).any():
                         assert tree.proper[p]
                 # subtree leaves are exactly its proper nodes
-                for p in tree.points:
+                for p in points:
                     sub = make_subtree(tree, p)
                     assert sub.leaves == {q for q in sub.nodes if tree.proper[q]}
                     assert not any(tree.proper[q] for q in sub.nodes - sub.leaves)
@@ -229,8 +230,8 @@ def test_criterion_6_worked_example(example_cls):
     with criterion(6, "worked seven-point pipeline with pinned median"):
         ctx = prepare_context(example_cls, f_index=7)
         layers = {}
-        for p, d in ctx.tree.depth.items():
-            layers.setdefault(d, set()).add(p)
+        for p in ctx.tree.tour.tolist():
+            layers.setdefault(int(ctx.tree.depth[p]), set()).add(p)
         assert layers == {1: {X1, X2, X3}, 2: {X4, X5}, 3: {X6, X7}}
 
         params = LearnParams(alpha=0.2, beta=0.2, privacy=PrivacyParams(1.0, 1e-5))

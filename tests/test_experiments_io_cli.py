@@ -132,6 +132,27 @@ def test_run_experiment_reuses_the_class_and_checks_the_context():
         run_experiment(small_config(), context=other)
 
 
+def test_run_experiment_rejects_weights_off_the_domain(tmp_path, capsys):
+    # checked before the first trial: short weights used to fail only when
+    # scoring, and long ones with an IndexError (exit 1) while sampling
+    cfg_path = tmp_path / "cfg.json"
+    msg = "distribution support must match the domain"
+    for size in (4, 6):
+        cfg = small_config(
+            generator=GeneratorSpec("points", n=5),
+            n_override=None,
+            trials=1,
+            weights=(1.0 / size,) * size,
+        )
+        with pytest.raises(ValueError, match=msg):
+            run_experiment(cfg)
+        cfg_path.write_text(json.dumps(config_to_json(cfg)))
+        out = tmp_path / "report.csv"
+        assert main(["sweep", "--config", str(cfg_path), "--out", str(out)]) == 2
+        assert msg in capsys.readouterr().err
+        assert not out.exists()
+
+
 def test_config_json_round_trip():
     cfg = small_config(weights=(0.5, 0.2, 0.1, 0.1, 0.05, 0.05, 0.0, 0.0, 0.0, 0.0))
     assert config_from_json(json.loads(json.dumps(config_to_json(cfg)))) == cfg

@@ -65,7 +65,7 @@ def test_random_tree_determinism():
 def test_random_tree_chain_when_single_child():
     cls = random_tree_class(6, max_children=1, concept_rate=0.0, seed=1)
     tree = make_tree(cls)
-    assert tree.height == len(tree.points)  # a single chain
+    assert tree.height == len(tree.tour)  # a single chain
 
 
 def test_generate_class_dispatch():

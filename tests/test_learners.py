@@ -1,3 +1,4 @@
+import json
 import math
 import re
 
@@ -261,9 +262,29 @@ def test_proper_rejects_context_of_another_class(example_cls, modified_cls):
         )
 
 
+def test_proper_rejects_forced_points_off_the_tree(example_cls):
+    # negative ids must not wrap onto tree points (-1: the last, -7: the first)
+    ctx = prepare_context(example_cls)
+    for bad in (-1, -7, 7, 99):
+        rng = make_rng(0)
+        with pytest.raises(ValueError, match=f"point {bad} not in tree"):
+            proper_learn(
+                example_cls,
+                Dataset.from_pairs([(X1, 1)] * 4),
+                PARAMS,
+                rng,
+                context=ctx,
+                force_chosen_point=bad,
+            )
+        # rejected before the stage split draws from the generator
+        assert rng.bit_generator.state == make_rng(0).bit_generator.state
+
+
 def test_prepare_context_matches_canonicalized_representation(corpus):
-    # the matrix set-up equals the concept-level pipeline it replaces
-    for cls in corpus:
+    # the matrix set-up equals the concept-level pipeline it replaces; the
+    # last class has points in every concept and in none, which stay off the tree
+    constant = ConceptClass.from_ones(5, [{4}, {0, 4}, {0, 1, 4}, {2, 4}])
+    for cls in corpus + [constant]:
         base, _ = canonicalize(cls)
         last = len(base.concepts) - 1
         for f_index in sorted({0, last // 2, last}):
@@ -275,15 +296,29 @@ def test_prepare_context_matches_canonicalized_representation(corpus):
             assert ctx.class_f.domain_size == ref.domain_size
             assert ctx.class_f == ref
             tree = make_tree(ref)
-            for name in ("parent", "depth", "children", "proper", "root_proper", "height"):
+            for name in ("proper", "root_proper", "height"):
                 assert getattr(ctx.tree, name) == getattr(tree, name), name
-            for name in ("tour", "tin", "tout", "depth_vec"):
+            for name in ("parent", "depth", "tour", "tin", "tout", "proper_mask"):
                 assert np.array_equal(getattr(ctx.tree, name), getattr(tree, name)), name
+            assert np.array_equal(ctx.depth_vec, tree.depth)
             levels = {}
-            for p, d in tree.depth.items():
-                assert ctx.depth_vec[p] == d
-                levels.setdefault(d, []).append(p)
-            assert ctx.points_at_depth == {d: tuple(sorted(v)) for d, v in levels.items()}
+            for p in tree.tour.tolist():
+                levels.setdefault(int(tree.depth[p]), []).append(p)
+            # the improper stage's candidates at depth z are the tree points
+            # there, ascending; none at depth 0, where off-tree points sit
+            one = Dataset.from_pairs([(0, 0)])
+            for z in range(tree.height + 2):
+                trace = improper_learn(
+                    base,
+                    one,
+                    PARAMS,
+                    make_rng(0),
+                    context=ctx,
+                    subset_ids=np.zeros(1, dtype=np.int64),
+                    force_median=z,
+                    greedy=True,
+                )
+                assert trace.candidates == tuple(sorted(levels.get(z, []))), z
 
 
 def test_subset_summaries_match_oracle_across_corpus(corpus, rng):
@@ -587,3 +622,15 @@ def test_trace_serialization(modified_cls):
     assert set(blob["subtree"]["leaves"]) == {X6, X7}
     assert blob["hypothesis"]["proper_index"] is not None
     assert blob["path"] and blob["path"][0][0] == X5
+    # a fixed-seed descent through the uniform case, pinned in full
+    stage2 = Dataset.from_pairs(
+        [(X6, 0)] * 12 + [(X7, 0)] * 9 + [(X5, 0)] * 3 + [(X5, 1)] * 6
+    )
+    trace = proper_learn(
+        modified_cls, None, params, make_rng(0), force_chosen_point=X5, stage2=stage2
+    )
+    assert json.dumps(trace.to_json()) == (
+        '{"chosen_point": 4, "subtree": {"root": 4, "nodes": [4, 5, 6], '
+        '"leaves": [5, 6]}, "path": [[4, "uniform", 6]], "leaf": 6, '
+        '"hypothesis": {"ones": [0, 4, 6], "proper_index": 5}, "stage1": null}'
+    )

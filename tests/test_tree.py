@@ -1,3 +1,6 @@
+import dataclasses
+import json
+
 import numpy as np
 import pytest
 
@@ -26,15 +29,26 @@ def marked_tree(cls):
     return make_tree(cls)  # the build sets the proper flags
 
 
+def tree_points(tree):
+    return np.flatnonzero(tree.tin >= 0).tolist()
+
+
+def kids(tree, p):
+    """The children of ``p`` (-1: the virtual root), ascending."""
+    return tuple(np.flatnonzero((tree.parent == p) & (tree.tin >= 0)).tolist())
+
+
 def test_make_tree_example_layers(example_cls):
     tree = make_tree(example_cls)
     layers = {}
-    for p, d in tree.depth.items():
-        layers.setdefault(d, set()).add(p)
+    for p in tree_points(tree):
+        layers.setdefault(int(tree.depth[p]), set()).add(p)
     assert layers == {1: {X1, X2, X3}, 2: {X4, X5}, 3: {X6, X7}}
-    assert tree.children[None] == (X1, X2, X3)
-    assert tree.children[X1] == (X4, X5)
-    assert tree.children[X5] == (X6, X7)
+    assert kids(tree, -1) == (X1, X2, X3)
+    assert kids(tree, X1) == (X4, X5)
+    assert kids(tree, X5) == (X6, X7)
+    # preorder, visiting children in ascending id order
+    assert tree.tour.tolist() == [X1, X4, X5, X6, X7, X2, X3]
     assert tree.height == 3
 
 
@@ -53,7 +67,10 @@ def test_make_tree_depth_equals_strict_upper_bound_count(example_cls, corpus):
 def test_make_tree_singleton_class_is_root_only():
     cls, _ = canonicalize(ConceptClass.from_ones(3, [set()]))
     tree = make_tree(cls)
-    assert tree.points == ()
+    assert tree_points(tree) == [] and len(tree.tour) == 0
+    # off the tree: parent -1 and depth 0
+    n = cls.domain_size
+    assert tree.parent.tolist() == [-1] * n and tree.depth.tolist() == [0] * n
     assert tree.height == 0
 
 
@@ -108,8 +125,9 @@ def test_mark_proper_example_all_proper(example_cls):
     tree = marked_tree(example_cls)
     # independent check: enumerate closures against the concept list
     ones = {c.ones for c in example_cls.concepts}
-    for p in tree.points:
+    for p in tree_points(tree):
         assert tree.proper[p] == (upward_closure(tree, p) in ones)
+        assert tree.proper_mask[p] == tree.proper[p]
     assert all(tree.proper.values())
     assert tree.root_proper
 
@@ -126,8 +144,8 @@ def test_leaves_are_proper_across_corpus(corpus):
         base, _ = canonicalize(cls)
         rep, _ = canonicalize(f_represent(base, base.concepts[0]))
         tree = marked_tree(rep)
-        for p in tree.points:
-            if tree.is_leaf(p):
+        for p in tree_points(tree):
+            if not kids(tree, p):
                 assert tree.proper[p]
 
 
@@ -150,7 +168,7 @@ def test_make_subtree_chain_interior():
     cls = thresholds_class(6)
     rep, _ = canonicalize(f_represent(cls, cls.concepts[0]))
     tree = marked_tree(rep)
-    interior = [p for p in tree.points if not tree.is_leaf(p)][0]
+    interior = [p for p in tree_points(tree) if kids(tree, p)][0]
     sub = make_subtree(tree, interior)
     assert sub.nodes == {interior}  # every chain node is proper
 
@@ -158,10 +176,10 @@ def test_make_subtree_chain_interior():
 def _value_by_path_enumeration(rep, tree, root, dataset):
     """Independent oracle: count label-0 examples with x <= x' < root."""
     out = {}
-    for x in tree.points:
+    for x in tree_points(tree):
         total = 0
         for p, l in dataset.pairs():
-            if l != 0 or p not in tree.depth:
+            if l != 0 or tree.tin[p] < 0:
                 continue
             if leq(rep, x, p) and leq(rep, p, root) and p != root:
                 total += 1
@@ -190,8 +208,8 @@ def test_node_stats_no_zero_labels(modified_cls):
     sub = make_subtree(tree, X5)
     data = Dataset.from_pairs([(X6, 1), (X7, 1)])
     stats = node_stats(tree, sub, data)
-    assert set(stats.weight.values()) == {0}
-    assert set(stats.value.values()) == {0}
+    assert not stats.weight.any()
+    assert not stats.value.any()
 
 
 def test_node_stats_duplicates_count_with_multiplicity(modified_cls):
@@ -211,10 +229,10 @@ def test_node_stats_value_monotone_along_paths(corpus, rng):
         base, _ = canonicalize(cls)
         rep, _ = canonicalize(f_represent(base, base.concepts[0]))
         tree = marked_tree(rep)
-        improper = [p for p in tree.points if not tree.proper[p]]
+        improper = [p for p in tree_points(tree) if not tree.proper[p]]
         if not improper:
             continue
-        pts_all = tree.points
+        pts_all = tree_points(tree)
         ones = {c.ones for c in rep.concepts}
         below = {(a, b): leq(rep, a, b) for a in pts_all for b in pts_all}
         realized = {
@@ -226,7 +244,7 @@ def test_node_stats_value_monotone_along_paths(corpus, rng):
         pts = rng.integers(0, rep.domain_size, size=30)
         labs = rng.integers(0, 2, size=30)
         data = Dataset(pts, labs.astype(np.uint8))
-        zeros = [p for p, l in data.pairs() if l == 0 and p in tree.depth]
+        zeros = [p for p, l in data.pairs() if l == 0 and tree.tin[p] >= 0]
         for root in improper:
             roots += 1
             sub = make_subtree(tree, root)
@@ -244,13 +262,13 @@ def test_node_stats_value_monotone_along_paths(corpus, rng):
             assert sub.root == root and sub.nodes == nodes
             assert sub.leaves == {q for q in nodes if realized[q] or childless[q]}
             stats = node_stats(tree, sub, data)
-            assert stats.weight == {
+            assert {x: stats.weight[x] for x in pts_all} == {
                 x: sum(below[p, x] for p in zeros) for x in pts_all
             }
             oracle = _value_by_path_enumeration(rep, tree, root, data)
-            assert stats.value == {x: oracle[x] for x in nodes}
+            assert {x: stats.value[x] for x in pts_all} == oracle
             for p in sub.nodes - sub.leaves:
-                for q in tree.children[p]:
+                for q in kids(tree, p):
                     assert q in sub.nodes
                     assert stats.value[q] >= stats.value[p]
             for p in sub.nodes:
@@ -337,7 +355,7 @@ def test_deterministic_points_form_chains(corpus, rng):
                 assert det.points <= upward_closure(tree, top)
 
 
-def test_exports(example_cls):
+def test_exports(example_cls, modified_cls):
     tree = marked_tree(example_cls)
     data = tree_to_json(tree)
     assert len(data["nodes"]) == 7
@@ -345,3 +363,57 @@ def test_exports(example_cls):
     assert rec == {"point": X5, "parent": X1, "depth": 2, "proper": True}
     dot = tree_to_dot(tree)
     assert "digraph" in dot and "root ->" in dot
+    # the full text of both fixtures, pinned so that the CLI output is stable
+    for cls, x5_flag, x5_shape in (
+        (example_cls, "true", "doublecircle"),
+        (modified_cls, "false", "circle"),
+    ):
+        tree = marked_tree(cls)
+        assert json.dumps(tree_to_json(tree)) == PINNED_JSON.replace("X5_FLAG", x5_flag)
+        assert tree_to_dot(tree) == PINNED_DOT.replace("X5_SHAPE", x5_shape)
+
+
+PINNED_JSON = (
+    '{"nodes": [{"point": 0, "parent": null, "depth": 1, "proper": true}, '
+    '{"point": 1, "parent": null, "depth": 1, "proper": true}, '
+    '{"point": 2, "parent": null, "depth": 1, "proper": true}, '
+    '{"point": 3, "parent": 0, "depth": 2, "proper": true}, '
+    '{"point": 4, "parent": 0, "depth": 2, "proper": X5_FLAG}, '
+    '{"point": 5, "parent": 4, "depth": 3, "proper": true}, '
+    '{"point": 6, "parent": 4, "depth": 3, "proper": true}]}'
+)
+PINNED_DOT = """digraph class_tree {
+  root [shape=point, label=""];
+  n0 [label="x0 (d=1)", shape=doublecircle];
+  n1 [label="x1 (d=1)", shape=doublecircle];
+  n2 [label="x2 (d=1)", shape=doublecircle];
+  n3 [label="x3 (d=2)", shape=doublecircle];
+  n4 [label="x4 (d=2)", shape=X5_SHAPE];
+  n5 [label="x5 (d=3)", shape=doublecircle];
+  n6 [label="x6 (d=3)", shape=doublecircle];
+  root -> n0;
+  root -> n1;
+  root -> n2;
+  n0 -> n3;
+  n0 -> n4;
+  n4 -> n5;
+  n4 -> n6;
+}"""
+
+
+def test_tree_and_node_stats_arrays_are_read_only(modified_cls):
+    # one tree is shared by every run through a learner context
+    tree = marked_tree(modified_cls)
+    stats = node_stats(tree, make_subtree(tree, X5), Dataset.from_pairs([(X6, 0)]))
+    for obj in (tree, stats):
+        arrays = [
+            f.name
+            for f in dataclasses.fields(obj)
+            if isinstance(getattr(obj, f.name), np.ndarray)
+        ]
+        assert len(arrays) == (6 if obj is tree else 3)
+        for name in arrays:
+            arr = getattr(obj, name)
+            assert not arr.flags.writeable, name
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 1
