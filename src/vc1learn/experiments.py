@@ -119,6 +119,9 @@ def run_experiment(
         dist = Distribution(np.array(config.weights))
     if len(dist) != cls.domain_size:
         raise ValueError("distribution support must match the domain")
+    # numpy would wrap -1 onto the last concept
+    if config.concept_index is not None and not 0 <= config.concept_index < len(cls):
+        raise ValueError(f"concept_index {config.concept_index} outside [0, {len(cls)})")
 
     rows: list[ReportRow] = []
     streams = make_rng(config.seed).spawn(config.trials)

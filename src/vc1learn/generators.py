@@ -19,6 +19,9 @@ from .concepts import Concept, ConceptClass, Dataset, canonical_layout
 from .oracles import Distribution
 from .rng import make_rng
 
+# sample_dataset draws its uniforms in chunks of this many
+SAMPLE_CHUNK = 1 << 16
+
 
 @dataclass(frozen=True)
 class GeneratorSpec:
@@ -162,12 +165,32 @@ def sample_dataset(
     n: int,
     rng: np.random.Generator,
 ) -> Dataset:
-    """Draw ``n`` i.i.d. points from ``dist`` labeled by a member concept."""
+    """Draw ``n`` i.i.d. points from ``dist`` labeled by a member concept.
+
+    Points are drawn by inversion: each uniform ``u`` from
+    ``rng.random`` picks point ``count(cdf <= u)``, with ``cdf`` the
+    normalised cumulative sum of the weights. That is the law, the
+    arithmetic and the random stream of ``rng.choice(k, size=n,
+    p=dist.weights)``, so at a fixed seed the points, and the generator's
+    state after the draw, equal that call's. The count is looked up in
+    ``dist.inverse_cdf``'s guide table, and the few guesses it gets wrong
+    are settled by binary search. Uniforms are drawn ``SAMPLE_CHUNK`` at a
+    time, so the draw's working memory does not grow with ``n``.
+    """
     i = cls.index_of(concept.ones)
     if i is None:
         raise ValueError("labeling concept must belong to class")
     if len(dist) != cls.domain_size:
         raise ValueError("distribution support must match the domain")
-    points = rng.choice(cls.domain_size, size=n, p=dist.weights)
-    labels = cls.matrix[i, points]
-    return Dataset(points.astype(np.int64), labels, realizable_by=concept.id)
+    padded, guide = dist.inverse_cdf
+    cdf = padded[1:-1]
+    k = len(cdf)
+    points = np.empty(n, dtype=np.int64)
+    for start in range(0, n, SAMPLE_CHUNK):
+        u = rng.random(min(SAMPLE_CHUNK, n - start))
+        idx = guide[(u * k).astype(np.intp)]
+        # the guess is right iff cdf[idx - 1] <= u < cdf[idx]; padded[j] is cdf[j - 1]
+        wrong = np.flatnonzero((padded[idx] > u) | (padded[idx + 1] <= u))
+        idx[wrong] = cdf.searchsorted(u[wrong], side="right")
+        points[start : start + len(u)] = idx
+    return Dataset(points, cls.matrix[i, points], realizable_by=concept.id)

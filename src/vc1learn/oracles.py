@@ -13,6 +13,7 @@ import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Hashable, Sequence
 
 import numpy as np
@@ -47,7 +48,7 @@ class Distribution:
             raise ValueError("weights must be a non-empty 1-d array")
         if w.min() < 0:
             raise ValueError("weights must be nonnegative")
-        if abs(w.sum() - 1.0) > 1e-12:
+        if not abs(w.sum() - 1.0) <= 1e-12:  # NaN fails here too
             raise ValueError("weights must sum to 1 within 1e-12")
         w.flags.writeable = False
         object.__setattr__(self, "weights", w)
@@ -58,6 +59,24 @@ class Distribution:
 
     def __len__(self) -> int:
         return len(self.weights)
+
+    @cached_property
+    def inverse_cdf(self) -> tuple[np.ndarray, np.ndarray]:
+        """``rng.choice``'s CDF between sentinels, and a guide table into it.
+
+        The first array is ``[-inf, cdf..., inf]`` with ``cdf =
+        cumsum(weights) / its last entry``, computed as ``rng.choice``
+        computes it. The second, over ``k`` points, is ``guide[b] =
+        count(cdf <= b / k)`` for ``b`` in ``0..k`` (Chen and Asau, 1974).
+        """
+        cdf = self.weights.cumsum()
+        cdf /= cdf[-1]
+        k = len(cdf)
+        guide = cdf.searchsorted(np.arange(k + 1) / k, side="right")
+        padded = np.concatenate(([-np.inf], cdf, [np.inf]))
+        padded.flags.writeable = False
+        guide.flags.writeable = False
+        return padded, guide
 
 
 def _guard(cls: ConceptClass, limit: int) -> None:
@@ -226,8 +245,8 @@ def optimal_composition(epsilon_step: float, k: int, delta_prime: float) -> floa
         raise ValueError("composition parameters must be positive")
     if k == 0 or epsilon_step == 0:
         return 0.0
-    # scipy.stats is imported here and in _clopper_pearson, not at module
-    # level: the import takes about half a second, most of `import vc1learn`
+    # scipy.stats is imported here, not at module level: the import takes
+    # about a second, longer than the rest of `import vc1learn`
     from scipy.stats import binom as binom_dist
 
     truthful = np.arange(k + 1)
@@ -251,15 +270,19 @@ def optimal_composition(epsilon_step: float, k: int, delta_prime: float) -> floa
 
 
 def _clopper_pearson(successes: int, trials: int, tail: float) -> tuple[float, float]:
-    """Two-sided Clopper-Pearson interval at per-bound tail probability."""
-    from scipy.stats import beta as beta_dist
+    """Two-sided Clopper-Pearson interval at per-bound tail probability.
+
+    The bounds are Beta quantiles, taken with ``betaincinv``, the inverse
+    that ``scipy.stats.beta.ppf`` calls, without importing scipy.stats.
+    """
+    from scipy.special import betaincinv
 
     if successes > 0:
-        lo = float(beta_dist.ppf(tail, successes, trials - successes + 1))
+        lo = float(betaincinv(successes, trials - successes + 1, tail))
     else:
         lo = 0.0
     if successes < trials:
-        hi = float(beta_dist.ppf(1.0 - tail, successes + 1, trials - successes))
+        hi = float(betaincinv(successes + 1, trials - successes, 1.0 - tail))
     else:
         hi = 1.0
     return lo, hi

@@ -1,4 +1,5 @@
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -153,6 +154,26 @@ def test_run_experiment_rejects_weights_off_the_domain(tmp_path, capsys):
         assert not out.exists()
 
 
+def test_run_experiment_rejects_concept_index_off_the_class(tmp_path, capsys):
+    # checked before the first trial: -1 used to label every trial by the
+    # last concept, and len(cls) to raise IndexError (exit 1)
+    cfg_path = tmp_path / "cfg.json"
+    spec = GeneratorSpec("points", n=5)
+    size = len(generate_class(spec))
+    for index in (-1, size):
+        cfg = small_config(generator=spec, trials=1, concept_index=index)
+        msg = rf"concept_index {index} outside \[0, {size}\)"
+        with pytest.raises(ValueError, match=msg):
+            run_experiment(cfg)
+        cfg_path.write_text(json.dumps(config_to_json(cfg)))
+        out = tmp_path / "report.csv"
+        assert main(["sweep", "--config", str(cfg_path), "--out", str(out)]) == 2
+        assert re.search(msg, capsys.readouterr().err)
+        assert not out.exists()
+    cfg = small_config(generator=spec, trials=1, concept_index=size - 1)
+    assert len(run_experiment(cfg)) == 1
+
+
 def test_config_json_round_trip():
     cfg = small_config(weights=(0.5, 0.2, 0.1, 0.1, 0.05, 0.05, 0.0, 0.0, 0.0, 0.0))
     assert config_from_json(json.loads(json.dumps(config_to_json(cfg)))) == cfg
@@ -195,6 +216,24 @@ def test_import_leaves_scipy_stats_out():
         check=True,
     )
     assert out.stdout.strip() == "False"
+
+
+def test_dp_audit_leaves_scipy_stats_out():
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = (
+        "import sys; sys.path.insert(0, sys.argv[1]); import numpy as np; "
+        "import vc1learn as v; d = v.Dataset.from_pairs([(0, 1)]); "
+        "v.dp_audit(lambda data, r: int(r.integers(2)), d, d, 50, 1e-5, "
+        "np.random.default_rng(0)); "
+        "print('scipy.special' in sys.modules, 'scipy.stats' in sys.modules)"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code, str(src)],
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert out.stdout.split() == ["True", "False"]
 
 
 def test_dataset_csv_round_trip(tmp_path):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,7 @@ from vc1learn import (
     make_tree,
     modified_example_class,
     point_functions_class,
+    prepare_context,
     random_tree_class,
     sample_dataset,
     thresholds_class,
@@ -92,6 +95,8 @@ def test_sample_dataset_basics(rng):
     c = cls.concepts[3]
     empty = sample_dataset(cls, c, dist, 0, rng)
     assert len(empty) == 0
+    with pytest.raises(ValueError):
+        sample_dataset(cls, c, dist, -1, rng)
 
     mass = Distribution(np.array([0, 0, 1.0, 0, 0, 0, 0, 0]))
     data = sample_dataset(cls, c, mass, 50, rng)
@@ -107,6 +112,93 @@ def test_sample_dataset_frequencies(rng):
     freq = np.bincount(data.points, minlength=4) / len(data)
     sigma = np.sqrt(w * (1 - w) / len(data))
     assert np.all(np.abs(freq - w) <= 3 * sigma + 1e-9)
+
+
+def _sweep_weights() -> np.ndarray:
+    # the proper sweep's weights: 0.15 ** depth over a random tree's domain
+    ctx = prepare_context(random_tree_class(200, 3, 0.4, seed=8102))
+    w = 0.15 ** ctx.depth_vec[ctx.point_map].astype(np.float64)
+    return w / w.sum()
+
+
+def _tiny_weights() -> np.ndarray:
+    w = np.full(4096, 1e-300)
+    w[[3, 2000]] = 0.5
+    return w
+
+
+WEIGHT_CASES = {
+    "uniform_4096": lambda: np.full(4096, 1.0 / 4096),
+    # unlike 4096 points, u * 1000 rounds up onto the next bucket at some edges
+    "uniform_1000": lambda: np.full(1000, 1e-3),
+    "sweep": _sweep_weights,
+    "zeros": lambda: np.resize([0.0, 0.25, 0.0, 0.75, 0.0], 1000) / 200,
+    "point_mass": lambda: np.eye(4096)[4095],
+    "tiny": _tiny_weights,
+}
+
+
+@pytest.mark.parametrize("n", [0, 1, 65_536, 65_537, 300_000])
+@pytest.mark.parametrize("case", sorted(WEIGHT_CASES))
+def test_sample_dataset_equals_rng_choice(case, n):
+    w = WEIGHT_CASES[case]()
+    cls = generate_class(GeneratorSpec("thresholds", n=len(w)))
+    expected_rng = np.random.default_rng([n, 9])
+    expected = expected_rng.choice(len(w), size=n, p=w)
+    rng = np.random.default_rng([n, 9])
+    data = sample_dataset(cls, cls.concepts[1], Distribution(w), n, rng)
+    assert data.points.dtype == np.int64
+    assert np.array_equal(data.points, expected)
+    assert rng.bit_generator.state == expected_rng.bit_generator.state
+
+
+class _PresetUniforms:
+    """Stands in for a generator whose ``random`` hands out preset uniforms."""
+
+    def __init__(self, u: np.ndarray) -> None:
+        self.u = u
+        self.at = 0
+
+    def random(self, size: int) -> np.ndarray:
+        self.at += size
+        return self.u[self.at - size : self.at]
+
+
+@pytest.mark.parametrize("case", sorted(WEIGHT_CASES))
+def test_sample_dataset_at_cdf_and_bucket_edges(case):
+    # uniforms on and next to every CDF value and guide-bucket edge, where
+    # a rounded bucket or a misplaced equality would pick the wrong point
+    w = WEIGHT_CASES[case]()
+    cdf = w.cumsum()
+    cdf /= cdf[-1]  # as rng.choice computes it
+    edges = np.concatenate([cdf, np.arange(len(w) + 1) / len(w)])
+    u = np.concatenate([edges, np.nextafter(edges, 0), np.nextafter(edges, 1)])
+    u = u[(u >= 0) & (u < 1)]
+    cls = generate_class(GeneratorSpec("thresholds", n=len(w)))
+    data = sample_dataset(cls, cls.concepts[1], Distribution(w), len(u), _PresetUniforms(u))
+    assert np.array_equal(data.points, cdf.searchsorted(u, side="right"))
+
+
+def test_distribution_rejects_nan_weights():
+    # rng.choice rejected them at the draw; the inverse-CDF draw does not look
+    with pytest.raises(ValueError, match="sum to 1"):
+        Distribution(np.array([0.5, np.nan, 0.5]))
+
+
+def test_sample_dataset_memory_is_bounded(rng):
+    # the uniforms are drawn in chunks: the output arrays take 8.6 MiB at
+    # n = 10**6, and an unchunked draw holds several times that on top
+    cls = generate_class(GeneratorSpec("thresholds", n=4096))
+    dist = Distribution.uniform(4096)
+    sample_dataset(cls, cls.concepts[7], dist, 1000, rng)
+    tracemalloc.start()
+    try:
+        data = sample_dataset(cls, cls.concepts[7], dist, 10**6, rng)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(data) == 10**6
+    assert peak <= 14 * 2**20
 
 
 def test_sample_dataset_rejects_foreign_concept(rng):

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.stats import beta
 
 from vc1learn import (
     Concept,
@@ -31,6 +32,7 @@ from vc1learn import (
     vc_dimension,
 )
 from vc1learn.audit_scenarios import randomized_response_scenario
+from vc1learn.oracles import _clopper_pearson
 
 
 def powerset_class(n):
@@ -160,6 +162,21 @@ def test_dp_audit_catches_a_leaky_mechanism(rng):
     d0 = Dataset.from_pairs([(0, 0)])
     d1 = Dataset.from_pairs([(0, 1)])
     assert dp_audit(leaky, d0, d1, 20_000, 0.0, rng) > 3.0
+
+
+def test_clopper_pearson_equals_scipy_stats_beta_ppf():
+    for trials in (1, 2, 3, 10, 64, 1000, 10**5, 10**6):
+        for successes in sorted({0, 1, trials // 2, trials - 1, trials}):
+            for m in (1, 2, 3, 7, 16, 64, 100, 130):
+                tail = 0.01 / (4 * m)
+                lo = beta.ppf(tail, successes, trials - successes + 1) if successes else 0.0
+                hi = (
+                    beta.ppf(1.0 - tail, successes + 1, trials - successes)
+                    if successes < trials
+                    else 1.0
+                )
+                got = _clopper_pearson(successes, trials, tail)
+                assert got == (float(lo), float(hi)), (successes, trials, m)
 
 
 def test_dp_audit_validates_trials(rng):
