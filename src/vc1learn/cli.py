@@ -21,7 +21,6 @@ from .audit_scenarios import (
     median_scenario,
     randomized_response_scenario,
 )
-from .concepts import canonicalize
 from .experiments import config_from_json, run_experiment, write_report_csv
 from .generators import GeneratorSpec, generate_class
 from .learners import LearnParams, improper_learn, prepare_context, proper_learn
@@ -53,9 +52,8 @@ def _cmd_dims(args: argparse.Namespace) -> int:
 
 
 def _cmd_tree(args: argparse.Namespace) -> int:
-    cls, _ = canonicalize(io.load_class(getattr(args, "class_path")))
-    ctx = prepare_context(cls, args.f_index)
-    tree = ctx.tree
+    cls = io.load_class(getattr(args, "class_path"))
+    tree = prepare_context(cls, args.f_index).tree
     text = (
         tree_to_dot(tree)
         if args.format == "dot"
@@ -90,30 +88,19 @@ def _cmd_sample(args: argparse.Namespace) -> int:
 
 
 def _cmd_learn(args: argparse.Namespace) -> int:
-    cls, merge = canonicalize(io.load_class(getattr(args, "class_path")))
-    raw = io.load_dataset(args.data)
-    if len(raw) and raw.points.max() >= len(merge):
-        raise ValueError("dataset point outside class domain")
-    data = dataclasses.replace(raw, points=merge[raw.points])
+    cls = io.load_class(getattr(args, "class_path"))
+    data = io.load_dataset(args.data)
     params = LearnParams(
         alpha=args.alpha,
         beta=args.beta,
         privacy=PrivacyParams(args.epsilon, args.delta),
     )
     rng = make_rng(args.seed)
-    if args.mode == "improper":
-        trace = improper_learn(cls, data, params, rng)
-        result = trace.to_json()
-    else:
-        trace_p = proper_learn(cls, data, params, rng)
-        result = trace_p.to_json()
+    learn = improper_learn if args.mode == "improper" else proper_learn
+    result = learn(cls, data, params, rng).to_json()
     if args.emit_trace:
         Path(args.emit_trace).write_text(json.dumps(result, indent=2) + "\n")
-    # the learner ran on the canonical domain; point p carries merge[p]'s label
-    hypothesis = result["hypothesis"]
-    ones = set(hypothesis["ones"])
-    hypothesis["ones"] = [p for p, q in enumerate(merge.tolist()) if q in ones]
-    print(json.dumps(hypothesis))
+    print(json.dumps(result["hypothesis"]))
     return 0
 
 

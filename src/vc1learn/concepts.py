@@ -3,9 +3,9 @@
 A concept class is a finite set of 0/1-valued functions (concepts) over a
 finite domain ``{0, ..., domain_size - 1}``, stored as one boolean
 matrix with a row per concept and a column per point; a concept's
-1-set is built from its row only when it is read. Everything downstream
-(the partial order, the class tree, the learners) operates on a
-*canonical* class, in which
+1-set is built from its row only when it is read. The partial order and
+the class tree work on a *canonical* class (the learners reduce any class
+themselves), in which
 
 * no two concepts are equal as functions,
 * no two domain points have identical value under every concept
@@ -47,36 +47,35 @@ class Dataset:
     """A sequence of labeled examples (point index, 0/1 label).
 
     Backed by read-only numpy arrays so that million-example datasets stay
-    cheap. ``realizable_by`` is test metadata only: the id of a concept
-    known to label the data, never consumed by algorithms.
+    cheap. Values are checked before the int64/uint8 casts, so a label off
+    {0, 1} or a point that is no nonnegative integer raises ``ValueError``.
     """
 
     points: np.ndarray
     labels: np.ndarray
-    realizable_by: str | None = None
 
     def __post_init__(self) -> None:
-        pts = np.asarray(self.points, dtype=np.int64)
-        labs = np.asarray(self.labels, dtype=np.uint8)
+        pts, labs = np.asarray(self.points), np.asarray(self.labels)
         if pts.shape != labs.shape or pts.ndim != 1:
             raise ValueError("points and labels must be 1-d arrays of equal length")
-        if len(labs) and not np.all((labs == 0) | (labs == 1)):
-            raise ValueError("labels must be 0 or 1")
-        if len(pts) and pts.min() < 0:
-            raise ValueError("negative point index")
+        if len(pts):
+            # bool labels, as samplers hand over, need no pass
+            if labs.dtype != bool and not np.all((labs == 0) | (labs == 1)):
+                raise ValueError("labels must be 0 or 1")
+            # a uint64 point past the int64 range casts to a negative one
+            if pts.dtype.kind not in "iu" or pts.astype(np.int64, copy=False).min() < 0:
+                raise ValueError("points must be nonnegative integers")
+        pts = pts.astype(np.int64, copy=False)
+        labs = labs.astype(np.uint8, copy=False)
         pts.flags.writeable = False
         labs.flags.writeable = False
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "labels", labs)
 
     @classmethod
-    def from_pairs(
-        cls, pairs: Iterable[tuple[int, int]], realizable_by: str | None = None
-    ) -> "Dataset":
+    def from_pairs(cls, pairs: Iterable[tuple[int, int]]) -> "Dataset":
         pairs = list(pairs)
-        pts = np.array([p for p, _ in pairs], dtype=np.int64)
-        labs = np.array([l for _, l in pairs], dtype=np.uint8)
-        return cls(pts, labs, realizable_by)
+        return cls(np.array([p for p, _ in pairs]), np.array([l for _, l in pairs]))
 
     def pairs(self) -> list[tuple[int, int]]:
         return [(int(p), int(l)) for p, l in zip(self.points, self.labels)]
@@ -135,14 +134,12 @@ class ConceptClass:
 
     The class is its read-only boolean ``matrix``, one row per concept and
     one column per point, with one id per row; ``concepts`` builds
-    :class:`Concept` values from the rows on access. ``merge_map`` maps the
-    domain of the class this one was canonicalized from onto the current
-    domain; it is the identity for directly constructed classes.
+    :class:`Concept` values from the rows on access. Nothing requires the
+    class to be canonical: duplicate rows and equal columns are allowed.
     """
 
     matrix: np.ndarray
     ids: Sequence[str | None]
-    merge_map: Sequence[int] = ()
     name: str | None = None
 
     def __post_init__(self) -> None:
@@ -156,8 +153,6 @@ class ConceptClass:
         m.flags.writeable = False
         object.__setattr__(self, "matrix", m)
         object.__setattr__(self, "ids", tuple(self.ids))
-        merge = tuple(self.merge_map) or tuple(range(m.shape[1]))
-        object.__setattr__(self, "merge_map", merge)
 
     @classmethod
     def from_ones(
@@ -167,16 +162,20 @@ class ConceptClass:
         ids: Sequence[str] | None = None,
         name: str | None = None,
     ) -> "ConceptClass":
-        """The class with the given 1-sets, its ids ``c0, c1, ...`` by default."""
+        """The class with the given 1-sets of ints, ids ``c0, c1, ...`` by default."""
         if domain_size < 0:
             raise ValueError("domain_size must be nonnegative")
         m = np.zeros((len(ones_sets), domain_size), dtype=bool)
         names = [ids[i] if ids else f"c{i}" for i in range(len(m))]
         for i, ones in enumerate(ones_sets):
-            points = np.fromiter(ones, np.int64)
-            if len(points) and (points.min() < 0 or points.max() >= domain_size):
+            ones = list(ones)
+            # no casts: 1.5, True or "2" is an error, not a point
+            ints = (isinstance(p, (int, np.integer)) and type(p) is not bool for p in ones)
+            if not all(ints):
+                raise ValueError(f"concept {names[i]!r} has non-integer points")
+            if ones and (min(ones) < 0 or max(ones) >= domain_size):
                 raise ValueError(f"concept {names[i]!r} has points outside the domain")
-            m[i, points] = True
+            m[i, ones] = True
         return cls(m, names, name=name)
 
     @property
@@ -226,7 +225,7 @@ class ConceptClass:
 
     def _key(self) -> tuple:
         m = self.matrix
-        return (m.shape, m.tobytes(), self.ids, self.merge_map, self.name)
+        return (m.shape, m.tobytes(), self.ids, self.name)
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, ConceptClass) and self._key() == other._key()
@@ -287,20 +286,18 @@ def canonicalize(cls: ConceptClass) -> tuple[ConceptClass, np.ndarray]:
     identical columns (lowest index becomes the representative), and
     compacts the domain. Constant points are kept; they are flagged via
     ``ConceptClass.constant_labels`` on the result rather than removed, so
-    error accounting still covers the full domain.
+    error accounting still covers the full domain. The learners need no
+    call: they reduce any class themselves.
 
     Returns
     -------
     (canonical_class, merge_map)
-        ``merge_map[p]`` is the new index of original point ``p``. The same
-        map is stored on the returned class.
+        ``merge_map[p]`` is the new index of original point ``p``; the
+        returned class does not keep it.
     """
     rows, cols, merge = canonical_layout(cls.matrix)
     canon = ConceptClass(
-        cls.matrix[np.ix_(rows, cols)],
-        [cls.ids[i] for i in rows.tolist()],
-        merge.tolist(),
-        cls.name,
+        cls.matrix[np.ix_(rows, cols)], [cls.ids[i] for i in rows.tolist()], cls.name
     )
     merge.flags.writeable = False
     return canon, merge
@@ -318,13 +315,13 @@ def f_represent(cls: ConceptClass, f: Concept) -> ConceptClass:
     i = cls.index_of(f.ones)
     if i is None:
         raise ValueError("representative must belong to class")
-    return ConceptClass(cls.matrix ^ cls.matrix[i], cls.ids, cls.merge_map, cls.name)
+    return ConceptClass(cls.matrix ^ cls.matrix[i], cls.ids, cls.name)
 
 
 def relabel_dataset(dataset: Dataset, f: Concept) -> Dataset:
     """XOR every label with ``f``'s value at the example's point. Involutive."""
     new_labels = dataset.labels ^ np.isin(dataset.points, list(f.ones))
-    return Dataset(dataset.points.copy(), new_labels, dataset.realizable_by)
+    return Dataset(dataset.points.copy(), new_labels)
 
 
 def _check_order_point(cls: ConceptClass, p: int) -> None:

@@ -193,4 +193,4 @@ def sample_dataset(
         wrong = np.flatnonzero((padded[idx] > u) | (padded[idx + 1] <= u))
         idx[wrong] = cdf.searchsorted(u[wrong], side="right")
         points[start : start + len(u)] = idx
-    return Dataset(points, cls.matrix[i, points], realizable_by=concept.id)
+    return Dataset(points, cls.matrix[i, points])

@@ -1,6 +1,8 @@
 """File formats: concept-class JSON and dataset CSV.
 
 Both round-trip losslessly: load then save then load yields equal values.
+A class is saved as given, canonical or not. Malformed input raises
+``ValueError`` rather than being cast or cut short.
 """
 
 from __future__ import annotations
@@ -26,10 +28,16 @@ def class_to_json(cls: ConceptClass) -> dict:
 
 
 def class_from_json(data: dict) -> ConceptClass:
-    entries = data["concepts"]
+    if not isinstance(data, dict):
+        raise ValueError("class JSON must be an object")
+    entries, size = data["concepts"], data["domain_size"]
+    if type(size) is not int or not isinstance(entries, list) or not all(
+        isinstance(e, dict) and isinstance(e.get("ones"), list) for e in entries
+    ):
+        raise ValueError("class JSON needs an int 'domain_size' and list-valued 'ones'")
     return ConceptClass.from_ones(
-        int(data["domain_size"]),
-        [[int(p) for p in entry["ones"]] for entry in entries],
+        size,
+        [entry["ones"] for entry in entries],
         [str(entry["id"]) for entry in entries],
         name=data.get("name"),
     )
@@ -62,6 +70,9 @@ def load_dataset(path: str | Path) -> Dataset:
         for row in reader:
             if not row:
                 continue
+            if len(row) != 2:
+                raise ValueError(f"dataset CSV line {reader.line_num} needs two fields")
             points.append(int(row[0]))
             labels.append(int(row[1]))
-    return Dataset(np.array(points, dtype=np.int64), np.array(labels, dtype=np.uint8))
+    # no casts here: Dataset checks the values before it casts them
+    return Dataset(np.array(points), np.array(labels))

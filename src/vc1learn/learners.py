@@ -1,8 +1,9 @@
-"""Private PAC learners for canonical VC-dimension-1 classes.
+"""Private PAC learners for VC-dimension-1 classes.
 
 Two learners share a pipeline: represent the class relative to a member
-concept, rebuild the order tree, and privately locate a node whose root
-path back-transforms to an accurate hypothesis.
+concept, reduce it (:func:`prepare_context`, for any class) and read off
+the order tree, and privately locate a node whose root path
+back-transforms to an accurate hypothesis on the class's own domain.
 
 * :func:`improper_learn` partitions the sample, summarizes each subset by
   its deepest forced point, takes a private median of those depths, and
@@ -38,7 +39,6 @@ from .concepts import (
     canonical_layout,
     canonicalize,
     f_represent,
-    is_canonical,
 )
 from .mechanisms import (
     ChoosingInstance,
@@ -180,8 +180,9 @@ def partition(dataset: Dataset, t: int, rng: np.random.Generator) -> np.ndarray:
 class LearnerContext:
     """Precomputed representation shared by every run on one class.
 
-    Holds the member concept used for relabeling, the point map onto the
-    operational domain, and the marked order tree with per-point depths.
+    Holds the member concept used for relabeling, the point map from the
+    class's domain onto the operational (reduced) domain, and the marked
+    order tree with per-point depths.
     Building it once and passing it to the learners amortizes the tree
     construction across repeated runs. The learners never need the
     represented class's concepts, so ``class_f`` is built on first read.
@@ -224,18 +225,16 @@ class LearnerContext:
 
 
 def prepare_context(cls: ConceptClass, f_index: int = 0) -> LearnerContext:
-    """Build the reusable learner context for a canonical class.
+    """Build the reusable learner context for any class.
 
-    ``f_index`` picks the member concept the class is represented against;
-    the default is the first concept, and the learners' guarantees do not
-    depend on the choice. Set-up works on the concept matrix: its rows are
-    XORed with the member's row, the result is reduced by the rule of
-    :func:`canonicalize` (the transform can collapse point columns), and
-    the proper-flagged tree is read off the reduced matrix. The column
+    ``f_index`` picks the member concept, a row of ``cls``, that the class
+    is represented against; the learners' guarantees do not depend on the
+    choice. The concept matrix's rows are XORed with the member's row, the
+    result is reduced by the rule of :func:`canonicalize`, so ``cls`` need
+    not be canonical, and the proper-flagged tree is read off the reduced
+    matrix; it raises ``ValueError`` at VC dimension 2 or more. The column
     merge map carries datasets onto the operational domain.
     """
-    if not is_canonical(cls):
-        raise ValueError("learners require a canonical class; call canonicalize first")
     if not 0 <= f_index < len(cls.concepts):
         raise ValueError("f_index out of range")
     m = cls.matrix ^ cls.matrix[f_index]
@@ -409,6 +408,10 @@ def improper_learn(
     examples the subset count is capped at the sample size, which keeps
     the privacy guarantee and voids the accuracy one.
 
+    ``cls`` may be any class :func:`prepare_context` takes; the data and
+    the hypothesis are on its domain, and ``proper_index`` is the first
+    equal row of ``cls``. Candidates and chosen point are operational nodes.
+
     Raises ``ValueError`` before touching the data unless eps is in
     (0, 2) and delta is positive. A subset that no concept is consistent
     with is summarised as forcing nothing, so the run never raises on the
@@ -510,7 +513,8 @@ def proper_learn(
     child weight and either selects a light child by weight (stopping) or
     descends by minimum leaf value, both via the exponential mechanism.
     The final hypothesis is the path of the smallest-id leaf in the last
-    node's tour slice.
+    node's tour slice. As in :func:`improper_learn`, the hypothesis and
+    its ``proper_index`` refer to ``cls`` as given.
 
     ``stage2`` bypasses the internal split, and ``dataset`` is then the
     whole stage-1 sample; only with ``stage2`` may ``subset_ids`` be given,
@@ -532,14 +536,12 @@ def proper_learn(
         n2 = min(budget.N2, len(dataset) // 2)
         perm = rng.permutation(len(dataset))
         s2_idx, s1_idx = perm[:n2], perm[n2:]
-        stage2 = Dataset(
-            dataset.points[s2_idx], dataset.labels[s2_idx], dataset.realizable_by
-        )
-        stage1: Dataset | None = Dataset(
-            dataset.points[s1_idx], dataset.labels[s1_idx], dataset.realizable_by
-        )
+        stage2 = Dataset(dataset.points[s2_idx], dataset.labels[s2_idx])
+        stage1: Dataset | None = Dataset(dataset.points[s1_idx], dataset.labels[s1_idx])
     else:
         stage1 = dataset
+    # checked whether or not the run descends, so no exit depends on the data
+    _check_domain(ctx, stage2.points)
 
     trace1: ImproperTrace | None = None
     if force_chosen_point is not None:
@@ -557,49 +559,40 @@ def proper_learn(
         )
         chosen = trace1.chosen_point
 
-    if chosen is None or ctx.tree.proper_mask[chosen]:
-        hypothesis = _back_transform(ctx, chosen)
-        assert hypothesis.proper_index is not None
-        return ProperTrace(
-            chosen_point=chosen,
-            subtree=None,
-            path=(),
-            leaf=chosen,
-            hypothesis=hypothesis,
-            stage1=trace1,
-        )
+    # a realized node (or the root, for None) is the answer; else descend
+    sub, path, leaf = None, [], chosen
+    if chosen is not None and not ctx.tree.proper_mask[chosen]:
+        # relabeled against the reference concept, on the operational domain
+        code = ctx.code[stage2.labels, stage2.points]
+        labs2, pts2 = np.divmod(code, len(ctx.tree.tin))
+        sub = make_subtree(ctx.tree, chosen)
+        stats = node_stats(ctx.tree, sub, Dataset(pts2, labs2))
+        n2_size = len(stage2)
+        eps = params.privacy.epsilon
 
-    _check_domain(ctx, stage2.points)
-    # relabeled against the reference concept, on the operational domain
-    labs2, pts2 = np.divmod(ctx.code[stage2.labels, stage2.points], len(ctx.tree.tin))
-    sub = make_subtree(ctx.tree, chosen)
-    stats = node_stats(ctx.tree, sub, Dataset(pts2, labs2))
-    n2_size = len(stage2)
-    eps = params.privacy.epsilon
+        flag = chosen
+        for _ in range(budget.T):
+            if flag in sub.leaves:
+                break
+            kids = np.flatnonzero(ctx.tree.parent == flag)  # ascending ids
+            w_min = int(stats.weight[kids].min())
+            noisy = w_min if greedy else w_min + laplace_sample(1.0 / eps, rng)
+            case = "nonuniform" if noisy <= params.alpha * n2_size else "uniform"
+            # a light child ends the walk; otherwise descend by leaf value
+            score = stats.weight if case == "nonuniform" else stats.min_leaf_value
+            if greedy:  # argmin breaks ties toward the smallest id
+                nxt = int(kids[np.argmin(score[kids])])
+            else:
+                cands = [(q, -float(score[q])) for q in kids.tolist()]
+                nxt = int(exponential_mechanism(cands, 1.0, eps, rng))
+            path.append((flag, case, nxt))
+            flag = nxt
+            if case == "nonuniform":
+                break
 
-    flag = chosen
-    path: list[tuple[int, str, int]] = []
-    for _ in range(budget.T):
-        if flag in sub.leaves:
-            break
-        kids = np.flatnonzero(ctx.tree.parent == flag)  # ascending ids
-        w_min = int(stats.weight[kids].min())
-        noisy = w_min if greedy else w_min + laplace_sample(1.0 / eps, rng)
-        case = "nonuniform" if noisy <= params.alpha * n2_size else "uniform"
-        # a light child ends the walk; otherwise descend by leaf value
-        score = stats.weight if case == "nonuniform" else stats.min_leaf_value
-        if greedy:  # argmin breaks ties toward the smallest id
-            nxt = int(kids[np.argmin(score[kids])])
-        else:
-            cands = [(q, -float(score[q])) for q in kids.tolist()]
-            nxt = int(exponential_mechanism(cands, 1.0, eps, rng))
-        path.append((flag, case, nxt))
-        flag = nxt
-        if case == "nonuniform":
-            break
+        lo, hi = ctx.tree.tin[flag], ctx.tree.tout[flag]
+        leaf = min(q for q in sub.leaves if lo <= ctx.tree.tin[q] < hi)
 
-    lo, hi = ctx.tree.tin[flag], ctx.tree.tout[flag]
-    leaf = min(q for q in sub.leaves if lo <= ctx.tree.tin[q] < hi)
     hypothesis = _back_transform(ctx, leaf)
     assert hypothesis.proper_index is not None
     return ProperTrace(

@@ -35,9 +35,9 @@ class ClassTree:
     visiting children in ascending id order; ``q`` is ``p`` or below it
     iff ``tin[p] <= tin[q] < tout[p]`` (both are -1 at points off the
     tree). ``proper_mask[p]`` says that ``p``'s root path is a concept,
-    ``proper`` holds the same flags as a dict over the tree points (the
-    benchmark workloads read it), and ``root_proper`` says that the empty
-    set is one; all are set when the tree is built.
+    and ``proper`` holds the same flags as a dict over the tree points (the
+    benchmark workloads read it); both are set when the tree is built. The
+    root's empty path always is a concept: the build requires it.
     """
 
     parent: np.ndarray
@@ -48,7 +48,6 @@ class ClassTree:
     tout: np.ndarray
     proper: Mapping[int, bool]
     proper_mask: np.ndarray
-    root_proper: bool
 
 
 @dataclass(frozen=True, eq=False)
@@ -165,7 +164,6 @@ def tree_from_matrix(m: np.ndarray) -> ClassTree:
         tout=tout,
         proper=dict(zip(points, proper[points].tolist())),
         proper_mask=proper,
-        root_proper=bool((ends < 0).any()),
     )
 
 

@@ -110,17 +110,16 @@ def test_f_represent_requires_membership():
 
 def test_class_equality_and_hash():
     cls = example_class()
-    same = ConceptClass(cls.matrix.copy(), list(cls.ids), cls.merge_map, cls.name)
+    same = ConceptClass(cls.matrix.copy(), list(cls.ids), cls.name)
     assert same == cls and hash(same) == hash(cls)
     flipped = cls.matrix.copy()
     flipped[3, 5] ^= True
     ids = list(cls.ids)
     ids[2] = "other"
     for other in (
-        ConceptClass(flipped, cls.ids, cls.merge_map, cls.name),
-        ConceptClass(cls.matrix, ids, cls.merge_map, cls.name),
-        ConceptClass(cls.matrix, cls.ids, (0, 1, 2, 3, 4, 5, 5), cls.name),
-        ConceptClass(cls.matrix, cls.ids, cls.merge_map, "other"),
+        ConceptClass(flipped, cls.ids, cls.name),
+        ConceptClass(cls.matrix, ids, cls.name),
+        ConceptClass(cls.matrix, cls.ids, "other"),
     ):
         assert other != cls
 
@@ -272,3 +271,31 @@ def test_dataset_validation():
     data = Dataset.from_pairs([(0, 1)])
     with pytest.raises(ValueError):
         data.points[0] = 3  # arrays are frozen
+
+
+def test_dataset_checks_values_before_casting():
+    # each of these used to be cast quietly, or to raise OverflowError
+    for points, labels in (
+        ([0, 1], [256, 257]),  # uint8 wrap: labels 0 and 1
+        ([0, 1], [0.5, 1.0]),  # truncated to 0
+        ([1.7, 2.0], [0, 1]),  # truncated to point 1
+    ):
+        with pytest.raises(ValueError):
+            Dataset(np.array(points), np.array(labels))
+    with pytest.raises(ValueError, match="labels must be 0 or 1"):
+        Dataset.from_pairs([(0, -1)])
+    with pytest.raises(ValueError, match="nonnegative integers"):
+        Dataset.from_pairs([(10**20, 0)])
+    # bool labels and integer points of any width are taken as they are
+    data = Dataset(np.array([3, 0], dtype=np.uint16), np.array([True, False]))
+    assert data.pairs() == [(3, 1), (0, 0)]
+    assert data.points.dtype == np.int64 and data.labels.dtype == np.uint8
+    assert len(Dataset.from_pairs([])) == 0
+
+
+def test_from_ones_rejects_points_that_are_not_integers():
+    for bad in (1.5, True, "2", np.float64(1.0)):
+        with pytest.raises(ValueError, match="'b' has non-integer points"):
+            ConceptClass.from_ones(3, [[0], [0, bad]], ["a", "b"])
+    cls = ConceptClass.from_ones(3, [[np.int64(2)], range(2)])
+    assert [c.ones for c in cls.concepts] == [{2}, {0, 1}]

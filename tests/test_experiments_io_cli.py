@@ -15,6 +15,7 @@ from vc1learn import (
     GeneratorSpec,
     LearnParams,
     PrivacyParams,
+    canonicalize,
     example_class,
     generate_class,
     improper_learn,
@@ -191,6 +192,16 @@ def test_class_json_round_trip(tmp_path):
     assert loaded.name == cls.name
 
 
+def test_canonical_class_json_round_trip(tmp_path):
+    # a canonicalized class is a class like any other: its file holds all of it
+    raw = ConceptClass.from_ones(4, [[0, 1], [2], [0, 1], []], ["a", "b", "a2", "e"], "raw")
+    canon, merge = canonicalize(raw)
+    assert merge.tolist() == [0, 0, 1, 2] and len(canon) == 3
+    path = tmp_path / "canon.json"
+    save_class(canon, path)
+    assert load_class(path) == canon
+
+
 def test_class_input_rejects_points_outside_domain(tmp_path):
     # numpy would wrap -1 onto the last point, so negatives are checked too
     path = tmp_path / "cls.json"
@@ -324,6 +335,51 @@ def test_cli_learn_prints_hypothesis_on_input_domain(tmp_path, capsys):
     assert hyp["ones"] == [0, 2, 3]
 
 
+def _learn_args(cls_path, data_path, *extra):
+    return [
+        "learn", "--class", str(cls_path), "--data", str(data_path),
+        "--epsilon", "1", "--delta", "1e-5", "--alpha", "0.25",
+        "--beta", "0.25", "--seed", "0", *extra,
+    ]
+
+
+def _write_class(path, concepts):
+    entries = [{"id": k, "ones": v} for k, v in concepts]
+    path.write_text(json.dumps({"name": "x", "domain_size": 4, "concepts": entries}))
+
+
+def test_cli_learn_trace_hypothesis_equals_stdout(tmp_path, capsys):
+    # the merged-points class above: the trace and stdout name the same points
+    cls_path, data_path = tmp_path / "cls.json", tmp_path / "data.csv"
+    trace_path = tmp_path / "trace.json"
+    _write_class(cls_path, [("empty", []), ("a", [0]), ("target", [0, 2, 3]), ("b", [1])])
+    main(["sample", "--class", str(cls_path), "--concept", "target",
+          "--n", "2000", "--seed", "1", "--out", str(data_path)])
+    for mode in ("improper", "proper"):
+        capsys.readouterr()
+        args = _learn_args(cls_path, data_path, "--mode", mode, "--emit-trace", str(trace_path))
+        assert main(args) == 0
+        hyp = json.loads(capsys.readouterr().out.splitlines()[-1])
+        assert json.loads(trace_path.read_text())["hypothesis"] == hyp
+        assert hyp["ones"] == [0, 2, 3]
+
+
+def test_cli_learn_proper_index_names_the_class_file_row(tmp_path, capsys):
+    # a2 repeats a, so target is row 3 of the file (row 2 once canonicalized)
+    cls_path, data_path = tmp_path / "cls.json", tmp_path / "data.csv"
+    _write_class(
+        cls_path,
+        [("empty", []), ("a", [0]), ("a2", [0]), ("target", [0, 2, 3]), ("b", [1])],
+    )
+    main(["sample", "--class", str(cls_path), "--concept", "target",
+          "--n", "2000", "--seed", "1", "--out", str(data_path)])
+    for mode in ("improper", "proper"):
+        capsys.readouterr()
+        assert main(_learn_args(cls_path, data_path, "--mode", mode)) == 0
+        hyp = json.loads(capsys.readouterr().out.splitlines()[-1])
+        assert hyp == {"ones": [0, 2, 3], "proper_index": 3}
+
+
 def test_cli_tree_dot_output(tmp_path, capsys):
     cls_path = tmp_path / "cls.json"
     main(["gen", "--kind", "example", "--out", str(cls_path)])
@@ -371,6 +427,21 @@ def test_cli_validation_exit_codes(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["gen", "--kind", "bogus", "--out", "x.json"])
     assert exc.value.code == 2
+    capsys.readouterr()
+    # malformed class files: wrong types are rejected, not cast
+    for concepts in (5, [{"id": "a", "ones": 5}], [{"id": "a", "ones": [1.5]}],
+                     [{"id": "a", "ones": [True]}], [{"id": "a", "ones": ["2"]}]):
+        bad.write_text(json.dumps({"name": "x", "domain_size": 4, "concepts": concepts}))
+        assert main(["dims", "--class", str(bad)]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+    bad.write_text("[1]")
+    assert main(["dims", "--class", str(bad)]) == 2
+    # malformed data files: short or long rows, labels off {0, 1}, huge points
+    data_path = tmp_path / "d.csv"
+    for row in ("3", "0,1,1", "0,-1", "0,256", f"{10**20},0"):
+        data_path.write_text(f"point,label\n0,1\n{row}\n")
+        assert main(_learn_args(cls_path, data_path)) == 2
+        assert capsys.readouterr().err.startswith("error:")
 
 
 def test_cli_sweep_rejects_unknown_config_keys(tmp_path, capsys):

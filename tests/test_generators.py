@@ -54,7 +54,7 @@ def test_random_tree_full_rate_is_maximum():
     cls = random_tree_class(12, max_children=3, concept_rate=1.0, seed=3)
     tree = make_tree(cls)
     assert all(tree.proper.values())
-    assert tree.root_proper
+    assert cls.index_of(()) is not None  # the root's empty path
 
 
 def test_random_tree_determinism():
@@ -102,7 +102,7 @@ def test_sample_dataset_basics(rng):
     data = sample_dataset(cls, c, mass, 50, rng)
     assert set(data.points.tolist()) == {2}
     assert set(data.labels.tolist()) == {c(2)}
-    assert data.realizable_by == c.id
+    assert data.pairs() == [(2, c(2))] * 50
 
 
 def test_sample_dataset_frequencies(rng):

@@ -18,6 +18,7 @@ from vc1learn import (
     error_on_distribution,
     f_represent,
     improper_learn,
+    is_canonical,
     make_rng,
     make_tree,
     optimal_composition,
@@ -281,22 +282,23 @@ def test_proper_rejects_forced_points_off_the_tree(example_cls):
 
 
 def test_prepare_context_matches_canonicalized_representation(corpus):
-    # the matrix set-up equals the concept-level pipeline it replaces; the
-    # last class has points in every concept and in none, which stay off the tree
-    constant = ConceptClass.from_ones(5, [{4}, {0, 4}, {0, 1, 4}, {2, 4}])
-    for cls in corpus + [constant]:
-        base, _ = canonicalize(cls)
+    # the matrix set-up equals the concept-level pipeline it replaces, on
+    # any class; the last class has points in every concept and in none,
+    # which stay off the tree, a repeated concept and two equal columns
+    raw = ConceptClass.from_ones(
+        6, [{4}, {0, 4, 5}, {0, 1, 4, 5}, {2, 4}, {0, 4, 5}, {0, 1, 4, 5}]
+    )
+    for base in corpus + [raw]:
         last = len(base.concepts) - 1
         for f_index in sorted({0, last // 2, last}):
             ctx = prepare_context(base, f_index)
             ref, ref_map = canonicalize(f_represent(base, base.concepts[f_index]))
             assert np.array_equal(ctx.point_map, ref_map)
             assert list(ctx.class_f.concepts) == list(ref.concepts)
-            assert ctx.class_f.merge_map == ref.merge_map
             assert ctx.class_f.domain_size == ref.domain_size
             assert ctx.class_f == ref
             tree = make_tree(ref)
-            for name in ("proper", "root_proper", "height"):
+            for name in ("proper", "height"):
                 assert getattr(ctx.tree, name) == getattr(tree, name), name
             for name in ("parent", "depth", "tour", "tin", "tout", "proper_mask"):
                 assert np.array_equal(getattr(ctx.tree, name), getattr(tree, name)), name
@@ -319,6 +321,74 @@ def test_prepare_context_matches_canonicalized_representation(corpus):
                     greedy=True,
                 )
                 assert trace.candidates == tuple(sorted(levels.get(z, []))), z
+
+
+def _raw_variant(cls, rng):
+    """``cls`` with repeated concepts and columns and two constant columns, shuffled."""
+    m = cls.matrix
+    rows = rng.permutation(np.append(np.arange(len(m)), rng.integers(0, len(m), 3)))
+    cols = np.append(np.arange(m.shape[1]), rng.integers(0, m.shape[1], 3))
+    n = len(rows)
+    raw = np.hstack([m[np.ix_(rows, cols)], np.ones((n, 1), bool), np.zeros((n, 1), bool)])
+    raw = raw[:, rng.permutation(raw.shape[1])]
+    return ConceptClass(raw, [f"r{i}" for i in range(len(raw))])
+
+
+def _operational(trace_json):
+    """A trace's fields on the operational domain: all but the lifted concepts."""
+    drop = ("hypothesis", "reference_concept", "reference_index")
+    out = {k: v for k, v in trace_json.items() if k not in drop}
+    if isinstance(out.get("stage1"), dict):
+        out["stage1"] = _operational(out["stage1"])
+    return out
+
+
+def test_learners_on_a_raw_class_match_canonicalize_then_learn(corpus, rng):
+    # prepare_context is the one place a class is reduced: on a class with
+    # repeated concepts, repeated columns and constant columns, both
+    # learners run as on canonicalize(raw) with the data mapped through the
+    # merge map, and their hypotheses are that run's, lifted back
+    descents = moved = 0
+    for k, cls in enumerate(corpus):
+        raw = _raw_variant(cls, rng)
+        canon, merge = canonicalize(raw)
+        assert not is_canonical(raw)
+        size = int(rng.integers(20, 80))
+        pts = rng.integers(0, raw.domain_size, size=size)
+        labs = raw.matrix[int(rng.integers(len(raw))), pts].astype(np.uint8)
+        if k % 3 == 0:  # an unrealizable sample
+            labs[rng.integers(size)] ^= 1
+        data_raw, data_canon = Dataset(pts, labs), Dataset(merge[pts], labs)
+        for f_raw in (0, len(raw) - 1):
+            f_canon = canon.index_of(merge[np.flatnonzero(raw.matrix[f_raw])].tolist())
+            ctx_raw = prepare_context(raw, f_raw)
+            ctx_canon = prepare_context(canon, f_canon)
+            # the same operational tree on both sides: force a descent from
+            # its first unrealized node, if it has one
+            tree = ctx_raw.tree
+            assert np.array_equal(tree.tour, ctx_canon.tree.tour)
+            unrealized = np.flatnonzero((tree.tin >= 0) & ~tree.proper_mask)[:1].tolist()
+            runs = [(improper_learn, {}), (proper_learn, {})] + [
+                (proper_learn, {"force_chosen_point": x}) for x in unrealized
+            ]
+            sides = ((raw, data_raw, ctx_raw), (canon, data_canon, ctx_canon))
+            for learn, kw in runs:
+                a, b = (
+                    learn(c, d, PARAMS, make_rng(k), context=ctx, greedy=k % 2 == 1, **kw)
+                    for c, d, ctx in sides
+                )
+                assert _operational(a.to_json()) == _operational(b.to_json())
+                ones = b.hypothesis.ones
+                assert a.hypothesis.ones == {p for p, q in enumerate(merge) if q in ones}
+                i, j = a.hypothesis.proper_index, b.hypothesis.proper_index
+                assert (i is None) == (j is None)
+                if i is not None:
+                    assert i == raw.index_of(a.hypothesis.ones)
+                    assert raw.ids[i] == canon.ids[j]
+                    moved += i != j
+                descents += getattr(a, "subtree", None) is not None
+    # the runs cover descents and rows that moved when duplicates went
+    assert descents > 100 and moved > 100, (descents, moved)
 
 
 def test_subset_summaries_match_oracle_across_corpus(corpus, rng):

@@ -129,7 +129,7 @@ def test_mark_proper_example_all_proper(example_cls):
         assert tree.proper[p] == (upward_closure(tree, p) in ones)
         assert tree.proper_mask[p] == tree.proper[p]
     assert all(tree.proper.values())
-    assert tree.root_proper
+    assert frozenset() in ones  # the root's empty path
 
 
 def test_mark_proper_modified_example(modified_cls):
