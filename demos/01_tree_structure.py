@@ -44,4 +44,4 @@ sub = v.make_subtree(mctx.tree, 4)
 print(f"  pruned subtree at x5: nodes={sorted(sub.nodes)} leaves={sorted(sub.leaves)}")
 
 print("\nGraphviz export:\n")
-print(v.tree_to_dot(tree))
+print(v.tree_to_dot(tree, ctx.point_map))

@@ -53,11 +53,11 @@ def _cmd_dims(args: argparse.Namespace) -> int:
 
 def _cmd_tree(args: argparse.Namespace) -> int:
     cls = io.load_class(getattr(args, "class_path"))
-    tree = prepare_context(cls, args.f_index).tree
+    ctx = prepare_context(cls, args.f_index)
     text = (
-        tree_to_dot(tree)
+        tree_to_dot(ctx.tree, ctx.point_map)
         if args.format == "dot"
-        else json.dumps(tree_to_json(tree), indent=2)
+        else json.dumps(tree_to_json(ctx.tree, ctx.point_map), indent=2)
     )
     if args.out:
         Path(args.out).write_text(text + "\n")

@@ -201,11 +201,18 @@ class ConceptClass:
         return tuple(p for p in range(self.domain_size) if p not in const)
 
     @cached_property
+    def packed(self) -> np.ndarray:
+        """The rows as ``np.packbits`` bytes, packed once; read-only."""
+        packed = np.packbits(self.matrix, axis=1)
+        packed.flags.writeable = False
+        return packed
+
+    @cached_property
     def concept_index(self) -> dict[bytes, int]:
-        """First index of each distinct row, keyed by ``np.packbits(row).tobytes()``."""
+        """First index of each distinct row, keyed by its :attr:`packed` bytes."""
         out: dict[bytes, int] = {}
-        for i, row in enumerate(np.packbits(self.matrix, axis=1)):
-            out.setdefault(row.tobytes(), i)
+        for i, key in enumerate(row_bytes(self.packed)):
+            out.setdefault(key, i)
         return out
 
     def index_of(self, ones: Iterable[int]) -> int | None:
@@ -234,6 +241,12 @@ class ConceptClass:
         return hash(self._key())
 
 
+def row_bytes(packed: np.ndarray) -> list[bytes]:
+    """The rows of a 2-d byte array, each as a ``bytes`` key."""
+    buf, width = packed.tobytes(), packed.shape[1]
+    return [buf[i * width : (i + 1) * width] for i in range(len(packed))]
+
+
 def _first_occurrences(packed: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Group equal rows of a 2-d byte array, numbering groups by first appearance.
 
@@ -243,39 +256,78 @@ def _first_occurrences(packed: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     index: dict[bytes, int] = {}
     first: list[int] = []
     group = np.empty(len(packed), dtype=np.int64)
-    for i, row in enumerate(packed):
-        g = index.setdefault(row.tobytes(), len(first))
+    for i, key in enumerate(row_bytes(packed)):
+        g = index.setdefault(key, len(first))
         if g == len(first):
             first.append(i)
         group[i] = g
     return np.array(first, dtype=np.int64), group
 
 
-def canonical_layout(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def column_scan(packed: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Each column's number of set bits and the first row holding one (-1: none).
+
+    ``packed`` holds the ``n``-column rows of a boolean matrix as
+    ``np.packbits`` bytes; they are unpacked 255 rows at a time, so that a
+    block's column sums fit a byte.
+    """
+    count = np.zeros(n, dtype=np.int64)
+    first = np.full(n, -1, dtype=np.int64)
+    for start in range(0, len(packed), 255):
+        bits = np.unpackbits(packed[start : start + 255], axis=1, count=n)
+        block = bits.sum(axis=0, dtype=np.uint8)
+        new = np.flatnonzero((count == 0) & (block > 0))
+        first[new] = start + bits[:, new].argmax(axis=0)
+        count += block
+    return count, first
+
+
+def canonical_layout(packed: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The canonical reduction of a boolean concept matrix, as index arrays.
 
-    Returns ``(rows, cols, merge)``: the rows kept (the first of each set of
-    equal rows), the columns kept (the lowest index of each set of equal
-    columns), both ascending, and ``merge[p]``, the position of column
-    ``p``'s representative in ``cols``. The canonical matrix is
-    ``m[np.ix_(rows, cols)]``. Rows and columns are compared as packed bits.
+    ``packed`` holds the matrix's ``n``-column rows as ``np.packbits``
+    bytes. Returns ``(rows, cols, merge)``: the rows kept (the first of each
+    set of equal rows), the columns kept (the lowest index of each set of
+    equal columns), both ascending, and ``merge[p]``, the position of
+    column ``p``'s representative in ``cols``. The canonical matrix is
+    ``m[np.ix_(rows, cols)]``. Rows are compared as packed bytes. Equal
+    columns have the same count and the same first row, so only columns
+    sharing both with another column are compared bit by bit; on a class
+    whose reduction is a tree those are exactly the repeated columns.
     """
-    rows, _ = _first_occurrences(np.packbits(m, axis=1))
-    # pack the columns eight rows at a time: far cheaper than transposing m
-    k = -(-m.shape[0] // 8)
-    bits = np.zeros((8 * k, m.shape[1]), dtype=np.uint8)
-    bits[: m.shape[0]] = m
-    bits = bits.reshape(k, 8, m.shape[1])
-    packed = np.zeros((k, m.shape[1]), dtype=np.uint8)
-    for b in range(8):
-        packed |= bits[:, b] << b
-    cols, merge = _first_occurrences(packed.T)
-    return rows, cols, merge
+    rows, _ = _first_occurrences(packed)
+    kept = packed[rows]
+    count, first = column_scan(kept, n)
+    # columns in (count, first row, index) order; a run of equal keys is shared
+    key = count * (len(rows) + 1) + first
+    order = np.argsort(key, kind="stable")
+    run = np.zeros(n + 1, dtype=bool)
+    run[1:-1] = key[order[1:]] == key[order[:-1]]
+    shared = order[run[1:] | run[:-1]]
+    rep = np.arange(n)
+    if len(shared):
+        shift = (7 - shared % 8).astype(np.uint8)
+        bits = (kept[:, shared // 8] >> shift) & 1
+        firsts, group = _first_occurrences(np.ascontiguousarray(bits.T))
+        rep[shared] = shared[firsts][group]
+    is_rep = rep == np.arange(n)
+    return rows, np.flatnonzero(is_rep), (np.cumsum(is_rep) - 1)[rep]
+
+
+def take_columns(packed: np.ndarray, cols: np.ndarray, n: int) -> np.ndarray:
+    """The packed rows cut to the columns ``cols`` of their ``n``, 256 rows at a time."""
+    if len(cols) == n:  # cols is ascending, so it keeps every column in place
+        return packed
+    out = np.empty((len(packed), -(-len(cols) // 8)), dtype=np.uint8)
+    for start in range(0, len(packed), 256):
+        bits = np.unpackbits(packed[start : start + 256], axis=1, count=n)
+        out[start : start + 256] = np.packbits(bits[:, cols], axis=1)
+    return out
 
 
 def is_canonical(cls: ConceptClass) -> bool:
     """True when concepts are pairwise distinct and so are point columns."""
-    rows, cols, _ = canonical_layout(cls.matrix)
+    rows, cols, _ = canonical_layout(cls.packed, cls.domain_size)
     return len(rows) == len(cls.concepts) and len(cols) == cls.domain_size
 
 
@@ -295,7 +347,7 @@ def canonicalize(cls: ConceptClass) -> tuple[ConceptClass, np.ndarray]:
         ``merge_map[p]`` is the new index of original point ``p``; the
         returned class does not keep it.
     """
-    rows, cols, merge = canonical_layout(cls.matrix)
+    rows, cols, merge = canonical_layout(cls.packed, cls.domain_size)
     canon = ConceptClass(
         cls.matrix[np.ix_(rows, cols)], [cls.ids[i] for i in rows.tolist()], cls.name
     )

@@ -87,7 +87,7 @@ def random_tree_class(
     kept = [x for x in range(n) if child_count[x] == 0 or rng.random() < concept_rate]
     m = paths[[n] + kept]
     ids = ["empty"] + [f"path{x}" for x in kept]
-    rows, cols, _ = canonical_layout(m)
+    rows, cols, _ = canonical_layout(np.packbits(m, axis=1), n)
     return ConceptClass(
         m[np.ix_(rows, cols)],
         [ids[i] for i in rows.tolist()],

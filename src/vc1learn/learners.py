@@ -37,8 +37,7 @@ from .concepts import (
     Dataset,
     Hypothesis,
     canonical_layout,
-    canonicalize,
-    f_represent,
+    take_columns,
 )
 from .mechanisms import (
     ChoosingInstance,
@@ -184,8 +183,8 @@ class LearnerContext:
     class's domain onto the operational (reduced) domain, and the marked
     order tree with per-point depths.
     Building it once and passing it to the learners amortizes the tree
-    construction across repeated runs. The learners never need the
-    represented class's concepts, so ``class_f`` is built on first read.
+    construction across repeated runs. The represented class's concepts
+    are never built: the learners need only the tree and the point map.
     """
 
     base: ConceptClass
@@ -193,11 +192,6 @@ class LearnerContext:
     f: Concept
     point_map: np.ndarray
     tree: ClassTree
-
-    @cached_property
-    def class_f(self) -> ConceptClass:
-        """The canonical representation, ``canonicalize(f_represent(base, f))[0]``."""
-        return canonicalize(f_represent(self.base, self.f))[0]
 
     @cached_property
     def f_row(self) -> np.ndarray:
@@ -229,24 +223,25 @@ def prepare_context(cls: ConceptClass, f_index: int = 0) -> LearnerContext:
 
     ``f_index`` picks the member concept, a row of ``cls``, that the class
     is represented against; the learners' guarantees do not depend on the
-    choice. The concept matrix's rows are XORed with the member's row, the
-    result is reduced by the rule of :func:`canonicalize`, so ``cls`` need
-    not be canonical, and the proper-flagged tree is read off the reduced
-    matrix; it raises ``ValueError`` at VC dimension 2 or more. The column
+    choice. The class's packed rows are XORed with the member's packed row,
+    the result is reduced by the rule of :func:`canonicalize`, so ``cls``
+    need not be canonical, and the proper-flagged tree is read off the
+    reduced packed rows; it raises ``ValueError`` at VC dimension 2 or
+    more. No dense concept-by-point array is built on the way. The column
     merge map carries datasets onto the operational domain.
     """
     if not 0 <= f_index < len(cls.concepts):
         raise ValueError("f_index out of range")
-    m = cls.matrix ^ cls.matrix[f_index]
-    rows, cols, point_map = canonical_layout(m)
-    canon = m[np.ix_(rows, cols)]
+    n = cls.domain_size
+    packed = cls.packed ^ cls.packed[f_index]
+    rows, cols, point_map = canonical_layout(packed, n)
     point_map.flags.writeable = False
     return LearnerContext(
         base=cls,
         f_index=f_index,
         f=cls.concepts[f_index],
         point_map=point_map,
-        tree=tree_from_matrix(canon),
+        tree=tree_from_matrix(take_columns(packed[rows], cols, n), len(cols)),
     )
 
 

@@ -5,14 +5,17 @@ forest hanging under a virtual root (the empty set). Each node is a
 non-constant domain point, each concept's 1-set is a root path, and the
 depth of a point equals the length of its chain of strict upper bounds.
 
-The tree is read off the concept matrix itself: any concept containing a
-point, cut to the points in at least as many concepts, is that point's
-root path, and the concepts that are exactly a root path flag their
-deepest points proper during the same build. Euler-tour intervals then
-turn ancestor tests into integer comparisons: forced sets, pruned
-subtrees and label-0 weights are all computed on tour slices, never per
-concept. The tree is stored as those arrays plus a parent and a depth
-array over the domain; it is immutable and reusable.
+The tree is read off the concept rows packed eight points to a byte, and
+no unpacked concept-by-point or point-by-point array is built: any
+concept containing a point, cut to the points in at least as many
+concepts, is that point's root path. Paths are matched by their bytes (a
+point's parent owns its path minus the point), and the concepts that are
+exactly a root path flag their deepest points proper during the same
+build. Euler-tour intervals then turn ancestor tests into integer
+comparisons: forced sets, pruned subtrees and label-0 weights are all
+computed on tour slices, never per concept. The tree is stored as those
+arrays plus a parent and a depth array over the domain; it is immutable
+and reusable.
 """
 
 from __future__ import annotations
@@ -22,7 +25,17 @@ from typing import Mapping
 
 import numpy as np
 
-from .concepts import ConceptClass, Dataset, NotRealizableError, is_canonical
+from .concepts import (
+    ConceptClass,
+    Dataset,
+    NotRealizableError,
+    column_scan,
+    is_canonical,
+    row_bytes,
+)
+
+# _BIT[b]: bit b of a byte in np.packbits order (most significant first)
+_BIT = np.array([0x80 >> b for b in range(8)], dtype=np.uint8)
 
 
 @dataclass(frozen=True, eq=False)
@@ -98,61 +111,87 @@ def make_tree(class_f: ConceptClass) -> ClassTree:
     one. In a canonical class an ancestor lies in strictly more concepts
     than its descendants, so any concept containing a point ``p``, cut to
     the points lying in at least as many concepts as ``p``, is ``p``'s root
-    path. Those cut rows give the depths and the parent edges, and are then
-    checked: each must be its parent's row plus the point itself, and each
-    concept must be the row of its deepest point. Both checks pass exactly
-    when the concepts are the root paths of a forest, so this raises
-    exactly on the classes of VC dimension 2 or more. A concept's deepest
-    point, the one whose depth equals its size, is flagged proper.
+    path. The build works on the class's packed rows (see
+    :func:`tree_from_matrix`), checks that each path is its parent's path
+    plus the point and that each concept is the path of its deepest point,
+    and raises exactly on the classes of VC dimension 2 or more. A
+    concept's deepest point is flagged proper.
     """
     if not is_canonical(class_f):
         raise ValueError("class must be canonical before tree construction")
-    return tree_from_matrix(class_f.matrix)
+    return tree_from_matrix(class_f.packed, class_f.domain_size)
 
 
-def tree_from_matrix(m: np.ndarray) -> ClassTree:
-    """:func:`make_tree` on a concept matrix the caller knows is canonical."""
-    if m.any(axis=1).all():
+def tree_from_matrix(packed: np.ndarray, n: int) -> ClassTree:
+    """:func:`make_tree` on the packed rows of a matrix the caller knows is canonical.
+
+    ``packed`` holds the ``n``-column concept rows as ``np.packbits``
+    bytes, and every step works on such rows: the largest arrays are one
+    packed row per point, and column counts unpack 255 rows at a time. A
+    point's root path is the first concept holding it, ANDed with the
+    packed mask of the points in at least as many concepts (a prefix of
+    the points in descending count order). The paths are keyed by their
+    bytes: a point's parent is the point whose path is its own with its
+    bit cleared (the empty path: the virtual root), and a concept's
+    deepest point is the point whose path it is. Every lookup succeeds
+    exactly when each path is its parent's path plus the point and each
+    concept is the path of its deepest point; otherwise this raises.
+    Depths, the tour and the subtree sizes come from the parent array.
+    """
+    if packed.any(axis=1).all():
         raise ValueError("class must contain the all-zeros concept")
-    n = m.shape[1]
     # in a forest of root paths every point ends a concept or branches (one
     # child would share its column), so n < 2C; this also bounds path below
-    if n >= 2 * len(m):
+    if n >= 2 * len(packed):
         raise ValueError("class is not VC-1 tree-structured")
-    count = m.sum(axis=0)
-    live = count > 0
-    # path[p]: p's root path, read off the first concept containing p;
-    # an extra all-False row stands for the virtual root
-    path = np.zeros((n + 1, n), dtype=bool)
-    path[:n] = m[_first_rows(m)] & (count >= count[:, None]) & live[:, None]
-    depth_of = path[:n].sum(axis=1)
-    parent_of = np.full(n, -1, dtype=np.int64)
-    kid, up = np.nonzero(path[:n] & (depth_of == depth_of[:, None] - 1))
-    parent_of[kid] = up
-    grown = path[parent_of]
-    grown[np.flatnonzero(live), np.flatnonzero(live)] = True
-    ends = _path_ends(m, depth_of)
-    if not (np.array_equal(grown, path[:n]) and np.array_equal(m, path[ends])):
+    count, first = column_scan(packed, n)
+    live = np.flatnonzero(count > 0)
+    # at_least[i] holds the first i + 1 points in descending count order
+    width = packed.shape[1]
+    order = np.argsort(-count, kind="stable")
+    at_least = np.zeros((n, width), dtype=np.uint8)
+    at_least[np.arange(n), order // 8] = _BIT[order % 8]
+    np.bitwise_or.accumulate(at_least, axis=0, out=at_least)
+    cut = np.searchsorted(-count[order], -count[live], side="right") - 1
+    path = at_least[cut]
+    path &= packed[first[live]]
+    del at_least
+
+    points = live.tolist()
+    owner = {bytes(width): -1}  # the virtual root's empty path
+    owner.update(zip(row_bytes(path), points))
+    path[np.arange(len(live)), live // 8] &= ~_BIT[live % 8]
+    up = [owner.get(key, -2) for key in row_bytes(path)]
+    ends = [owner.get(key, -2) for key in row_bytes(packed)]
+    if -2 in up or -2 in ends:
         raise ValueError("class is not VC-1 tree-structured")
 
-    points = np.flatnonzero(live).tolist()
+    parents = [-1] * n
     children: dict[int, list[int]] = {}
-    for p in points:  # ascending, so every child list is too
-        children.setdefault(int(parent_of[p]), []).append(p)
+    for p, q in zip(points, up):  # ascending, so every child list is too
+        parents[p] = q
+        children.setdefault(q, []).append(p)
     tour: list[int] = []
     stack = children.get(-1, [])[::-1]
     while stack:
         p = stack.pop()
         tour.append(p)
         stack.extend(children.get(p, [])[::-1])
-    tour_arr = np.array(tour, dtype=np.int64)
-    tin = np.full(n, -1, dtype=np.int64)
-    tin[tour_arr] = np.arange(len(tour))
-    # a point's slice holds every point whose root path contains it
-    tout = tin + path[:n].sum(axis=0)
+    depth, tin = [0] * (n + 1), [-1] * n  # depth[-1]: the virtual root's
+    for i, p in enumerate(tour):
+        depth[p] = depth[parents[p]] + 1
+        tin[p] = i
+    # a point's slice holds its subtree
+    size, tout = [1] * (n + 1), [-1] * n
+    for p in reversed(tour):
+        size[parents[p]] += size[p]
+        tout[p] = tin[p] + size[p]
+    parent_of, depth_of, tour_arr, tin_arr, tout_arr = (
+        np.array(a, dtype=np.int64) for a in (parents, depth[:n], tour, tin, tout)
+    )
     proper = np.zeros(n, dtype=bool)
-    proper[ends[ends >= 0]] = True
-    for arr in (parent_of, depth_of, tour_arr, tin, tout, proper):
+    proper[[e for e in ends if e >= 0]] = True
+    for arr in (parent_of, depth_of, tour_arr, tin_arr, tout_arr, proper):
         arr.flags.writeable = False
 
     return ClassTree(
@@ -160,28 +199,11 @@ def tree_from_matrix(m: np.ndarray) -> ClassTree:
         depth=depth_of,
         height=int(depth_of.max(initial=0)),
         tour=tour_arr,
-        tin=tin,
-        tout=tout,
+        tin=tin_arr,
+        tout=tout_arr,
         proper=dict(zip(points, proper[points].tolist())),
         proper_mask=proper,
     )
-
-
-def _first_rows(m: np.ndarray) -> np.ndarray:
-    """``m.argmax(axis=0)``, the first row holding each column's True.
-
-    Scans blocks of 64 rows, so that no transposed copy of ``m`` is made.
-    """
-    first = np.zeros(m.shape[1], dtype=np.int64)
-    todo = np.ones(m.shape[1], dtype=bool)
-    for start in range(0, len(m), 64):
-        rows = m[start : start + 64]
-        hit = todo & rows.any(axis=0)
-        first[hit] = start + rows[:, hit].argmax(axis=0)
-        todo &= ~hit
-        if not todo.any():
-            break
-    return first
 
 
 def _check_in_tree(tree: ClassTree, x: int) -> None:
@@ -203,18 +225,6 @@ def upward_closure(tree: ClassTree, x: int) -> frozenset[int]:
     """The path from ``x`` to the root, excluding the virtual root."""
     _check_in_tree(tree, x)
     return frozenset(np.flatnonzero(root_path(tree, x)).tolist())
-
-
-def _path_ends(m: np.ndarray, depth: np.ndarray) -> np.ndarray:
-    """Each concept's point whose depth equals the concept's size, else -1.
-
-    On a concept that is a root path this is the path's deepest point; the
-    empty concept gets -1.
-    """
-    row, point = np.nonzero(m & (depth == m.sum(axis=1)[:, None]))
-    ends = np.full(len(m), -1, dtype=np.int64)
-    ends[row] = point
-    return ends
 
 
 def make_subtree(tree: ClassTree, x_good: int) -> SubTree:
@@ -357,26 +367,44 @@ def deterministic_points(
     )
 
 
-def tree_to_json(tree: ClassTree) -> dict:
-    """Serializable view: one record per node with parent, depth, and flag."""
-    points = np.flatnonzero(tree.tin >= 0)
+def tree_to_json(tree: ClassTree, point_map: np.ndarray) -> dict:
+    """Serializable view: one record per node with parent, depth, flag and points.
+
+    ``point_map`` carries the class's own points onto the tree's domain,
+    as :func:`~vc1learn.learners.prepare_context` returns it; a node's
+    ``points`` are the class points mapped onto it, ascending.
+    """
+    members: dict[int, list[int]] = {}
+    for p, x in enumerate(point_map.tolist()):
+        members.setdefault(x, []).append(p)
+    nodes = np.flatnonzero(tree.tin >= 0)
     columns = (tree.parent, tree.depth, tree.proper_mask)
-    rows = zip(points.tolist(), *(col[points].tolist() for col in columns))
+    rows = zip(nodes.tolist(), *(col[nodes].tolist() for col in columns))
     return {
         "nodes": [
-            {"point": p, "parent": None if par < 0 else par, "depth": d, "proper": flag}
-            for p, par, d, flag in rows
+            {
+                "point": x,
+                "parent": None if par < 0 else par,
+                "depth": d,
+                "proper": flag,
+                "points": members[x],
+            }
+            for x, par, d, flag in rows
         ]
     }
 
 
-def tree_to_dot(tree: ClassTree) -> str:
-    """Graphviz rendering with the virtual root drawn as a point."""
+def tree_to_dot(tree: ClassTree, point_map: np.ndarray) -> str:
+    """Graphviz rendering with the virtual root drawn as a point.
+
+    Nodes are labeled by the class points mapped onto them.
+    """
     lines = ["digraph class_tree {", '  root [shape=point, label=""];']
-    records = tree_to_json(tree)["nodes"]
+    records = tree_to_json(tree, point_map)["nodes"]
     for r in records:
-        p, shape = r["point"], "doublecircle" if r["proper"] else "circle"
-        lines.append(f'  n{p} [label="x{p} (d={r["depth"]})", shape={shape}];')
+        x, shape = r["point"], "doublecircle" if r["proper"] else "circle"
+        label = ",".join(f"x{p}" for p in r["points"])
+        lines.append(f'  n{x} [label="{label} (d={r["depth"]})", shape={shape}];')
     for r in records:
         src = "root" if r["parent"] is None else f"n{r['parent']}"
         lines.append(f"  {src} -> n{r['point']};")

@@ -5,6 +5,7 @@ from vc1learn import (
     ConceptClass,
     canonicalize,
     example_class,
+    f_represent,
     modified_example_class,
     point_functions_class,
     random_tree_class,
@@ -27,6 +28,11 @@ def example_cls() -> ConceptClass:
 def modified_cls() -> ConceptClass:
     cls, _ = canonicalize(modified_example_class())
     return cls
+
+
+def represented_class(ctx) -> ConceptClass:
+    """The canonical class whose tree a learner context holds, built from concepts."""
+    return canonicalize(f_represent(ctx.base, ctx.f))[0]
 
 
 def build_corpus(count: int = 200, max_domain: int = 64) -> list[ConceptClass]:

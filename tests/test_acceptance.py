@@ -59,7 +59,7 @@ from vc1learn.audit_scenarios import (
 )
 from vc1learn.learners import prepare_context
 
-from conftest import build_corpus
+from conftest import build_corpus, represented_class
 
 X1, X2, X3, X4, X5, X6, X7 = range(7)
 
@@ -86,7 +86,7 @@ def test_criterion_1_structure_suite(corpus):
             base, _ = canonicalize(cls)
             for f_idx in {0, len(base.concepts) // 2}:
                 ctx = prepare_context(base, f_index=f_idx)
-                rep, tree = ctx.class_f, ctx.tree
+                rep, tree = represented_class(ctx), ctx.tree
                 # make_tree validates every up-set is a chain; recheck depth
                 points = tree.tour.tolist()
                 for p in points:
@@ -119,7 +119,7 @@ def test_criterion_2_dimension_sandwich(small_corpus):
             td = thresholds_dimension(base)
             assert floor_log2(d_l) <= td <= 2 ** (d_l + 1)
             ctx = prepare_context(base)
-            td_rep = thresholds_dimension(ctx.class_f)
+            td_rep = thresholds_dimension(represented_class(ctx))
             assert ctx.tree.height <= td_rep
 
 

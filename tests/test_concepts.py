@@ -33,6 +33,10 @@ def test_canonicalize_merges_identical_columns():
     assert canon.domain_size == 3
     assert list(merge) == [0, 1, 1, 2]
     assert canon.concepts[1].ones == frozenset({1})
+    # all three columns share their count and first concept; only 1 and 2 merge
+    canon, merge = canonicalize(ConceptClass.from_ones(3, [{0, 1, 2}, {0}, {1, 2}]))
+    assert list(merge) == [0, 1, 1]
+    assert [c.ones for c in canon.concepts] == [{0, 1}, {0}, {1}]
 
 
 def test_canonicalize_example_class_unchanged():

@@ -388,6 +388,37 @@ def test_cli_tree_dot_output(tmp_path, capsys):
     assert "digraph" in capsys.readouterr().out
 
 
+def test_cli_tree_names_the_class_file_points(tmp_path, capsys):
+    # points 0 and 1 lie in the same concepts and merge into node 0, so
+    # file point 2 is node 1; the export names file points, not node ids
+    cls_path = tmp_path / "cls.json"
+    cls_path.write_text(
+        json.dumps(
+            {
+                "name": "merged",
+                "domain_size": 3,
+                "concepts": [
+                    {"id": "empty", "ones": []},
+                    {"id": "a", "ones": [0, 1]},
+                    {"id": "b", "ones": [0, 1, 2]},
+                ],
+            }
+        )
+    )
+    capsys.readouterr()
+    assert main(["tree", "--class", str(cls_path), "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out) == {
+        "nodes": [
+            {"point": 0, "parent": None, "depth": 1, "proper": True, "points": [0, 1]},
+            {"point": 1, "parent": 0, "depth": 2, "proper": True, "points": [2]},
+        ]
+    }
+    assert main(["tree", "--class", str(cls_path), "--format", "dot"]) == 0
+    dot = capsys.readouterr().out
+    assert 'n0 [label="x0,x1 (d=1)", shape=doublecircle];' in dot
+    assert 'n1 [label="x2 (d=2)", shape=doublecircle];' in dot
+
+
 def test_cli_sweep(tmp_path, capsys):
     cfg = small_config(trials=2)
     cfg_path = tmp_path / "cfg.json"

@@ -1,6 +1,7 @@
 import json
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -35,6 +36,8 @@ from vc1learn import (
 from vc1learn import learners
 from vc1learn.audit_scenarios import unrealizable_neighbour_scenario
 from vc1learn.tree import forced_nodes
+
+from conftest import represented_class
 
 X1, X2, X3, X4, X5, X6, X7 = range(7)
 
@@ -281,6 +284,20 @@ def test_proper_rejects_forced_points_off_the_tree(example_cls):
         assert rng.bit_generator.state == make_rng(0).bit_generator.state
 
 
+def test_prepare_context_memory_is_bounded():
+    # the reduction and the tree build work on packed rows (4.1 MiB peak
+    # here); a build on dense n x n bool or int temporaries takes 24 MiB
+    cls = thresholds_class(2048)
+    tracemalloc.start()
+    try:
+        ctx = prepare_context(cls)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ctx.tree.height == 2048
+    assert peak <= 2 * cls.matrix.nbytes
+
+
 def test_prepare_context_matches_canonicalized_representation(corpus):
     # the matrix set-up equals the concept-level pipeline it replaces, on
     # any class; the last class has points in every concept and in none,
@@ -294,9 +311,7 @@ def test_prepare_context_matches_canonicalized_representation(corpus):
             ctx = prepare_context(base, f_index)
             ref, ref_map = canonicalize(f_represent(base, base.concepts[f_index]))
             assert np.array_equal(ctx.point_map, ref_map)
-            assert list(ctx.class_f.concepts) == list(ref.concepts)
-            assert ctx.class_f.domain_size == ref.domain_size
-            assert ctx.class_f == ref
+            assert represented_class(ctx) == ref
             tree = make_tree(ref)
             for name in ("proper", "height"):
                 assert getattr(ctx.tree, name) == getattr(tree, name), name
@@ -454,6 +469,7 @@ def test_improper_chosen_point_on_true_chain():
     # the selected node lies on the true concept's represented path
     cls = random_tree_class(24, max_children=3, concept_rate=0.7, seed=5)
     ctx = prepare_context(cls)
+    rep = represented_class(ctx)
     dist = Distribution.uniform(cls.domain_size)
     ok = 0
     trials = 40
@@ -464,7 +480,7 @@ def test_improper_chosen_point_on_true_chain():
         data = sample_dataset(cls, c_star, dist, 4000, rng)
         trace = improper_learn(cls, data, PARAMS, rng, context=ctx)
         # concepts keep their position through representation + canonicalization
-        rep_ones = ctx.class_f.concepts[idx].ones
+        rep_ones = rep.concepts[idx].ones
         if trace.chosen_point is None:
             ok += rep_ones == frozenset()
         else:
@@ -526,6 +542,7 @@ def test_improper_sandwich_on_traces(example_cls):
     # with realizable data, forced sets nest inside the true path, so the
     # output path's empirical error never exceeds both endpoints'
     ctx = prepare_context(example_cls, f_index=7)
+    rep = represented_class(ctx)
     dist = Distribution.uniform(7)
     for seed in range(30):
         rng = make_rng(500 + seed)
@@ -551,7 +568,7 @@ def test_improper_sandwich_on_traces(example_cls):
             return wrong / len(full)
 
         forced = [
-            deterministic_points(ctx.class_f, s, tree=ctx.tree) for s in subsets
+            deterministic_points(rep, s, tree=ctx.tree) for s in subsets
         ]
         inner = [d for d in forced if d.points <= closure]
         outer = [

@@ -3,8 +3,11 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vc1learn import (
+    ClassTree,
     ConceptClass,
     Dataset,
     NotRealizableError,
@@ -16,11 +19,15 @@ from vc1learn import (
     make_subtree,
     make_tree,
     node_stats,
+    prepare_context,
+    random_tree_class,
     thresholds_class,
     tree_to_dot,
     tree_to_json,
     upward_closure,
+    vc_dimension,
 )
+from vc1learn.tree import tree_from_matrix
 
 X1, X2, X3, X4, X5, X6, X7 = range(7)
 
@@ -62,6 +69,119 @@ def test_make_tree_depth_equals_strict_upper_bound_count(example_cls, corpus):
         for x in rep.order_points:
             ups = [y for y in rep.order_points if y != x and leq(rep, x, y)]
             assert tree.depth[x] == len(ups) + 1
+
+
+def dense_tree(m):
+    """The tree build on the dense concept matrix, kept as the reference.
+
+    Any concept containing a point, cut to the points in at least as many
+    concepts, is its root path; the n x n path rows give depths and parents
+    and are checked: each is its parent's row plus the point, and each
+    concept is the row of its deepest point.
+    """
+    if m.any(axis=1).all():
+        raise ValueError("class must contain the all-zeros concept")
+    n = m.shape[1]
+    if n >= 2 * len(m):
+        raise ValueError("class is not VC-1 tree-structured")
+    count = m.sum(axis=0)
+    live = count > 0
+    # an extra all-False row stands for the virtual root
+    path = np.zeros((n + 1, n), dtype=bool)
+    path[:n] = m[m.argmax(axis=0)] & (count >= count[:, None]) & live[:, None]
+    depth_of = path[:n].sum(axis=1)
+    parent_of = np.full(n, -1, dtype=np.int64)
+    kid, up = np.nonzero(path[:n] & (depth_of == depth_of[:, None] - 1))
+    parent_of[kid] = up
+    grown = path[parent_of]
+    grown[np.flatnonzero(live), np.flatnonzero(live)] = True
+    row, point = np.nonzero(m & (depth_of == m.sum(axis=1)[:, None]))
+    ends = np.full(len(m), -1, dtype=np.int64)
+    ends[row] = point
+    if not (np.array_equal(grown, path[:n]) and np.array_equal(m, path[ends])):
+        raise ValueError("class is not VC-1 tree-structured")
+
+    points = np.flatnonzero(live).tolist()
+    children = {}
+    for p in points:
+        children.setdefault(int(parent_of[p]), []).append(p)
+    tour = []
+    stack = children.get(-1, [])[::-1]
+    while stack:
+        p = stack.pop()
+        tour.append(p)
+        stack.extend(children.get(p, [])[::-1])
+    tour_arr = np.array(tour, dtype=np.int64)
+    tin = np.full(n, -1, dtype=np.int64)
+    tin[tour_arr] = np.arange(len(tour))
+    tout = tin + path[:n].sum(axis=0)
+    proper = np.zeros(n, dtype=bool)
+    proper[ends[ends >= 0]] = True
+    return ClassTree(
+        parent=parent_of,
+        depth=depth_of,
+        height=int(depth_of.max(initial=0)),
+        tour=tour_arr,
+        tin=tin,
+        tout=tout,
+        proper=dict(zip(points, proper[points].tolist())),
+        proper_mask=proper,
+    )
+
+
+TREE_ARRAYS = ("parent", "depth", "tour", "tin", "tout", "proper_mask")
+
+
+def assert_same_tree(tree, ref):
+    for name in TREE_ARRAYS:
+        got, want = getattr(tree, name), getattr(ref, name)
+        assert got.dtype == want.dtype and np.array_equal(got, want), name
+    assert tree.height == ref.height and tree.proper == ref.proper
+
+
+def test_tree_matches_dense_reference(example_cls, modified_cls, corpus):
+    classes = [example_cls, modified_cls] + corpus
+    classes += [thresholds_class(k) for k in (1, 2, 3, 7, 64, 200, 512)]
+    classes += [
+        random_tree_class(n, max_children=k, concept_rate=rate, seed=seed)
+        for seed in range(3)
+        for n, k, rate in ((100, 2, 0.5), (333, 3, 0.2), (1024, 4, 0.5))
+    ]
+    for cls in classes:
+        last = len(cls) - 1
+        for f_index in sorted({0, last // 2, last}):
+            ctx = prepare_context(cls, f_index)
+            rep, merge = canonicalize(f_represent(cls, cls.concepts[f_index]))
+            assert np.array_equal(ctx.point_map, merge)
+            ref = dense_tree(rep.matrix)
+            assert_same_tree(ctx.tree, ref)
+            assert_same_tree(make_tree(rep), ref)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(0, 8).flatmap(
+        lambda n: st.lists(
+            st.lists(st.booleans(), min_size=n, max_size=n), min_size=1, max_size=12
+        ).map(lambda rows: (n, rows))
+    )
+)
+def test_tree_raises_exactly_when_dense_reference_does(shape_rows):
+    # a random canonical class holding the all-zeros concept: both builds
+    # agree, raise alike, and raise exactly at VC dimension 2 or more
+    n, rows = shape_rows
+    m = np.array([[False] * n] + rows, dtype=bool).reshape(len(rows) + 1, n)
+    cls, _ = canonicalize(ConceptClass(m, [f"c{i}" for i in range(len(m))]))
+    try:
+        ref = dense_tree(cls.matrix)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as info:
+            tree_from_matrix(cls.packed, cls.domain_size)
+        assert str(info.value) == str(exc)
+        assert vc_dimension(cls) >= 2
+        return
+    assert_same_tree(tree_from_matrix(cls.packed, cls.domain_size), ref)
+    assert vc_dimension(cls) <= 1
 
 
 def test_make_tree_singleton_class_is_root_only():
@@ -357,11 +477,12 @@ def test_deterministic_points_form_chains(corpus, rng):
 
 def test_exports(example_cls, modified_cls):
     tree = marked_tree(example_cls)
-    data = tree_to_json(tree)
+    same = np.arange(example_cls.domain_size)  # a canonical class maps onto itself
+    data = tree_to_json(tree, same)
     assert len(data["nodes"]) == 7
     rec = next(r for r in data["nodes"] if r["point"] == X5)
-    assert rec == {"point": X5, "parent": X1, "depth": 2, "proper": True}
-    dot = tree_to_dot(tree)
+    assert rec == {"point": X5, "parent": X1, "depth": 2, "proper": True, "points": [X5]}
+    dot = tree_to_dot(tree, same)
     assert "digraph" in dot and "root ->" in dot
     # the full text of both fixtures, pinned so that the CLI output is stable
     for cls, x5_flag, x5_shape in (
@@ -369,18 +490,18 @@ def test_exports(example_cls, modified_cls):
         (modified_cls, "false", "circle"),
     ):
         tree = marked_tree(cls)
-        assert json.dumps(tree_to_json(tree)) == PINNED_JSON.replace("X5_FLAG", x5_flag)
-        assert tree_to_dot(tree) == PINNED_DOT.replace("X5_SHAPE", x5_shape)
+        assert json.dumps(tree_to_json(tree, same)) == PINNED_JSON.replace("X5_FLAG", x5_flag)
+        assert tree_to_dot(tree, same) == PINNED_DOT.replace("X5_SHAPE", x5_shape)
 
 
 PINNED_JSON = (
-    '{"nodes": [{"point": 0, "parent": null, "depth": 1, "proper": true}, '
-    '{"point": 1, "parent": null, "depth": 1, "proper": true}, '
-    '{"point": 2, "parent": null, "depth": 1, "proper": true}, '
-    '{"point": 3, "parent": 0, "depth": 2, "proper": true}, '
-    '{"point": 4, "parent": 0, "depth": 2, "proper": X5_FLAG}, '
-    '{"point": 5, "parent": 4, "depth": 3, "proper": true}, '
-    '{"point": 6, "parent": 4, "depth": 3, "proper": true}]}'
+    '{"nodes": [{"point": 0, "parent": null, "depth": 1, "proper": true, "points": [0]}, '
+    '{"point": 1, "parent": null, "depth": 1, "proper": true, "points": [1]}, '
+    '{"point": 2, "parent": null, "depth": 1, "proper": true, "points": [2]}, '
+    '{"point": 3, "parent": 0, "depth": 2, "proper": true, "points": [3]}, '
+    '{"point": 4, "parent": 0, "depth": 2, "proper": X5_FLAG, "points": [4]}, '
+    '{"point": 5, "parent": 4, "depth": 3, "proper": true, "points": [5]}, '
+    '{"point": 6, "parent": 4, "depth": 3, "proper": true, "points": [6]}]}'
 )
 PINNED_DOT = """digraph class_tree {
   root [shape=point, label=""];
