@@ -22,7 +22,7 @@ from .audit_scenarios import (
     randomized_response_scenario,
 )
 from .experiments import config_from_json, run_experiment, write_report_csv
-from .generators import GeneratorSpec, generate_class
+from .generators import GeneratorSpec, generate_class, sample_dataset
 from .learners import LearnParams, improper_learn, prepare_context, proper_learn
 from .mechanisms import PrivacyParams
 from .oracles import Distribution, dimension_report, dp_audit
@@ -73,13 +73,9 @@ def _cmd_sample(args: argparse.Namespace) -> int:
     if args.concept not in index:
         raise ValueError(f"concept {args.concept!r} not in class")
     if args.weights:
-        import numpy as np
-
-        dist = Distribution(np.array([float(w) for w in args.weights.split(",")]))
+        dist = Distribution([float(w) for w in args.weights.split(",")])
     else:
         dist = Distribution.uniform(cls.domain_size)
-    from .generators import sample_dataset
-
     concept = cls.concepts[index[args.concept]]
     data = sample_dataset(cls, concept, dist, args.n, make_rng(args.seed))
     io.save_dataset(data, args.out)

@@ -282,18 +282,19 @@ def column_scan(packed: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     return count, first
 
 
-def canonical_layout(packed: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def canonical_layout(packed: np.ndarray, n: int) -> tuple[np.ndarray, ...]:
     """The canonical reduction of a boolean concept matrix, as index arrays.
 
     ``packed`` holds the matrix's ``n``-column rows as ``np.packbits``
-    bytes. Returns ``(rows, cols, merge)``: the rows kept (the first of each
-    set of equal rows), the columns kept (the lowest index of each set of
-    equal columns), both ascending, and ``merge[p]``, the position of
-    column ``p``'s representative in ``cols``. The canonical matrix is
-    ``m[np.ix_(rows, cols)]``. Rows are compared as packed bytes. Equal
-    columns have the same count and the same first row, so only columns
-    sharing both with another column are compared bit by bit; on a class
-    whose reduction is a tree those are exactly the repeated columns.
+    bytes. Returns ``(rows, rep, count, first)``: the rows kept (the first
+    of each set of equal rows), ascending; ``rep[p]``, the lowest column
+    equal to column ``p`` (its representative); and each column's
+    :func:`column_scan` of the kept rows. The canonical matrix is
+    ``m[np.ix_(rows, cols)]`` with ``cols`` the representatives. Rows are
+    compared as packed bytes. Equal columns have the same count and the
+    same first row, so only columns sharing both with another column are
+    compared bit by bit; on a class whose reduction is a tree those are
+    exactly the repeated columns.
     """
     rows, _ = _first_occurrences(packed)
     kept = packed[rows]
@@ -310,25 +311,13 @@ def canonical_layout(packed: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray
         bits = (kept[:, shared // 8] >> shift) & 1
         firsts, group = _first_occurrences(np.ascontiguousarray(bits.T))
         rep[shared] = shared[firsts][group]
-    is_rep = rep == np.arange(n)
-    return rows, np.flatnonzero(is_rep), (np.cumsum(is_rep) - 1)[rep]
-
-
-def take_columns(packed: np.ndarray, cols: np.ndarray, n: int) -> np.ndarray:
-    """The packed rows cut to the columns ``cols`` of their ``n``, 256 rows at a time."""
-    if len(cols) == n:  # cols is ascending, so it keeps every column in place
-        return packed
-    out = np.empty((len(packed), -(-len(cols) // 8)), dtype=np.uint8)
-    for start in range(0, len(packed), 256):
-        bits = np.unpackbits(packed[start : start + 256], axis=1, count=n)
-        out[start : start + 256] = np.packbits(bits[:, cols], axis=1)
-    return out
+    return rows, rep, count, first
 
 
 def is_canonical(cls: ConceptClass) -> bool:
     """True when concepts are pairwise distinct and so are point columns."""
-    rows, cols, _ = canonical_layout(cls.packed, cls.domain_size)
-    return len(rows) == len(cls.concepts) and len(cols) == cls.domain_size
+    rows, rep, _, _ = canonical_layout(cls.packed, cls.domain_size)
+    return len(rows) == len(cls) and bool((rep == np.arange(len(rep))).all())
 
 
 def canonicalize(cls: ConceptClass) -> tuple[ConceptClass, np.ndarray]:
@@ -347,10 +336,13 @@ def canonicalize(cls: ConceptClass) -> tuple[ConceptClass, np.ndarray]:
         ``merge_map[p]`` is the new index of original point ``p``; the
         returned class does not keep it.
     """
-    rows, cols, merge = canonical_layout(cls.packed, cls.domain_size)
+    rows, rep, _, _ = canonical_layout(cls.packed, cls.domain_size)
+    is_rep = rep == np.arange(len(rep))
+    cols = np.flatnonzero(is_rep)
     canon = ConceptClass(
         cls.matrix[np.ix_(rows, cols)], [cls.ids[i] for i in rows.tolist()], cls.name
     )
+    merge = (np.cumsum(is_rep) - 1)[rep]
     merge.flags.writeable = False
     return canon, merge
 

@@ -63,6 +63,10 @@ class ExperimentConfig:
             raise ValueError("mode must be 'improper' or 'proper'")
         if self.trials < 1:
             raise ValueError("trials must be at least 1")
+        if self.n_override is not None and self.n_override < 1:
+            raise ValueError("n_override must be at least 1")
+        if self.weights is not None and not len(self.weights):
+            raise ValueError("weights must be non-empty")
 
 
 @dataclass(frozen=True)
@@ -201,7 +205,7 @@ def config_from_json(data: dict) -> ExperimentConfig:
         return ExperimentConfig(
             generator=GeneratorSpec(**gen),
             params=LearnParams(privacy=PrivacyParams(**privacy), **pdata),
-            weights=tuple(weights) if weights else None,
+            weights=None if weights is None else tuple(weights),
             **fields,
         )
     except TypeError as exc:  # an unknown or missing key

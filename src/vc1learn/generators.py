@@ -15,7 +15,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .concepts import Concept, ConceptClass, Dataset, canonical_layout
+from .concepts import Concept, ConceptClass, Dataset, canonicalize
 from .oracles import Distribution
 from .rng import make_rng
 
@@ -74,25 +74,25 @@ def random_tree_class(
     # paths[x]: x's root path, filled as x attaches; row n is the virtual root
     paths = np.zeros((n + 1, n), dtype=bool)
     child_count = [0] * (n + 1)
-    attached = [n]
+    slots = [n]  # the attached points with room for a child, in attach order
     for x in order.tolist():
-        slots = [v for v in attached if child_count[v] < max_children]
-        p = slots[int(rng.integers(len(slots)))]
+        i = int(rng.integers(len(slots)))
+        p = slots[i]
         paths[x] = paths[p]
         paths[x, x] = True
         child_count[p] += 1
-        attached.append(x)
+        if child_count[p] == max_children:
+            slots.pop(i)
+        slots.append(x)
 
     # a draw for interior points only
     kept = [x for x in range(n) if child_count[x] == 0 or rng.random() < concept_rate]
-    m = paths[[n] + kept]
-    ids = ["empty"] + [f"path{x}" for x in kept]
-    rows, cols, _ = canonical_layout(np.packbits(m, axis=1), n)
-    return ConceptClass(
-        m[np.ix_(rows, cols)],
-        [ids[i] for i in rows.tolist()],
+    cls = ConceptClass(
+        paths[[n] + kept],
+        ["empty"] + [f"path{x}" for x in kept],
         name=f"random_tree({n},{max_children},{concept_rate},{seed})",
     )
+    return canonicalize(cls)[0]
 
 
 def example_class() -> ConceptClass:

@@ -26,7 +26,7 @@ every intermediate quantity.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -37,7 +37,6 @@ from .concepts import (
     Dataset,
     Hypothesis,
     canonical_layout,
-    take_columns,
 )
 from .mechanisms import (
     ChoosingInstance,
@@ -179,9 +178,9 @@ def partition(dataset: Dataset, t: int, rng: np.random.Generator) -> np.ndarray:
 class LearnerContext:
     """Precomputed representation shared by every run on one class.
 
-    Holds the member concept used for relabeling, the point map from the
-    class's domain onto the operational (reduced) domain, and the marked
-    order tree with per-point depths.
+    Holds the member concept used for relabeling, the point map from each
+    class point to its representative (see :func:`prepare_context`), and
+    the marked order tree on the class's own points, with per-point depths.
     Building it once and passing it to the learners amortizes the tree
     construction across repeated runs. The represented class's concepts
     are never built: the learners need only the tree and the point map.
@@ -208,8 +207,8 @@ class LearnerContext:
     def code(self) -> np.ndarray:
         """``code[l, p]``: the presence column of input example ``(p, l)``.
 
-        That is ``point_map[p] + n * (l ^ f_row[p])`` on the operational
-        domain of size ``n``: relabeled 0s in ``[0, n)``, 1s in ``[n, 2n)``.
+        That is ``point_map[p] + n * (l ^ f_row[p])`` on the domain of
+        size ``n``: relabeled 0s in ``[0, n)``, 1s in ``[n, 2n)``.
         """
         n = len(self.tree.tin)
         flipped = np.stack([self.f_row, self.f_row ^ 1]).astype(np.int32)
@@ -226,23 +225,34 @@ def prepare_context(cls: ConceptClass, f_index: int = 0) -> LearnerContext:
     choice. The class's packed rows are XORed with the member's packed row,
     the result is reduced by the rule of :func:`canonicalize`, so ``cls``
     need not be canonical, and the proper-flagged tree is read off the
-    reduced packed rows; it raises ``ValueError`` at VC dimension 2 or
-    more. No dense concept-by-point array is built on the way. The column
-    merge map carries datasets onto the operational domain.
+    distinct rows and their layout; it raises ``ValueError`` at VC
+    dimension 2 or more. No dense concept-by-point array is built on the
+    way. The tree is on the class's own points: ``point_map`` sends each
+    point to its representative, the lowest point with the same column.
     """
     if not 0 <= f_index < len(cls.concepts):
         raise ValueError("f_index out of range")
-    n = cls.domain_size
     packed = cls.packed ^ cls.packed[f_index]
-    rows, cols, point_map = canonical_layout(packed, n)
-    point_map.flags.writeable = False
+    rows, rep, count, first = canonical_layout(packed, cls.domain_size)
+    rep.flags.writeable = False
     return LearnerContext(
         base=cls,
         f_index=f_index,
         f=cls.concepts[f_index],
-        point_map=point_map,
-        tree=tree_from_matrix(take_columns(packed[rows], cols, n), len(cols)),
+        point_map=rep,
+        tree=tree_from_matrix(packed[rows], rep, count, first),
     )
+
+
+def _jsonable(value):
+    """Trace data as JSON: dataclass fields, frozensets sorted, tuples as lists."""
+    if is_dataclass(value):
+        return {f.name: _jsonable(getattr(value, f.name)) for f in fields(value)}
+    if isinstance(value, frozenset):
+        return sorted(value)
+    if isinstance(value, tuple):
+        return [_jsonable(v) for v in value]
+    return value
 
 
 @dataclass(frozen=True, eq=False)
@@ -260,23 +270,7 @@ class ImproperTrace:
     hypothesis: Hypothesis
 
     def to_json(self) -> dict:
-        return {
-            "reference_concept": {
-                "id": self.reference_concept.id,
-                "ones": sorted(self.reference_concept.ones),
-            },
-            "reference_index": self.reference_index,
-            "subset_depths": list(self.subset_depths),
-            "subset_deepest": list(self.subset_deepest),
-            "median_depth": self.median_depth,
-            "candidates": list(self.candidates),
-            "scores": list(self.scores),
-            "chosen_point": self.chosen_point,
-            "hypothesis": {
-                "ones": sorted(self.hypothesis.ones),
-                "proper_index": self.hypothesis.proper_index,
-            },
-        }
+        return _jsonable(self)
 
 
 @dataclass(frozen=True, eq=False)
@@ -291,23 +285,7 @@ class ProperTrace:
     stage1: ImproperTrace | None = None
 
     def to_json(self) -> dict:
-        return {
-            "chosen_point": self.chosen_point,
-            "subtree": None
-            if self.subtree is None
-            else {
-                "root": self.subtree.root,
-                "nodes": sorted(self.subtree.nodes),
-                "leaves": sorted(self.subtree.leaves),
-            },
-            "path": [list(step) for step in self.path],
-            "leaf": self.leaf,
-            "hypothesis": {
-                "ones": sorted(self.hypothesis.ones),
-                "proper_index": self.hypothesis.proper_index,
-            },
-            "stage1": self.stage1.to_json() if self.stage1 is not None else None,
-        }
+        return _jsonable(self)
 
 
 def _check_domain(ctx: LearnerContext, points: np.ndarray) -> None:
@@ -334,7 +312,7 @@ def _subset_summaries(
     data.
     """
     _check_domain(ctx, points)
-    n = len(ctx.tree.tin)  # the operational domain
+    n = len(ctx.tree.tin)
     # row i: where subset i has relabeled 0s in columns [0, n) and 1s in
     # [n, 2n), all rows scattered at once through their flat positions
     dtype = np.int32 if t * 2 * n < 2**31 else np.int64
@@ -405,7 +383,8 @@ def improper_learn(
 
     ``cls`` may be any class :func:`prepare_context` takes; the data and
     the hypothesis are on its domain, and ``proper_index`` is the first
-    equal row of ``cls``. Candidates and chosen point are operational nodes.
+    equal row of ``cls``. Candidates and chosen point are tree nodes, the
+    representative points of ``cls`` (see :func:`prepare_context`).
 
     Raises ``ValueError`` before touching the data unless eps is in
     (0, 2) and delta is positive. A subset that no concept is consistent
@@ -461,14 +440,10 @@ def improper_learn(
         ).tolist()
     )
 
-    inst = ChoosingInstance(
-        scores=dict(zip(candidates, scores)), k=1, n=t
-    )
+    inst = ChoosingInstance(scores=dict(zip(candidates, scores)), k=1, n=t)
     if greedy:
         best = max(scores, default=0)
-        chosen = None
-        if best > 0:
-            chosen = candidates[scores.index(best)]
+        chosen = candidates[scores.index(best)] if best > 0 else None
     else:
         chosen = choosing_mechanism(inst, params.privacy, params.beta, rng)
 
@@ -557,7 +532,7 @@ def proper_learn(
     # a realized node (or the root, for None) is the answer; else descend
     sub, path, leaf = None, [], chosen
     if chosen is not None and not ctx.tree.proper_mask[chosen]:
-        # relabeled against the reference concept, on the operational domain
+        # relabeled against the reference concept, on the representatives
         code = ctx.code[stage2.labels, stage2.points]
         labs2, pts2 = np.divmod(code, len(ctx.tree.tin))
         sub = make_subtree(ctx.tree, chosen)

@@ -91,11 +91,21 @@ def exponential_mechanism(
         raise ValueError("epsilon must be nonnegative")
     ids = [c[0] for c in candidates]
     scores = np.array([c[1] for c in candidates], dtype=np.float64)
-    logits = epsilon * scores / (2.0 * sensitivity)
-    logits -= logits.max()
-    weights = np.exp(logits)
-    probs = weights / weights.sum()
-    return ids[int(rng.choice(len(ids), p=probs))]
+    return ids[_softmax_draw(epsilon * scores / (2.0 * sensitivity), rng)]
+
+
+def _softmax_draw(logits: np.ndarray, rng: np.random.Generator) -> int:
+    """An index drawn with probability proportional to ``exp(logits)``.
+
+    One ``rng.random()`` searched in the normalised CDF: the arithmetic and
+    the random stream of ``rng.choice(len(logits), p=normalised weights)``.
+    """
+    weights = np.exp(logits - logits.max())
+    cdf = np.cumsum(weights / weights.sum())
+    if np.isnan(cdf[-1]):  # a NaN score, or an infinite one: rng.choice's check
+        raise ValueError("probabilities contain NaN")
+    cdf /= cdf[-1]
+    return int(cdf.searchsorted(rng.random(), side="right"))
 
 
 def choosing_mechanism(
@@ -175,11 +185,7 @@ def private_median(
     n_le = np.searchsorted(vals, cands, side="right")
     n_ge = len(vals) - np.searchsorted(vals, cands, side="left")
     utility = np.minimum(n_le, n_ge).astype(np.float64)
-    logits = privacy.epsilon * utility / 2.0
-    logits -= logits.max()
-    weights = np.exp(logits)
-    probs = weights / weights.sum()
-    return int(rng.choice(len(cands), p=probs))
+    return _softmax_draw(privacy.epsilon * utility / 2.0, rng)
 
 
 def required_median_size(

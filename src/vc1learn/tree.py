@@ -29,8 +29,7 @@ from .concepts import (
     ConceptClass,
     Dataset,
     NotRealizableError,
-    column_scan,
-    is_canonical,
+    canonical_layout,
     row_bytes,
 )
 
@@ -40,17 +39,19 @@ _BIT = np.array([0x80 >> b for b in range(8)], dtype=np.uint8)
 
 @dataclass(frozen=True, eq=False)
 class ClassTree:
-    """The order forest of a canonical class, rooted at a virtual node.
+    """The order forest of a reduced class, rooted at a virtual node.
 
-    Every array indexes the domain and is read-only. ``parent[p]`` is -1
-    for children of the virtual root and off the tree; ``depth[p]`` is 0
-    off the tree. ``tour`` lists the points in depth-first preorder,
-    visiting children in ascending id order; ``q`` is ``p`` or below it
-    iff ``tin[p] <= tin[q] < tout[p]`` (both are -1 at points off the
-    tree). ``proper_mask[p]`` says that ``p``'s root path is a concept,
-    and ``proper`` holds the same flags as a dict over the tree points (the
-    benchmark workloads read it); both are set when the tree is built. The
-    root's empty path always is a concept: the build requires it.
+    Every array indexes the class's own domain and is read-only; constant
+    points, and points whose column equals a lower one's, are off the
+    tree. ``parent[p]`` is -1 for children of the virtual root and off
+    the tree; ``depth[p]`` is 0 off the tree. ``tour`` lists the points
+    in depth-first preorder, visiting children in ascending id order;
+    ``q`` is ``p`` or below it iff ``tin[p] <= tin[q] < tout[p]`` (both
+    are -1 at points off the tree). ``proper_mask[p]`` says that ``p``'s
+    root path is a concept, and ``proper`` holds the same flags as a dict
+    over the tree points (the benchmark workloads read it); both are set
+    when the tree is built. The root's empty path always is a concept: the
+    build requires it.
     """
 
     parent: np.ndarray
@@ -111,50 +112,55 @@ def make_tree(class_f: ConceptClass) -> ClassTree:
     one. In a canonical class an ancestor lies in strictly more concepts
     than its descendants, so any concept containing a point ``p``, cut to
     the points lying in at least as many concepts as ``p``, is ``p``'s root
-    path. The build works on the class's packed rows (see
-    :func:`tree_from_matrix`), checks that each path is its parent's path
-    plus the point and that each concept is the path of its deepest point,
-    and raises exactly on the classes of VC dimension 2 or more. A
-    concept's deepest point is flagged proper.
+    path. The build (see :func:`tree_from_matrix`) checks that each path
+    is its parent's path plus the point and that each concept is the path
+    of its deepest point, and raises exactly on the classes of VC
+    dimension 2 or more. A concept's deepest point is flagged proper.
     """
-    if not is_canonical(class_f):
+    rows, rep, count, first = canonical_layout(class_f.packed, class_f.domain_size)
+    if len(rows) < len(class_f) or (rep != np.arange(len(rep))).any():
         raise ValueError("class must be canonical before tree construction")
-    return tree_from_matrix(class_f.packed, class_f.domain_size)
+    return tree_from_matrix(class_f.packed, rep, count, first)
 
 
-def tree_from_matrix(packed: np.ndarray, n: int) -> ClassTree:
-    """:func:`make_tree` on the packed rows of a matrix the caller knows is canonical.
+def tree_from_matrix(
+    packed: np.ndarray, rep: np.ndarray, count: np.ndarray, first: np.ndarray
+) -> ClassTree:
+    """:func:`make_tree` on distinct packed rows and their :func:`canonical_layout`.
 
-    ``packed`` holds the ``n``-column concept rows as ``np.packbits``
-    bytes, and every step works on such rows: the largest arrays are one
-    packed row per point, and column counts unpack 255 rows at a time. A
-    point's root path is the first concept holding it, ANDed with the
-    packed mask of the points in at least as many concepts (a prefix of
-    the points in descending count order). The paths are keyed by their
-    bytes: a point's parent is the point whose path is its own with its
-    bit cleared (the empty path: the virtual root), and a concept's
-    deepest point is the point whose path it is. Every lookup succeeds
-    exactly when each path is its parent's path plus the point and each
-    concept is the path of its deepest point; otherwise this raises.
-    Depths, the tour and the subtree sizes come from the parent array.
+    ``packed`` holds the concept rows as ``np.packbits`` bytes, and every
+    step works on such rows: the largest arrays are one packed row per
+    point. The nodes are the representatives ``p == rep[p]`` that some
+    concept holds. A point's root path is the first concept holding it,
+    ANDed with the packed mask of the representatives in at least as many
+    concepts (a prefix of them in descending count order). The paths are
+    keyed by their bytes: a point's parent is the point whose path is its
+    own with its bit cleared (the empty path: the virtual root), and a
+    concept's deepest point is the point whose path it is. Every lookup
+    succeeds exactly when each path is its parent's path plus the point
+    and each concept is the path of its deepest point; otherwise this
+    raises. Depths, the tour and the subtree sizes come from the parents.
     """
     if packed.any(axis=1).all():
         raise ValueError("class must contain the all-zeros concept")
+    n = len(rep)
+    reps = np.flatnonzero(rep == np.arange(n))
     # in a forest of root paths every point ends a concept or branches (one
-    # child would share its column), so n < 2C; this also bounds path below
-    if n >= 2 * len(packed):
+    # child would share its column), so there are under 2C; this bounds path
+    if len(reps) >= 2 * len(packed):
         raise ValueError("class is not VC-1 tree-structured")
-    count, first = column_scan(packed, n)
-    live = np.flatnonzero(count > 0)
-    # at_least[i] holds the first i + 1 points in descending count order
+    live = reps[count[reps] > 0]
+    # at_least[i] holds the first i + 1 representatives in descending count order
     width = packed.shape[1]
-    order = np.argsort(-count, kind="stable")
-    at_least = np.zeros((n, width), dtype=np.uint8)
-    at_least[np.arange(n), order // 8] = _BIT[order % 8]
+    order = reps[np.argsort(-count[reps], kind="stable")]
+    at_least = np.zeros((len(order), width), dtype=np.uint8)
+    at_least[np.arange(len(order)), order // 8] = _BIT[order % 8]
     np.bitwise_or.accumulate(at_least, axis=0, out=at_least)
     cut = np.searchsorted(-count[order], -count[live], side="right") - 1
     path = at_least[cut]
     path &= packed[first[live]]
+    if len(reps) < n:  # concepts cut to the representatives, as paths are
+        packed = packed & at_least[-1]
     del at_least
 
     points = live.tolist()
@@ -370,8 +376,8 @@ def deterministic_points(
 def tree_to_json(tree: ClassTree, point_map: np.ndarray) -> dict:
     """Serializable view: one record per node with parent, depth, flag and points.
 
-    ``point_map`` carries the class's own points onto the tree's domain,
-    as :func:`~vc1learn.learners.prepare_context` returns it; a node's
+    ``point_map`` carries each class point onto its representative, as
+    :func:`~vc1learn.learners.prepare_context` returns it; a node's
     ``points`` are the class points mapped onto it, ascending.
     """
     members: dict[int, list[int]] = {}

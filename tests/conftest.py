@@ -35,6 +35,25 @@ def represented_class(ctx) -> ConceptClass:
     return canonicalize(f_represent(ctx.base, ctx.f))[0]
 
 
+def renamed_tree(tree, cols, n):
+    """The arrays of ``tree`` with node ``i`` renamed ``cols[i]``, over ``n`` points."""
+
+    def spread(values, fill):
+        out = np.full(n, fill, dtype=values.dtype)
+        out[cols] = values
+        return out
+
+    parent = np.where(tree.parent >= 0, cols[tree.parent], -1)
+    return {
+        "parent": spread(parent, -1),
+        "depth": spread(tree.depth, 0),
+        "tour": cols[tree.tour],
+        "tin": spread(tree.tin, -1),
+        "tout": spread(tree.tout, -1),
+        "proper_mask": spread(tree.proper_mask, False),
+    }
+
+
 def build_corpus(count: int = 200, max_domain: int = 64) -> list[ConceptClass]:
     """A deterministic bank of VC-1 classes mixing the three generators."""
     classes: list[ConceptClass] = []

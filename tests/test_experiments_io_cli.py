@@ -389,8 +389,8 @@ def test_cli_tree_dot_output(tmp_path, capsys):
 
 
 def test_cli_tree_names_the_class_file_points(tmp_path, capsys):
-    # points 0 and 1 lie in the same concepts and merge into node 0, so
-    # file point 2 is node 1; the export names file points, not node ids
+    # points 0 and 1 lie in the same concepts and merge into node 0; the
+    # nodes are the file's points 0 and 2, and node 0 lists both merged points
     cls_path = tmp_path / "cls.json"
     cls_path.write_text(
         json.dumps(
@@ -410,13 +410,50 @@ def test_cli_tree_names_the_class_file_points(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out) == {
         "nodes": [
             {"point": 0, "parent": None, "depth": 1, "proper": True, "points": [0, 1]},
-            {"point": 1, "parent": 0, "depth": 2, "proper": True, "points": [2]},
+            {"point": 2, "parent": 0, "depth": 2, "proper": True, "points": [2]},
         ]
     }
     assert main(["tree", "--class", str(cls_path), "--format", "dot"]) == 0
     dot = capsys.readouterr().out
     assert 'n0 [label="x0,x1 (d=1)", shape=doublecircle];' in dot
-    assert 'n1 [label="x2 (d=2)", shape=doublecircle];' in dot
+    assert 'n2 [label="x2 (d=2)", shape=doublecircle];' in dot
+    assert "n0 -> n2;" in dot
+
+
+def _trace_nodes(trace):
+    """Every node id an ``--emit-trace`` file names."""
+    stage1 = trace.get("stage1") or {}
+    sub = trace.get("subtree") or {"nodes": []}
+    ids = [trace.get("leaf"), trace["chosen_point"], stage1.get("chosen_point")]
+    for t in (trace, stage1):
+        ids += t.get("candidates", []) + t.get("subset_deepest", [])
+    ids += sub["nodes"] + [x for a, _, b in trace.get("path", []) for x in (a, b)]
+    return {x for x in ids if x is not None}
+
+
+def test_cli_learn_trace_names_the_class_file_points(tmp_path, capsys):
+    # points 0 and 1 merge into node 0, which no concept ends at; the data
+    # sit at points 0 and 1 only, so the proper learner descends from it
+    cls_path, data_path = tmp_path / "cls.json", tmp_path / "data.csv"
+    trace_path = tmp_path / "trace.json"
+    entries = [{"id": "empty", "ones": []}, {"id": "b", "ones": [0, 1, 2]},
+               {"id": "c", "ones": [0, 1, 3]}]
+    cls_path.write_text(json.dumps({"name": "x", "domain_size": 4, "concepts": entries}))
+    main(["sample", "--class", str(cls_path), "--concept", "b", "--n", "3000", "--seed", "1",
+          "--weights", "0.5,0.5,0,0", "--out", str(data_path)])
+    capsys.readouterr()
+    assert main(["tree", "--class", str(cls_path)]) == 0
+    nodes = {r["point"] for r in json.loads(capsys.readouterr().out)["nodes"]}
+    assert nodes == {0, 2, 3}
+    for mode in ("improper", "proper"):
+        args = _learn_args(cls_path, data_path, "--mode", mode, "--emit-trace", str(trace_path))
+        assert main(args) == 0
+        hyp = json.loads(capsys.readouterr().out.splitlines()[-1])
+        trace = json.loads(trace_path.read_text())
+        assert 0 in _trace_nodes(trace) <= nodes
+    # the descent's nodes are file points, and its leaf is in the hypothesis
+    assert trace["subtree"] == {"root": 0, "nodes": [0, 2, 3], "leaves": [2, 3]}
+    assert trace["path"][-1][2] == trace["leaf"] and trace["leaf"] in hyp["ones"]
 
 
 def test_cli_sweep(tmp_path, capsys):
@@ -489,6 +526,24 @@ def test_cli_sweep_rejects_unknown_config_keys(tmp_path, capsys):
         out = tmp_path / "report.csv"
         assert main(["sweep", "--config", str(cfg_path), "--out", str(out)]) == 2
         assert repr(key) in capsys.readouterr().err
+        assert not out.exists()
+
+
+def test_experiment_config_rejects_bad_sizes_and_empty_weights(tmp_path, capsys):
+    # checked when the config is built, before any class or data exists
+    bad = (("n_override", 0), ("n_override", -3), ("weights", ()))
+    for key, value in bad:
+        with pytest.raises(ValueError, match=key):
+            small_config(**{key: value})
+    cfg_path, out = tmp_path / "cfg.json", tmp_path / "report.csv"
+    for key, value in bad:
+        data = config_to_json(small_config(trials=1))
+        data[key] = list(value) if isinstance(value, tuple) else value
+        with pytest.raises(ValueError, match=key):
+            config_from_json(data)  # "weights": [] is not uniform
+        cfg_path.write_text(json.dumps(data))
+        assert main(["sweep", "--config", str(cfg_path), "--out", str(out)]) == 2
+        assert key in capsys.readouterr().err
         assert not out.exists()
 
 

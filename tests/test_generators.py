@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from vc1learn import (
+    ConceptClass,
     Distribution,
     GeneratorSpec,
     canonicalize,
@@ -217,3 +218,33 @@ def test_labels_match_concept(rng):
     data = sample_dataset(cls, c, Distribution.uniform(cls.domain_size), 500, rng)
     for p, l in data.pairs():
         assert l == c(p)
+
+
+def _random_tree_by_rebuilt_slots(n, max_children, concept_rate, seed):
+    """``random_tree_class`` rebuilding its open-slot list for every point."""
+    rng = make_rng(seed)
+    order = rng.permutation(n)
+    paths = np.zeros((n + 1, n), dtype=bool)
+    child_count = [0] * (n + 1)
+    attached = [n]
+    for x in order.tolist():
+        slots = [v for v in attached if child_count[v] < max_children]
+        p = slots[int(rng.integers(len(slots)))]
+        paths[x] = paths[p]
+        paths[x, x] = True
+        child_count[p] += 1
+        attached.append(x)
+    kept = [x for x in range(n) if child_count[x] == 0 or rng.random() < concept_rate]
+    name = f"random_tree({n},{max_children},{concept_rate},{seed})"
+    ids = ["empty"] + [f"path{x}" for x in kept]
+    return canonicalize(ConceptClass(paths[[n] + kept], ids, name=name))[0]
+
+
+def test_random_tree_class_matches_the_rebuilt_slot_list():
+    # the slot list kept in attach order, a node dropped when it fills, is
+    # the rebuilt list at every step, so the draws and the class are equal
+    for n in (1, 2, 5, 33, 300):
+        for k in (1, 2, 3, 5):
+            for seed in range(4):
+                want = _random_tree_by_rebuilt_slots(n, k, 0.5, seed)
+                assert random_tree_class(n, k, 0.5, seed) == want, (n, k, seed)

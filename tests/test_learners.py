@@ -37,7 +37,7 @@ from vc1learn import learners
 from vc1learn.audit_scenarios import unrealizable_neighbour_scenario
 from vc1learn.tree import forced_nodes
 
-from conftest import represented_class
+from conftest import renamed_tree, represented_class
 
 X1, X2, X3, X4, X5, X6, X7 = range(7)
 
@@ -310,17 +310,20 @@ def test_prepare_context_matches_canonicalized_representation(corpus):
         for f_index in sorted({0, last // 2, last}):
             ctx = prepare_context(base, f_index)
             ref, ref_map = canonicalize(f_represent(base, base.concepts[f_index]))
-            assert np.array_equal(ctx.point_map, ref_map)
+            # the reduced class's point i is the class point cols[i], the
+            # lowest one point_map sends there
+            cols = np.flatnonzero(ctx.point_map == np.arange(base.domain_size))
+            assert np.array_equal(cols[ref_map], ctx.point_map)
             assert represented_class(ctx) == ref
             tree = make_tree(ref)
-            for name in ("proper", "height"):
-                assert getattr(ctx.tree, name) == getattr(tree, name), name
-            for name in ("parent", "depth", "tour", "tin", "tout", "proper_mask"):
-                assert np.array_equal(getattr(ctx.tree, name), getattr(tree, name)), name
-            assert np.array_equal(ctx.depth_vec, tree.depth)
+            assert ctx.tree.height == tree.height
+            assert ctx.tree.proper == {int(cols[p]): v for p, v in tree.proper.items()}
+            for name, want in renamed_tree(tree, cols, base.domain_size).items():
+                assert np.array_equal(getattr(ctx.tree, name), want), name
+            assert np.array_equal(ctx.depth_vec[cols], tree.depth)
             levels = {}
             for p in tree.tour.tolist():
-                levels.setdefault(int(tree.depth[p]), []).append(p)
+                levels.setdefault(int(tree.depth[p]), []).append(int(cols[p]))
             # the improper stage's candidates at depth z are the tree points
             # there, ascending; none at depth 0, where off-tree points sit
             one = Dataset.from_pairs([(0, 0)])
@@ -349,12 +352,30 @@ def _raw_variant(cls, rng):
     return ConceptClass(raw, [f"r{i}" for i in range(len(raw))])
 
 
-def _operational(trace_json):
-    """A trace's fields on the operational domain: all but the lifted concepts."""
-    drop = ("hypothesis", "reference_concept", "reference_index")
-    out = {k: v for k, v in trace_json.items() if k not in drop}
-    if isinstance(out.get("stage1"), dict):
-        out["stage1"] = _operational(out["stage1"])
+def _renamed(trace_json, name):
+    """A trace's node fields with every node id passed through ``name``.
+
+    The fields lifted to the class (hypothesis and reference concept) are
+    dropped.
+    """
+
+    def ids(v):
+        if isinstance(v, list):
+            return [ids(x) for x in v]
+        return None if v is None else name(v)
+
+    out = {}
+    for key, v in trace_json.items():
+        if key in ("chosen_point", "leaf", "candidates", "subset_deepest"):
+            out[key] = ids(v)
+        elif key == "subtree":
+            out[key] = v and {k: ids(x) for k, x in v.items()}
+        elif key == "path":
+            out[key] = [[name(a), case, name(b)] for a, case, b in v]
+        elif key == "stage1":
+            out[key] = v and _renamed(v, name)
+        elif key not in ("hypothesis", "reference_concept", "reference_index"):
+            out[key] = v
     return out
 
 
@@ -378,21 +399,30 @@ def test_learners_on_a_raw_class_match_canonicalize_then_learn(corpus, rng):
             f_canon = canon.index_of(merge[np.flatnonzero(raw.matrix[f_raw])].tolist())
             ctx_raw = prepare_context(raw, f_raw)
             ctx_canon = prepare_context(canon, f_canon)
-            # the same operational tree on both sides: force a descent from
-            # its first unrealized node, if it has one
+            # the same tree on both sides, canon's point j named by the raw
+            # point cols[j]: force a descent from its first unrealized node,
+            # if it has one, carried to canon through the point maps
+            cols = np.unique(merge, return_index=True)[1]
             tree = ctx_raw.tree
-            assert np.array_equal(tree.tour, ctx_canon.tree.tour)
+            assert np.array_equal(tree.tour, cols[ctx_canon.tree.tour])
             unrealized = np.flatnonzero((tree.tin >= 0) & ~tree.proper_mask)[:1].tolist()
-            runs = [(improper_learn, {}), (proper_learn, {})] + [
-                (proper_learn, {"force_chosen_point": x}) for x in unrealized
-            ]
-            sides = ((raw, data_raw, ctx_raw), (canon, data_canon, ctx_canon))
-            for learn, kw in runs:
-                a, b = (
-                    learn(c, d, PARAMS, make_rng(k), context=ctx, greedy=k % 2 == 1, **kw)
-                    for c, d, ctx in sides
+            runs = [(improper_learn, {}, {}), (proper_learn, {}, {})] + [
+                (
+                    proper_learn,
+                    {"force_chosen_point": x},
+                    {"force_chosen_point": int(ctx_canon.point_map[merge[x]])},
                 )
-                assert _operational(a.to_json()) == _operational(b.to_json())
+                for x in unrealized
+            ]
+            for learn, kw_raw, kw_canon in runs:
+                greedy = k % 2 == 1
+                a = learn(raw, data_raw, PARAMS, make_rng(k), context=ctx_raw,
+                          greedy=greedy, **kw_raw)
+                b = learn(canon, data_canon, PARAMS, make_rng(k), context=ctx_canon,
+                          greedy=greedy, **kw_canon)
+                assert _renamed(a.to_json(), int) == _renamed(
+                    b.to_json(), lambda j: int(cols[j])
+                )
                 ones = b.hypothesis.ones
                 assert a.hypothesis.ones == {p for p, q in enumerate(merge) if q in ones}
                 i, j = a.hypothesis.proper_index, b.hypothesis.proper_index

@@ -65,6 +65,9 @@ def test_exponential_mechanism_edge_cases(rng):
     # huge scores must not overflow
     out = exponential_mechanism([("a", 1e6), ("b", 1e6 - 1)], 1.0, 1.0, rng)
     assert out in ("a", "b")
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="NaN"):
+            exponential_mechanism([("a", bad), ("b", 1.0)], 1.0, 1.0, rng)
 
 
 def test_choosing_mechanism_abstains_on_zero_scores(rng):
@@ -220,3 +223,31 @@ def test_privacy_params_validation():
     with pytest.raises(ValueError):
         PrivacyParams(1.0, 1.0)
     assert PrivacyParams(0.0, 0.0).epsilon == 0.0
+
+
+def _choice_draw(logits, rng):
+    """The softmax draw through ``rng.choice(p=...)``, the reference."""
+    weights = np.exp(logits - logits.max())
+    return int(rng.choice(len(weights), p=weights / weights.sum()))
+
+
+def test_softmax_draws_match_rng_choice():
+    # both mechanisms draw as rng.choice(p=...) does: the same outcome at
+    # the same seed, and the same generator state afterwards
+    src = np.random.default_rng(2024)
+    for seed in range(1000):
+        k = int(src.integers(1, 60))
+        scores = src.integers(0, 10 ** int(src.integers(1, 6)), size=k).astype(float)
+        eps = float(src.uniform(0.05, 1.9))
+        a, b = np.random.default_rng(seed), np.random.default_rng(seed)
+        cands = [(f"z{i}", s) for i, s in enumerate(scores.tolist())]
+        got = exponential_mechanism(cands, 1.0, eps, a)
+        assert got == f"z{_choice_draw(eps * scores / 2.0, b)}"
+        assert a.bit_generator.state == b.bit_generator.state
+
+        values = src.integers(0, k, size=int(src.integers(1, 200)))
+        m = np.arange(k)
+        utility = np.minimum((values[:, None] <= m).sum(0), (values[:, None] >= m).sum(0))
+        got = private_median(values.tolist(), k - 1, 0.25, PrivacyParams(eps), 0.1, a)
+        assert got == _choice_draw(eps * utility.astype(float) / 2.0, b)
+        assert a.bit_generator.state == b.bit_generator.state

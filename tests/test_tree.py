@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import sys
 
 import numpy as np
 import pytest
@@ -27,7 +28,8 @@ from vc1learn import (
     upward_closure,
     vc_dimension,
 )
-from vc1learn.tree import tree_from_matrix
+
+from conftest import renamed_tree
 
 X1, X2, X3, X4, X5, X6, X7 = range(7)
 
@@ -167,21 +169,52 @@ def test_tree_matches_dense_reference(example_cls, modified_cls, corpus):
     )
 )
 def test_tree_raises_exactly_when_dense_reference_does(shape_rows):
-    # a random canonical class holding the all-zeros concept: both builds
-    # agree, raise alike, and raise exactly at VC dimension 2 or more
+    # a random class holding the all-zeros concept, canonicalized: both
+    # builds agree, raise alike, and raise exactly at VC dimension 2 or
+    # more; prepare_context on the class as drawn, with its repeated rows
+    # and columns, gives the same tree on the lowest point of each column
     n, rows = shape_rows
     m = np.array([[False] * n] + rows, dtype=bool).reshape(len(rows) + 1, n)
-    cls, _ = canonicalize(ConceptClass(m, [f"c{i}" for i in range(len(m))]))
+    raw = ConceptClass(m, [f"c{i}" for i in range(len(m))])
+    cls, merge = canonicalize(raw)
     try:
         ref = dense_tree(cls.matrix)
     except ValueError as exc:
-        with pytest.raises(ValueError) as info:
-            tree_from_matrix(cls.packed, cls.domain_size)
-        assert str(info.value) == str(exc)
+        for build in (lambda: make_tree(cls), lambda: prepare_context(raw)):
+            with pytest.raises(ValueError) as info:
+                build()
+            assert str(info.value) == str(exc)
         assert vc_dimension(cls) >= 2
         return
-    assert_same_tree(tree_from_matrix(cls.packed, cls.domain_size), ref)
+    assert_same_tree(make_tree(cls), ref)
+    tree = prepare_context(raw).tree
+    for name, want in renamed_tree(ref, np.unique(merge, return_index=True)[1], n).items():
+        assert np.array_equal(getattr(tree, name), want), name
     assert vc_dimension(cls) <= 1
+
+
+def test_prepare_context_and_make_tree_scan_columns_once(monkeypatch, example_cls):
+    # the tree is built from the reduction's own column scan
+    calls = []
+    scan = sys.modules["vc1learn.concepts"].column_scan
+
+    def counted(*args):
+        calls.append(args)
+        return scan(*args)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("vc1learn") and hasattr(module, "column_scan"):
+            monkeypatch.setattr(module, "column_scan", counted)
+    chain, bushy = thresholds_class(300), random_tree_class(64, seed=3)
+    builds = (
+        lambda: prepare_context(chain),
+        lambda: prepare_context(bushy, 5),
+        lambda: make_tree(example_cls),
+    )
+    for build in builds:
+        calls.clear()
+        build()
+        assert len(calls) == 1
 
 
 def test_make_tree_singleton_class_is_root_only():
@@ -195,9 +228,11 @@ def test_make_tree_singleton_class_is_root_only():
 
 
 def test_make_tree_requires_canonical():
-    cls = ConceptClass.from_ones(2, [set(), {0}, {0}])
-    with pytest.raises(ValueError, match="canonical"):
-        make_tree(cls)
+    # a repeated concept, then two equal columns
+    for ones_sets in ([set(), {0}, {0}], [set(), {0, 1}]):
+        cls = ConceptClass.from_ones(2, ones_sets)
+        with pytest.raises(ValueError, match="canonical"):
+            make_tree(cls)
 
 
 def test_make_tree_requires_all_zeros_concept():
