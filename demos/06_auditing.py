@@ -21,7 +21,7 @@ est = v.dp_audit(mech, d0, d1, 200_000, 0.0, v.make_rng(0))
 print(f"  estimated lower bound {est:.3f} vs claimed {claimed.epsilon}")
 
 print("\nnon-private mechanism (publishes the bit): refuted immediately")
-leak = lambda data, rng: int(data.labels[0])
+leak = v.repeated(lambda data, rng: int(data.labels[0]))  # dp_audit takes batches
 print(f"  estimated lower bound {v.dp_audit(leak, d0, d1, TRIALS, 0.0, v.make_rng(1)):.2f}")
 
 for name, scenario in [

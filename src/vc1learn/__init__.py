@@ -38,6 +38,7 @@ from .learners import (
     ProperTrace,
     SampleBudget,
     improper_learn,
+    improper_learn_runs,
     partition,
     prepare_context,
     proper_learn,
@@ -68,6 +69,7 @@ from .oracles import (
     floor_log2,
     littlestone_dimension,
     optimal_composition,
+    repeated,
     thresholds_dimension,
     vc_dimension,
 )

@@ -1,22 +1,25 @@
 """Ready-made neighboring-dataset scenarios for the privacy auditor.
 
 Each builder returns ``(mechanism, data_a, data_b, claimed)``: an opaque
-randomized map from datasets to finite outcomes, two datasets differing in
-one entry, and the budget the mechanism is supposed to satisfy. The
-randomized-response scenario has analytically known outcome probabilities
-and calibrates the auditor itself.
+randomized map from datasets to finite outcomes in :func:`dp_audit`'s
+batched form, two datasets differing in one entry, and the budget the
+mechanism is supposed to satisfy. The mechanisms of single primitives are
+one-run functions lifted by :func:`repeated`, so their draws are those of
+back-to-back calls; the learner scenarios run a batch of learner runs at
+once. The randomized-response scenario has analytically known outcome
+probabilities and calibrates the auditor itself.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Callable, Hashable
+from typing import Callable, Hashable, Sequence
 
 import numpy as np
 
 from .concepts import ConceptClass, Dataset
 from .generators import example_class
-from .learners import LearnParams, LearnerContext, improper_learn, prepare_context
+from .learners import LearnParams, LearnerContext, improper_learn_runs, prepare_context
 from .mechanisms import (
     ChoosingInstance,
     PrivacyParams,
@@ -25,9 +28,11 @@ from .mechanisms import (
     laplace_sample,
     private_median,
 )
+from .oracles import repeated
 
+# (mechanism(data, rng, k) -> k outcomes, data_a, data_b, claimed budget)
 AuditScenario = tuple[
-    Callable[[Dataset, np.random.Generator], Hashable],
+    Callable[[Dataset, np.random.Generator, int], Sequence[Hashable]],
     Dataset,
     Dataset,
     PrivacyParams,
@@ -44,7 +49,7 @@ def randomized_response_scenario(epsilon: float = 1.0) -> AuditScenario:
 
     d0 = Dataset.from_pairs([(0, 0)])
     d1 = Dataset.from_pairs([(0, 1)])
-    return mech, d0, d1, PrivacyParams(epsilon, 0.0)
+    return repeated(mech), d0, d1, PrivacyParams(epsilon, 0.0)
 
 
 def laplace_scenario(epsilon: float = 1.0) -> AuditScenario:
@@ -57,7 +62,7 @@ def laplace_scenario(epsilon: float = 1.0) -> AuditScenario:
     other = list(base)
     other[0] = (0, 1)
     return (
-        mech,
+        repeated(mech),
         Dataset.from_pairs(base),
         Dataset.from_pairs(other),
         PrivacyParams(epsilon, 0.0),
@@ -77,7 +82,7 @@ def exponential_mechanism_scenario(epsilon: float = 1.0) -> AuditScenario:
     other = list(base)
     other[0] = (1, 0)
     return (
-        mech,
+        repeated(mech),
         Dataset.from_pairs(base),
         Dataset.from_pairs(other),
         PrivacyParams(epsilon, 0.0),
@@ -99,7 +104,7 @@ def choosing_scenario(epsilon: float = 1.0, delta: float = 1e-6) -> AuditScenari
     other = list(base)
     other[-1] = (2, 0)
     return (
-        mech,
+        repeated(mech),
         Dataset.from_pairs(base),
         Dataset.from_pairs(other),
         PrivacyParams(epsilon, delta),
@@ -123,7 +128,7 @@ def median_scenario(epsilon: float = 1.0) -> AuditScenario:
     other = list(base)
     other[0] = (8, 0)
     return (
-        mech,
+        repeated(mech),
         Dataset.from_pairs(base),
         Dataset.from_pairs(other),
         PrivacyParams(epsilon, 0.0),
@@ -142,15 +147,17 @@ def improper_learner_scenario(
     The learner runs with alpha 0.2 and beta 0.1 on ``cls``, the example
     class by default. The two datasets are realizable labelings of ``n``
     examples differing in one example. Outcomes are the output hypothesis
-    1-sets, a finite space.
+    1-sets, a finite space. The mechanism hands each batch of ``k`` trials
+    to :func:`improper_learn_runs` as ``k`` runs, so its draws are laid
+    out as that function lays them out, not as ``k`` separate calls.
     """
     cls = cls if cls is not None else example_class()
     ctx = context if context is not None else prepare_context(cls)
     params = LearnParams(alpha=0.2, beta=0.1, privacy=PrivacyParams(epsilon, delta))
 
-    def mech(data: Dataset, rng: np.random.Generator) -> frozenset[int]:
-        trace = improper_learn(cls, data, params, rng, context=ctx)
-        return trace.hypothesis.ones
+    def mech(data: Dataset, rng: np.random.Generator, k: int) -> list[frozenset[int]]:
+        traces = improper_learn_runs(cls, data, params, rng, k, context=ctx)
+        return [trace.hypothesis.ones for trace in traces]
 
     target = cls.concepts[-2]
     pairs = [(i % cls.domain_size, target(i % cls.domain_size)) for i in range(n)]

@@ -49,6 +49,9 @@ class Dataset:
     Backed by read-only numpy arrays so that million-example datasets stay
     cheap. Values are checked before the int64/uint8 casts, so a label off
     {0, 1} or a point that is no nonnegative integer raises ``ValueError``.
+    An array that already has its dtype is not copied: the dataset holds a
+    read-only view of it and so shares the caller's memory, and the
+    caller's array stays writeable.
     """
 
     points: np.ndarray
@@ -65,8 +68,8 @@ class Dataset:
             # a uint64 point past the int64 range casts to a negative one
             if pts.dtype.kind not in "iu" or pts.astype(np.int64, copy=False).min() < 0:
                 raise ValueError("points must be nonnegative integers")
-        pts = pts.astype(np.int64, copy=False)
-        labs = labs.astype(np.uint8, copy=False)
+        pts = pts.astype(np.int64, copy=False).view()
+        labs = labs.astype(np.uint8, copy=False).view()
         pts.flags.writeable = False
         labs.flags.writeable = False
         object.__setattr__(self, "points", pts)

@@ -41,12 +41,12 @@ from .concepts import (
 from .mechanisms import (
     ChoosingInstance,
     PrivacyParams,
+    _median_rows,
     advanced_composition,
     choosing_mechanism,
     choosing_utility_bound,
     exponential_mechanism,
     laplace_sample,
-    private_median,
     required_median_size,
 )
 from .tree import (
@@ -165,12 +165,20 @@ def partition(dataset: Dataset, t: int, rng: np.random.Generator) -> np.ndarray:
     """
     if t < 1:
         raise ValueError("t must be at least 1")
-    n = len(dataset)
-    if n < t:
+    if len(dataset) < t:
         raise ValueError("dataset smaller than the number of subsets")
-    perm = rng.permutation(n)
-    ids = np.empty(n, dtype=np.int32)
-    ids[perm] = np.tile(np.arange(t, dtype=np.int32), -(-n // t))[:n]
+    return _deal(len(dataset), t, rng, 1)[0]
+
+
+def _deal(n: int, t: int, rng: np.random.Generator, runs: int) -> np.ndarray:
+    """:func:`partition`'s subset ids for ``runs`` runs, one row each.
+
+    Each row draws its own ``rng.permutation(n)``, in row order.
+    """
+    deal = np.tile(np.arange(t, dtype=np.int32), -(-n // t))[:n]
+    ids = np.empty((runs, n), dtype=np.int32)
+    for row in ids:
+        row[rng.permutation(n)] = deal
     return ids
 
 
@@ -197,6 +205,21 @@ class LearnerContext:
         row = self.base.matrix[self.f_index].astype(np.uint8)
         row.flags.writeable = False
         return row
+
+    @cached_property
+    def abstained(self) -> Hypothesis:
+        """The hypothesis of a run whose selection abstained: the root's."""
+        return _back_transform(self, None)
+
+    @cached_property
+    def nodes_by_depth(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(nodes, starts)``: the tree points at depth ``z`` are
+        ``nodes[starts[z]:starts[z + 1]]``, ascending, for ``z`` in [0, height]."""
+        tree = self.tree
+        nodes = np.flatnonzero(tree.tin >= 0)
+        counts = np.bincount(tree.depth[nodes], minlength=tree.height + 1)
+        starts = np.concatenate(([0], counts.cumsum()))
+        return nodes[np.argsort(tree.depth[nodes], kind="stable")], starts
 
     @property
     def depth_vec(self) -> np.ndarray:
@@ -309,23 +332,28 @@ def _subset_summaries(
     depth 0 when nothing is forced). A subset that no concept is
     consistent with gets that same data-independent summary, so that one
     changed example moves one summary and the learner never raises on the
-    data.
+    data. ``ids`` may have one row per run, shape ``(R, len(points))``;
+    the summaries then have shape ``(R, t)``, from one
+    :func:`forced_nodes` call.
     """
     _check_domain(ctx, points)
     n = len(ctx.tree.tin)
-    # row i: where subset i has relabeled 0s in columns [0, n) and 1s in
-    # [n, 2n), all rows scattered at once through their flat positions
-    dtype = np.int32 if t * 2 * n < 2**31 else np.int64
+    runs = ids.size // len(points)
+    # row r t + i: where subset i of run r has relabeled 0s in columns
+    # [0, n) and 1s in [n, 2n), all rows scattered at once through their
+    # flat positions
+    dtype = np.int32 if runs * t * 2 * n < 2**31 else np.int64
     flat = np.multiply(ids, 2 * n, dtype=dtype)
     flat += ctx.code[labels, points]
-    pres = np.zeros((t, 2 * n), dtype=bool)
-    pres.ravel()[flat] = True
+    if runs > 1:
+        flat += np.arange(0, runs * t * 2 * n, t * 2 * n, dtype=dtype)[:, None]
+    pres = np.zeros((runs * t, 2 * n), dtype=bool)
+    pres.ravel()[flat.ravel()] = True
     # forced_nodes gives inconsistent subsets deepest -1, like empty ones
     deepest, _ = forced_nodes(ctx.tree, pres[:, :n], pres[:, n:])
-    depths = np.zeros(t, dtype=np.int64)
-    hit = deepest >= 0
-    depths[hit] = ctx.tree.depth[deepest[hit]]
-    return deepest, depths
+    depths = np.where(deepest >= 0, ctx.tree.depth[deepest], 0)
+    shape = ids.shape[:-1] + (t,)
+    return deepest.reshape(shape), depths.reshape(shape)
 
 
 def _back_transform(ctx: LearnerContext, x: int | None) -> Hypothesis:
@@ -389,7 +417,9 @@ def improper_learn(
     Raises ``ValueError`` before touching the data unless eps is in
     (0, 2) and delta is positive. A subset that no concept is consistent
     with is summarised as forcing nothing, so the run never raises on the
-    data.
+    data. The run draws, in order, the shuffle, the median's uniform, the
+    gate's uniform and, when the gate passes, the selection's uniform; it
+    is :func:`improper_learn_runs` at one run.
 
     Keyword-only hooks exist for tests and pipelines: ``subset_ids``
     bypasses partitioning, with ``dataset`` the whole stage-1 sample and
@@ -400,65 +430,112 @@ def improper_learn(
     represents the class against its first concept.
     """
     ctx = _checked_context(cls, params, context)
+    return _improper_runs(ctx, dataset, params, rng, 1, subset_ids, force_median, greedy)[0]
 
+
+def improper_learn_runs(
+    cls: ConceptClass,
+    dataset: Dataset | None,
+    params: LearnParams,
+    rng: np.random.Generator,
+    runs: int,
+    *,
+    context: LearnerContext | None = None,
+) -> list[ImproperTrace]:
+    """``runs`` independent runs of :func:`improper_learn` on one dataset.
+
+    Each run partitions the dataset afresh and spends (2 eps, 2 delta),
+    so the ``runs`` outputs together spend ``runs`` times that: a batch is
+    for audits and experiments that replay the learner, not for releasing
+    several hypotheses about one sample. The runs share one scatter of all
+    their subsets and one :func:`forced_nodes` call, so a batch of
+    audit-sized runs costs far less per run than separate calls; its
+    working memory grows with ``runs`` times the dataset and times the
+    subset count by the domain size.
+
+    The draws are the runs' shuffles in run order, then one uniform per
+    run for the medians, then each run's gate and selection uniforms in
+    run order; at one run that is :func:`improper_learn`'s order, and the
+    trace is the same. Raises ``ValueError`` before touching the data when
+    ``runs`` is below 1 or the privacy parameters are out of range.
+    """
+    if runs < 1:
+        raise ValueError("runs must be at least 1")
+    ctx = _checked_context(cls, params, context)
+    return _improper_runs(ctx, dataset, params, rng, runs)
+
+
+def _improper_runs(
+    ctx: LearnerContext,
+    dataset: Dataset | None,
+    params: LearnParams,
+    rng: np.random.Generator,
+    runs: int,
+    subset_ids: np.ndarray | None = None,
+    force_median: int | None = None,
+    greedy: bool = False,
+) -> list[ImproperTrace]:
+    """The improper pipeline for ``runs`` runs at once; the hooks need ``runs`` 1."""
     if dataset is None or len(dataset) == 0:
         raise ValueError("dataset must be non-empty")
-    if subset_ids is None:
-        t = min(sample_budget(params, ctx.tree.height).t, len(dataset))
-        ids = partition(dataset, t, rng)
-    else:
+    if subset_ids is not None:
         ids = np.asarray(subset_ids)
         if ids.shape != dataset.points.shape or ids.min() < 0:
             raise ValueError("subset_ids must be one nonnegative id per example")
         t = int(ids.max()) + 1
+        ids = ids[None]
+    else:
+        t = min(sample_budget(params, ctx.tree.height).t, len(dataset))
+        # one run deals through partition, so that wrappers of it see the call
+        ids = partition(dataset, t, rng)[None] if runs == 1 else _deal(len(dataset), t, rng, runs)
 
     deepest, depths = _subset_summaries(ctx, dataset.points, dataset.labels, ids, t)
-    depth_list = depths.tolist()
-
-    if force_median is not None:
-        z = int(force_median)
-    else:
-        z = private_median(
-            depth_list,
-            ctx.tree.height,
-            MEDIAN_ALPHA,
-            params.privacy,
-            params.beta,
-            rng,
-        )
-
-    # candidates: the tree points at depth z (off the tree, depth is 0 as
-    # well); a score counts the subsets whose forced path passes through it
     tree = ctx.tree
-    cand = np.flatnonzero((tree.depth == z) & (tree.tin >= 0))
-    candidates = cand.tolist()
-    forced_tin = np.sort(tree.tin[deepest[deepest >= 0]])
-    scores = tuple(
-        (
-            np.searchsorted(forced_tin, tree.tout[cand])
-            - np.searchsorted(forced_tin, tree.tin[cand])
-        ).tolist()
-    )
-
-    inst = ChoosingInstance(scores=dict(zip(candidates, scores)), k=1, n=t)
-    if greedy:
-        best = max(scores, default=0)
-        chosen = candidates[scores.index(best)] if best > 0 else None
+    if force_median is not None:
+        medians = [int(force_median)] * runs
     else:
-        chosen = choosing_mechanism(inst, params.privacy, params.beta, rng)
+        medians = _median_rows(depths, tree.height, params.privacy.epsilon, rng).tolist()
 
-    hypothesis = _back_transform(ctx, chosen)
-    return ImproperTrace(
-        reference_concept=ctx.f,
-        reference_index=ctx.f_index,
-        subset_depths=tuple(depth_list),
-        subset_deepest=tuple(None if d < 0 else d for d in deepest.tolist()),
-        median_depth=z,
-        candidates=tuple(candidates),
-        scores=scores,
-        chosen_point=chosen,
-        hypothesis=hypothesis,
+    # a node's score counts the run's subsets whose forced path passes
+    # through it: those whose deepest point lies in its tour interval
+    width = len(tree.tour) + 1
+    run_of, subset = np.nonzero(deepest >= 0)
+    counts = np.bincount(
+        run_of * width + tree.tin[deepest[run_of, subset]] + 1, minlength=runs * width
     )
+    before = counts.reshape(runs, width).cumsum(axis=1)
+    inside = (before[:, tree.tout] - before[:, tree.tin]).tolist()
+
+    depth_lists, deepest_lists = depths.tolist(), deepest.tolist()
+    nodes, starts = ctx.nodes_by_depth
+    lifted = {None: ctx.abstained}
+    traces = []
+    for r, z in enumerate(medians):
+        # candidates: the tree points at depth z (none off [0, height])
+        candidates = nodes[starts[z] : starts[z + 1]].tolist() if 0 <= z <= tree.height else []
+        scores = tuple(inside[r][x] for x in candidates)
+        if greedy:
+            best = max(scores, default=0)
+            chosen = candidates[scores.index(best)] if best > 0 else None
+        else:
+            inst = ChoosingInstance(scores=dict(zip(candidates, scores)), k=1, n=t)
+            chosen = choosing_mechanism(inst, params.privacy, params.beta, rng)
+        if chosen not in lifted:
+            lifted[chosen] = _back_transform(ctx, chosen)
+        traces.append(
+            ImproperTrace(
+                reference_concept=ctx.f,
+                reference_index=ctx.f_index,
+                subset_depths=tuple(depth_lists[r]),
+                subset_deepest=tuple(None if d < 0 else d for d in deepest_lists[r]),
+                median_depth=z,
+                candidates=tuple(candidates),
+                scores=scores,
+                chosen_point=chosen,
+                hypothesis=lifted[chosen],
+            )
+        )
+    return traces
 
 
 def proper_learn(

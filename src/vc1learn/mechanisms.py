@@ -91,21 +91,29 @@ def exponential_mechanism(
         raise ValueError("epsilon must be nonnegative")
     ids = [c[0] for c in candidates]
     scores = np.array([c[1] for c in candidates], dtype=np.float64)
-    return ids[_softmax_draw(epsilon * scores / (2.0 * sensitivity), rng)]
+    logits = epsilon * scores / (2.0 * sensitivity)
+    return ids[int(_softmax_rows(logits[None], rng)[0])]
 
 
-def _softmax_draw(logits: np.ndarray, rng: np.random.Generator) -> int:
-    """An index drawn with probability proportional to ``exp(logits)``.
+def _softmax_rows(logits: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """One index per row of ``logits``, drawn with probability proportional to ``exp``.
 
-    One ``rng.random()`` searched in the normalised CDF: the arithmetic and
-    the random stream of ``rng.choice(len(logits), p=normalised weights)``.
+    ``rng.random(rows)`` searched in each row's normalised CDF: per row, the
+    arithmetic and the random stream of ``rng.choice(k, p=normalised
+    weights)``, and ``rng.random(rows)`` draws what as many
+    ``rng.random()`` calls draw. A row's sum is numpy's pairwise sum over
+    that row, as for a 1-d array.
     """
-    weights = np.exp(logits - logits.max())
-    cdf = np.cumsum(weights / weights.sum())
-    if np.isnan(cdf[-1]):  # a NaN score, or an infinite one: rng.choice's check
+    # the ufuncs' own reduce and accumulate: what max, sum and cumsum
+    # call, without their per-call overhead on short rows
+    weights = np.exp(logits - np.maximum.reduce(logits, axis=1, keepdims=True))
+    cdf = np.add.accumulate(weights / np.add.reduce(weights, axis=1, keepdims=True), axis=1)
+    last = cdf[:, -1:]
+    if np.isnan(last).any():  # a NaN score, or an infinite one: rng.choice's check
         raise ValueError("probabilities contain NaN")
-    cdf /= cdf[-1]
-    return int(cdf.searchsorted(rng.random(), side="right"))
+    cdf /= last
+    # a CDF is nondecreasing, so this count is searchsorted(u, side="right")
+    return np.add.reduce(cdf <= rng.random(len(cdf))[:, None], axis=1)
 
 
 def choosing_mechanism(
@@ -180,12 +188,29 @@ def private_median(
         raise ValueError("alpha must be in (0, 1/2]")
     if min(values) < 0 or max(values) > domain_max:
         raise ValueError("values outside [0, domain_max]")
-    vals = np.sort(np.asarray(values, dtype=np.int64))
-    cands = np.arange(domain_max + 1)
-    n_le = np.searchsorted(vals, cands, side="right")
-    n_ge = len(vals) - np.searchsorted(vals, cands, side="left")
-    utility = np.minimum(n_le, n_ge).astype(np.float64)
-    return _softmax_draw(privacy.epsilon * utility / 2.0, rng)
+    rows = np.asarray([values], dtype=np.int64)
+    return int(_median_rows(rows, domain_max, privacy.epsilon, rng)[0])
+
+
+def _median_rows(
+    values: np.ndarray, domain_max: int, epsilon: float, rng: np.random.Generator
+) -> np.ndarray:
+    """:func:`private_median`'s draw for each row of ``values``, unchecked.
+
+    Row ``r`` holds integers in [0, domain_max]; its rank utilities come
+    from one count per domain value, and the draws from one
+    ``rng.random(rows)``, so a single row draws exactly as one
+    :func:`private_median` call does.
+    """
+    rows, m = values.shape
+    width = domain_max + 1
+    offset = np.arange(0, rows * width, width)[:, None]
+    counts = np.bincount((values + offset).ravel(), minlength=rows * width)
+    counts = counts.reshape(rows, width)
+    n_le = np.add.accumulate(counts, axis=1)
+    utility = np.minimum(n_le, m - n_le + counts)  # #{v <= z} and #{v >= z}
+    # u * (eps / 2) is eps * u / 2 to the bit: halving is exact
+    return _softmax_rows(utility * (epsilon / 2.0), rng)
 
 
 def required_median_size(

@@ -22,9 +22,11 @@ from .concepts import Concept, ConceptClass, Dataset, Hypothesis, NotRealizableE
 
 VC_SCALE_LIMIT = 24
 TD_SCALE_LIMIT = 16
-# dp_audit: joint confidence of its event bounds, and quantile bins for real outcomes
+# dp_audit: joint confidence of its event bounds, quantile bins for real
+# outcomes, and the most trials it asks of the mechanism in one call
 AUDIT_CONFIDENCE = 0.99
 AUDIT_BINS = 64
+AUDIT_BATCH = 256
 
 
 @dataclass(frozen=True)
@@ -38,12 +40,17 @@ class DimensionReport:
 
 @dataclass(frozen=True, eq=False)
 class Distribution:
-    """A probability distribution over domain points."""
+    """A probability distribution over domain points.
+
+    ``weights`` is held as a read-only view: float64 weights are not
+    copied, so the distribution shares the caller's memory, and the
+    caller's array stays writeable.
+    """
 
     weights: np.ndarray
 
     def __post_init__(self) -> None:
-        w = np.asarray(self.weights, dtype=np.float64)
+        w = np.asarray(self.weights, dtype=np.float64).view()
         if w.ndim != 1 or len(w) == 0:
             raise ValueError("weights must be a non-empty 1-d array")
         if w.min() < 0:
@@ -317,8 +324,31 @@ def _direction_bound(
     return best
 
 
-def dp_audit(
+def repeated(
     mechanism: Callable[[Dataset, np.random.Generator], Hashable],
+) -> Callable[[Dataset, np.random.Generator, int], list[Hashable]]:
+    """The batched form of a one-run mechanism: ``k`` calls in a row on one stream."""
+
+    def batched(data: Dataset, rng: np.random.Generator, k: int) -> list[Hashable]:
+        return [mechanism(data, rng) for _ in range(k)]
+
+    return batched
+
+
+def _audit_outcomes(mechanism, data: Dataset, rng: np.random.Generator, trials: int) -> list:
+    """``trials`` outcomes on ``data``, at most :data:`AUDIT_BATCH` per call."""
+    out: list = []
+    for start in range(0, trials, AUDIT_BATCH):
+        k = min(AUDIT_BATCH, trials - start)
+        batch = list(mechanism(data, rng, k))  # an ndarray batch becomes a list
+        if len(batch) != k:
+            raise ValueError(f"mechanism returned {len(batch)} outcomes for {k} trials")
+        out += batch
+    return out
+
+
+def dp_audit(
+    mechanism: Callable[[Dataset, np.random.Generator, int], Sequence[Hashable]],
     data_a: Dataset,
     data_b: Dataset,
     trials: int,
@@ -335,12 +365,18 @@ def dp_audit(
     claimed budget only when it exceeds the claimed epsilon; it can never
     certify privacy. Real-valued outcomes are discretized into
     ``AUDIT_BINS`` quantile bins first.
+
+    The mechanism is batched: ``mechanism(data, rng, k)`` returns ``k``
+    independent outcomes, a sequence or a 1-d array, and is asked for at
+    most ``AUDIT_BATCH`` at a time, all on the stream spawned for that
+    dataset. :func:`repeated` lifts a one-run ``mechanism(data, rng)``
+    without changing its draws.
     """
     if trials <= 0:
         raise ValueError("trials must be positive")
     rng_a, rng_b = rng.spawn(2)
-    out_a = [mechanism(data_a, rng_a) for _ in range(trials)]
-    out_b = [mechanism(data_b, rng_b) for _ in range(trials)]
+    out_a = _audit_outcomes(mechanism, data_a, rng_a, trials)
+    out_b = _audit_outcomes(mechanism, data_b, rng_b, trials)
 
     if out_a and isinstance(out_a[0], (float, np.floating)):
         pooled = np.asarray(out_a + out_b, dtype=np.float64)

@@ -21,6 +21,7 @@ and reusable.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Mapping
 
 import numpy as np
@@ -62,6 +63,11 @@ class ClassTree:
     tout: np.ndarray
     proper: Mapping[int, bool]
     proper_mask: np.ndarray
+
+    @cached_property
+    def tour_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Tour positions, and ``tout`` and ``proper_mask`` in tour order."""
+        return np.arange(len(self.tour)), self.tout[self.tour], self.proper_mask[self.tour]
 
 
 @dataclass(frozen=True, eq=False)
@@ -327,16 +333,15 @@ def forced_nodes(
     tin_d, tout_d = tin[d][:, None], tout[d][:, None]
     # a 1-label off the tree (tin and tout -1) is never on the path
     on_path = (tin <= tin_d) & (tin_d < tout)
-    chain = ~(pres1 & ~on_path).any(axis=1)
+    chain = (pres1 <= on_path).all(axis=1)  # every 1-label on the path
 
     # tour position j lies under a 0-labeled point iff some such point's
     # interval starts at or before j and ends after it
-    pos = np.arange(k)
+    pos, tour_tout, tour_proper = tree.tour_arrays
     blocked_to = np.maximum.accumulate(
-        np.where(pres0[:, tree.tour], tout[tree.tour], 0), axis=1
+        np.where(pres0[:, tree.tour], tour_tout, 0), axis=1
     )
-    proper = tree.proper_mask[tree.tour]
-    live = proper & (blocked_to <= pos) & (tin_d <= pos) & (pos < tout_d)
+    live = tour_proper & (blocked_to <= pos) & (tin_d <= pos) & (pos < tout_d)
     first = live.argmax(axis=1)[:, None]
     last = k - 1 - live[:, ::-1].argmax(axis=1)[:, None]
     lca = np.where((tin <= first) & (last < tout), tin, -1).argmax(axis=1)

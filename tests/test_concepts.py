@@ -297,6 +297,22 @@ def test_dataset_checks_values_before_casting():
     assert len(Dataset.from_pairs([])) == 0
 
 
+def test_dataset_and_distribution_leave_the_callers_arrays_writeable():
+    from vc1learn import Distribution
+
+    points, labels = np.array([0, 1, 2]), np.array([0, 1, 0], dtype=np.uint8)
+    data = Dataset(points, labels)
+    weights = np.full(4, 0.25)
+    dist = Distribution(weights)
+    for own, held in ((points, data.points), (labels, data.labels), (weights, dist.weights)):
+        assert own.flags.writeable and not held.flags.writeable
+        assert np.shares_memory(own, held)  # a view, not a copy
+        with pytest.raises(ValueError):
+            held[0] = 1
+    points[0] = 2  # the caller may still write into its own array
+    assert data.points[0] == 2
+
+
 def test_from_ones_rejects_points_that_are_not_integers():
     for bad in (1.5, True, "2", np.float64(1.0)):
         with pytest.raises(ValueError, match="'b' has non-integer points"):

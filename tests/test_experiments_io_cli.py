@@ -234,7 +234,7 @@ def test_dp_audit_leaves_scipy_stats_out():
     code = (
         "import sys; sys.path.insert(0, sys.argv[1]); import numpy as np; "
         "import vc1learn as v; d = v.Dataset.from_pairs([(0, 1)]); "
-        "v.dp_audit(lambda data, r: int(r.integers(2)), d, d, 50, 1e-5, "
+        "v.dp_audit(v.repeated(lambda data, r: int(r.integers(2))), d, d, 50, 1e-5, "
         "np.random.default_rng(0)); "
         "print('scipy.special' in sys.modules, 'scipy.stats' in sys.modules)"
     )
@@ -477,6 +477,19 @@ def test_cli_audit(tmp_path, capsys):
     assert result["target"] == "rr"
     assert not result["refuted"]
     assert 0.5 <= result["estimated_epsilon_lower_bound"] <= 1.05
+
+
+def test_cli_audit_improper(tmp_path, capsys):
+    out = tmp_path / "audit.json"
+    code = main(
+        ["audit", "--target", "improper", "--trials", "600", "--seed", "3", "--out", str(out)]
+    )
+    assert code == 0
+    result = json.loads(out.read_text())
+    assert result["target"] == "improper" and result["trials"] == 600
+    assert result["claimed_epsilon"] == 2.0 and result["claimed_delta"] == 2e-5
+    assert not result["refuted"]
+    assert 0.0 <= result["estimated_epsilon_lower_bound"] <= 2.0
 
 
 def test_cli_validation_exit_codes(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import re
@@ -17,11 +18,14 @@ from vc1learn import (
     deterministic_oracle,
     dp_audit,
     error_on_distribution,
+    example_class,
     f_represent,
     improper_learn,
+    improper_learn_runs,
     is_canonical,
     make_rng,
     make_tree,
+    modified_example_class,
     optimal_composition,
     partition,
     prepare_context,
@@ -35,6 +39,7 @@ from vc1learn import (
 )
 from vc1learn import learners
 from vc1learn.audit_scenarios import unrealizable_neighbour_scenario
+from vc1learn.oracles import AUDIT_BATCH
 from vc1learn.tree import forced_nodes
 
 from conftest import renamed_tree, represented_class
@@ -751,3 +756,213 @@ def test_trace_serialization(modified_cls):
         '"leaves": [5, 6]}, "path": [[4, "uniform", 6]], "leaf": 6, '
         '"hypothesis": {"ones": [0, 4, 6], "proper_index": 5}, "stage1": null}'
     )
+
+
+# sha256 of the sorted-key JSON of each case's traces over seeds 0-2,
+# recorded before the improper learner ran R runs per call; a change to
+# any fixed-seed trace changes one of these
+PINNED_TRACE_DIGESTS = {
+    "example/improper400": "82003fa4af4decc7dc0f2bd727efca3be42aed189381acafea5cf65dd81ae72f",
+    "example/proper400": "213e63902225b114467a7bab33991f54e9d83e4b3969fc64b984ccac1ba9c0c2",
+    "example/improper60": "4d8340359ba70277147496f652cbfc1000c7a4c18f1bafbbafccbbecaecdd4f1",
+    "example/proper60": "5e0f3540ff545cee099b99ddc2ef3029cb61086935d441442c958f6636566a79",
+    "example/subset_ids": "bf9a2f08b71373b4acbf0ddd8be96686a6468193d251c1ef02327632d81d9fc3",
+    "example/greedy": "2683385d8c516abd07410b3ebd9f27f0baa00ed78be353e9d56df5bda06ec810",
+    "example/force_median": "1349a2f41669170bedd6815a0ee02fe38b6461ab2937e6aec6f74b9cd8be51d6",
+    "example/proper_greedy": "cc033e089e29eeb8b0e768797af5f76d2c10f22dd56fab1de0a31448074577ea",
+    "modified/improper400": "7dcbbaec78d23bbaba46496a543b6c6c0228a33a15efe2c09ea889d5f887f4f4",
+    "modified/proper400": "2683bb5296cc94e7a476f2befd1a72384f3567e4fc266ad0b5230048eb185fd8",
+    "modified/improper60": "c56875679b2ad954b9fc749646ad8b66f531dafeba2e42b58faa2a7ed70dc9ef",
+    "modified/proper60": "f4c441d9823fa6753d56ef5fabf25ea79062b4a121c5d250fddef7efc6bb007b",
+    "modified/subset_ids": "bb8815c3b3ee97ad684f7928a8365505b013bd2349c7baee39c3b13e8311537e",
+    "modified/greedy": "2763fa399a28686784407cb45094e67a24a544dd172a9ca6bcd2fda6bcb5927c",
+    "modified/force_median": "84f9f16ad05b4da42dbb7fd15e1cfc14233ae4c5a73c84dcdbf64e16176a0820",
+    "modified/proper_greedy": "40439d9aad6bbf997b0bb6435fddffcff29ef624cafc4f68e72b63ae8dba883d",
+    "modified/descent": "29cf41150ce9c001659934ae589cd7e1010753eb2713a5e6eb7bd4c4fd1f5d28",
+    "thresholds64/improper400": "f1c39dadfd6daa6e4d41354902841db22354413a6291c05a276e59d34eb8d7e5",
+    "thresholds64/proper400": "95d656a6e9810232dbf5a066f363fa7230a55a74b3be49757bb737adea63cf18",
+    "thresholds64/improper60": "039e1e3e3c05ca90f7a84adbdf8e0283db470e1a877d250d4e9746b2fce6bd48",
+    "thresholds64/proper60": "7d00121da69312746236fd435933bedf8c95874afad33e435bf818e7b0509f98",
+    "thresholds64/subset_ids": "0006709a22a533d4d5a88dca1f9f80124ffa990542ab923c2e3a995c6ca049f4",
+    "thresholds64/greedy": "0289714ec06146ee26fd7ce0924cb0faad7a851e9339405d2d1c85cd4a02e206",
+    "thresholds64/force_median": "1a679338fd6419140a9419fae1e591ffb74074b43df2307a79616c2464c0064f",
+    "thresholds64/proper_greedy": "fbcf63ca9ed7f63facb37c730b715e26101118da10458592ebdf1fbccd95e801",
+    "tree40/improper400": "cca38fd60395e2a3bef21107d39de8a109d2fb932163ac18873b8d0886dab17e",
+    "tree40/proper400": "bb2e67ff1d1497a2fc1f708921554e3001b46f15f74f8abcc01b49f1f11e0194",
+    "tree40/improper60": "fc47c3756c458079467e1b7cf0682012303524420359cff94d71ddd11f48f080",
+    "tree40/proper60": "d66cdfa5e6e58c254040157ee8fd9224e5f5f6d9ea09f4ceafbca18fcdc77931",
+    "tree40/subset_ids": "bfc3b1eb3fb8503e6d213195d0e7c4d16343c7abe3f0d75b6dcd0c300e87b7cb",
+    "tree40/greedy": "14ae13c57e8226cd6f24dd1421c647d17cfe8a0037eecdf49ac4d3289a053248",
+    "tree40/force_median": "a0e58d37651d0e6dea0b9f1cb1636863323499611889b6083c7b473a23714df4",
+    "tree40/proper_greedy": "42852b7191b2c49896e7d6ab84a4562db252ec727e0bef70e2af824401cd6f8c",
+    "tree40/descent": "01a56569a2950eee57034b7a661876ab6fc806a3fd040494c44bbdc0135e26cc",
+    "tree90/improper400": "bbf1accc2b8df26d4a43a86c628815d9db1ddea502a9336ea9ac99e21a6bc16a",
+    "tree90/proper400": "1059fd2d5d6a1bdad4c45b18b7e8725975350b7f71708d2d3f02f0fc60e5581b",
+    "tree90/improper60": "ce7011f6c400f43dc46eb11aba9e9474dbd861ba30ad54a303e4102b9b354ce0",
+    "tree90/proper60": "ed0731274d1fa51c72ee25e7df78f90e2cf582e691f7a5778590575577c113f1",
+    "tree90/subset_ids": "6d711b2cbdde96b0895d26275ef9a78110da81df8b6cb84abe99b29e3f875165",
+    "tree90/greedy": "4f88c2df817e978335cb3774f30253a4ddf16fab80af3bfbbd649cf49bd11fc1",
+    "tree90/force_median": "10191183a0b6a2bb67e2f026d253ccb275f8f3edaf478158233e24ae5e6ac12f",
+    "tree90/proper_greedy": "009f26a7382be623f6b1f51732056c43f3710827336928914cb0a6fef8a60c9c",
+    "tree90/descent": "2cfc6357ac85bb72bd4e9537cf9ed8a297ef58287fbb2d3631d569bc604f0260",
+}
+
+
+def _pinned_trace_cases():
+    """Fixed-seed runs of both learners: private, greedy, forced median,
+    passed subsets and forced descents, on five classes."""
+    loose = LearnParams(alpha=0.3, beta=0.9, privacy=PrivacyParams(1.9, 0.5))
+    audit = LearnParams(alpha=0.2, beta=0.1, privacy=PrivacyParams(1.0, 1e-5))
+    classes = {
+        "example": example_class(),
+        "modified": modified_example_class(),
+        "thresholds64": thresholds_class(64),
+        "tree40": random_tree_class(40, max_children=3, concept_rate=0.5, seed=7),
+        "tree90": random_tree_class(90, max_children=2, concept_rate=0.3, seed=11),
+    }
+    cases = {}
+    for name, cls in classes.items():
+        ctx = prepare_context(cls)
+        w = 0.6 ** ctx.tree.depth[ctx.point_map]
+        dist = Distribution(w / w.sum())
+        target = cls.concepts[len(cls.concepts) // 2]
+        unreal = np.flatnonzero(~ctx.tree.proper_mask & (ctx.tree.tin >= 0))
+        for seed in range(3):
+            def add(kind, trace):
+                cases.setdefault(f"{name}/{kind}", []).append(trace.to_json())
+
+            for params, m in ((loose, 400), (audit, 60)):
+                data = sample_dataset(cls, target, dist, m, make_rng([seed, m]))
+                add(f"improper{m}", improper_learn(cls, data, params, make_rng(seed), context=ctx))
+                add(f"proper{m}", proper_learn(cls, data, params, make_rng(seed), context=ctx))
+            data = sample_dataset(cls, target, dist, 300, make_rng([seed, 9]))
+            run = dict(context=ctx)
+            add("subset_ids", improper_learn(
+                cls, data, loose, make_rng(seed), subset_ids=np.arange(300) % 5, **run))
+            add("greedy", improper_learn(cls, data, loose, make_rng(seed), greedy=True, **run))
+            add("force_median", improper_learn(
+                cls, data, loose, make_rng(seed), force_median=min(seed + 1, ctx.tree.height), **run))
+            add("proper_greedy", proper_learn(cls, data, loose, make_rng(seed), greedy=True, **run))
+            if len(unreal):  # a node no concept realizes: descend from it
+                add("descent", proper_learn(
+                    cls, None, loose, make_rng(seed), stage2=data,
+                    force_chosen_point=int(unreal[seed % len(unreal)]), **run))
+    return cases
+
+
+def test_fixed_seed_traces_match_pinned_digests():
+    cases = _pinned_trace_cases()
+    got = {
+        k: hashlib.sha256(json.dumps(v, sort_keys=True).encode()).hexdigest()
+        for k, v in cases.items()
+    }
+    assert {k: v for k, v in got.items() if PINNED_TRACE_DIGESTS.get(k) != v} == {}
+    assert set(got) == set(PINNED_TRACE_DIGESTS)
+    # the pinned runs select, abstain and descend
+    chosen = [c["chosen_point"] for k, v in cases.items() if "improper" in k for c in v]
+    assert None in chosen and any(x is not None for x in chosen)
+    assert any(c["path"] for k, v in cases.items() if "proper" in k and "improper" not in k for c in v)
+
+
+class _Recorder:
+    """A generator that logs every shuffle and every uniform it hands out."""
+
+    def __init__(self, rng):
+        self.rng, self.log = rng, []
+
+    def permutation(self, n):
+        self.log.append(("permutation", self.rng.permutation(n)))
+        return self.log[-1][1]
+
+    def random(self, size=None):
+        self.log.append(("random", self.rng.random(size)))
+        return self.log[-1][1]
+
+
+class _Replay:
+    """Hands out recorded uniforms in order, one run's share at a time."""
+
+    def __init__(self, uniforms):
+        self.uniforms, self.used = uniforms, 0
+
+    def random(self, size=None):
+        k = 1 if size is None else size
+        out = self.uniforms[self.used : self.used + k]
+        self.used += k
+        return out[0] if size is None else np.array(out)
+
+
+def test_improper_runs_match_single_runs_on_their_draws():
+    # run r of a batch is improper_learn on run r's partition, fed the
+    # batch's median uniform for r and then r's gate and selection draws
+    loose = LearnParams(alpha=0.3, beta=0.9, privacy=PrivacyParams(1.9, 0.5))
+    audit = LearnParams(alpha=0.2, beta=0.1, privacy=PrivacyParams(1.0, 1e-5))
+    _, realizable, unrealizable, _ = unrealizable_neighbour_scenario(1.0, 1e-5)
+    tiny = Dataset(realizable.points[:30], realizable.labels[:30])  # the gate fails
+    cases = [(example_class(), data, params) for data, params in (
+        (tiny, audit), (realizable, audit), (unrealizable, audit), (unrealizable, loose))]
+    for seed in (3, 5):
+        cls = random_tree_class(50, max_children=3, concept_rate=0.5, seed=seed)
+        ctx = prepare_context(cls)
+        w = 0.6 ** ctx.tree.depth[ctx.point_map]
+        target = cls.concepts[len(cls.concepts) // 2]
+        data = sample_dataset(cls, target, Distribution(w / w.sum()), 500, make_rng(seed))
+        cases += [(cls, data, loose)]
+    chosen = set()
+    for i, (cls, data, params) in enumerate(cases):
+        ctx = prepare_context(cls)
+        t = min(sample_budget(params, ctx.tree.height).t, len(data))
+        for runs in (2, 7, 64):
+            rec = _Recorder(make_rng([i, runs]))
+            batch = improper_learn_runs(cls, data, params, rec, runs, context=ctx)
+            assert len(batch) == runs
+            kinds = [kind for kind, _ in rec.log]
+            assert kinds[: runs + 1] == ["permutation"] * runs + ["random"]
+            assert len(rec.log[runs][1]) == runs  # the medians' uniforms, at once
+            later = [float(u) for _, u in rec.log[runs + 1 :] for u in np.atleast_1d(u)]
+            replay = _Replay(later)
+            for r, trace in enumerate(batch):
+                ids = np.empty(len(data), dtype=np.int64)
+                ids[rec.log[r][1]] = np.arange(len(data)) % t
+                replay.uniforms[replay.used : replay.used] = [float(rec.log[runs][1][r])]
+                one = improper_learn(cls, data, params, replay, context=ctx, subset_ids=ids)
+                assert json.dumps(one.to_json()) == json.dumps(trace.to_json()), (i, runs, r)
+                chosen.add(trace.chosen_point is None)
+            assert replay.used == len(replay.uniforms)
+    assert chosen == {True, False}  # runs that abstained and runs that selected
+
+
+def test_improper_runs_of_one_is_improper_learn(example_cls):
+    data = Dataset.from_pairs([(i % 7, example_cls.concepts[-2](i % 7)) for i in range(30)])
+    params = LearnParams(alpha=0.2, beta=0.1, privacy=PrivacyParams(1.0, 1e-5))
+    for seed in range(20):
+        a, b = make_rng(seed), make_rng(seed)
+        (batch,) = improper_learn_runs(example_cls, data, params, a, 1)
+        assert batch.to_json() == improper_learn(example_cls, data, params, b).to_json()
+        assert a.bit_generator.state == b.bit_generator.state
+
+
+def test_improper_runs_validate_before_touching_data(example_cls):
+    rng = make_rng(0)
+    for runs in (0, -3):
+        with pytest.raises(ValueError, match="runs must be at least 1"):
+            improper_learn_runs(example_cls, None, PARAMS, rng, runs)
+    bad = LearnParams(alpha=0.2, beta=0.2, privacy=PrivacyParams(2.0, 1e-5))
+    with pytest.raises(ValueError, match="epsilon"):
+        improper_learn_runs(example_cls, None, bad, rng, 4)
+    assert rng.bit_generator.state == make_rng(0).bit_generator.state
+
+
+def test_audit_batch_memory_is_bounded():
+    # one AUDIT_BATCH batch of the unrealizable neighbour's learner runs
+    # (2,359 examples, t = 337) peaks at about 20 MiB, and at 81 MiB for 1,024 runs
+    mech, _, data_b, _ = unrealizable_neighbour_scenario(1.0, 1e-5)
+    mech(data_b, make_rng(0), 2)  # builds the context's cached tables
+    tracemalloc.start()
+    try:
+        outcomes = mech(data_b, make_rng(1), AUDIT_BATCH)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(outcomes) == AUDIT_BATCH
+    assert peak <= 64 * 2**20, peak / 2**20

@@ -27,12 +27,19 @@ from vc1learn import (
     optimal_composition,
     point_functions_class,
     random_tree_class,
+    repeated,
     thresholds_class,
     thresholds_dimension,
     vc_dimension,
 )
-from vc1learn.audit_scenarios import randomized_response_scenario
-from vc1learn.oracles import _clopper_pearson
+from vc1learn.audit_scenarios import (
+    choosing_scenario,
+    exponential_mechanism_scenario,
+    laplace_scenario,
+    median_scenario,
+    randomized_response_scenario,
+)
+from vc1learn.oracles import AUDIT_BATCH, _clopper_pearson
 
 
 def powerset_class(n):
@@ -145,7 +152,7 @@ def test_deterministic_oracle_edges(example_cls):
 
 
 def test_dp_audit_constant_mechanism(rng):
-    mech = lambda data, r: 0
+    mech = repeated(lambda data, r: 0)
     d0 = Dataset.from_pairs([(0, 0)])
     d1 = Dataset.from_pairs([(0, 1)])
     assert dp_audit(mech, d0, d1, 20_000, 0.0, rng) <= 0.05
@@ -158,7 +165,7 @@ def test_dp_audit_randomized_response_calibration():
 
 
 def test_dp_audit_catches_a_leaky_mechanism(rng):
-    leaky = lambda data, r: int(data.labels[0])  # publishes the bit
+    leaky = repeated(lambda data, r: int(data.labels[0]))  # publishes the bit
     d0 = Dataset.from_pairs([(0, 0)])
     d1 = Dataset.from_pairs([(0, 1)])
     assert dp_audit(leaky, d0, d1, 20_000, 0.0, rng) > 3.0
@@ -181,15 +188,67 @@ def test_clopper_pearson_equals_scipy_stats_beta_ppf():
 
 def test_dp_audit_validates_trials(rng):
     with pytest.raises(ValueError):
-        dp_audit(lambda d, r: 0, Dataset.from_pairs([]), Dataset.from_pairs([]), 0, 0.0, rng)
+        dp_audit(
+            repeated(lambda d, r: 0), Dataset.from_pairs([]), Dataset.from_pairs([]), 0, 0.0, rng
+        )
 
 
 def test_dp_audit_bins_real_outputs(rng):
-    mech = lambda data, r: float(data.labels.sum()) + r.normal()
+    mech = repeated(lambda data, r: float(data.labels.sum()) + r.normal())
     d0 = Dataset.from_pairs([(0, 0)] * 3)
     d1 = Dataset.from_pairs([(0, 1)] + [(0, 0)] * 2)
     est = dp_audit(mech, d0, d1, 30_000, 0.0, rng)
     assert np.isfinite(est) and est >= 0.0
+
+
+def test_dp_audit_asks_for_at_most_a_batch_per_call(rng):
+    asked = []
+
+    def counting(data, r, k):
+        asked.append(k)
+        return [0] * k
+
+    d = Dataset.from_pairs([(0, 0)])
+    trials = 2 * AUDIT_BATCH + 5
+    assert dp_audit(counting, d, d, trials, 0.0, rng) == 0.0
+    assert AUDIT_BATCH >= 64 and max(asked) <= AUDIT_BATCH
+    assert sum(asked) == 2 * trials and len(asked) == 6
+    with pytest.raises(ValueError, match="returned 1 outcomes for 5 trials"):
+        dp_audit(lambda data, r, k: [0], d, d, 5, 0.0, rng)
+
+
+def test_dp_audit_of_lifted_scenarios_keeps_its_estimates():
+    # recorded with each one-run mechanism called trials times in a row
+    expected = {
+        "rr": 0.8698320186060138,
+        "laplace": 0.8894983512441216,
+        "em": 0.3357398390598449,
+        "choosing": 0.0,
+        "median": 0.4009423965502306,
+    }
+    scenarios = {
+        "rr": randomized_response_scenario(1.0),
+        "laplace": laplace_scenario(1.0),
+        "em": exponential_mechanism_scenario(1.0),
+        "choosing": choosing_scenario(1.0, 1e-6),
+        "median": median_scenario(1.0),
+    }
+    for idx, (name, (mech, d_a, d_b, claimed)) in enumerate(scenarios.items()):
+        est = dp_audit(mech, d_a, d_b, 3000, claimed.delta, make_rng(500 + idx))
+        assert est == expected[name], name
+
+
+def test_dp_audit_bins_a_batch_of_real_outputs_given_as_an_array():
+    # an array batch must be taken as k outcomes: adding the two sides'
+    # arrays would sum them elementwise instead of pooling them
+    d0 = Dataset.from_pairs([(0, 0)] * 3)
+    d1 = Dataset.from_pairs([(0, 1)] + [(0, 0)] * 2)
+    as_array = lambda data, r, k: float(data.labels.sum()) + r.normal(size=k)
+    one_run = repeated(lambda data, r: float(data.labels.sum()) + r.normal())
+    est = dp_audit(as_array, d0, d1, 3000, 0.0, make_rng(8))
+    # recorded with the one-run mechanism called 3,000 times in a row;
+    # normal(size=k) draws what k normal() calls draw
+    assert est == dp_audit(one_run, d0, d1, 3000, 0.0, make_rng(8)) == 1.5154387185765679
 
 
 def _randomized_response_delta(eps, k, eps_total):
