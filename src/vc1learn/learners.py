@@ -8,10 +8,15 @@ back-transforms to an accurate hypothesis on the class's own domain.
 * :func:`improper_learn` partitions the sample, summarizes each subset by
   its deepest forced point, takes a private median of those depths, and
   privately selects among the points at the median depth. Its output may
-  fall outside the class. Subsets stay flat: a subset is an id per
-  example, given by :func:`partition` or by the caller, and one scatter of
-  (subset, point, label) codes into a presence matrix feeds the summaries
-  of all subsets at once.
+  fall outside the class. Subsets stay flat: each example's presence code
+  (its point's tour position and its relabeled label) is shuffled
+  directly and dealt round-robin, and one scatter fills a point-major
+  presence matrix, a row per code and a column per subset, whose
+  summaries :func:`~vc1learn.tree.forced_nodes` computes across all
+  subsets at once. :func:`improper_learn_runs` puts the subsets of many
+  runs in one such matrix, and draws their medians and selections in one
+  pass each; :func:`partition` remains the reference definition of the
+  subsets.
 * :func:`proper_learn` runs the improper stage on one slice of the data
   and, when the selected node's path is not realized by a class member,
   descends the pruned subtree with noisy weight tests and exponential
@@ -41,9 +46,9 @@ from .concepts import (
 from .mechanisms import (
     ChoosingInstance,
     PrivacyParams,
+    _choosing_rows,
     _median_rows,
     advanced_composition,
-    choosing_mechanism,
     choosing_utility_bound,
     exponential_mechanism,
     laplace_sample,
@@ -53,6 +58,7 @@ from .tree import (
     ClassTree,
     SubTree,
     _check_in_tree,
+    _tour_rows,
     forced_nodes,
     make_subtree,
     node_stats,
@@ -161,24 +167,16 @@ def partition(dataset: Dataset, t: int, rng: np.random.Generator) -> np.ndarray:
     Returns the int32 subset id of every example: with ``perm`` the
     shuffle, the ``j``-th example dealt, ``perm[j]``, goes to subset
     ``j % t``, so subset ``i`` holds the examples ``perm[i::t]``. Subset
-    sizes differ by at most one and no per-subset copy is built.
+    sizes differ by at most one and no per-subset copy is built. This is
+    the reference definition of the learners' subsets; they shuffle the
+    examples' presence codes with the same draws instead of building ids.
     """
     if t < 1:
         raise ValueError("t must be at least 1")
     if len(dataset) < t:
         raise ValueError("dataset smaller than the number of subsets")
-    return _deal(len(dataset), t, rng, 1)[0]
-
-
-def _deal(n: int, t: int, rng: np.random.Generator, runs: int) -> np.ndarray:
-    """:func:`partition`'s subset ids for ``runs`` runs, one row each.
-
-    Each row draws its own ``rng.permutation(n)``, in row order.
-    """
-    deal = np.tile(np.arange(t, dtype=np.int32), -(-n // t))[:n]
-    ids = np.empty((runs, n), dtype=np.int32)
-    for row in ids:
-        row[rng.permutation(n)] = deal
+    ids = np.empty(len(dataset), dtype=np.int32)
+    ids[rng.permutation(len(dataset))] = np.arange(len(dataset)) % t
     return ids
 
 
@@ -212,14 +210,14 @@ class LearnerContext:
         return _back_transform(self, None)
 
     @cached_property
-    def nodes_by_depth(self) -> tuple[np.ndarray, np.ndarray]:
-        """``(nodes, starts)``: the tree points at depth ``z`` are
-        ``nodes[starts[z]:starts[z + 1]]``, ascending, for ``z`` in [0, height]."""
+    def candidates(self) -> tuple[tuple[int, ...], ...]:
+        """The tree points at depth ``z``, ascending, for ``z`` in [0, height]."""
         tree = self.tree
         nodes = np.flatnonzero(tree.tin >= 0)
         counts = np.bincount(tree.depth[nodes], minlength=tree.height + 1)
-        starts = np.concatenate(([0], counts.cumsum()))
-        return nodes[np.argsort(tree.depth[nodes], kind="stable")], starts
+        ordered = nodes[np.argsort(tree.depth[nodes], kind="stable")].tolist()
+        starts = np.concatenate(([0], counts.cumsum())).tolist()
+        return tuple(tuple(ordered[i:j]) for i, j in zip(starts, starts[1:]))
 
     @property
     def depth_vec(self) -> np.ndarray:
@@ -236,6 +234,20 @@ class LearnerContext:
         n = len(self.tree.tin)
         flipped = np.stack([self.f_row, self.f_row ^ 1]).astype(np.int32)
         c = self.point_map.astype(np.int32) + n * flipped
+        c.flags.writeable = False
+        return c
+
+    @cached_property
+    def tour_code(self) -> np.ndarray:
+        """``tour_code[l, p]``: the presence row of input example ``(p, l)``.
+
+        In :func:`forced_nodes`'s point-major layout, with ``k`` tour
+        positions: the row of ``point_map[p]`` (``k`` off the tree), plus
+        ``k + 1`` when the relabeled label ``l ^ f_row[p]`` is 1.
+        """
+        rows = _tour_rows(self.tree, self.point_map)
+        flipped = np.stack([self.f_row, self.f_row ^ 1]).astype(np.int32)
+        c = rows.astype(np.int32) + (len(self.tree.tour) + 1) * flipped
         c.flags.writeable = False
         return c
 
@@ -332,28 +344,25 @@ def _subset_summaries(
     depth 0 when nothing is forced). A subset that no concept is
     consistent with gets that same data-independent summary, so that one
     changed example moves one summary and the learner never raises on the
-    data. ``ids`` may have one row per run, shape ``(R, len(points))``;
-    the summaries then have shape ``(R, t)``, from one
-    :func:`forced_nodes` call.
+    data.
     """
     _check_domain(ctx, points)
-    n = len(ctx.tree.tin)
-    runs = ids.size // len(points)
-    # row r t + i: where subset i of run r has relabeled 0s in columns
-    # [0, n) and 1s in [n, 2n), all rows scattered at once through their
-    # flat positions
-    dtype = np.int32 if runs * t * 2 * n < 2**31 else np.int64
-    flat = np.multiply(ids, 2 * n, dtype=dtype)
-    flat += ctx.code[labels, points]
-    if runs > 1:
-        flat += np.arange(0, runs * t * 2 * n, t * 2 * n, dtype=dtype)[:, None]
-    pres = np.zeros((runs * t, 2 * n), dtype=bool)
-    pres.ravel()[flat.ravel()] = True
+    pres = np.zeros((2 * len(ctx.tree.tour) + 2, t), dtype=bool)
+    pres[ctx.tour_code[labels, points], ids] = True
+    return _summaries(ctx, pres)
+
+
+def _summaries(ctx: LearnerContext, pres: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Summaries of the subsets of a point-major presence matrix.
+
+    ``pres`` has a column per subset and the rows of
+    :attr:`LearnerContext.tour_code`: relabeled 0s, then 1s.
+    """
+    k = len(ctx.tree.tour)
     # forced_nodes gives inconsistent subsets deepest -1, like empty ones
-    deepest, _ = forced_nodes(ctx.tree, pres[:, :n], pres[:, n:])
+    deepest, _ = forced_nodes(ctx.tree, pres[: k + 1], pres[k + 1 :])
     depths = np.where(deepest >= 0, ctx.tree.depth[deepest], 0)
-    shape = ids.shape[:-1] + (t,)
-    return deepest.reshape(shape), depths.reshape(shape)
+    return deepest, depths
 
 
 def _back_transform(ctx: LearnerContext, x: int | None) -> Hypothesis:
@@ -423,11 +432,13 @@ def improper_learn(
 
     Keyword-only hooks exist for tests and pipelines: ``subset_ids``
     bypasses partitioning, with ``dataset`` the whole stage-1 sample and
-    ``subset_ids[j]`` the subset of example ``j``; the subset count is the
-    largest id plus one. ``force_median`` pins the median outcome,
-    ``greedy`` replaces each mechanism by its utility-optimal branch, and
-    ``context`` passes a prebuilt :func:`prepare_context`; the default
-    represents the class against its first concept.
+    ``subset_ids[j]`` the subset of example ``j``, an integer array
+    (anything else raises ``ValueError`` before the data is touched); the
+    subset count is the largest id plus one. ``force_median`` pins the
+    median outcome, ``greedy`` replaces each mechanism by its
+    utility-optimal branch, and ``context`` passes a prebuilt
+    :func:`prepare_context`; the default represents the class against its
+    first concept.
     """
     ctx = _checked_context(cls, params, context)
     return _improper_runs(ctx, dataset, params, rng, 1, subset_ids, force_median, greedy)[0]
@@ -447,13 +458,16 @@ def improper_learn_runs(
     Each run partitions the dataset afresh and spends (2 eps, 2 delta),
     so the ``runs`` outputs together spend ``runs`` times that: a batch is
     for audits and experiments that replay the learner, not for releasing
-    several hypotheses about one sample. The runs share one scatter of all
-    their subsets and one :func:`forced_nodes` call, so a batch of
-    audit-sized runs costs far less per run than separate calls; its
-    working memory grows with ``runs`` times the dataset and times the
-    subset count by the domain size.
+    several hypotheses about one sample. The runs shuffle the examples'
+    presence codes as the rows of one array, with no subset-id array, and
+    share one scatter into a point-major presence matrix (a row per code,
+    a column per subset of every run), one :func:`forced_nodes` call and
+    one gate-and-selection pass, so a batch of audit-sized runs costs far
+    less per run than separate calls; its working memory grows with
+    ``runs`` times the dataset and times the subset count by the tree size.
 
-    The draws are the runs' shuffles in run order, then one uniform per
+    The draws are the runs' shuffles in run order (each what
+    :func:`partition`'s ``rng.permutation`` draws), then one uniform per
     run for the medians, then each run's gate and selection uniforms in
     run order; at one run that is :func:`improper_learn`'s order, and the
     trace is the same. Raises ``ValueError`` before touching the data when
@@ -480,16 +494,18 @@ def _improper_runs(
         raise ValueError("dataset must be non-empty")
     if subset_ids is not None:
         ids = np.asarray(subset_ids)
+        if ids.dtype.kind not in "iu":
+            raise ValueError("subset_ids must be integer ids")
         if ids.shape != dataset.points.shape or ids.min() < 0:
             raise ValueError("subset_ids must be one nonnegative id per example")
         t = int(ids.max()) + 1
-        ids = ids[None]
+        deepest, depths = _subset_summaries(ctx, dataset.points, dataset.labels, ids, t)
     else:
+        _check_domain(ctx, dataset.points)
         t = min(sample_budget(params, ctx.tree.height).t, len(dataset))
-        # one run deals through partition, so that wrappers of it see the call
-        ids = partition(dataset, t, rng)[None] if runs == 1 else _deal(len(dataset), t, rng, runs)
+        deepest, depths = _dealt_summaries(ctx, dataset, t, rng, runs)
+    deepest, depths = deepest.reshape(runs, t), depths.reshape(runs, t)
 
-    deepest, depths = _subset_summaries(ctx, dataset.points, dataset.labels, ids, t)
     tree = ctx.tree
     if force_median is not None:
         medians = [int(force_median)] * runs
@@ -505,37 +521,65 @@ def _improper_runs(
     )
     before = counts.reshape(runs, width).cumsum(axis=1)
     inside = (before[:, tree.tout] - before[:, tree.tin]).tolist()
+    # candidates: the tree points at depth z (none off [0, height])
+    candidates = [ctx.candidates[z] if 0 <= z <= tree.height else () for z in medians]
+    scores = [tuple(map(row.__getitem__, c)) for row, c in zip(inside, candidates)]
+    if greedy:
+        best = [max(row, default=0) for row in scores]
+        picks = [row.index(b) if b > 0 else -1 for row, b in zip(scores, best)]
+    else:
+        picks = _choosing_rows(scores, 1, t, params.privacy, params.beta, rng)
 
-    depth_lists, deepest_lists = depths.tolist(), deepest.tolist()
-    nodes, starts = ctx.nodes_by_depth
+    forced = deepest.astype(object)
+    forced[deepest < 0] = None
     lifted = {None: ctx.abstained}
     traces = []
-    for r, z in enumerate(medians):
-        # candidates: the tree points at depth z (none off [0, height])
-        candidates = nodes[starts[z] : starts[z + 1]].tolist() if 0 <= z <= tree.height else []
-        scores = tuple(inside[r][x] for x in candidates)
-        if greedy:
-            best = max(scores, default=0)
-            chosen = candidates[scores.index(best)] if best > 0 else None
-        else:
-            inst = ChoosingInstance(scores=dict(zip(candidates, scores)), k=1, n=t)
-            chosen = choosing_mechanism(inst, params.privacy, params.beta, rng)
+    for z, c, row, i, d, f in zip(
+        medians, candidates, scores, picks, depths.tolist(), forced.tolist()
+    ):
+        chosen = c[i] if i >= 0 else None
         if chosen not in lifted:
             lifted[chosen] = _back_transform(ctx, chosen)
         traces.append(
             ImproperTrace(
                 reference_concept=ctx.f,
                 reference_index=ctx.f_index,
-                subset_depths=tuple(depth_lists[r]),
-                subset_deepest=tuple(None if d < 0 else d for d in deepest_lists[r]),
+                subset_depths=tuple(d),
+                subset_deepest=tuple(f),
                 median_depth=z,
-                candidates=tuple(candidates),
-                scores=scores,
+                candidates=c,
+                scores=row,
                 chosen_point=chosen,
                 hypothesis=lifted[chosen],
             )
         )
     return traces
+
+
+def _dealt_summaries(
+    ctx: LearnerContext, dataset: Dataset, t: int, rng: np.random.Generator, runs: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`_subset_summaries` of ``runs`` fresh :func:`partition` deals.
+
+    The examples' presence codes are shuffled directly, with the draws of
+    ``runs`` calls of ``rng.permutation(len(dataset))``, and the code at
+    position ``j`` of run ``r`` goes to subset ``j % t``: column
+    ``r t + j % t`` of one presence matrix over all ``runs * t`` subsets.
+    """
+    codes = ctx.tour_code[dataset.labels, dataset.points]
+    if runs == 1:
+        dealt = rng.permutation(codes)[None]
+    else:
+        dealt = np.tile(codes, (runs, 1))
+        rng.permuted(dealt, axis=1, out=dealt)
+    n = len(codes)
+    whole = n - n % t
+    run = np.arange(runs)[:, None, None]
+    pres = np.zeros((2 * len(ctx.tree.tour) + 2, runs, t), dtype=bool)
+    pres[dealt[:, :whole].reshape(runs, -1, t), run, np.arange(t)] = True
+    if whole < n:
+        pres[dealt[:, whole:], run[:, 0], np.arange(n - whole)] = True
+    return _summaries(ctx, pres.reshape(len(pres), runs * t))
 
 
 def proper_learn(

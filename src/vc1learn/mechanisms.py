@@ -104,6 +104,16 @@ def _softmax_rows(logits: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     ``rng.random()`` calls draw. A row's sum is numpy's pairwise sum over
     that row, as for a 1-d array.
     """
+    cdf = _softmax_cdf(logits)
+    # a CDF is nondecreasing, so this count is searchsorted(u, side="right")
+    return np.add.reduce(cdf <= rng.random(len(cdf))[:, None], axis=1)
+
+
+def _softmax_cdf(logits: np.ndarray) -> np.ndarray:
+    """Each row's CDF as ``rng.choice`` computes it from the normalised weights.
+
+    Raises ``ValueError`` on a NaN or infinite logit, as ``rng.choice`` does.
+    """
     # the ufuncs' own reduce and accumulate: what max, sum and cumsum
     # call, without their per-call overhead on short rows
     weights = np.exp(logits - np.maximum.reduce(logits, axis=1, keepdims=True))
@@ -112,8 +122,7 @@ def _softmax_rows(logits: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     if np.isnan(last).any():  # a NaN score, or an infinite one: rng.choice's check
         raise ValueError("probabilities contain NaN")
     cdf /= last
-    # a CDF is nondecreasing, so this count is searchsorted(u, side="right")
-    return np.add.reduce(cdf <= rng.random(len(cdf))[:, None], axis=1)
+    return cdf
 
 
 def choosing_mechanism(
@@ -133,6 +142,28 @@ def choosing_mechanism(
     solution scores within
     ``(16 / eps) * ln(4 k n / (beta eps delta))`` of the maximum.
     """
+    keys = list(inst.scores)
+    (i,) = _choosing_rows([list(inst.scores.values())], inst.k, inst.n, privacy, beta, rng)
+    return None if i < 0 else keys[i]
+
+
+def _choosing_rows(
+    scores: Sequence[Sequence[int]],
+    k: int,
+    n: int,
+    privacy: PrivacyParams,
+    beta: float,
+    rng: np.random.Generator,
+) -> list[int]:
+    """:func:`choosing_mechanism` on each row of nonnegative ``scores``, in row order.
+
+    Every row shares ``k``, ``n`` and the budget, so the parameters are
+    checked and the threshold computed once. Each row then draws its gate
+    uniform and, when the gate passes with a positive score, its
+    selection uniform, so a single row draws exactly as one
+    :func:`choosing_mechanism` call does. Returns the index of each row's
+    chosen solution, or -1 when it abstained.
+    """
     eps = privacy.epsilon
     if not 0 < eps < 2:
         raise ValueError("epsilon must be in (0, 2)")
@@ -140,17 +171,18 @@ def choosing_mechanism(
         raise ValueError("delta must be positive")
     if not 0 < beta < 1:
         raise ValueError("beta must be in (0, 1)")
-    best = max(inst.scores.values(), default=0)
-    n_eff = max(inst.n, 1)
     threshold = (GATE_THRESHOLD_SCALE / eps) * math.log(
-        4.0 * inst.k * n_eff / (beta * eps * privacy.delta)
+        4.0 * k * max(n, 1) / (beta * eps * privacy.delta)
     )
-    if best + laplace_sample(GATE_NOISE_SCALE / eps, rng) < threshold:
-        return None
-    active = [(z, float(s)) for z, s in inst.scores.items() if s >= 1]
-    if not active:
-        return None
-    return exponential_mechanism(active, 1.0, eps / 2.0, rng)
+    picks = []
+    for row in scores:
+        best = max(row, default=0)
+        if best + laplace_sample(GATE_NOISE_SCALE / eps, rng) < threshold or best < 1:
+            picks.append(-1)
+            continue
+        active = [(i, float(s)) for i, s in enumerate(row) if s >= 1]
+        picks.append(exponential_mechanism(active, 1.0, eps / 2.0, rng))
+    return picks
 
 
 def choosing_utility_bound(inst: ChoosingInstance, privacy: PrivacyParams, beta: float) -> float:

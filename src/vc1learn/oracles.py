@@ -42,15 +42,15 @@ class DimensionReport:
 class Distribution:
     """A probability distribution over domain points.
 
-    ``weights`` is held as a read-only view: float64 weights are not
-    copied, so the distribution shares the caller's memory, and the
-    caller's array stays writeable.
+    ``weights`` is held as a read-only copy, so that the cached
+    :attr:`inverse_cdf` always matches it: later writes into the caller's
+    array, which stays writeable, change neither sampling nor errors.
     """
 
     weights: np.ndarray
 
     def __post_init__(self) -> None:
-        w = np.asarray(self.weights, dtype=np.float64).view()
+        w = np.array(self.weights, dtype=np.float64)
         if w.ndim != 1 or len(w) == 0:
             raise ValueError("weights must be a non-empty 1-d array")
         if w.min() < 0:

@@ -65,9 +65,29 @@ class ClassTree:
     proper_mask: np.ndarray
 
     @cached_property
-    def tour_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Tour positions, and ``tout`` and ``proper_mask`` in tour order."""
-        return np.arange(len(self.tour)), self.tout[self.tour], self.proper_mask[self.tour]
+    def tour_arrays(self) -> tuple[np.ndarray, ...]:
+        """Tour-order tables of :func:`forced_nodes`, with ``k`` tour positions.
+
+        ``(rank, tout, proper, up, points)``: ``rank`` is the column of
+        positions plus one; ``tout`` and ``points`` hold each position's
+        ``tout`` and point, with ``k + 1`` and -1 at the extra index ``k``,
+        which stands for no position; ``proper`` is ``proper_mask`` as a
+        column in tour order. ``up[s][j]`` is the position of ``j``'s
+        ``2**s``-th ancestor (``k`` above the root, and at ``k``), with
+        enough levels that ``2**len(up)`` reaches the height.
+        """
+        k = len(self.tour)
+        parent = self.parent[self.tour]
+        up = [np.append(np.where(parent >= 0, self.tin[parent], k), k)]
+        while 2 ** len(up) < self.height:
+            up.append(up[-1][up[-1]])
+        return (
+            np.arange(1, k + 1, dtype=np.int32)[:, None],
+            np.append(self.tout[self.tour], k + 1).astype(np.int32),
+            self.proper_mask[self.tour][:, None],
+            up,
+            np.append(self.tour, -1),
+        )
 
 
 @dataclass(frozen=True, eq=False)
@@ -309,46 +329,61 @@ def forced_nodes(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Deepest forced node and inconsistency flag for each of many samples.
 
-    ``pres0[i, p]``/``pres1[i, p]`` say sample ``i`` has an example at
-    point ``p`` labeled 0/1. The concepts are the empty set and the root
-    paths of proper nodes, so a sample with 1-labels is consistent only
-    when they all lie on the root path of the deepest one, ``d``. The
-    consistent concepts are then the root paths of the proper nodes at or
-    below ``d`` that no 0-labeled point is at or above (a 0-label on
-    ``d``'s own path leaves none), and their common points form the root
-    path of the lowest common ancestor of those nodes: the LCA of the
-    first and the last of them in tour order.
+    The presence is point-major: with ``k`` tour positions, ``pres0[j, i]``
+    / ``pres1[j, i]`` say sample ``i`` has an example labeled 0/1 at the
+    point in tour position ``j``, and row ``k`` stands for every point off
+    the tree. The concepts are the empty set and the root paths of proper
+    nodes, so a sample with 1-labels is consistent only when they all lie
+    on the root path of the deepest one, ``d``. The consistent concepts are
+    then the root paths of the proper nodes at or below ``d`` that no
+    0-labeled point is at or above (a 0-label on ``d``'s own path leaves
+    none), and their common points form the root path of the lowest common
+    ancestor of those nodes: the LCA of the first and the last of them in
+    tour order. Every step reduces over the positions, so each is one
+    vector operation across the samples.
 
     Returns ``(deepest, inconsistent)``; ``deepest[i]`` is -1 when sample
     ``i`` forces no point, and so is every inconsistent sample's.
     """
-    t = pres1.shape[0]
-    has1 = pres1.any(axis=1)
     k = len(tree.tour)
+    has1 = pres1.any(axis=0)
     if k == 0:
-        return np.full(t, -1, dtype=np.int64), has1
-    tin, tout = tree.tin, tree.tout
-    # descendants come later in the tour, so a chain's deepest point has the largest tin
-    d = np.where(pres1, tin, -2).argmax(axis=1)
-    tin_d, tout_d = tin[d][:, None], tout[d][:, None]
-    # a 1-label off the tree (tin and tout -1) is never on the path
-    on_path = (tin <= tin_d) & (tin_d < tout)
-    chain = (pres1 <= on_path).all(axis=1)  # every 1-label on the path
+        return np.full(pres1.shape[1], -1, dtype=np.int64), has1
+    rank, tout, proper, up, points = tree.tour_arrays
+    on1 = pres1[:k]
+    # descendants come later in the tour, so a chain's deepest point comes last
+    d = np.maximum.reduce(on1 * rank, axis=0) - 1  # -1: no 1-label on the tree
+    # the 1-labels lie on d's path iff none of their intervals ends at or
+    # before d; a 1-label off the tree never does
+    end = k + 1 - np.maximum.reduce(on1 * (k + 1 - tout[:k, None]), axis=0)
+    chain = (end > d) & ~pres1[k]
 
-    # tour position j lies under a 0-labeled point iff some such point's
-    # interval starts at or before j and ends after it
-    pos, tour_tout, tour_proper = tree.tour_arrays
-    blocked_to = np.maximum.accumulate(
-        np.where(pres0[:, tree.tour], tour_tout, 0), axis=1
-    )
-    live = tour_proper & (blocked_to <= pos) & (tin_d <= pos) & (pos < tout_d)
-    first = live.argmax(axis=1)[:, None]
-    last = k - 1 - live[:, ::-1].argmax(axis=1)[:, None]
-    lca = np.where((tin <= first) & (last < tout), tin, -1).argmax(axis=1)
+    # blocked[j]: a 0-label at j or above it, doubling the span per step
+    blocked = pres0.copy()
+    blocked[k] = False
+    for a in up:
+        blocked |= blocked[a]
+    live = ~blocked[:k]
+    live &= proper & (rank > d) & (rank <= tout[d])
+    first = k - np.maximum.reduce(live * (k + 1 - rank), axis=0)  # k: none
+    last = np.maximum.reduce(live * rank, axis=0) - 1  # -1: none
+    # the LCA: lift first to its highest ancestor not above last, then one more
+    x = first
+    for a in reversed(up):
+        y = a[x]
+        x = np.where(tout[y] <= last, y, x)
+    lca = np.where(tout[first] > last, first, up[0][x])
 
-    consistent = chain & live.any(axis=1)
-    deepest = np.where(has1 & consistent, lca, -1)
+    consistent = chain & (last >= 0)
+    deepest = points[np.where(has1 & consistent, lca, k)]
     return deepest, has1 & ~consistent
+
+
+def _tour_rows(tree: ClassTree, points: np.ndarray) -> np.ndarray:
+    """Each point's row in :func:`forced_nodes`'s layout: its tour position, or
+    the tour length off the tree."""
+    pos = tree.tin[points]
+    return np.where(pos >= 0, pos, len(tree.tour))
 
 
 def deterministic_points(
@@ -365,8 +400,8 @@ def deterministic_points(
         raise ValueError("dataset point outside class domain")
     if tree is None:
         tree = make_tree(class_f)
-    pres = np.zeros((2, 1, class_f.domain_size), dtype=bool)
-    pres[dataset.labels, 0, dataset.points] = True
+    pres = np.zeros((2, len(tree.tour) + 1, 1), dtype=bool)
+    pres[dataset.labels, _tour_rows(tree, dataset.points), 0] = True
     deepest, inconsistent = forced_nodes(tree, pres[0], pres[1])
     if inconsistent[0]:
         raise NotRealizableError("dataset not realizable by class")

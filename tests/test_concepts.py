@@ -306,9 +306,11 @@ def test_dataset_and_distribution_leave_the_callers_arrays_writeable():
     dist = Distribution(weights)
     for own, held in ((points, data.points), (labels, data.labels), (weights, dist.weights)):
         assert own.flags.writeable and not held.flags.writeable
-        assert np.shares_memory(own, held)  # a view, not a copy
         with pytest.raises(ValueError):
             held[0] = 1
+    # a dataset holds a view; a distribution copies, as it caches its CDF
+    assert np.shares_memory(points, data.points) and np.shares_memory(labels, data.labels)
+    assert not np.shares_memory(weights, dist.weights)
     points[0] = 2  # the caller may still write into its own array
     assert data.points[0] == 2
 

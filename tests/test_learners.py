@@ -138,6 +138,21 @@ def test_improper_worked_example(example_cls):
         proper_learn(example_cls, data, PARAMS, make_rng(0), subset_ids=ids)
 
 
+def test_subset_ids_must_be_integers(example_cls, monkeypatch):
+    # float ids used to fail inside the scatter and bool ids passed as
+    # subsets 0 and 1; both are rejected before the data is touched
+    calls = []
+    monkeypatch.setattr(learners, "_subset_summaries", lambda *args: calls.append(args))
+    data = Dataset.from_pairs([(X1, 1), (X2, 0), (X5, 1), (X3, 0)])
+    for bad in (np.array([0.0, 1.0, 0.0, 1.0]), np.array([False, True, False, True])):
+        for learn, extra in ((improper_learn, {}), (proper_learn, {"stage2": data})):
+            rng = make_rng(0)
+            with pytest.raises(ValueError, match="subset_ids must be integer ids"):
+                learn(example_cls, data, PARAMS, rng, subset_ids=bad, **extra)
+            assert rng.bit_generator.state == make_rng(0).bit_generator.state
+    assert not calls
+
+
 def test_improper_single_concept_class(rng):
     cls, merge = canonicalize(ConceptClass.from_ones(3, [{0, 2}]))
     raw = Dataset.from_pairs([(0, 1), (1, 0), (2, 1)])
@@ -216,14 +231,14 @@ def test_unrealizable_neighbour_audit(example_cls):
     ctx = prepare_context(example_cls)
     params = LearnParams(alpha=0.2, beta=0.1, privacy=PrivacyParams(1.0, 1e-5))
     t = min(sample_budget(params, ctx.tree.height).t, len(data_b))
-    n = len(ctx.tree.tin)
+    k = len(ctx.tree.tour)
     runs, hits = 50, 0
     for seed in range(runs):
         for data in (data_a, data_b):
             ids = partition(data, t, make_rng(seed))
-            pres = np.zeros((t, 2 * n), dtype=bool)
-            pres[ids, ctx.code[data.labels, data.points]] = True
-            _, inconsistent = forced_nodes(ctx.tree, pres[:, :n], pres[:, n:])
+            pres = np.zeros((2 * (k + 1), t), dtype=bool)
+            pres[ctx.tour_code[data.labels, data.points], ids] = True
+            _, inconsistent = forced_nodes(ctx.tree, pres[: k + 1], pres[k + 1 :])
             if data is data_a:
                 assert not inconsistent.any()
             else:
@@ -864,15 +879,47 @@ def test_fixed_seed_traces_match_pinned_digests():
     assert any(c["path"] for k, v in cases.items() if "proper" in k and "improper" not in k for c in v)
 
 
+def test_shuffling_an_array_draws_what_permutation_draws():
+    # the learners deal by shuffling the examples' codes, which must draw
+    # what partition's rng.permutation(n) draws: rng.permutation(c) is
+    # c[rng.permutation(len(c))], and rng.permuted(rows, axis=1) shuffles
+    # row after row as that many permutation calls, leaving equal states
+    for seed in range(40):
+        n = [1, 2, 7, 30, 337, 2359, 100_003][seed % 7]
+        codes = np.random.default_rng(seed).integers(0, 16, size=n).astype(np.int32)
+        a, b = make_rng(seed), make_rng(seed)
+        assert np.array_equal(a.permutation(codes), codes[b.permutation(n)])
+        assert a.bit_generator.state == b.bit_generator.state
+        runs = [1, 2, 7, 64][seed % 4]
+        rows = np.tile(codes, (runs, 1))
+        a.permuted(rows, axis=1, out=rows)
+        for row in rows:
+            assert np.array_equal(row, codes[b.permutation(n)])
+        assert a.bit_generator.state == b.bit_generator.state
+
+
 class _Recorder:
-    """A generator that logs every shuffle and every uniform it hands out."""
+    """A generator that logs every shuffle and every uniform it hands out.
+
+    A shuffle of an array, or of each row of one, is logged as the
+    ``permutation(n)`` draw it equals (see
+    ``test_shuffling_an_array_draws_what_permutation_draws``).
+    """
 
     def __init__(self, rng):
         self.rng, self.log = rng, []
 
-    def permutation(self, n):
+    def permutation(self, x):
+        n = x if isinstance(x, int) else len(x)
         self.log.append(("permutation", self.rng.permutation(n)))
-        return self.log[-1][1]
+        return self.log[-1][1] if isinstance(x, int) else x[self.log[-1][1]]
+
+    def permuted(self, x, axis=None, out=None):
+        assert axis == 1 and x.ndim == 2
+        out = x.copy() if out is None else out
+        for r, row in enumerate(x):
+            out[r] = row[self.permutation(len(row))]
+        return out
 
     def random(self, size=None):
         self.log.append(("random", self.rng.random(size)))

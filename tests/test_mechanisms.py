@@ -18,6 +18,12 @@ from vc1learn import (
     private_median,
     required_median_size,
 )
+from vc1learn.mechanisms import (
+    GATE_NOISE_SCALE,
+    GATE_THRESHOLD_SCALE,
+    _choosing_rows,
+    _softmax_cdf,
+)
 
 
 def test_laplace_rejects_bad_scale(rng):
@@ -229,6 +235,62 @@ def _choice_draw(logits, rng):
     """The softmax draw through ``rng.choice(p=...)``, the reference."""
     weights = np.exp(logits - logits.max())
     return int(rng.choice(len(weights), p=weights / weights.sum()))
+
+
+def _gate_then_choose(scores, k, n, privacy, beta, rng):
+    """One choosing step written out: Laplace gate, then the exponential
+    mechanism at eps / 2 over the positive scores; the reference."""
+    eps = privacy.epsilon
+    threshold = (GATE_THRESHOLD_SCALE / eps) * math.log(
+        4.0 * k * max(n, 1) / (beta * eps * privacy.delta)
+    )
+    if max(scores, default=0) + laplace_sample(GATE_NOISE_SCALE / eps, rng) < threshold:
+        return -1
+    active = [(i, float(s)) for i, s in enumerate(scores) if s >= 1]
+    return exponential_mechanism(active, 1.0, eps / 2.0, rng) if active else -1
+
+
+def test_choosing_rows_draw_as_one_call_per_row():
+    # gates that pass and fail, rows with no positive score and empty rows
+    src = np.random.default_rng(11)
+    outcomes = set()
+    for seed in range(300):
+        privacy = PrivacyParams(float(src.uniform(0.2, 1.9)), float(src.uniform(1e-3, 0.5)))
+        n = int(src.integers(0, 400))
+        k = int(src.integers(1, 3))
+        rows = [
+            src.integers(0, int(src.integers(1, 120)), size=int(src.integers(0, 9))).tolist()
+            for _ in range(int(src.integers(1, 12)))
+        ]
+        a, b = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = _choosing_rows(rows, k, n, privacy, 0.9, a)
+        want = [_gate_then_choose(row, k, n, privacy, 0.9, b) for row in rows]
+        assert got == want
+        assert a.bit_generator.state == b.bit_generator.state
+        outcomes.update(i >= 0 for i in got)
+        inst = ChoosingInstance(scores={f"z{i}": s for i, s in enumerate(rows[0])}, k=k, n=n)
+        c = np.random.default_rng(seed)
+        out = choosing_mechanism(inst, privacy, 0.9, c)
+        assert out == (None if got[0] < 0 else f"z{got[0]}")
+    assert outcomes == {True, False}
+
+
+def test_softmax_row_sums_match_one_dimensional_sums():
+    # a row's CDF must be the 1-d arithmetic of rng.choice to the bit: its
+    # normaliser is numpy's pairwise sum over the row, which a sequential
+    # sum differs from by a few ulps (too rare a shift for the draw tests)
+    src = np.random.default_rng(7)
+    widths = [*range(1, 300), 1000, 4097, 4500, 8191, 9000]
+    for width in widths:
+        for rows in (2, 7, 64):
+            logits = src.normal(0.0, 3.0, size=(rows, width))
+            w = np.exp(logits - logits.max(axis=1, keepdims=True))
+            assert np.add.reduce(w, axis=1).tolist() == [row.sum() for row in w], width
+            cdf = _softmax_cdf(logits)
+            for row, got in zip(w, cdf):
+                want = np.cumsum(row / row.sum())
+                want /= want[-1]
+                assert np.array_equal(got, want), (width, rows)
 
 
 def test_softmax_draws_match_rng_choice():

@@ -28,6 +28,7 @@ from vc1learn import (
     point_functions_class,
     random_tree_class,
     repeated,
+    sample_dataset,
     thresholds_class,
     thresholds_dimension,
     vc_dimension,
@@ -111,6 +112,23 @@ def test_error_on_distribution():
     assert error_on_distribution(comp, a, uniform) == pytest.approx(1.0)
     skew = Distribution(np.array([0.7, 0.1, 0.1, 0.1]))
     assert error_on_distribution(a, b, skew) == pytest.approx(0.8)
+
+
+def test_distribution_ignores_later_writes_to_the_callers_weights():
+    # the distribution caches its CDF on the first sample, so it must not
+    # follow the caller's array: sampling and error read the same weights
+    cls = thresholds_class(3)
+    target, other = cls.concepts[0], cls.concepts[-1]
+    w = np.full(3, 1 / 3)
+    dist = Distribution(w)
+    first = sample_dataset(cls, target, dist, 200, make_rng(0))
+    err = error_on_distribution(other, target, dist)
+    w[:] = [1.0, 0.0, 0.0]
+    again = sample_dataset(cls, target, dist, 200, make_rng(0))
+    assert np.array_equal(first.points, again.points)
+    assert sorted(set(again.points.tolist())) == [0, 1, 2]
+    assert error_on_distribution(other, target, dist) == err
+    assert dist.weights.tolist() == [1 / 3] * 3
 
 
 def test_error_on_sample():

@@ -29,6 +29,8 @@ from vc1learn import (
     vc_dimension,
 )
 
+from vc1learn.tree import forced_nodes, root_path
+
 from conftest import renamed_tree
 
 X1, X2, X3, X4, X5, X6, X7 = range(7)
@@ -508,6 +510,98 @@ def test_deterministic_points_form_chains(corpus, rng):
             if det.points:
                 top = max(det.points, key=lambda p: tree.depth[p])
                 assert det.points <= upward_closure(tree, top)
+
+
+def _forced_nodes_row_major(tree, pres0, pres1):
+    """:func:`forced_nodes` as it was with one row per sample, kept as the reference.
+
+    ``pres0[i, p]``/``pres1[i, p]``: sample ``i`` has point ``p`` labeled
+    0/1. Verbatim but for the tour-order tables, which it built itself.
+    """
+    t = pres1.shape[0]
+    has1 = pres1.any(axis=1)
+    k = len(tree.tour)
+    if k == 0:
+        return np.full(t, -1, dtype=np.int64), has1
+    tin, tout = tree.tin, tree.tout
+    # descendants come later in the tour, so a chain's deepest point has the largest tin
+    d = np.where(pres1, tin, -2).argmax(axis=1)
+    tin_d, tout_d = tin[d][:, None], tout[d][:, None]
+    # a 1-label off the tree (tin and tout -1) is never on the path
+    on_path = (tin <= tin_d) & (tin_d < tout)
+    chain = (pres1 <= on_path).all(axis=1)  # every 1-label on the path
+
+    # tour position j lies under a 0-labeled point iff some such point's
+    # interval starts at or before j and ends after it
+    pos, tour_tout, tour_proper = np.arange(k), tout[tree.tour], tree.proper_mask[tree.tour]
+    blocked_to = np.maximum.accumulate(
+        np.where(pres0[:, tree.tour], tour_tout, 0), axis=1
+    )
+    live = tour_proper & (blocked_to <= pos) & (tin_d <= pos) & (pos < tout_d)
+    first = live.argmax(axis=1)[:, None]
+    last = k - 1 - live[:, ::-1].argmax(axis=1)[:, None]
+    lca = np.where((tin <= first) & (last < tout), tin, -1).argmax(axis=1)
+
+    consistent = chain & live.any(axis=1)
+    deepest = np.where(has1 & consistent, lca, -1)
+    return deepest, has1 & ~consistent
+
+
+def _point_major(tree, pres):
+    """One row per sample over the domain, as :func:`forced_nodes` takes it:
+    a row per tour position and one for all points off the tree."""
+    rows = np.where(tree.tin >= 0, tree.tin, len(tree.tour))
+    out = np.zeros((len(tree.tour) + 1, len(pres)), dtype=bool)
+    np.logical_or.at(out, rows, pres.T)
+    return out
+
+
+def test_forced_nodes_match_row_major_reference(rng):
+    # random trees and thresholds(64), with constant and duplicated points
+    # off the tree, a class with no tree nodes, and random samples: labeled
+    # by a concept (some flipped), empty, and random, with 1-labels off the tree
+    classes = [thresholds_class(64), ConceptClass.from_ones(3, [set()])]
+    classes += [random_tree_class(int(n), seed=s) for s, n in enumerate(rng.integers(5, 80, 8))]
+    outcomes = {"forced": 0, "nothing": 0, "empty": 0, "inconsistent": 0, "off": 0}
+    for base in classes:
+        m = base.matrix
+        extra = np.stack([np.zeros(len(m), bool), np.ones(len(m), bool), m[:, 0]], axis=1)
+        cls = ConceptClass(np.concatenate([m, extra], axis=1), [None] * len(m))
+        tree = prepare_context(cls).tree
+        n = len(tree.tin)
+        off = np.flatnonzero(tree.tin < 0)
+        nodes = np.flatnonzero(tree.tin >= 0)
+        ends = [None] + nodes[tree.proper_mask[nodes]].tolist()
+        samples = 200
+        pres = np.zeros((2, samples, n), dtype=bool)
+        for i in range(samples):
+            kind = i % 5
+            if kind == 4:  # empty
+                continue
+            pts = rng.integers(0, n, size=int(rng.integers(1, 12)))
+            if kind == 3:  # random labels
+                labs = rng.integers(0, 2, size=len(pts))
+            else:
+                end = ends[int(rng.integers(len(ends)))]
+                path = np.zeros(n, bool) if end is None else root_path(tree, end)
+                labs = path[pts].astype(np.int64)
+                if kind == 1:
+                    labs[int(rng.integers(len(labs)))] ^= 1
+                if kind == 2 and len(off):  # a 1-label off the tree
+                    pts = np.append(pts, off[int(rng.integers(len(off)))])
+                    labs = np.append(labs, 1)
+            pres[labs, i, pts] = True
+        want = _forced_nodes_row_major(tree, pres[0], pres[1])
+        got = forced_nodes(tree, _point_major(tree, pres[0]), _point_major(tree, pres[1]))
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+        assert got[0].dtype == np.int64 and got[1].dtype == bool
+        empty = ~pres.any(axis=(0, 2))
+        outcomes["forced"] += int((got[0] >= 0).sum())
+        outcomes["inconsistent"] += int(got[1].sum())
+        outcomes["empty"] += int(empty.sum())
+        outcomes["nothing"] += int(((got[0] < 0) & ~got[1] & ~empty).sum())
+        outcomes["off"] += int(pres[1][:, off].any(axis=1).sum())
+    assert min(outcomes.values()) > 100, outcomes
 
 
 def test_exports(example_cls, modified_cls):
