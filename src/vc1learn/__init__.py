@@ -39,7 +39,6 @@ from .learners import (
     SampleBudget,
     improper_learn,
     improper_learn_runs,
-    partition,
     prepare_context,
     proper_learn,
     sample_budget,

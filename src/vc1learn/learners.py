@@ -15,17 +15,17 @@ back-transforms to an accurate hypothesis on the class's own domain.
   summaries :func:`~vc1learn.tree.forced_nodes` computes across all
   subsets at once. :func:`improper_learn_runs` puts the subsets of many
   runs in one such matrix, and draws their medians and selections in one
-  pass each; :func:`partition` remains the reference definition of the
-  subsets.
+  pass each.
 * :func:`proper_learn` runs the improper stage on one slice of the data
   and, when the selected node's path is not realized by a class member,
   descends the pruned subtree with noisy weight tests and exponential
   mechanisms until a realized leaf is reached. The subtree and its
-  weights are read off tour slices of the class tree. Its output is
-  always a class member.
+  weights are read off tour slices of the class tree, the weights from
+  the stage-2 presence codes. Its output is always a class member.
 
-Both return full execution traces so that statistical tests can inspect
-every intermediate quantity.
+Both see an example only as its presence code, gathered once per dataset,
+and both return full execution traces so that statistical tests can
+inspect every intermediate quantity.
 """
 
 from __future__ import annotations
@@ -161,25 +161,6 @@ def sample_budget(params: LearnParams, tree_depth_bound: int) -> SampleBudget:
     )
 
 
-def partition(dataset: Dataset, t: int, rng: np.random.Generator) -> np.ndarray:
-    """Shuffle and deal the dataset round-robin into ``t`` subsets.
-
-    Returns the int32 subset id of every example: with ``perm`` the
-    shuffle, the ``j``-th example dealt, ``perm[j]``, goes to subset
-    ``j % t``, so subset ``i`` holds the examples ``perm[i::t]``. Subset
-    sizes differ by at most one and no per-subset copy is built. This is
-    the reference definition of the learners' subsets; they shuffle the
-    examples' presence codes with the same draws instead of building ids.
-    """
-    if t < 1:
-        raise ValueError("t must be at least 1")
-    if len(dataset) < t:
-        raise ValueError("dataset smaller than the number of subsets")
-    ids = np.empty(len(dataset), dtype=np.int32)
-    ids[rng.permutation(len(dataset))] = np.arange(len(dataset)) % t
-    return ids
-
-
 @dataclass(frozen=True, eq=False)
 class LearnerContext:
     """Precomputed representation shared by every run on one class.
@@ -223,19 +204,6 @@ class LearnerContext:
     def depth_vec(self) -> np.ndarray:
         """``tree.depth``, under the name the benchmark workloads read."""
         return self.tree.depth
-
-    @cached_property
-    def code(self) -> np.ndarray:
-        """``code[l, p]``: the presence column of input example ``(p, l)``.
-
-        That is ``point_map[p] + n * (l ^ f_row[p])`` on the domain of
-        size ``n``: relabeled 0s in ``[0, n)``, 1s in ``[n, 2n)``.
-        """
-        n = len(self.tree.tin)
-        flipped = np.stack([self.f_row, self.f_row ^ 1]).astype(np.int32)
-        c = self.point_map.astype(np.int32) + n * flipped
-        c.flags.writeable = False
-        return c
 
     @cached_property
     def tour_code(self) -> np.ndarray:
@@ -323,21 +291,21 @@ class ProperTrace:
         return _jsonable(self)
 
 
-def _check_domain(ctx: LearnerContext, points: np.ndarray) -> None:
-    if len(points) and points.max() >= ctx.base.domain_size:
+def _codes(ctx: LearnerContext, dataset: Dataset | None) -> np.ndarray:
+    """Each example's presence code, ``tour_code[label, point]``, after the domain check."""
+    if dataset is None:
+        raise ValueError("dataset must be non-empty")
+    if len(dataset) and dataset.points.max() >= ctx.base.domain_size:
         raise ValueError("dataset point outside class domain")
+    return ctx.tour_code[dataset.labels, dataset.points]
 
 
 def _subset_summaries(
-    ctx: LearnerContext,
-    points: np.ndarray,
-    labels: np.ndarray,
-    ids: np.ndarray,
-    t: int,
+    ctx: LearnerContext, codes: np.ndarray, ids: np.ndarray, t: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Deepest forced points and their depths for ``t`` subsets at once.
 
-    Example ``j``, ``(points[j], labels[j])``, belongs to subset
+    The example of presence code ``codes[j]`` belongs to subset
     ``ids[j]``. Returns ``(deepest, depths)``: every concept consistent
     with subset ``i`` labels the root path of ``deepest[i]`` with 1, and
     ``depths[i]`` is that point's tree depth (``deepest[i]`` is -1 and the
@@ -346,9 +314,8 @@ def _subset_summaries(
     changed example moves one summary and the learner never raises on the
     data.
     """
-    _check_domain(ctx, points)
     pres = np.zeros((2 * len(ctx.tree.tour) + 2, t), dtype=bool)
-    pres[ctx.tour_code[labels, points], ids] = True
+    pres[codes, ids] = True
     return _summaries(ctx, pres)
 
 
@@ -433,7 +400,7 @@ def improper_learn(
     Keyword-only hooks exist for tests and pipelines: ``subset_ids``
     bypasses partitioning, with ``dataset`` the whole stage-1 sample and
     ``subset_ids[j]`` the subset of example ``j``, an integer array
-    (anything else raises ``ValueError`` before the data is touched); the
+    (anything else raises ``ValueError`` before any draw); the
     subset count is the largest id plus one. ``force_median`` pins the
     median outcome, ``greedy`` replaces each mechanism by its
     utility-optimal branch, and ``context`` passes a prebuilt
@@ -441,7 +408,8 @@ def improper_learn(
     first concept.
     """
     ctx = _checked_context(cls, params, context)
-    return _improper_runs(ctx, dataset, params, rng, 1, subset_ids, force_median, greedy)[0]
+    codes = _codes(ctx, dataset)
+    return _improper_runs(ctx, codes, params, rng, 1, subset_ids, force_median, greedy)[0]
 
 
 def improper_learn_runs(
@@ -467,7 +435,7 @@ def improper_learn_runs(
     ``runs`` times the dataset and times the subset count by the tree size.
 
     The draws are the runs' shuffles in run order (each what
-    :func:`partition`'s ``rng.permutation`` draws), then one uniform per
+    ``rng.permutation(len(dataset))`` draws), then one uniform per
     run for the medians, then each run's gate and selection uniforms in
     run order; at one run that is :func:`improper_learn`'s order, and the
     trace is the same. Raises ``ValueError`` before touching the data when
@@ -476,12 +444,12 @@ def improper_learn_runs(
     if runs < 1:
         raise ValueError("runs must be at least 1")
     ctx = _checked_context(cls, params, context)
-    return _improper_runs(ctx, dataset, params, rng, runs)
+    return _improper_runs(ctx, _codes(ctx, dataset), params, rng, runs)
 
 
 def _improper_runs(
     ctx: LearnerContext,
-    dataset: Dataset | None,
+    codes: np.ndarray,
     params: LearnParams,
     rng: np.random.Generator,
     runs: int,
@@ -489,21 +457,20 @@ def _improper_runs(
     force_median: int | None = None,
     greedy: bool = False,
 ) -> list[ImproperTrace]:
-    """The improper pipeline for ``runs`` runs at once; the hooks need ``runs`` 1."""
-    if dataset is None or len(dataset) == 0:
+    """The improper pipeline on presence codes for ``runs`` runs; hooks need ``runs`` 1."""
+    if len(codes) == 0:
         raise ValueError("dataset must be non-empty")
     if subset_ids is not None:
         ids = np.asarray(subset_ids)
         if ids.dtype.kind not in "iu":
             raise ValueError("subset_ids must be integer ids")
-        if ids.shape != dataset.points.shape or ids.min() < 0:
+        if ids.shape != codes.shape or ids.min() < 0:
             raise ValueError("subset_ids must be one nonnegative id per example")
         t = int(ids.max()) + 1
-        deepest, depths = _subset_summaries(ctx, dataset.points, dataset.labels, ids, t)
+        deepest, depths = _subset_summaries(ctx, codes, ids, t)
     else:
-        _check_domain(ctx, dataset.points)
-        t = min(sample_budget(params, ctx.tree.height).t, len(dataset))
-        deepest, depths = _dealt_summaries(ctx, dataset, t, rng, runs)
+        t = min(sample_budget(params, ctx.tree.height).t, len(codes))
+        deepest, depths = _dealt_summaries(ctx, codes, t, rng, runs)
     deepest, depths = deepest.reshape(runs, t), depths.reshape(runs, t)
 
     tree = ctx.tree
@@ -557,21 +524,17 @@ def _improper_runs(
 
 
 def _dealt_summaries(
-    ctx: LearnerContext, dataset: Dataset, t: int, rng: np.random.Generator, runs: int
+    ctx: LearnerContext, codes: np.ndarray, t: int, rng: np.random.Generator, runs: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`_subset_summaries` of ``runs`` fresh :func:`partition` deals.
+    """:func:`_subset_summaries` of ``runs`` fresh round-robin deals.
 
-    The examples' presence codes are shuffled directly, with the draws of
-    ``runs`` calls of ``rng.permutation(len(dataset))``, and the code at
+    The presence codes are shuffled as ``runs`` rows, with the draws of
+    ``runs`` calls of ``rng.permutation(len(codes))``, and the code at
     position ``j`` of run ``r`` goes to subset ``j % t``: column
     ``r t + j % t`` of one presence matrix over all ``runs * t`` subsets.
     """
-    codes = ctx.tour_code[dataset.labels, dataset.points]
-    if runs == 1:
-        dealt = rng.permutation(codes)[None]
-    else:
-        dealt = np.tile(codes, (runs, 1))
-        rng.permuted(dealt, axis=1, out=dealt)
+    dealt = np.tile(codes, (runs, 1))
+    rng.permuted(dealt, axis=1, out=dealt)
     n = len(codes)
     whole = n - n % t
     run = np.arange(runs)[:, None, None]
@@ -605,11 +568,12 @@ def proper_learn(
     descends by minimum leaf value, both via the exponential mechanism.
     The final hypothesis is the path of the smallest-id leaf in the last
     node's tour slice. As in :func:`improper_learn`, the hypothesis and
-    its ``proper_index`` refer to ``cls`` as given.
+    its ``proper_index`` refer to ``cls`` as given. A point outside the
+    class domain, in either sample, raises ``ValueError`` before any draw.
 
     ``stage2`` bypasses the internal split, and ``dataset`` is then the
     whole stage-1 sample; only with ``stage2`` may ``subset_ids`` be given,
-    and it is passed to :func:`improper_learn`. ``force_chosen_point``, a
+    and it is passed to the improper stage. ``force_chosen_point``, a
     tree point, skips the improper stage; the parameter and context checks
     of :func:`improper_learn` still run first. See :func:`improper_learn` for
     the remaining hooks.
@@ -621,44 +585,35 @@ def proper_learn(
         _check_in_tree(ctx.tree, force_chosen_point)
     budget = sample_budget(params, ctx.tree.height)
 
+    # checked before any draw and whether or not the run descends
     if stage2 is None:
-        if dataset is None or len(dataset) == 0:
+        codes = _codes(ctx, dataset)
+        if len(codes) == 0:
             raise ValueError("dataset must be non-empty")
-        n2 = min(budget.N2, len(dataset) // 2)
-        perm = rng.permutation(len(dataset))
-        s2_idx, s1_idx = perm[:n2], perm[n2:]
-        stage2 = Dataset(dataset.points[s2_idx], dataset.labels[s2_idx])
-        stage1: Dataset | None = Dataset(dataset.points[s1_idx], dataset.labels[s1_idx])
+        n2 = min(budget.N2, len(codes) // 2)
+        perm = rng.permutation(len(codes))
+        codes2, codes1 = codes[perm[:n2]], codes[perm[n2:]]
     else:
-        stage1 = dataset
-    # checked whether or not the run descends, so no exit depends on the data
-    _check_domain(ctx, stage2.points)
+        codes2, codes1 = _codes(ctx, stage2), None
 
     trace1: ImproperTrace | None = None
     if force_chosen_point is not None:
         chosen: int | None = force_chosen_point
     else:
-        trace1 = improper_learn(
-            cls,
-            stage1,
-            params,
-            rng,
-            context=ctx,
-            subset_ids=subset_ids,
-            force_median=force_median,
-            greedy=greedy,
-        )
+        if codes1 is None:  # the stage-1 sample was passed whole
+            codes1 = _codes(ctx, dataset)
+        trace1 = _improper_runs(ctx, codes1, params, rng, 1, subset_ids, force_median, greedy)[0]
         chosen = trace1.chosen_point
 
     # a realized node (or the root, for None) is the answer; else descend
     sub, path, leaf = None, [], chosen
     if chosen is not None and not ctx.tree.proper_mask[chosen]:
-        # relabeled against the reference concept, on the representatives
-        code = ctx.code[stage2.labels, stage2.points]
-        labs2, pts2 = np.divmod(code, len(ctx.tree.tin))
+        # relabeled 0s on the tree are the codes below the tour length
+        k = len(ctx.tree.tour)
+        zeros = np.bincount(codes2[codes2 < k], minlength=k)
         sub = make_subtree(ctx.tree, chosen)
-        stats = node_stats(ctx.tree, sub, Dataset(pts2, labs2))
-        n2_size = len(stage2)
+        stats = node_stats(ctx.tree, sub, zeros)
+        n2_size = len(codes2)
         eps = params.privacy.epsilon
 
         flag = chosen

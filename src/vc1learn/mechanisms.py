@@ -112,16 +112,17 @@ def _softmax_rows(logits: np.ndarray, rng: np.random.Generator) -> np.ndarray:
 def _softmax_cdf(logits: np.ndarray) -> np.ndarray:
     """Each row's CDF as ``rng.choice`` computes it from the normalised weights.
 
-    Raises ``ValueError`` on a NaN or infinite logit, as ``rng.choice`` does.
+    Raises ``ValueError``, as ``rng.choice`` does, on a row whose maximum
+    is not finite: one with a NaN or +inf logit or only -inf ones.
     """
     # the ufuncs' own reduce and accumulate: what max, sum and cumsum
     # call, without their per-call overhead on short rows
-    weights = np.exp(logits - np.maximum.reduce(logits, axis=1, keepdims=True))
-    cdf = np.add.accumulate(weights / np.add.reduce(weights, axis=1, keepdims=True), axis=1)
-    last = cdf[:, -1:]
-    if np.isnan(last).any():  # a NaN score, or an infinite one: rng.choice's check
+    top = np.maximum.reduce(logits, axis=1, keepdims=True)
+    if not np.isfinite(top).all():
         raise ValueError("probabilities contain NaN")
-    cdf /= last
+    weights = np.exp(logits - top)
+    cdf = np.add.accumulate(weights / np.add.reduce(weights, axis=1, keepdims=True), axis=1)
+    cdf /= cdf[:, -1:]
     return cdf
 
 

@@ -284,26 +284,25 @@ def make_subtree(tree: ClassTree, x_good: int) -> SubTree:
     )
 
 
-def node_stats(tree: ClassTree, sub: SubTree, dataset: Dataset) -> NodeStats:
-    """Per-node label-0 counts for a dataset over the tree's domain.
+def node_stats(tree: ClassTree, sub: SubTree, zeros: np.ndarray) -> NodeStats:
+    """Per-node label-0 counts over the tree's domain, from tour-order counts.
 
-    A point's weight is the sum of the counts over its tour slice, read
-    off prefix sums along the tour. A value is a sum over the points
+    ``zeros[j]`` counts the label-0 examples at the point in tour position
+    ``j``. A point's weight is the sum of the counts over its tour slice,
+    read off prefix sums along the tour. A value is a sum over the points
     whose tour interval, inside the subtree root's slice, holds the
     node's position: a prefix sum of the counts added at each interval's
     start and taken off at its end. A leaf minimum is the least leaf value
     in the node's tour slice.
     """
     n = len(tree.tin)
-    # examples at non-tree (constant) points never land on any node
-    counts = np.bincount(dataset.points[dataset.labels == 0], minlength=n)[:n]
-    acc = np.concatenate(([0], np.cumsum(counts[tree.tour])))
+    acc = np.concatenate(([0], np.cumsum(zeros)))
     weight = np.zeros(n, dtype=np.int64)
     weight[tree.tour] = acc[tree.tout[tree.tour]] - acc[:-1]
 
     lo, hi = tree.tin[sub.root], tree.tout[sub.root]
     seg = tree.tour[lo:hi]
-    c = counts[seg]
+    c = np.array(zeros[lo:hi])
     c[0] = 0  # the root's own examples count for no value
     delta = np.append(c, 0)
     np.subtract.at(delta, tree.tout[seg] - lo, c)

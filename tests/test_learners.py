@@ -27,7 +27,6 @@ from vc1learn import (
     make_tree,
     modified_example_class,
     optimal_composition,
-    partition,
     prepare_context,
     proper_learn,
     random_tree_class,
@@ -67,6 +66,24 @@ def test_sample_budget_monotonicity():
     assert sample_budget(half, 64).N1 >= 2 * sample_budget(PARAMS, 64).N1
     looser = LearnParams(alpha=0.2, beta=0.2, privacy=PrivacyParams(2.0, 1e-5))
     assert sample_budget(looser, 64).t < sample_budget(PARAMS, 64).t
+
+
+def partition(dataset: Dataset, t: int, rng: np.random.Generator) -> np.ndarray:
+    """Shuffle and deal the dataset round-robin into ``t`` subsets, kept as the reference.
+
+    Returns the int32 subset id of every example: with ``perm`` the
+    shuffle, the ``j``-th example dealt, ``perm[j]``, goes to subset
+    ``j % t``, so subset ``i`` holds the examples ``perm[i::t]``. The
+    learners shuffle the examples' presence codes with the same draws
+    instead of building ids.
+    """
+    if t < 1:
+        raise ValueError("t must be at least 1")
+    if len(dataset) < t:
+        raise ValueError("dataset smaller than the number of subsets")
+    ids = np.empty(len(dataset), dtype=np.int32)
+    ids[rng.permutation(len(dataset))] = np.arange(len(dataset)) % t
+    return ids
 
 
 def _subsets_of(data: Dataset, ids: np.ndarray, t: int) -> list[Dataset]:
@@ -140,7 +157,7 @@ def test_improper_worked_example(example_cls):
 
 def test_subset_ids_must_be_integers(example_cls, monkeypatch):
     # float ids used to fail inside the scatter and bool ids passed as
-    # subsets 0 and 1; both are rejected before the data is touched
+    # subsets 0 and 1; both are rejected before any draw
     calls = []
     monkeypatch.setattr(learners, "_subset_summaries", lambda *args: calls.append(args))
     data = Dataset.from_pairs([(X1, 1), (X2, 0), (X5, 1), (X3, 0)])
@@ -256,11 +273,7 @@ def test_unrealizable_neighbour_audit(example_cls):
         (PrivacyParams(1.0, 0.0), "delta must be positive"),
     ],
 )
-def test_learners_validate_privacy_before_touching_data(
-    example_cls, monkeypatch, privacy, message
-):
-    calls = []
-    monkeypatch.setattr(learners, "partition", lambda *args: calls.append(args))
+def test_learners_validate_privacy_before_touching_data(example_cls, privacy, message):
     params = LearnParams(alpha=0.2, beta=0.2, privacy=privacy)
     data = Dataset.from_pairs([(p, 0) for p in range(7)] * 10)
     for learn in (improper_learn, proper_learn):
@@ -269,7 +282,27 @@ def test_learners_validate_privacy_before_touching_data(
             learn(example_cls, data, params, rng)
         # no draw was made: the sample was neither split nor shuffled
         assert rng.bit_generator.state == make_rng(0).bit_generator.state
-    assert not calls
+
+
+def test_learners_reject_points_outside_the_domain_before_any_draw(example_cls):
+    # point 9 is off the example class's 7 points: every gather raises first
+    good = Dataset.from_pairs([(p, 0) for p in range(7)] * 10)
+    bad = Dataset.from_pairs([(p, 0) for p in range(7)] * 10 + [(9, 1)])
+    runs = [
+        lambda rng: improper_learn(example_cls, bad, PARAMS, rng),
+        lambda rng: improper_learn_runs(example_cls, bad, PARAMS, rng, 4),
+        lambda rng: proper_learn(example_cls, bad, PARAMS, rng),  # the split
+        lambda rng: proper_learn(example_cls, good, PARAMS, rng, stage2=bad),
+        lambda rng: proper_learn(example_cls, bad, PARAMS, rng, stage2=good),
+        lambda rng: proper_learn(
+            example_cls, None, PARAMS, rng, stage2=bad, force_chosen_point=X7
+        ),
+    ]
+    for run in runs:
+        rng = make_rng(0)
+        with pytest.raises(ValueError, match="dataset point outside class domain"):
+            run(rng)
+        assert rng.bit_generator.state == make_rng(0).bit_generator.state
 
 
 def test_proper_rejects_context_of_another_class(example_cls, modified_cls):
@@ -478,7 +511,8 @@ def test_subset_summaries_match_oracle_across_corpus(corpus, rng):
             members = np.flatnonzero(ids == i)
             if len(members) and rng.random() < 0.5:
                 labs[rng.choice(members)] ^= 1
-        deepest, depths = learners._subset_summaries(ctx, pts, labs, ids, t)
+        codes = ctx.tour_code[labs, pts]
+        deepest, depths = learners._subset_summaries(ctx, codes, ids, t)
         assert deepest.shape == depths.shape == (t,)
         for i in range(t):
             sub_pts = pts[ids == i]

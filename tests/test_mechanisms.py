@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -71,9 +72,12 @@ def test_exponential_mechanism_edge_cases(rng):
     # huge scores must not overflow
     out = exponential_mechanism([("a", 1e6), ("b", 1e6 - 1)], 1.0, 1.0, rng)
     assert out in ("a", "b")
-    for bad in (float("nan"), float("inf")):
-        with pytest.raises(ValueError, match="NaN"):
-            exponential_mechanism([("a", bad), ("b", 1.0)], 1.0, 1.0, rng)
+    # rejected before any arithmetic: no "invalid value" warning on the way
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for bad in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="NaN"):
+                exponential_mechanism([("a", bad), ("b", 1.0)], 1.0, 1.0, rng)
 
 
 def test_choosing_mechanism_abstains_on_zero_scores(rng):

@@ -344,13 +344,19 @@ def _value_by_path_enumeration(rep, tree, root, dataset):
     return out
 
 
+def _tour_zeros(tree, data):
+    """The label-0 counts of ``data`` per tour position, as :func:`node_stats` takes them."""
+    counts = np.bincount(data.points[data.labels == 0], minlength=len(tree.tin))
+    return counts[tree.tour]
+
+
 def test_node_stats_worked_example(modified_cls):
     ones = {c.ones for c in modified_cls.concepts}
     assert frozenset() in ones
     tree = marked_tree(modified_cls)
     sub = make_subtree(tree, X5)
     data = Dataset.from_pairs([(X5, 0), (X6, 0), (X6, 0)])
-    stats = node_stats(tree, sub, data)
+    stats = node_stats(tree, sub, _tour_zeros(tree, data))
     assert stats.weight[X6] == 2
     assert stats.weight[X7] == 0
     assert stats.weight[X5] == 3
@@ -364,7 +370,7 @@ def test_node_stats_no_zero_labels(modified_cls):
     tree = marked_tree(modified_cls)
     sub = make_subtree(tree, X5)
     data = Dataset.from_pairs([(X6, 1), (X7, 1)])
-    stats = node_stats(tree, sub, data)
+    stats = node_stats(tree, sub, _tour_zeros(tree, data))
     assert not stats.weight.any()
     assert not stats.value.any()
 
@@ -373,7 +379,7 @@ def test_node_stats_duplicates_count_with_multiplicity(modified_cls):
     tree = marked_tree(modified_cls)
     sub = make_subtree(tree, X5)
     data = Dataset.from_pairs([(X7, 0), (X7, 0)])
-    stats = node_stats(tree, sub, data)
+    stats = node_stats(tree, sub, _tour_zeros(tree, data))
     assert stats.value[X7] == 2
     assert stats.weight[X7] == 2
 
@@ -418,7 +424,7 @@ def test_node_stats_value_monotone_along_paths(corpus, rng):
             }
             assert sub.root == root and sub.nodes == nodes
             assert sub.leaves == {q for q in nodes if realized[q] or childless[q]}
-            stats = node_stats(tree, sub, data)
+            stats = node_stats(tree, sub, _tour_zeros(tree, data))
             assert {x: stats.weight[x] for x in pts_all} == {
                 x: sum(below[p, x] for p in zeros) for x in pts_all
             }
@@ -654,7 +660,8 @@ PINNED_DOT = """digraph class_tree {
 def test_tree_and_node_stats_arrays_are_read_only(modified_cls):
     # one tree is shared by every run through a learner context
     tree = marked_tree(modified_cls)
-    stats = node_stats(tree, make_subtree(tree, X5), Dataset.from_pairs([(X6, 0)]))
+    zeros = _tour_zeros(tree, Dataset.from_pairs([(X6, 0)]))
+    stats = node_stats(tree, make_subtree(tree, X5), zeros)
     for obj in (tree, stats):
         arrays = [
             f.name
