@@ -19,11 +19,11 @@ print(f"  P(b) = {picks.count('b') / len(picks):.4f} (analytic {math.e / (1 + ma
 
 print("\nBounded-quality selection (k=1): dominant score wins, flat scores abstain:")
 priv = v.PrivacyParams(1.0, 1e-6)
-inst = v.ChoosingInstance(scores={"a": 100, "b": 1, **{f"z{i}": 0 for i in range(118)}}, k=1, n=120)
-picks = [v.choosing_mechanism(inst, priv, 0.1, rng) for _ in range(500)]
+dominant = {"a": 100, "b": 1, **{f"z{i}": 0 for i in range(118)}}
+picks = [v.choosing_mechanism(dominant, 1, 120, priv, 0.1, rng) for _ in range(500)]
 print(f"  dominant instance: picked 'a' {picks.count('a')/len(picks):.1%}, abstained {picks.count(None)/len(picks):.1%}")
-flat = v.ChoosingInstance(scores={z: 0 for z in range(10)}, k=1, n=100)
-picks = [v.choosing_mechanism(flat, priv, 0.1, rng) for _ in range(500)]
+flat = {z: 0 for z in range(10)}
+picks = [v.choosing_mechanism(flat, 1, 100, priv, 0.1, rng) for _ in range(500)]
 print(f"  flat instance: abstained {picks.count(None)/len(picks):.1%}")
 
 print("\nPrivate median (rank-utility exponential mechanism):")

@@ -46,7 +46,6 @@ from .learners import (
     uniform_convergence_size,
 )
 from .mechanisms import (
-    ChoosingInstance,
     PrivacyParams,
     advanced_composition,
     alpha_median_set,

@@ -21,7 +21,6 @@ from .concepts import ConceptClass, Dataset
 from .generators import example_class
 from .learners import LearnParams, LearnerContext, improper_learn_runs, prepare_context
 from .mechanisms import (
-    ChoosingInstance,
     PrivacyParams,
     choosing_mechanism,
     exponential_mechanism,
@@ -96,8 +95,7 @@ def choosing_scenario(epsilon: float = 1.0, delta: float = 1e-6) -> AuditScenari
         scores = {
             v: int((data.points == v).sum()) for v in range(4)
         }
-        inst = ChoosingInstance(scores=scores, k=1, n=len(data))
-        out = choosing_mechanism(inst, PrivacyParams(epsilon, delta), 0.1, rng)
+        out = choosing_mechanism(scores, 1, len(data), PrivacyParams(epsilon, delta), 0.1, rng)
         return None if out is None else int(out)
 
     base = [(0, 0)] * 30 + [(1, 0)] * 3

@@ -22,7 +22,7 @@ from .audit_scenarios import (
     randomized_response_scenario,
 )
 from .experiments import config_from_json, run_experiment, write_report_csv
-from .generators import GeneratorSpec, generate_class, sample_dataset
+from .generators import GENERATOR_KINDS, GeneratorSpec, generate_class, sample_dataset
 from .learners import LearnParams, improper_learn, prepare_context, proper_learn
 from .mechanisms import PrivacyParams
 from .oracles import Distribution, dimension_report, dp_audit
@@ -145,8 +145,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen", help="generate a concept class")
-    p.add_argument("--kind", required=True,
-                   choices=["thresholds", "points", "random_tree", "example", "modified_example"])
+    p.add_argument("--kind", required=True, choices=list(GENERATOR_KINDS))
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--max-children", type=int, default=3)
     p.add_argument("--concept-rate", type=float, default=0.5)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -29,21 +29,6 @@ from .learners import (
 from .mechanisms import PrivacyParams
 from .oracles import Distribution, error_on_distribution
 from .rng import make_rng
-
-REPORT_COLUMNS = (
-    "trial",
-    "mode",
-    "n",
-    "epsilon",
-    "delta",
-    "alpha",
-    "beta",
-    "error_d",
-    "proper_flag",
-    "chosen_point",
-    "seed",
-)
-
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -196,20 +181,29 @@ def config_from_json(data: dict) -> ExperimentConfig:
     ``ValueError`` (``KeyError`` for ``generator``, ``params`` and
     ``privacy``).
     """
-    fields = dict(data)
-    gen = fields.pop("generator")
-    pdata = dict(fields.pop("params"))
+    rest = dict(data)
+    gen = rest.pop("generator")
+    pdata = dict(rest.pop("params"))
     privacy = pdata.pop("privacy")
-    weights = fields.pop("weights", None)
+    weights = rest.pop("weights", None)
     try:
         return ExperimentConfig(
             generator=GeneratorSpec(**gen),
             params=LearnParams(privacy=PrivacyParams(**privacy), **pdata),
             weights=None if weights is None else tuple(weights),
-            **fields,
+            **rest,
         )
     except TypeError as exc:  # an unknown or missing key
         raise ValueError(f"malformed config: {exc}") from None
+
+
+def _cell(value: object) -> str:
+    """A report cell: floats by ``repr``, flags as 0/1, None empty, the rest by ``str``."""
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return str(int(value))
+    return repr(value) if isinstance(value, float) else str(value)
 
 
 def write_report_csv(
@@ -219,31 +213,19 @@ def write_report_csv(
     *,
     include_runtime: bool = False,
 ) -> None:
-    """Write rows with a '#'-prefixed config echo.
+    """Write rows with a '#'-prefixed config echo; a column per :class:`ReportRow` field.
 
     Runtime is excluded by default so identical config and seed produce
-    byte-identical files; pass ``include_runtime=True`` for profiling runs.
+    byte-identical files; ``include_runtime=True``, for profiling runs, adds it last.
     """
-    columns = REPORT_COLUMNS + (("runtime_ms",) if include_runtime else ())
+    columns = [f.name for f in fields(ReportRow) if f.name != "runtime_ms"]
     lines = [
         "# vc1learn experiment report",
         "# config: " + json.dumps(config_to_json(config), sort_keys=True),
-        ",".join(columns),
+        ",".join(columns + (["runtime_ms"] if include_runtime else [])),
     ]
     for r in rows:
-        vals = [
-            str(r.trial),
-            r.mode,
-            str(r.n),
-            repr(r.epsilon),
-            repr(r.delta),
-            repr(r.alpha),
-            repr(r.beta),
-            repr(r.error_d),
-            str(int(r.proper_flag)),
-            "" if r.chosen_point is None else str(r.chosen_point),
-            str(r.seed),
-        ]
+        vals = [_cell(getattr(r, name)) for name in columns]
         if include_runtime:
             vals.append(f"{r.runtime_ms:.3f}")
         lines.append(",".join(vals))

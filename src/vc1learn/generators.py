@@ -27,7 +27,7 @@ SAMPLE_CHUNK = 1 << 16
 class GeneratorSpec:
     """Recipe for one generated class."""
 
-    kind: str  # thresholds | points | random_tree | example | modified_example
+    kind: str  # a key of GENERATOR_KINDS
     n: int | None = None
     max_children: int = 3
     concept_rate: float = 0.5
@@ -130,6 +130,17 @@ def modified_example_class() -> ConceptClass:
     return ConceptClass.from_ones(7, ones_sets, ids, name="modified_example")
 
 
+# each generator kind: whether its spec needs n, and the class it builds
+GENERATOR_KINDS = {
+    "thresholds": (True, lambda spec: thresholds_class(spec.n)),
+    "points": (True, lambda spec: point_functions_class(spec.n)),
+    "random_tree": (True, lambda spec: random_tree_class(
+        spec.n, spec.max_children, spec.concept_rate, spec.seed)),
+    "example": (False, lambda spec: example_class()),
+    "modified_example": (False, lambda spec: modified_example_class()),
+}
+
+
 @lru_cache
 def generate_class(spec: GeneratorSpec) -> ConceptClass:
     """Materialize a generator recipe.
@@ -137,25 +148,12 @@ def generate_class(spec: GeneratorSpec) -> ConceptClass:
     The last 128 results are memoised: specs are frozen and classes
     immutable, so one recipe gives one class object.
     """
-    if spec.kind == "thresholds":
-        if spec.n is None:
-            raise ValueError("thresholds generator needs n")
-        return thresholds_class(spec.n)
-    if spec.kind == "points":
-        if spec.n is None:
-            raise ValueError("points generator needs n")
-        return point_functions_class(spec.n)
-    if spec.kind == "random_tree":
-        if spec.n is None:
-            raise ValueError("random_tree generator needs n")
-        return random_tree_class(
-            spec.n, spec.max_children, spec.concept_rate, spec.seed
-        )
-    if spec.kind == "example":
-        return example_class()
-    if spec.kind == "modified_example":
-        return modified_example_class()
-    raise ValueError(f"unknown generator kind {spec.kind!r}")
+    if spec.kind not in GENERATOR_KINDS:
+        raise ValueError(f"unknown generator kind {spec.kind!r}")
+    sized, build = GENERATOR_KINDS[spec.kind]
+    if sized and spec.n is None:
+        raise ValueError(f"{spec.kind} generator needs n")
+    return build(spec)
 
 
 def sample_dataset(

@@ -44,8 +44,8 @@ from .concepts import (
     canonical_layout,
 )
 from .mechanisms import (
-    ChoosingInstance,
     PrivacyParams,
+    _check_gate,
     _choosing_rows,
     _median_rows,
     advanced_composition,
@@ -130,19 +130,12 @@ def sample_budget(params: LearnParams, tree_depth_bound: int) -> SampleBudget:
     if tree_depth_bound < 0:
         raise ValueError("tree_depth_bound must be nonnegative")
     priv = params.privacy
-    if priv.delta <= 0:
-        raise ValueError("learners require delta > 0")
     t_median = required_median_size(
         tree_depth_bound + 1, MEDIAN_ALPHA, params.beta, priv
     )
-
-    def gate(t: int) -> int:
-        inst = ChoosingInstance({}, k=1, n=t)
-        return math.ceil(choosing_utility_bound(inst, priv, params.beta))
-
     t = max(t_median, 1)
     while True:
-        t_next = max(t_median, gate(t))
+        t_next = max(t_median, math.ceil(choosing_utility_bound(1, t, priv, params.beta)))
         if t_next <= t:
             break
         t = t_next
@@ -175,9 +168,13 @@ class LearnerContext:
 
     base: ConceptClass
     f_index: int
-    f: Concept
     point_map: np.ndarray
     tree: ClassTree
+
+    @cached_property
+    def f(self) -> Concept:
+        """The member concept, ``base.concepts[f_index]``."""
+        return self.base.concepts[self.f_index]
 
     @cached_property
     def f_row(self) -> np.ndarray:
@@ -241,7 +238,6 @@ def prepare_context(cls: ConceptClass, f_index: int = 0) -> LearnerContext:
     return LearnerContext(
         base=cls,
         f_index=f_index,
-        f=cls.concepts[f_index],
         point_map=rep,
         tree=tree_from_matrix(packed[rows], rep, count, first),
     )
@@ -352,13 +348,10 @@ def _checked_context(
 ) -> LearnerContext:
     """Validate the privacy parameters, then return the context for ``cls``.
 
-    Runs before a learner touches the data, with the messages of
-    :func:`choosing_mechanism`, which needs the same range.
+    Runs before a learner touches the data: the selection's parameter
+    rule, with the messages of :func:`choosing_mechanism`.
     """
-    if not 0 < params.privacy.epsilon < 2:
-        raise ValueError("epsilon must be in (0, 2)")
-    if params.privacy.delta <= 0:
-        raise ValueError("delta must be positive")
+    _check_gate(params.privacy, params.beta)
     ctx = context if context is not None else prepare_context(cls)
     if ctx.base is not cls and ctx.base != cls:
         raise ValueError("context was prepared for a different class")
@@ -380,7 +373,11 @@ def improper_learn(
 
     One run spends (2 eps, 2 delta): an (eps, delta) private median of the
     per-subset depths plus an (eps, delta) bounded-quality selection among
-    the points at that depth. Given the budgeted sample size the output is
+    the points at that depth, for replace-one neighbours of the sample: the
+    changed example lies in one subset and moves its one summary, so each
+    median utility moves by at most 1 and two candidate scores by 1 each
+    (:func:`choosing_mechanism` states its budget for add-one neighbours,
+    which move one score). Given the budgeted sample size the output is
     alpha-accurate with probability about 1 - (t + 2) beta; with fewer
     examples the subset count is capped at the sample size, which keeps
     the privacy guarantee and voids the accuracy one.

@@ -37,27 +37,6 @@ class PrivacyParams:
             raise ValueError("delta must be in [0, 1)")
 
 
-@dataclass(frozen=True)
-class ChoosingInstance:
-    """Scores of a k-bounded quality function over a finite solution set.
-
-    A quality is k-bounded when adding one dataset element raises at most
-    ``k`` solution scores, each by exactly 1; ``n`` is the dataset size.
-    """
-
-    scores: Mapping[Hashable, int]
-    k: int
-    n: int
-
-    def __post_init__(self) -> None:
-        if self.k < 1:
-            raise ValueError("k must be at least 1")
-        if self.n < 0:
-            raise ValueError("n must be nonnegative")
-        if any(v < 0 for v in self.scores.values()):
-            raise ValueError("scores must be nonnegative")
-
-
 def laplace_sample(scale: float, rng: np.random.Generator) -> float:
     """One draw from the Laplace density ``exp(-|x|/b) / 2b``.
 
@@ -127,12 +106,19 @@ def _softmax_cdf(logits: np.ndarray) -> np.ndarray:
 
 
 def choosing_mechanism(
-    inst: ChoosingInstance,
+    scores: Mapping[Hashable, int],
+    k: int,
+    n: int,
     privacy: PrivacyParams,
     beta: float,
     rng: np.random.Generator,
 ) -> Hashable | None:
     """Privately select a high-scoring solution of a k-bounded quality, or abstain.
+
+    ``scores`` maps each solution to its nonnegative score on a dataset of
+    ``n`` elements. The quality is k-bounded when adding one element to
+    the dataset raises at most ``k`` scores, each by exactly 1; the
+    (eps, delta) budget holds for such add-one neighbours.
 
     Gate-then-choose: the maximum score plus Laplace noise of scale
     ``GATE_NOISE_SCALE / eps`` is tested against the threshold
@@ -140,12 +126,35 @@ def choosing_mechanism(
     it the mechanism abstains (returns ``None``), otherwise half the budget
     runs the exponential mechanism over the solutions with nonzero score
     (at most k*n of them). With probability at least 1 - beta the returned
-    solution scores within
-    ``(16 / eps) * ln(4 k n / (beta eps delta))`` of the maximum.
+    solution scores within :func:`choosing_utility_bound` of the maximum.
+    Raises ``ValueError`` unless k >= 1, n >= 0, every score is
+    nonnegative, eps is in (0, 2), delta > 0 and beta is in (0, 1).
     """
-    keys = list(inst.scores)
-    (i,) = _choosing_rows([list(inst.scores.values())], inst.k, inst.n, privacy, beta, rng)
+    if k < 1:
+        raise ValueError("k must be at least 1")
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    if any(v < 0 for v in scores.values()):
+        raise ValueError("scores must be nonnegative")
+    keys = list(scores)
+    (i,) = _choosing_rows([list(scores.values())], k, n, privacy, beta, rng)
     return None if i < 0 else keys[i]
+
+
+def _check_gate(privacy: PrivacyParams, beta: float) -> None:
+    """The selection's parameter rule: eps in (0, 2), delta > 0, beta in (0, 1)."""
+    if not 0 < privacy.epsilon < 2:
+        raise ValueError("epsilon must be in (0, 2)")
+    if privacy.delta <= 0:
+        raise ValueError("delta must be positive")
+    if not 0 < beta < 1:
+        raise ValueError("beta must be in (0, 1)")
+
+
+def _gate_log(k: int, n: int, privacy: PrivacyParams, beta: float) -> float:
+    """``ln(4 k max(n, 1) / (beta eps delta))``, the log term of the gate's
+    threshold and of :func:`choosing_utility_bound`."""
+    return math.log(4.0 * k * max(n, 1) / (beta * privacy.epsilon * privacy.delta))
 
 
 def _choosing_rows(
@@ -165,16 +174,9 @@ def _choosing_rows(
     :func:`choosing_mechanism` call does. Returns the index of each row's
     chosen solution, or -1 when it abstained.
     """
+    _check_gate(privacy, beta)
     eps = privacy.epsilon
-    if not 0 < eps < 2:
-        raise ValueError("epsilon must be in (0, 2)")
-    if privacy.delta <= 0:
-        raise ValueError("delta must be positive")
-    if not 0 < beta < 1:
-        raise ValueError("beta must be in (0, 1)")
-    threshold = (GATE_THRESHOLD_SCALE / eps) * math.log(
-        4.0 * k * max(n, 1) / (beta * eps * privacy.delta)
-    )
+    threshold = (GATE_THRESHOLD_SCALE / eps) * _gate_log(k, n, privacy, beta)
     picks = []
     for row in scores:
         best = max(row, default=0)
@@ -186,12 +188,12 @@ def _choosing_rows(
     return picks
 
 
-def choosing_utility_bound(inst: ChoosingInstance, privacy: PrivacyParams, beta: float) -> float:
-    """The score gap the selection mechanism guarantees with probability 1 - beta."""
-    n_eff = max(inst.n, 1)
-    return (16.0 / privacy.epsilon) * math.log(
-        4.0 * inst.k * n_eff / (beta * privacy.epsilon * privacy.delta)
-    )
+def choosing_utility_bound(k: int, n: int, privacy: PrivacyParams, beta: float) -> float:
+    """``(16 / eps) * ln(4 k max(n, 1) / (beta eps delta))``: the score gap
+    :func:`choosing_mechanism` guarantees with probability 1 - beta, for any eps > 0."""
+    if k < 1 or privacy.epsilon <= 0 or privacy.delta <= 0 or not 0 < beta < 1:
+        raise ValueError("the bound needs k >= 1, eps > 0, delta > 0 and beta in (0, 1)")
+    return (16.0 / privacy.epsilon) * _gate_log(k, n, privacy, beta)
 
 
 def private_median(

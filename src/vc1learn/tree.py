@@ -22,7 +22,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Mapping
 
 import numpy as np
 
@@ -49,20 +48,27 @@ class ClassTree:
     in depth-first preorder, visiting children in ascending id order;
     ``q`` is ``p`` or below it iff ``tin[p] <= tin[q] < tout[p]`` (both
     are -1 at points off the tree). ``proper_mask[p]`` says that ``p``'s
-    root path is a concept, and ``proper`` holds the same flags as a dict
-    over the tree points (the benchmark workloads read it); both are set
-    when the tree is built. The root's empty path always is a concept: the
-    build requires it.
+    root path is a concept; it is set when the tree is built. The root's
+    empty path always is a concept: the build requires it.
     """
 
     parent: np.ndarray
     depth: np.ndarray
-    height: int
     tour: np.ndarray
     tin: np.ndarray
     tout: np.ndarray
-    proper: Mapping[int, bool]
     proper_mask: np.ndarray
+
+    @cached_property
+    def height(self) -> int:
+        """The largest depth, 0 for a tree with no points."""
+        return int(self.depth.max(initial=0))
+
+    @cached_property
+    def proper(self) -> dict[int, bool]:
+        """``proper_mask`` as a dict over the tree points, ascending; the benchmark reads it."""
+        points = np.flatnonzero(self.tin >= 0).tolist()
+        return dict(zip(points, self.proper_mask[points].tolist()))
 
     @cached_property
     def tour_arrays(self) -> tuple[np.ndarray, ...]:
@@ -229,11 +235,9 @@ def tree_from_matrix(
     return ClassTree(
         parent=parent_of,
         depth=depth_of,
-        height=int(depth_of.max(initial=0)),
         tour=tour_arr,
         tin=tin_arr,
         tout=tout_arr,
-        proper=dict(zip(points, proper[points].tolist())),
         proper_mask=proper,
     )
 

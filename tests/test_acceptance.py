@@ -13,7 +13,6 @@ import numpy as np
 import pytest
 
 from vc1learn import (
-    ChoosingInstance,
     Dataset,
     Distribution,
     ExperimentConfig,
@@ -165,12 +164,10 @@ def test_criterion_4_mechanism_distributions():
             n = int(rng.integers(20, 300))
             width = int(rng.integers(2, 30))
             raw = rng.multinomial(n, np.full(width, 1 / width))
-            inst = ChoosingInstance(
-                scores={i: int(s) for i, s in enumerate(raw)}, k=1, n=n
-            )
-            out = choosing_mechanism(inst, priv, beta, rng)
-            got = 0 if out is None else inst.scores[out]
-            if got < max(inst.scores.values()) - choosing_utility_bound(inst, priv, beta):
+            scores = {i: int(s) for i, s in enumerate(raw)}
+            out = choosing_mechanism(scores, 1, n, priv, beta, rng)
+            got = 0 if out is None else scores[out]
+            if got < max(scores.values()) - choosing_utility_bound(1, n, priv, beta):
                 violations += 1
         slack = 2 * math.sqrt(beta * (1 - beta) / trials)
         assert violations / trials <= beta + slack

@@ -77,10 +77,13 @@ def test_generate_class_dispatch():
     assert generate_class(GeneratorSpec("modified_example")) == modified_example_class()
     assert generate_class(GeneratorSpec("thresholds", n=4)) == thresholds_class(4)
     assert generate_class(GeneratorSpec("points", n=4)) == point_functions_class(4)
+    spec = GeneratorSpec("random_tree", n=9, max_children=2, concept_rate=0.3, seed=4)
+    assert generate_class(spec) == random_tree_class(9, 2, 0.3, 4)
     with pytest.raises(ValueError):
         generate_class(GeneratorSpec("nope"))
-    with pytest.raises(ValueError):
-        generate_class(GeneratorSpec("thresholds"))
+    for kind in ("thresholds", "points", "random_tree"):
+        with pytest.raises(ValueError, match=f"{kind} generator needs n"):
+            generate_class(GeneratorSpec(kind))
 
 
 def test_example_classes_are_canonical():

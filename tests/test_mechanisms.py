@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import numpy as np
@@ -7,7 +8,6 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from vc1learn import (
-    ChoosingInstance,
     PrivacyParams,
     advanced_composition,
     alpha_median_set,
@@ -81,9 +81,9 @@ def test_exponential_mechanism_edge_cases(rng):
 
 
 def test_choosing_mechanism_abstains_on_zero_scores(rng):
-    inst = ChoosingInstance(scores={z: 0 for z in range(5)}, k=1, n=100)
+    scores = {z: 0 for z in range(5)}
     outs = [
-        choosing_mechanism(inst, PrivacyParams(1.0, 1e-6), 0.1, rng)
+        choosing_mechanism(scores, 1, 100, PrivacyParams(1.0, 1e-6), 0.1, rng)
         for _ in range(200)
     ]
     assert outs.count(None) >= 195
@@ -92,18 +92,37 @@ def test_choosing_mechanism_abstains_on_zero_scores(rng):
 def test_choosing_mechanism_selects_dominant_solution(rng):
     scores = {"a": 100, "b": 1}
     scores.update({f"z{i}": 0 for i in range(118)})
-    inst = ChoosingInstance(scores=scores, k=1, n=120)
     priv = PrivacyParams(1.0, 1e-6)
-    outs = [choosing_mechanism(inst, priv, 0.1, rng) for _ in range(1000)]
+    outs = [choosing_mechanism(scores, 1, 120, priv, 0.1, rng) for _ in range(1000)]
     assert outs.count("a") >= 900
 
 
 def test_choosing_mechanism_validates_parameters(rng):
-    inst = ChoosingInstance(scores={"a": 1}, k=1, n=10)
-    with pytest.raises(ValueError):
-        choosing_mechanism(inst, PrivacyParams(2.5, 1e-6), 0.1, rng)
-    with pytest.raises(ValueError):
-        choosing_mechanism(inst, PrivacyParams(1.0, 0.0), 0.1, rng)
+    ok = PrivacyParams(1.0, 1e-6)
+    for scores, k, n, priv, message in [
+        ({"a": 1}, 1, 10, PrivacyParams(2.5, 1e-6), "epsilon must be in (0, 2)"),
+        ({"a": 1}, 1, 10, PrivacyParams(1.0, 0.0), "delta must be positive"),
+        ({"a": 1}, 0, 10, ok, "k must be at least 1"),
+        ({"a": 1}, 1, -1, ok, "n must be nonnegative"),
+        ({"a": 1, "b": -1}, 1, 10, ok, "scores must be nonnegative"),
+    ]:
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match=re.escape(message)):
+            choosing_mechanism(scores, k, n, priv, 0.1, rng)
+        assert rng.bit_generator.state == state
+
+
+def test_choosing_utility_bound_validates_parameters():
+    assert choosing_utility_bound(1, 10, PrivacyParams(2.0, 1e-5), 0.1) > 0  # sizing takes eps 2
+    for k, priv, beta in [
+        (1, PrivacyParams(1.0, 0.0), 0.1),
+        (1, PrivacyParams(0.0, 1e-6), 0.1),
+        (1, PrivacyParams(1.0, 1e-6), 0.0),
+        (1, PrivacyParams(1.0, 1e-6), 1.0),
+        (0, PrivacyParams(1.0, 1e-6), 0.1),
+    ]:
+        with pytest.raises(ValueError):
+            choosing_utility_bound(k, 10, priv, beta)
 
 
 def test_choosing_utility_bound_monte_carlo(rng):
@@ -116,13 +135,11 @@ def test_choosing_utility_bound_monte_carlo(rng):
         n = int(rng.integers(20, 200))
         n_solutions = int(rng.integers(2, 20))
         raw = rng.multinomial(n, np.full(n_solutions, 1 / n_solutions))
-        inst = ChoosingInstance(
-            scores={i: int(s) for i, s in enumerate(raw)}, k=1, n=n
-        )
-        out = choosing_mechanism(inst, priv, beta, rng)
-        got = 0 if out is None else inst.scores[out]
-        bound = choosing_utility_bound(inst, priv, beta)
-        if got < max(inst.scores.values()) - bound:
+        scores = {i: int(s) for i, s in enumerate(raw)}
+        out = choosing_mechanism(scores, 1, n, priv, beta, rng)
+        got = 0 if out is None else scores[out]
+        bound = choosing_utility_bound(1, n, priv, beta)
+        if got < max(scores.values()) - bound:
             violations += 1
     assert violations / trials <= beta + 2 * math.sqrt(beta * (1 - beta) / trials)
 
@@ -272,9 +289,9 @@ def test_choosing_rows_draw_as_one_call_per_row():
         assert got == want
         assert a.bit_generator.state == b.bit_generator.state
         outcomes.update(i >= 0 for i in got)
-        inst = ChoosingInstance(scores={f"z{i}": s for i, s in enumerate(rows[0])}, k=k, n=n)
+        scores = {f"z{i}": s for i, s in enumerate(rows[0])}
         c = np.random.default_rng(seed)
-        out = choosing_mechanism(inst, privacy, 0.9, c)
+        out = choosing_mechanism(scores, k, n, privacy, 0.9, c)
         assert out == (None if got[0] < 0 else f"z{got[0]}")
     assert outcomes == {True, False}
 

@@ -124,11 +124,9 @@ def dense_tree(m):
     return ClassTree(
         parent=parent_of,
         depth=depth_of,
-        height=int(depth_of.max(initial=0)),
         tour=tour_arr,
         tin=tin,
         tout=tout,
-        proper=dict(zip(points, proper[points].tolist())),
         proper_mask=proper,
     )
 
