@@ -3,11 +3,11 @@
 Each builder returns ``(mechanism, data_a, data_b, claimed)``: an opaque
 randomized map from datasets to finite outcomes in :func:`dp_audit`'s
 batched form, two datasets differing in one entry, and the budget the
-mechanism is supposed to satisfy. The mechanisms of single primitives are
-one-run functions lifted by :func:`repeated`, so their draws are those of
-back-to-back calls; the learner scenarios run a batch of learner runs at
-once. The randomized-response scenario has analytically known outcome
-probabilities and calibrates the auditor itself.
+mechanism is supposed to satisfy. The mechanisms of single primitives run
+a batch of ``k`` trials on the primitives' row forms, with the draws of
+``k`` back-to-back calls of the one-run primitive; the learner scenarios
+run a batch of learner runs at once. The randomized-response scenario has
+analytically known outcome probabilities and calibrates the auditor itself.
 """
 
 from __future__ import annotations
@@ -19,15 +19,9 @@ import numpy as np
 
 from .concepts import ConceptClass, Dataset
 from .generators import example_class
-from .learners import LearnParams, LearnerContext, improper_learn_runs, prepare_context
-from .mechanisms import (
-    PrivacyParams,
-    choosing_mechanism,
-    exponential_mechanism,
-    laplace_sample,
-    private_median,
-)
-from .oracles import repeated
+from .learners import LearnParams, LearnerContext, _checked_context, _codes, _hypotheses
+from .learners import _improper_runs
+from .mechanisms import PrivacyParams, _choosing_rows, _laplace, _median_rows, _softmax_rows
 
 # (mechanism(data, rng, k) -> k outcomes, data_a, data_b, claimed budget)
 AuditScenario = tuple[
@@ -42,26 +36,27 @@ def randomized_response_scenario(epsilon: float = 1.0) -> AuditScenario:
     """Flip a single stored bit with probability 1 / (1 + e^eps)."""
     keep = math.exp(epsilon) / (1.0 + math.exp(epsilon))
 
-    def mech(data: Dataset, rng: np.random.Generator) -> int:
+    def mech(data: Dataset, rng: np.random.Generator, k: int) -> list[int]:
         bit = int(data.labels[0])
-        return bit if rng.random() < keep else 1 - bit
+        return np.where(rng.random(k) < keep, bit, 1 - bit).tolist()
 
     d0 = Dataset.from_pairs([(0, 0)])
     d1 = Dataset.from_pairs([(0, 1)])
-    return repeated(mech), d0, d1, PrivacyParams(epsilon, 0.0)
+    return mech, d0, d1, PrivacyParams(epsilon, 0.0)
 
 
 def laplace_scenario(epsilon: float = 1.0) -> AuditScenario:
-    """Noisy count of 1-labels; sensitivity 1, scale 1/eps."""
+    """Noisy count of 1-labels; sensitivity 1, scale 1/eps, drawn as ``laplace_sample``."""
 
-    def mech(data: Dataset, rng: np.random.Generator) -> float:
-        return float(data.labels.sum()) + laplace_sample(1.0 / epsilon, rng)
+    def mech(data: Dataset, rng: np.random.Generator, k: int) -> list[float]:
+        count = float(data.labels.sum())
+        return [count + _laplace(u, 1.0 / epsilon) for u in rng.random(k).tolist()]
 
     base = [(i, i % 2) for i in range(10)]
     other = list(base)
     other[0] = (0, 1)
     return (
-        repeated(mech),
+        mech,
         Dataset.from_pairs(base),
         Dataset.from_pairs(other),
         PrivacyParams(epsilon, 0.0),
@@ -69,19 +64,17 @@ def laplace_scenario(epsilon: float = 1.0) -> AuditScenario:
 
 
 def exponential_mechanism_scenario(epsilon: float = 1.0) -> AuditScenario:
-    """Select among four values scored by their multiplicity in the data."""
+    """Select among four values scored by their multiplicity, as ``exponential_mechanism``."""
 
-    def mech(data: Dataset, rng: np.random.Generator) -> int:
-        cands = [
-            (v, float((data.points == v).sum())) for v in range(4)
-        ]
-        return int(exponential_mechanism(cands, 1.0, epsilon, rng))
+    def mech(data: Dataset, rng: np.random.Generator, k: int) -> list[int]:
+        scores = np.array([float((data.points == v).sum()) for v in range(4)])
+        return _softmax_rows(np.tile(epsilon * scores / 2.0, (k, 1)), rng).tolist()
 
     base = [(i % 4, 0) for i in range(8)]
     other = list(base)
     other[0] = (1, 0)
     return (
-        repeated(mech),
+        mech,
         Dataset.from_pairs(base),
         Dataset.from_pairs(other),
         PrivacyParams(epsilon, 0.0),
@@ -89,20 +82,19 @@ def exponential_mechanism_scenario(epsilon: float = 1.0) -> AuditScenario:
 
 
 def choosing_scenario(epsilon: float = 1.0, delta: float = 1e-6) -> AuditScenario:
-    """Bounded-quality selection with multiplicity scores (1-bounded), beta 0.1."""
+    """``choosing_mechanism`` over 0 to 3 scored by multiplicity (1-bounded), beta 0.1."""
 
-    def mech(data: Dataset, rng: np.random.Generator) -> int | None:
-        scores = {
-            v: int((data.points == v).sum()) for v in range(4)
-        }
-        out = choosing_mechanism(scores, 1, len(data), PrivacyParams(epsilon, delta), 0.1, rng)
-        return None if out is None else int(out)
+    def mech(data: Dataset, rng: np.random.Generator, k: int) -> list[int | None]:
+        scores = np.array([[int((data.points == v).sum()) for v in range(4)]])
+        privacy = PrivacyParams(epsilon, delta)
+        picks = _choosing_rows(np.repeat(scores, k, axis=0), 1, len(data), privacy, 0.1, rng)
+        return [None if i < 0 else i for i in picks]
 
     base = [(0, 0)] * 30 + [(1, 0)] * 3
     other = list(base)
     other[-1] = (2, 0)
     return (
-        repeated(mech),
+        mech,
         Dataset.from_pairs(base),
         Dataset.from_pairs(other),
         PrivacyParams(epsilon, delta),
@@ -110,23 +102,17 @@ def choosing_scenario(epsilon: float = 1.0, delta: float = 1e-6) -> AuditScenari
 
 
 def median_scenario(epsilon: float = 1.0) -> AuditScenario:
-    """Private median of twenty small integers; the mechanism is pure DP."""
+    """``private_median`` of twenty integers in [0, 8]; the mechanism is pure DP."""
 
-    def mech(data: Dataset, rng: np.random.Generator) -> int:
-        return private_median(
-            [int(p) for p in data.points],
-            domain_max=8,
-            alpha=1.0 / 3.0,
-            privacy=PrivacyParams(epsilon, 0.0),
-            beta=0.1,
-            rng=rng,
-        )
+    def mech(data: Dataset, rng: np.random.Generator, k: int) -> list[int]:
+        values = np.tile(data.points.astype(np.int64), (k, 1))
+        return _median_rows(values, 8, epsilon, rng).tolist()
 
     base = [(3, 0)] * 10 + [(5, 0)] * 10
     other = list(base)
     other[0] = (8, 0)
     return (
-        repeated(mech),
+        mech,
         Dataset.from_pairs(base),
         Dataset.from_pairs(other),
         PrivacyParams(epsilon, 0.0),
@@ -145,17 +131,19 @@ def improper_learner_scenario(
     The learner runs with alpha 0.2 and beta 0.1 on ``cls``, the example
     class by default. The two datasets are realizable labelings of ``n``
     examples differing in one example. Outcomes are the output hypothesis
-    1-sets, a finite space. The mechanism hands each batch of ``k`` trials
-    to :func:`improper_learn_runs` as ``k`` runs, so its draws are laid
-    out as that function lays them out, not as ``k`` separate calls.
+    1-sets, a finite space. The mechanism runs each batch of ``k`` trials
+    as the ``k`` runs of :func:`improper_learn_runs`, with its draws and
+    its hypotheses, but reads only the runs' chosen points and lifts each
+    distinct one once, building no traces. The parameters are checked
+    when the scenario is built.
     """
     cls = cls if cls is not None else example_class()
-    ctx = context if context is not None else prepare_context(cls)
     params = LearnParams(alpha=0.2, beta=0.1, privacy=PrivacyParams(epsilon, delta))
+    ctx = _checked_context(cls, params, context)
 
     def mech(data: Dataset, rng: np.random.Generator, k: int) -> list[frozenset[int]]:
-        traces = improper_learn_runs(cls, data, params, rng, k, context=ctx)
-        return [trace.hypothesis.ones for trace in traces]
+        *_, picks = _improper_runs(ctx, _codes(ctx, data), params, rng, k)
+        return [h.ones for h in _hypotheses(ctx, picks)]
 
     target = cls.concepts[-2]
     pairs = [(i % cls.domain_size, target(i % cls.domain_size)) for i in range(n)]

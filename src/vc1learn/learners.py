@@ -12,10 +12,10 @@ back-transforms to an accurate hypothesis on the class's own domain.
   (its point's tour position and its relabeled label) is shuffled
   directly and dealt round-robin, and one scatter fills a point-major
   presence matrix, a row per code and a column per subset, whose
-  summaries :func:`~vc1learn.tree.forced_nodes` computes across all
-  subsets at once. :func:`improper_learn_runs` puts the subsets of many
-  runs in one such matrix, and draws their medians and selections in one
-  pass each.
+  summaries :func:`~vc1learn.tree.forced_nodes` computes for all subsets
+  at once. :func:`improper_learn_runs` runs many in one such matrix: a
+  batch core draws their medians and selections in one pass each, as
+  arrays, and a trace builder turns those into the traces.
 * :func:`proper_learn` runs the improper stage on one slice of the data
   and, when the selected node's path is not realized by a class member,
   descends the pruned subtree with noisy weight tests and exponential
@@ -188,14 +188,16 @@ class LearnerContext:
         return _back_transform(self, None)
 
     @cached_property
-    def candidates(self) -> tuple[tuple[int, ...], ...]:
-        """The tree points at depth ``z``, ascending, for ``z`` in [0, height]."""
+    def by_depth(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(points, starts)``: the tree points by depth, ascending within a
+        depth, then a padding -1; depth ``z``'s are ``points[starts[z]:
+        starts[z + 1]]`` for ``z`` in [0, height + 1], none at height + 1."""
         tree = self.tree
         nodes = np.flatnonzero(tree.tin >= 0)
-        counts = np.bincount(tree.depth[nodes], minlength=tree.height + 1)
-        ordered = nodes[np.argsort(tree.depth[nodes], kind="stable")].tolist()
-        starts = np.concatenate(([0], counts.cumsum())).tolist()
-        return tuple(tuple(ordered[i:j]) for i, j in zip(starts, starts[1:]))
+        counts = np.bincount(tree.depth[nodes], minlength=tree.height + 2)
+        points = np.append(nodes[np.argsort(tree.depth[nodes], kind="stable")], -1)
+        points.flags.writeable = False
+        return points, np.concatenate(([0], counts.cumsum()))
 
     @property
     def depth_vec(self) -> np.ndarray:
@@ -406,7 +408,8 @@ def improper_learn(
     """
     ctx = _checked_context(cls, params, context)
     codes = _codes(ctx, dataset)
-    return _improper_runs(ctx, codes, params, rng, 1, subset_ids, force_median, greedy)[0]
+    batch = _improper_runs(ctx, codes, params, rng, 1, subset_ids, force_median, greedy)
+    return _traces(ctx, batch)[0]
 
 
 def improper_learn_runs(
@@ -426,22 +429,25 @@ def improper_learn_runs(
     several hypotheses about one sample. The runs shuffle the examples'
     presence codes as the rows of one array, with no subset-id array, and
     share one scatter into a point-major presence matrix (a row per code,
-    a column per subset of every run), one :func:`forced_nodes` call and
-    one gate-and-selection pass, so a batch of audit-sized runs costs far
-    less per run than separate calls; its working memory grows with
-    ``runs`` times the dataset and times the subset count by the tree size.
+    a column per subset of every run), one :func:`forced_nodes` call, one
+    array of candidate scores and one gate-and-selection pass, and the
+    traces are built from the batch's arrays; so a batch of audit-sized
+    runs costs far less per run than separate calls. Its working memory
+    grows with ``runs`` times the dataset and times the subset count by
+    the tree size.
 
     The draws are the runs' shuffles in run order (each what
     ``rng.permutation(len(dataset))`` draws), then one uniform per
     run for the medians, then each run's gate and selection uniforms in
-    run order; at one run that is :func:`improper_learn`'s order, and the
-    trace is the same. Raises ``ValueError`` before touching the data when
-    ``runs`` is below 1 or the privacy parameters are out of range.
+    run order, in buffered ``rng.random`` calls; at one run that is
+    :func:`improper_learn`'s order, and the trace is the same. Raises
+    ``ValueError`` before touching the data when ``runs`` is below 1 or
+    the privacy parameters are out of range.
     """
     if runs < 1:
         raise ValueError("runs must be at least 1")
     ctx = _checked_context(cls, params, context)
-    return _improper_runs(ctx, _codes(ctx, dataset), params, rng, runs)
+    return _traces(ctx, _improper_runs(ctx, _codes(ctx, dataset), params, rng, runs))
 
 
 def _improper_runs(
@@ -453,8 +459,14 @@ def _improper_runs(
     subset_ids: np.ndarray | None = None,
     force_median: int | None = None,
     greedy: bool = False,
-) -> list[ImproperTrace]:
-    """The improper pipeline on presence codes for ``runs`` runs; hooks need ``runs`` 1."""
+) -> tuple[np.ndarray, ...]:
+    """The improper pipeline on presence codes for ``runs`` runs; hooks need ``runs`` 1.
+
+    Returns arrays with a row per run: its subsets' deepest forced points
+    (-1 for none) and their depths, its median depth, its candidates (the
+    tree points at that depth, padded with -1), their scores (0 for the
+    padding) and its chosen tree point (-1: abstained).
+    """
     if len(codes) == 0:
         raise ValueError("dataset must be non-empty")
     if subset_ids is not None:
@@ -472,9 +484,9 @@ def _improper_runs(
 
     tree = ctx.tree
     if force_median is not None:
-        medians = [int(force_median)] * runs
+        medians = np.full(runs, int(force_median))
     else:
-        medians = _median_rows(depths, tree.height, params.privacy.epsilon, rng).tolist()
+        medians = _median_rows(depths, tree.height, params.privacy.epsilon, rng)
 
     # a node's score counts the run's subsets whose forced path passes
     # through it: those whose deepest point lies in its tour interval
@@ -484,26 +496,39 @@ def _improper_runs(
         run_of * width + tree.tin[deepest[run_of, subset]] + 1, minlength=runs * width
     )
     before = counts.reshape(runs, width).cumsum(axis=1)
-    inside = (before[:, tree.tout] - before[:, tree.tin]).tolist()
-    # candidates: the tree points at depth z (none off [0, height])
-    candidates = [ctx.candidates[z] if 0 <= z <= tree.height else () for z in medians]
-    scores = [tuple(map(row.__getitem__, c)) for row, c in zip(inside, candidates)]
+    # candidates: a row per run of the tree points at depth z (none off
+    # [0, height]), padded with -1, which scores 0
+    points, starts = ctx.by_depth
+    z = np.where((medians >= 0) & (medians <= tree.height), medians, tree.height + 1)
+    lo, hi = starts[z], starts[z + 1]
+    slot = lo[:, None] + np.arange(max(int((hi - lo).max()), 1))
+    cand = points[np.where(slot < hi[:, None], slot, -1)]
+    run = np.arange(runs)[:, None]
+    inside = before[run, tree.tout[cand]] - before[run, tree.tin[cand]]
+    scores = np.where(cand >= 0, inside, 0)
     if greedy:
-        best = [max(row, default=0) for row in scores]
-        picks = [row.index(b) if b > 0 else -1 for row, b in zip(scores, best)]
+        picks = np.where(scores.max(axis=1) > 0, scores.argmax(axis=1), -1)
     else:
-        picks = _choosing_rows(scores, 1, t, params.privacy, params.beta, rng)
+        picks = np.array(_choosing_rows(scores, 1, t, params.privacy, params.beta, rng))
+    chosen = np.where(picks >= 0, cand[run[:, 0], picks], -1)
+    return deepest, depths, medians, cand, scores, chosen
 
-    forced = deepest.astype(object)
-    forced[deepest < 0] = None
-    lifted = {None: ctx.abstained}
+
+def _hypotheses(ctx: LearnerContext, picks: np.ndarray) -> list[Hypothesis]:
+    """Each chosen point's hypothesis (-1: abstained), each distinct point lifted once."""
+    picks = picks.tolist()
+    lifted = {p: _back_transform(ctx, p) if p >= 0 else ctx.abstained for p in set(picks)}
+    return [lifted[p] for p in picks]
+
+
+def _traces(ctx: LearnerContext, batch: tuple[np.ndarray, ...]) -> list[ImproperTrace]:
+    """The traces of a batch of :func:`_improper_runs`, in run order."""
+    deepest, depths, medians, cand, scores, picks = batch
+    forced = np.where(deepest >= 0, deepest, None).tolist()
     traces = []
-    for z, c, row, i, d, f in zip(
-        medians, candidates, scores, picks, depths.tolist(), forced.tolist()
-    ):
-        chosen = c[i] if i >= 0 else None
-        if chosen not in lifted:
-            lifted[chosen] = _back_transform(ctx, chosen)
+    lists = [a.tolist() for a in (medians, cand, scores, picks, depths)]
+    for z, padded, row, p, d, f, h in zip(*lists, forced, _hypotheses(ctx, picks)):
+        c = tuple(q for q in padded if q >= 0)
         traces.append(
             ImproperTrace(
                 reference_concept=ctx.f,
@@ -512,9 +537,9 @@ def _improper_runs(
                 subset_deepest=tuple(f),
                 median_depth=z,
                 candidates=c,
-                scores=row,
-                chosen_point=chosen,
-                hypothesis=lifted[chosen],
+                scores=tuple(row[: len(c)]),
+                chosen_point=p if p >= 0 else None,
+                hypothesis=h,
             )
         )
     return traces
@@ -599,7 +624,8 @@ def proper_learn(
     else:
         if codes1 is None:  # the stage-1 sample was passed whole
             codes1 = _codes(ctx, dataset)
-        trace1 = _improper_runs(ctx, codes1, params, rng, 1, subset_ids, force_median, greedy)[0]
+        batch = _improper_runs(ctx, codes1, params, rng, 1, subset_ids, force_median, greedy)
+        trace1 = _traces(ctx, batch)[0]
         chosen = trace1.chosen_point
 
     # a realized node (or the root, for None) is the answer; else descend

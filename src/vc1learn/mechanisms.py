@@ -40,14 +40,19 @@ class PrivacyParams:
 def laplace_sample(scale: float, rng: np.random.Generator) -> float:
     """One draw from the Laplace density ``exp(-|x|/b) / 2b``.
 
-    Inverse-CDF from a single uniform draw, so a fixed stream position
+    :func:`_laplace` at a single uniform draw, so a fixed stream position
     always yields the same noise.
     """
     if scale <= 0:
         raise ValueError("scale must be positive")
-    u = rng.random()
-    w = 2.0 * u - 1.0
-    w = max(w, -1.0 + 2.0 ** -53)
+    return _laplace(rng.random(), scale)
+
+
+def _laplace(u: float, scale: float) -> float:
+    """The Laplace inverse CDF at uniform ``u``, in scalar ``math``
+    arithmetic: numpy's ``log1p`` differs from ``math.log1p`` in the last
+    ulp on some inputs, so all noise goes through this one function."""
+    w = max(2.0 * u - 1.0, -1.0 + 2.0 ** -53)
     return -scale * math.copysign(1.0, w) * math.log1p(-abs(w))
 
 
@@ -158,7 +163,7 @@ def _gate_log(k: int, n: int, privacy: PrivacyParams, beta: float) -> float:
 
 
 def _choosing_rows(
-    scores: Sequence[Sequence[int]],
+    scores: np.ndarray | Sequence[Sequence[int]],
     k: int,
     n: int,
     privacy: PrivacyParams,
@@ -167,24 +172,42 @@ def _choosing_rows(
 ) -> list[int]:
     """:func:`choosing_mechanism` on each row of nonnegative ``scores``, in row order.
 
-    Every row shares ``k``, ``n`` and the budget, so the parameters are
-    checked and the threshold computed once. Each row then draws its gate
-    uniform and, when the gate passes with a positive score, its
-    selection uniform, so a single row draws exactly as one
-    :func:`choosing_mechanism` call does. Returns the index of each row's
-    chosen solution, or -1 when it abstained.
+    ``scores`` is a 2-d array, or rows of any lengths zero-padded into one
+    (a zero is never selected). The parameters are checked and the
+    threshold computed once. Each row reads its gate uniform and, when the
+    gate passes with a best score of at least 1, its selection uniform
+    from a buffer, which one ``rng.random(m)`` fills for the ``m`` rows
+    still to gate: the stream is consumed as by one
+    :func:`choosing_mechanism` call per row. Returns the index of each
+    row's chosen solution, or -1 when it abstained.
     """
     _check_gate(privacy, beta)
+    if not isinstance(scores, np.ndarray):
+        width = max(map(len, scores), default=0)
+        padded = [[*row] + [0] * (width - len(row)) for row in scores]
+        scores = np.array(padded).reshape(len(padded), width)
     eps = privacy.epsilon
+    scale = GATE_NOISE_SCALE / eps
     threshold = (GATE_THRESHOLD_SCALE / eps) * _gate_log(k, n, privacy, beta)
-    picks = []
-    for row in scores:
-        best = max(row, default=0)
-        if best + laplace_sample(GATE_NOISE_SCALE / eps, rng) < threshold or best < 1:
-            picks.append(-1)
+    best = scores.max(axis=1, initial=0).tolist()
+    picks = [-1] * len(best)
+    buffer: list[float] = []  # the uniforms still to read, last first
+
+    def uniform(rows_left: int) -> float:
+        if not buffer:
+            buffer.extend(reversed(rng.random(rows_left).tolist()))
+        return buffer.pop()
+
+    for r, top in enumerate(best):
+        gate = uniform(len(best) - r)
+        if top < 1 or top + _laplace(gate, scale) < threshold:
             continue
-        active = [(i, float(s)) for i, s in enumerate(row) if s >= 1]
-        picks.append(exponential_mechanism(active, 1.0, eps / 2.0, rng))
+        # exponential_mechanism at eps / 2 over the positive scores, its
+        # draw counted as in _softmax_rows
+        active = np.flatnonzero(scores[r] >= 1)
+        logits = (eps / 2.0) * scores[r, active].astype(np.float64) / 2.0
+        cdf = _softmax_cdf(logits[None])
+        picks[r] = int(active[np.count_nonzero(cdf <= uniform(len(best) - r))])
     return picks
 
 
@@ -217,14 +240,19 @@ def private_median(
     values = list(values)
     if not values:
         raise ValueError("empty values")
-    if privacy.epsilon <= 0:
-        raise ValueError("epsilon must be positive")
-    if not 0 < alpha <= 0.5:
-        raise ValueError("alpha must be in (0, 1/2]")
+    _check_median(alpha, privacy)
     if min(values) < 0 or max(values) > domain_max:
         raise ValueError("values outside [0, domain_max]")
     rows = np.asarray([values], dtype=np.int64)
     return int(_median_rows(rows, domain_max, privacy.epsilon, rng)[0])
+
+
+def _check_median(alpha: float, privacy: PrivacyParams) -> None:
+    """The median's parameter rule: eps > 0 and alpha in (0, 1/2]."""
+    if privacy.epsilon <= 0:
+        raise ValueError("epsilon must be positive")
+    if not 0 < alpha <= 0.5:
+        raise ValueError("alpha must be in (0, 1/2]")
 
 
 def _median_rows(
@@ -260,10 +288,7 @@ def required_median_size(
     """
     if domain_max < 0:
         raise ValueError("domain_max must be nonnegative")
-    if privacy.epsilon <= 0:
-        raise ValueError("epsilon must be positive")
-    if not 0 < alpha <= 0.5:
-        raise ValueError("alpha must be in (0, 1/2]")
+    _check_median(alpha, privacy)
     if not 0 < beta < 1:
         raise ValueError("beta must be in (0, 1)")
     return math.ceil(

@@ -37,7 +37,7 @@ from vc1learn import (
     upward_closure,
 )
 from vc1learn import learners
-from vc1learn.audit_scenarios import unrealizable_neighbour_scenario
+from vc1learn.audit_scenarios import improper_learner_scenario, unrealizable_neighbour_scenario
 from vc1learn.oracles import AUDIT_BATCH
 from vc1learn.tree import forced_nodes
 
@@ -1047,3 +1047,22 @@ def test_audit_batch_memory_is_bounded():
         tracemalloc.stop()
     assert len(outcomes) == AUDIT_BATCH
     assert peak <= 64 * 2**20, peak / 2**20
+
+
+def test_learner_scenarios_return_the_hypotheses_of_improper_learn_runs(example_cls):
+    # the scenarios' mechanism builds no traces; it must still return each
+    # run's hypothesis and leave the generator where the traced batch does
+    params = LearnParams(alpha=0.2, beta=0.1, privacy=PrivacyParams(1.0, 1e-5))
+    ctx = prepare_context(example_cls)
+    scenarios = (improper_learner_scenario(1.0, 1e-5, n=30), unrealizable_neighbour_scenario(1.0, 1e-5))
+    seen = set()
+    for i, (mech, data_a, data_b, _) in enumerate(scenarios):
+        for data in (data_a, data_b):
+            for k in (1, 7, 64, 256):
+                a, b = make_rng([i, k]), make_rng([i, k])
+                got = mech(data, a, k)
+                traces = improper_learn_runs(example_cls, data, params, b, k, context=ctx)
+                assert got == [trace.hypothesis.ones for trace in traces], (i, k)
+                assert a.bit_generator.state == b.bit_generator.state
+                seen.update(trace.chosen_point is None for trace in traces)
+    assert seen == {True, False}  # runs that abstained and runs that selected

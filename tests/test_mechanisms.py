@@ -296,6 +296,53 @@ def test_choosing_rows_draw_as_one_call_per_row():
     assert outcomes == {True, False}
 
 
+def test_choosing_rows_long_batches_draw_as_one_call_per_row():
+    # each pass takes one more uniform than its row's gate, so the rows
+    # after it overrun the buffer drawn for them and draw the rest again:
+    # passes on the first and on the last row, runs of passes, and rows
+    # whose best score is below 1 (never selected) between passes
+    src = np.random.default_rng(29)
+    n = 50
+    for seed in range(80):
+        eps = float(src.choice([0.5, 1.0, 1.9]))
+        privacy = PrivacyParams(eps, 1e-3)
+        threshold = (GATE_THRESHOLD_SCALE / eps) * math.log(4.0 * n / (0.9 * eps * 1e-3))
+        # the gate's noise is at least -(GATE_NOISE_SCALE / eps) * 53 ln 2
+        sure = math.ceil(threshold + 40.0 * GATE_NOISE_SCALE / eps)
+        size = int(src.integers(2, 301))
+        kinds = src.choice(["pass", "below", "fail", "near"], size=size).tolist()
+        pattern = seed % 4
+        if pattern == 0:
+            kinds[0] = "pass"
+        elif pattern == 1:
+            kinds[-1] = "pass"
+        elif pattern == 2:
+            start = int(src.integers(0, size - 1))
+            kinds[start : start + 6] = ["pass"] * len(kinds[start : start + 6])
+        else:
+            kinds[: 5] = ["pass", "below", "pass", "below", "pass"][: size]
+        rows = []
+        for kind in kinds:
+            m = int(src.integers(1, 6))
+            if kind == "pass":
+                row = [sure] + src.integers(0, 4, size=m).tolist()
+            elif kind == "below":
+                row = [0] * int(src.integers(0, 3))
+            elif kind == "fail":
+                row = src.integers(0, 2, size=m).tolist()
+            else:
+                row = (round(threshold) + src.integers(-8, 8, size=m)).tolist()
+            rows.append(src.permutation(row).tolist())
+        a, b = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = _choosing_rows(rows, 1, n, privacy, 0.9, a)
+        want = [_gate_then_choose(row, 1, n, privacy, 0.9, b) for row in rows]
+        assert got == want, seed
+        assert a.bit_generator.state == b.bit_generator.state, seed
+        passed = [i >= 0 for i in got]
+        assert all(p for p, kind in zip(passed, kinds) if kind == "pass")
+        assert not any(p for p, kind in zip(passed, kinds) if kind == "below")
+
+
 def test_softmax_row_sums_match_one_dimensional_sums():
     # a row's CDF must be the 1-d arithmetic of rng.choice to the bit: its
     # normaliser is numpy's pairwise sum over the row, which a sequential
