@@ -485,8 +485,9 @@ def _improper_runs(
     tree = ctx.tree
     if force_median is not None:
         medians = np.full(runs, int(force_median))
+        z = medians if 0 <= force_median <= tree.height else np.full(runs, tree.height + 1)
     else:
-        medians = _median_rows(depths, tree.height, params.privacy.epsilon, rng)
+        medians = z = _median_rows(depths, tree.height, params.privacy.epsilon, rng)
 
     # a node's score counts the run's subsets whose forced path passes
     # through it: those whose deepest point lies in its tour interval
@@ -496,10 +497,9 @@ def _improper_runs(
         run_of * width + tree.tin[deepest[run_of, subset]] + 1, minlength=runs * width
     )
     before = counts.reshape(runs, width).cumsum(axis=1)
-    # candidates: a row per run of the tree points at depth z (none off
-    # [0, height]), padded with -1, which scores 0
+    # candidates: the tree points at depth z (none at height + 1, for a
+    # median off [0, height]), a row per run padded with -1, which scores 0
     points, starts = ctx.by_depth
-    z = np.where((medians >= 0) & (medians <= tree.height), medians, tree.height + 1)
     lo, hi = starts[z], starts[z + 1]
     slot = lo[:, None] + np.arange(max(int((hi - lo).max()), 1))
     cand = points[np.where(slot < hi[:, None], slot, -1)]

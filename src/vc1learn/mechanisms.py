@@ -189,7 +189,7 @@ def _choosing_rows(
     eps = privacy.epsilon
     scale = GATE_NOISE_SCALE / eps
     threshold = (GATE_THRESHOLD_SCALE / eps) * _gate_log(k, n, privacy, beta)
-    best = scores.max(axis=1, initial=0).tolist()
+    best = np.maximum.reduce(scores, axis=1, initial=0).tolist()
     picks = [-1] * len(best)
     buffer: list[float] = []  # the uniforms still to read, last first
 
