@@ -464,8 +464,8 @@ def _improper_runs(
 
     Returns arrays with a row per run: its subsets' deepest forced points
     (-1 for none) and their depths, its median depth, its candidates (the
-    tree points at that depth, padded with -1), their scores (0 for the
-    padding) and its chosen tree point (-1: abstained).
+    tree points at that depth, then at least one -1), their scores (0 for
+    the padding) and its chosen tree point (-1: abstained).
     """
     if len(codes) == 0:
         raise ValueError("dataset must be non-empty")
@@ -498,10 +498,10 @@ def _improper_runs(
     )
     before = counts.reshape(runs, width).cumsum(axis=1)
     # candidates: the tree points at depth z (none at height + 1, for a
-    # median off [0, height]), a row per run padded with -1, which scores 0
+    # median off [0, height]), then -1s, which score 0 and are pick -1's
     points, starts = ctx.by_depth
     lo, hi = starts[z], starts[z + 1]
-    slot = lo[:, None] + np.arange(max(int((hi - lo).max()), 1))
+    slot = lo[:, None] + np.arange(int((hi - lo).max()) + 1)
     cand = points[np.where(slot < hi[:, None], slot, -1)]
     run = np.arange(runs)[:, None]
     inside = before[run, tree.tout[cand]] - before[run, tree.tin[cand]]
@@ -510,7 +510,7 @@ def _improper_runs(
         picks = np.where(scores.max(axis=1) > 0, scores.argmax(axis=1), -1)
     else:
         picks = np.array(_choosing_rows(scores, 1, t, params.privacy, params.beta, rng))
-    chosen = np.where(picks >= 0, cand[run[:, 0], picks], -1)
+    chosen = cand[run[:, 0], picks]
     return deepest, depths, medians, cand, scores, chosen
 
 
