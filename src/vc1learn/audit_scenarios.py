@@ -2,12 +2,13 @@
 
 Each builder returns ``(mechanism, data_a, data_b, claimed)``: an opaque
 randomized map from datasets to finite outcomes in :func:`dp_audit`'s
-batched form, two datasets differing in one entry, and the budget the
-mechanism is supposed to satisfy. The mechanisms of single primitives run
-a batch of ``k`` trials on the primitives' row forms, with the draws of
-``k`` back-to-back calls of the one-run primitive; the learner scenarios
-run a batch of learner runs at once. The randomized-response scenario has
-analytically known outcome probabilities and calibrates the auditor itself.
+batched form, two replace-one neighbours (equal length, one entry
+changed), and the budget the mechanism is supposed to satisfy. The
+mechanisms of single primitives run a batch of ``k`` trials on the
+primitives' row forms, with the draws of ``k`` back-to-back calls of the
+one-run primitive; the learner scenarios run a batch of learner runs at
+once. The randomized-response scenario has analytically known outcome
+probabilities and calibrates the auditor itself.
 """
 
 from __future__ import annotations
@@ -21,15 +22,23 @@ from .concepts import ConceptClass, Dataset
 from .generators import example_class
 from .learners import LearnParams, LearnerContext, _checked_context, _codes, _hypotheses
 from .learners import _improper_runs
-from .mechanisms import PrivacyParams, _choosing_rows, _laplace, _median_rows, _softmax_rows
+from .mechanisms import PrivacyParams, _choosing_rows, _em_rows, _laplace, _median_rows
 
-# (mechanism(data, rng, k) -> k outcomes, data_a, data_b, claimed budget)
-AuditScenario = tuple[
-    Callable[[Dataset, np.random.Generator, int], Sequence[Hashable]],
-    Dataset,
-    Dataset,
-    PrivacyParams,
-]
+# mechanism(data, rng, k) -> k outcomes
+Mechanism = Callable[[Dataset, np.random.Generator, int], Sequence[Hashable]]
+# (mechanism, data_a, data_b, claimed budget)
+AuditScenario = tuple[Mechanism, Dataset, Dataset, PrivacyParams]
+
+
+def _replace_one(
+    mech: Mechanism, pairs: list, index: int, pair: tuple, claimed: PrivacyParams
+) -> AuditScenario:
+    """The scenario on ``pairs`` and its replace-one neighbour, ``pairs[index]``
+    replaced by ``pair``: not the add-one notion of
+    :func:`~vc1learn.mechanisms.choosing_mechanism`'s budget."""
+    other = list(pairs)
+    other[index] = pair
+    return mech, Dataset.from_pairs(pairs), Dataset.from_pairs(other), claimed
 
 
 def randomized_response_scenario(epsilon: float = 1.0) -> AuditScenario:
@@ -40,9 +49,7 @@ def randomized_response_scenario(epsilon: float = 1.0) -> AuditScenario:
         bit = int(data.labels[0])
         return np.where(rng.random(k) < keep, bit, 1 - bit).tolist()
 
-    d0 = Dataset.from_pairs([(0, 0)])
-    d1 = Dataset.from_pairs([(0, 1)])
-    return mech, d0, d1, PrivacyParams(epsilon, 0.0)
+    return _replace_one(mech, [(0, 0)], 0, (0, 1), PrivacyParams(epsilon, 0.0))
 
 
 def laplace_scenario(epsilon: float = 1.0) -> AuditScenario:
@@ -53,14 +60,7 @@ def laplace_scenario(epsilon: float = 1.0) -> AuditScenario:
         return [count + _laplace(u, 1.0 / epsilon) for u in rng.random(k).tolist()]
 
     base = [(i, i % 2) for i in range(10)]
-    other = list(base)
-    other[0] = (0, 1)
-    return (
-        mech,
-        Dataset.from_pairs(base),
-        Dataset.from_pairs(other),
-        PrivacyParams(epsilon, 0.0),
-    )
+    return _replace_one(mech, base, 0, (0, 1), PrivacyParams(epsilon, 0.0))
 
 
 def exponential_mechanism_scenario(epsilon: float = 1.0) -> AuditScenario:
@@ -68,21 +68,21 @@ def exponential_mechanism_scenario(epsilon: float = 1.0) -> AuditScenario:
 
     def mech(data: Dataset, rng: np.random.Generator, k: int) -> list[int]:
         scores = np.array([float((data.points == v).sum()) for v in range(4)])
-        return _softmax_rows(np.tile(epsilon * scores / 2.0, (k, 1)), rng).tolist()
+        return _em_rows(np.tile(scores, (k, 1)), 1.0, epsilon, rng.random(k)).tolist()
 
     base = [(i % 4, 0) for i in range(8)]
-    other = list(base)
-    other[0] = (1, 0)
-    return (
-        mech,
-        Dataset.from_pairs(base),
-        Dataset.from_pairs(other),
-        PrivacyParams(epsilon, 0.0),
-    )
+    return _replace_one(mech, base, 0, (1, 0), PrivacyParams(epsilon, 0.0))
 
 
 def choosing_scenario(epsilon: float = 1.0, delta: float = 1e-6) -> AuditScenario:
-    """``choosing_mechanism`` over 0 to 3 scored by multiplicity (1-bounded), beta 0.1."""
+    """``choosing_mechanism`` over 0 to 3 scored by multiplicity (1-bounded), beta 0.1.
+
+    The pair is replace-one and moves two scores, so the claimed add-one
+    budget covers it only through group privacy, as (2 eps, (1 + e^eps)
+    delta). Criterion 9 keeps it as is: the gate threshold, about 84, is far
+    above the top score of 30, so the gate never passes in practice and the
+    audit estimates 0.
+    """
 
     def mech(data: Dataset, rng: np.random.Generator, k: int) -> list[int | None]:
         scores = np.array([[int((data.points == v).sum()) for v in range(4)]])
@@ -91,14 +91,7 @@ def choosing_scenario(epsilon: float = 1.0, delta: float = 1e-6) -> AuditScenari
         return [None if i < 0 else i for i in picks]
 
     base = [(0, 0)] * 30 + [(1, 0)] * 3
-    other = list(base)
-    other[-1] = (2, 0)
-    return (
-        mech,
-        Dataset.from_pairs(base),
-        Dataset.from_pairs(other),
-        PrivacyParams(epsilon, delta),
-    )
+    return _replace_one(mech, base, -1, (2, 0), PrivacyParams(epsilon, delta))
 
 
 def median_scenario(epsilon: float = 1.0) -> AuditScenario:
@@ -109,14 +102,7 @@ def median_scenario(epsilon: float = 1.0) -> AuditScenario:
         return _median_rows(values, 8, epsilon, rng).tolist()
 
     base = [(3, 0)] * 10 + [(5, 0)] * 10
-    other = list(base)
-    other[0] = (8, 0)
-    return (
-        mech,
-        Dataset.from_pairs(base),
-        Dataset.from_pairs(other),
-        PrivacyParams(epsilon, 0.0),
-    )
+    return _replace_one(mech, base, 0, (8, 0), PrivacyParams(epsilon, 0.0))
 
 
 def improper_learner_scenario(
@@ -147,15 +133,9 @@ def improper_learner_scenario(
 
     target = cls.concepts[-2]
     pairs = [(i % cls.domain_size, target(i % cls.domain_size)) for i in range(n)]
-    other = list(pairs)
-    swap = (pairs[0][0] + 1) % cls.domain_size
-    other[0] = (swap, target(swap))  # both sides stay realizable by the target
-    return (
-        mech,
-        Dataset.from_pairs(pairs),
-        Dataset.from_pairs(other),
-        PrivacyParams(2.0 * epsilon, 2.0 * delta),
-    )
+    swap = (pairs[0][0] + 1) % cls.domain_size  # both sides stay realizable by the target
+    claimed = PrivacyParams(2.0 * epsilon, 2.0 * delta)
+    return _replace_one(mech, pairs, 0, (swap, target(swap)), claimed)
 
 
 def unrealizable_neighbour_scenario(

@@ -58,10 +58,10 @@ from .tree import (
     ClassTree,
     SubTree,
     _check_in_tree,
-    _tour_rows,
     forced_nodes,
     make_subtree,
     node_stats,
+    presence_codes,
     root_path,
     tree_from_matrix,
 )
@@ -206,15 +206,11 @@ class LearnerContext:
 
     @cached_property
     def tour_code(self) -> np.ndarray:
-        """``tour_code[l, p]``: the presence row of input example ``(p, l)``.
-
-        In :func:`forced_nodes`'s point-major layout, with ``k`` tour
-        positions: the row of ``point_map[p]`` (``k`` off the tree), plus
-        ``k + 1`` when the relabeled label ``l ^ f_row[p]`` is 1.
-        """
-        rows = _tour_rows(self.tree, self.point_map)
-        flipped = np.stack([self.f_row, self.f_row ^ 1]).astype(np.int32)
-        c = rows.astype(np.int32) + (len(self.tree.tour) + 1) * flipped
+        """``tour_code[l, p]``: the presence code of input example ``(p, l)``,
+        :func:`presence_codes` of ``point_map[p]`` with the relabeled label
+        ``l ^ f_row[p]``."""
+        flipped = np.stack([self.f_row, self.f_row ^ 1])
+        c = presence_codes(self.tree, self.point_map, flipped)
         c.flags.writeable = False
         return c
 
@@ -323,9 +319,8 @@ def _summaries(ctx: LearnerContext, pres: np.ndarray) -> tuple[np.ndarray, np.nd
     ``pres`` has a column per subset and the rows of
     :attr:`LearnerContext.tour_code`: relabeled 0s, then 1s.
     """
-    k = len(ctx.tree.tour)
     # forced_nodes gives inconsistent subsets deepest -1, like empty ones
-    deepest, _ = forced_nodes(ctx.tree, pres[: k + 1], pres[k + 1 :])
+    deepest, _ = forced_nodes(ctx.tree, pres)
     depths = np.where(deepest >= 0, ctx.tree.depth[deepest], 0)
     return deepest, depths
 

@@ -74,23 +74,25 @@ def exponential_mechanism(
     if epsilon < 0:
         raise ValueError("epsilon must be nonnegative")
     ids = [c[0] for c in candidates]
-    scores = np.array([c[1] for c in candidates], dtype=np.float64)
-    logits = epsilon * scores / (2.0 * sensitivity)
-    return ids[int(_softmax_rows(logits[None], rng)[0])]
+    scores = np.array([[c[1] for c in candidates]], dtype=np.float64)
+    return ids[int(_em_rows(scores, sensitivity, epsilon, rng.random(1))[0])]
 
 
-def _softmax_rows(logits: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """One index per row of ``logits``, drawn with probability proportional to ``exp``.
+def _em_rows(
+    scores: np.ndarray, sensitivity: float, epsilon: float, u: np.ndarray
+) -> np.ndarray:
+    """The exponential mechanism on each row of ``scores``, at uniforms ``u``.
 
-    ``rng.random(rows)`` searched in each row's normalised CDF: per row, the
-    arithmetic and the random stream of ``rng.choice(k, p=normalised
-    weights)``, and ``rng.random(rows)`` draws what as many
+    Row ``r``'s logits are ``epsilon * score / (2 * sensitivity)``, and its
+    index is ``u[r]`` searched in the row's normalised CDF: per row, the
+    arithmetic of ``rng.choice(k, p=normalised weights)`` at the uniform
+    it would draw, so ``u = rng.random(rows)`` draws what as many
     ``rng.random()`` calls draw. A row's sum is numpy's pairwise sum over
     that row, as for a 1-d array.
     """
-    cdf = _softmax_cdf(logits)
+    cdf = _softmax_cdf(epsilon * scores / (2.0 * sensitivity))
     # a CDF is nondecreasing, so this count is searchsorted(u, side="right")
-    return np.add.reduce(cdf <= rng.random(len(cdf))[:, None], axis=1)
+    return np.add.reduce(cdf <= u[:, None], axis=1)
 
 
 def _softmax_cdf(logits: np.ndarray) -> np.ndarray:
@@ -202,12 +204,10 @@ def _choosing_rows(
         gate = uniform(len(best) - r)
         if top < 1 or top + _laplace(gate, scale) < threshold:
             continue
-        # exponential_mechanism at eps / 2 over the positive scores, its
-        # draw counted as in _softmax_rows
+        # exponential_mechanism at eps / 2 over the positive scores
         active = np.flatnonzero(scores[r] >= 1)
-        logits = (eps / 2.0) * scores[r, active].astype(np.float64) / 2.0
-        cdf = _softmax_cdf(logits[None])
-        picks[r] = int(active[np.count_nonzero(cdf <= uniform(len(best) - r))])
+        u = np.array([uniform(len(best) - r)])
+        picks[r] = int(active[_em_rows(scores[r, active][None], 1.0, eps / 2.0, u)[0]])
     return picks
 
 
@@ -272,8 +272,7 @@ def _median_rows(
     counts = counts.reshape(rows, width)
     n_le = np.add.accumulate(counts, axis=1)
     utility = np.minimum(n_le, m - n_le + counts)  # #{v <= z} and #{v >= z}
-    # u * (eps / 2) is eps * u / 2 to the bit: halving is exact
-    return _softmax_rows(utility * (epsilon / 2.0), rng)
+    return _em_rows(utility, 1.0, epsilon, rng.random(rows))
 
 
 def required_median_size(

@@ -62,6 +62,8 @@ class Distribution:
 
     @classmethod
     def uniform(cls, n: int) -> "Distribution":
+        if n < 1:
+            raise ValueError("uniform distribution needs at least one point")
         return cls(np.full(n, 1.0 / n))
 
     def __len__(self) -> int:
@@ -200,7 +202,7 @@ def error_on_distribution(
     if not diff:
         return 0.0
     idx = np.fromiter(diff, dtype=np.int64)
-    if idx.max() >= len(dist.weights):
+    if idx.min() < 0 or idx.max() >= len(dist.weights):
         raise ValueError("point outside distribution support")
     return float(dist.weights[idx].sum())
 

@@ -327,14 +327,23 @@ def node_stats(tree: ClassTree, sub: SubTree, zeros: np.ndarray) -> NodeStats:
     return NodeStats(weight=weight, value=value, min_leaf_value=min_leaf)
 
 
-def forced_nodes(
-    tree: ClassTree, pres0: np.ndarray, pres1: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
+def presence_codes(tree: ClassTree, points: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """Each example's row in :func:`forced_nodes`'s presence matrix, as int32: with
+    ``k`` tour positions, its point's (``k`` off the tree), plus ``k + 1`` when
+    its label is 1. The labels are widened first, so uint8 ones do not wrap."""
+    k = len(tree.tour)
+    pos = tree.tin[points]
+    codes = np.where(pos >= 0, pos, k) + (k + 1) * np.asarray(labels, dtype=np.int64)
+    return codes.astype(np.int32)
+
+
+def forced_nodes(tree: ClassTree, pres: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Deepest forced node and inconsistency flag for each of many samples.
 
-    The presence is point-major: with ``k`` tour positions, ``pres0[j, i]``
-    / ``pres1[j, i]`` say sample ``i`` has an example labeled 0/1 at the
-    point in tour position ``j``, and row ``k`` stands for every point off
+    The presence is point-major, with a row per :func:`presence_codes`
+    code: for ``k`` tour positions, ``pres[j, i]`` / ``pres[k + 1 + j, i]``
+    say sample ``i`` has an example labeled 0/1 at the point in tour
+    position ``j``, and rows ``k`` / ``2 k + 1`` stand for every point off
     the tree. The concepts are the empty set and the root paths of proper
     nodes, so a sample with 1-labels is consistent only when they all lie
     on the root path of the deepest one, ``d``. The consistent concepts are
@@ -349,6 +358,7 @@ def forced_nodes(
     ``i`` forces no point, and so is every inconsistent sample's.
     """
     k = len(tree.tour)
+    pres0, pres1 = pres[: k + 1], pres[k + 1 :]
     has1 = pres1.any(axis=0)
     if k == 0:
         return np.full(pres1.shape[1], -1, dtype=np.int64), has1
@@ -382,13 +392,6 @@ def forced_nodes(
     return deepest, has1 & ~consistent
 
 
-def _tour_rows(tree: ClassTree, points: np.ndarray) -> np.ndarray:
-    """Each point's row in :func:`forced_nodes`'s layout: its tour position, or
-    the tour length off the tree."""
-    pos = tree.tin[points]
-    return np.where(pos >= 0, pos, len(tree.tour))
-
-
 def deterministic_points(
     class_f: ConceptClass, dataset: Dataset, *, tree: ClassTree | None = None
 ) -> DeterministicSet:
@@ -403,9 +406,9 @@ def deterministic_points(
         raise ValueError("dataset point outside class domain")
     if tree is None:
         tree = make_tree(class_f)
-    pres = np.zeros((2, len(tree.tour) + 1, 1), dtype=bool)
-    pres[dataset.labels, _tour_rows(tree, dataset.points), 0] = True
-    deepest, inconsistent = forced_nodes(tree, pres[0], pres[1])
+    pres = np.zeros((2 * len(tree.tour) + 2, 1), dtype=bool)
+    pres[presence_codes(tree, dataset.points, dataset.labels), 0] = True
+    deepest, inconsistent = forced_nodes(tree, pres)
     if inconsistent[0]:
         raise NotRealizableError("dataset not realizable by class")
     if deepest[0] < 0:

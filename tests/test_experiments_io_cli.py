@@ -517,6 +517,12 @@ def test_cli_validation_exit_codes(tmp_path, capsys):
         assert capsys.readouterr().err.startswith("error:")
     bad.write_text("[1]")
     assert main(["dims", "--class", str(bad)]) == 2
+    # an empty domain has no uniform distribution to sample from
+    empty = {"name": "x", "domain_size": 0, "concepts": [{"id": "a", "ones": []}]}
+    bad.write_text(json.dumps(empty))
+    sample_args = ["sample", "--class", str(bad), "--concept", "a", "--n", "5"]
+    assert main([*sample_args, "--out", str(tmp_path / "e.csv")]) == 2
+    assert capsys.readouterr().err.startswith("error:")
     # malformed data files: short or long rows, labels off {0, 1}, huge points
     data_path = tmp_path / "d.csv"
     for row in ("3", "0,1,1", "0,-1", "0,256", f"{10**20},0"):

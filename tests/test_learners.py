@@ -255,7 +255,7 @@ def test_unrealizable_neighbour_audit(example_cls):
             ids = partition(data, t, make_rng(seed))
             pres = np.zeros((2 * (k + 1), t), dtype=bool)
             pres[ctx.tour_code[data.labels, data.points], ids] = True
-            _, inconsistent = forced_nodes(ctx.tree, pres[: k + 1], pres[k + 1 :])
+            _, inconsistent = forced_nodes(ctx.tree, pres)
             if data is data_a:
                 assert not inconsistent.any()
             else:

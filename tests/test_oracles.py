@@ -36,9 +36,11 @@ from vc1learn import (
 from vc1learn.audit_scenarios import (
     choosing_scenario,
     exponential_mechanism_scenario,
+    improper_learner_scenario,
     laplace_scenario,
     median_scenario,
     randomized_response_scenario,
+    unrealizable_neighbour_scenario,
 )
 from vc1learn.oracles import AUDIT_BATCH, _clopper_pearson
 
@@ -112,6 +114,10 @@ def test_error_on_distribution():
     assert error_on_distribution(comp, a, uniform) == pytest.approx(1.0)
     skew = Distribution(np.array([0.7, 0.1, 0.1, 0.1]))
     assert error_on_distribution(a, b, skew) == pytest.approx(0.8)
+    # a point off the support raises on either side, not wrapping to the end
+    for off in (-1, 4):
+        with pytest.raises(ValueError, match="outside distribution support"):
+            error_on_distribution(Hypothesis(frozenset({off})), Concept(frozenset()), uniform)
 
 
 def test_distribution_ignores_later_writes_to_the_callers_weights():
@@ -233,6 +239,28 @@ def test_dp_audit_asks_for_at_most_a_batch_per_call(rng):
     assert sum(asked) == 2 * trials and len(asked) == 6
     with pytest.raises(ValueError, match="returned 1 outcomes for 5 trials"):
         dp_audit(lambda data, r, k: [0], d, d, 5, 0.0, rng)
+
+
+def test_audit_scenarios_are_replace_one_neighbours():
+    # (scenario, index, replacing pair) as each builder states them
+    swap = 1  # the improper scenario's first point, 0, moved up by one
+    target = example_class().concepts[-2]
+    cases = [
+        (randomized_response_scenario(1.0), 0, (0, 1)),
+        (laplace_scenario(1.0), 0, (0, 1)),
+        (exponential_mechanism_scenario(1.0), 0, (1, 0)),
+        (choosing_scenario(1.0, 1e-6), 32, (2, 0)),
+        (median_scenario(1.0), 0, (8, 0)),
+        (improper_learner_scenario(1.0, 1e-5, n=30), 0, (swap, target(swap))),
+    ]
+    unrealizable = unrealizable_neighbour_scenario(1.0, 1e-5)
+    point, label = int(unrealizable[1].points[0]), int(unrealizable[1].labels[0])
+    cases.append((unrealizable, 0, (point, 1 - label)))  # the label flipped
+    for (_, data_a, data_b, _), index, pair in cases:
+        assert len(data_a) == len(data_b) > index
+        changed = (data_a.points != data_b.points) | (data_a.labels != data_b.labels)
+        assert np.flatnonzero(changed).tolist() == [index]
+        assert (int(data_b.points[index]), int(data_b.labels[index])) == pair
 
 
 def test_dp_audit_of_lifted_scenarios_keeps_its_estimates():

@@ -29,7 +29,7 @@ from vc1learn import (
     vc_dimension,
 )
 
-from vc1learn.tree import forced_nodes, root_path
+from vc1learn.tree import forced_nodes, presence_codes, root_path
 
 from conftest import renamed_tree
 
@@ -516,6 +516,34 @@ def test_deterministic_points_form_chains(corpus, rng):
                 assert det.points <= upward_closure(tree, top)
 
 
+def test_presence_codes_widen_uint8_labels():
+    # over 255 tour positions, so uint8 labels times k + 1 would wrap; two
+    # constant points sit off the tree
+    m = thresholds_class(300).matrix
+    extra = np.stack([np.zeros(len(m), bool), np.ones(len(m), bool)], axis=1)
+    cls = ConceptClass(np.concatenate([m, extra], axis=1), [None] * len(m))
+    ctx = prepare_context(cls, f_index=7)
+    tree, n = ctx.tree, cls.domain_size
+    k = len(tree.tour)
+    assert k >= 256 and (tree.tin < 0).sum() >= 2
+    row = np.where(tree.tin >= 0, tree.tin, k)
+    points = np.arange(n).repeat(2)
+    labels = np.tile(np.array([0, 1], dtype=np.uint8), n)
+    codes = presence_codes(tree, points, labels)
+    assert codes.dtype == np.int32
+    assert np.array_equal(codes, row[points] + (k + 1) * labels.astype(np.int64))
+    # the learners' table: the code of each point's representative with the
+    # relabeled label
+    assert ctx.tour_code.dtype == np.int32
+    for label in (0, 1):
+        relabeled = label ^ ctx.f_row
+        want = row[ctx.point_map] + (k + 1) * relabeled.astype(np.int64)
+        assert np.array_equal(ctx.tour_code[label], want)
+        for p in range(n):
+            got = presence_codes(tree, ctx.point_map[p], relabeled[p])
+            assert ctx.tour_code[label, p] == got
+
+
 def _forced_nodes_row_major(tree, pres0, pres1):
     """:func:`forced_nodes` as it was with one row per sample, kept as the reference.
 
@@ -596,7 +624,8 @@ def test_forced_nodes_match_row_major_reference(rng):
                     labs = np.append(labs, 1)
             pres[labs, i, pts] = True
         want = _forced_nodes_row_major(tree, pres[0], pres[1])
-        got = forced_nodes(tree, _point_major(tree, pres[0]), _point_major(tree, pres[1]))
+        rows = np.concatenate([_point_major(tree, pres[0]), _point_major(tree, pres[1])])
+        got = forced_nodes(tree, rows)
         assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
         assert got[0].dtype == np.int64 and got[1].dtype == bool
         empty = ~pres.any(axis=(0, 2))
