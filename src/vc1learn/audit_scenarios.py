@@ -22,7 +22,8 @@ from .concepts import ConceptClass, Dataset
 from .generators import example_class
 from .learners import LearnParams, LearnerContext, _checked_context, _codes, _hypotheses
 from .learners import _improper_runs
-from .mechanisms import PrivacyParams, _choosing_rows, _em_rows, _laplace, _median_rows
+from .mechanisms import PrivacyParams, _check_gate, _choosing_rows, _em_rows, _laplace
+from .mechanisms import _median_rows
 
 # mechanism(data, rng, k) -> k outcomes
 Mechanism = Callable[[Dataset, np.random.Generator, int], Sequence[Hashable]]
@@ -81,17 +82,18 @@ def choosing_scenario(epsilon: float = 1.0, delta: float = 1e-6) -> AuditScenari
     budget covers it only through group privacy, as (2 eps, (1 + e^eps)
     delta). Criterion 9 keeps it as is: the gate threshold, about 84, is far
     above the top score of 30, so the gate never passes in practice and the
-    audit estimates 0.
+    audit estimates 0. The parameters are checked when the scenario is built.
     """
+    privacy = PrivacyParams(epsilon, delta)
+    _check_gate(privacy, 0.1)
 
     def mech(data: Dataset, rng: np.random.Generator, k: int) -> list[int | None]:
         scores = np.array([[int((data.points == v).sum()) for v in range(4)]])
-        privacy = PrivacyParams(epsilon, delta)
         picks = _choosing_rows(np.repeat(scores, k, axis=0), 1, len(data), privacy, 0.1, rng)
         return [None if i < 0 else i for i in picks]
 
     base = [(0, 0)] * 30 + [(1, 0)] * 3
-    return _replace_one(mech, base, -1, (2, 0), PrivacyParams(epsilon, delta))
+    return _replace_one(mech, base, -1, (2, 0), privacy)
 
 
 def median_scenario(epsilon: float = 1.0) -> AuditScenario:

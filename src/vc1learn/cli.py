@@ -111,7 +111,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 _AUDIT_TARGETS = {
     "improper": lambda eps, delta: improper_learner_scenario(eps, delta),
     "median": lambda eps, delta: median_scenario(eps),
-    "choosing": lambda eps, delta: choosing_scenario(eps, max(delta, 1e-9)),
+    "choosing": lambda eps, delta: choosing_scenario(eps, delta),
     "em": lambda eps, delta: exponential_mechanism_scenario(eps),
     "rr": lambda eps, delta: randomized_response_scenario(eps),
     "laplace": lambda eps, delta: laplace_scenario(eps),

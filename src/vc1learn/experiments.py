@@ -21,8 +21,8 @@ from .generators import GeneratorSpec, generate_class, sample_dataset
 from .learners import (
     LearnParams,
     LearnerContext,
+    _checked_context,
     improper_learn,
-    prepare_context,
     proper_learn,
     sample_budget,
 )
@@ -97,10 +97,13 @@ def _sample_subsets(
 def run_experiment(
     config: ExperimentConfig, *, context: LearnerContext | None = None
 ) -> list[ReportRow]:
-    """Run all trials of a sweep and return one row per trial."""
+    """Run all trials of a sweep and return one row per trial.
+
+    Every parameter, and the context, is checked before the first draw.
+    """
     cls = generate_class(config.generator)
-    ctx = context if context is not None else prepare_context(cls)
     params = config.params
+    ctx = _checked_context(cls, params, context)
     budget = sample_budget(params, ctx.tree.height)
     if config.weights is None:
         dist = Distribution.uniform(cls.domain_size)

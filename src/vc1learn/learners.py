@@ -13,9 +13,11 @@ back-transforms to an accurate hypothesis on the class's own domain.
   directly and dealt round-robin, and one scatter fills a point-major
   presence matrix, a row per code and a column per subset, whose
   summaries :func:`~vc1learn.tree.forced_nodes` computes for all subsets
-  at once. :func:`improper_learn_runs` runs many in one such matrix: a
-  batch core draws their medians and selections in one pass each, as
-  arrays, and a trace builder turns those into the traces.
+  at once. When there are as many subsets as examples, each example is
+  summarised alone, once, and the summaries are dealt instead.
+  :func:`improper_learn_runs` runs many at once: a batch core draws their
+  summaries, medians and selections in one pass each, as arrays, and a
+  trace builder turns those into the traces.
 * :func:`proper_learn` runs the improper stage on one slice of the data
   and, when the selected node's path is not realized by a class member,
   descends the pruned subtree with noisy weight tests and exponential
@@ -429,7 +431,9 @@ def improper_learn_runs(
     traces are built from the batch's arrays; so a batch of audit-sized
     runs costs far less per run than separate calls. Its working memory
     grows with ``runs`` times the dataset and times the subset count by
-    the tree size.
+    the tree size. When the subset count is the sample size, as in
+    audit-sized runs, the examples are summarised once and the runs deal
+    the summaries, so it grows with ``runs`` times the dataset alone.
 
     The draws are the runs' shuffles in run order (each what
     ``rng.permutation(len(dataset))`` draws), then one uniform per
@@ -549,10 +553,19 @@ def _dealt_summaries(
     ``runs`` calls of ``rng.permutation(len(codes))``, and the code at
     position ``j`` of run ``r`` goes to subset ``j % t``: column
     ``r t + j % t`` of one presence matrix over all ``runs * t`` subsets.
+    When ``t`` is ``len(codes)`` every subset holds one example, whose
+    summary is that example's own: the examples are summarised once, and
+    their indices are shuffled and gather the summaries. A shuffle draws
+    the same whatever the array's dtype, so the runs are those of the deal.
     """
+    n = len(codes)
+    if t == n:
+        deepest, depths = _subset_summaries(ctx, codes, np.arange(n), n)
+        order = np.tile(np.arange(n), (runs, 1))
+        rng.permuted(order, axis=1, out=order)
+        return deepest[order].ravel(), depths[order].ravel()
     dealt = np.tile(codes, (runs, 1))
     rng.permuted(dealt, axis=1, out=dealt)
-    n = len(codes)
     whole = n - n % t
     run = np.arange(runs)[:, None, None]
     pres = np.zeros((2 * len(ctx.tree.tour) + 2, runs, t), dtype=bool)

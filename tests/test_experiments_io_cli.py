@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import re
 import subprocess
@@ -27,6 +28,7 @@ from vc1learn import (
     thresholds_class,
     write_report_csv,
 )
+from vc1learn import experiments
 from vc1learn.cli import main
 from vc1learn.experiments import _sample_subsets, config_from_json, config_to_json
 from vc1learn.io import load_class, load_dataset, save_class, save_dataset
@@ -132,6 +134,25 @@ def test_run_experiment_reuses_the_class_and_checks_the_context():
     other = prepare_context(generate_class(GeneratorSpec("random_tree", n=10, seed=5)))
     with pytest.raises(ValueError, match="different class"):
         run_experiment(small_config(), context=other)
+
+
+def test_run_experiment_validates_before_sampling(monkeypatch):
+    # the learner parameters and the context are checked before any draw,
+    # on both sampling paths and in both modes
+    def no_draw(*args, **kwargs):
+        raise AssertionError("sampled before validating")
+
+    monkeypatch.setattr(experiments, "_sample_subsets", no_draw)
+    monkeypatch.setattr(experiments, "sample_dataset", no_draw)
+    hot = LearnParams(alpha=0.25, beta=0.25, privacy=PrivacyParams(2.5, 1e-5))
+    other = prepare_context(generate_class(GeneratorSpec("random_tree", n=10, seed=5)))
+    for mode in ("improper", "proper"):
+        for n_override in (None, 800):
+            cfg = small_config(mode=mode, n_override=n_override)
+            with pytest.raises(ValueError, match=r"epsilon must be in \(0, 2\)"):
+                run_experiment(dataclasses.replace(cfg, params=hot))
+            with pytest.raises(ValueError, match="different class"):
+                run_experiment(cfg, context=other)
 
 
 def test_run_experiment_rejects_weights_off_the_domain(tmp_path, capsys):
@@ -529,6 +550,10 @@ def test_cli_validation_exit_codes(tmp_path, capsys):
         data_path.write_text(f"point,label\n0,1\n{row}\n")
         assert main(_learn_args(cls_path, data_path)) == 2
         assert capsys.readouterr().err.startswith("error:")
+    # the selection's parameter rule holds for every audit target that runs it
+    for target in ("improper", "choosing"):
+        assert main(["audit", "--target", target, "--delta", "0", "--trials", "10"]) == 2
+        assert capsys.readouterr().err == "error: delta must be positive\n"
 
 
 def test_cli_sweep_rejects_unknown_config_keys(tmp_path, capsys):

@@ -917,7 +917,9 @@ def test_shuffling_an_array_draws_what_permutation_draws():
     # the learners deal by shuffling the examples' codes, which must draw
     # what partition's rng.permutation(n) draws: rng.permutation(c) is
     # c[rng.permutation(len(c))], and rng.permuted(rows, axis=1) shuffles
-    # row after row as that many permutation calls, leaving equal states
+    # row after row as that many permutation calls, leaving equal states;
+    # the draws do not depend on the dtype, so one-example subsets may
+    # shuffle int64 example indices in place of the int32 codes
     for seed in range(40):
         n = [1, 2, 7, 30, 337, 2359, 100_003][seed % 7]
         codes = np.random.default_rng(seed).integers(0, 16, size=n).astype(np.int32)
@@ -926,10 +928,17 @@ def test_shuffling_an_array_draws_what_permutation_draws():
         assert a.bit_generator.state == b.bit_generator.state
         runs = [1, 2, 7, 64][seed % 4]
         rows = np.tile(codes, (runs, 1))
+        order = np.tile(np.arange(n), (runs, 1))
+        assert order.dtype == np.int64
+        c = make_rng(seed)
+        c.permutation(n)
         a.permuted(rows, axis=1, out=rows)
-        for row in rows:
-            assert np.array_equal(row, codes[b.permutation(n)])
-        assert a.bit_generator.state == b.bit_generator.state
+        c.permuted(order, axis=1, out=order)
+        for row, index in zip(rows, order):
+            perm = b.permutation(n)
+            assert np.array_equal(row, codes[perm])
+            assert np.array_equal(index, perm)
+        assert a.bit_generator.state == b.bit_generator.state == c.bit_generator.state
 
 
 class _Recorder:
@@ -989,10 +998,19 @@ def test_improper_runs_match_single_runs_on_their_draws():
         target = cls.concepts[len(cls.concepts) // 2]
         data = sample_dataset(cls, target, Distribution(w / w.sum()), 500, make_rng(seed))
         cases += [(cls, data, loose)]
-    chosen = set()
+    # one example per subset: on the random trees, and with an eighth point,
+    # 7, in no concept and so off the tree, labeled 1: its code is 2k + 1,
+    # and no concept is consistent with it
+    cases += [(cls, Dataset(data.points[:40], data.labels[:40]), audit)
+              for cls, data, _ in cases[-2:]]
+    off = ConceptClass.from_ones(8, [c.ones for c in example_class().concepts])
+    pairs = [(7, 1)] + [(i % 7, example_class().concepts[-2](i % 7)) for i in range(29)]
+    cases += [(off, Dataset.from_pairs(pairs), audit)]
+    chosen, one_example = set(), 0
     for i, (cls, data, params) in enumerate(cases):
         ctx = prepare_context(cls)
         t = min(sample_budget(params, ctx.tree.height).t, len(data))
+        one_example += t == len(data)  # every subset holds one example
         for runs in (2, 7, 64):
             rec = _Recorder(make_rng([i, runs]))
             batch = improper_learn_runs(cls, data, params, rec, runs, context=ctx)
@@ -1011,6 +1029,7 @@ def test_improper_runs_match_single_runs_on_their_draws():
                 chosen.add(trace.chosen_point is None)
             assert replay.used == len(replay.uniforms)
     assert chosen == {True, False}  # runs that abstained and runs that selected
+    assert one_example == 4
 
 
 def test_improper_runs_of_one_is_improper_learn(example_cls):
