@@ -18,7 +18,6 @@ from .concepts import (
     f_represent,
     is_canonical,
     leq,
-    relabel_dataset,
 )
 from .experiments import ExperimentConfig, ReportRow, run_experiment, write_report_csv
 from .generators import (
@@ -63,7 +62,6 @@ from .oracles import (
     dimension_report,
     dp_audit,
     error_on_distribution,
-    error_on_sample,
     floor_log2,
     littlestone_dimension,
     optimal_composition,

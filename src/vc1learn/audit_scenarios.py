@@ -55,6 +55,8 @@ def randomized_response_scenario(epsilon: float = 1.0) -> AuditScenario:
 
 def laplace_scenario(epsilon: float = 1.0) -> AuditScenario:
     """Noisy count of 1-labels; sensitivity 1, scale 1/eps, drawn as ``laplace_sample``."""
+    if not epsilon > 0:
+        raise ValueError("epsilon must be positive")
 
     def mech(data: Dataset, rng: np.random.Generator, k: int) -> list[float]:
         count = float(data.labels.sum())

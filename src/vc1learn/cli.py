@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -119,6 +120,8 @@ _AUDIT_TARGETS = {
 
 
 def _cmd_audit(args: argparse.Namespace) -> int:
+    if not (math.isfinite(args.epsilon) and math.isfinite(args.delta)):
+        raise ValueError("epsilon and delta must be finite")
     mech, d_a, d_b, claimed = _AUDIT_TARGETS[args.target](args.epsilon, args.delta)
     estimate = dp_audit(
         mech, d_a, d_b, args.trials, claimed.delta, make_rng(args.seed)

@@ -365,12 +365,6 @@ def f_represent(cls: ConceptClass, f: Concept) -> ConceptClass:
     return ConceptClass(cls.matrix ^ cls.matrix[i], cls.ids, cls.name)
 
 
-def relabel_dataset(dataset: Dataset, f: Concept) -> Dataset:
-    """XOR every label with ``f``'s value at the example's point. Involutive."""
-    new_labels = dataset.labels ^ np.isin(dataset.points, list(f.ones))
-    return Dataset(dataset.points.copy(), new_labels)
-
-
 def _check_order_point(cls: ConceptClass, p: int) -> None:
     if p < 0 or p >= cls.domain_size:
         raise ValueError(f"point {p} outside domain")

@@ -176,18 +176,37 @@ def config_to_json(config: ExperimentConfig) -> dict:
     return asdict(config)
 
 
+# the JSON types of a config's and its generator's typed fields (true is no int)
+_INT, _OPT_INT = (int,), (int, type(None))
+_JSON_TYPES = {
+    "config": {"trials": _INT, "seed": _INT, "n_override": _OPT_INT, "concept_index": _OPT_INT},
+    "generator": {"kind": (str,), "n": _OPT_INT, "max_children": _INT, "seed": _INT},
+}
+
+
+def _json_object(value: object, name: str) -> dict:
+    """``value`` if it is a JSON object whose typed fields hold values of
+    exactly their types; ``ValueError`` otherwise, so nothing is cast."""
+    if not isinstance(value, dict):
+        raise ValueError(f"malformed config: {name!r} must be an object")
+    for key, types in _JSON_TYPES.get(name, {}).items():
+        if key in value and type(value[key]) not in types:
+            raise ValueError(f"malformed config: {key!r} in {name} must not be {value[key]!r}")
+    return value
+
+
 def config_from_json(data: dict) -> ExperimentConfig:
     """The config that ``config_to_json`` wrote as ``data``.
 
     Keys with defaults may be left out. A key that ``config_to_json``
-    never writes, or a missing one without a default, raises
-    ``ValueError`` (``KeyError`` for ``generator``, ``params`` and
-    ``privacy``).
+    never writes, a missing one without a default, or a size, index, seed
+    or kind of the wrong JSON type raises ``ValueError`` (``KeyError`` for
+    a missing ``generator``, ``params`` or ``privacy``).
     """
-    rest = dict(data)
-    gen = rest.pop("generator")
-    pdata = dict(rest.pop("params"))
-    privacy = pdata.pop("privacy")
+    rest = dict(_json_object(data, "config"))
+    gen = _json_object(rest.pop("generator"), "generator")
+    pdata = dict(_json_object(rest.pop("params"), "params"))
+    privacy = _json_object(pdata.pop("privacy"), "privacy")
     weights = rest.pop("weights", None)
     try:
         return ExperimentConfig(

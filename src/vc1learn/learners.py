@@ -624,14 +624,13 @@ def proper_learn(
         perm = rng.permutation(len(codes))
         codes2, codes1 = codes[perm[:n2]], codes[perm[n2:]]
     else:
-        codes2, codes1 = _codes(ctx, stage2), None
+        codes2 = _codes(ctx, stage2)
+        codes1 = None if force_chosen_point is not None else _codes(ctx, dataset)
 
     trace1: ImproperTrace | None = None
     if force_chosen_point is not None:
         chosen: int | None = force_chosen_point
     else:
-        if codes1 is None:  # the stage-1 sample was passed whole
-            codes1 = _codes(ctx, dataset)
         batch = _improper_runs(ctx, codes1, params, rng, 1, subset_ids, force_median, greedy)
         trace1 = _traces(ctx, batch)[0]
         chosen = trace1.chosen_point

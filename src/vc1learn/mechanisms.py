@@ -31,7 +31,7 @@ class PrivacyParams:
     delta: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.epsilon < 0:
+        if not self.epsilon >= 0:  # false for NaN too
             raise ValueError("epsilon must be nonnegative")
         if not 0 <= self.delta < 1:
             raise ValueError("delta must be in [0, 1)")
@@ -43,7 +43,7 @@ def laplace_sample(scale: float, rng: np.random.Generator) -> float:
     :func:`_laplace` at a single uniform draw, so a fixed stream position
     always yields the same noise.
     """
-    if scale <= 0:
+    if not scale > 0:
         raise ValueError("scale must be positive")
     return _laplace(rng.random(), scale)
 
@@ -69,9 +69,9 @@ def exponential_mechanism(
     """
     if not candidates:
         raise ValueError("empty candidate list")
-    if sensitivity <= 0:
+    if not sensitivity > 0:
         raise ValueError("sensitivity must be positive")
-    if epsilon < 0:
+    if not epsilon >= 0:
         raise ValueError("epsilon must be nonnegative")
     ids = [c[0] for c in candidates]
     scores = np.array([[c[1] for c in candidates]], dtype=np.float64)
@@ -143,9 +143,9 @@ def choosing_mechanism(
         raise ValueError("n must be nonnegative")
     if any(v < 0 for v in scores.values()):
         raise ValueError("scores must be nonnegative")
-    keys = list(scores)
-    (i,) = _choosing_rows([list(scores.values())], k, n, privacy, beta, rng)
-    return None if i < 0 else keys[i]
+    row = np.array([list(scores.values())])  # shape (1, m); not cast, so floats stay floats
+    (i,) = _choosing_rows(row, k, n, privacy, beta, rng)
+    return None if i < 0 else list(scores)[i]
 
 
 def _check_gate(privacy: PrivacyParams, beta: float) -> None:
@@ -165,7 +165,7 @@ def _gate_log(k: int, n: int, privacy: PrivacyParams, beta: float) -> float:
 
 
 def _choosing_rows(
-    scores: np.ndarray | Sequence[Sequence[int]],
+    scores: np.ndarray,
     k: int,
     n: int,
     privacy: PrivacyParams,
@@ -174,20 +174,15 @@ def _choosing_rows(
 ) -> list[int]:
     """:func:`choosing_mechanism` on each row of nonnegative ``scores``, in row order.
 
-    ``scores`` is a 2-d array, or rows of any lengths zero-padded into one
-    (a zero is never selected). The parameters are checked and the
-    threshold computed once. Each row reads its gate uniform and, when the
-    gate passes with a best score of at least 1, its selection uniform
-    from a buffer, which one ``rng.random(m)`` fills for the ``m`` rows
-    still to gate: the stream is consumed as by one
+    ``scores`` is a 2-d array. The parameters are checked and the
+    threshold computed once. Each row reads its gate uniform and, when
+    the gate passes with a best score of at least 1, its selection
+    uniform from a buffer, which one ``rng.random(m)`` fills for the
+    ``m`` rows still to gate: the stream is consumed as by one
     :func:`choosing_mechanism` call per row. Returns the index of each
     row's chosen solution, or -1 when it abstained.
     """
     _check_gate(privacy, beta)
-    if not isinstance(scores, np.ndarray):
-        width = max(map(len, scores), default=0)
-        padded = [[*row] + [0] * (width - len(row)) for row in scores]
-        scores = np.array(padded).reshape(len(padded), width)
     eps = privacy.epsilon
     scale = GATE_NOISE_SCALE / eps
     threshold = (GATE_THRESHOLD_SCALE / eps) * _gate_log(k, n, privacy, beta)
@@ -249,7 +244,7 @@ def private_median(
 
 def _check_median(alpha: float, privacy: PrivacyParams) -> None:
     """The median's parameter rule: eps > 0 and alpha in (0, 1/2]."""
-    if privacy.epsilon <= 0:
+    if not privacy.epsilon > 0:
         raise ValueError("epsilon must be positive")
     if not 0 < alpha <= 0.5:
         raise ValueError("alpha must be in (0, 1/2]")

@@ -207,19 +207,6 @@ def error_on_distribution(
     return float(dist.weights[idx].sum())
 
 
-def error_on_sample(hypothesis: Hypothesis | Concept, dataset: Dataset) -> float:
-    """Fraction of examples whose label disagrees with the hypothesis."""
-    if len(dataset) == 0:
-        raise ValueError("empty dataset")
-    ones = hypothesis.ones
-    preds = np.fromiter(
-        (1 if int(p) in ones else 0 for p in dataset.points),
-        dtype=np.uint8,
-        count=len(dataset),
-    )
-    return float(np.mean(preds != dataset.labels))
-
-
 def deterministic_oracle(class_f: ConceptClass, dataset: Dataset) -> frozenset[int]:
     """Literal definition: intersect the 1-sets of all consistent concepts."""
     pairs = dataset.pairs()

@@ -13,7 +13,6 @@ from vc1learn import (
     f_represent,
     is_canonical,
     leq,
-    relabel_dataset,
 )
 
 X1, X2, X3, X4, X5, X6, X7 = range(7)
@@ -133,32 +132,6 @@ def test_index_of_gives_first_member():
     assert [cls.index_of(o) for o in ({0}, [1], set(), {2})] == [0, 1, 3, None]
     # -1 would wrap onto point 2, and 3 is past the domain
     assert cls.index_of({-1}) is None and cls.index_of({0, 3}) is None
-
-
-def test_relabel_dataset_zero_f_is_identity():
-    data = Dataset.from_pairs([(0, 1), (3, 0)])
-    assert relabel_dataset(data, Concept(frozenset())) == data
-
-
-def test_relabel_dataset_xor_and_involution():
-    f = Concept(frozenset({X1}))
-    data = Dataset.from_pairs([(X1, 1), (X5, 1), (X2, 0)])
-    out = relabel_dataset(data, f)
-    assert out.pairs() == [(X1, 0), (X5, 1), (X2, 0)]
-    assert relabel_dataset(out, f) == data
-
-
-@settings(max_examples=50, deadline=None)
-@given(
-    pairs=st.lists(
-        st.tuples(st.integers(0, 9), st.integers(0, 1)), min_size=0, max_size=20
-    ),
-    f_ones=st.sets(st.integers(0, 9)),
-)
-def test_relabel_involution_property(pairs, f_ones):
-    data = Dataset.from_pairs(pairs)
-    f = Concept(frozenset(f_ones))
-    assert relabel_dataset(relabel_dataset(data, f), f) == data
 
 
 def test_leq_example_values(example_cls):

@@ -554,6 +554,14 @@ def test_cli_validation_exit_codes(tmp_path, capsys):
     for target in ("improper", "choosing"):
         assert main(["audit", "--target", target, "--delta", "0", "--trials", "10"]) == 2
         assert capsys.readouterr().err == "error: delta must be positive\n"
+    # budgets no audit can take: a zero Laplace epsilon, and non-finite ones,
+    # which would print NaN or Infinity, not JSON
+    for target, flag, value in (
+        ("laplace", "--epsilon", "0"), ("rr", "--epsilon", "nan"),
+        ("rr", "--epsilon", "inf"), ("rr", "--delta", "nan"), ("em", "--delta", "inf"),
+    ):
+        assert main(["audit", "--target", target, flag, value, "--trials", "10"]) == 2
+        assert capsys.readouterr().err.startswith("error:")
 
 
 def test_cli_sweep_rejects_unknown_config_keys(tmp_path, capsys):
@@ -570,6 +578,23 @@ def test_cli_sweep_rejects_unknown_config_keys(tmp_path, capsys):
         out = tmp_path / "report.csv"
         assert main(["sweep", "--config", str(cfg_path), "--out", str(out)]) == 2
         assert repr(key) in capsys.readouterr().err
+        assert not out.exists()
+    # values of the wrong JSON type are rejected, not cast or run
+    for part, key, value in (
+        (None, "trials", 2.5), (None, "seed", "x"), (None, "seed", None),
+        (None, "n_override", 50.5), (None, "concept_index", 1.5),
+        (None, "concept_index", True), ("generator", "n", "8"), ("generator", "n", 8.5),
+        ("generator", "max_children", True), ("generator", "seed", None),
+        ("generator", "kind", ["x"]), (None, "generator", "x"), (None, "params", [1]),
+        ("params", "privacy", 1),
+    ):
+        data = config_to_json(small_config(trials=1))
+        (data if part is None else data[part])[key] = value
+        cfg_path.write_text(json.dumps(data))
+        out = tmp_path / "report.csv"
+        assert main(["sweep", "--config", str(cfg_path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: malformed config:") and repr(key) in err
         assert not out.exists()
 
 

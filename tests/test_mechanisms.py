@@ -32,6 +32,8 @@ def test_laplace_rejects_bad_scale(rng):
         laplace_sample(0.0, rng)
     with pytest.raises(ValueError):
         laplace_sample(-1.0, rng)
+    with pytest.raises(ValueError):
+        laplace_sample(float("nan"), rng)
 
 
 def test_laplace_median_and_tail(rng):
@@ -78,6 +80,16 @@ def test_exponential_mechanism_edge_cases(rng):
         for bad in (float("nan"), float("inf")):
             with pytest.raises(ValueError, match="NaN"):
                 exponential_mechanism([("a", bad), ("b", 1.0)], 1.0, 1.0, rng)
+    # a bad sensitivity or epsilon, NaN included, is rejected before the draw
+    nan = float("nan")
+    for sensitivity, eps, message in [
+        (0.0, 1.0, "sensitivity"), (nan, 1.0, "sensitivity"),
+        (1.0, -1.0, "epsilon"), (1.0, nan, "epsilon"),
+    ]:
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match=message):
+            exponential_mechanism([("a", 1.0), ("b", 2.0)], sensitivity, eps, rng)
+        assert rng.bit_generator.state == state
 
 
 def test_choosing_mechanism_abstains_on_zero_scores(rng):
@@ -249,6 +261,9 @@ def test_privacy_params_validation():
         PrivacyParams(-1.0, 0.0)
     with pytest.raises(ValueError):
         PrivacyParams(1.0, 1.0)
+    for eps, delta in ((float("nan"), 0.1), (1.0, float("nan"))):
+        with pytest.raises(ValueError):
+            PrivacyParams(eps, delta)
     assert PrivacyParams(0.0, 0.0).epsilon == 0.0
 
 
@@ -271,6 +286,13 @@ def _gate_then_choose(scores, k, n, privacy, beta, rng):
     return exponential_mechanism(active, 1.0, eps / 2.0, rng) if active else -1
 
 
+def _padded(rows):
+    """Rows of any lengths zero-padded into one 2-d array; a zero is never selected."""
+    width = max(map(len, rows), default=0)
+    padded = [row + [0] * (width - len(row)) for row in rows]
+    return np.array(padded).reshape(len(rows), width)
+
+
 def test_choosing_rows_draw_as_one_call_per_row():
     # gates that pass and fail, rows with no positive score and empty rows
     src = np.random.default_rng(11)
@@ -284,7 +306,7 @@ def test_choosing_rows_draw_as_one_call_per_row():
             for _ in range(int(src.integers(1, 12)))
         ]
         a, b = np.random.default_rng(seed), np.random.default_rng(seed)
-        got = _choosing_rows(rows, k, n, privacy, 0.9, a)
+        got = _choosing_rows(_padded(rows), k, n, privacy, 0.9, a)
         want = [_gate_then_choose(row, k, n, privacy, 0.9, b) for row in rows]
         assert got == want
         assert a.bit_generator.state == b.bit_generator.state
@@ -334,7 +356,7 @@ def test_choosing_rows_long_batches_draw_as_one_call_per_row():
                 row = (round(threshold) + src.integers(-8, 8, size=m)).tolist()
             rows.append(src.permutation(row).tolist())
         a, b = np.random.default_rng(seed), np.random.default_rng(seed)
-        got = _choosing_rows(rows, 1, n, privacy, 0.9, a)
+        got = _choosing_rows(_padded(rows), 1, n, privacy, 0.9, a)
         want = [_gate_then_choose(row, 1, n, privacy, 0.9, b) for row in rows]
         assert got == want, seed
         assert a.bit_generator.state == b.bit_generator.state, seed

@@ -17,7 +17,6 @@ from vc1learn import (
     deterministic_points,
     dp_audit,
     error_on_distribution,
-    error_on_sample,
     example_class,
     f_represent,
     floor_log2,
@@ -135,15 +134,6 @@ def test_distribution_ignores_later_writes_to_the_callers_weights():
     assert sorted(set(again.points.tolist())) == [0, 1, 2]
     assert error_on_distribution(other, target, dist) == err
     assert dist.weights.tolist() == [1 / 3] * 3
-
-
-def test_error_on_sample():
-    data = Dataset.from_pairs([(0, 1), (1, 0), (2, 1), (0, 1)])
-    h = Hypothesis(frozenset({0}))
-    assert error_on_sample(h, data) == pytest.approx(0.25)
-    assert error_on_sample(Hypothesis(frozenset({0, 2})), data) == 0.0
-    with pytest.raises(ValueError):
-        error_on_sample(h, Dataset.from_pairs([]))
 
 
 def all_datasets(domain, max_len):
