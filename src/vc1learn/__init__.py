@@ -37,7 +37,6 @@ from .learners import (
     ProperTrace,
     SampleBudget,
     improper_learn,
-    improper_learn_runs,
     prepare_context,
     proper_learn,
     sample_budget,

@@ -122,10 +122,10 @@ def improper_learner_scenario(
     class by default. The two datasets are realizable labelings of ``n``
     examples differing in one example. Outcomes are the output hypothesis
     1-sets, a finite space. The mechanism runs each batch of ``k`` trials
-    as the ``k`` runs of :func:`improper_learn_runs`, with its draws and
-    its hypotheses, but reads only the runs' chosen points and lifts each
-    distinct one once, building no traces. The parameters are checked
-    when the scenario is built.
+    as the ``k`` runs of the learner's batch core, :func:`_improper_runs`,
+    reads only the runs' chosen points and lifts each distinct one once,
+    building no traces. The parameters are checked when the scenario is
+    built.
     """
     cls = cls if cls is not None else example_class()
     params = LearnParams(alpha=0.2, beta=0.1, privacy=PrivacyParams(epsilon, delta))

@@ -176,21 +176,21 @@ def config_to_json(config: ExperimentConfig) -> dict:
     return asdict(config)
 
 
-# the JSON types of a config's and its generator's typed fields (true is no int)
-_INT, _OPT_INT = (int,), (int, type(None))
+# the JSON types of each field annotation a config may hold (true is no number)
 _JSON_TYPES = {
-    "config": {"trials": _INT, "seed": _INT, "n_override": _OPT_INT, "concept_index": _OPT_INT},
-    "generator": {"kind": (str,), "n": _OPT_INT, "max_children": _INT, "seed": _INT},
+    "int": (int,), "int | None": (int, type(None)), "float": (float, int), "str": (str,)
 }
 
 
-def _json_object(value: object, name: str) -> dict:
-    """``value`` if it is a JSON object whose typed fields hold values of
-    exactly their types; ``ValueError`` otherwise, so nothing is cast."""
+def _json_object(value: object, name: str, kind: type) -> dict:
+    """``value`` if it is a JSON object whose fields of dataclass ``kind``
+    hold values of exactly their types; ``ValueError`` otherwise, so
+    nothing is cast."""
     if not isinstance(value, dict):
         raise ValueError(f"malformed config: {name!r} must be an object")
-    for key, types in _JSON_TYPES.get(name, {}).items():
-        if key in value and type(value[key]) not in types:
+    for f in fields(kind):
+        key, types = f.name, _JSON_TYPES.get(f.type)
+        if types and key in value and type(value[key]) not in types:
             raise ValueError(f"malformed config: {key!r} in {name} must not be {value[key]!r}")
     return value
 
@@ -199,14 +199,14 @@ def config_from_json(data: dict) -> ExperimentConfig:
     """The config that ``config_to_json`` wrote as ``data``.
 
     Keys with defaults may be left out. A key that ``config_to_json``
-    never writes, a missing one without a default, or a size, index, seed
-    or kind of the wrong JSON type raises ``ValueError`` (``KeyError`` for
+    never writes, a missing one without a default, or a number or string
+    of the wrong JSON type raises ``ValueError`` (``KeyError`` for
     a missing ``generator``, ``params`` or ``privacy``).
     """
-    rest = dict(_json_object(data, "config"))
-    gen = _json_object(rest.pop("generator"), "generator")
-    pdata = dict(_json_object(rest.pop("params"), "params"))
-    privacy = _json_object(pdata.pop("privacy"), "privacy")
+    rest = dict(_json_object(data, "config", ExperimentConfig))
+    gen = _json_object(rest.pop("generator"), "generator", GeneratorSpec)
+    pdata = dict(_json_object(rest.pop("params"), "params", LearnParams))
+    privacy = _json_object(pdata.pop("privacy"), "privacy", PrivacyParams)
     weights = rest.pop("weights", None)
     try:
         return ExperimentConfig(

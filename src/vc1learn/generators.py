@@ -175,6 +175,8 @@ def sample_dataset(
     are settled by binary search. Uniforms are drawn ``SAMPLE_CHUNK`` at a
     time, so the draw's working memory does not grow with ``n``.
     """
+    if n < 0:
+        raise ValueError("n must be nonnegative")
     i = cls.index_of(concept.ones)
     if i is None:
         raise ValueError("labeling concept must belong to class")

@@ -15,9 +15,10 @@ back-transforms to an accurate hypothesis on the class's own domain.
   summaries :func:`~vc1learn.tree.forced_nodes` computes for all subsets
   at once. When there are as many subsets as examples, each example is
   summarised alone, once, and the summaries are dealt instead.
-  :func:`improper_learn_runs` runs many at once: a batch core draws their
-  summaries, medians and selections in one pass each, as arrays, and a
-  trace builder turns those into the traces.
+  A private batch core, :func:`_improper_runs`, draws many runs'
+  summaries, medians and selections in one pass each, as arrays; the
+  audit scenarios replay the learner through it, and :func:`_trace`
+  turns one run's arrays into its trace.
 * :func:`proper_learn` runs the improper stage on one slice of the data
   and, when the selected node's path is not realized by a class member,
   descends the pruned subtree with noisy weight tests and exponential
@@ -391,7 +392,7 @@ def improper_learn(
     with is summarised as forcing nothing, so the run never raises on the
     data. The run draws, in order, the shuffle, the median's uniform, the
     gate's uniform and, when the gate passes, the selection's uniform; it
-    is :func:`improper_learn_runs` at one run.
+    is :func:`_improper_runs` at one run.
 
     Keyword-only hooks exist for tests and pipelines: ``subset_ids``
     bypasses partitioning, with ``dataset`` the whole stage-1 sample and
@@ -406,47 +407,7 @@ def improper_learn(
     ctx = _checked_context(cls, params, context)
     codes = _codes(ctx, dataset)
     batch = _improper_runs(ctx, codes, params, rng, 1, subset_ids, force_median, greedy)
-    return _traces(ctx, batch)[0]
-
-
-def improper_learn_runs(
-    cls: ConceptClass,
-    dataset: Dataset | None,
-    params: LearnParams,
-    rng: np.random.Generator,
-    runs: int,
-    *,
-    context: LearnerContext | None = None,
-) -> list[ImproperTrace]:
-    """``runs`` independent runs of :func:`improper_learn` on one dataset.
-
-    Each run partitions the dataset afresh and spends (2 eps, 2 delta),
-    so the ``runs`` outputs together spend ``runs`` times that: a batch is
-    for audits and experiments that replay the learner, not for releasing
-    several hypotheses about one sample. The runs shuffle the examples'
-    presence codes as the rows of one array, with no subset-id array, and
-    share one scatter into a point-major presence matrix (a row per code,
-    a column per subset of every run), one :func:`forced_nodes` call, one
-    array of candidate scores and one gate-and-selection pass, and the
-    traces are built from the batch's arrays; so a batch of audit-sized
-    runs costs far less per run than separate calls. Its working memory
-    grows with ``runs`` times the dataset and times the subset count by
-    the tree size. When the subset count is the sample size, as in
-    audit-sized runs, the examples are summarised once and the runs deal
-    the summaries, so it grows with ``runs`` times the dataset alone.
-
-    The draws are the runs' shuffles in run order (each what
-    ``rng.permutation(len(dataset))`` draws), then one uniform per
-    run for the medians, then each run's gate and selection uniforms in
-    run order, in buffered ``rng.random`` calls; at one run that is
-    :func:`improper_learn`'s order, and the trace is the same. Raises
-    ``ValueError`` before touching the data when ``runs`` is below 1 or
-    the privacy parameters are out of range.
-    """
-    if runs < 1:
-        raise ValueError("runs must be at least 1")
-    ctx = _checked_context(cls, params, context)
-    return _traces(ctx, _improper_runs(ctx, _codes(ctx, dataset), params, rng, runs))
+    return _trace(ctx, batch)
 
 
 def _improper_runs(
@@ -464,7 +425,16 @@ def _improper_runs(
     Returns arrays with a row per run: its subsets' deepest forced points
     (-1 for none) and their depths, its median depth, its candidates (the
     tree points at that depth, then at least one -1), their scores (0 for
-    the padding) and its chosen tree point (-1: abstained).
+    the padding) and its chosen tree point (-1: abstained). Each run
+    partitions the data afresh and spends (2 eps, 2 delta), so a batch is
+    for audits that replay the learner, not for releasing several
+    hypotheses about one sample. The draws are the runs' shuffles in run
+    order (each what ``rng.permutation(len(codes))`` draws), then one
+    median uniform per run, then each run's gate and selection uniforms
+    in run order, in buffered ``rng.random`` calls; at one run that is
+    :func:`improper_learn`'s order. Working memory grows with ``runs``
+    times the dataset, and, unless every subset holds one example, with
+    ``runs`` times the subset count times the tree size.
     """
     if len(codes) == 0:
         raise ValueError("dataset must be non-empty")
@@ -520,28 +490,21 @@ def _hypotheses(ctx: LearnerContext, picks: np.ndarray) -> list[Hypothesis]:
     return [lifted[p] for p in picks]
 
 
-def _traces(ctx: LearnerContext, batch: tuple[np.ndarray, ...]) -> list[ImproperTrace]:
-    """The traces of a batch of :func:`_improper_runs`, in run order."""
-    deepest, depths, medians, cand, scores, picks = batch
-    forced = np.where(deepest >= 0, deepest, None).tolist()
-    traces = []
-    lists = [a.tolist() for a in (medians, cand, scores, picks, depths)]
-    for z, padded, row, p, d, f, h in zip(*lists, forced, _hypotheses(ctx, picks)):
-        c = tuple(q for q in padded if q >= 0)
-        traces.append(
-            ImproperTrace(
-                reference_concept=ctx.f,
-                reference_index=ctx.f_index,
-                subset_depths=tuple(d),
-                subset_deepest=tuple(f),
-                median_depth=z,
-                candidates=c,
-                scores=tuple(row[: len(c)]),
-                chosen_point=p if p >= 0 else None,
-                hypothesis=h,
-            )
-        )
-    return traces
+def _trace(ctx: LearnerContext, batch: tuple[np.ndarray, ...]) -> ImproperTrace:
+    """The trace of a one-run batch of :func:`_improper_runs`."""
+    (deepest,), (depths,), (z,), (padded,), (row,), (p,) = (a.tolist() for a in batch)
+    c = tuple(q for q in padded if q >= 0)
+    return ImproperTrace(
+        reference_concept=ctx.f,
+        reference_index=ctx.f_index,
+        subset_depths=tuple(depths),
+        subset_deepest=tuple(q if q >= 0 else None for q in deepest),
+        median_depth=z,
+        candidates=c,
+        scores=tuple(row[: len(c)]),
+        chosen_point=p if p >= 0 else None,
+        hypothesis=_hypotheses(ctx, batch[-1])[0],
+    )
 
 
 def _dealt_summaries(
@@ -585,7 +548,6 @@ def proper_learn(
     subset_ids: np.ndarray | None = None,
     stage2: Dataset | None = None,
     force_chosen_point: int | None = None,
-    force_median: int | None = None,
     greedy: bool = False,
 ) -> ProperTrace:
     """Privately learn a hypothesis that is always a class member.
@@ -631,8 +593,8 @@ def proper_learn(
     if force_chosen_point is not None:
         chosen: int | None = force_chosen_point
     else:
-        batch = _improper_runs(ctx, codes1, params, rng, 1, subset_ids, force_median, greedy)
-        trace1 = _traces(ctx, batch)[0]
+        batch = _improper_runs(ctx, codes1, params, rng, 1, subset_ids, greedy=greedy)
+        trace1 = _trace(ctx, batch)
         chosen = trace1.chosen_point
 
     # a realized node (or the root, for None) is the answer; else descend

@@ -65,7 +65,8 @@ def exponential_mechanism(
     """Select an id with probability proportional to exp(eps * score / (2 * sens)).
 
     Scores are shifted by their maximum before exponentiation, so scores as
-    large as the dataset never overflow.
+    large as the dataset never overflow. A NaN or infinite score raises
+    ``ValueError`` before the draw.
     """
     if not candidates:
         raise ValueError("empty candidate list")
@@ -75,6 +76,8 @@ def exponential_mechanism(
         raise ValueError("epsilon must be nonnegative")
     ids = [c[0] for c in candidates]
     scores = np.array([[c[1] for c in candidates]], dtype=np.float64)
+    if not np.isfinite(scores).all():
+        raise ValueError("scores must be finite, not NaN or infinite")
     return ids[int(_em_rows(scores, sensitivity, epsilon, rng.random(1))[0])]
 
 
@@ -141,7 +144,7 @@ def choosing_mechanism(
         raise ValueError("k must be at least 1")
     if n < 0:
         raise ValueError("n must be nonnegative")
-    if any(v < 0 for v in scores.values()):
+    if any(not v >= 0 for v in scores.values()):  # NaN would open the gate
         raise ValueError("scores must be nonnegative")
     row = np.array([list(scores.values())])  # shape (1, m); not cast, so floats stay floats
     (i,) = _choosing_rows(row, k, n, privacy, beta, rng)
@@ -236,6 +239,9 @@ def private_median(
     if not values:
         raise ValueError("empty values")
     _check_median(alpha, privacy)
+    # no casts: 1.5 or True is an error, not a value
+    if not all(isinstance(v, (int, np.integer)) and type(v) is not bool for v in values):
+        raise ValueError("values must be integers")
     if min(values) < 0 or max(values) > domain_max:
         raise ValueError("values outside [0, domain_max]")
     rows = np.asarray([values], dtype=np.int64)
@@ -316,7 +322,7 @@ def advanced_composition(
     below the exact optimum (30.3 against 37.9 at eps 1, k 40,
     delta' 1e-5), so it is not used.
     """
-    if epsilon_step < 0 or delta_step < 0 or k < 0 or delta_prime <= 0:
+    if not (epsilon_step >= 0 and delta_step >= 0 and k >= 0 and delta_prime > 0):
         raise ValueError("composition parameters must be positive")
     eps = float(k * epsilon_step)
     if epsilon_step < math.log(2.0):  # from ln 2 on, e^eps - 1 >= 1 and basic wins

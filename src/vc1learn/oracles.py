@@ -237,7 +237,8 @@ def optimal_composition(epsilon_step: float, k: int, delta_prime: float) -> floa
     grows; bisection returns the smallest eps' it found to satisfy it,
     which is never below the optimum by more than rounding.
     """
-    if epsilon_step < 0 or k < 0 or delta_prime <= 0:
+    # false for NaN too, on which the bisection below would never end
+    if not (epsilon_step >= 0 and k >= 0 and delta_prime > 0):
         raise ValueError("composition parameters must be positive")
     if k == 0 or epsilon_step == 0:
         return 0.0

@@ -544,6 +544,10 @@ def test_cli_validation_exit_codes(tmp_path, capsys):
     sample_args = ["sample", "--class", str(bad), "--concept", "a", "--n", "5"]
     assert main([*sample_args, "--out", str(tmp_path / "e.csv")]) == 2
     assert capsys.readouterr().err.startswith("error:")
+    # a negative sample size is refused by name
+    sample_args = ["sample", "--class", str(cls_path), "--concept", "pt0", "--n", "-5"]
+    assert main([*sample_args, "--out", str(tmp_path / "n.csv")]) == 2
+    assert capsys.readouterr().err == "error: n must be nonnegative\n"
     # malformed data files: short or long rows, labels off {0, 1}, huge points
     data_path = tmp_path / "d.csv"
     for row in ("3", "0,1,1", "0,-1", "0,256", f"{10**20},0"):
@@ -586,16 +590,23 @@ def test_cli_sweep_rejects_unknown_config_keys(tmp_path, capsys):
         (None, "concept_index", True), ("generator", "n", "8"), ("generator", "n", 8.5),
         ("generator", "max_children", True), ("generator", "seed", None),
         ("generator", "kind", ["x"]), (None, "generator", "x"), (None, "params", [1]),
-        ("params", "privacy", 1),
+        ("params", "privacy", 1), ("generator", "concept_rate", "x"),
+        ("generator", "concept_rate", None), ("privacy", "epsilon", True),
+        ("params", "alpha", "0.3"), ("privacy", "delta", True), (None, "mode", 1),
     ):
         data = config_to_json(small_config(trials=1))
-        (data if part is None else data[part])[key] = value
+        holder = {None: data, **data, "privacy": data["params"]["privacy"]}[part]
+        holder[key] = value
         cfg_path.write_text(json.dumps(data))
         out = tmp_path / "report.csv"
         assert main(["sweep", "--config", str(cfg_path), "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: malformed config:") and repr(key) in err
         assert not out.exists()
+    # a float field takes a JSON integer
+    data = config_to_json(small_config(trials=1))
+    data["params"]["privacy"]["epsilon"] = 1
+    assert config_from_json(data).params.privacy.epsilon == 1
 
 
 def test_experiment_config_rejects_bad_sizes_and_empty_weights(tmp_path, capsys):

@@ -101,6 +101,10 @@ def test_sample_dataset_basics(rng):
     assert len(empty) == 0
     with pytest.raises(ValueError):
         sample_dataset(cls, c, dist, -1, rng)
+    state = rng.bit_generator.state
+    with pytest.raises(ValueError, match="n must be nonnegative"):
+        sample_dataset(cls, c, dist, -5, rng)
+    assert rng.bit_generator.state == state
 
     mass = Distribution(np.array([0, 0, 1.0, 0, 0, 0, 0, 0]))
     data = sample_dataset(cls, c, mass, 50, rng)

@@ -21,7 +21,6 @@ from vc1learn import (
     example_class,
     f_represent,
     improper_learn,
-    improper_learn_runs,
     is_canonical,
     make_rng,
     make_tree,
@@ -46,6 +45,13 @@ from conftest import renamed_tree, represented_class
 X1, X2, X3, X4, X5, X6, X7 = range(7)
 
 PARAMS = LearnParams(alpha=0.2, beta=0.2, privacy=PrivacyParams(1.0, 1e-5))
+
+
+def _batch_traces(cls, data, params, rng, runs, context=None):
+    """The traces of one batch of ``runs`` improper runs, in run order."""
+    ctx = learners._checked_context(cls, params, context)
+    batch = learners._improper_runs(ctx, learners._codes(ctx, data), params, rng, runs)
+    return [learners._trace(ctx, tuple(a[r : r + 1] for a in batch)) for r in range(runs)]
 
 
 def test_sample_budget_golden_values():
@@ -290,7 +296,7 @@ def test_learners_reject_points_outside_the_domain_before_any_draw(example_cls):
     bad = Dataset.from_pairs([(p, 0) for p in range(7)] * 10 + [(9, 1)])
     runs = [
         lambda rng: improper_learn(example_cls, bad, PARAMS, rng),
-        lambda rng: improper_learn_runs(example_cls, bad, PARAMS, rng, 4),
+        lambda rng: _batch_traces(example_cls, bad, PARAMS, rng, 4),
         lambda rng: proper_learn(example_cls, bad, PARAMS, rng),  # the split
         lambda rng: proper_learn(example_cls, good, PARAMS, rng, stage2=bad),
         lambda rng: proper_learn(example_cls, bad, PARAMS, rng, stage2=good),
@@ -1013,7 +1019,7 @@ def test_improper_runs_match_single_runs_on_their_draws():
         one_example += t == len(data)  # every subset holds one example
         for runs in (2, 7, 64):
             rec = _Recorder(make_rng([i, runs]))
-            batch = improper_learn_runs(cls, data, params, rec, runs, context=ctx)
+            batch = _batch_traces(cls, data, params, rec, runs, context=ctx)
             assert len(batch) == runs
             kinds = [kind for kind, _ in rec.log]
             assert kinds[: runs + 1] == ["permutation"] * runs + ["random"]
@@ -1037,19 +1043,16 @@ def test_improper_runs_of_one_is_improper_learn(example_cls):
     params = LearnParams(alpha=0.2, beta=0.1, privacy=PrivacyParams(1.0, 1e-5))
     for seed in range(20):
         a, b = make_rng(seed), make_rng(seed)
-        (batch,) = improper_learn_runs(example_cls, data, params, a, 1)
+        (batch,) = _batch_traces(example_cls, data, params, a, 1)
         assert batch.to_json() == improper_learn(example_cls, data, params, b).to_json()
         assert a.bit_generator.state == b.bit_generator.state
 
 
 def test_improper_runs_validate_before_touching_data(example_cls):
     rng = make_rng(0)
-    for runs in (0, -3):
-        with pytest.raises(ValueError, match="runs must be at least 1"):
-            improper_learn_runs(example_cls, None, PARAMS, rng, runs)
     bad = LearnParams(alpha=0.2, beta=0.2, privacy=PrivacyParams(2.0, 1e-5))
     with pytest.raises(ValueError, match="epsilon"):
-        improper_learn_runs(example_cls, None, bad, rng, 4)
+        _batch_traces(example_cls, None, bad, rng, 4)
     assert rng.bit_generator.state == make_rng(0).bit_generator.state
 
 
@@ -1080,7 +1083,7 @@ def test_learner_scenarios_return_the_hypotheses_of_improper_learn_runs(example_
             for k in (1, 7, 64, 256):
                 a, b = make_rng([i, k]), make_rng([i, k])
                 got = mech(data, a, k)
-                traces = improper_learn_runs(example_cls, data, params, b, k, context=ctx)
+                traces = _batch_traces(example_cls, data, params, b, k, context=ctx)
                 assert got == [trace.hypothesis.ones for trace in traces], (i, k)
                 assert a.bit_generator.state == b.bit_generator.state
                 seen.update(trace.chosen_point is None for trace in traces)

@@ -77,9 +77,11 @@ def test_exponential_mechanism_edge_cases(rng):
     # rejected before any arithmetic: no "invalid value" warning on the way
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for bad in (float("nan"), float("inf")):
+        for bad in (float("nan"), float("inf"), float("-inf")):
+            state = rng.bit_generator.state
             with pytest.raises(ValueError, match="NaN"):
                 exponential_mechanism([("a", bad), ("b", 1.0)], 1.0, 1.0, rng)
+            assert rng.bit_generator.state == state  # rejected before the draw
     # a bad sensitivity or epsilon, NaN included, is rejected before the draw
     nan = float("nan")
     for sensitivity, eps, message in [
@@ -117,6 +119,8 @@ def test_choosing_mechanism_validates_parameters(rng):
         ({"a": 1}, 0, 10, ok, "k must be at least 1"),
         ({"a": 1}, 1, -1, ok, "n must be nonnegative"),
         ({"a": 1, "b": -1}, 1, 10, ok, "scores must be nonnegative"),
+        # a NaN maximum fails both gate comparisons, which would pass the gate
+        ({"a": math.nan, "b": 3}, 1, 10, PrivacyParams(1.0, 1e-3), "scores must be nonnegative"),
     ]:
         state = rng.bit_generator.state
         with pytest.raises(ValueError, match=re.escape(message)):
@@ -185,6 +189,13 @@ def test_private_median_validation(rng):
         private_median([11], 10, 1 / 3, priv, 0.1, rng)
     with pytest.raises(ValueError):
         private_median([1], 10, 0.9, priv, 0.1, rng)
+    # no casts: non-integer values are rejected before the draw
+    for values in ([1.5, 1.5, 1.5], [True, 2]):
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match="values must be integers"):
+            private_median(values, 4, 1 / 3, priv, 0.1, rng)
+        assert rng.bit_generator.state == state
+    assert 0 <= private_median(np.arange(3), 4, 1 / 3, priv, 0.1, rng) <= 4
 
 
 def test_private_median_alpha_property_monte_carlo(rng):
@@ -238,6 +249,10 @@ def test_advanced_composition_values():
 
     zero = advanced_composition(0.0, 0.0, 10, 1e-6)
     assert zero.epsilon == 0.0
+
+    for args in ((math.nan, 0.0, 3, 1e-5), (0.1, math.nan, 3, 1e-5), (0.1, 0.0, 3, math.nan)):
+        with pytest.raises(ValueError, match="composition parameters"):
+            advanced_composition(*args)
 
 
 @settings(max_examples=100, deadline=None)

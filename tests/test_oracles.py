@@ -321,3 +321,7 @@ def test_optimal_composition_edges():
     )
     with pytest.raises(ValueError):
         optimal_composition(1.0, 3, 0.0)
+    # NaN fails every comparison: the bisection would never end on a NaN step
+    for args in ((math.nan, 3, 1e-5), (1.0, 3, math.nan)):
+        with pytest.raises(ValueError, match="composition parameters"):
+            optimal_composition(*args)
