@@ -47,11 +47,15 @@ class Dataset:
     """A sequence of labeled examples (point index, 0/1 label).
 
     Backed by read-only numpy arrays so that million-example datasets stay
-    cheap. Values are checked before the int64/uint8 casts, so a label off
-    {0, 1} or a point that is no nonnegative integer raises ``ValueError``.
-    An array that already has its dtype is not copied: the dataset holds a
-    read-only view of it and so shares the caller's memory, and the
-    caller's array stays writeable.
+    cheap. A label off {0, 1} or a point that is no nonnegative integer
+    raises ``ValueError``; points of a non-integer dtype are refused
+    before any cast. Unsigned points of up to 32 bits keep their dtype, so
+    a sampler may hand over uint8 or uint16 points; other points are cast
+    to int64. Labels are held as uint8, and bool labels as a uint8 view of
+    the caller's array. An array that already has its dtype is not copied
+    either: the dataset holds a read-only view of it and so shares the
+    caller's memory, and the caller's array stays writeable. Equality and
+    the hash go by values, whatever the points' dtype.
     """
 
     points: np.ndarray
@@ -65,11 +69,17 @@ class Dataset:
             # bool labels, as samplers hand over, need no pass
             if labs.dtype != bool and not np.all((labs == 0) | (labs == 1)):
                 raise ValueError("labels must be 0 or 1")
-            # a uint64 point past the int64 range casts to a negative one
-            if pts.dtype.kind not in "iu" or pts.astype(np.int64, copy=False).min() < 0:
+            if pts.dtype.kind not in "iu":
                 raise ValueError("points must be nonnegative integers")
-        pts = pts.astype(np.int64, copy=False).view()
-        labs = labs.astype(np.uint8, copy=False).view()
+        # narrow unsigned points need no sign pass; a uint64 point past the
+        # int64 range casts to a negative one
+        if pts.dtype.kind != "u" or pts.dtype.itemsize > 4:
+            pts = pts.astype(np.int64, copy=False)
+            if len(pts) and pts.min() < 0:
+                raise ValueError("points must be nonnegative integers")
+        if labs.dtype == bool:
+            labs = labs.view(np.uint8)
+        pts, labs = pts.view(), labs.astype(np.uint8, copy=False).view()
         pts.flags.writeable = False
         labs.flags.writeable = False
         object.__setattr__(self, "points", pts)
@@ -94,7 +104,8 @@ class Dataset:
         )
 
     def __hash__(self) -> int:
-        return hash((self.points.tobytes(), self.labels.tobytes()))
+        # as int64 bytes, so that datasets equal across point dtypes hash alike
+        return hash((self.points.astype(np.int64, copy=False).tobytes(), self.labels.tobytes()))
 
 
 @dataclass(frozen=True)

@@ -183,15 +183,24 @@ _JSON_TYPES = {
 
 
 def _json_object(value: object, name: str, kind: type) -> dict:
-    """``value`` if it is a JSON object whose fields of dataclass ``kind``
-    hold values of exactly their types; ``ValueError`` otherwise, so
-    nothing is cast."""
+    """A copy of ``value`` if it is a JSON object whose fields of dataclass
+    ``kind`` hold values of exactly their types; ``ValueError`` otherwise.
+    Nothing else is cast: a JSON integer in a float field becomes a float,
+    so that equal configs write equal reports."""
     if not isinstance(value, dict):
         raise ValueError(f"malformed config: {name!r} must be an object")
+    value = dict(value)
     for f in fields(kind):
         key, types = f.name, _JSON_TYPES.get(f.type)
-        if types and key in value and type(value[key]) not in types:
+        if key not in value or not types:
+            continue
+        if type(value[key]) not in types:
             raise ValueError(f"malformed config: {key!r} in {name} must not be {value[key]!r}")
+        if f.type == "float":
+            try:
+                value[key] = float(value[key])
+            except OverflowError:  # an integer past the float range
+                raise ValueError(f"malformed config: {key!r} in {name} is out of range") from None
     return value
 
 
@@ -203,9 +212,9 @@ def config_from_json(data: dict) -> ExperimentConfig:
     of the wrong JSON type raises ``ValueError`` (``KeyError`` for
     a missing ``generator``, ``params`` or ``privacy``).
     """
-    rest = dict(_json_object(data, "config", ExperimentConfig))
+    rest = _json_object(data, "config", ExperimentConfig)
     gen = _json_object(rest.pop("generator"), "generator", GeneratorSpec)
-    pdata = dict(_json_object(rest.pop("params"), "params", LearnParams))
+    pdata = _json_object(rest.pop("params"), "params", LearnParams)
     privacy = _json_object(pdata.pop("privacy"), "privacy", PrivacyParams)
     weights = rest.pop("weights", None)
     try:

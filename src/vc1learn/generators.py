@@ -173,7 +173,10 @@ def sample_dataset(
     state after the draw, equal that call's. The count is looked up in
     ``dist.inverse_cdf``'s guide table, and the few guesses it gets wrong
     are settled by binary search. Uniforms are drawn ``SAMPLE_CHUNK`` at a
-    time, so the draw's working memory does not grow with ``n``.
+    time, so the draw's working memory does not grow with ``n``. The
+    points are stored in the narrowest unsigned dtype that holds
+    ``domain_size - 1`` (uint16 up to 65,536 points); the labels are the
+    concept's bool matrix entries, which the dataset holds as a uint8 view.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
@@ -185,7 +188,7 @@ def sample_dataset(
     padded, guide = dist.inverse_cdf
     cdf = padded[1:-1]
     k = len(cdf)
-    points = np.empty(n, dtype=np.int64)
+    points = np.empty(n, dtype=np.min_scalar_type(k - 1))
     for start in range(0, n, SAMPLE_CHUNK):
         u = rng.random(min(SAMPLE_CHUNK, n - start))
         idx = guide[(u * k).astype(np.intp)]

@@ -434,7 +434,9 @@ def _improper_runs(
     in run order, in buffered ``rng.random`` calls; at one run that is
     :func:`improper_learn`'s order. Working memory grows with ``runs``
     times the dataset, and, unless every subset holds one example, with
-    ``runs`` times the subset count times the tree size.
+    ``runs`` times the subset count times the tree size. The run consumes
+    ``codes``: one run deals them in place, so pass a fresh gather such
+    as :func:`_codes` returns.
     """
     if len(codes) == 0:
         raise ValueError("dataset must be non-empty")
@@ -527,7 +529,8 @@ def _dealt_summaries(
         order = np.tile(np.arange(n), (runs, 1))
         rng.permuted(order, axis=1, out=order)
         return deepest[order].ravel(), depths[order].ravel()
-    dealt = np.tile(codes, (runs, 1))
+    # one run shuffles the caller's fresh gather in place
+    dealt = codes[None] if runs == 1 else np.tile(codes, (runs, 1))
     rng.permuted(dealt, axis=1, out=dealt)
     whole = n - n % t
     run = np.arange(runs)[:, None, None]

@@ -41,10 +41,11 @@ def laplace_sample(scale: float, rng: np.random.Generator) -> float:
     """One draw from the Laplace density ``exp(-|x|/b) / 2b``.
 
     :func:`_laplace` at a single uniform draw, so a fixed stream position
-    always yields the same noise.
+    always yields the same noise. A scale that is not positive and finite
+    raises ``ValueError`` before the draw.
     """
-    if not scale > 0:
-        raise ValueError("scale must be positive")
+    if not 0 < scale < math.inf:
+        raise ValueError("scale must be positive and finite")
     return _laplace(rng.random(), scale)
 
 
@@ -65,19 +66,23 @@ def exponential_mechanism(
     """Select an id with probability proportional to exp(eps * score / (2 * sens)).
 
     Scores are shifted by their maximum before exponentiation, so scores as
-    large as the dataset never overflow. A NaN or infinite score raises
-    ``ValueError`` before the draw.
+    large as the dataset never overflow. A NaN or infinite score, an
+    infinite epsilon, or an ``epsilon * score / (2 * sens)`` that overflows
+    raises ``ValueError`` before the draw.
     """
     if not candidates:
         raise ValueError("empty candidate list")
     if not sensitivity > 0:
         raise ValueError("sensitivity must be positive")
-    if not epsilon >= 0:
-        raise ValueError("epsilon must be nonnegative")
+    if not 0 <= epsilon < math.inf:
+        raise ValueError("epsilon must be nonnegative and finite")
     ids = [c[0] for c in candidates]
     scores = np.array([[c[1] for c in candidates]], dtype=np.float64)
     if not np.isfinite(scores).all():
         raise ValueError("scores must be finite, not NaN or infinite")
+    with np.errstate(all="ignore"):
+        if not np.isfinite(epsilon * scores / (2.0 * sensitivity)).all():
+            raise ValueError("epsilon * score / (2 * sensitivity) overflows")
     return ids[int(_em_rows(scores, sensitivity, epsilon, rng.random(1))[0])]
 
 
@@ -137,15 +142,17 @@ def choosing_mechanism(
     runs the exponential mechanism over the solutions with nonzero score
     (at most k*n of them). With probability at least 1 - beta the returned
     solution scores within :func:`choosing_utility_bound` of the maximum.
-    Raises ``ValueError`` unless k >= 1, n >= 0, every score is
-    nonnegative, eps is in (0, 2), delta > 0 and beta is in (0, 1).
+    Raises ``ValueError`` before any draw unless k >= 1, n >= 0, every
+    score is nonnegative and finite, eps is in (0, 2), delta > 0 and beta
+    is in (0, 1).
     """
     if k < 1:
         raise ValueError("k must be at least 1")
     if n < 0:
         raise ValueError("n must be nonnegative")
-    if any(not v >= 0 for v in scores.values()):  # NaN would open the gate
-        raise ValueError("scores must be nonnegative")
+    # NaN would open the gate, and +inf fail the selection after the draws
+    if any(not 0 <= v < math.inf for v in scores.values()):
+        raise ValueError("scores must be nonnegative and finite")
     row = np.array([list(scores.values())])  # shape (1, m); not cast, so floats stay floats
     (i,) = _choosing_rows(row, k, n, privacy, beta, rng)
     return None if i < 0 else list(scores)[i]
@@ -233,7 +240,8 @@ def private_median(
     1 - beta the output m has at least a (1/2 - alpha) fraction of the
     values on each side, provided the input is at least
     :func:`required_median_size` large; ``beta`` enters only through that
-    requirement, not the sampling itself.
+    requirement, not the sampling itself. Bad input raises ``ValueError``
+    before the draw.
     """
     values = list(values)
     if not values:
@@ -244,14 +252,16 @@ def private_median(
         raise ValueError("values must be integers")
     if min(values) < 0 or max(values) > domain_max:
         raise ValueError("values outside [0, domain_max]")
+    if not math.isfinite(privacy.epsilon * len(values)):  # the largest logit
+        raise ValueError("epsilon times the value count overflows")
     rows = np.asarray([values], dtype=np.int64)
     return int(_median_rows(rows, domain_max, privacy.epsilon, rng)[0])
 
 
 def _check_median(alpha: float, privacy: PrivacyParams) -> None:
-    """The median's parameter rule: eps > 0 and alpha in (0, 1/2]."""
-    if not privacy.epsilon > 0:
-        raise ValueError("epsilon must be positive")
+    """The median's parameter rule: eps positive and finite, alpha in (0, 1/2]."""
+    if not 0 < privacy.epsilon < math.inf:
+        raise ValueError("epsilon must be positive and finite")
     if not 0 < alpha <= 0.5:
         raise ValueError("alpha must be in (0, 1/2]")
 

@@ -328,13 +328,14 @@ def node_stats(tree: ClassTree, sub: SubTree, zeros: np.ndarray) -> NodeStats:
 
 
 def presence_codes(tree: ClassTree, points: np.ndarray, labels: np.ndarray) -> np.ndarray:
-    """Each example's row in :func:`forced_nodes`'s presence matrix, as int32: with
-    ``k`` tour positions, its point's (``k`` off the tree), plus ``k + 1`` when
-    its label is 1. The labels are widened first, so uint8 ones do not wrap."""
+    """Each example's row in :func:`forced_nodes`'s presence matrix: with ``k``
+    tour positions, its point's (``k`` off the tree), plus ``k + 1`` when its
+    label is 1. The codes are computed in int64, so uint8 labels do not wrap,
+    and stored in the narrowest unsigned dtype that holds ``2 k + 1``."""
     k = len(tree.tour)
     pos = tree.tin[points]
     codes = np.where(pos >= 0, pos, k) + (k + 1) * np.asarray(labels, dtype=np.int64)
-    return codes.astype(np.int32)
+    return codes.astype(np.min_scalar_type(2 * k + 1))
 
 
 def forced_nodes(tree: ClassTree, pres: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -263,11 +263,36 @@ def test_dataset_checks_values_before_casting():
         Dataset.from_pairs([(0, -1)])
     with pytest.raises(ValueError, match="nonnegative integers"):
         Dataset.from_pairs([(10**20, 0)])
-    # bool labels and integer points of any width are taken as they are
+    # bool labels and integer points of any width are taken as they are;
+    # unsigned points of up to 32 bits keep their dtype
     data = Dataset(np.array([3, 0], dtype=np.uint16), np.array([True, False]))
     assert data.pairs() == [(3, 1), (0, 0)]
-    assert data.points.dtype == np.int64 and data.labels.dtype == np.uint8
+    assert data.points.dtype == np.uint16 and data.labels.dtype == np.uint8
+    for dtype, kept in ((np.uint8, np.uint8), (np.uint32, np.uint32), (np.uint64, np.int64),
+                        (np.int8, np.int64), (np.int32, np.int64)):
+        assert Dataset(np.array([3, 0], dtype=dtype), np.array([1, 0])).points.dtype == kept
+    with pytest.raises(ValueError, match="nonnegative integers"):
+        Dataset(np.array([2**63], dtype=np.uint64), np.array([0]))
     assert len(Dataset.from_pairs([])) == 0
+
+
+def test_dataset_hash_agrees_with_equality_across_point_dtypes():
+    labels = np.array([1, 0, 1], dtype=np.uint8)
+    same = [Dataset(np.array([3, 0, 7], dtype=d), labels) for d in (np.uint8, np.uint16, np.int64)]
+    assert [d.points.dtype for d in same] == [np.uint8, np.uint16, np.int64]
+    for a in same:
+        for b in same:
+            assert a == b and hash(a) == hash(b)
+    assert len(set(same)) == 1
+    other = Dataset(np.array([3, 0, 6], dtype=np.uint8), labels)
+    assert other != same[0] and len(set(same + [other])) == 2
+
+
+def test_dataset_takes_bool_labels_as_a_uint8_view():
+    labels = np.array([True, False, True])
+    data = Dataset(np.array([0, 1, 2], dtype=np.uint8), labels)
+    assert data.labels.dtype == np.uint8 and np.shares_memory(data.labels, labels)
+    assert data.labels.tolist() == [1, 0, 1] and labels.flags.writeable
 
 
 def test_dataset_and_distribution_leave_the_callers_arrays_writeable():

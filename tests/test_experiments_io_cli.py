@@ -607,6 +607,28 @@ def test_cli_sweep_rejects_unknown_config_keys(tmp_path, capsys):
     data = config_to_json(small_config(trials=1))
     data["params"]["privacy"]["epsilon"] = 1
     assert config_from_json(data).params.privacy.epsilon == 1
+    # one past the float range is malformed, not an internal error
+    data["params"]["privacy"]["epsilon"] = 10**400
+    cfg_path.write_text(json.dumps(data))
+    assert main(["sweep", "--config", str(cfg_path), "--out", str(tmp_path / "r.csv")]) == 2
+    assert capsys.readouterr().err.startswith("error: malformed config: 'epsilon'")
+
+
+def test_cli_sweep_reports_integer_floats_as_floats(tmp_path):
+    # a JSON integer in a float field loads as a float, so the report echoes
+    # and writes 1.0, byte for byte what the config with 1.0 writes
+    reports = []
+    for epsilon in (1.0, 1):
+        data = config_to_json(small_config(trials=2))
+        data["params"]["privacy"]["epsilon"] = epsilon
+        cfg_path, out = tmp_path / "cfg.json", tmp_path / f"r{len(reports)}.csv"
+        cfg_path.write_text(json.dumps(data))
+        config = config_from_json(json.loads(cfg_path.read_text()))
+        assert type(config.params.privacy.epsilon) is float
+        assert main(["sweep", "--config", str(cfg_path), "--out", str(out)]) == 0
+        reports.append(out.read_bytes())
+    assert reports[0] == reports[1]
+    assert b'"epsilon": 1.0' in reports[0] and b',1.0,' in reports[0]
 
 
 def test_experiment_config_rejects_bad_sizes_and_empty_weights(tmp_path, capsys):

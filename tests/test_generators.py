@@ -155,7 +155,7 @@ def test_sample_dataset_equals_rng_choice(case, n):
     expected = expected_rng.choice(len(w), size=n, p=w)
     rng = np.random.default_rng([n, 9])
     data = sample_dataset(cls, cls.concepts[1], Distribution(w), n, rng)
-    assert data.points.dtype == np.int64
+    assert data.points.dtype == np.min_scalar_type(len(w) - 1)
     assert np.array_equal(data.points, expected)
     assert rng.bit_generator.state == expected_rng.bit_generator.state
 

@@ -925,10 +925,11 @@ def test_shuffling_an_array_draws_what_permutation_draws():
     # c[rng.permutation(len(c))], and rng.permuted(rows, axis=1) shuffles
     # row after row as that many permutation calls, leaving equal states;
     # the draws do not depend on the dtype, so one-example subsets may
-    # shuffle int64 example indices in place of the int32 codes
+    # shuffle int64 example indices in place of the uint8 or uint16 codes
     for seed in range(40):
         n = [1, 2, 7, 30, 337, 2359, 100_003][seed % 7]
-        codes = np.random.default_rng(seed).integers(0, 16, size=n).astype(np.int32)
+        dtype = [np.uint8, np.uint16, np.int32][seed % 3]
+        codes = np.random.default_rng(seed).integers(0, 16, size=n).astype(dtype)
         a, b = make_rng(seed), make_rng(seed)
         assert np.array_equal(a.permutation(codes), codes[b.permutation(n)])
         assert a.bit_generator.state == b.bit_generator.state
@@ -945,6 +946,62 @@ def test_shuffling_an_array_draws_what_permutation_draws():
             assert np.array_equal(row, codes[perm])
             assert np.array_equal(index, perm)
         assert a.bit_generator.state == b.bit_generator.state == c.bit_generator.state
+        # one run deals its codes in place, through a one-row view
+        dealt = codes.copy()
+        a.permuted(dealt[None], axis=1, out=dealt[None])
+        assert np.array_equal(dealt, codes[b.permutation(n)])
+        assert a.bit_generator.state == b.bit_generator.state
+
+
+def test_one_run_deals_the_codes_it_was_given_in_place():
+    cls = thresholds_class(64)
+    ctx = prepare_context(cls)
+    data = sample_dataset(cls, cls.concepts[20], Distribution.uniform(64), 5000, make_rng(1))
+    codes = learners._codes(ctx, data)
+    assert codes.dtype == np.uint8
+    given = codes.copy()
+    t = sample_budget(PARAMS, ctx.tree.height).t
+    assert t < len(codes)
+    a, b = make_rng(2), make_rng(2)
+    batch = learners._improper_runs(ctx, codes, PARAMS, a, 1)
+    # the one run shuffled the array it was handed, as permutation(n) draws
+    assert np.array_equal(codes, given[b.permutation(len(given))])
+    assert not np.array_equal(codes, given)
+    # a copy dealt by a tiled batch of one run gives the same run
+    again = learners._improper_runs(ctx, given.copy(), PARAMS, make_rng(2), 1)
+    for x, y in zip(batch, again):
+        assert np.array_equal(x, y)
+
+
+def test_improper_learn_traces_agree_across_point_dtypes():
+    cls = thresholds_class(300)
+    ctx = prepare_context(cls)
+    data = sample_dataset(cls, cls.concepts[120], Distribution.uniform(300), 40_000, make_rng(4))
+    assert data.points.dtype == np.uint16
+    wide = Dataset(data.points.astype(np.int64), data.labels)
+    assert wide.points.dtype == np.int64 and wide == data and hash(wide) == hash(data)
+    for seed in range(3):
+        a = improper_learn(cls, data, PARAMS, make_rng(seed), context=ctx)
+        b = improper_learn(cls, wide, PARAMS, make_rng(seed), context=ctx)
+        assert a.to_json() == b.to_json()
+
+
+def test_improper_learn_memory_per_example():
+    # one budget-sized call holds the examples' narrow codes and the
+    # presence matrix: about 4.7 bytes per example on thresholds(1024),
+    # against 10.7 when codes were int32 and dealt from a tiled copy
+    cls = thresholds_class(1024)
+    ctx = prepare_context(cls)
+    n = 10**6
+    data = sample_dataset(cls, cls.concepts[300], Distribution.uniform(1024), n, make_rng(5))
+    improper_learn(cls, data, PARAMS, make_rng(0), context=ctx)  # fills the context's caches
+    tracemalloc.start()
+    try:
+        improper_learn(cls, data, PARAMS, make_rng(1), context=ctx)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6 * n, peak / n
 
 
 class _Recorder:

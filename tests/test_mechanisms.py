@@ -34,6 +34,11 @@ def test_laplace_rejects_bad_scale(rng):
         laplace_sample(-1.0, rng)
     with pytest.raises(ValueError):
         laplace_sample(float("nan"), rng)
+    # an infinite scale would return an infinite draw; rejected before it
+    state = rng.bit_generator.state
+    with pytest.raises(ValueError, match="positive and finite"):
+        laplace_sample(math.inf, rng)
+    assert rng.bit_generator.state == state
 
 
 def test_laplace_median_and_tail(rng):
@@ -82,11 +87,13 @@ def test_exponential_mechanism_edge_cases(rng):
             with pytest.raises(ValueError, match="NaN"):
                 exponential_mechanism([("a", bad), ("b", 1.0)], 1.0, 1.0, rng)
             assert rng.bit_generator.state == state  # rejected before the draw
-    # a bad sensitivity or epsilon, NaN included, is rejected before the draw
+    # a bad sensitivity or epsilon, NaN or infinite included, and logits
+    # that overflow are rejected before the draw
     nan = float("nan")
     for sensitivity, eps, message in [
         (0.0, 1.0, "sensitivity"), (nan, 1.0, "sensitivity"),
-        (1.0, -1.0, "epsilon"), (1.0, nan, "epsilon"),
+        (1.0, -1.0, "epsilon"), (1.0, nan, "epsilon"), (1.0, math.inf, "epsilon"),
+        (1e-300, 1e10, "overflows"), (1.0, 1e308, "overflows"),
     ]:
         state = rng.bit_generator.state
         with pytest.raises(ValueError, match=message):
@@ -121,6 +128,8 @@ def test_choosing_mechanism_validates_parameters(rng):
         ({"a": 1, "b": -1}, 1, 10, ok, "scores must be nonnegative"),
         # a NaN maximum fails both gate comparisons, which would pass the gate
         ({"a": math.nan, "b": 3}, 1, 10, PrivacyParams(1.0, 1e-3), "scores must be nonnegative"),
+        # an infinite maximum passes the gate and fails the selection's draw
+        ({"a": math.inf, "b": 1}, 1, 10, PrivacyParams(1.0, 1e-3), "scores must be nonnegative"),
     ]:
         state = rng.bit_generator.state
         with pytest.raises(ValueError, match=re.escape(message)):
@@ -194,6 +203,12 @@ def test_private_median_validation(rng):
         state = rng.bit_generator.state
         with pytest.raises(ValueError, match="values must be integers"):
             private_median(values, 4, 1 / 3, priv, 0.1, rng)
+        assert rng.bit_generator.state == state
+    # an infinite epsilon, or one whose logits overflow, before the draw
+    for eps, message in ((math.inf, "positive and finite"), (1e308, "overflows")):
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match=message):
+            private_median([1, 2, 3], 4, 1 / 3, PrivacyParams(eps), 0.1, rng)
         assert rng.bit_generator.state == state
     assert 0 <= private_median(np.arange(3), 4, 1 / 3, priv, 0.1, rng) <= 4
 

@@ -530,11 +530,11 @@ def test_presence_codes_widen_uint8_labels():
     points = np.arange(n).repeat(2)
     labels = np.tile(np.array([0, 1], dtype=np.uint8), n)
     codes = presence_codes(tree, points, labels)
-    assert codes.dtype == np.int32
+    assert codes.dtype == np.min_scalar_type(2 * k + 1) == np.uint16
     assert np.array_equal(codes, row[points] + (k + 1) * labels.astype(np.int64))
     # the learners' table: the code of each point's representative with the
     # relabeled label
-    assert ctx.tour_code.dtype == np.int32
+    assert ctx.tour_code.dtype == np.min_scalar_type(2 * k + 1)
     for label in (0, 1):
         relabeled = label ^ ctx.f_row
         want = row[ctx.point_map] + (k + 1) * relabeled.astype(np.int64)
