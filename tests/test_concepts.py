@@ -288,13 +288,6 @@ def test_dataset_hash_agrees_with_equality_across_point_dtypes():
     assert other != same[0] and len(set(same + [other])) == 2
 
 
-def test_dataset_takes_bool_labels_as_a_uint8_view():
-    labels = np.array([True, False, True])
-    data = Dataset(np.array([0, 1, 2], dtype=np.uint8), labels)
-    assert data.labels.dtype == np.uint8 and np.shares_memory(data.labels, labels)
-    assert data.labels.tolist() == [1, 0, 1] and labels.flags.writeable
-
-
 def test_dataset_and_distribution_leave_the_callers_arrays_writeable():
     from vc1learn import Distribution
 
@@ -309,6 +302,11 @@ def test_dataset_and_distribution_leave_the_callers_arrays_writeable():
     # a dataset holds a view; a distribution copies, as it caches its CDF
     assert np.shares_memory(points, data.points) and np.shares_memory(labels, data.labels)
     assert not np.shares_memory(weights, dist.weights)
+    # bool labels are held as a uint8 view of the caller's array
+    flags = np.array([True, False, True])
+    held = Dataset(points, flags).labels
+    assert held.dtype == np.uint8 and np.shares_memory(flags, held)
+    assert held.tolist() == [1, 0, 1] and flags.flags.writeable
     points[0] = 2  # the caller may still write into its own array
     assert data.points[0] == 2
 
