@@ -197,11 +197,16 @@ def _json_object(value: object, name: str, kind: type) -> dict:
         if type(value[key]) not in types:
             raise ValueError(f"malformed config: {key!r} in {name} must not be {value[key]!r}")
         if f.type == "float":
-            try:
-                value[key] = float(value[key])
-            except OverflowError:  # an integer past the float range
-                raise ValueError(f"malformed config: {key!r} in {name} is out of range") from None
+            value[key] = _json_float(value[key], key, name)
     return value
+
+
+def _json_float(value: float | int, key: str, name: str) -> float:
+    """A JSON number as a float; ``ValueError`` for an integer past the float range."""
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError(f"malformed config: {key!r} in {name} is out of range") from None
 
 
 def config_from_json(data: dict) -> ExperimentConfig:
@@ -210,18 +215,23 @@ def config_from_json(data: dict) -> ExperimentConfig:
     Keys with defaults may be left out. A key that ``config_to_json``
     never writes, a missing one without a default, or a number or string
     of the wrong JSON type raises ``ValueError`` (``KeyError`` for
-    a missing ``generator``, ``params`` or ``privacy``).
+    a missing ``generator``, ``params`` or ``privacy``); ``weights`` is
+    null or a list of JSON numbers, each loaded as a float.
     """
     rest = _json_object(data, "config", ExperimentConfig)
     gen = _json_object(rest.pop("generator"), "generator", GeneratorSpec)
     pdata = _json_object(rest.pop("params"), "params", LearnParams)
     privacy = _json_object(pdata.pop("privacy"), "privacy", PrivacyParams)
     weights = rest.pop("weights", None)
+    if weights is not None:
+        if type(weights) is not list or any(type(w) not in (float, int) for w in weights):
+            raise ValueError(f"malformed config: 'weights' in config must not be {weights!r}")
+        weights = tuple(_json_float(w, "weights", "config") for w in weights)
     try:
         return ExperimentConfig(
             generator=GeneratorSpec(**gen),
             params=LearnParams(privacy=PrivacyParams(**privacy), **pdata),
-            weights=None if weights is None else tuple(weights),
+            weights=weights,
             **rest,
         )
     except TypeError as exc:  # an unknown or missing key

@@ -13,18 +13,20 @@ back-transforms to an accurate hypothesis on the class's own domain.
   directly and dealt round-robin, and one scatter fills a point-major
   presence matrix, a row per code and a column per subset, whose
   summaries :func:`~vc1learn.tree.forced_nodes` computes for all subsets
-  at once. When there are as many subsets as examples, each example is
-  summarised alone, once, and the summaries are dealt instead.
+  at once. When there are as many subsets as examples, no such pass runs:
+  each example's summary, its own point for a relabeled 1 on the tree and
+  nothing otherwise, is read off the tour and dealt instead.
   A private batch core, :func:`_improper_runs`, draws many runs'
   summaries, medians and selections in one pass each, as arrays; the
   audit scenarios replay the learner through it, and :func:`_trace`
   turns one run's arrays into its trace.
-* :func:`proper_learn` runs the improper stage on one slice of the data
-  and, when the selected node's path is not realized by a class member,
-  descends the pruned subtree with noisy weight tests and exponential
-  mechanisms until a realized leaf is reached. The subtree and its
-  weights are read off tour slices of the class tree, the weights from
-  the stage-2 presence codes. Its output is always a class member.
+* :func:`proper_learn` shuffles the examples' presence codes in place,
+  runs the improper stage on one slice of them and, when the selected
+  node's path is not realized by a class member, descends the pruned
+  subtree with noisy weight tests and exponential mechanisms until a
+  realized leaf is reached. The subtree and its weights are read off
+  tour slices of the class tree, the weights from the stage-2 presence
+  codes. Its output is always a class member.
 
 Both see an example only as its presence code, gathered once per dataset,
 and both return full execution traces so that statistical tests can
@@ -299,33 +301,20 @@ def _codes(ctx: LearnerContext, dataset: Dataset | None) -> np.ndarray:
 
 def _subset_summaries(
     ctx: LearnerContext, codes: np.ndarray, ids: np.ndarray, t: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Deepest forced points and their depths for ``t`` subsets at once.
+) -> np.ndarray:
+    """Deepest forced points of ``t`` subsets at once.
 
     The example of presence code ``codes[j]`` belongs to subset
-    ``ids[j]``. Returns ``(deepest, depths)``: every concept consistent
-    with subset ``i`` labels the root path of ``deepest[i]`` with 1, and
-    ``depths[i]`` is that point's tree depth (``deepest[i]`` is -1 and the
-    depth 0 when nothing is forced). A subset that no concept is
-    consistent with gets that same data-independent summary, so that one
-    changed example moves one summary and the learner never raises on the
-    data.
+    ``ids[j]``. Every concept consistent with subset ``i`` labels the root
+    path of ``deepest[i]`` with 1 (-1 when nothing is forced). A subset
+    that no concept is consistent with gets that same data-independent
+    summary, so that one changed example moves one summary and the learner
+    never raises on the data.
     """
     pres = np.zeros((2 * len(ctx.tree.tour) + 2, t), dtype=bool)
     pres[codes, ids] = True
-    return _summaries(ctx, pres)
-
-
-def _summaries(ctx: LearnerContext, pres: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Summaries of the subsets of a point-major presence matrix.
-
-    ``pres`` has a column per subset and the rows of
-    :attr:`LearnerContext.tour_code`: relabeled 0s, then 1s.
-    """
     # forced_nodes gives inconsistent subsets deepest -1, like empty ones
-    deepest, _ = forced_nodes(ctx.tree, pres)
-    depths = np.where(deepest >= 0, ctx.tree.depth[deepest], 0)
-    return deepest, depths
+    return forced_nodes(ctx.tree, pres)[0]
 
 
 def _back_transform(ctx: LearnerContext, x: int | None) -> Hypothesis:
@@ -399,8 +388,9 @@ def improper_learn(
     ``subset_ids[j]`` the subset of example ``j``, an integer array
     (anything else raises ``ValueError`` before any draw); the
     subset count is the largest id plus one. ``force_median`` pins the
-    median outcome, ``greedy`` replaces each mechanism by its
-    utility-optimal branch, and ``context`` passes a prebuilt
+    median outcome, ``greedy`` replaces the selection by its
+    utility-optimal branch (the depth median is still drawn privately),
+    and ``context`` passes a prebuilt
     :func:`prepare_context`; the default represents the class against its
     first concept.
     """
@@ -447,13 +437,13 @@ def _improper_runs(
         if ids.shape != codes.shape or ids.min() < 0:
             raise ValueError("subset_ids must be one nonnegative id per example")
         t = int(ids.max()) + 1
-        deepest, depths = _subset_summaries(ctx, codes, ids, t)
+        deepest = _subset_summaries(ctx, codes, ids, t)
     else:
         t = min(sample_budget(params, ctx.tree.height).t, len(codes))
-        deepest, depths = _dealt_summaries(ctx, codes, t, rng, runs)
-    deepest, depths = deepest.reshape(runs, t), depths.reshape(runs, t)
-
+        deepest = _dealt_summaries(ctx, codes, t, rng, runs)
     tree = ctx.tree
+    deepest = deepest.reshape(runs, t)
+    depths = np.where(deepest >= 0, tree.depth[deepest], 0)
     if force_median is not None:
         medians = np.full(runs, int(force_median))
         z = medians if 0 <= force_median <= tree.height else np.full(runs, tree.height + 1)
@@ -511,7 +501,7 @@ def _trace(ctx: LearnerContext, batch: tuple[np.ndarray, ...]) -> ImproperTrace:
 
 def _dealt_summaries(
     ctx: LearnerContext, codes: np.ndarray, t: int, rng: np.random.Generator, runs: int
-) -> tuple[np.ndarray, np.ndarray]:
+) -> np.ndarray:
     """:func:`_subset_summaries` of ``runs`` fresh round-robin deals.
 
     The presence codes are shuffled as ``runs`` rows, with the draws of
@@ -519,16 +509,19 @@ def _dealt_summaries(
     position ``j`` of run ``r`` goes to subset ``j % t``: column
     ``r t + j % t`` of one presence matrix over all ``runs * t`` subsets.
     When ``t`` is ``len(codes)`` every subset holds one example, whose
-    summary is that example's own: the examples are summarised once, and
-    their indices are shuffled and gather the summaries. A shuffle draws
-    the same whatever the array's dtype, so the runs are those of the deal.
+    summary is read off the tour and dealt in place of its code: a lone
+    relabeled 1 at a tree point forces that point (a childless node is
+    proper and an improper one has two or more children), and a lone 0,
+    or a 1 off the tree, forces nothing. A shuffle draws the same whatever
+    the array's dtype, so the runs are those of the deal.
     """
     n = len(codes)
     if t == n:
-        deepest, depths = _subset_summaries(ctx, codes, np.arange(n), n)
-        order = np.tile(np.arange(n), (runs, 1))
-        rng.permuted(order, axis=1, out=order)
-        return deepest[order].ravel(), depths[order].ravel()
+        k = len(ctx.tree.tour)
+        lone = np.concatenate((np.full(k + 1, -1), ctx.tree.tour, [-1]))
+        dealt = np.tile(lone[codes], (runs, 1))
+        rng.permuted(dealt, axis=1, out=dealt)
+        return dealt.ravel()
     # one run shuffles the caller's fresh gather in place
     dealt = codes[None] if runs == 1 else np.tile(codes, (runs, 1))
     rng.permuted(dealt, axis=1, out=dealt)
@@ -538,7 +531,7 @@ def _dealt_summaries(
     pres[dealt[:, :whole].reshape(runs, -1, t), run, np.arange(t)] = True
     if whole < n:
         pres[dealt[:, whole:], run[:, 0], np.arange(n - whole)] = True
-    return _summaries(ctx, pres.reshape(len(pres), runs * t))
+    return forced_nodes(ctx.tree, pres.reshape(len(pres), runs * t))[0]
 
 
 def proper_learn(
@@ -555,7 +548,7 @@ def proper_learn(
 ) -> ProperTrace:
     """Privately learn a hypothesis that is always a class member.
 
-    Splits the sample, runs the improper stage on the first part, and
+    Splits the sample, runs the improper stage on one part, and
     returns immediately when the selected node's root path is realized by
     a concept. Otherwise it walks the pruned subtree for at most
     ``ceil(2/alpha)`` iterations: each pass draws a Laplace-noised minimum
@@ -566,12 +559,16 @@ def proper_learn(
     its ``proper_index`` refer to ``cls`` as given. A point outside the
     class domain, in either sample, raises ``ValueError`` before any draw.
 
-    ``stage2`` bypasses the internal split, and ``dataset`` is then the
-    whole stage-1 sample; only with ``stage2`` may ``subset_ids`` be given,
-    and it is passed to the improper stage. ``force_chosen_point``, a
-    tree point, skips the improper stage; the parameter and context checks
-    of :func:`improper_learn` still run first. See :func:`improper_learn` for
-    the remaining hooks.
+    The split shuffles the presence codes in place, as
+    ``rng.permutation(len(dataset))`` draws, and gives the first
+    ``min(N2, len(dataset) // 2)`` to the descent's weights. ``stage2``
+    bypasses it, and ``dataset`` is then the whole stage-1 sample; only
+    with ``stage2`` may ``subset_ids`` be given, and it is passed to the
+    improper stage. ``force_chosen_point``, a tree point, skips the
+    improper stage; the parameter and context checks of
+    :func:`improper_learn` still run first. ``greedy`` also replaces the
+    descent's noisy tests and mechanisms by their utility-optimal
+    branches. See :func:`improper_learn` for the remaining hooks.
     """
     ctx = _checked_context(cls, params, context)
     if subset_ids is not None and stage2 is None:
@@ -586,8 +583,8 @@ def proper_learn(
         if len(codes) == 0:
             raise ValueError("dataset must be non-empty")
         n2 = min(budget.N2, len(codes) // 2)
-        perm = rng.permutation(len(codes))
-        codes2, codes1 = codes[perm[:n2]], codes[perm[n2:]]
+        rng.shuffle(codes)  # the draws of rng.permutation(len(codes))
+        codes2, codes1 = codes[:n2], codes[n2:]
     else:
         codes2 = _codes(ctx, stage2)
         codes1 = None if force_chosen_point is not None else _codes(ctx, dataset)

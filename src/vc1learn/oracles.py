@@ -360,10 +360,14 @@ def dp_audit(
     independent outcomes, a sequence or a 1-d array, and is asked for at
     most ``AUDIT_BATCH`` at a time, all on the stream spawned for that
     dataset. :func:`repeated` lifts a one-run ``mechanism(data, rng)``
-    without changing its draws.
+    without changing its draws. A ``trials`` that is not an integer of at
+    least 1 (a bool included) or a ``delta`` outside [0, 1) (NaN included)
+    raises ``ValueError`` before any draw.
     """
-    if trials <= 0:
-        raise ValueError("trials must be positive")
+    if isinstance(trials, bool) or not isinstance(trials, (int, np.integer)) or trials < 1:
+        raise ValueError("trials must be an integer of at least 1")
+    if not 0 <= delta < 1:  # false for NaN too
+        raise ValueError("delta must be in [0, 1)")
     rng_a, rng_b = rng.spawn(2)
     out_a = _audit_outcomes(mechanism, data_a, rng_a, trials)
     out_b = _audit_outcomes(mechanism, data_b, rng_b, trials)

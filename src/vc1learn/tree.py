@@ -269,8 +269,8 @@ def make_subtree(tree: ClassTree, x_good: int) -> SubTree:
     Reads the tour slice ``[tin[x_good], tout[x_good])``. A point there is
     left out when a proper node from ``x_good`` (inclusive) down to the
     point (exclusive) lies above it, so a proper ``x_good`` yields the
-    single-node tree. The leaves are the proper or childless nodes; the
-    other nodes are improper, and their children are their tree children.
+    single-node tree. The leaves are the proper nodes, childless ones
+    among them; the others are improper, with all their tree children.
     """
     _check_in_tree(tree, x_good)
     lo, hi = tree.tin[x_good], tree.tout[x_good]
@@ -280,11 +280,10 @@ def make_subtree(tree: ClassTree, x_good: int) -> SubTree:
     stop = np.where(tree.proper_mask[seg], tree.tout[seg], 0)
     above = np.maximum.accumulate(np.concatenate(([0], stop[:-1])))
     nodes = seg[above <= np.arange(lo, hi)]
-    leaf = tree.proper_mask[nodes] | (tree.tout[nodes] == tree.tin[nodes] + 1)
     return SubTree(
         root=x_good,
         nodes=frozenset(nodes.tolist()),
-        leaves=frozenset(nodes[leaf].tolist()),
+        leaves=frozenset(nodes[tree.proper_mask[nodes]].tolist()),
     )
 
 

@@ -631,6 +631,36 @@ def test_cli_sweep_reports_integer_floats_as_floats(tmp_path):
     assert b'"epsilon": 1.0' in reports[0] and b',1.0,' in reports[0]
 
 
+def test_cli_sweep_rejects_weights_that_are_not_json_numbers(tmp_path, capsys):
+    # a string or a boolean weight used to load and run with exit 0
+    cfg_path, out = tmp_path / "cfg.json", tmp_path / "report.csv"
+    for weights in (["0.25", 0.25, 0.25, 0.25, 0, 0, 0], [True] + [0] * 6, [None] * 7,
+                    "uniform", {"0": 1.0}, [10**400] + [0] * 6):
+        data = config_to_json(small_config(trials=1))
+        data["weights"] = weights
+        cfg_path.write_text(json.dumps(data))
+        assert main(["sweep", "--config", str(cfg_path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: malformed config: 'weights'"), err
+        assert not out.exists()
+
+
+def test_cli_sweep_reports_integer_weights_as_floats(tmp_path):
+    # [0, 0.5, ...] loads as [0.0, 0.5, ...] and writes the same bytes
+    reports = []
+    for zero in (0.0, 0):
+        data = config_to_json(small_config(trials=2))
+        data["weights"] = [zero, 0.5, 0.25, 0.25, zero, zero, zero]
+        cfg_path, out = tmp_path / "cfg.json", tmp_path / f"r{len(reports)}.csv"
+        cfg_path.write_text(json.dumps(data))
+        config = config_from_json(json.loads(cfg_path.read_text()))
+        assert all(type(w) is float for w in config.weights)
+        assert main(["sweep", "--config", str(cfg_path), "--out", str(out)]) == 0
+        reports.append(out.read_bytes())
+    assert reports[0] == reports[1]
+    assert b'"weights": [0.0, 0.5' in reports[0]
+
+
 def test_experiment_config_rejects_bad_sizes_and_empty_weights(tmp_path, capsys):
     # checked when the config is built, before any class or data exists
     bad = (("n_override", 0), ("n_override", -3), ("weights", ()))

@@ -518,7 +518,8 @@ def test_subset_summaries_match_oracle_across_corpus(corpus, rng):
             if len(members) and rng.random() < 0.5:
                 labs[rng.choice(members)] ^= 1
         codes = ctx.tour_code[labs, pts]
-        deepest, depths = learners._subset_summaries(ctx, codes, ids, t)
+        deepest = learners._subset_summaries(ctx, codes, ids, t)
+        depths = np.where(deepest >= 0, ctx.tree.depth[deepest], 0)
         assert deepest.shape == depths.shape == (t,)
         for i in range(t):
             sub_pts = pts[ids == i]
@@ -537,6 +538,35 @@ def test_subset_summaries_match_oracle_across_corpus(corpus, rng):
             else:
                 assert deepest[i] == -1 and depths[i] == 0
     assert min(outcomes.values()) > 100, outcomes
+
+
+def test_lone_code_summaries_match_forced_nodes_across_corpus(corpus):
+    # with one example per subset each example's summary is read off the
+    # tour, not found by forced_nodes: for every presence code it must be
+    # forced_nodes' summary of that code alone, dealt as one shuffle deals
+    # it. The gather rests on two facts of every tree: a childless node is
+    # proper, and an improper node has two or more children.
+    improper = 0
+    for i, cls in enumerate(corpus):
+        for f_index in sorted({0, len(cls.concepts) - 1}):
+            ctx = prepare_context(cls, f_index)
+            tree = ctx.tree
+            nodes = np.flatnonzero(tree.tin >= 0)
+            kids = np.bincount(tree.parent[nodes] + 1, minlength=len(tree.tin) + 1)[nodes + 1]
+            assert tree.proper_mask[nodes[kids == 0]].all()
+            assert (kids[~tree.proper_mask[nodes]] >= 2).all()
+            improper += int((~tree.proper_mask[nodes]).sum())
+            k = len(tree.tour)
+            codes = np.arange(2 * k + 2).astype(ctx.tour_code.dtype)
+            a, b = make_rng([i, f_index]), make_rng([i, f_index])
+            got = learners._dealt_summaries(ctx, codes.copy(), len(codes), a, 1)
+            order = codes[b.permutation(len(codes))]
+            assert a.bit_generator.state == b.bit_generator.state
+            for code, summary in zip(order.tolist(), got.tolist()):
+                pres = np.zeros((2 * k + 2, 1), dtype=bool)
+                pres[code, 0] = True
+                assert summary == forced_nodes(tree, pres)[0][0], (i, f_index, code)
+    assert improper > 100, improper
 
 
 def test_improper_learns_thresholds_statistically():

@@ -207,6 +207,22 @@ def test_dp_audit_validates_trials(rng):
         )
 
 
+def test_dp_audit_rejects_bad_delta_and_trials_before_any_draw():
+    # a negative delta used to raise the estimate (1.50 for randomized
+    # response at eps = 1, a false refutation) and a NaN one to give 0.0
+    mech, d0, d1, _ = randomized_response_scenario(1.0)
+    bad = [(2_000, delta, "delta must be in") for delta in (-0.5, 1.0, 1.5, math.nan)]
+    bad += [(trials, 0.0, "trials must be an integer") for trials in
+            (0, -3, True, False, 10.0, "10", None, np.float64(10))]
+    for trials, delta, msg in bad:
+        rng = make_rng(5)
+        with pytest.raises(ValueError, match=msg):
+            dp_audit(mech, d0, d1, trials, delta, rng)
+        assert rng.bit_generator.state == make_rng(5).bit_generator.state
+    assert dp_audit(mech, d0, d1, np.int64(2_000), 0.0, make_rng(5)) == dp_audit(
+        mech, d0, d1, 2_000, 0.0, make_rng(5))
+
+
 def test_dp_audit_bins_real_outputs(rng):
     mech = repeated(lambda data, r: float(data.labels.sum()) + r.normal())
     d0 = Dataset.from_pairs([(0, 0)] * 3)
