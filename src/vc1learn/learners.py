@@ -8,20 +8,21 @@ back-transforms to an accurate hypothesis on the class's own domain.
 * :func:`improper_learn` partitions the sample, summarizes each subset by
   its deepest forced point, takes a private median of those depths, and
   privately selects among the points at the median depth. Its output may
-  fall outside the class. Subsets stay flat: each example's presence code
-  (its point's tour position and its relabeled label) is shuffled
-  directly and dealt round-robin, and one scatter fills a point-major
-  presence matrix, a row per code and a column per subset, whose
-  summaries :func:`~vc1learn.tree.forced_nodes` computes for all subsets
-  at once. When there are as many subsets as examples, no such pass runs:
-  each example's summary, its own point for a relabeled 1 on the tree and
-  nothing otherwise, is read off the tour and dealt instead.
+  fall outside the class. Subsets stay flat: :func:`_deal` draws each
+  example's subset, uniformly over partitions with the round-robin sizes
+  and without shuffling the sample, and scatters its presence code (its
+  point's tour position and its relabeled label) straight into a
+  point-major presence matrix, a row per code and a column per subset,
+  whose summaries :func:`~vc1learn.tree.forced_nodes` computes for all
+  subsets at once. When there are as many subsets as examples, no such
+  pass runs: each example's summary, its own point for a relabeled 1 on
+  the tree and nothing otherwise, is read off the tour and shuffled.
   A private batch core, :func:`_improper_runs`, draws many runs'
   summaries, medians and selections in one pass each, as arrays; the
   audit scenarios replay the learner through it, and :func:`_trace`
   turns one run's arrays into its trace.
-* :func:`proper_learn` shuffles the examples' presence codes in place,
-  runs the improper stage on one slice of them and, when the selected
+* :func:`proper_learn` draws its stage-2 examples as a uniform subset,
+  runs the improper stage on the rest and, when the selected
   node's path is not realized by a class member, descends the pruned
   subtree with noisy weight tests and exponential mechanisms until a
   realized leaf is reached. The subtree and its weights are read off
@@ -48,6 +49,7 @@ from .concepts import (
     Hypothesis,
     canonical_layout,
 )
+from .generators import SAMPLE_CHUNK
 from .mechanisms import (
     PrivacyParams,
     _check_gate,
@@ -379,9 +381,10 @@ def improper_learn(
     Raises ``ValueError`` before touching the data unless eps is in
     (0, 2) and delta is positive. A subset that no concept is consistent
     with is summarised as forcing nothing, so the run never raises on the
-    data. The run draws, in order, the shuffle, the median's uniform, the
-    gate's uniform and, when the gate passes, the selection's uniform; it
-    is :func:`_improper_runs` at one run.
+    data. The run draws, in order, the deal (:func:`_deal`'s slot draws
+    and fill shuffle, or with one example per subset a shuffle), the
+    median's uniform, the gate's uniform and, when the gate passes, the
+    selection's uniform; it is :func:`_improper_runs` at one run.
 
     Keyword-only hooks exist for tests and pipelines: ``subset_ids``
     bypasses partitioning, with ``dataset`` the whole stage-1 sample and
@@ -418,15 +421,15 @@ def _improper_runs(
     the padding) and its chosen tree point (-1: abstained). Each run
     partitions the data afresh and spends (2 eps, 2 delta), so a batch is
     for audits that replay the learner, not for releasing several
-    hypotheses about one sample. The draws are the runs' shuffles in run
-    order (each what ``rng.permutation(len(codes))`` draws), then one
-    median uniform per run, then each run's gate and selection uniforms
-    in run order, in buffered ``rng.random`` calls; at one run that is
-    :func:`improper_learn`'s order. Working memory grows with ``runs``
-    times the dataset, and, unless every subset holds one example, with
-    ``runs`` times the subset count times the tree size. The run consumes
-    ``codes``: one run deals them in place, so pass a fresh gather such
-    as :func:`_codes` returns.
+    hypotheses about one sample. The draws are the runs' deals in run
+    order (see :func:`_dealt_summaries`), then one median uniform per
+    run, then each run's gate and selection uniforms in run order, in
+    buffered ``rng.random`` calls; at one run that is
+    :func:`improper_learn`'s order. ``codes`` is only read. Unless every
+    subset holds one example, working memory is ``runs`` times the
+    subset count times the tree size, twice over for two or more runs,
+    plus :func:`_deal`'s chunks and reserved codes; with one example per
+    subset it is ``runs`` times the dataset.
     """
     if len(codes) == 0:
         raise ValueError("dataset must be non-empty")
@@ -502,18 +505,17 @@ def _trace(ctx: LearnerContext, batch: tuple[np.ndarray, ...]) -> ImproperTrace:
 def _dealt_summaries(
     ctx: LearnerContext, codes: np.ndarray, t: int, rng: np.random.Generator, runs: int
 ) -> np.ndarray:
-    """:func:`_subset_summaries` of ``runs`` fresh round-robin deals.
+    """:func:`_subset_summaries` of ``runs`` fresh partitions, dealt in run order.
 
-    The presence codes are shuffled as ``runs`` rows, with the draws of
-    ``runs`` calls of ``rng.permutation(len(codes))``, and the code at
-    position ``j`` of run ``r`` goes to subset ``j % t``: column
-    ``r t + j % t`` of one presence matrix over all ``runs * t`` subsets.
     When ``t`` is ``len(codes)`` every subset holds one example, whose
     summary is read off the tour and dealt in place of its code: a lone
     relabeled 1 at a tree point forces that point (a childless node is
     proper and an improper one has two or more children), and a lone 0,
-    or a 1 off the tree, forces nothing. A shuffle draws the same whatever
-    the array's dtype, so the runs are those of the deal.
+    or a 1 off the tree, forces nothing. Those summaries are shuffled as
+    ``runs`` rows, with the draws of ``runs`` calls of
+    ``rng.permutation(len(codes))``. Otherwise :func:`_deal` scatters each
+    run's partition into its own block of ``t`` columns, plus a spare
+    column whose summary is dropped.
     """
     n = len(codes)
     if t == n:
@@ -522,16 +524,102 @@ def _dealt_summaries(
         dealt = np.tile(lone[codes], (runs, 1))
         rng.permuted(dealt, axis=1, out=dealt)
         return dealt.ravel()
-    # one run shuffles the caller's fresh gather in place
-    dealt = codes[None] if runs == 1 else np.tile(codes, (runs, 1))
-    rng.permuted(dealt, axis=1, out=dealt)
-    whole = n - n % t
-    run = np.arange(runs)[:, None, None]
-    pres = np.zeros((2 * len(ctx.tree.tour) + 2, runs, t), dtype=bool)
-    pres[dealt[:, :whole].reshape(runs, -1, t), run, np.arange(t)] = True
-    if whole < n:
-        pres[dealt[:, whole:], run[:, 0], np.arange(n - whole)] = True
-    return forced_nodes(ctx.tree, pres.reshape(len(pres), runs * t))[0]
+    pres = np.zeros((runs, 2 * len(ctx.tree.tour) + 2, t + 1), dtype=bool)
+    _deal(pres, codes, rng)
+    # point-major, a column per subset; a copy only for two or more runs
+    deepest = forced_nodes(ctx.tree, pres.transpose(1, 0, 2).reshape(pres.shape[1], -1))[0]
+    return deepest.reshape(runs, t + 1)[:, :t].ravel()
+
+
+# the chance that a deal draws its slots again, at most
+REDRAW_BOUND = 1e-6
+
+
+@lru_cache
+def _reserve(n: int, t: int) -> int:
+    """The reserve slot count ``x`` of a deal of ``n`` examples into ``t`` subsets.
+
+    A deal redraws when some subset's count of examples, Binomial(n, p)
+    with ``p = 1 / (t + x)``, exceeds its size, at least ``m = n // t``.
+    By the union bound over the ``t`` subsets and the Chernoff bound
+    ``P(Binomial(n, p) >= k) <= exp(-n D(k / n || p))`` for ``k >= n p``,
+    with ``D`` the Bernoulli relative entropy, that has probability at
+    most ``t exp(-n D((m + 1) / n || p))``. ``x`` is the least positive
+    count that puts this at or below :data:`REDRAW_BOUND`; the bound falls
+    as ``x`` grows. At ``t`` 1 no deal redraws.
+    """
+    a = (n // t + 1) / n
+    limit = math.log(REDRAW_BOUND / t)
+
+    def bounded(x: int) -> bool:
+        if a >= 1:
+            return True
+        p = 1.0 / (t + x)
+        relative_entropy = a * math.log(a / p) + (1 - a) * math.log((1 - a) / (1 - p))
+        return -n * relative_entropy <= limit
+
+    lo, hi = 0, 1
+    while not bounded(hi):
+        lo, hi = hi, 2 * hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if bounded(mid) else (mid, hi)
+    return hi
+
+
+def _deal(pres: np.ndarray, codes: np.ndarray, rng: np.random.Generator) -> None:
+    """Scatter ``codes`` into each run's block of ``pres`` as a fresh uniform partition.
+
+    ``pres`` is a zeroed C-contiguous bool array of shape ``(runs, rows,
+    t + 1)``, with a row per code; run ``r``'s subset ``i`` sets
+    ``pres[r, :, i]`` and ``pres[r, :, t]`` is spare. Subset ``i`` gets
+    its round-robin size, ``n // t`` plus one for the first ``n % t``.
+    The runs are dealt in order. Each example draws a slot uniformly from
+    the ``t`` subsets and :func:`_reserve`'s ``x`` reserve slots, with
+    ``rng.integers`` ``SAMPLE_CHUNK`` examples at a time, in the narrowest
+    dtype that holds ``t + x - 1``. Its code sets its subset's cell at
+    once, or the spare one for a reserve slot, and only the reserved codes
+    are kept. If some subset got more than its size, the run's block is
+    cleared and every slot is drawn again. Otherwise the reserved codes,
+    in order, take the missing places, which are put in the order
+    ``rng.shuffle`` gives them.
+
+    Permuting the examples leaves the law of this procedure unchanged, and
+    it always lands on the round-robin sizes, so its law is uniform over
+    those partitions: that of a shuffle dealt round-robin. Its draws do
+    not depend on the codes, so one changed example still moves one
+    subset. Beside ``pres`` it holds one chunk's slots and the reserved
+    codes, about ``x / (t + x)`` of them (5% of a budget-sized sample).
+    """
+    runs, _, width = pres.shape
+    n, t = len(codes), width - 1
+    x = _reserve(n, t)
+    wide, narrow = np.min_scalar_type(t + x - 1), np.min_scalar_type(t)
+    sizes = np.full(t, n // t)
+    sizes[: n % t] += 1
+    subsets = np.arange(t)
+    # a cell's flat index in its run's block is code * (t + 1) + slot
+    for flat in pres.reshape(runs, -1):
+        while True:
+            counts = np.zeros(width, dtype=np.int64)
+            reserved = []
+            for start in range(0, n, SAMPLE_CHUNK):
+                chunk = codes[start : start + SAMPLE_CHUNK]
+                draw = rng.integers(0, t + x, len(chunk), dtype=wide)
+                slots = np.minimum(draw, t, out=draw).astype(narrow, copy=False)
+                cells = np.multiply(chunk, width, dtype=np.intp)
+                cells += slots
+                flat[cells] = True
+                counts += np.bincount(slots, minlength=width)
+                reserved.append(chunk[slots == t])
+            if (counts[:t] <= sizes).all():
+                break
+            flat[:] = False
+        fill = np.repeat(subsets, sizes - counts[:t])
+        rng.shuffle(fill)
+        cells = np.multiply(np.concatenate(reserved), width, dtype=np.intp)
+        cells += fill
+        flat[cells] = True
 
 
 def proper_learn(
@@ -559,9 +647,12 @@ def proper_learn(
     its ``proper_index`` refer to ``cls`` as given. A point outside the
     class domain, in either sample, raises ``ValueError`` before any draw.
 
-    The split shuffles the presence codes in place, as
-    ``rng.permutation(len(dataset))`` draws, and gives the first
-    ``min(N2, len(dataset) // 2)`` to the descent's weights. ``stage2``
+    The split gives the descent's weights ``min(N2, len(dataset) // 2)``
+    examples, drawn as ``rng.choice(len(dataset), size, replace=False)``
+    before the improper stage's draws, and deals the rest, in their order,
+    to the improper stage. The stage-2 set is uniform over the subsets of
+    its size, and the deal's law does not depend on which examples it
+    gets, so the two are independent, as after one shuffle. ``stage2``
     bypasses it, and ``dataset`` is then the whole stage-1 sample; only
     with ``stage2`` may ``subset_ids`` be given, and it is passed to the
     improper stage. ``force_chosen_point``, a tree point, skips the
@@ -582,9 +673,8 @@ def proper_learn(
         codes = _codes(ctx, dataset)
         if len(codes) == 0:
             raise ValueError("dataset must be non-empty")
-        n2 = min(budget.N2, len(codes) // 2)
-        rng.shuffle(codes)  # the draws of rng.permutation(len(codes))
-        codes2, codes1 = codes[:n2], codes[n2:]
+        second = rng.choice(len(codes), min(budget.N2, len(codes) // 2), replace=False)
+        codes2, codes1 = codes[second], np.delete(codes, second)
     else:
         codes2 = _codes(ctx, stage2)
         codes1 = None if force_chosen_point is not None else _codes(ctx, dataset)

@@ -1,11 +1,13 @@
 import hashlib
 import json
+from collections import Counter
 import math
 import re
 import tracemalloc
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from vc1learn import (
     ConceptClass,
@@ -37,6 +39,7 @@ from vc1learn import (
 )
 from vc1learn import learners
 from vc1learn.audit_scenarios import improper_learner_scenario, unrealizable_neighbour_scenario
+from vc1learn.generators import SAMPLE_CHUNK
 from vc1learn.oracles import AUDIT_BATCH
 from vc1learn.tree import forced_nodes
 
@@ -80,8 +83,8 @@ def partition(dataset: Dataset, t: int, rng: np.random.Generator) -> np.ndarray:
     Returns the int32 subset id of every example: with ``perm`` the
     shuffle, the ``j``-th example dealt, ``perm[j]``, goes to subset
     ``j % t``, so subset ``i`` holds the examples ``perm[i::t]``. The
-    learners shuffle the examples' presence codes with the same draws
-    instead of building ids.
+    learners' deal, ``learners._deal``, draws partitions of the same law
+    with other draws.
     """
     if t < 1:
         raise ValueError("t must be at least 1")
@@ -843,52 +846,55 @@ def test_trace_serialization(modified_cls):
     )
 
 
-# sha256 of the sorted-key JSON of each case's traces over seeds 0-2,
-# recorded before the improper learner ran R runs per call; a change to
-# any fixed-seed trace changes one of these
+# sha256 of the sorted-key JSON of each case's traces over seeds 0-2; a
+# change to any fixed-seed trace changes one of these. The runs that deal
+# with fewer subsets than examples or split were re-pinned when the deal
+# stopped shuffling (improper400, proper400, proper60, greedy,
+# force_median, proper_greedy); the others date from before the improper
+# learner ran R runs per call
 PINNED_TRACE_DIGESTS = {
-    "example/improper400": "82003fa4af4decc7dc0f2bd727efca3be42aed189381acafea5cf65dd81ae72f",
-    "example/proper400": "213e63902225b114467a7bab33991f54e9d83e4b3969fc64b984ccac1ba9c0c2",
+    "example/improper400": "914f712915aef6bb8483e0566eb5a9bab7ffd55631137b82541878b0371b34dd",
+    "example/proper400": "3f5385e5c960fe281bb1cb3d5c3481b44f13de0eec8f0950b40f9141a41856c8",
     "example/improper60": "4d8340359ba70277147496f652cbfc1000c7a4c18f1bafbbafccbbecaecdd4f1",
-    "example/proper60": "5e0f3540ff545cee099b99ddc2ef3029cb61086935d441442c958f6636566a79",
+    "example/proper60": "c3b57208b113ab32bd47ba18e7a6542a8d6c0bafeb6c32488c859f1c27b40237",
     "example/subset_ids": "bf9a2f08b71373b4acbf0ddd8be96686a6468193d251c1ef02327632d81d9fc3",
-    "example/greedy": "2683385d8c516abd07410b3ebd9f27f0baa00ed78be353e9d56df5bda06ec810",
-    "example/force_median": "1349a2f41669170bedd6815a0ee02fe38b6461ab2937e6aec6f74b9cd8be51d6",
-    "example/proper_greedy": "cc033e089e29eeb8b0e768797af5f76d2c10f22dd56fab1de0a31448074577ea",
-    "modified/improper400": "7dcbbaec78d23bbaba46496a543b6c6c0228a33a15efe2c09ea889d5f887f4f4",
-    "modified/proper400": "2683bb5296cc94e7a476f2befd1a72384f3567e4fc266ad0b5230048eb185fd8",
+    "example/greedy": "6708a16d47034773da9c1c2ad049c886bb531215e4ef7626b93f480a02ae74cf",
+    "example/force_median": "7664924ebea58762336c55f76c1feb5408188a2deb722ea0201502425df782d6",
+    "example/proper_greedy": "09b643bdf4d4d5d8dc55daf6e78a09e35812f4aae94dd7fd976ef01e16e84a93",
+    "modified/improper400": "4b82530e57eb292793335335e2babae026d164d01ab8da4667b5fc57b74eed9e",
+    "modified/proper400": "91880b0836fe7cd446edfb103c248b7da934e98c9a3d6a56d98cee37d0043b79",
     "modified/improper60": "c56875679b2ad954b9fc749646ad8b66f531dafeba2e42b58faa2a7ed70dc9ef",
-    "modified/proper60": "f4c441d9823fa6753d56ef5fabf25ea79062b4a121c5d250fddef7efc6bb007b",
+    "modified/proper60": "67119541dc212a76261f19e8e6a06d8ba45e0344fc2206a142ba57357752ac41",
     "modified/subset_ids": "bb8815c3b3ee97ad684f7928a8365505b013bd2349c7baee39c3b13e8311537e",
-    "modified/greedy": "2763fa399a28686784407cb45094e67a24a544dd172a9ca6bcd2fda6bcb5927c",
-    "modified/force_median": "84f9f16ad05b4da42dbb7fd15e1cfc14233ae4c5a73c84dcdbf64e16176a0820",
-    "modified/proper_greedy": "40439d9aad6bbf997b0bb6435fddffcff29ef624cafc4f68e72b63ae8dba883d",
+    "modified/greedy": "f0c766fc4ffde00ea8308c8becf2afa4f82f94aa7b36e44fe75df133e0b5df7b",
+    "modified/force_median": "821ebdd14cc830cc1a96c9d89b960d39b9b97522cbf0ff52b2c1959970ba4716",
+    "modified/proper_greedy": "1c8979f3b3b909c80cfdcdd895aa8a4e05a0181aedcfea8589afcdfad4ba99a9",
     "modified/descent": "29cf41150ce9c001659934ae589cd7e1010753eb2713a5e6eb7bd4c4fd1f5d28",
-    "thresholds64/improper400": "f1c39dadfd6daa6e4d41354902841db22354413a6291c05a276e59d34eb8d7e5",
-    "thresholds64/proper400": "95d656a6e9810232dbf5a066f363fa7230a55a74b3be49757bb737adea63cf18",
+    "thresholds64/improper400": "318d86ad1a0579bb5177fffe73c9a11583d374cf035b9934e8795e45eb0d0ca1",
+    "thresholds64/proper400": "9b7ae28d7cab5824c31ea46f00fbea6fac1a63ebad184ba3526d86ed31a377a0",
     "thresholds64/improper60": "039e1e3e3c05ca90f7a84adbdf8e0283db470e1a877d250d4e9746b2fce6bd48",
-    "thresholds64/proper60": "7d00121da69312746236fd435933bedf8c95874afad33e435bf818e7b0509f98",
+    "thresholds64/proper60": "8ba6bc26ccd2e78327a57dc3d571a3b6a4f982f568154be8480eaee0980bc387",
     "thresholds64/subset_ids": "0006709a22a533d4d5a88dca1f9f80124ffa990542ab923c2e3a995c6ca049f4",
-    "thresholds64/greedy": "0289714ec06146ee26fd7ce0924cb0faad7a851e9339405d2d1c85cd4a02e206",
-    "thresholds64/force_median": "1a679338fd6419140a9419fae1e591ffb74074b43df2307a79616c2464c0064f",
-    "thresholds64/proper_greedy": "fbcf63ca9ed7f63facb37c730b715e26101118da10458592ebdf1fbccd95e801",
-    "tree40/improper400": "cca38fd60395e2a3bef21107d39de8a109d2fb932163ac18873b8d0886dab17e",
-    "tree40/proper400": "bb2e67ff1d1497a2fc1f708921554e3001b46f15f74f8abcc01b49f1f11e0194",
+    "thresholds64/greedy": "3eef0f2bb498f30d48dbfc0c853714dedf8ec681d21f98e5dfb8d490c86746ec",
+    "thresholds64/force_median": "6a4b70d863f88b8f34e60976001c7dbf94ad0f0b81e3649b8fea823e67059ca7",
+    "thresholds64/proper_greedy": "6e09be7f03bb78f3da59caf36f80f75c5df5ec6281be6959d7e08507596e057c",
+    "tree40/improper400": "c378e98e12fcd79385250deb0b5dc09e6df7a0e90def62af0a80e52c2f482def",
+    "tree40/proper400": "4c44d3bdf9a6c6e77962c6bea076cafcf6678f056dc2c189e14d72d53af4b74c",
     "tree40/improper60": "fc47c3756c458079467e1b7cf0682012303524420359cff94d71ddd11f48f080",
-    "tree40/proper60": "d66cdfa5e6e58c254040157ee8fd9224e5f5f6d9ea09f4ceafbca18fcdc77931",
+    "tree40/proper60": "81ecdfd3a5a17cc8db0afcd8c2f0e0b0d07a9e8f176464ab912c77aad978c4cd",
     "tree40/subset_ids": "bfc3b1eb3fb8503e6d213195d0e7c4d16343c7abe3f0d75b6dcd0c300e87b7cb",
-    "tree40/greedy": "14ae13c57e8226cd6f24dd1421c647d17cfe8a0037eecdf49ac4d3289a053248",
-    "tree40/force_median": "a0e58d37651d0e6dea0b9f1cb1636863323499611889b6083c7b473a23714df4",
-    "tree40/proper_greedy": "42852b7191b2c49896e7d6ab84a4562db252ec727e0bef70e2af824401cd6f8c",
+    "tree40/greedy": "ad33981c340354de76ae4450475e77fca91506fba6842b789876ee394d5cd46b",
+    "tree40/force_median": "3e94daf2066d3166ee5825baad5341301cc71862c5153588c1d1d1e9c4aa9e12",
+    "tree40/proper_greedy": "4b2003259452d38a91c68cc9519878b9cc062296634c73194cb3f5e34740da85",
     "tree40/descent": "01a56569a2950eee57034b7a661876ab6fc806a3fd040494c44bbdc0135e26cc",
-    "tree90/improper400": "bbf1accc2b8df26d4a43a86c628815d9db1ddea502a9336ea9ac99e21a6bc16a",
-    "tree90/proper400": "1059fd2d5d6a1bdad4c45b18b7e8725975350b7f71708d2d3f02f0fc60e5581b",
+    "tree90/improper400": "7d5cbc9309b71f3849660670054e781dc47d0a925b8b872f8b8a8bcc1b3b6530",
+    "tree90/proper400": "b09abc329fcfae4c5bda24d60e9c924273f44219ba7279554df138cb7df52747",
     "tree90/improper60": "ce7011f6c400f43dc46eb11aba9e9474dbd861ba30ad54a303e4102b9b354ce0",
-    "tree90/proper60": "ed0731274d1fa51c72ee25e7df78f90e2cf582e691f7a5778590575577c113f1",
+    "tree90/proper60": "2d6c4a95c2eec613345b6428a050e8f045cf4c4b9f3f97eecb7d03f7a2fd135d",
     "tree90/subset_ids": "6d711b2cbdde96b0895d26275ef9a78110da81df8b6cb84abe99b29e3f875165",
-    "tree90/greedy": "4f88c2df817e978335cb3774f30253a4ddf16fab80af3bfbbd649cf49bd11fc1",
-    "tree90/force_median": "10191183a0b6a2bb67e2f026d253ccb275f8f3edaf478158233e24ae5e6ac12f",
-    "tree90/proper_greedy": "009f26a7382be623f6b1f51732056c43f3710827336928914cb0a6fef8a60c9c",
+    "tree90/greedy": "503cdafd1d7c822887bfd303e39badf4b65ead3d363b3a478134b56af0fa24ef",
+    "tree90/force_median": "1548d8b7efc1ecf93088bf8227e6840b898686c28c0b20f1c3cf9574212d6806",
+    "tree90/proper_greedy": "f278e653c28998fde8e6c80a2deede77f5329491d1b0c0c21a8683feff0fdf97",
     "tree90/descent": "2cfc6357ac85bb72bd4e9537cf9ed8a297ef58287fbb2d3631d569bc604f0260",
 }
 
@@ -950,12 +956,12 @@ def test_fixed_seed_traces_match_pinned_digests():
 
 
 def test_shuffling_an_array_draws_what_permutation_draws():
-    # the learners deal by shuffling the examples' codes, which must draw
-    # what partition's rng.permutation(n) draws: rng.permutation(c) is
-    # c[rng.permutation(len(c))], and rng.permuted(rows, axis=1) shuffles
-    # row after row as that many permutation calls, leaving equal states;
-    # the draws do not depend on the dtype, so one-example subsets may
-    # shuffle int64 example indices in place of the uint8 or uint16 codes
+    # with one example per subset the learners deal by shuffling, which
+    # must draw what partition's rng.permutation(n) draws:
+    # rng.permutation(c) is c[rng.permutation(len(c))], and
+    # rng.permuted(rows, axis=1) shuffles row after row as that many
+    # permutation calls, leaving equal states; the draws do not depend on
+    # the dtype, so the int64 summaries shuffle as the codes would
     for seed in range(40):
         n = [1, 2, 7, 30, 337, 2359, 100_003][seed % 7]
         dtype = [np.uint8, np.uint16, np.int32][seed % 3]
@@ -976,31 +982,30 @@ def test_shuffling_an_array_draws_what_permutation_draws():
             assert np.array_equal(row, codes[perm])
             assert np.array_equal(index, perm)
         assert a.bit_generator.state == b.bit_generator.state == c.bit_generator.state
-        # one run deals its codes in place, through a one-row view
+        # a one-row view shuffles in place, as permutation(n) draws
         dealt = codes.copy()
         a.permuted(dealt[None], axis=1, out=dealt[None])
         assert np.array_equal(dealt, codes[b.permutation(n)])
         assert a.bit_generator.state == b.bit_generator.state
 
 
-def test_one_run_deals_the_codes_it_was_given_in_place():
+def test_improper_runs_leave_the_callers_codes_unchanged():
     cls = thresholds_class(64)
     ctx = prepare_context(cls)
     data = sample_dataset(cls, cls.concepts[20], Distribution.uniform(64), 5000, make_rng(1))
     codes = learners._codes(ctx, data)
     assert codes.dtype == np.uint8
     given = codes.copy()
+    codes.flags.writeable = False  # a write into the caller's codes raises
     t = sample_budget(PARAMS, ctx.tree.height).t
     assert t < len(codes)
-    a, b = make_rng(2), make_rng(2)
-    batch = learners._improper_runs(ctx, codes, PARAMS, a, 1)
-    # the one run shuffled the array it was handed, as permutation(n) draws
-    assert np.array_equal(codes, given[b.permutation(len(given))])
-    assert not np.array_equal(codes, given)
-    # a copy dealt by a tiled batch of one run gives the same run
-    again = learners._improper_runs(ctx, given.copy(), PARAMS, make_rng(2), 1)
-    for x, y in zip(batch, again):
-        assert np.array_equal(x, y)
+    for runs in (1, 3):
+        batch = learners._improper_runs(ctx, codes, PARAMS, make_rng(2), runs)
+        assert np.array_equal(codes, given)
+        # so a second batch on the same codes and seed gives the same runs
+        again = learners._improper_runs(ctx, codes, PARAMS, make_rng(2), runs)
+        for x, y in zip(batch, again):
+            assert np.array_equal(x, y)
 
 
 def test_improper_learn_traces_agree_across_point_dtypes():
@@ -1035,11 +1040,14 @@ def test_improper_learn_memory_per_example():
 
 
 class _Recorder:
-    """A generator that logs every shuffle and every uniform it hands out.
+    """A generator that logs every draw of a deal or a split and every uniform it hands out.
 
-    A shuffle of an array, or of each row of one, is logged as the
-    ``permutation(n)`` draw it equals (see
-    ``test_shuffling_an_array_draws_what_permutation_draws``).
+    A shuffle of each row of an array, as the one-example path deals, is
+    logged as the ``permutation(n)`` draws it equals (see
+    ``test_shuffling_an_array_draws_what_permutation_draws``). Any other
+    deal is logged as its slot draws, ``integers``, and its fill's
+    ``shuffle``, each a copy of what the deal got back, and a split as
+    its ``choice``.
     """
 
     def __init__(self, rng):
@@ -1057,9 +1065,49 @@ class _Recorder:
             out[r] = row[self.permutation(len(row))]
         return out
 
+    def integers(self, *args, **kwargs):
+        out = self.rng.integers(*args, **kwargs)
+        self.log.append(("integers", out.copy()))  # the deal caps its slots in place
+        return out
+
+    def shuffle(self, x):
+        self.rng.shuffle(x)
+        self.log.append(("shuffle", x.copy()))
+
+    def choice(self, *args, **kwargs):
+        self.log.append(("choice", self.rng.choice(*args, **kwargs)))
+        return self.log[-1][1]
+
     def random(self, size=None):
         self.log.append(("random", self.rng.random(size)))
         return self.log[-1][1]
+
+
+def _deals(log, n, t):
+    """The subset ids of each deal at the head of a :class:`_Recorder` log, and the rest.
+
+    A deal is one ``permutation``, dealt round-robin, or slot draws and
+    then a ``shuffle``: its last ``ceil(n / SAMPLE_CHUNK)`` slot draws are
+    the ones it kept, and the shuffled fill gives the reserved examples,
+    those that drew a slot of ``t`` or more, their subsets in order.
+    """
+    deals, draws = [], []
+    for i, (kind, value) in enumerate(log):
+        if kind == "integers":
+            draws.append(value)
+            continue
+        if kind == "permutation":
+            ids = np.empty(n, dtype=np.int64)
+            ids[value] = np.arange(n) % t
+        elif kind == "shuffle":
+            ids = np.concatenate(draws[-math.ceil(n / SAMPLE_CHUNK) :]).astype(np.int64)
+            assert (ids >= t).sum() == len(value)
+            ids[ids >= t] = value
+            draws = []
+        else:
+            return deals, log[i:]
+        deals.append(ids)
+    return deals, []
 
 
 class _Replay:
@@ -1109,20 +1157,119 @@ def test_improper_runs_match_single_runs_on_their_draws():
             batch = _batch_traces(cls, data, params, rec, runs, context=ctx)
             assert len(batch) == runs
             kinds = [kind for kind, _ in rec.log]
-            assert kinds[: runs + 1] == ["permutation"] * runs + ["random"]
-            assert len(rec.log[runs][1]) == runs  # the medians' uniforms, at once
-            later = [float(u) for _, u in rec.log[runs + 1 :] for u in np.atleast_1d(u)]
+            deal = ["permutation"] if t == len(data) else ["integers", "shuffle"]
+            assert kinds[: len(deal) * runs + 1] == deal * runs + ["random"]
+            deals, (medians, *rest) = _deals(rec.log, len(data), t)
+            assert len(medians[1]) == runs  # the medians' uniforms, at once
+            later = [float(u) for _, u in rest for u in np.atleast_1d(u)]
             replay = _Replay(later)
             for r, trace in enumerate(batch):
-                ids = np.empty(len(data), dtype=np.int64)
-                ids[rec.log[r][1]] = np.arange(len(data)) % t
-                replay.uniforms[replay.used : replay.used] = [float(rec.log[runs][1][r])]
+                ids = deals[r]
+                replay.uniforms[replay.used : replay.used] = [float(medians[1][r])]
                 one = improper_learn(cls, data, params, replay, context=ctx, subset_ids=ids)
                 assert json.dumps(one.to_json()) == json.dumps(trace.to_json()), (i, runs, r)
                 chosen.add(trace.chosen_point is None)
             assert replay.used == len(replay.uniforms)
     assert chosen == {True, False}  # runs that abstained and runs that selected
     assert one_example == 4
+
+
+def _round_robin_sizes(n, t):
+    return np.bincount(np.arange(n) % t, minlength=t)
+
+
+def _chi2_bound(cells):
+    """The 1e-4 upper quantile of chi-square on ``cells - 1`` degrees of freedom."""
+    return stats.chi2.isf(1e-4, cells - 1)
+
+
+@pytest.mark.parametrize("reserve", ["bounded", "two slots"])
+def test_deal_is_uniform_over_round_robin_partitions(monkeypatch, reserve):
+    # every labelling of the examples with the round-robin sizes occurs,
+    # about equally often; with two reserve slots many deals redraw and few
+    # examples are reserved, so the slots' own draws shape most labellings
+    if reserve == "two slots":
+        monkeypatch.setattr(learners, "_reserve", lambda n, t: 2)
+    for (n, t), cells in (((5, 2), 10), ((6, 4), 180), ((7, 3), 210)):
+        runs = 25 * cells
+        pres = np.zeros((runs, n, t + 1), dtype=bool)  # example j's code is j
+        learners._deal(pres, np.arange(n), make_rng([n, t]))
+        assert (pres[:, :, :t].sum(axis=2) == 1).all()
+        labels = pres[:, :, :t].argmax(axis=2)
+        sizes = (labels[:, :, None] == np.arange(t)).sum(axis=1)
+        assert (sizes == _round_robin_sizes(n, t)).all()
+        _, freq = np.unique(labels @ t ** np.arange(n), return_counts=True)
+        assert len(freq) == cells
+        chi2 = ((freq - runs / cells) ** 2).sum() / (runs / cells)
+        assert chi2 < _chi2_bound(cells), (n, t, chi2)
+
+
+def test_deal_redraws_rarely():
+    # the reserve puts a redraw's chance at most REDRAW_BOUND: the exact
+    # union bound holds, and at small n / t no fixed-seed deal redraws
+    for n, t in ((7, 3), (60, 46), (400, 200), (400, 399), (2359, 337), (5_306_275, 325)):
+        x = learners._reserve(n, t)
+        assert t * stats.binom.sf(n // t, n, 1 / (t + x)) <= learners.REDRAW_BOUND
+    assert learners._reserve(5_306_275, 325) / (325 + learners._reserve(5_306_275, 325)) < 0.06
+    runs = 100
+    for n, t in ((60, 46), (400, 200), (400, 399), (2359, 337)):
+        rec = _Recorder(make_rng([n, t]))
+        learners._deal(np.zeros((runs, 1, t + 1), dtype=bool), np.zeros(n, dtype=np.uint8), rec)
+        draws = sum(kind == "integers" for kind, _ in rec.log)
+        assert len(rec.log) == runs + draws and draws / runs == 1.0, (n, t, draws)
+
+
+def test_dealt_summaries_are_those_of_the_drawn_partition():
+    # each run's summaries are _subset_summaries of the ids its draws give,
+    # with n / t from 85 down to 2 and so reserves from a few to nearly all
+    classes = (
+        example_class(),
+        thresholds_class(64),
+        random_tree_class(40, max_children=3, concept_rate=0.5, seed=7),
+    )
+    for i, cls in enumerate(classes):
+        ctx = prepare_context(cls)
+        target = cls.concepts[len(cls.concepts) // 2]
+        data = sample_dataset(cls, target, Distribution.uniform(cls.domain_size), 600, make_rng(i))
+        labels = data.labels.copy()
+        labels[::50] ^= 1  # some subsets no concept is consistent with
+        codes = learners._codes(ctx, Dataset(data.points, labels))
+        forced = 0
+        for t in (7, 46, 300):
+            for runs in (1, 3):
+                rec = _Recorder(make_rng([i, t, runs]))
+                got = learners._dealt_summaries(ctx, codes, t, rec, runs).reshape(runs, t)
+                deals, rest = _deals(rec.log, len(codes), t)
+                assert len(deals) == runs and rest == []
+                for r, ids in enumerate(deals):
+                    assert np.array_equal(np.bincount(ids, minlength=t), _round_robin_sizes(600, t))
+                    assert np.array_equal(got[r], learners._subset_summaries(ctx, codes, ids, t))
+                forced += int((got >= 0).sum())
+        assert forced > 0, i
+
+
+def test_proper_split_is_uniform_and_independent_of_the_deal(example_cls, monkeypatch):
+    # at a budget of t = 2 subsets and N2 = 2 stage-2 examples, a proper
+    # run on 6 examples splits off one of 15 pairs and deals the other 4
+    # two by two, one of 6 ways: all 90 joint outcomes occur about equally
+    # often, so the pair is uniform and the deal does not depend on it
+    small = learners.SampleBudget(t=2, N1=4, N2=2, T=2, per_subset=2)
+    monkeypatch.setattr(learners, "sample_budget", lambda params, height: small)
+    data = Dataset.from_pairs([(p, example_cls.concepts[5](p)) for p in range(6)])
+    ctx = prepare_context(example_cls)
+    runs, cells, freq = 1500, 90, Counter()
+    for seed in range(runs):
+        rec = _Recorder(make_rng([6, seed]))
+        proper_learn(example_cls, data, PARAMS, rec, context=ctx)
+        (kind, second), *log = rec.log
+        assert kind == "choice" and len(second) == 2
+        (ids,), _ = _deals(log, 4, 2)
+        first = np.delete(np.arange(6), second)
+        freq[tuple(sorted(second.tolist())), tuple(first[ids == 0].tolist())] += 1
+    assert len(freq) == cells
+    counts = np.array(list(freq.values()))
+    chi2 = ((counts - runs / cells) ** 2).sum() / (runs / cells)
+    assert chi2 < _chi2_bound(cells), chi2
 
 
 def test_improper_runs_of_one_is_improper_learn(example_cls):
