@@ -1178,9 +1178,10 @@ def _round_robin_sizes(n, t):
     return np.bincount(np.arange(n) % t, minlength=t)
 
 
-def _chi2_bound(cells):
-    """The 1e-4 upper quantile of chi-square on ``cells - 1`` degrees of freedom."""
-    return stats.chi2.isf(1e-4, cells - 1)
+def _chi2_below_bound(freq, runs):
+    """Whether ``freq``'s chi-square against equal cells is below its 1e-4 upper quantile."""
+    expected = runs / len(freq)
+    return ((np.asarray(freq) - expected) ** 2).sum() / expected < stats.chi2.isf(1e-4, len(freq) - 1)
 
 
 @pytest.mark.parametrize("reserve", ["bounded", "two slots"])
@@ -1200,8 +1201,7 @@ def test_deal_is_uniform_over_round_robin_partitions(monkeypatch, reserve):
         assert (sizes == _round_robin_sizes(n, t)).all()
         _, freq = np.unique(labels @ t ** np.arange(n), return_counts=True)
         assert len(freq) == cells
-        chi2 = ((freq - runs / cells) ** 2).sum() / (runs / cells)
-        assert chi2 < _chi2_bound(cells), (n, t, chi2)
+        assert _chi2_below_bound(freq, runs), (n, t)
 
 
 def test_deal_redraws_rarely():
@@ -1210,7 +1210,8 @@ def test_deal_redraws_rarely():
     for n, t in ((7, 3), (60, 46), (400, 200), (400, 399), (2359, 337), (5_306_275, 325)):
         x = learners._reserve(n, t)
         assert t * stats.binom.sf(n // t, n, 1 / (t + x)) <= learners.REDRAW_BOUND
-    assert learners._reserve(5_306_275, 325) / (325 + learners._reserve(5_306_275, 325)) < 0.06
+    x = learners._reserve(5_306_275, 325)  # a budget-sized chain deal reserves under 6%
+    assert x / (325 + x) < 0.06
     runs = 100
     for n, t in ((60, 46), (400, 200), (400, 399), (2359, 337)):
         rec = _Recorder(make_rng([n, t]))
@@ -1267,9 +1268,7 @@ def test_proper_split_is_uniform_and_independent_of_the_deal(example_cls, monkey
         first = np.delete(np.arange(6), second)
         freq[tuple(sorted(second.tolist())), tuple(first[ids == 0].tolist())] += 1
     assert len(freq) == cells
-    counts = np.array(list(freq.values()))
-    chi2 = ((counts - runs / cells) ** 2).sum() / (runs / cells)
-    assert chi2 < _chi2_bound(cells), chi2
+    assert _chi2_below_bound(list(freq.values()), runs)
 
 
 def test_improper_runs_of_one_is_improper_learn(example_cls):
