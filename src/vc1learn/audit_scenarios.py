@@ -20,7 +20,7 @@ import numpy as np
 
 from .concepts import ConceptClass, Dataset
 from .generators import example_class
-from .learners import LearnParams, LearnerContext, _checked_context, _codes, _hypotheses
+from .learners import LearnParams, LearnerContext, _checked_context, _examples, _hypotheses
 from .learners import _improper_runs
 from .mechanisms import PrivacyParams, _check_gate, _choosing_rows, _em_rows, _laplace
 from .mechanisms import _median_rows
@@ -132,7 +132,7 @@ def improper_learner_scenario(
     ctx = _checked_context(cls, params, context)
 
     def mech(data: Dataset, rng: np.random.Generator, k: int) -> list[frozenset[int]]:
-        *_, picks = _improper_runs(ctx, _codes(ctx, data), params, rng, k)
+        *_, picks = _improper_runs(ctx, _examples(ctx, data), params, rng, k)
         return [h.ones for h in _hypotheses(ctx, picks)]
 
     target = cls.concepts[-2]

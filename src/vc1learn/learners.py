@@ -5,19 +5,11 @@ concept, reduce it (:func:`prepare_context`, for any class) and read off
 the order tree, and privately locate a node whose root path
 back-transforms to an accurate hypothesis on the class's own domain.
 
-* :func:`improper_learn` partitions the sample, summarizes each subset by
-  its deepest forced point, takes a private median of those depths, and
-  privately selects among the points at the median depth. Its output may
-  fall outside the class. Subsets stay flat: :func:`_deal` draws each
-  example's subset, uniformly over partitions with the round-robin sizes
-  and without shuffling the sample, and scatters its presence code (its
-  point's tour position and its relabeled label) straight into a
-  point-major presence matrix, a row per code and a column per subset,
-  whose summaries :func:`~vc1learn.tree.forced_nodes` computes for all
-  subsets at once. When there are as many subsets as examples, no such
-  pass runs: each example's summary, its own point for a relabeled 1 on
-  the tree and nothing otherwise, is read off the tour and shuffled.
-  A private batch core, :func:`_improper_runs`, draws many runs'
+* :func:`improper_learn` partitions the sample (:func:`_deal` gives the
+  procedure and its law), summarizes each subset by its deepest forced
+  point, takes a private median of those depths, and privately selects
+  among the points at the median depth. Its output may fall outside the
+  class. A private batch core, :func:`_improper_runs`, draws many runs'
   summaries, medians and selections in one pass each, as arrays; the
   audit scenarios replay the learner through it, and :func:`_trace`
   turns one run's arrays into its trace.
@@ -29,7 +21,7 @@ back-transforms to an accurate hypothesis on the class's own domain.
   tour slices of the class tree, the weights from the stage-2 presence
   codes. Its output is always a class member.
 
-Both see an example only as its presence code, gathered once per dataset,
+Both see an example only as its presence code (:attr:`LearnerContext.tour_code`),
 and both return full execution traces so that statistical tests can
 inspect every intermediate quantity.
 """
@@ -292,13 +284,31 @@ class ProperTrace:
         return _jsonable(self)
 
 
-def _codes(ctx: LearnerContext, dataset: Dataset | None) -> np.ndarray:
-    """Each example's presence code, ``tour_code[label, point]``, after the domain check."""
+# ``(table, labels, points)``: example j's presence code is table[labels[j], points[j]]
+Examples = tuple[np.ndarray, np.ndarray, np.ndarray]
+
+
+def _examples(ctx: LearnerContext, dataset: Dataset | None) -> Examples:
+    """The dataset's examples on ``ctx.tour_code``, after the domain check."""
     if dataset is None:
         raise ValueError("dataset must be non-empty")
     if len(dataset) and dataset.points.max() >= ctx.base.domain_size:
         raise ValueError("dataset point outside class domain")
-    return ctx.tour_code[dataset.labels, dataset.points]
+    return ctx.tour_code, dataset.labels, dataset.points
+
+
+def _take(flat: np.ndarray, examples: Examples, start: int) -> np.ndarray:
+    """Raveled table ``flat`` at ``label * columns + point`` of one chunk of examples."""
+    table, labels, points = examples
+    index = np.multiply(labels[start : start + SAMPLE_CHUNK], table.shape[1], dtype=np.intp)
+    index += points[start : start + SAMPLE_CHUNK]
+    return flat.take(index)
+
+
+def _codes(examples: Examples) -> np.ndarray:
+    """Each example's presence code, one flat take per ``SAMPLE_CHUNK``."""
+    flat, n = examples[0].reshape(-1), len(examples[2])
+    return np.concatenate([_take(flat, examples, s) for s in range(0, max(n, 1), SAMPLE_CHUNK)])
 
 
 def _subset_summaries(
@@ -381,8 +391,7 @@ def improper_learn(
     Raises ``ValueError`` before touching the data unless eps is in
     (0, 2) and delta is positive. A subset that no concept is consistent
     with is summarised as forcing nothing, so the run never raises on the
-    data. The run draws, in order, the deal (:func:`_deal`'s slot draws
-    and fill shuffle, or with one example per subset a shuffle), the
+    data. The run draws, in order, the deal (see :func:`_deal`), the
     median's uniform, the gate's uniform and, when the gate passes, the
     selection's uniform; it is :func:`_improper_runs` at one run.
 
@@ -393,19 +402,18 @@ def improper_learn(
     subset count is the largest id plus one. ``force_median`` pins the
     median outcome, ``greedy`` replaces the selection by its
     utility-optimal branch (the depth median is still drawn privately),
-    and ``context`` passes a prebuilt
-    :func:`prepare_context`; the default represents the class against its
-    first concept.
+    and ``context`` passes a prebuilt :func:`prepare_context`; the
+    default represents the class against its first concept.
     """
     ctx = _checked_context(cls, params, context)
-    codes = _codes(ctx, dataset)
-    batch = _improper_runs(ctx, codes, params, rng, 1, subset_ids, force_median, greedy)
+    examples = _examples(ctx, dataset)
+    batch = _improper_runs(ctx, examples, params, rng, 1, subset_ids, force_median, greedy)
     return _trace(ctx, batch)
 
 
 def _improper_runs(
     ctx: LearnerContext,
-    codes: np.ndarray,
+    examples: Examples,
     params: LearnParams,
     rng: np.random.Generator,
     runs: int,
@@ -413,7 +421,7 @@ def _improper_runs(
     force_median: int | None = None,
     greedy: bool = False,
 ) -> tuple[np.ndarray, ...]:
-    """The improper pipeline on presence codes for ``runs`` runs; hooks need ``runs`` 1.
+    """The improper pipeline on :func:`_examples` for ``runs`` runs; hooks need ``runs`` 1.
 
     Returns arrays with a row per run: its subsets' deepest forced points
     (-1 for none) and their depths, its median depth, its candidates (the
@@ -422,28 +430,27 @@ def _improper_runs(
     partitions the data afresh and spends (2 eps, 2 delta), so a batch is
     for audits that replay the learner, not for releasing several
     hypotheses about one sample. The draws are the runs' deals in run
-    order (see :func:`_dealt_summaries`), then one median uniform per
-    run, then each run's gate and selection uniforms in run order, in
-    buffered ``rng.random`` calls; at one run that is
-    :func:`improper_learn`'s order. ``codes`` is only read. Unless every
-    subset holds one example, working memory is ``runs`` times the
-    subset count times the tree size, twice over for two or more runs,
-    plus :func:`_deal`'s chunks and reserved codes; with one example per
-    subset it is ``runs`` times the dataset.
+    order, then one median uniform per run, then each run's gate and
+    selection uniforms in run order, in buffered ``rng.random`` calls; at
+    one run that is :func:`improper_learn`'s order. ``examples`` is only
+    read. Working memory is ``runs`` presence matrices of the subset count
+    times the tree size, twice over for two or more runs, and what
+    :func:`_deal` holds; with one example per subset, ``runs`` datasets.
     """
-    if len(codes) == 0:
+    n = len(examples[2])
+    if n == 0:
         raise ValueError("dataset must be non-empty")
     if subset_ids is not None:
         ids = np.asarray(subset_ids)
         if ids.dtype.kind not in "iu":
             raise ValueError("subset_ids must be integer ids")
-        if ids.shape != codes.shape or ids.min() < 0:
+        if ids.shape != (n,) or ids.min() < 0:
             raise ValueError("subset_ids must be one nonnegative id per example")
         t = int(ids.max()) + 1
-        deepest = _subset_summaries(ctx, codes, ids, t)
+        deepest = _subset_summaries(ctx, _codes(examples), ids, t)
     else:
-        t = min(sample_budget(params, ctx.tree.height).t, len(codes))
-        deepest = _dealt_summaries(ctx, codes, t, rng, runs)
+        t = min(sample_budget(params, ctx.tree.height).t, n)
+        deepest = _dealt_summaries(ctx, examples, t, rng, runs)
     tree = ctx.tree
     deepest = deepest.reshape(runs, t)
     depths = np.where(deepest >= 0, tree.depth[deepest], 0)
@@ -503,29 +510,17 @@ def _trace(ctx: LearnerContext, batch: tuple[np.ndarray, ...]) -> ImproperTrace:
 
 
 def _dealt_summaries(
-    ctx: LearnerContext, codes: np.ndarray, t: int, rng: np.random.Generator, runs: int
+    ctx: LearnerContext, examples: Examples, t: int, rng: np.random.Generator, runs: int
 ) -> np.ndarray:
-    """:func:`_subset_summaries` of ``runs`` fresh partitions, dealt in run order.
-
-    When ``t`` is ``len(codes)`` every subset holds one example, whose
-    summary is read off the tour and dealt in place of its code: a lone
-    relabeled 1 at a tree point forces that point (a childless node is
-    proper and an improper one has two or more children), and a lone 0,
-    or a 1 off the tree, forces nothing. Those summaries are shuffled as
-    ``runs`` rows, with the draws of ``runs`` calls of
-    ``rng.permutation(len(codes))``. Otherwise :func:`_deal` scatters each
-    run's partition into its own block of ``t`` columns, plus a spare
-    column whose summary is dropped.
-    """
-    n = len(codes)
-    if t == n:
+    """:func:`_subset_summaries` of ``runs`` partitions of ``examples`` by :func:`_deal`."""
+    if t == len(examples[2]):
         k = len(ctx.tree.tour)
         lone = np.concatenate((np.full(k + 1, -1), ctx.tree.tour, [-1]))
-        dealt = np.tile(lone[codes], (runs, 1))
+        dealt = np.tile(lone[_codes(examples)], (runs, 1))
         rng.permuted(dealt, axis=1, out=dealt)
         return dealt.ravel()
     pres = np.zeros((runs, 2 * len(ctx.tree.tour) + 2, t + 1), dtype=bool)
-    _deal(pres, codes, rng)
+    _deal(pres, examples, rng)
     # point-major, a column per subset; a copy only for two or more runs
     deepest = forced_nodes(ctx.tree, pres.transpose(1, 0, 2).reshape(pres.shape[1], -1))[0]
     return deepest.reshape(runs, t + 1)[:, :t].ravel()
@@ -567,59 +562,63 @@ def _reserve(n: int, t: int) -> int:
     return hi
 
 
-def _deal(pres: np.ndarray, codes: np.ndarray, rng: np.random.Generator) -> None:
-    """Scatter ``codes`` into each run's block of ``pres`` as a fresh uniform partition.
+def _deal(pres: np.ndarray, examples: Examples, rng: np.random.Generator) -> None:
+    """Scatter ``examples`` into each run's block of ``pres`` as a fresh uniform partition.
 
     ``pres`` is a zeroed C-contiguous bool array of shape ``(runs, rows,
-    t + 1)``, with a row per code; run ``r``'s subset ``i`` sets
-    ``pres[r, :, i]`` and ``pres[r, :, t]`` is spare. Subset ``i`` gets
-    its round-robin size, ``n // t`` plus one for the first ``n % t``.
-    The runs are dealt in order. Each example draws a slot uniformly from
-    the ``t`` subsets and :func:`_reserve`'s ``x`` reserve slots, with
-    ``rng.integers`` ``SAMPLE_CHUNK`` examples at a time, in the narrowest
-    dtype that holds ``t + x - 1``. Its code sets its subset's cell at
-    once, or the spare one for a reserve slot, and only the reserved codes
-    are kept. If some subset got more than its size, the run's block is
-    cleared and every slot is drawn again. Otherwise the reserved codes,
-    in order, take the missing places, which are put in the order
-    ``rng.shuffle`` gives them.
+    t + 1)``, a row per code; run ``r``'s subset ``i`` sets ``pres[r, :,
+    i]`` and ``pres[r, :, t]`` is spare. Subset ``i`` gets its round-robin
+    size, ``n // t`` plus one for the first ``n % t``. The runs are dealt
+    in order. Each example draws a slot uniformly from the ``t`` subsets
+    and :func:`_reserve`'s ``x`` reserve slots, with ``rng.integers``
+    ``SAMPLE_CHUNK`` examples at a time, in the narrowest dtype that holds
+    ``t + x - 1``, and sets its cell, ``code * (t + 1) + slot`` in its
+    run's block (the spare column for a reserve slot), with its code read
+    in the chunk loop from the table scaled by ``t + 1``. Only the reserved
+    cells are kept. If some subset got more than its size, the run's block
+    is cleared and every slot drawn again. Otherwise the reserved examples,
+    in order, take the missing places (``cell - t + fill``), put in the
+    order ``rng.shuffle`` gives them. Permuting the examples leaves the law
+    of this procedure unchanged, and it always lands on the round-robin
+    sizes, so its law is uniform over those partitions: that of a shuffle
+    dealt round-robin. Its draws do not depend on the examples, so one
+    changed example still moves one subset. Beside ``pres`` it holds one
+    chunk's cells, the reserved ones (5% of a budget-sized sample) and,
+    for two or more runs, every example's scaled code.
 
-    Permuting the examples leaves the law of this procedure unchanged, and
-    it always lands on the round-robin sizes, so its law is uniform over
-    those partitions: that of a shuffle dealt round-robin. Its draws do
-    not depend on the codes, so one changed example still moves one
-    subset. Beside ``pres`` it holds one chunk's slots and the reserved
-    codes, about ``x / (t + x)`` of them (5% of a budget-sized sample).
+    With one example per subset :func:`_dealt_summaries` shuffles ``runs``
+    rows of the examples' summaries instead, drawing what ``runs`` calls of
+    ``rng.permutation(n)`` draw: a lone relabeled 1 at a tree point forces
+    that point (a childless node is proper, an improper one has two or
+    more children), and a lone 0, or a 1 off the tree, forces nothing.
     """
     runs, _, width = pres.shape
-    n, t = len(codes), width - 1
+    n, t = len(examples[2]), width - 1
     x = _reserve(n, t)
     wide, narrow = np.min_scalar_type(t + x - 1), np.min_scalar_type(t)
-    sizes = np.full(t, n // t)
-    sizes[: n % t] += 1
-    subsets = np.arange(t)
-    # a cell's flat index in its run's block is code * (t + 1) + slot
+    sizes = n // t + (np.arange(t) < n % t)
+    scaled = np.multiply(examples[0].reshape(-1), width, dtype=np.intp)
+    held = [_take(scaled, examples, s) for s in range(0, n, SAMPLE_CHUNK)] if runs > 1 else None
     for flat in pres.reshape(runs, -1):
         while True:
             counts = np.zeros(width, dtype=np.int64)
             reserved = []
-            for start in range(0, n, SAMPLE_CHUNK):
-                chunk = codes[start : start + SAMPLE_CHUNK]
-                draw = rng.integers(0, t + x, len(chunk), dtype=wide)
+            for i, start in enumerate(range(0, n, SAMPLE_CHUNK)):
+                base = held[i] if held else _take(scaled, examples, start)
+                draw = rng.integers(0, t + x, len(base), dtype=wide)
                 slots = np.minimum(draw, t, out=draw).astype(narrow, copy=False)
-                cells = np.multiply(chunk, width, dtype=np.intp)
-                cells += slots
+                cells = base + slots
                 flat[cells] = True
                 counts += np.bincount(slots, minlength=width)
-                reserved.append(chunk[slots == t])
+                reserved.append(cells[slots == t])
             if (counts[:t] <= sizes).all():
                 break
             flat[:] = False
-        fill = np.repeat(subsets, sizes - counts[:t])
+        fill = np.repeat(np.arange(t), sizes - counts[:t])
         rng.shuffle(fill)
-        cells = np.multiply(np.concatenate(reserved), width, dtype=np.intp)
-        cells += fill
-        flat[cells] = True
+        fill -= t
+        fill += np.concatenate(reserved)
+        flat[fill] = True
 
 
 def proper_learn(
@@ -670,20 +669,21 @@ def proper_learn(
 
     # checked before any draw and whether or not the run descends
     if stage2 is None:
-        codes = _codes(ctx, dataset)
-        if len(codes) == 0:
+        table, labels, points = _examples(ctx, dataset)
+        if len(points) == 0:
             raise ValueError("dataset must be non-empty")
-        second = rng.choice(len(codes), min(budget.N2, len(codes) // 2), replace=False)
-        codes2, codes1 = codes[second], np.delete(codes, second)
+        second = rng.choice(len(points), min(budget.N2, len(points) // 2), replace=False)
+        codes2 = _codes((table, labels[second], points[second]))
+        first = (table, np.delete(labels, second), np.delete(points, second))
     else:
-        codes2 = _codes(ctx, stage2)
-        codes1 = None if force_chosen_point is not None else _codes(ctx, dataset)
+        codes2 = _codes(_examples(ctx, stage2))
+        first = None if force_chosen_point is not None else _examples(ctx, dataset)
 
     trace1: ImproperTrace | None = None
     if force_chosen_point is not None:
         chosen: int | None = force_chosen_point
     else:
-        batch = _improper_runs(ctx, codes1, params, rng, 1, subset_ids, greedy=greedy)
+        batch = _improper_runs(ctx, first, params, rng, 1, subset_ids, greedy=greedy)
         trace1 = _trace(ctx, batch)
         chosen = trace1.chosen_point
 

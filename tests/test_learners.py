@@ -53,8 +53,13 @@ PARAMS = LearnParams(alpha=0.2, beta=0.2, privacy=PrivacyParams(1.0, 1e-5))
 def _batch_traces(cls, data, params, rng, runs, context=None):
     """The traces of one batch of ``runs`` improper runs, in run order."""
     ctx = learners._checked_context(cls, params, context)
-    batch = learners._improper_runs(ctx, learners._codes(ctx, data), params, rng, runs)
+    batch = learners._improper_runs(ctx, learners._examples(ctx, data), params, rng, runs)
     return [learners._trace(ctx, tuple(a[r : r + 1] for a in batch)) for r in range(runs)]
+
+
+def _as_examples(codes):
+    """Examples whose presence codes are ``codes``: a one-row table, read in order."""
+    return codes[None, :], np.zeros(len(codes), dtype=np.uint8), np.arange(len(codes))
 
 
 def test_sample_budget_golden_values():
@@ -562,7 +567,7 @@ def test_lone_code_summaries_match_forced_nodes_across_corpus(corpus):
             k = len(tree.tour)
             codes = np.arange(2 * k + 2).astype(ctx.tour_code.dtype)
             a, b = make_rng([i, f_index]), make_rng([i, f_index])
-            got = learners._dealt_summaries(ctx, codes.copy(), len(codes), a, 1)
+            got = learners._dealt_summaries(ctx, _as_examples(codes), len(codes), a, 1)
             order = codes[b.permutation(len(codes))]
             assert a.bit_generator.state == b.bit_generator.state
             for code, summary in zip(order.tolist(), got.tolist()):
@@ -850,8 +855,9 @@ def test_trace_serialization(modified_cls):
 # change to any fixed-seed trace changes one of these. The runs that deal
 # with fewer subsets than examples or split were re-pinned when the deal
 # stopped shuffling (improper400, proper400, proper60, greedy,
-# force_median, proper_greedy); the others date from before the improper
-# learner ran R runs per call
+# force_median, proper_greedy); the thresholds4096 pins, whose deals span
+# several chunks, were recorded before the deal gathered its own codes; the
+# others date from before the improper learner ran R runs per call
 PINNED_TRACE_DIGESTS = {
     "example/improper400": "914f712915aef6bb8483e0566eb5a9bab7ffd55631137b82541878b0371b34dd",
     "example/proper400": "3f5385e5c960fe281bb1cb3d5c3481b44f13de0eec8f0950b40f9141a41856c8",
@@ -896,12 +902,15 @@ PINNED_TRACE_DIGESTS = {
     "tree90/force_median": "1548d8b7efc1ecf93088bf8227e6840b898686c28c0b20f1c3cf9574212d6806",
     "tree90/proper_greedy": "f278e653c28998fde8e6c80a2deede77f5329491d1b0c0c21a8683feff0fdf97",
     "tree90/descent": "2cfc6357ac85bb72bd4e9537cf9ed8a297ef58287fbb2d3631d569bc604f0260",
+    "thresholds4096/improper150k": "a8d7406eb86f815f109f71d3ef786e1ed53e158944bd78f95f9ca619f10d604a",
+    "thresholds4096/proper150k": "27c3ac368be126c5fe1752d1141d3e58390de445854c8387ed9b546b6081d5cf",
 }
 
 
 def _pinned_trace_cases():
     """Fixed-seed runs of both learners: private, greedy, forced median,
-    passed subsets and forced descents, on five classes."""
+    passed subsets and forced descents, on five classes, and multi-chunk
+    deals on thresholds(4096)."""
     loose = LearnParams(alpha=0.3, beta=0.9, privacy=PrivacyParams(1.9, 0.5))
     audit = LearnParams(alpha=0.2, beta=0.1, privacy=PrivacyParams(1.0, 1e-5))
     classes = {
@@ -938,6 +947,15 @@ def _pinned_trace_cases():
                 add("descent", proper_learn(
                     cls, None, loose, make_rng(seed), stage2=data,
                     force_chosen_point=int(unreal[seed % len(unreal)]), **run))
+    # deals of three SAMPLE_CHUNKs, into subsets whose summaries differ
+    cls = thresholds_class(4096)
+    ctx = prepare_context(cls)
+    target = cls.concepts[len(cls.concepts) // 2]
+    for seed in range(3):
+        data = sample_dataset(cls, target, Distribution.uniform(4096), 150_000, make_rng([seed, 150]))
+        for kind, learn in (("improper150k", improper_learn), ("proper150k", proper_learn)):
+            trace = learn(cls, data, audit, make_rng(seed), context=ctx)
+            cases.setdefault(f"thresholds4096/{kind}", []).append(trace.to_json())
     return cases
 
 
@@ -989,21 +1007,21 @@ def test_shuffling_an_array_draws_what_permutation_draws():
         assert a.bit_generator.state == b.bit_generator.state
 
 
-def test_improper_runs_leave_the_callers_codes_unchanged():
+def test_improper_runs_leave_the_callers_examples_unchanged():
     cls = thresholds_class(64)
     ctx = prepare_context(cls)
     data = sample_dataset(cls, cls.concepts[20], Distribution.uniform(64), 5000, make_rng(1))
-    codes = learners._codes(ctx, data)
+    codes = learners._codes(learners._examples(ctx, data))
     assert codes.dtype == np.uint8
     given = codes.copy()
     codes.flags.writeable = False  # a write into the caller's codes raises
     t = sample_budget(PARAMS, ctx.tree.height).t
     assert t < len(codes)
     for runs in (1, 3):
-        batch = learners._improper_runs(ctx, codes, PARAMS, make_rng(2), runs)
+        batch = learners._improper_runs(ctx, _as_examples(codes), PARAMS, make_rng(2), runs)
         assert np.array_equal(codes, given)
         # so a second batch on the same codes and seed gives the same runs
-        again = learners._improper_runs(ctx, codes, PARAMS, make_rng(2), runs)
+        again = learners._improper_runs(ctx, _as_examples(codes), PARAMS, make_rng(2), runs)
         for x, y in zip(batch, again):
             assert np.array_equal(x, y)
 
@@ -1022,9 +1040,10 @@ def test_improper_learn_traces_agree_across_point_dtypes():
 
 
 def test_improper_learn_memory_per_example():
-    # one budget-sized call holds the examples' narrow codes and the
-    # presence matrix: about 4.7 bytes per example on thresholds(1024),
-    # against 10.7 when codes were int32 and dealt from a tiled copy
+    # one budget-sized call holds the presence matrix, one chunk's cells
+    # and the reserved examples' cells, but no code per example: about 3.6
+    # bytes per example on thresholds(1024), against 5.1 with a gathered
+    # uint16 code per example and 10.7 with int32 codes dealt from a copy
     cls = thresholds_class(1024)
     ctx = prepare_context(cls)
     n = 10**6
@@ -1036,7 +1055,7 @@ def test_improper_learn_memory_per_example():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 6 * n, peak / n
+    assert peak < 4.5 * n, peak / n
 
 
 class _Recorder:
@@ -1194,7 +1213,7 @@ def test_deal_is_uniform_over_round_robin_partitions(monkeypatch, reserve):
     for (n, t), cells in (((5, 2), 10), ((6, 4), 180), ((7, 3), 210)):
         runs = 25 * cells
         pres = np.zeros((runs, n, t + 1), dtype=bool)  # example j's code is j
-        learners._deal(pres, np.arange(n), make_rng([n, t]))
+        learners._deal(pres, _as_examples(np.arange(n)), make_rng([n, t]))
         assert (pres[:, :, :t].sum(axis=2) == 1).all()
         labels = pres[:, :, :t].argmax(axis=2)
         sizes = (labels[:, :, None] == np.arange(t)).sum(axis=1)
@@ -1215,7 +1234,8 @@ def test_deal_redraws_rarely():
     runs = 100
     for n, t in ((60, 46), (400, 200), (400, 399), (2359, 337)):
         rec = _Recorder(make_rng([n, t]))
-        learners._deal(np.zeros((runs, 1, t + 1), dtype=bool), np.zeros(n, dtype=np.uint8), rec)
+        pres = np.zeros((runs, 1, t + 1), dtype=bool)
+        learners._deal(pres, _as_examples(np.zeros(n, dtype=np.uint8)), rec)
         draws = sum(kind == "integers" for kind, _ in rec.log)
         assert len(rec.log) == runs + draws and draws / runs == 1.0, (n, t, draws)
 
@@ -1234,12 +1254,13 @@ def test_dealt_summaries_are_those_of_the_drawn_partition():
         data = sample_dataset(cls, target, Distribution.uniform(cls.domain_size), 600, make_rng(i))
         labels = data.labels.copy()
         labels[::50] ^= 1  # some subsets no concept is consistent with
-        codes = learners._codes(ctx, Dataset(data.points, labels))
+        codes = learners._codes(learners._examples(ctx, Dataset(data.points, labels)))
         forced = 0
         for t in (7, 46, 300):
             for runs in (1, 3):
                 rec = _Recorder(make_rng([i, t, runs]))
-                got = learners._dealt_summaries(ctx, codes, t, rec, runs).reshape(runs, t)
+                got = learners._dealt_summaries(ctx, _as_examples(codes), t, rec, runs)
+                got = got.reshape(runs, t)
                 deals, rest = _deals(rec.log, len(codes), t)
                 assert len(deals) == runs and rest == []
                 for r, ids in enumerate(deals):
@@ -1247,6 +1268,33 @@ def test_dealt_summaries_are_those_of_the_drawn_partition():
                     assert np.array_equal(got[r], learners._subset_summaries(ctx, codes, ids, t))
                 forced += int((got >= 0).sum())
         assert forced > 0, i
+
+
+def test_deal_reads_each_examples_code_across_chunks():
+    # the deal reads each example's code from the row table itself, a chunk
+    # at a time: on a class whose point map merges points, so that the
+    # table is wider than the tree, and over three chunks, each run's
+    # summaries are those of the two-index gather's codes under its draws
+    raw = _raw_variant(random_tree_class(40, max_children=3, concept_rate=0.5, seed=7), make_rng(2))
+    ctx = prepare_context(raw)
+    assert ctx.tour_code.shape[1] > len(ctx.tree.tour)
+    n = 150_000
+    target = raw.concepts[len(raw.concepts) // 2]
+    data = sample_dataset(raw, target, Distribution.uniform(raw.domain_size), n, make_rng(3))
+    labels = data.labels.copy()
+    labels[::9973] ^= 1  # some subsets no concept is consistent with
+    examples = learners._examples(ctx, Dataset(data.points, labels))
+    codes = ctx.tour_code[labels, data.points]
+    assert np.array_equal(learners._codes(examples), codes)
+    for t in (46, 5000):
+        for runs in (1, 2):
+            rec = _Recorder(make_rng([t, runs]))
+            got = learners._dealt_summaries(ctx, examples, t, rec, runs).reshape(runs, t)
+            deals, rest = _deals(rec.log, n, t)
+            assert len(deals) == runs and rest == []
+            for r, ids in enumerate(deals):
+                assert np.array_equal(got[r], learners._subset_summaries(ctx, codes, ids, t))
+            assert len(np.unique(got)) > 1, (t, runs)  # subsets disagree
 
 
 def test_proper_split_is_uniform_and_independent_of_the_deal(example_cls, monkeypatch):
