@@ -583,8 +583,7 @@ def _deal(pres: np.ndarray, examples: Examples, rng: np.random.Generator) -> Non
     sizes, so its law is uniform over those partitions: that of a shuffle
     dealt round-robin. Its draws do not depend on the examples, so one
     changed example still moves one subset. Beside ``pres`` it holds one
-    chunk's cells, the reserved ones (5% of a budget-sized sample) and,
-    for two or more runs, every example's scaled code.
+    chunk's cells and the reserved ones (5% of a budget-sized sample).
 
     With one example per subset :func:`_dealt_summaries` shuffles ``runs``
     rows of the examples' summaries instead, drawing what ``runs`` calls of
@@ -598,16 +597,15 @@ def _deal(pres: np.ndarray, examples: Examples, rng: np.random.Generator) -> Non
     wide, narrow = np.min_scalar_type(t + x - 1), np.min_scalar_type(t)
     sizes = n // t + (np.arange(t) < n % t)
     scaled = np.multiply(examples[0].reshape(-1), width, dtype=np.intp)
-    held = [_take(scaled, examples, s) for s in range(0, n, SAMPLE_CHUNK)] if runs > 1 else None
     for flat in pres.reshape(runs, -1):
         while True:
             counts = np.zeros(width, dtype=np.int64)
             reserved = []
-            for i, start in enumerate(range(0, n, SAMPLE_CHUNK)):
-                base = held[i] if held else _take(scaled, examples, start)
-                draw = rng.integers(0, t + x, len(base), dtype=wide)
+            for start in range(0, n, SAMPLE_CHUNK):
+                cells = _take(scaled, examples, start)
+                draw = rng.integers(0, t + x, len(cells), dtype=wide)
                 slots = np.minimum(draw, t, out=draw).astype(narrow, copy=False)
-                cells = base + slots
+                cells += slots
                 flat[cells] = True
                 counts += np.bincount(slots, minlength=width)
                 reserved.append(cells[slots == t])
@@ -674,7 +672,9 @@ def proper_learn(
             raise ValueError("dataset must be non-empty")
         second = rng.choice(len(points), min(budget.N2, len(points) // 2), replace=False)
         codes2 = _codes((table, labels[second], points[second]))
-        first = (table, np.delete(labels, second), np.delete(points, second))
+        keep = np.ones(len(points), dtype=bool)
+        keep[second] = False
+        first = (table, labels[keep], points[keep])
     else:
         codes2 = _codes(_examples(ctx, stage2))
         first = None if force_chosen_point is not None else _examples(ctx, dataset)
