@@ -1041,7 +1041,7 @@ def test_improper_learn_traces_agree_across_point_dtypes():
 
 def test_improper_learn_memory_per_example():
     # one budget-sized call holds the presence matrix, one chunk's cells
-    # and the reserved examples' cells, but no code per example: about 3.6
+    # and the reserved examples' cells, but no code per example: about 3.5
     # bytes per example on thresholds(1024), against 5.1 with a gathered
     # uint16 code per example and 10.7 with int32 codes dealt from a copy
     cls = thresholds_class(1024)
