@@ -8,7 +8,8 @@ mechanisms of single primitives run a batch of ``k`` trials on the
 primitives' row forms, with the draws of ``k`` back-to-back calls of the
 one-run primitive; the learner scenarios run a batch of learner runs at
 once. The randomized-response scenario has analytically known outcome
-probabilities and calibrates the auditor itself.
+probabilities and calibrates the auditor itself. Each builder refuses,
+before any draw, a budget that its primitive would refuse.
 """
 
 from __future__ import annotations
@@ -44,6 +45,8 @@ def _replace_one(
 
 def randomized_response_scenario(epsilon: float = 1.0) -> AuditScenario:
     """Flip a single stored bit with probability 1 / (1 + e^eps)."""
+    if not epsilon <= np.log(np.finfo(float).max):  # NaN fails here too
+        raise ValueError("e^epsilon must be finite")
     keep = math.exp(epsilon) / (1.0 + math.exp(epsilon))
 
     def mech(data: Dataset, rng: np.random.Generator, k: int) -> list[int]:
@@ -55,8 +58,8 @@ def randomized_response_scenario(epsilon: float = 1.0) -> AuditScenario:
 
 def laplace_scenario(epsilon: float = 1.0) -> AuditScenario:
     """Noisy count of 1-labels; sensitivity 1, scale 1/eps, drawn as ``laplace_sample``."""
-    if not epsilon > 0:
-        raise ValueError("epsilon must be positive")
+    if not (epsilon > 0 and 0 < 1.0 / epsilon < math.inf):
+        raise ValueError("the scale 1/epsilon must be positive and finite")
 
     def mech(data: Dataset, rng: np.random.Generator, k: int) -> list[float]:
         count = float(data.labels.sum())
@@ -68,12 +71,14 @@ def laplace_scenario(epsilon: float = 1.0) -> AuditScenario:
 
 def exponential_mechanism_scenario(epsilon: float = 1.0) -> AuditScenario:
     """Select among four values scored by their multiplicity, as ``exponential_mechanism``."""
+    base = [(i % 4, 0) for i in range(8)]
+    if not 0 <= epsilon * len(base) / 2.0 < math.inf:  # a score is at most len(base)
+        raise ValueError("epsilon * score / 2 must be nonnegative and finite")
 
     def mech(data: Dataset, rng: np.random.Generator, k: int) -> list[int]:
         scores = np.array([float((data.points == v).sum()) for v in range(4)])
         return _em_rows(np.tile(scores, (k, 1)), 1.0, epsilon, rng.random(k)).tolist()
 
-    base = [(i % 4, 0) for i in range(8)]
     return _replace_one(mech, base, 0, (1, 0), PrivacyParams(epsilon, 0.0))
 
 
@@ -100,12 +105,14 @@ def choosing_scenario(epsilon: float = 1.0, delta: float = 1e-6) -> AuditScenari
 
 def median_scenario(epsilon: float = 1.0) -> AuditScenario:
     """``private_median`` of twenty integers in [0, 8]; the mechanism is pure DP."""
+    base = [(3, 0)] * 10 + [(5, 0)] * 10
+    if not 0 < epsilon * len(base) < math.inf:  # so 0 < epsilon < inf too
+        raise ValueError("epsilon and epsilon times the value count must be positive and finite")
 
     def mech(data: Dataset, rng: np.random.Generator, k: int) -> list[int]:
         values = np.tile(data.points.astype(np.int64), (k, 1))
         return _median_rows(values, 8, epsilon, rng).tolist()
 
-    base = [(3, 0)] * 10 + [(5, 0)] * 10
     return _replace_one(mech, base, 0, (8, 0), PrivacyParams(epsilon, 0.0))
 
 

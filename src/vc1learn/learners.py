@@ -5,14 +5,12 @@ concept, reduce it (:func:`prepare_context`, for any class) and read off
 the order tree, and privately locate a node whose root path
 back-transforms to an accurate hypothesis on the class's own domain.
 
-* :func:`improper_learn` partitions the sample (:func:`_deal` gives the
-  procedure and its law), summarizes each subset by its deepest forced
-  point, takes a private median of those depths, and privately selects
-  among the points at the median depth. Its output may fall outside the
-  class. A private batch core, :func:`_improper_runs`, draws many runs'
-  summaries, medians and selections in one pass each, as arrays; the
-  audit scenarios replay the learner through it, and :func:`_trace`
-  turns one run's arrays into its trace.
+* :func:`improper_learn` partitions the sample (see :func:`_deal`),
+  summarizes each subset by its deepest forced point, takes a private
+  median of those depths, and privately selects among the points at the
+  median depth. Its output may fall outside the class. It is one run of
+  the private batch core :func:`_improper_runs` (whose docstring gives
+  the order of the draws), through which the audit scenarios replay it.
 * :func:`proper_learn` draws its stage-2 examples as a uniform subset,
   runs the improper stage on the rest and, when the selected
   node's path is not realized by a class member, descends the pruned
@@ -28,6 +26,7 @@ inspect every intermediate quantity.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, fields, is_dataclass
 from functools import cached_property, lru_cache
@@ -297,18 +296,12 @@ def _examples(ctx: LearnerContext, dataset: Dataset | None) -> Examples:
     return ctx.tour_code, dataset.labels, dataset.points
 
 
-def _take(flat: np.ndarray, examples: Examples, start: int) -> np.ndarray:
-    """Raveled table ``flat`` at ``label * columns + point`` of one chunk of examples."""
-    table, labels, points = examples
-    index = np.multiply(labels[start : start + SAMPLE_CHUNK], table.shape[1], dtype=np.intp)
-    index += points[start : start + SAMPLE_CHUNK]
-    return flat.take(index)
-
-
 def _codes(examples: Examples) -> np.ndarray:
-    """Each example's presence code, one flat take per ``SAMPLE_CHUNK``."""
-    flat, n = examples[0].reshape(-1), len(examples[2])
-    return np.concatenate([_take(flat, examples, s) for s in range(0, max(n, 1), SAMPLE_CHUNK)])
+    """Each example's ``table[label, point]``, as one flat take."""
+    table, labels, points = examples
+    index = np.multiply(labels, table.shape[1], dtype=np.intp)
+    index += points
+    return table.reshape(-1).take(index)
 
 
 def _subset_summaries(
@@ -391,9 +384,8 @@ def improper_learn(
     Raises ``ValueError`` before touching the data unless eps is in
     (0, 2) and delta is positive. A subset that no concept is consistent
     with is summarised as forcing nothing, so the run never raises on the
-    data. The run draws, in order, the deal (see :func:`_deal`), the
-    median's uniform, the gate's uniform and, when the gate passes, the
-    selection's uniform; it is :func:`_improper_runs` at one run.
+    data. It is :func:`_improper_runs` at one run, whose docstring gives
+    the order of its draws.
 
     Keyword-only hooks exist for tests and pipelines: ``subset_ids``
     bypasses partitioning, with ``dataset`` the whole stage-1 sample and
@@ -430,12 +422,13 @@ def _improper_runs(
     partitions the data afresh and spends (2 eps, 2 delta), so a batch is
     for audits that replay the learner, not for releasing several
     hypotheses about one sample. The draws are the runs' deals in run
-    order, then one median uniform per run, then each run's gate and
-    selection uniforms in run order, in buffered ``rng.random`` calls; at
-    one run that is :func:`improper_learn`'s order. ``examples`` is only
-    read. Working memory is ``runs`` presence matrices of the subset count
-    times the tree size, twice over for two or more runs, and what
-    :func:`_deal` holds; with one example per subset, ``runs`` datasets.
+    order (:func:`_dealt_summaries`), then one median uniform per run,
+    then each run's gate uniform and, when its gate passes, selection
+    uniform, in run order, in buffered ``rng.random`` calls; a hook skips
+    the draws of the stage it bypasses. ``examples`` is only read.
+    Working memory is ``runs`` presence matrices of the subset count times
+    the tree size, twice over for two or more runs, and what :func:`_deal`
+    holds; with one example per subset, ``runs`` datasets.
     """
     n = len(examples[2])
     if n == 0:
@@ -512,7 +505,15 @@ def _trace(ctx: LearnerContext, batch: tuple[np.ndarray, ...]) -> ImproperTrace:
 def _dealt_summaries(
     ctx: LearnerContext, examples: Examples, t: int, rng: np.random.Generator, runs: int
 ) -> np.ndarray:
-    """:func:`_subset_summaries` of ``runs`` partitions of ``examples`` by :func:`_deal`."""
+    """:func:`_subset_summaries` of ``runs`` partitions of ``examples`` by :func:`_deal`.
+
+    With one example per subset (``t`` is the sample size) it shuffles
+    ``runs`` rows of the examples' summaries instead, drawing what
+    ``runs`` calls of ``rng.permutation(n)`` draw: a lone relabeled 1 at
+    a tree point forces that point (a childless node is proper, an
+    improper one has two or more children), and a lone 0, or a 1 off the
+    tree, forces nothing.
+    """
     if t == len(examples[2]):
         k = len(ctx.tree.tour)
         lone = np.concatenate((np.full(k + 1, -1), ctx.tree.tour, [-1]))
@@ -553,13 +554,7 @@ def _reserve(n: int, t: int) -> int:
         relative_entropy = a * math.log(a / p) + (1 - a) * math.log((1 - a) / (1 - p))
         return -n * relative_entropy <= limit
 
-    lo, hi = 0, 1
-    while not bounded(hi):
-        lo, hi = hi, 2 * hi
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        lo, hi = (lo, mid) if bounded(mid) else (mid, hi)
-    return hi
+    return bisect.bisect_left(range(1, 2**62), True, key=bounded) + 1
 
 
 def _deal(pres: np.ndarray, examples: Examples, rng: np.random.Generator) -> None:
@@ -573,8 +568,7 @@ def _deal(pres: np.ndarray, examples: Examples, rng: np.random.Generator) -> Non
     and :func:`_reserve`'s ``x`` reserve slots, with ``rng.integers``
     ``SAMPLE_CHUNK`` examples at a time, in the narrowest dtype that holds
     ``t + x - 1``, and sets its cell, ``code * (t + 1) + slot`` in its
-    run's block (the spare column for a reserve slot), with its code read
-    in the chunk loop from the table scaled by ``t + 1``. Only the reserved
+    run's block (the spare column for a reserve slot). Only the reserved
     cells are kept. If some subset got more than its size, the run's block
     is cleared and every slot drawn again. Otherwise the reserved examples,
     in order, take the missing places (``cell - t + fill``), put in the
@@ -584,27 +578,23 @@ def _deal(pres: np.ndarray, examples: Examples, rng: np.random.Generator) -> Non
     dealt round-robin. Its draws do not depend on the examples, so one
     changed example still moves one subset. Beside ``pres`` it holds one
     chunk's cells and the reserved ones (5% of a budget-sized sample).
-
-    With one example per subset :func:`_dealt_summaries` shuffles ``runs``
-    rows of the examples' summaries instead, drawing what ``runs`` calls of
-    ``rng.permutation(n)`` draw: a lone relabeled 1 at a tree point forces
-    that point (a childless node is proper, an improper one has two or
-    more children), and a lone 0, or a 1 off the tree, forces nothing.
     """
     runs, _, width = pres.shape
-    n, t = len(examples[2]), width - 1
+    table, labels, points = examples
+    n, t = len(points), width - 1
     x = _reserve(n, t)
-    wide, narrow = np.min_scalar_type(t + x - 1), np.min_scalar_type(t)
+    dtype = np.min_scalar_type(t + x - 1)
     sizes = n // t + (np.arange(t) < n % t)
-    scaled = np.multiply(examples[0].reshape(-1), width, dtype=np.intp)
+    scaled = np.multiply(table, width, dtype=np.intp)
     for flat in pres.reshape(runs, -1):
         while True:
             counts = np.zeros(width, dtype=np.int64)
             reserved = []
             for start in range(0, n, SAMPLE_CHUNK):
-                cells = _take(scaled, examples, start)
-                draw = rng.integers(0, t + x, len(cells), dtype=wide)
-                slots = np.minimum(draw, t, out=draw).astype(narrow, copy=False)
+                chunk = slice(start, start + SAMPLE_CHUNK)
+                cells = _codes((scaled, labels[chunk], points[chunk]))
+                slots = rng.integers(0, t + x, len(cells), dtype=dtype)
+                np.minimum(slots, t, out=slots)
                 cells += slots
                 flat[cells] = True
                 counts += np.bincount(slots, minlength=width)

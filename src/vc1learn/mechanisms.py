@@ -159,13 +159,15 @@ def choosing_mechanism(
 
 
 def _check_gate(privacy: PrivacyParams, beta: float) -> None:
-    """The selection's parameter rule: eps in (0, 2), delta > 0, beta in (0, 1)."""
+    """The selection's rule: eps in (0, 2), delta > 0, beta in (0, 1), beta * eps * delta > 0."""
     if not 0 < privacy.epsilon < 2:
         raise ValueError("epsilon must be in (0, 2)")
     if privacy.delta <= 0:
         raise ValueError("delta must be positive")
     if not 0 < beta < 1:
         raise ValueError("beta must be in (0, 1)")
+    if beta * privacy.epsilon * privacy.delta == 0:
+        raise ValueError("beta * epsilon * delta underflows")
 
 
 def _gate_log(k: int, n: int, privacy: PrivacyParams, beta: float) -> float:

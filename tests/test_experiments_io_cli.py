@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 import re
 import subprocess
 import sys
@@ -29,6 +30,14 @@ from vc1learn import (
     write_report_csv,
 )
 from vc1learn import experiments
+from vc1learn.audit_scenarios import (
+    choosing_scenario,
+    exponential_mechanism_scenario,
+    improper_learner_scenario,
+    laplace_scenario,
+    median_scenario,
+    randomized_response_scenario,
+)
 from vc1learn.cli import main
 from vc1learn.experiments import _sample_subsets, config_from_json, config_to_json
 from vc1learn.io import load_class, load_dataset, save_class, save_dataset
@@ -486,6 +495,41 @@ def test_cli_sweep(tmp_path, capsys):
     lines = out_path.read_text().splitlines()
     assert lines[2].startswith("trial,mode,n,")
     assert len(lines) == 5  # two comment lines, header, two rows
+
+
+def test_cli_sweep_runtime_appends_a_last_column(tmp_path, capsys):
+    # --runtime adds runtime_ms last, and leaves every other byte as is
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(config_to_json(small_config(trials=2))))
+    plain, timed = tmp_path / "plain.csv", tmp_path / "timed.csv"
+    assert main(["sweep", "--config", str(cfg_path), "--out", str(plain)]) == 0
+    assert main(["sweep", "--config", str(cfg_path), "--out", str(timed), "--runtime"]) == 0
+    lines = timed.read_bytes().split(b"\n")  # two comment lines, the table, b""
+    header, *rows = [line.rsplit(b",", 1) for line in lines[2:-1]]
+    assert header[1] == b"runtime_ms" and len(rows) == 2
+    assert all(float(runtime) >= 0 for _, runtime in rows)
+    stripped = lines[:2] + [head for head, _ in [header, *rows]] + lines[-1:]
+    assert b"\n".join(stripped) == plain.read_bytes()
+
+
+def test_cli_audit_refuses_what_its_primitives_refuse(capsys):
+    # every target exits 0 or 2, never 1, and says at most one error line;
+    # a warning leaked on the way would fail this test
+    for target in ("improper", "median", "choosing", "em", "rr", "laplace"):
+        for epsilon in ("0", "1e-320", "1000", "1e308", "inf", "nan"):
+            code = main(["audit", "--target", target, "--epsilon", epsilon, "--trials", "10"])
+            err = capsys.readouterr().err
+            assert code in (0, 2), (target, epsilon, err)
+            expected = "" if code == 0 else r"error: [^\n]*\n"
+            assert re.fullmatch(expected, err), (target, epsilon, err)
+    # the builders refuse non-finite budgets themselves, before any draw
+    for build in (
+        randomized_response_scenario, laplace_scenario, exponential_mechanism_scenario,
+        median_scenario, choosing_scenario, improper_learner_scenario,
+    ):
+        for epsilon in (math.inf, math.nan):
+            with pytest.raises(ValueError):
+                build(epsilon)
 
 
 def test_cli_audit(tmp_path, capsys):

@@ -184,6 +184,32 @@ def test_subset_ids_must_be_integers(example_cls, monkeypatch):
     assert not calls
 
 
+def test_empty_sample_is_refused_on_every_path(example_cls):
+    # None or an empty stage-1 sample is refused before any draw, on the
+    # dealt, subset_ids, split and stage2 paths; an empty stage2 is taken
+    empty = Dataset.from_pairs([])
+    data = Dataset.from_pairs([(X1, 1), (X2, 0), (X5, 1), (X3, 0)])
+    no_ids = np.array([], dtype=np.int64)
+    calls = [
+        (improper_learn, None, {}),
+        (improper_learn, empty, {}),
+        (improper_learn, empty, {"subset_ids": no_ids}),
+        (proper_learn, None, {}),
+        (proper_learn, empty, {}),
+        (proper_learn, empty, {"force_chosen_point": X1}),
+        (proper_learn, None, {"stage2": data}),
+        (proper_learn, empty, {"stage2": data}),
+        (proper_learn, empty, {"stage2": data, "subset_ids": no_ids}),
+    ]
+    for learn, dataset, extra in calls:
+        rng = make_rng(0)
+        with pytest.raises(ValueError, match="dataset must be non-empty"):
+            learn(example_cls, dataset, PARAMS, rng, **extra)
+        assert rng.bit_generator.state == make_rng(0).bit_generator.state, (learn, extra)
+    trace = proper_learn(example_cls, data, PARAMS, make_rng(0), stage2=empty)
+    assert trace.hypothesis.proper_index is not None
+
+
 def test_improper_single_concept_class(rng):
     cls, merge = canonicalize(ConceptClass.from_ones(3, [{0, 2}]))
     raw = Dataset.from_pairs([(0, 1), (1, 0), (2, 1)])
@@ -1238,6 +1264,27 @@ def test_deal_redraws_rarely():
         learners._deal(pres, _as_examples(np.zeros(n, dtype=np.uint8)), rec)
         draws = sum(kind == "integers" for kind, _ in rec.log)
         assert len(rec.log) == runs + draws and draws / runs == 1.0, (n, t, draws)
+
+
+def _union_chernoff_bounded(n, t, x):
+    """Whether ``x`` reserve slots put the deal's union-Chernoff redraw bound
+    at or below ``REDRAW_BOUND`` (always, at ``t`` 1)."""
+    a = (n // t + 1) / n
+    if a >= 1:
+        return True
+    p = 1 / (t + x)
+    relative_entropy = a * math.log(a / p) + (1 - a) * math.log((1 - a) / (1 - p))
+    return -n * relative_entropy <= math.log(learners.REDRAW_BOUND / t)
+
+
+def test_reserve_is_the_least_count_that_meets_the_bound():
+    pairs = {(5_306_275, 325), (4_041_390, 321), (2_359, 337), (150_000, 337), (400, 200), (400, 399)}
+    for n in (2, 3, 7, 30, 60, 400, 2_359, 10_000, 150_000, 1_000_003):
+        pairs.update((n, t) for t in (1, 2, 3, 46, 199, 200, 325, 337, 399, n - 1) if t < n)
+    for n, t in sorted(pairs):
+        x = learners._reserve(n, t)
+        assert x >= 1 and _union_chernoff_bounded(n, t, x), (n, t, x)
+        assert x == 1 or not _union_chernoff_bounded(n, t, x - 1), (n, t, x)
 
 
 def test_dealt_summaries_are_those_of_the_drawn_partition():
