@@ -122,27 +122,30 @@ def sample_budget(params: LearnParams, tree_depth_bound: int) -> SampleBudget:
     selection gate requirement ``(16 / eps) * ln(4 t / (beta eps delta))``
     of :func:`choosing_utility_bound`, the latter solved by iterating the
     max to its fixed point. ``N1 = t * per_subset`` and
-    ``N2 = (ln(1/alpha) + ln(1/beta)) / (alpha^2 eps)``. Results are
-    memoised; the parameter dataclasses are frozen.
+    ``N2 = (ln(1/alpha) + ln(1/beta)) / (alpha^2 eps)``; a size that
+    overflows raises ``ValueError``. Results are memoised.
     """
     if tree_depth_bound < 0:
         raise ValueError("tree_depth_bound must be nonnegative")
     priv = params.privacy
-    t_median = required_median_size(
-        tree_depth_bound + 1, MEDIAN_ALPHA, params.beta, priv
-    )
-    t = max(t_median, 1)
-    while True:
-        t_next = max(t_median, math.ceil(choosing_utility_bound(1, t, priv, params.beta)))
-        if t_next <= t:
-            break
-        t = t_next
+    try:
+        t_median = required_median_size(
+            tree_depth_bound + 1, MEDIAN_ALPHA, params.beta, priv
+        )
+        t = max(t_median, 1)
+        while True:
+            t_next = max(t_median, math.ceil(choosing_utility_bound(1, t, priv, params.beta)))
+            if t_next <= t:
+                break
+            t = t_next
 
-    per_subset = uniform_convergence_size(params.alpha, params.beta)
-    n2 = math.ceil(
-        (math.log(1.0 / params.alpha) + math.log(1.0 / params.beta))
-        / (params.alpha**2 * priv.epsilon)
-    )
+        per_subset = uniform_convergence_size(params.alpha, params.beta)
+        n2 = math.ceil(
+            (math.log(1.0 / params.alpha) + math.log(1.0 / params.beta))
+            / (params.alpha**2 * priv.epsilon)
+        )
+    except (OverflowError, ZeroDivisionError):
+        raise ValueError("the sample sizes overflow at these parameters") from None
     return SampleBudget(
         t=t,
         N1=t * per_subset,
@@ -340,15 +343,13 @@ def _checked_context(
     params: LearnParams,
     context: LearnerContext | None,
 ) -> LearnerContext:
-    """Validate the privacy parameters, then return the context for ``cls``.
-
-    Runs before a learner touches the data: the selection's parameter
-    rule, with the messages of :func:`choosing_mechanism`.
-    """
+    """Before a learner touches the data: check ``params`` by :func:`_check_gate`
+    and :func:`sample_budget`, then return the context for ``cls``."""
     _check_gate(params.privacy, params.beta)
     ctx = context if context is not None else prepare_context(cls)
     if ctx.base is not cls and ctx.base != cls:
         raise ValueError("context was prepared for a different class")
+    sample_budget(params, ctx.tree.height)
     return ctx
 
 
@@ -381,11 +382,11 @@ def improper_learn(
     equal row of ``cls``. Candidates and chosen point are tree nodes, the
     representative points of ``cls`` (see :func:`prepare_context`).
 
-    Raises ``ValueError`` before touching the data unless eps is in
-    (0, 2) and delta is positive. A subset that no concept is consistent
-    with is summarised as forcing nothing, so the run never raises on the
-    data. It is :func:`_improper_runs` at one run, whose docstring gives
-    the order of its draws.
+    Raises ``ValueError`` before touching the data on parameters that
+    :func:`_checked_context` refuses. A subset that no concept is
+    consistent with is summarised as forcing nothing, so the run never
+    raises on the data. It is :func:`_improper_runs` at one run, whose
+    docstring gives the order of its draws.
 
     Keyword-only hooks exist for tests and pipelines: ``subset_ids``
     bypasses partitioning, with ``dataset`` the whole stage-1 sample and
@@ -505,15 +506,12 @@ def _trace(ctx: LearnerContext, batch: tuple[np.ndarray, ...]) -> ImproperTrace:
 def _dealt_summaries(
     ctx: LearnerContext, examples: Examples, t: int, rng: np.random.Generator, runs: int
 ) -> np.ndarray:
-    """:func:`_subset_summaries` of ``runs`` partitions of ``examples`` by :func:`_deal`.
-
-    With one example per subset (``t`` is the sample size) it shuffles
-    ``runs`` rows of the examples' summaries instead, drawing what
-    ``runs`` calls of ``rng.permutation(n)`` draw: a lone relabeled 1 at
-    a tree point forces that point (a childless node is proper, an
-    improper one has two or more children), and a lone 0, or a 1 off the
-    tree, forces nothing.
-    """
+    """:func:`_subset_summaries` of ``runs`` partitions of ``examples`` by
+    :func:`_deal`; with one example per subset, ``runs`` shuffles of the
+    examples' summaries, drawing what ``runs`` calls of
+    ``rng.permutation(n)`` draw: a lone relabeled 1 at a tree point forces
+    that point (a childless node is proper, an improper one has two or
+    more children), and a lone 0, or a 1 off the tree, forces nothing."""
     if t == len(examples[2]):
         k = len(ctx.tree.tour)
         lone = np.concatenate((np.full(k + 1, -1), ctx.tree.tour, [-1]))

@@ -516,7 +516,7 @@ def test_cli_audit_refuses_what_its_primitives_refuse(capsys):
     # every target exits 0 or 2, never 1, and says at most one error line;
     # a warning leaked on the way would fail this test
     for target in ("improper", "median", "choosing", "em", "rr", "laplace"):
-        for epsilon in ("0", "1e-320", "1000", "1e308", "inf", "nan"):
+        for epsilon in ("0", "1e-320", "1e-200", "1000", "1e308", "inf", "nan"):
             code = main(["audit", "--target", target, "--epsilon", epsilon, "--trials", "10"])
             err = capsys.readouterr().err
             assert code in (0, 2), (target, epsilon, err)

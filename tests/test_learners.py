@@ -184,6 +184,26 @@ def test_subset_ids_must_be_integers(example_cls, monkeypatch):
     assert not calls
 
 
+def test_budgets_without_finite_sizes_are_refused_before_any_draw(example_cls):
+    # an eps or alpha so small that a size overflows, and an eps whose gate
+    # divisor beta * eps * delta underflows to 0, raise ValueError, not
+    # OverflowError or ZeroDivisionError
+    data = Dataset.from_pairs([(p, 0) for p in range(7)] * 10)
+    cases = (
+        (LearnParams(0.2, 0.2, PrivacyParams(1e-200, 1e-5)), "sample sizes overflow"),
+        (LearnParams(1e-160, 0.2, PrivacyParams(1.0, 1e-5)), "sample sizes overflow"),
+        (LearnParams(0.2, 0.2, PrivacyParams(1e-320, 1e-5)), "underflows"),
+    )
+    for params, message in cases:
+        for learn in (improper_learn, proper_learn):
+            rng = make_rng(0)
+            with pytest.raises(ValueError, match=message):
+                learn(example_cls, data, params, rng)
+            assert rng.bit_generator.state == make_rng(0).bit_generator.state
+    with pytest.raises(ValueError, match="sample sizes overflow"):
+        sample_budget(cases[0][0], 3)
+
+
 def test_empty_sample_is_refused_on_every_path(example_cls):
     # None or an empty stage-1 sample is refused before any draw, on the
     # dealt, subset_ids, split and stage2 paths; an empty stage2 is taken
