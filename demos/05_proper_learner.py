@@ -20,12 +20,14 @@ print("proper flags:", {f"x{p+1}": f for p, f in zip(points, flags)})
 params = v.LearnParams(alpha=0.25, beta=0.25, privacy=v.PrivacyParams(1.0, 1e-5))
 X5, X6, X7 = 4, 5, 6
 
+# stage-1 data, checked though the forced x5 skips the improper stage that reads it
+stage1 = v.Dataset.from_pairs([(X5, 1)] * 10)
 # stage-2 data: label-0 examples sit on x6's side, so x7's branch is cheaper
 stage2 = v.Dataset.from_pairs([(X6, 0)] * 20 + [(X7, 1)] * 10 + [(X5, 1)] * 10)
 outcomes = collections.Counter()
 for seed in range(300):
     trace = v.proper_learn(
-        cls, None, params, v.make_rng(seed),
+        cls, stage1, params, v.make_rng(seed),
         force_chosen_point=X5, stage2=stage2,
     )
     assert trace.hypothesis.proper_index is not None
@@ -35,7 +37,7 @@ print("\nforcing the improper stage to x5 (unrealized):")
 print("  output concept frequencies over 300 seeded runs:", dict(outcomes))
 print("  (the x7 path 'h7' should dominate; 'h6' shows the mechanism noise)")
 
-one = v.proper_learn(cls, None, params, v.make_rng(0), force_chosen_point=X5, stage2=stage2)
+one = v.proper_learn(cls, stage1, params, v.make_rng(0), force_chosen_point=X5, stage2=stage2)
 print("\none descent trace:")
 print("  subtree:", sorted(one.subtree.nodes), "leaves:", sorted(one.subtree.leaves))
 for node, case, nxt in one.path:

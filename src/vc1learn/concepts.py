@@ -1,9 +1,10 @@
 """Finite boolean concept classes, canonicalization, and label transforms.
 
 A concept class is a finite set of 0/1-valued functions (concepts) over a
-finite domain ``{0, ..., domain_size - 1}``, stored as one boolean
-matrix with a row per concept and a column per point; a concept's
-1-set is built from its row only when it is read. The partial order and
+finite domain ``{0, ..., domain_size - 1}``, stored as ``np.packbits``
+rows, one per concept and one bit per point; a concept's 1-set is
+unpacked from its row only when it is read, and the dense boolean
+matrix only for the callers that ask for it. The partial order and
 the class tree work on a *canonical* class (the learners reduce any class
 themselves), in which
 
@@ -124,7 +125,7 @@ class Hypothesis:
 
 
 class _LazyConcepts:
-    """A class's concepts, built from matrix rows on access; sliceable and iterable."""
+    """A class's concepts, built from its rows on access; sliceable and iterable."""
 
     def __init__(self, cls: "ConceptClass") -> None:
         self._cls = cls
@@ -135,38 +136,46 @@ class _LazyConcepts:
     def __getitem__(self, i):
         if isinstance(i, slice):
             return tuple(self[j] for j in range(*i.indices(len(self))))
-        row = self._cls.matrix[i]
-        return Concept(frozenset(np.flatnonzero(row).tolist()), self._cls.ids[i])
+        return Concept(frozenset(np.flatnonzero(self._cls.row(i)).tolist()), self._cls.ids[i])
 
     def __iter__(self) -> Iterator[Concept]:
         return (self[i] for i in range(len(self)))
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class ConceptClass:
     """An ordered collection of concepts over a fixed finite domain.
 
-    The class is its read-only boolean ``matrix``, one row per concept and
-    one column per point, with one id per row; ``concepts`` builds
-    :class:`Concept` values from the rows on access. Nothing requires the
-    class to be canonical: duplicate rows and equal columns are allowed.
+    Built from a boolean ``matrix``, one row per concept and one column per
+    point, with one id per row. The class keeps the rows only as read-only
+    ``np.packbits`` bytes, ``packed``, over ``domain_size`` points; ``row``
+    unpacks one of them, ``concepts`` builds :class:`Concept` values from
+    them on access, and ``matrix`` unpacks the whole dense matrix on first
+    read. Nothing requires the class to be canonical: duplicate rows and
+    equal columns are allowed.
     """
 
-    matrix: np.ndarray
-    ids: Sequence[str | None]
-    name: str | None = None
+    packed: np.ndarray
+    domain_size: int
+    ids: tuple[str | None, ...]
+    name: str | None
 
-    def __post_init__(self) -> None:
-        m = np.array(self.matrix, dtype=bool)
+    def __init__(
+        self, matrix: np.ndarray, ids: Sequence[str | None], name: str | None = None
+    ) -> None:
+        m = np.asarray(matrix, dtype=bool)
         if m.ndim != 2:
             raise ValueError("matrix must be 2-d")
         if not len(m):
             raise ValueError("empty concept class")
-        if len(self.ids) != len(m):
+        if len(ids) != len(m):
             raise ValueError("one id per concept")
-        m.flags.writeable = False
-        object.__setattr__(self, "matrix", m)
-        object.__setattr__(self, "ids", tuple(self.ids))
+        packed = np.packbits(m, axis=1)
+        packed.flags.writeable = False
+        object.__setattr__(self, "packed", packed)
+        object.__setattr__(self, "domain_size", m.shape[1])
+        object.__setattr__(self, "ids", tuple(ids))
+        object.__setattr__(self, "name", name)
 
     @classmethod
     def from_ones(
@@ -193,33 +202,33 @@ class ConceptClass:
         return cls(m, names, name=name)
 
     @property
-    def domain_size(self) -> int:
-        return self.matrix.shape[1]
-
-    @property
     def concepts(self) -> _LazyConcepts:
-        """The concepts in row order, built from the matrix on access."""
+        """The concepts in row order, built from the rows on access."""
         return _LazyConcepts(self)
+
+    def row(self, i: int) -> np.ndarray:
+        """Concept ``i``'s row, unpacked to one bool per point."""
+        return np.unpackbits(self.packed[i], count=self.domain_size).view(bool)
+
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        """The dense read-only bool matrix, unpacked once on first read."""
+        m = np.unpackbits(self.packed, axis=1, count=self.domain_size).view(bool)
+        m.flags.writeable = False
+        return m
 
     @cached_property
     def constant_labels(self) -> dict[int, int]:
         """Points every concept agrees on, mapped to their forced label."""
-        m = self.matrix
-        out = dict.fromkeys(np.flatnonzero(m.all(axis=0)).tolist(), 1)
-        return out | dict.fromkeys(np.flatnonzero(~m.any(axis=0)).tolist(), 0)
+        count, _ = column_scan(self.packed, self.domain_size)
+        out = dict.fromkeys(np.flatnonzero(count == len(self)).tolist(), 1)
+        return out | dict.fromkeys(np.flatnonzero(count == 0).tolist(), 0)
 
     @cached_property
     def order_points(self) -> tuple[int, ...]:
         """Non-constant points: the universe of the partial order."""
         const = self.constant_labels
         return tuple(p for p in range(self.domain_size) if p not in const)
-
-    @cached_property
-    def packed(self) -> np.ndarray:
-        """The rows as ``np.packbits`` bytes, packed once; read-only."""
-        packed = np.packbits(self.matrix, axis=1)
-        packed.flags.writeable = False
-        return packed
 
     @cached_property
     def concept_index(self) -> dict[bytes, int]:
@@ -245,8 +254,8 @@ class ConceptClass:
         return len(self.ids)
 
     def _key(self) -> tuple:
-        m = self.matrix
-        return (m.shape, m.tobytes(), self.ids, self.name)
+        # the padding bits are zero, so equal bytes over equal shapes are equal rows
+        return (len(self), self.domain_size, self.packed.tobytes(), self.ids, self.name)
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, ConceptClass) and self._key() == other._key()

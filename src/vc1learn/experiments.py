@@ -127,9 +127,7 @@ def run_experiment(
         start = time.perf_counter()
         ids = stage2 = None
         if config.n_override is None:
-            data, ids = _sample_subsets(
-                cls.matrix[c_idx], dist, budget.t, budget.per_subset, trng
-            )
+            data, ids = _sample_subsets(cls.row(c_idx), dist, budget.t, budget.per_subset, trng)
             n_used = budget.N1
             if config.mode == "proper":
                 stage2 = sample_dataset(cls, c_star, dist, budget.N2, trng)

@@ -176,7 +176,7 @@ def sample_dataset(
     time, so the draw's working memory does not grow with ``n``. The
     points are stored in the narrowest unsigned dtype that holds
     ``domain_size - 1`` (uint16 up to 65,536 points); the labels are the
-    concept's bool matrix entries, which the dataset holds as a uint8 view.
+    concept's bool row at the points, which the dataset holds as a uint8 view.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
@@ -196,4 +196,4 @@ def sample_dataset(
         wrong = np.flatnonzero((padded[idx] > u) | (padded[idx + 1] <= u))
         idx[wrong] = cdf.searchsorted(u[wrong], side="right")
         points[start : start + len(u)] = idx
-    return Dataset(points, cls.matrix[i, points])
+    return Dataset(points, cls.row(i)[points])

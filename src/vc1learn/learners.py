@@ -179,7 +179,7 @@ class LearnerContext:
 
     @cached_property
     def f_row(self) -> np.ndarray:
-        row = self.base.matrix[self.f_index].astype(np.uint8)
+        row = self.base.row(self.f_index).view(np.uint8)
         row.flags.writeable = False
         return row
 
@@ -630,7 +630,8 @@ def proper_learn(
     The final hypothesis is the path of the smallest-id leaf in the last
     node's tour slice. As in :func:`improper_learn`, the hypothesis and
     its ``proper_index`` refer to ``cls`` as given. A point outside the
-    class domain, in either sample, raises ``ValueError`` before any draw.
+    class domain, in either sample, or a missing or empty ``dataset``
+    raises ``ValueError`` before any draw, on every path.
 
     The split gives the descent's weights ``min(N2, len(dataset) // 2)``
     examples, drawn as ``rng.choice(len(dataset), size, replace=False)``
@@ -653,19 +654,17 @@ def proper_learn(
         _check_in_tree(ctx.tree, force_chosen_point)
     budget = sample_budget(params, ctx.tree.height)
 
-    # checked before any draw and whether or not the run descends
-    if stage2 is None:
-        table, labels, points = _examples(ctx, dataset)
-        if len(points) == 0:
-            raise ValueError("dataset must be non-empty")
+    # checked before any draw, on every path and whether or not the run descends
+    codes2 = None if stage2 is None else _codes(_examples(ctx, stage2))
+    table, labels, points = first = _examples(ctx, dataset)
+    if len(points) == 0:
+        raise ValueError("dataset must be non-empty")
+    if codes2 is None:
         second = rng.choice(len(points), min(budget.N2, len(points) // 2), replace=False)
         codes2 = _codes((table, labels[second], points[second]))
         keep = np.ones(len(points), dtype=bool)
         keep[second] = False
         first = (table, labels[keep], points[keep])
-    else:
-        codes2 = _codes(_examples(ctx, stage2))
-        first = None if force_chosen_point is not None else _examples(ctx, dataset)
 
     trace1: ImproperTrace | None = None
     if force_chosen_point is not None:

@@ -223,7 +223,10 @@ def choosing_utility_bound(k: int, n: int, privacy: PrivacyParams, beta: float) 
     :func:`choosing_mechanism` guarantees with probability 1 - beta, for any eps > 0."""
     if k < 1 or privacy.epsilon <= 0 or privacy.delta <= 0 or not 0 < beta < 1:
         raise ValueError("the bound needs k >= 1, eps > 0, delta > 0 and beta in (0, 1)")
-    return (16.0 / privacy.epsilon) * _gate_log(k, n, privacy, beta)
+    try:
+        return (16.0 / privacy.epsilon) * _gate_log(k, n, privacy, beta)
+    except (OverflowError, ZeroDivisionError):
+        raise ValueError("the bound's log term overflows at these parameters") from None
 
 
 def private_median(
@@ -303,9 +306,10 @@ def required_median_size(
     _check_median(alpha, privacy)
     if not 0 < beta < 1:
         raise ValueError("beta must be in (0, 1)")
-    return math.ceil(
-        2.0 / (alpha * privacy.epsilon) * math.log((domain_max + 1) / beta)
-    )
+    try:
+        return math.ceil(2.0 / (alpha * privacy.epsilon) * math.log((domain_max + 1) / beta))
+    except (OverflowError, ZeroDivisionError):
+        raise ValueError("the median's sample size overflows at these parameters") from None
 
 
 def alpha_median_set(values: Sequence[int], alpha: float) -> set[int]:

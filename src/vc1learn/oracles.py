@@ -266,23 +266,22 @@ def optimal_composition(epsilon_step: float, k: int, delta_prime: float) -> floa
             lo = mid
 
 
-def _clopper_pearson(successes: int, trials: int, tail: float) -> tuple[float, float]:
-    """Two-sided Clopper-Pearson interval at per-bound tail probability.
+def _clopper_pearson(successes: int, trials: int, tail: float, upper: bool) -> float:
+    """One bound of the two-sided Clopper-Pearson interval at per-bound tail
+    probability ``tail``: the lower one, or with ``upper`` the upper one.
 
     The bounds are Beta quantiles, taken with ``betaincinv``, the inverse
     that ``scipy.stats.beta.ppf`` calls, without importing scipy.stats.
     """
     from scipy.special import betaincinv
 
-    if successes > 0:
-        lo = float(betaincinv(successes, trials - successes + 1, tail))
-    else:
-        lo = 0.0
-    if successes < trials:
-        hi = float(betaincinv(successes + 1, trials - successes, 1.0 - tail))
-    else:
-        hi = 1.0
-    return lo, hi
+    if upper:
+        if successes == trials:
+            return 1.0
+        return float(betaincinv(successes + 1, trials - successes, 1.0 - tail))
+    if successes == 0:
+        return 0.0
+    return float(betaincinv(successes, trials - successes + 1, tail))
 
 
 def _direction_bound(
@@ -305,11 +304,10 @@ def _direction_bound(
     for o in ranked:
         cum_a += counts_a[o]
         cum_b += counts_b[o]
-        p_lo, _ = _clopper_pearson(cum_a, trials, tail)
-        _, q_hi = _clopper_pearson(cum_b, trials, tail)
-        numer = p_lo - delta
+        numer = _clopper_pearson(cum_a, trials, tail, upper=False) - delta
         if numer <= 0:
             continue
+        q_hi = _clopper_pearson(cum_b, trials, tail, upper=True)
         best = max(best, math.log(numer / max(q_hi, 1e-300)))
     return best
 

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,13 +9,17 @@ from vc1learn import (
     Concept,
     ConceptClass,
     Dataset,
+    GeneratorSpec,
     canonicalize,
     comparable,
     example_class,
     f_represent,
+    generate_class,
     is_canonical,
     leq,
+    thresholds_class,
 )
+from vc1learn.generators import GENERATOR_KINDS
 
 X1, X2, X3, X4, X5, X6, X7 = range(7)
 
@@ -125,6 +131,44 @@ def test_class_equality_and_hash():
         ConceptClass(cls.matrix, cls.ids, "other"),
     ):
         assert other != cls
+
+
+def test_classes_of_equal_packed_bytes_on_different_domains_differ():
+    # 7 and 8 points pack {0} and the empty set into the same bytes
+    seven, eight = (ConceptClass.from_ones(n, [{0}, set()]) for n in (7, 8))
+    assert np.array_equal(seven.packed, eight.packed)
+    assert seven != eight and hash(seven) != hash(eight)
+
+
+def test_class_stores_its_rows_packed():
+    cls = thresholds_class(4096)
+    assert cls.packed.nbytes == 4097 * 512
+    assert [f.name for f in dataclasses.fields(cls)] == ["packed", "domain_size", "ids", "name"]
+    assert not cls.packed.flags.writeable
+
+
+def test_matrix_and_rows_equal_the_input_for_every_generator_kind(monkeypatch):
+    # every class a generator builds, canonicalize's inputs and outputs
+    # among them, unpacks to the matrix it was built from
+    built = []
+    init = ConceptClass.__init__
+
+    def recording_init(self, matrix, ids, name=None):
+        built.append((self, np.array(matrix, dtype=bool)))
+        init(self, matrix, ids, name)
+
+    monkeypatch.setattr(ConceptClass, "__init__", recording_init)
+    for kind, (sized, _) in sorted(GENERATOR_KINDS.items()):
+        for n in (1, 8, 13) if sized else (None,):
+            # the memoised wrapper would hand back classes built earlier
+            generate_class.__wrapped__(GeneratorSpec(kind, n=n, seed=3))
+    assert len(built) > 10
+    for cls, m in built:
+        assert cls.matrix.dtype == bool and np.array_equal(cls.matrix, m)
+        assert all(np.array_equal(cls.row(i), m[i]) for i in range(len(m)))
+        assert cls.domain_size == m.shape[1]
+        with pytest.raises(ValueError, match="read-only"):
+            cls.matrix[0, 0] = True
 
 
 def test_index_of_gives_first_member():

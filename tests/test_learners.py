@@ -13,6 +13,7 @@ from vc1learn import (
     ConceptClass,
     Dataset,
     Distribution,
+    GeneratorSpec,
     LearnParams,
     NotRealizableError,
     PrivacyParams,
@@ -22,6 +23,7 @@ from vc1learn import (
     error_on_distribution,
     example_class,
     f_represent,
+    generate_class,
     improper_learn,
     is_canonical,
     make_rng,
@@ -228,6 +230,38 @@ def test_empty_sample_is_refused_on_every_path(example_cls):
         assert rng.bit_generator.state == make_rng(0).bit_generator.state, (learn, extra)
     trace = proper_learn(example_cls, data, PARAMS, make_rng(0), stage2=empty)
     assert trace.hypothesis.proper_index is not None
+
+
+def test_forced_stage2_run_checks_the_dataset_before_any_draw(example_cls):
+    # with stage2 and a forced point the stage-1 sample is never read, yet
+    # it is refused as on every other path
+    stage2 = Dataset.from_pairs([(X1, 1)])
+    cases = (
+        (None, "dataset must be non-empty"),
+        (Dataset.from_pairs([]), "dataset must be non-empty"),
+        (Dataset.from_pairs([(X1, 1), (7, 0)]), "dataset point outside class domain"),
+    )
+    for dataset, message in cases:
+        rng = make_rng(0)
+        with pytest.raises(ValueError, match=message):
+            proper_learn(example_cls, dataset, PARAMS, rng, stage2=stage2, force_chosen_point=X1)
+        assert rng.bit_generator.state == make_rng(0).bit_generator.state
+
+
+def test_chain_path_never_unpacks_the_dense_matrix():
+    # the chain workload's steps read thresholds(4096) through its packed
+    # rows; a fresh class, not the memoised one other tests share, keeps no
+    # dense 4097 x 4096 matrix after them
+    cls = generate_class.__wrapped__(GeneratorSpec("thresholds", n=4096))
+    ctx = prepare_context(cls)
+    target = cls.concepts[1234]
+    dist = Distribution.uniform(cls.domain_size)
+    data = sample_dataset(cls, target, dist, 200_000, make_rng(3))
+    assert np.array_equal(data.labels, data.points >= 1234)
+    trace = improper_learn(cls, data, PARAMS, make_rng(4), context=ctx)
+    assert error_on_distribution(trace.hypothesis, target, dist) <= PARAMS.alpha
+    assert ctx.abstained.proper_index == 0  # the root lifted back: concept ge0
+    assert "matrix" not in vars(cls)
 
 
 def test_improper_single_concept_class(rng):
@@ -761,14 +795,16 @@ def test_improper_sandwich_on_traces(example_cls):
 
 
 def test_proper_returns_member_when_node_realized(modified_cls):
-    # a realized selection point skips the descent entirely
+    # a realized selection point skips the descent entirely; the forced
+    # point leaves the stage-1 sample unread, but it must be a sample
+    data = Dataset.from_pairs([(X1, 1)])
     trace = proper_learn(
         modified_cls,
-        None,
+        data,
         PARAMS,
         make_rng(0),
         force_chosen_point=X7,
-        stage2=Dataset.from_pairs([(X1, 1)]),
+        stage2=data,
     )
     assert trace.subtree is None and trace.path == ()
     assert trace.hypothesis.proper_index is not None
@@ -786,7 +822,7 @@ def test_proper_two_leaf_descent(modified_cls):
     for seed in range(trials):
         trace = proper_learn(
             modified_cls,
-            None,
+            stage2,
             params,
             make_rng(seed),
             force_chosen_point=X5,
@@ -822,7 +858,7 @@ def test_proper_loop_respects_iteration_bound(modified_cls):
     for seed in range(50):
         trace = proper_learn(
             modified_cls,
-            None,
+            stage2,
             params,
             make_rng(seed),
             force_chosen_point=X5,
@@ -870,13 +906,14 @@ def test_total_privacy_values():
 
 def test_trace_serialization(modified_cls):
     params = LearnParams(alpha=0.25, beta=0.25, privacy=PrivacyParams(1.0, 1e-5))
+    data = Dataset.from_pairs([(X6, 0)] * 8)
     trace = proper_learn(
         modified_cls,
-        None,
+        data,
         params,
         make_rng(4),
         force_chosen_point=X5,
-        stage2=Dataset.from_pairs([(X6, 0)] * 8),
+        stage2=data,
     )
     blob = trace.to_json()
     assert blob["chosen_point"] == X5
@@ -888,7 +925,7 @@ def test_trace_serialization(modified_cls):
         [(X6, 0)] * 12 + [(X7, 0)] * 9 + [(X5, 0)] * 3 + [(X5, 1)] * 6
     )
     trace = proper_learn(
-        modified_cls, None, params, make_rng(0), force_chosen_point=X5, stage2=stage2
+        modified_cls, stage2, params, make_rng(0), force_chosen_point=X5, stage2=stage2
     )
     assert json.dumps(trace.to_json()) == (
         '{"chosen_point": 4, "subtree": {"root": 4, "nodes": [4, 5, 6], '
@@ -991,7 +1028,7 @@ def _pinned_trace_cases():
             add("proper_greedy", proper_learn(cls, data, loose, make_rng(seed), greedy=True, **run))
             if len(unreal):  # a node no concept realizes: descend from it
                 add("descent", proper_learn(
-                    cls, None, loose, make_rng(seed), stage2=data,
+                    cls, data, loose, make_rng(seed), stage2=data,
                     force_chosen_point=int(unreal[seed % len(unreal)]), **run))
     # deals of three SAMPLE_CHUNKs, into subsets whose summaries differ
     cls = thresholds_class(4096)

@@ -240,6 +240,15 @@ def test_required_median_size_shape():
     assert required_median_size(100, 1 / 3, 0.1, priv) == base  # deterministic
 
 
+def test_sizing_functions_refuse_an_eps_too_small_for_a_finite_size():
+    # the bound's divisor beta * eps * delta underflows to 0, and the median
+    # size is infinite: ValueError, not ZeroDivisionError or OverflowError
+    with pytest.raises(ValueError, match="log term overflows"):
+        choosing_utility_bound(1, 1, PrivacyParams(1e-320, 1e-5), 0.1)
+    with pytest.raises(ValueError, match="sample size overflows"):
+        required_median_size(3, 0.25, 0.1, PrivacyParams(1e-320))
+
+
 def _composed(eps, k, dp):
     """min(basic, full Dwork-Rothblum-Vadhan), computed independently."""
     drv = math.sqrt(2 * k * math.log(1 / dp)) * eps + k * eps * (math.exp(eps) - 1)

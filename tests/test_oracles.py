@@ -196,7 +196,7 @@ def test_clopper_pearson_equals_scipy_stats_beta_ppf():
                     if successes < trials
                     else 1.0
                 )
-                got = _clopper_pearson(successes, trials, tail)
+                got = tuple(_clopper_pearson(successes, trials, tail, up) for up in (False, True))
                 assert got == (float(lo), float(hi)), (successes, trials, m)
 
 
