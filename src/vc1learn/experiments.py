@@ -70,28 +70,72 @@ class ReportRow:
     seed: int
 
 
-def _sample_subsets(
+def _draw_subsets(
+    ctx: LearnerContext,
     concept_row: np.ndarray,
-    dist: Distribution,
+    weights: np.ndarray,
     t: int,
-    per_subset: int,
+    m: int,
     rng: np.random.Generator,
 ) -> tuple[Dataset, np.ndarray]:
-    """Draw t i.i.d. subsets of fixed size, each given by its support.
+    """``t`` subsets of ``m`` i.i.d. examples from ``weights``, labeled by
+    ``concept_row``, each reduced to the examples its summary reads.
 
-    One multinomial draw of ``per_subset`` examples per subset is equal in
-    distribution to drawing ``t * per_subset`` examples and partitioning
-    them round-robin, without shuffling the combined sample. A subset's
-    summary depends only on which (point, label) pairs it holds, not on
-    how often, so each subset is handed over as its distinct points, each
-    once, labeled by ``concept_row``. Returns one dataset of every
-    subset's support and the subset id of each of its examples, the form
-    the learners' ``subset_ids`` hook takes; they then give the same trace
-    as on the full draw, which is never materialised.
+    The law. Relabeled, the target's 1-points are the root path ``P`` of a
+    proper node, and every example is realizable. Let ``d`` be the deepest
+    point of ``P`` a subset holds. With ``T_j`` the weight of the points of
+    ``P`` deeper than ``p_j``, ``d`` is ``p_j`` or shallower (or absent)
+    exactly when no draw falls on those deeper points: probability
+    ``(1 - T_j) ** m``. So one inverse-CDF uniform per subset draws ``d``.
+    No 0-label lies at or above ``d``, so :func:`~vc1learn.tree.forced_nodes`
+    gives "none" without ``d`` and ``d`` at a proper ``d``. At an improper
+    ``d`` the summary also reads which label-0 codes of ``d``'s tour
+    interval the subset holds. Given ``d``, the ``m`` draws fall on the
+    points not deeper on ``P``, at least one on ``d``: the first hit on
+    ``d`` is a geometric truncated to ``[1, m]``, each later draw misses
+    ``d`` by a binomial, and the misses spread by a multinomial over those
+    codes plus one cell for everything else. That is one vectorised draw
+    per distinct improper ``d``, costing ``d``'s subtree, not the domain.
+
+    Returns what the learners' ``subset_ids`` hook takes: per subset, one
+    example at ``d`` (relabeled 0 for "none") plus the 0-points drawn
+    under an improper ``d``, and each example's subset id. Any point of a
+    code serves, as the learners read only codes, so the summaries are
+    the drawn ones. The draws: ``t`` uniforms, then per improper ``d`` in
+    path order its uniforms, binomials and multinomials.
     """
-    counts = rng.multinomial(per_subset, dist.weights, size=t)
-    rows, pts = np.nonzero(counts)
-    return Dataset(pts, concept_row[pts]), rows
+    tree = ctx.tree
+    k = len(tree.tour)
+    codes = np.where(concept_row, ctx.tour_code[1], ctx.tour_code[0])
+    mass = np.bincount(codes, weights=weights, minlength=2 * k + 2)
+    zeros = mass[: k + 1]  # label 0, by tour position, then off the tree
+    path = np.flatnonzero(mass[k + 1 : 2 * k + 1])  # P's drawable points, in depth order
+    # kept[j]: the mass off the path points deeper than the j-th (j = 0: all of them)
+    kept = zeros.sum() + np.concatenate(([0.0], mass[k + 1 + path].cumsum()))
+    depth_index = np.searchsorted((kept / kept[-1]) ** m, rng.random(t), side="right")
+    point_of = np.zeros(2 * k + 2, dtype=np.int64)
+    point_of[codes] = np.arange(len(codes))  # some point of each code
+    # a relabeled 0 stands for "none", which kept[0] > 0 allows only when one exists
+    heads = np.concatenate(([np.argmax(codes <= k)], point_of[k + 1 + path]))
+    points, ids = [heads[depth_index]], [np.arange(t)]
+    improper = np.flatnonzero(~tree.proper_mask[tree.tour[path]]) + 1
+    for j in np.intersect1d(improper, depth_index):
+        pos = path[j - 1]
+        cells = pos + 1 + np.flatnonzero(zeros[pos + 1 : tree.tout[tree.tour[pos]]])
+        if not len(cells):
+            continue
+        rows = np.flatnonzero(depth_index == j)
+        miss = kept[j - 1] / kept[j]  # a kept draw's chance to miss d, in (0, 1)
+        log_miss = np.log(miss)
+        first = np.ceil(np.log1p(rng.random(len(rows)) * np.expm1(m * log_miss)) / log_miss)
+        first = np.clip(first, 1, m).astype(np.int64)
+        misses = first - 1 + rng.binomial(m - first, miss)
+        pvals = np.append(zeros[cells], 0.0) / kept[j - 1]  # the last cell takes the rest
+        hit_row, hit_cell = np.nonzero(rng.multinomial(misses, pvals)[:, :-1])
+        points.append(point_of[cells[hit_cell]])
+        ids.append(rows[hit_row])
+    points = np.concatenate(points)
+    return Dataset(points, concept_row[points]), np.concatenate(ids)
 
 
 def run_experiment(
@@ -127,7 +171,9 @@ def run_experiment(
         start = time.perf_counter()
         ids = stage2 = None
         if config.n_override is None:
-            data, ids = _sample_subsets(cls.row(c_idx), dist, budget.t, budget.per_subset, trng)
+            data, ids = _draw_subsets(
+                ctx, cls.row(c_idx), dist.weights, budget.t, budget.per_subset, trng
+            )
             n_used = budget.N1
             if config.mode == "proper":
                 stage2 = sample_dataset(cls, c_star, dist, budget.N2, trng)

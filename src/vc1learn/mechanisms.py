@@ -220,13 +220,17 @@ def _choosing_rows(
 
 def choosing_utility_bound(k: int, n: int, privacy: PrivacyParams, beta: float) -> float:
     """``(16 / eps) * ln(4 k max(n, 1) / (beta eps delta))``: the score gap
-    :func:`choosing_mechanism` guarantees with probability 1 - beta, for any eps > 0."""
+    :func:`choosing_mechanism` guarantees with probability 1 - beta, for any
+    eps > 0. A bound that is not finite raises ``ValueError``."""
     if k < 1 or privacy.epsilon <= 0 or privacy.delta <= 0 or not 0 < beta < 1:
         raise ValueError("the bound needs k >= 1, eps > 0, delta > 0 and beta in (0, 1)")
     try:
-        return (16.0 / privacy.epsilon) * _gate_log(k, n, privacy, beta)
+        bound = (16.0 / privacy.epsilon) * _gate_log(k, n, privacy, beta)
     except (OverflowError, ZeroDivisionError):
-        raise ValueError("the bound's log term overflows at these parameters") from None
+        bound = math.inf
+    if not math.isfinite(bound):
+        raise ValueError("the bound or its log term overflows at these parameters")
+    return bound
 
 
 def private_median(

@@ -22,6 +22,7 @@ from vc1learn import (
     generate_class,
     improper_learn,
     make_rng,
+    modified_example_class,
     prepare_context,
     proper_learn,
     random_tree_class,
@@ -29,7 +30,7 @@ from vc1learn import (
     thresholds_class,
     write_report_csv,
 )
-from vc1learn import experiments
+from vc1learn import experiments, learners
 from vc1learn.audit_scenarios import (
     choosing_scenario,
     exponential_mechanism_scenario,
@@ -39,7 +40,7 @@ from vc1learn.audit_scenarios import (
     randomized_response_scenario,
 )
 from vc1learn.cli import main
-from vc1learn.experiments import _sample_subsets, config_from_json, config_to_json
+from vc1learn.experiments import _draw_subsets, config_from_json, config_to_json
 from vc1learn.io import load_class, load_dataset, save_class, save_dataset
 
 PARAMS = LearnParams(alpha=0.25, beta=0.25, privacy=PrivacyParams(1.0, 1e-5))
@@ -94,36 +95,68 @@ def test_run_experiment_budgeted_path():
     assert all(r.error_d <= 0.5 for r in rows)
 
 
+def _sample_subsets(concept_row, weights, t, m, rng):
+    """The reference sampler: ``t`` subsets of ``m`` i.i.d. draws by one
+    multinomial each, handed over as their supports (each held point once)."""
+    counts = rng.multinomial(m, weights, size=t)
+    rows, pts = np.nonzero(counts)
+    return Dataset(pts, concept_row[pts]), rows
+
+
+def _summaries(ctx, data, ids, t):
+    return learners._subset_summaries(ctx, learners._codes(learners._examples(ctx, data)), ids, t)
+
+
+def _reduced_support(ctx, concept_row, data, ids):
+    """Each subset of a support as :func:`_draw_subsets` hands it over: one
+    held point at ``d``, the deepest held relabeled 1 (any held point when
+    there is none), plus the held label-0 points under an improper ``d``."""
+    tree, k = ctx.tree, len(ctx.tree.tour)
+    codes = np.where(concept_row, ctx.tour_code[1], ctx.tour_code[0]).astype(np.int64)
+    points, owners = [], []
+    for i in range(int(ids.max()) + 1):
+        held = data.points[ids == i]
+        d = held[np.argmax(codes[held])]  # label-1 codes exceed k, the deepest most
+        keep = [d]
+        if codes[d] > k and not tree.proper_mask[tree.tour[codes[d] - k - 1]]:
+            pos = codes[d] - k - 1
+            keep += held[(codes[held] > pos) & (codes[held] < tree.tout[tree.tour[pos]])].tolist()
+        points += keep
+        owners += [i] * len(keep)
+    points = np.array(points)
+    return Dataset(points, concept_row[points]), np.array(owners)
+
+
 def test_support_subsets_give_the_full_draws_traces():
-    # each subset handed over as its support, against the full multinomial
-    # draw expanded with np.repeat: same draws, same traces
+    # the reduced support of a full multinomial draw, as _draw_subsets
+    # hands it over, against the full draw expanded with np.repeat: same
+    # summaries, same traces
     cls = random_tree_class(24, max_children=2, concept_rate=0.4, seed=7)
     ctx = prepare_context(cls)
     depth = ctx.depth_vec[ctx.point_map]
-    dist = Distribution(0.5**depth / (0.5**depth).sum())
+    weights = 0.5**depth / (0.5**depth).sum()
     t, per_subset = 25, 40
-    for seed in range(6):
-        row = cls.matrix[seed % len(cls.concepts)].astype(np.uint8)
-        support, support_ids = _sample_subsets(row, dist, t, per_subset, make_rng(seed))
-        counts = make_rng(seed).multinomial(per_subset, dist.weights, size=t)
+    improper_d = 0
+    for seed in range(12):
+        row = cls.row(seed % len(cls.concepts))
+        support, support_ids = _sample_subsets(row, weights, t, per_subset, make_rng(seed))
+        counts = make_rng(seed).multinomial(per_subset, weights, size=t)
         full_ids = np.repeat(np.arange(t), per_subset)
         pts = np.concatenate([np.repeat(np.arange(cls.domain_size), c) for c in counts])
         full = Dataset(pts, row[pts])
-        assert support_ids.max() == t - 1
-        for i in range(t):
-            s = support.points[support_ids == i]
-            f = full.points[full_ids == i]
-            assert len(f) == per_subset and len(s) < per_subset
-            # distinct points in ascending order, labeled by the concept
-            assert s.tolist() == sorted(set(f.tolist()))
-        assert np.array_equal(support.labels, row[support.points])
+        reduced, reduced_ids = _reduced_support(ctx, row, support, support_ids)
+        assert np.bincount(reduced_ids).min() >= 1
+        improper_d += int((np.bincount(reduced_ids) > 1).sum())
+        assert np.array_equal(
+            _summaries(ctx, reduced, reduced_ids, t), _summaries(ctx, full, full_ids, t)
+        )
         for greedy in (False, True):
             a, b = (
                 improper_learn(
                     cls, data, PARAMS, make_rng(100 + seed), context=ctx,
                     subset_ids=ids, greedy=greedy,
                 )
-                for data, ids in ((support, support_ids), (full, full_ids))
+                for data, ids in ((reduced, reduced_ids), (full, full_ids))
             )
             assert a.to_json() == b.to_json()
         stage2 = Dataset(np.arange(cls.domain_size), row)
@@ -132,9 +165,63 @@ def test_support_subsets_give_the_full_draws_traces():
                 cls, data, PARAMS, make_rng(200 + seed), context=ctx,
                 subset_ids=ids, stage2=stage2,
             )
-            for data, ids in ((support, support_ids), (full, full_ids))
+            for data, ids in ((reduced, reduced_ids), (full, full_ids))
         )
         assert a.to_json() == b.to_json()
+    assert improper_d > 0  # some subsets kept 0-points under an improper d
+
+
+def _law_p(ctx, row, weights, m, key, t=20_000):
+    """The chi-squared p of :func:`_draw_subsets`' summaries against the
+    reference sampler's, ``t`` subsets each, on streams keyed by ``key``.
+    Summaries of under 10 subsets in all share one cell. A p under 0.01 is
+    drawn once more on fresh streams: a right law then fails a case with
+    probability 1e-4, where one 0.01 test per case would fail some case of
+    82 about half the time; a wrong law at these sizes reads far below it
+    twice."""
+    from scipy.stats import chi2_contingency
+
+    for attempt in (0, 1):
+        a = _summaries(ctx, *_draw_subsets(ctx, row, weights, t, m, make_rng([*key, attempt, 0])), t)
+        b = _summaries(ctx, *_sample_subsets(row, weights, t, m, make_rng([*key, attempt, 1])), t)
+        values, cell = np.unique(np.concatenate([a, b]), return_inverse=True)
+        table = np.stack([np.bincount(cell[:t], minlength=len(values)),
+                          np.bincount(cell[t:], minlength=len(values))])
+        rare = table.sum(axis=0) < 10
+        table = np.column_stack([table[:, ~rare], table[:, rare].sum(axis=1)])
+        table = table[:, table.sum(axis=0) > 0]
+        p = chi2_contingency(table, correction=False)[1] if table.shape[1] > 1 else 1.0
+        if p >= 0.01:
+            break
+    return p
+
+
+def test_drawn_subset_summaries_follow_the_multinomial_law():
+    # 42 cases with Dirichlet weights: thresholds(16), both example classes
+    # and four random trees, three targets and weightings each, m = 3 and 12
+    classes = [thresholds_class(16), example_class(), modified_example_class()]
+    classes += [random_tree_class(20, 3, 0.5, seed=s) for s in range(4)]
+    ps = []
+    for ci, cls in enumerate(classes):
+        ctx = prepare_context(cls)
+        for case in range(3):
+            rng = make_rng([ci, case])
+            weights = rng.dirichlet(np.ones(cls.domain_size))
+            row = cls.row(int(rng.integers(len(cls))))
+            ps += [_law_p(ctx, row, weights, m, (1, ci, case, m)) for m in (3, 12)]
+    # 40 cases on random trees of 30 points at concept rate 0.2, each at a
+    # target whose path holds an improper point, with 8 times the weight there
+    for s in range(20):
+        cls = random_tree_class(30, 3, 0.2, seed=s)
+        ctx = prepare_context(cls)
+        improper = ~ctx.tree.proper_mask[ctx.point_map]
+        paths = [cls.row(c) ^ ctx.f_row.astype(bool) for c in range(len(cls))]
+        targets = [c for c, path in enumerate(paths) if (path & improper).any()]
+        c = targets[int(make_rng([2, s]).integers(len(targets)))]
+        weights = np.where(paths[c] & improper, 8.0, 1.0)
+        weights /= weights.sum()
+        ps += [_law_p(ctx, cls.row(c), weights, m, (3, s, m)) for m in (3, 12)]
+    assert len(ps) == 82 and min(ps) >= 0.01, sorted(ps)[:3]
 
 
 def test_run_experiment_reuses_the_class_and_checks_the_context():
@@ -151,7 +238,7 @@ def test_run_experiment_validates_before_sampling(monkeypatch):
     def no_draw(*args, **kwargs):
         raise AssertionError("sampled before validating")
 
-    monkeypatch.setattr(experiments, "_sample_subsets", no_draw)
+    monkeypatch.setattr(experiments, "_draw_subsets", no_draw)
     monkeypatch.setattr(experiments, "sample_dataset", no_draw)
     hot = LearnParams(alpha=0.25, beta=0.25, privacy=PrivacyParams(2.5, 1e-5))
     other = prepare_context(generate_class(GeneratorSpec("random_tree", n=10, seed=5)))

@@ -245,6 +245,9 @@ def test_sizing_functions_refuse_an_eps_too_small_for_a_finite_size():
     # size is infinite: ValueError, not ZeroDivisionError or OverflowError
     with pytest.raises(ValueError, match="log term overflows"):
         choosing_utility_bound(1, 1, PrivacyParams(1e-320, 1e-5), 0.1)
+    # at eps 1e-310 the log term is finite but 16 / eps is not
+    with pytest.raises(ValueError, match="bound or its log term overflows"):
+        choosing_utility_bound(1, 1, PrivacyParams(1e-310, 1e-5), 0.1)
     with pytest.raises(ValueError, match="sample size overflows"):
         required_median_size(3, 0.25, 0.1, PrivacyParams(1e-320))
 
