@@ -122,8 +122,10 @@ def sample_budget(params: LearnParams, tree_depth_bound: int) -> SampleBudget:
     selection gate requirement ``(16 / eps) * ln(4 t / (beta eps delta))``
     of :func:`choosing_utility_bound`, the latter solved by iterating the
     max to its fixed point. ``N1 = t * per_subset`` and
-    ``N2 = (ln(1/alpha) + ln(1/beta)) / (alpha^2 eps)``; a size that
-    overflows raises ``ValueError``. Results are memoised.
+    ``N2 = (ln(1/alpha) + ln(1/beta)) / (alpha^2 eps)``. A size that
+    overflows or is infinite raises ``ValueError``: the parameters are
+    checked, so the sizing functions' own ``ValueError`` means one, as at
+    delta 0, whose gate log is infinite. Results are memoised.
     """
     if tree_depth_bound < 0:
         raise ValueError("tree_depth_bound must be nonnegative")
@@ -144,7 +146,7 @@ def sample_budget(params: LearnParams, tree_depth_bound: int) -> SampleBudget:
             (math.log(1.0 / params.alpha) + math.log(1.0 / params.beta))
             / (params.alpha**2 * priv.epsilon)
         )
-    except (OverflowError, ZeroDivisionError):
+    except (OverflowError, ZeroDivisionError, ValueError):
         raise ValueError("the sample sizes overflow at these parameters") from None
     return SampleBudget(
         t=t,

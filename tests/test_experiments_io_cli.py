@@ -12,7 +12,6 @@ import pytest
 from vc1learn import (
     ConceptClass,
     Dataset,
-    Distribution,
     ExperimentConfig,
     GeneratorSpec,
     LearnParams,
@@ -137,7 +136,7 @@ def test_support_subsets_give_the_full_draws_traces():
     weights = 0.5**depth / (0.5**depth).sum()
     t, per_subset = 25, 40
     improper_d = 0
-    for seed in range(12):
+    for seed in range(6):
         row = cls.row(seed % len(cls.concepts))
         support, support_ids = _sample_subsets(row, weights, t, per_subset, make_rng(seed))
         counts = make_rng(seed).multinomial(per_subset, weights, size=t)
