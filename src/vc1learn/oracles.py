@@ -292,7 +292,18 @@ def _direction_bound(
     outcomes: Sequence[Hashable],
     tail: float,
 ) -> float:
-    """Best confident lower bound on the privacy loss from A toward B."""
+    """Best confident lower bound on the privacy loss from A toward B.
+
+    A prefix event whose counts differ by at most ``delta * trials``
+    (``cum_a - cum_b <= delta * trials``) is skipped before either
+    Clopper-Pearson bound is taken. The lower bound never exceeds
+    ``cum_a / trials`` and the upper bound is never below ``cum_b /
+    trials``, so such an event's ratio ``(lower - delta) / upper`` is at
+    most 1 and its log-ratio at most 0, which :func:`dp_audit`'s
+    ``max(0.0, ...)`` discards anyway. The skip leaves every estimate as
+    it was, and an audit whose sides never differ by more than that takes
+    no bound at all.
+    """
     ranked = sorted(
         outcomes,
         key=lambda o: (counts_a[o] + 1e-9) / (counts_b[o] + 1e-9),
@@ -304,6 +315,8 @@ def _direction_bound(
     for o in ranked:
         cum_a += counts_a[o]
         cum_b += counts_b[o]
+        if cum_a - cum_b <= delta * trials:
+            continue
         numer = _clopper_pearson(cum_a, trials, tail, upper=False) - delta
         if numer <= 0:
             continue
@@ -352,7 +365,12 @@ def dp_audit(
     (Bonferroni-corrected across the tested events). The result refutes a
     claimed budget only when it exceeds the claimed epsilon; it can never
     certify privacy. Real-valued outcomes are discretized into
-    ``AUDIT_BINS`` quantile bins first.
+    ``AUDIT_BINS`` quantile bins first. Bounds are taken only for events
+    whose count on one side exceeds the other's by more than ``delta *
+    trials``; the rest cannot raise the estimate. So ``scipy.special``,
+    where the bounds come from, is imported only when some event's count
+    gap exceeds that, and an audit whose sides give the same counts
+    imports neither it nor ``scipy.stats``.
 
     The mechanism is batched: ``mechanism(data, rng, k)`` returns ``k``
     independent outcomes, a sequence or a 1-d array, and is asked for at

@@ -363,6 +363,28 @@ def test_dp_audit_leaves_scipy_stats_out():
     assert out.stdout.split() == ["True", "False"]
 
 
+def test_blind_dp_audit_imports_no_scipy_special():
+    # no event's count gap exceeds delta * trials, so no bound is taken
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = (
+        "import sys; sys.path.insert(0, sys.argv[1]); import numpy as np; "
+        "import vc1learn as v; from vc1learn.audit_scenarios import improper_learner_scenario; "
+        "d0 = v.Dataset.from_pairs([(0, 0)]); d1 = v.Dataset.from_pairs([(0, 1)]); "
+        "print(v.dp_audit(v.repeated(lambda data, r: 0), d0, d1, 2000, 0.0, "
+        "np.random.default_rng(0))); "
+        "mech, d_a, d_b, claimed = improper_learner_scenario(1.0, 1e-5, n=30); "
+        "print(v.dp_audit(mech, d_a, d_b, 2000, claimed.delta, np.random.default_rng(1))); "
+        "print('scipy.special' in sys.modules, 'scipy.stats' in sys.modules)"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code, str(src)],
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert out.stdout.split() == ["0.0", "0.0", "False", "False"]
+
+
 def test_dataset_csv_round_trip(tmp_path):
     data = Dataset.from_pairs([(0, 1), (3, 0), (3, 1)])
     path = tmp_path / "d.csv"

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import beta
 
 from vc1learn import (
@@ -41,6 +43,7 @@ from vc1learn.audit_scenarios import (
     randomized_response_scenario,
     unrealizable_neighbour_scenario,
 )
+from vc1learn import oracles
 from vc1learn.oracles import AUDIT_BATCH, _clopper_pearson
 
 
@@ -198,6 +201,144 @@ def test_clopper_pearson_equals_scipy_stats_beta_ppf():
                 )
                 got = tuple(_clopper_pearson(successes, trials, tail, up) for up in (False, True))
                 assert got == (float(lo), float(hi)), (successes, trials, m)
+
+
+def test_clopper_pearson_bounds_bracket_the_observed_rate():
+    # dp_audit skips an event whose count gap is at most delta * trials,
+    # on the strength of lower <= successes / trials <= upper
+    for trials in (1, 2, 3, 10, 64, 1000, 10**5, 10**6):
+        for successes in sorted({0, 1, trials // 2, trials - 1, trials}):
+            for m in (1, 2, 3, 7, 16, 64, 100, 130):
+                tail = 0.01 / (4 * m)
+                lo, hi = (_clopper_pearson(successes, trials, tail, up) for up in (False, True))
+                assert lo <= successes / trials <= hi, (successes, trials, m)
+
+
+def _unskipped_direction_bound(counts_a, counts_b, trials, delta, outcomes, tail):
+    """``_direction_bound`` as it was before it skipped events, as a reference."""
+    ranked = sorted(
+        outcomes,
+        key=lambda o: (counts_a[o] + 1e-9) / (counts_b[o] + 1e-9),
+        reverse=True,
+    )
+    best = -math.inf
+    cum_a = 0
+    cum_b = 0
+    for o in ranked:
+        cum_a += counts_a[o]
+        cum_b += counts_b[o]
+        numer = _clopper_pearson(cum_a, trials, tail, upper=False) - delta
+        if numer <= 0:
+            continue
+        q_hi = _clopper_pearson(cum_b, trials, tail, upper=True)
+        best = max(best, math.log(numer / max(q_hi, 1e-300)))
+    return best
+
+
+_SIDE_A = Dataset.from_pairs([(0, 0)])
+_SIDE_B = Dataset.from_pairs([(0, 1)])
+
+
+def _replay(counts_a, counts_b):
+    """A mechanism that returns each side's outcomes in turn, ``counts[i]`` of outcome i."""
+    sides = [[o for o, c in enumerate(counts) for _ in range(c)] for counts in (counts_a, counts_b)]
+    served = [0, 0]
+
+    def mechanism(data, rng, k):
+        side = int(data.labels[0])
+        start = served[side]
+        served[side] += k
+        return sides[side][start : start + k]
+
+    return mechanism
+
+
+def _audit_and_reference(make_mechanism, trials, delta, seed=0):
+    """``dp_audit`` as shipped and with the unskipped reference bound, at one seed."""
+    got = dp_audit(make_mechanism(), _SIDE_A, _SIDE_B, trials, delta, make_rng(seed))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(oracles, "_direction_bound", _unskipped_direction_bound)
+        want = dp_audit(make_mechanism(), _SIDE_A, _SIDE_B, trials, delta, make_rng(seed))
+    return got, want
+
+
+def _topped_up(counts, trials):
+    """``counts`` with its last outcome raised so that they sum to ``trials``."""
+    return counts[:-1] + [counts[-1] + trials - sum(counts)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    counts=st.integers(1, 64).flatmap(
+        lambda m: st.lists(st.lists(st.integers(0, 300), min_size=m, max_size=m),
+                           min_size=2, max_size=2)
+    ),
+    delta=st.sampled_from([0.0, 1e-5, 1e-3, 0.01, 0.05]) | st.floats(0.0, 0.5),
+)
+def test_dp_audit_skips_no_event_that_could_raise_its_estimate(counts, delta):
+    trials = max(1, *map(sum, counts))
+    counts_a, counts_b = (_topped_up(c, trials) for c in counts)
+    got, want = _audit_and_reference(lambda: _replay(counts_a, counts_b), trials, delta)
+    assert got == want
+
+
+def test_dp_audit_estimates_equal_the_unskipped_reference():
+    rng = make_rng(30)
+    tilt = rng.dirichlet(np.ones(64))
+    many_a = rng.multinomial(20_000, tilt).tolist()
+    many_b = rng.multinomial(20_000, (tilt + 1 / 64) / 2).tolist()
+    # (counts_a, counts_b, delta, informative): the estimate is then positive
+    cases = [
+        # gaps of floor(delta * trials) and one more, at 12.5 and exactly 10
+        ([512, 488], [500, 500], 0.0125, False),
+        ([513, 487], [500, 500], 0.0125, False),
+        ([510, 490], [500, 500], 0.01, False),
+        ([511, 489], [500, 500], 0.01, False),
+        ([1, 99_999], [0, 100_000], 1e-5, False),
+        ([2, 99_998], [0, 100_000], 1e-5, False),
+        # delta 0: equal counts, then randomized response's rates
+        ([5_000, 5_000], [5_000, 5_000], 0.0, False),
+        ([7_311, 2_689], [2_689, 7_311], 0.0, True),
+        ([7_311, 2_689], [2_689, 7_311], 1e-5, True),
+        # one outcome
+        ([1_000], [1_000], 0.0, False),
+        ([1_000], [1_000], 1e-5, False),
+        # 64 outcomes
+        (many_a, many_b, 0.0, True),
+        (many_a, many_b, 1e-3, True),
+        (many_a, many_a, 0.0, False),
+    ]
+    for counts_a, counts_b, delta, informative in cases:
+        trials = sum(counts_a)
+        got, want = _audit_and_reference(lambda: _replay(counts_a, counts_b), trials, delta)
+        assert got == want and (want > 0) == informative, (counts_a[:2], counts_b[:2], delta)
+    # binned float outcomes, one side shifted by one
+    shifted = lambda: lambda data, r, k: float(data.labels[0]) + r.laplace(size=k)
+    got, want = _audit_and_reference(shifted, 20_000, 1e-5, seed=31)
+    assert got == want > 0
+
+
+def test_dp_audit_pins_its_estimates_at_20000_trials():
+    # recorded before dp_audit skipped the events that cannot raise it
+    expected = {
+        "rr": 0.9653908093435718,
+        "improper": 0.0,
+        "laplace": 0.9390703866346422,
+        "em": 0.47737583714357723,
+        "choosing": 0.0,
+        "median": 0.4763498644985802,
+    }
+    scenarios = {
+        "rr": randomized_response_scenario(1.0),
+        "improper": improper_learner_scenario(epsilon=1.0, delta=1e-5, n=30),
+        "laplace": laplace_scenario(1.0),
+        "em": exponential_mechanism_scenario(1.0),
+        "choosing": choosing_scenario(1.0, 1e-6),
+        "median": median_scenario(1.0),
+    }
+    for idx, (name, (mech, d_a, d_b, claimed)) in enumerate(scenarios.items()):
+        est = dp_audit(mech, d_a, d_b, 20_000, claimed.delta, make_rng(9300 + idx))
+        assert est == expected[name], name
 
 
 def test_dp_audit_validates_trials(rng):
