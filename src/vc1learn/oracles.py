@@ -294,15 +294,13 @@ def _direction_bound(
 ) -> float:
     """Best confident lower bound on the privacy loss from A toward B.
 
-    A prefix event whose counts differ by at most ``delta * trials``
-    (``cum_a - cum_b <= delta * trials``) is skipped before either
-    Clopper-Pearson bound is taken. The lower bound never exceeds
-    ``cum_a / trials`` and the upper bound is never below ``cum_b /
-    trials``, so such an event's ratio ``(lower - delta) / upper`` is at
-    most 1 and its log-ratio at most 0, which :func:`dp_audit`'s
-    ``max(0.0, ...)`` discards anyway. The skip leaves every estimate as
-    it was, and an audit whose sides never differ by more than that takes
-    no bound at all.
+    A prefix event with ``cum_a - cum_b <= delta * trials`` is skipped
+    before either Clopper-Pearson bound is taken: the lower bound never
+    exceeds ``cum_a / trials`` and the upper bound is never below
+    ``cum_b / trials``, so its ``(lower - delta) / upper`` is at most 1
+    and its log-ratio at most 0, which :func:`dp_audit` clamps to 0
+    anyway. Skipped events still count in ``tail``'s Bonferroni
+    correction, so the skip changes no estimate.
     """
     ranked = sorted(
         outcomes,
@@ -365,12 +363,12 @@ def dp_audit(
     (Bonferroni-corrected across the tested events). The result refutes a
     claimed budget only when it exceeds the claimed epsilon; it can never
     certify privacy. Real-valued outcomes are discretized into
-    ``AUDIT_BINS`` quantile bins first. Bounds are taken only for events
-    whose count on one side exceeds the other's by more than ``delta *
-    trials``; the rest cannot raise the estimate. So ``scipy.special``,
-    where the bounds come from, is imported only when some event's count
-    gap exceeds that, and an audit whose sides give the same counts
-    imports neither it nor ``scipy.stats``.
+    ``AUDIT_BINS`` quantile bins first. Only an event whose count on one
+    side exceeds the other's by more than ``delta * trials`` can raise
+    the estimate, so only such events are bounded, and ``scipy.special``,
+    where the bounds come from, is imported only when some event's gap
+    exceeds that. An audit whose two sides give the same counts imports
+    neither it nor ``scipy.stats``.
 
     The mechanism is batched: ``mechanism(data, rng, k)`` returns ``k``
     independent outcomes, a sequence or a 1-d array, and is asked for at

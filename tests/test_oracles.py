@@ -215,7 +215,7 @@ def test_clopper_pearson_bounds_bracket_the_observed_rate():
 
 
 def _unskipped_direction_bound(counts_a, counts_b, trials, delta, outcomes, tail):
-    """``_direction_bound`` as it was before it skipped events, as a reference."""
+    """``_direction_bound`` without its event skip: the reference the skip must match."""
     ranked = sorted(
         outcomes,
         key=lambda o: (counts_a[o] + 1e-9) / (counts_b[o] + 1e-9),
@@ -270,8 +270,9 @@ def _topped_up(counts, trials):
 @settings(max_examples=150, deadline=None)
 @given(
     counts=st.integers(1, 64).flatmap(
-        lambda m: st.lists(st.lists(st.integers(0, 300), min_size=m, max_size=m),
-                           min_size=2, max_size=2)
+        lambda m: st.lists(
+            st.lists(st.integers(0, 300), min_size=m, max_size=m), min_size=2, max_size=2
+        )
     ),
     delta=st.sampled_from([0.0, 1e-5, 1e-3, 0.01, 0.05]) | st.floats(0.0, 0.5),
 )
@@ -319,7 +320,7 @@ def test_dp_audit_estimates_equal_the_unskipped_reference():
 
 
 def test_dp_audit_pins_its_estimates_at_20000_trials():
-    # recorded before dp_audit skipped the events that cannot raise it
+    # recorded with the unskipped direction bound, so that any drift fails
     expected = {
         "rr": 0.9653908093435718,
         "improper": 0.0,
