@@ -32,6 +32,11 @@ class NotRealizableError(ValueError):
     """A labeled dataset is inconsistent with every concept in the class."""
 
 
+def _is_point(p: object) -> bool:
+    """Whether ``p`` is an int or numpy integer; no casts, so 1.5, True or "2" is not."""
+    return isinstance(p, (int, np.integer)) and type(p) is not bool
+
+
 @dataclass(frozen=True)
 class Concept:
     """A single 0/1-valued function, stored as its set of 1-points."""
@@ -120,9 +125,6 @@ class Hypothesis:
     ones: frozenset[int]
     proper_index: int | None = None
 
-    def __call__(self, point: int) -> int:
-        return 1 if point in self.ones else 0
-
 
 class _LazyConcepts:
     """A class's concepts, built from its rows on access; sliceable and iterable."""
@@ -188,13 +190,13 @@ class ConceptClass:
         """The class with the given 1-sets of ints, ids ``c0, c1, ...`` by default."""
         if domain_size < 0:
             raise ValueError("domain_size must be nonnegative")
+        if ids is not None and len(ids) != len(ones_sets):
+            raise ValueError("one id per concept")
         m = np.zeros((len(ones_sets), domain_size), dtype=bool)
-        names = [ids[i] if ids else f"c{i}" for i in range(len(m))]
+        names = list(ids) if ids is not None else [f"c{i}" for i in range(len(m))]
         for i, ones in enumerate(ones_sets):
             ones = list(ones)
-            # no casts: 1.5, True or "2" is an error, not a point
-            ints = (isinstance(p, (int, np.integer)) and type(p) is not bool for p in ones)
-            if not all(ints):
+            if not all(map(_is_point, ones)):
                 raise ValueError(f"concept {names[i]!r} has non-integer points")
             if ones and (min(ones) < 0 or max(ones) >= domain_size):
                 raise ValueError(f"concept {names[i]!r} has points outside the domain")
@@ -225,12 +227,6 @@ class ConceptClass:
         return out | dict.fromkeys(np.flatnonzero(count == 0).tolist(), 0)
 
     @cached_property
-    def order_points(self) -> tuple[int, ...]:
-        """Non-constant points: the universe of the partial order."""
-        const = self.constant_labels
-        return tuple(p for p in range(self.domain_size) if p not in const)
-
-    @cached_property
     def concept_index(self) -> dict[bytes, int]:
         """First index of each distinct row, keyed by its :attr:`packed` bytes."""
         out: dict[bytes, int] = {}
@@ -241,8 +237,13 @@ class ConceptClass:
     def index_of(self, ones: Iterable[int]) -> int | None:
         """Index of the first concept whose 1-set is ``ones``, else None.
 
-        A set with a point off the domain, negative ones included, is no member.
+        A set with a point off the domain, negative ones included, is no
+        member, and so is one with a point that :meth:`from_ones` refuses
+        as no integer.
         """
+        ones = list(ones)
+        if not all(map(_is_point, ones)):
+            return None
         points = np.fromiter(ones, np.int64)
         if len(points) and (points.min() < 0 or points.max() >= self.domain_size):
             return None

@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import asdict, dataclass, fields
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -182,19 +183,10 @@ def run_experiment(
             n_used = config.n_override
             data = sample_dataset(cls, c_star, dist, n_used, trng)
         if config.mode == "improper":
-            trace = improper_learn(
-                cls, data, params, trng, context=ctx, subset_ids=ids
-            )
+            learn = improper_learn
         else:
-            trace = proper_learn(
-                cls,
-                data,
-                params,
-                trng,
-                context=ctx,
-                subset_ids=ids,
-                stage2=stage2,
-            )
+            learn = partial(proper_learn, stage2=stage2)
+        trace = learn(cls, data, params, trng, context=ctx, subset_ids=ids)
         elapsed_ms = (time.perf_counter() - start) * 1e3
 
         rows.append(

@@ -117,17 +117,10 @@ def modified_example_class() -> ConceptClass:
     Dropping it makes one interior tree node unrealized, which is the
     smallest instance where the proper learner's subtree descent matters.
     """
-    ones_sets = [
-        {0},
-        {1},
-        {2},
-        {0, 3},
-        {0, 4, 5},
-        {0, 4, 6},
-        set(),
-    ]
-    ids = ["h1", "h2", "h3", "h4", "h6", "h7", "h8"]
-    return ConceptClass.from_ones(7, ones_sets, ids, name="modified_example")
+    kept = [c for c in example_class().concepts if c.ones != {0, 4}]
+    return ConceptClass.from_ones(
+        7, [c.ones for c in kept], [c.id for c in kept], name="modified_example"
+    )
 
 
 # each generator kind: whether its spec needs n, and the class it builds

@@ -190,18 +190,6 @@ class LearnerContext:
         """The hypothesis of a run whose selection abstained: the root's."""
         return _back_transform(self, None)
 
-    @cached_property
-    def by_depth(self) -> tuple[np.ndarray, np.ndarray]:
-        """``(points, starts)``: the tree points by depth, ascending within a
-        depth, then a padding -1; depth ``z``'s are ``points[starts[z]:
-        starts[z + 1]]`` for ``z`` in [0, height + 1], none at height + 1."""
-        tree = self.tree
-        nodes = np.flatnonzero(tree.tin >= 0)
-        counts = np.bincount(tree.depth[nodes], minlength=tree.height + 2)
-        points = np.append(nodes[np.argsort(tree.depth[nodes], kind="stable")], -1)
-        points.flags.writeable = False
-        return points, np.concatenate(([0], counts.cumsum()))
-
     @property
     def depth_vec(self) -> np.ndarray:
         """``tree.depth``, under the name the benchmark workloads read."""
@@ -419,9 +407,12 @@ def _improper_runs(
     """The improper pipeline on :func:`_examples` for ``runs`` runs; hooks need ``runs`` 1.
 
     Returns arrays with a row per run: its subsets' deepest forced points
-    (-1 for none) and their depths, its median depth, its candidates (the
-    tree points at that depth, then at least one -1), their scores (0 for
-    the padding) and its chosen tree point (-1: abstained). Each run
+    (-1 for none) and their depths, its median depth, its candidate mask
+    over the domain (the tree points at that depth; none for a median off
+    [0, height]), every domain point's score (0 off the mask) and its
+    chosen tree point (-1: abstained). The selection reads a row's
+    positive scores in ascending point order, so the index it picks is
+    the point. Each run
     partitions the data afresh and spends (2 eps, 2 delta), so a batch is
     for audits that replay the learner, not for releasing several
     hypotheses about one sample. The draws are the runs' deals in run
@@ -431,7 +422,8 @@ def _improper_runs(
     the draws of the stage it bypasses. ``examples`` is only read.
     Working memory is ``runs`` presence matrices of the subset count times
     the tree size, twice over for two or more runs, and what :func:`_deal`
-    holds; with one example per subset, ``runs`` datasets.
+    holds; with one example per subset, ``runs`` datasets. The scores
+    and the mask add ``runs`` rows over the domain.
     """
     n = len(examples[2])
     if n == 0:
@@ -452,9 +444,8 @@ def _improper_runs(
     depths = np.where(deepest >= 0, tree.depth[deepest], 0)
     if force_median is not None:
         medians = np.full(runs, int(force_median))
-        z = medians if 0 <= force_median <= tree.height else np.full(runs, tree.height + 1)
     else:
-        medians = z = _median_rows(depths, tree.height, params.privacy.epsilon, rng)
+        medians = _median_rows(depths, tree.height, params.privacy.epsilon, rng)
 
     # a node's score counts the run's subsets whose forced path passes
     # through it: those whose deepest point lies in its tour interval
@@ -464,21 +455,14 @@ def _improper_runs(
         run_of * width + tree.tin[deepest[run_of, subset]] + 1, minlength=runs * width
     )
     before = counts.reshape(runs, width).cumsum(axis=1)
-    # candidates: the tree points at depth z (none at height + 1, for a
-    # median off [0, height]), then -1s, which score 0 and are pick -1's
-    points, starts = ctx.by_depth
-    lo, hi = starts[z], starts[z + 1]
-    slot = lo[:, None] + np.arange(int((hi - lo).max()) + 1)
-    cand = points[np.where(slot < hi[:, None], slot, -1)]
-    run = np.arange(runs)[:, None]
-    inside = before[run, tree.tout[cand]] - before[run, tree.tin[cand]]
-    scores = np.where(cand >= 0, inside, 0)
+    # the candidates are the tree points at the median depth; the rest score 0
+    candidates = (tree.depth == medians[:, None]) & (tree.tin >= 0)
+    scores = np.where(candidates, before[:, tree.tout] - before[:, tree.tin], 0)
     if greedy:
-        picks = np.where(scores.max(axis=1) > 0, scores.argmax(axis=1), -1)
+        chosen = np.where(scores.max(axis=1) > 0, scores.argmax(axis=1), -1)
     else:
-        picks = np.array(_choosing_rows(scores, 1, t, params.privacy, params.beta, rng))
-    chosen = cand[run[:, 0], picks]
-    return deepest, depths, medians, cand, scores, chosen
+        chosen = np.array(_choosing_rows(scores, 1, t, params.privacy, params.beta, rng))
+    return deepest, depths, medians, candidates, scores, chosen
 
 
 def _hypotheses(ctx: LearnerContext, picks: np.ndarray) -> list[Hypothesis]:
@@ -490,17 +474,17 @@ def _hypotheses(ctx: LearnerContext, picks: np.ndarray) -> list[Hypothesis]:
 
 def _trace(ctx: LearnerContext, batch: tuple[np.ndarray, ...]) -> ImproperTrace:
     """The trace of a one-run batch of :func:`_improper_runs`."""
-    (deepest,), (depths,), (z,), (padded,), (row,), (p,) = (a.tolist() for a in batch)
-    c = tuple(q for q in padded if q >= 0)
+    deepest, depths, z, candidates, scores, p = (a[0] for a in batch)
+    c = np.flatnonzero(candidates)
     return ImproperTrace(
         reference_concept=ctx.f,
         reference_index=ctx.f_index,
-        subset_depths=tuple(depths),
-        subset_deepest=tuple(q if q >= 0 else None for q in deepest),
-        median_depth=z,
-        candidates=c,
-        scores=tuple(row[: len(c)]),
-        chosen_point=p if p >= 0 else None,
+        subset_depths=tuple(depths.tolist()),
+        subset_deepest=tuple(q if q >= 0 else None for q in deepest.tolist()),
+        median_depth=int(z),
+        candidates=tuple(c.tolist()),
+        scores=tuple(scores[c].tolist()),
+        chosen_point=int(p) if p >= 0 else None,
         hypothesis=_hypotheses(ctx, batch[-1])[0],
     )
 

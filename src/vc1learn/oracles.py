@@ -13,7 +13,7 @@ import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Callable, Hashable, Sequence
 
 import numpy as np
@@ -153,32 +153,34 @@ def littlestone_dimension(cls: ConceptClass) -> int:
 
 
 def thresholds_dimension(cls: ConceptClass) -> int:
-    """Length of the longest threshold pattern, by backtracking search.
+    """Length of the longest threshold pattern, by memoised backtracking search.
 
     Searches for points x_1..x_k and concepts c_1..c_k with
-    ``c_i(x_j) = 1`` exactly when ``j >= i``.
+    ``c_i(x_j) = 1`` exactly when ``j >= i``, choosing c_1, x_1, c_2,
+    x_2, ... in turn. The memo is exact: what is left to choose depends
+    only on two masks, the points chosen so far, which every later
+    concept must avoid, and the points every chosen concept holds, where
+    every later point must lie. So each pair of masks is searched once.
     """
     _guard(cls, TD_SCALE_LIMIT)
     concept_masks = sorted(
         {sum(1 << p for p in c.ones) for c in cls.concepts}, reverse=True
     )
-    full = (1 << cls.domain_size) - 1
 
-    def dfs(prev_points: int, allowed: int, depth: int) -> int:
-        best = depth
+    @cache
+    def longest(chosen: int, allowed: int) -> int:
+        best = 0
         for cmask in concept_masks:
-            if cmask & prev_points:
+            if cmask & chosen:
                 continue
             frontier = allowed & cmask
             while frontier:
                 xbit = frontier & -frontier
                 frontier ^= xbit
-                best = max(
-                    best, dfs(prev_points | xbit, allowed & cmask, depth + 1)
-                )
+                best = max(best, 1 + longest(chosen | xbit, allowed & cmask))
         return best
 
-    return dfs(0, full, 0)
+    return longest(0, (1 << cls.domain_size) - 1)
 
 
 def floor_log2(value: int) -> int:

@@ -35,6 +35,11 @@ def represented_class(ctx) -> ConceptClass:
     return canonicalize(f_represent(ctx.base, ctx.f))[0]
 
 
+def order_points(cls: ConceptClass) -> list[int]:
+    """The class's non-constant points: the universe of the partial order."""
+    return [p for p in range(cls.domain_size) if p not in cls.constant_labels]
+
+
 def renamed_tree(tree, cols, n):
     """The arrays of ``tree`` with node ``i`` renamed ``cols[i]``, over ``n`` points."""
 

@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from vc1learn import (
     Concept,
     ConceptClass,
     Dataset,
+    Distribution,
     GeneratorSpec,
     canonicalize,
     comparable,
@@ -17,9 +19,13 @@ from vc1learn import (
     generate_class,
     is_canonical,
     leq,
+    make_rng,
+    sample_dataset,
     thresholds_class,
 )
 from vc1learn.generators import GENERATOR_KINDS
+
+from conftest import order_points
 
 X1, X2, X3, X4, X5, X6, X7 = range(7)
 
@@ -57,7 +63,7 @@ def test_canonicalize_flags_constant_points():
     cls = ConceptClass.from_ones(4, [{0, 3}, {1, 3}, {0, 1, 3}])
     canon, merge = canonicalize(cls)
     assert canon.constant_labels == {int(merge[2]): 0, int(merge[3]): 1}
-    assert set(canon.order_points) == {int(merge[0]), int(merge[1])}
+    assert set(order_points(canon)) == {int(merge[0]), int(merge[1])}
 
 
 def test_canonicalize_empty_class_errors():
@@ -178,6 +184,38 @@ def test_index_of_gives_first_member():
     assert cls.index_of({-1}) is None and cls.index_of({0, 3}) is None
 
 
+def test_index_of_finds_no_member_at_a_point_that_is_no_integer():
+    # by from_ones's rule: 1.5 and 4.9 once cast to 1 and 4, and True to 1
+    cls = example_class()
+    assert cls.index_of([1]) == 1 and cls.index_of([np.int64(0), 4]) == 4
+    for ones in ([1.5], [True], [0.0, 4.9], [np.float64(1)]):
+        assert cls.index_of(ones) is None
+    with pytest.raises(ValueError, match="labeling concept must belong to class"):
+        sample_dataset(cls, Concept(frozenset({0.5})), Distribution.uniform(7), 5, make_rng(0))
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: ConceptClass(np.zeros(3, dtype=bool), ["a"]), "matrix must be 2-d"),
+        (lambda: ConceptClass(np.zeros((2, 3), dtype=bool), ["a"]), "one id per concept"),
+        (lambda: ConceptClass(np.zeros((1, 3), dtype=bool), ["a", "b"]), "one id per concept"),
+        (lambda: ConceptClass.from_ones(-1, [set()]), "domain_size must be nonnegative"),
+        # the id count is checked before any id is read
+        (lambda: ConceptClass.from_ones(3, [{0}, {1}], ids=["a"]), "one id per concept"),
+        (lambda: Dataset(np.array([0, 1]), np.array([0])), "1-d arrays of equal length"),
+        (lambda: Dataset(np.zeros((2, 1), int), np.zeros((2, 1), int)), "1-d arrays"),
+        (lambda: leq(example_class(), 0, 7), "point 7 outside domain"),
+        (lambda: leq(example_class(), -1, 0), "point -1 outside domain"),
+    ],
+    ids=["matrix-1d", "ids-short", "ids-long", "negative-domain", "from-ones-ids",
+         "dataset-lengths", "dataset-2d", "order-point-past", "order-point-negative"],
+)
+def test_concept_inputs_are_refused(build, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        build()
+
+
 def test_leq_example_values(example_cls):
     # every concept containing x5 also contains x1, but not conversely
     assert leq(example_cls, X5, X1)
@@ -195,13 +233,13 @@ def test_leq_example_values(example_cls):
 def test_leq_rejects_constant_points():
     cls, _ = canonicalize(ConceptClass.from_ones(3, [{0, 2}, {1, 2}, {0, 1, 2}]))
     const = next(iter(cls.constant_labels))
-    live = cls.order_points[0]
+    live = order_points(cls)[0]
     with pytest.raises(ValueError, match="order universe"):
         leq(cls, const, live)
 
 
 def _order_matrix(cls):
-    pts = cls.order_points
+    pts = order_points(cls)
     return {
         (a, b): leq(cls, a, b) for a in pts for b in pts
     }
@@ -214,7 +252,7 @@ def test_leq_is_a_partial_order(which, example_cls, corpus):
         classes = [canonicalize(c)[0] for c in corpus if c.domain_size <= 16][:25]
     for cls in classes:
         rel = _order_matrix(cls)
-        pts = cls.order_points
+        pts = order_points(cls)
         for a in pts:
             assert rel[(a, a)]
             for b in pts:
@@ -230,7 +268,7 @@ def test_incomparable_points_share_no_concept(corpus):
     for cls in corpus[:40]:
         base, _ = canonicalize(cls)
         rep, _ = canonicalize(f_represent(base, base.concepts[0]))
-        pts = rep.order_points
+        pts = order_points(rep)
         if len(pts) > 24:
             continue
         m = rep.matrix
@@ -245,7 +283,7 @@ def test_upsets_are_chains(corpus):
     for cls in corpus[:40]:
         base, _ = canonicalize(cls)
         rep, _ = canonicalize(f_represent(base, base.concepts[0]))
-        pts = rep.order_points
+        pts = order_points(rep)
         if len(pts) > 24:
             continue
         for x in pts:

@@ -816,6 +816,7 @@ def test_cli_sweep_reports_integer_weights_as_floats(tmp_path):
 def test_experiment_config_rejects_bad_sizes_and_empty_weights(tmp_path, capsys):
     # checked when the config is built, before any class or data exists
     bad = (("n_override", 0), ("n_override", -3), ("weights", ()))
+    bad += (("mode", "both"), ("trials", 0))
     for key, value in bad:
         with pytest.raises(ValueError, match=key):
             small_config(**{key: value})

@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -191,6 +192,33 @@ def test_distribution_rejects_nan_weights():
     # rng.choice rejected them at the draw; the inverse-CDF draw does not look
     with pytest.raises(ValueError, match="sum to 1"):
         Distribution(np.array([0.5, np.nan, 0.5]))
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: thresholds_class(0), "n must be at least 1"),
+        (lambda: point_functions_class(0), "n must be at least 1"),
+        (lambda: random_tree_class(0), "n must be at least 1"),
+        (lambda: random_tree_class(5, max_children=0), "max_children must be at least 1"),
+        (lambda: random_tree_class(5, concept_rate=1.5), "concept_rate must be in [0, 1]"),
+        (lambda: random_tree_class(5, concept_rate=-0.1), "concept_rate must be in [0, 1]"),
+        (lambda: Distribution(np.full((2, 2), 0.25)), "weights must be a non-empty 1-d array"),
+        (lambda: Distribution(np.array([1.5, -0.5])), "weights must be nonnegative"),
+        (
+            lambda: sample_dataset(
+                example_class(), example_class().concepts[0], Distribution.uniform(6), 3,
+                make_rng(0),
+            ),
+            "distribution support must match the domain",
+        ),
+    ],
+    ids=["thresholds-n", "points-n", "random-tree-n", "max-children", "rate-high",
+         "rate-low", "weights-2d", "weights-negative", "support"],
+)
+def test_generator_inputs_are_refused(build, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        build()
 
 
 def test_sample_dataset_memory_is_bounded(rng):

@@ -84,6 +84,26 @@ def test_sample_budget_monotonicity():
     assert sample_budget(looser, 64).t < sample_budget(PARAMS, 64).t
 
 
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: LearnParams(0.0, 0.2, PARAMS.privacy), "alpha must be in (0, 1)"),
+        (lambda: LearnParams(1.0, 0.2, PARAMS.privacy), "alpha must be in (0, 1)"),
+        (lambda: LearnParams(math.nan, 0.2, PARAMS.privacy), "alpha must be in (0, 1)"),
+        (lambda: LearnParams(0.2, 0.0, PARAMS.privacy), "beta must be in (0, 1)"),
+        (lambda: LearnParams(0.2, 1.5, PARAMS.privacy), "beta must be in (0, 1)"),
+        (lambda: sample_budget(PARAMS, -1), "tree_depth_bound must be nonnegative"),
+        (lambda: prepare_context(example_class(), -1), "f_index out of range"),
+        (lambda: prepare_context(example_class(), 8), "f_index out of range"),
+    ],
+    ids=["alpha-0", "alpha-1", "alpha-nan", "beta-0", "beta-high", "negative-depth",
+         "f-index-negative", "f-index-past"],
+)
+def test_learner_inputs_are_refused(build, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        build()
+
+
 def partition(dataset: Dataset, t: int, rng: np.random.Generator) -> np.ndarray:
     """Shuffle and deal the dataset round-robin into ``t`` subsets, kept as the reference.
 

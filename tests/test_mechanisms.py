@@ -135,6 +135,11 @@ def test_choosing_mechanism_validates_parameters(rng):
         with pytest.raises(ValueError, match=re.escape(message)):
             choosing_mechanism(scores, k, n, priv, 0.1, rng)
         assert rng.bit_generator.state == state
+    for beta in (0.0, 1.0, math.nan):
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match=re.escape("beta must be in (0, 1)")):
+            choosing_mechanism({"a": 1}, 1, 10, ok, beta, rng)
+        assert rng.bit_generator.state == state
 
 
 def test_choosing_utility_bound_validates_parameters():
@@ -238,6 +243,11 @@ def test_required_median_size_shape():
     assert required_median_size(100, 0.5, 0.1, priv) <= base
     assert required_median_size(100, 1 / 3, 0.1, PrivacyParams(2.0, 0)) <= base
     assert required_median_size(100, 1 / 3, 0.1, priv) == base  # deterministic
+    with pytest.raises(ValueError, match="domain_max must be nonnegative"):
+        required_median_size(-1, 1 / 3, 0.1, priv)
+    for beta in (0.0, 1.0, math.nan):
+        with pytest.raises(ValueError, match=re.escape("beta must be in (0, 1)")):
+            required_median_size(100, 1 / 3, beta, priv)
 
 
 def test_sizing_functions_refuse_an_eps_too_small_for_a_finite_size():
@@ -423,6 +433,14 @@ def test_softmax_row_sums_match_one_dimensional_sums():
                 want = np.cumsum(row / row.sum())
                 want /= want[-1]
                 assert np.array_equal(got, want), (width, rows)
+
+
+def test_softmax_cdf_refuses_a_row_without_a_finite_maximum():
+    # as rng.choice does: a NaN or +inf logit, or only -inf ones
+    inf = math.inf
+    for bad in ([0.0, math.nan], [1.0, inf], [-inf, -inf]):
+        with pytest.raises(ValueError, match="probabilities contain NaN"):
+            _softmax_cdf(np.array([[0.0, 1.0], bad]))
 
 
 def test_softmax_draws_match_rng_choice():

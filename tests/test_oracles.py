@@ -25,6 +25,7 @@ from vc1learn import (
     littlestone_dimension,
     make_rng,
     make_tree,
+    modified_example_class,
     optimal_composition,
     point_functions_class,
     random_tree_class,
@@ -84,6 +85,41 @@ def test_thresholds_dimension_example(example_cls):
     assert td >= 3
     assert td >= make_tree(example_cls).height
     assert td == 3  # frozen from this oracle
+
+
+def thresholds_dimension_reference(cls):
+    """The literal backtracking search, with no memo."""
+    concept_masks = sorted({sum(1 << p for p in c.ones) for c in cls.concepts}, reverse=True)
+
+    def dfs(prev_points, allowed, depth):
+        best = depth
+        for cmask in concept_masks:
+            if cmask & prev_points:
+                continue
+            frontier = allowed & cmask
+            while frontier:
+                xbit = frontier & -frontier
+                frontier ^= xbit
+                best = max(best, dfs(prev_points | xbit, allowed & cmask, depth + 1))
+        return best
+
+    return dfs(0, (1 << cls.domain_size) - 1, 0)
+
+
+def test_thresholds_dimension_matches_the_literal_search(corpus):
+    # the corpus classes the literal search takes well under a second for
+    classes = [c for c in corpus if c.domain_size <= 12]
+    classes += [thresholds_class(k) for k in range(1, 13)]
+    classes += [point_functions_class(k) for k in (1, 5, 12)]
+    classes += [example_class(), modified_example_class(), powerset_class(4)]
+    classes += [random_tree_class(n, max_children=3, concept_rate=0.5, seed=n) for n in (6, 11)]
+    rng = make_rng(7)
+    for _ in range(60):  # dense random matrices, mostly of VC dimension 2 or more
+        n, m = (int(v) for v in rng.integers(1, (10, 14)))
+        classes.append(ConceptClass(rng.random((m, n)) < 0.5, [None] * m))
+    assert sum(vc_dimension(c) >= 2 for c in classes) >= 20
+    for cls in classes:
+        assert thresholds_dimension(cls) == thresholds_dimension_reference(cls)
 
 
 def test_thresholds_dimension_degenerate():

@@ -31,7 +31,7 @@ from vc1learn import (
 
 from vc1learn.tree import forced_nodes, presence_codes, root_path
 
-from conftest import renamed_tree
+from conftest import order_points, renamed_tree
 
 X1, X2, X3, X4, X5, X6, X7 = range(7)
 
@@ -70,8 +70,9 @@ def test_make_tree_depth_equals_strict_upper_bound_count(example_cls, corpus):
         if rep.domain_size > 20:
             continue
         tree = make_tree(rep)
-        for x in rep.order_points:
-            ups = [y for y in rep.order_points if y != x and leq(rep, x, y)]
+        pts = order_points(rep)
+        for x in pts:
+            ups = [y for y in pts if y != x and leq(rep, x, y)]
             assert tree.depth[x] == len(ups) + 1
 
 
@@ -247,6 +248,9 @@ def test_make_tree_rejects_branching_upsets():
         ConceptClass.from_ones(3, [set(), {0}, {1}, {0, 1, 2}]),
         # two points shattered (VC dimension 2), each without an upper bound
         ConceptClass.from_ones(2, [set(), {0}, {1}, {0, 1}]),
+        # a point for each of the eight columns three concepts can give:
+        # more points than a forest of root paths over four concepts holds
+        ConceptClass.from_ones(8, [set(), {1, 3, 5, 7}, {2, 3, 6, 7}, {4, 5, 6, 7}]),
     ):
         assert canonicalize(cls)[0] == cls
         with pytest.raises(ValueError, match="not VC-1 tree-structured"):
@@ -461,6 +465,8 @@ def test_deterministic_points_examples(example_cls):
 def test_deterministic_points_unrealizable(example_cls):
     with pytest.raises(NotRealizableError):
         deterministic_points(example_cls, Dataset.from_pairs([(X2, 1), (X3, 1)]))
+    with pytest.raises(ValueError, match="dataset point outside class domain"):
+        deterministic_points(example_cls, Dataset.from_pairs([(X2, 1), (7, 0)]))
 
 
 def test_deterministic_points_match_oracle_across_corpus(corpus, rng):

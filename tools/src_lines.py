@@ -4,6 +4,11 @@ Usage: ``python3 tools/src_lines.py [ROOT]``, where ROOT defaults to the
 ``src`` directory beside this script's parent. It prints one row per
 ``.py`` file, sorted by path, then a total row.
 
+``python3 tools/src_lines.py OLD_ROOT NEW_ROOT`` compares two trees, say
+a checkout of the parent commit and the working tree: each row holds a
+module's counts under both roots and the change, new minus old. A module
+found under one root only counts 0 lines under the other.
+
 Method. A file's *total* is its number of physical lines. A line is a
 *code* line when some token on it, as ``tokenize`` reads the file, is
 not a comment, a newline, an indent or a dedent, and is not part of a
@@ -62,14 +67,32 @@ def count(source: str) -> tuple[int, int]:
     return len(source.splitlines()), len(code)
 
 
+def module_counts(root: Path) -> dict[str, tuple[int, int]]:
+    """``(total, code)`` lines of each ``.py`` file under ``root``, keyed by relative path."""
+    return {str(path.relative_to(root)): count(path.read_text()) for path in root.rglob("*.py")}
+
+
 def main(argv: list[str]) -> int:
-    root = Path(argv[1]) if len(argv) > 1 else Path(__file__).resolve().parent.parent / "src"
-    rows = [(path.relative_to(root), *count(path.read_text())) for path in sorted(root.rglob("*.py"))]
-    width = max(len(str(name)) for name, _, _ in rows)
-    print(f"{'module':<{width}}  {'total':>6}  {'code':>6}")
-    for name, total, code in rows:
-        print(f"{str(name):<{width}}  {total:>6}  {code:>6}")
-    print(f"{'total':<{width}}  {sum(r[1] for r in rows):>6}  {sum(r[2] for r in rows):>6}")
+    if len(argv) > 3:
+        print("usage: src_lines.py [ROOT | OLD_ROOT NEW_ROOT]", file=sys.stderr)
+        return 2
+    roots = [Path(a) for a in argv[1:]] or [Path(__file__).resolve().parent.parent / "src"]
+    tables = [module_counts(root) for root in roots]
+    names = sorted(set().union(*tables))
+    rows = [[n for table in tables for n in table.get(name, (0, 0))] for name in names]
+    header = ["total", "code"]
+    if len(roots) == 2:
+        header = ["old total", "old code", "new total", "new code", "change", "code change"]
+        rows = [row + [row[2] - row[0], row[3] - row[1]] for row in rows]
+    names.append("total")
+    rows.append([sum(column) for column in zip(*rows)])
+    width = max(len(name) for name in names)
+    widths = [max(len(h), 6) for h in header]
+    signs = ["+" if h.endswith("change") else "" for h in header]
+    print("  ".join([f"{'module':<{width}}"] + [f"{h:>{w}}" for h, w in zip(header, widths)]))
+    for name, row in zip(names, rows):
+        cells = [f"{n:>{s}{w}}" for n, s, w in zip(row, signs, widths)]
+        print("  ".join([f"{name:<{width}}"] + cells))
     return 0
 
 
