@@ -102,8 +102,10 @@ def _draw_subsets(
     example at ``d`` (relabeled 0 for "none") plus the 0-points drawn
     under an improper ``d``, and each example's subset id. Any point of a
     code serves, as the learners read only codes, so the summaries are
-    the drawn ones. The draws: ``t`` uniforms, then per improper ``d`` in
-    path order its uniforms, binomials and multinomials.
+    the drawn ones. A subset left with one example is summarised by
+    lookup, and only the subsets with 0-points beside ``d`` take a
+    presence column in the learner. The draws: ``t`` uniforms, then per
+    improper ``d`` in path order its uniforms, binomials and multinomials.
     """
     tree = ctx.tree
     k = len(tree.tour)

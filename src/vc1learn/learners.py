@@ -307,12 +307,21 @@ def _subset_summaries(
     path of ``deepest[i]`` with 1 (-1 when nothing is forced). A subset
     that no concept is consistent with gets that same data-independent
     summary, so that one changed example moves one summary and the learner
-    never raises on the data.
+    never raises on the data. An empty subset gets -1, a one-example
+    subset its code's ``tree.lone_deepest``, and only the subsets of two
+    or more examples get a presence column for :func:`forced_nodes`.
     """
-    pres = np.zeros((2 * len(ctx.tree.tour) + 2, t), dtype=bool)
-    pres[codes, ids] = True
+    tree = ctx.tree
+    many = np.bincount(ids, minlength=t) > 1
+    deepest = np.full(t, -1)
+    deepest[ids] = tree.lone_deepest[codes]  # kept where a subset has one example
+    column = np.cumsum(many) - 1
+    held = many[ids]
+    pres = np.zeros((2 * len(tree.tour) + 2, column[-1] + 1), dtype=bool)
+    pres[codes[held], column[ids[held]]] = True
     # forced_nodes gives inconsistent subsets deepest -1, like empty ones
-    return forced_nodes(ctx.tree, pres)[0]
+    deepest[many] = forced_nodes(tree, pres)[0]
+    return deepest
 
 
 def _back_transform(ctx: LearnerContext, x: int | None) -> Hypothesis:
@@ -422,8 +431,10 @@ def _improper_runs(
     the draws of the stage it bypasses. ``examples`` is only read.
     Working memory is ``runs`` presence matrices of the subset count times
     the tree size, twice over for two or more runs, and what :func:`_deal`
-    holds; with one example per subset, ``runs`` datasets. The scores
-    and the mask add ``runs`` rows over the domain.
+    holds; with one example per subset, ``runs`` datasets. Under
+    ``subset_ids`` a one-example subset is summarised by lookup, so its
+    one presence matrix covers only the subsets of two or more examples.
+    The scores and the mask add ``runs`` rows over the domain.
     """
     n = len(examples[2])
     if n == 0:
@@ -494,14 +505,10 @@ def _dealt_summaries(
 ) -> np.ndarray:
     """:func:`_subset_summaries` of ``runs`` partitions of ``examples`` by
     :func:`_deal`; with one example per subset, ``runs`` shuffles of the
-    examples' summaries, drawing what ``runs`` calls of
-    ``rng.permutation(n)`` draw: a lone relabeled 1 at a tree point forces
-    that point (a childless node is proper, an improper one has two or
-    more children), and a lone 0, or a 1 off the tree, forces nothing."""
+    examples' ``tree.lone_deepest`` summaries, drawing what ``runs`` calls
+    of ``rng.permutation(n)`` draw."""
     if t == len(examples[2]):
-        k = len(ctx.tree.tour)
-        lone = np.concatenate((np.full(k + 1, -1), ctx.tree.tour, [-1]))
-        dealt = np.tile(lone[_codes(examples)], (runs, 1))
+        dealt = np.tile(ctx.tree.lone_deepest[_codes(examples)], (runs, 1))
         rng.permuted(dealt, axis=1, out=dealt)
         return dealt.ravel()
     pres = np.zeros((runs, 2 * len(ctx.tree.tour) + 2, t + 1), dtype=bool)

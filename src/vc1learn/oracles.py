@@ -18,7 +18,7 @@ from typing import Callable, Hashable, Sequence
 
 import numpy as np
 
-from .concepts import Concept, ConceptClass, Dataset, Hypothesis, NotRealizableError
+from .concepts import Concept, ConceptClass, Dataset, Hypothesis, NotRealizableError, _is_point
 
 VC_SCALE_LIMIT = 24
 TD_SCALE_LIMIT = 16
@@ -199,10 +199,16 @@ def dimension_report(cls: ConceptClass) -> DimensionReport:
 def error_on_distribution(
     hypothesis: Hypothesis | Concept, concept: Concept, dist: Distribution
 ) -> float:
-    """Probability mass of the symmetric difference of the two 1-sets."""
+    """Probability mass of the symmetric difference of the two 1-sets.
+
+    Raises ``ValueError`` on a point of that difference that is no integer
+    (1.5 or True) or lies outside the support.
+    """
     diff = hypothesis.ones ^ concept.ones
     if not diff:
         return 0.0
+    if not all(map(_is_point, diff)):
+        raise ValueError("non-integer point")
     idx = np.fromiter(diff, dtype=np.int64)
     if idx.min() < 0 or idx.max() >= len(dist.weights):
         raise ValueError("point outside distribution support")

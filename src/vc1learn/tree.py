@@ -95,6 +95,18 @@ class ClassTree:
             np.append(self.tour, -1),
         )
 
+    @cached_property
+    def lone_deepest(self) -> np.ndarray:
+        """``lone_deepest[c]``: :func:`forced_nodes`' deepest point of a sample
+        holding one example, of :func:`presence_codes` code ``c``. A lone
+        1-label at a tree point forces that point (a childless node is proper,
+        an improper one has two or more children); a lone 0-label, or a
+        1-label off the tree, forces nothing (-1)."""
+        k = len(self.tour)
+        lone = np.concatenate((np.full(k + 1, -1), self.tour, [-1]))
+        lone.flags.writeable = False
+        return lone
+
 
 @dataclass(frozen=True, eq=False)
 class SubTree:

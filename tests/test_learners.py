@@ -649,11 +649,12 @@ def test_subset_summaries_match_oracle_across_corpus(corpus, rng):
 
 
 def test_lone_code_summaries_match_forced_nodes_across_corpus(corpus):
-    # with one example per subset each example's summary is read off the
-    # tour, not found by forced_nodes: for every presence code it must be
-    # forced_nodes' summary of that code alone, dealt as one shuffle deals
-    # it. The gather rests on two facts of every tree: a childless node is
-    # proper, and an improper node has two or more children.
+    # with one example per subset each example's summary is read off
+    # tree.lone_deepest, not found by forced_nodes: for every presence code
+    # it must be forced_nodes' summary of that code alone, both dealt as one
+    # shuffle deals it and through subset_ids, the table's two readers. The
+    # table rests on two facts of every tree: a childless node is proper,
+    # and an improper node has two or more children.
     improper = 0
     for i, cls in enumerate(corpus):
         for f_index in sorted({0, len(cls.concepts) - 1}):
@@ -666,15 +667,71 @@ def test_lone_code_summaries_match_forced_nodes_across_corpus(corpus):
             improper += int((~tree.proper_mask[nodes]).sum())
             k = len(tree.tour)
             codes = np.arange(2 * k + 2).astype(ctx.tour_code.dtype)
+            alone = np.zeros((2 * k + 2, len(codes)), dtype=bool)
+            alone[codes, np.arange(len(codes))] = True
+            alone = forced_nodes(tree, alone)[0]
             a, b = make_rng([i, f_index]), make_rng([i, f_index])
             got = learners._dealt_summaries(ctx, _as_examples(codes), len(codes), a, 1)
             order = codes[b.permutation(len(codes))]
             assert a.bit_generator.state == b.bit_generator.state
-            for code, summary in zip(order.tolist(), got.tolist()):
-                pres = np.zeros((2 * k + 2, 1), dtype=bool)
-                pres[code, 0] = True
-                assert summary == forced_nodes(tree, pres)[0][0], (i, f_index, code)
+            assert np.array_equal(got, alone[order]), (i, f_index)
+            got = learners._subset_summaries(ctx, codes, np.arange(len(codes)), len(codes))
+            assert np.array_equal(got, alone), (i, f_index)
     assert improper > 100, improper
+
+
+def dense_subset_summaries(ctx, codes, ids, t):
+    """``forced_nodes`` over a presence column for every subset, empty and
+    one-example ones too: the summaries as ``_subset_summaries`` once took
+    them, with the inconsistency flags."""
+    pres = np.zeros((2 * len(ctx.tree.tour) + 2, t), dtype=bool)
+    pres[codes, ids] = True
+    return forced_nodes(ctx.tree, pres)
+
+
+def test_subset_summaries_match_the_dense_reference(corpus):
+    # one-example subsets by lookup and the rest by forced_nodes over their
+    # own columns, against forced_nodes over every subset's column: subset
+    # ids with gaps, all-single and all-multi layouts, codes of a concept's
+    # examples mixed with any codes, among them 1-labels off the tree
+    trees = [
+        random_tree_class(n, max_children=c, concept_rate=r, seed=n)
+        for n, c, r in ((128, 2, 0.3), (256, 3, 0.5), (512, 4, 0.1))
+    ]
+    hits = Counter()
+    for i, cls in enumerate(corpus + trees):
+        rng = make_rng([32, i])
+        ctx = prepare_context(cls, int(rng.integers(len(cls.concepts))))
+        k = len(ctx.tree.tour)
+        for layout in ("gaps", "single", "multi"):
+            n = int(rng.integers(2, 80))
+            pts = rng.integers(0, cls.domain_size, size=n)
+            labs = cls.row(int(rng.integers(len(cls.concepts))))[pts].astype(np.uint8)
+            codes = ctx.tour_code[labs, pts]
+            noise = rng.random(n)
+            codes[noise < 0.2] = rng.integers(0, 2 * k + 2, size=n)[noise < 0.2]
+            codes[noise > 0.95] = 2 * k + 1
+            if layout == "gaps":
+                ids = rng.integers(0, int(rng.integers(1, 2 * n + 1)), size=n)
+            elif layout == "single":
+                ids = rng.choice(n + int(rng.integers(0, 5)), size=n, replace=False)
+            else:
+                ids = rng.permutation(np.arange(n) // 2)
+                ids[ids == ids.max()] = 0  # no subset is left with one example
+            t = int(ids.max()) + 1 + int(rng.integers(0, 3))
+            got = learners._subset_summaries(ctx, codes, ids, t)
+            want, inconsistent = dense_subset_summaries(ctx, codes, ids, t)
+            assert got.shape == (t,) and np.array_equal(got, want), (i, layout)
+            count = np.bincount(ids, minlength=t)
+            assert layout != "multi" or (count != 1).all()
+            lone = count[ids] == 1
+            hits["empty"] += int((count == 0).sum())
+            hits["lone"] += int(lone.sum())
+            hits["lone 1 off the tree"] += int((codes[lone] == 2 * k + 1).sum())
+            hits["multi"] += int((count > 1).sum())
+            hits["multi inconsistent"] += int((inconsistent & (count > 1)).sum())
+            hits["multi forcing"] += int(((want >= 0) & (count > 1)).sum())
+    assert min(hits.values()) >= 100, hits
 
 
 def test_improper_learns_thresholds_statistically():

@@ -158,6 +158,19 @@ def test_error_on_distribution():
             error_on_distribution(Hypothesis(frozenset({off})), Concept(frozenset()), uniform)
 
 
+def test_error_on_distribution_refuses_a_point_that_is_no_integer():
+    # cast to int64, 0.5 and True read as points 0 and 1 (0.25 each), and
+    # {2.9} against {2} counted point 2 twice (0.5)
+    uniform = Distribution.uniform(4)
+    empty = Concept(frozenset())
+    for hyp, target in (({0.5}, empty), ({True}, empty), ({2.9}, Concept(frozenset({2})))):
+        with pytest.raises(ValueError, match="non-integer point"):
+            error_on_distribution(Hypothesis(frozenset(hyp)), target, uniform)
+    # numpy integers are points, as in from_ones
+    hyp = Hypothesis(frozenset({np.int64(2), np.uint8(3)}))
+    assert error_on_distribution(hyp, empty, uniform) == pytest.approx(0.5)
+
+
 def test_distribution_ignores_later_writes_to_the_callers_weights():
     # the distribution caches its CDF on the first sample, so it must not
     # follow the caller's array: sampling and error read the same weights
