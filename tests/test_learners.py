@@ -692,8 +692,9 @@ def dense_subset_summaries(ctx, codes, ids, t):
 def test_subset_summaries_match_the_dense_reference(corpus):
     # one-example subsets by lookup and the rest by forced_nodes over their
     # own columns, against forced_nodes over every subset's column: subset
-    # ids with gaps, all-single and all-multi layouts, codes of a concept's
-    # examples mixed with any codes, among them 1-labels off the tree
+    # ids of any integer dtype with gaps, all-single and all-multi layouts,
+    # codes of a concept's examples mixed with any codes, among them
+    # 1-labels off the tree
     trees = [
         random_tree_class(n, max_children=c, concept_rate=r, seed=n)
         for n, c, r in ((128, 2, 0.3), (256, 3, 0.5), (512, 4, 0.1))
@@ -718,6 +719,7 @@ def test_subset_summaries_match_the_dense_reference(corpus):
             else:
                 ids = rng.permutation(np.arange(n) // 2)
                 ids[ids == ids.max()] = 0  # no subset is left with one example
+            ids = ids.astype((np.uint16, np.int32, np.uint64, np.int64)[int(rng.integers(4))])
             t = int(ids.max()) + 1 + int(rng.integers(0, 3))
             got = learners._subset_summaries(ctx, codes, ids, t)
             want, inconsistent = dense_subset_summaries(ctx, codes, ids, t)
