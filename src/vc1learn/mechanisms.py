@@ -14,6 +14,8 @@ from typing import Hashable, Mapping, Sequence
 
 import numpy as np
 
+from .concepts import _is_point
+
 # the gate of choosing_mechanism: noise scale and threshold factor, times 1 / eps
 GATE_NOISE_SCALE = 4.0
 GATE_THRESHOLD_SCALE = 4.0
@@ -256,8 +258,7 @@ def private_median(
     if not values:
         raise ValueError("empty values")
     _check_median(alpha, privacy)
-    # no casts: 1.5 or True is an error, not a value
-    if not all(isinstance(v, (int, np.integer)) and type(v) is not bool for v in values):
+    if not all(map(_is_point, values)):
         raise ValueError("values must be integers")
     if min(values) < 0 or max(values) > domain_max:
         raise ValueError("values outside [0, domain_max]")

@@ -93,50 +93,29 @@ def _guard(cls: ConceptClass, limit: int) -> None:
         raise ValueError("oracle scale exceeded")
 
 
+def _masks(cls: ConceptClass) -> frozenset[int]:
+    """The distinct concepts of ``cls`` as ints, bit ``p`` set where the concept holds ``p``."""
+    return frozenset(sum(1 << p for p in c.ones) for c in cls.concepts)
+
+
 def vc_dimension(cls: ConceptClass) -> int:
     """Exact VC dimension by subset enumeration.
 
     Scans subset sizes upward and stops at the first size with no
-    shattered subset.
+    shattered subset: no subset whose distinct projections ``mask &
+    subset`` over the concepts number ``2**size``.
     """
     _guard(cls, VC_SCALE_LIMIT)
-    m = cls.matrix
+    masks = _masks(cls)
     n = cls.domain_size
-    max_possible = min(n, max(len(cls.concepts).bit_length() - 1, 0))
     vc = 0
-    for k in range(1, max_possible + 1):
-        powers = 1 << np.arange(k)
-        shattered = False
-        for subset in itertools.combinations(range(n), k):
-            codes = m[:, subset].astype(np.int64) @ powers
-            if len(np.unique(codes)) == 1 << k:
-                shattered = True
-                break
-        if not shattered:
-            return vc
+    # shattering k points takes 2**k distinct concepts
+    for k in range(1, min(n, len(masks).bit_length() - 1) + 1):
+        subsets = (sum(1 << p for p in s) for s in itertools.combinations(range(n), k))
+        if not any(len({m & s for m in masks}) == 1 << k for s in subsets):
+            break
         vc = k
     return vc
-
-
-def _ldim(concepts: frozenset[int], n: int, memo: dict[frozenset[int], int]) -> int:
-    if len(concepts) <= 1:
-        return 0
-    cached = memo.get(concepts)
-    if cached is not None:
-        return cached
-    best = 0
-    for x in range(n):
-        bit = 1 << x
-        with_one = frozenset(c for c in concepts if c & bit)
-        if not with_one or len(with_one) == len(concepts):
-            continue
-        without = concepts - with_one
-        best = max(
-            best,
-            1 + min(_ldim(without, n, memo), _ldim(with_one, n, memo)),
-        )
-    memo[concepts] = best
-    return best
 
 
 def littlestone_dimension(cls: ConceptClass) -> int:
@@ -146,10 +125,18 @@ def littlestone_dimension(cls: ConceptClass) -> int:
     min over the two label restrictions of a splitting point.
     """
     _guard(cls, VC_SCALE_LIMIT)
-    masks = frozenset(
-        sum(1 << p for p in c.ones) for c in cls.concepts
-    )
-    return _ldim(masks, cls.domain_size, {})
+    bits = [1 << x for x in range(cls.domain_size)]
+
+    @cache
+    def ldim(concepts: frozenset[int]) -> int:
+        best = 0
+        for bit in bits:
+            with_one = frozenset(c for c in concepts if c & bit)
+            if with_one and len(with_one) < len(concepts):
+                best = max(best, 1 + min(ldim(concepts - with_one), ldim(with_one)))
+        return best
+
+    return ldim(_masks(cls))
 
 
 def thresholds_dimension(cls: ConceptClass) -> int:
@@ -163,9 +150,7 @@ def thresholds_dimension(cls: ConceptClass) -> int:
     every later point must lie. So each pair of masks is searched once.
     """
     _guard(cls, TD_SCALE_LIMIT)
-    concept_masks = sorted(
-        {sum(1 << p for p in c.ones) for c in cls.concepts}, reverse=True
-    )
+    concept_masks = sorted(_masks(cls), reverse=True)
 
     @cache
     def longest(chosen: int, allowed: int) -> int:
@@ -201,18 +186,18 @@ def error_on_distribution(
 ) -> float:
     """Probability mass of the symmetric difference of the two 1-sets.
 
-    Raises ``ValueError`` on a point of that difference that is no integer
-    (1.5 or True) or lies outside the support.
+    Raises ``ValueError`` on a point of either 1-set that is no integer
+    (1.5 or True) or lies outside the support, even where both sets hold it.
     """
+    ones = hypothesis.ones | concept.ones
+    if not all(map(_is_point, ones)):
+        raise ValueError("non-integer point")
+    if ones and (min(ones) < 0 or max(ones) >= len(dist.weights)):
+        raise ValueError("point outside distribution support")
     diff = hypothesis.ones ^ concept.ones
     if not diff:
         return 0.0
-    if not all(map(_is_point, diff)):
-        raise ValueError("non-integer point")
-    idx = np.fromiter(diff, dtype=np.int64)
-    if idx.min() < 0 or idx.max() >= len(dist.weights):
-        raise ValueError("point outside distribution support")
-    return float(dist.weights[idx].sum())
+    return float(dist.weights[np.fromiter(diff, dtype=np.int64)].sum())
 
 
 def deterministic_oracle(class_f: ConceptClass, dataset: Dataset) -> frozenset[int]:

@@ -364,7 +364,9 @@ def forced_nodes(tree: ClassTree, pres: np.ndarray) -> tuple[np.ndarray, np.ndar
     none), and their common points form the root path of the lowest common
     ancestor of those nodes: the LCA of the first and the last of them in
     tour order. Every step reduces over the positions, so each is one
-    vector operation across the samples.
+    vector operation across the samples. Every reduction starts from 0, so
+    a tree with no points takes the same path: there no sample forces a
+    point, and a sample with a 1-label is inconsistent.
 
     Returns ``(deepest, inconsistent)``; ``deepest[i]`` is -1 when sample
     ``i`` forces no point, and so is every inconsistent sample's.
@@ -372,15 +374,13 @@ def forced_nodes(tree: ClassTree, pres: np.ndarray) -> tuple[np.ndarray, np.ndar
     k = len(tree.tour)
     pres0, pres1 = pres[: k + 1], pres[k + 1 :]
     has1 = pres1.any(axis=0)
-    if k == 0:
-        return np.full(pres1.shape[1], -1, dtype=np.int64), has1
     rank, tout, proper, up, points = tree.tour_arrays
     on1 = pres1[:k]
     # descendants come later in the tour, so a chain's deepest point comes last
-    d = np.maximum.reduce(on1 * rank, axis=0) - 1  # -1: no 1-label on the tree
+    d = np.maximum.reduce(on1 * rank, axis=0, initial=0) - 1  # -1: no 1-label on the tree
     # the 1-labels lie on d's path iff none of their intervals ends at or
     # before d; a 1-label off the tree never does
-    end = k + 1 - np.maximum.reduce(on1 * (k + 1 - tout[:k, None]), axis=0)
+    end = k + 1 - np.maximum.reduce(on1 * (k + 1 - tout[:k, None]), axis=0, initial=0)
     chain = (end > d) & ~pres1[k]
 
     # blocked[j]: a 0-label at j or above it, doubling the span per step
@@ -390,8 +390,8 @@ def forced_nodes(tree: ClassTree, pres: np.ndarray) -> tuple[np.ndarray, np.ndar
         blocked |= blocked[a]
     live = ~blocked[:k]
     live &= proper & (rank > d) & (rank <= tout[d])
-    first = k - np.maximum.reduce(live * (k + 1 - rank), axis=0)  # k: none
-    last = np.maximum.reduce(live * rank, axis=0) - 1  # -1: none
+    first = k - np.maximum.reduce(live * (k + 1 - rank), axis=0, initial=0)  # k: none
+    last = np.maximum.reduce(live * rank, axis=0, initial=0) - 1  # -1: none
     # the LCA: lift first to its highest ancestor not above last, then one more
     x = first
     for a in reversed(up):

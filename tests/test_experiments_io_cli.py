@@ -209,18 +209,25 @@ def test_drawn_subset_summaries_follow_the_multinomial_law():
             row = cls.row(int(rng.integers(len(cls))))
             ps += [_law_p(ctx, row, weights, m, (1, ci, case, m)) for m in (3, 12)]
     # 40 cases on random trees of 30 points at concept rate 0.2, each at a
-    # target whose path holds an improper point, with 8 times the weight there
+    # target whose path holds an improper point, with 8 times the weight
+    # there; and 40 with no weight off the path under the deepest such point,
+    # whose draws then hold no 0-points beside it
     for s in range(20):
         cls = random_tree_class(30, 3, 0.2, seed=s)
         ctx = prepare_context(cls)
-        improper = ~ctx.tree.proper_mask[ctx.point_map]
+        tree, node = ctx.tree, ctx.point_map
+        improper = ~tree.proper_mask[node]
         paths = [cls.row(c) ^ ctx.f_row.astype(bool) for c in range(len(cls))]
         targets = [c for c, path in enumerate(paths) if (path & improper).any()]
         c = targets[int(make_rng([2, s]).integers(len(targets)))]
-        weights = np.where(paths[c] & improper, 8.0, 1.0)
-        weights /= weights.sum()
-        ps += [_law_p(ctx, cls.row(c), weights, m, (3, s, m)) for m in (3, 12)]
-    assert len(ps) == 82 and min(ps) >= 0.01, sorted(ps)[:3]
+        heavy = np.where(paths[c] & improper, 8.0, 1.0)
+        d = node[max(np.flatnonzero(paths[c] & improper), key=lambda p: tree.depth[node[p]])]
+        under = (tree.tin[node] > tree.tin[d]) & (tree.tin[node] < tree.tout[d])
+        hollow = np.where(under & ~paths[c], 0.0, heavy)
+        for key, weights in ((3, heavy), (4, hollow)):
+            weights = weights / weights.sum()
+            ps += [_law_p(ctx, cls.row(c), weights, m, (key, s, m)) for m in (3, 12)]
+    assert len(ps) == 122 and min(ps) >= 0.01, sorted(ps)[:3]
 
 
 def test_run_experiment_reuses_the_class_and_checks_the_context():
@@ -393,6 +400,9 @@ def test_dataset_csv_round_trip(tmp_path):
     save_dataset(loaded, path)
     assert load_dataset(path) == loaded == data
     assert path.read_text().splitlines()[0] == "point,label"
+    # blank rows are skipped
+    path.write_text("point,label\n0,1\n\n3,0\n3,1\n\n")
+    assert load_dataset(path) == data
 
 
 def test_dataset_csv_rejects_bad_header(tmp_path):
@@ -523,7 +533,12 @@ def test_cli_tree_dot_output(tmp_path, capsys):
     main(["gen", "--kind", "example", "--out", str(cls_path)])
     capsys.readouterr()
     assert main(["tree", "--class", str(cls_path), "--format", "dot"]) == 0
-    assert "digraph" in capsys.readouterr().out
+    dot = capsys.readouterr().out
+    assert "digraph" in dot
+    # --out writes what would be printed, and prints nothing
+    out = tmp_path / "tree.dot"
+    assert main(["tree", "--class", str(cls_path), "--format", "dot", "--out", str(out)]) == 0
+    assert out.read_text() == dot and capsys.readouterr().out == ""
 
 
 def test_cli_tree_names_the_class_file_points(tmp_path, capsys):

@@ -95,9 +95,13 @@ def test_sample_budget_monotonicity():
         (lambda: sample_budget(PARAMS, -1), "tree_depth_bound must be nonnegative"),
         (lambda: prepare_context(example_class(), -1), "f_index out of range"),
         (lambda: prepare_context(example_class(), 8), "f_index out of range"),
+        (
+            lambda: total_privacy(PARAMS, sample_budget(PARAMS, 4), loop_iterations=-1),
+            "loop_iterations must be nonnegative",
+        ),
     ],
     ids=["alpha-0", "alpha-1", "alpha-nan", "beta-0", "beta-high", "negative-depth",
-         "f-index-negative", "f-index-past"],
+         "f-index-negative", "f-index-past", "loop-iterations-negative"],
 )
 def test_learner_inputs_are_refused(build, message):
     with pytest.raises(ValueError, match=re.escape(message)):

@@ -106,19 +106,72 @@ def thresholds_dimension_reference(cls):
     return dfs(0, (1 << cls.domain_size) - 1, 0)
 
 
+def vc_dimension_reference(cls):
+    """The shattering test on the dense matrix, one ``np.unique`` per subset."""
+    m = cls.matrix
+    n = cls.domain_size
+    max_possible = min(n, max(len(cls.concepts).bit_length() - 1, 0))
+    vc = 0
+    for k in range(1, max_possible + 1):
+        powers = 1 << np.arange(k)
+        shattered = False
+        for subset in itertools.combinations(range(n), k):
+            codes = m[:, subset].astype(np.int64) @ powers
+            if len(np.unique(codes)) == 1 << k:
+                shattered = True
+                break
+        if not shattered:
+            return vc
+        vc = k
+    return vc
+
+
+def littlestone_dimension_reference(cls):
+    """The label-restriction recursion with a hand-kept memo dict."""
+
+    def ldim(concepts, n, memo):
+        if len(concepts) <= 1:
+            return 0
+        cached = memo.get(concepts)
+        if cached is not None:
+            return cached
+        best = 0
+        for x in range(n):
+            bit = 1 << x
+            with_one = frozenset(c for c in concepts if c & bit)
+            if not with_one or len(with_one) == len(concepts):
+                continue
+            without = concepts - with_one
+            best = max(best, 1 + min(ldim(without, n, memo), ldim(with_one, n, memo)))
+        memo[concepts] = best
+        return best
+
+    masks = frozenset(sum(1 << p for p in c.ones) for c in cls.concepts)
+    return ldim(masks, cls.domain_size, {})
+
+
 def test_thresholds_dimension_matches_the_literal_search(corpus):
-    # the corpus classes the literal search takes well under a second for
+    # all three oracles against their references, on the corpus classes
+    # the literal thresholds search takes well under a second for
     classes = [c for c in corpus if c.domain_size <= 12]
     classes += [thresholds_class(k) for k in range(1, 13)]
     classes += [point_functions_class(k) for k in (1, 5, 12)]
     classes += [example_class(), modified_example_class(), powerset_class(4)]
     classes += [random_tree_class(n, max_children=3, concept_rate=0.5, seed=n) for n in (6, 11)]
     rng = make_rng(7)
-    for _ in range(60):  # dense random matrices, mostly of VC dimension 2 or more
+    repeated_rows = 0
+    for i in range(90):  # dense random matrices, mostly of VC dimension 2 or more
         n, m = (int(v) for v in rng.integers(1, (10, 14)))
-        classes.append(ConceptClass(rng.random((m, n)) < 0.5, [None] * m))
-    assert sum(vc_dimension(c) >= 2 for c in classes) >= 20
+        matrix = rng.random((m, n)) < 0.5
+        if i % 3 == 0:  # a third with rows repeated
+            matrix = matrix[rng.integers(m, size=m + 2)]
+        repeated_rows += len(np.unique(matrix, axis=0)) < len(matrix)
+        classes.append(ConceptClass(matrix, [None] * len(matrix)))
+    assert repeated_rows >= 25
+    assert sum(vc_dimension_reference(c) >= 2 for c in classes) >= 40
     for cls in classes:
+        assert vc_dimension(cls) == vc_dimension_reference(cls)
+        assert littlestone_dimension(cls) == littlestone_dimension_reference(cls)
         assert thresholds_dimension(cls) == thresholds_dimension_reference(cls)
 
 
@@ -156,14 +209,21 @@ def test_error_on_distribution():
     for off in (-1, 4):
         with pytest.raises(ValueError, match="outside distribution support"):
             error_on_distribution(Hypothesis(frozenset({off})), Concept(frozenset()), uniform)
+    # and where both sets hold it: {7} against {7} read 0.0, {7, 1} against {7} 0.25
+    for hyp in ({7}, {7, 1}):
+        with pytest.raises(ValueError, match="outside distribution support"):
+            error_on_distribution(Hypothesis(frozenset(hyp)), Concept(frozenset({7})), uniform)
 
 
 def test_error_on_distribution_refuses_a_point_that_is_no_integer():
     # cast to int64, 0.5 and True read as points 0 and 1 (0.25 each), and
-    # {2.9} against {2} counted point 2 twice (0.5)
+    # {2.9} against {2} counted point 2 twice (0.5); with only the symmetric
+    # difference checked, {0.5} against {0.5} read 0.0
     uniform = Distribution.uniform(4)
     empty = Concept(frozenset())
-    for hyp, target in (({0.5}, empty), ({True}, empty), ({2.9}, Concept(frozenset({2})))):
+    half = Concept(frozenset({0.5}))
+    two = Concept(frozenset({2}))
+    for hyp, target in (({0.5}, empty), ({True}, empty), ({2.9}, two), ({0.5}, half)):
         with pytest.raises(ValueError, match="non-integer point"):
             error_on_distribution(Hypothesis(frozenset(hyp)), target, uniform)
     # numpy integers are points, as in from_ones
