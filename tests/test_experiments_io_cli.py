@@ -176,7 +176,7 @@ def _law_p(ctx, row, weights, m, key, t=20_000):
     Summaries of under 10 subsets in all share one cell. A p under 0.01 is
     drawn once more on fresh streams: a right law then fails a case with
     probability 1e-4, where one 0.01 test per case would fail some case of
-    82 about half the time; a wrong law at these sizes reads far below it
+    102 nearly two times in three; a wrong law at these sizes reads far below it
     twice."""
     from scipy.stats import chi2_contingency
 
@@ -210,8 +210,8 @@ def test_drawn_subset_summaries_follow_the_multinomial_law():
             ps += [_law_p(ctx, row, weights, m, (1, ci, case, m)) for m in (3, 12)]
     # 40 cases on random trees of 30 points at concept rate 0.2, each at a
     # target whose path holds an improper point, with 8 times the weight
-    # there; and 40 with no weight off the path under the deepest such point,
-    # whose draws then hold no 0-points beside it
+    # there; and on the first ten trees 20 more with no weight off the path
+    # under the deepest such point, whose draws then hold no 0-points beside it
     for s in range(20):
         cls = random_tree_class(30, 3, 0.2, seed=s)
         ctx = prepare_context(cls)
@@ -224,10 +224,10 @@ def test_drawn_subset_summaries_follow_the_multinomial_law():
         d = node[max(np.flatnonzero(paths[c] & improper), key=lambda p: tree.depth[node[p]])]
         under = (tree.tin[node] > tree.tin[d]) & (tree.tin[node] < tree.tout[d])
         hollow = np.where(under & ~paths[c], 0.0, heavy)
-        for key, weights in ((3, heavy), (4, hollow)):
-            weights = weights / weights.sum()
-            ps += [_law_p(ctx, cls.row(c), weights, m, (key, s, m)) for m in (3, 12)]
-    assert len(ps) == 122 and min(ps) >= 0.01, sorted(ps)[:3]
+        ps += [_law_p(ctx, cls.row(c), heavy / heavy.sum(), m, (3, s, m)) for m in (3, 12)]
+        if s < 10:
+            ps += [_law_p(ctx, cls.row(c), hollow / hollow.sum(), m, (4, s, m)) for m in (3, 12)]
+    assert len(ps) == 102 and min(ps) >= 0.01, sorted(ps)[:3]
 
 
 def test_run_experiment_reuses_the_class_and_checks_the_context():
