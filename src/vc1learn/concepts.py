@@ -21,7 +21,7 @@ threads; operations are pure functions of their inputs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
@@ -35,6 +35,17 @@ class NotRealizableError(ValueError):
 def _is_point(p: object) -> bool:
     """Whether ``p`` is an int or numpy integer; no casts, so 1.5, True or "2" is not."""
     return isinstance(p, (int, np.integer)) and type(p) is not bool
+
+
+def _check_integer_fields(obj: object) -> None:
+    """``ValueError`` unless every ``int`` field of dataclass ``obj`` holds an
+    integer by :func:`_is_point`'s rule; an ``int | None`` field may hold None."""
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        if f.type == "int | None" and value is None:
+            continue
+        if f.type in ("int", "int | None") and not _is_point(value):
+            raise ValueError(f"{f.name} must be an integer, not {value!r}")
 
 
 @dataclass(frozen=True)

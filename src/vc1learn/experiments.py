@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .concepts import Dataset
+from .concepts import Dataset, _check_integer_fields
 from .generators import GeneratorSpec, generate_class, sample_dataset
 from .learners import (
     LearnParams,
@@ -47,6 +47,7 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         if self.mode not in ("improper", "proper"):
             raise ValueError("mode must be 'improper' or 'proper'")
+        _check_integer_fields(self)
         if self.trials < 1:
             raise ValueError("trials must be at least 1")
         if self.n_override is not None and self.n_override < 1:
@@ -104,8 +105,9 @@ def _draw_subsets(
     code serves, as the learners read only codes, so the summaries are
     the drawn ones. A subset left with one example is summarised by
     lookup, and only the subsets with 0-points beside ``d`` take a
-    presence column in the learner. The draws: ``t`` uniforms, then per
-    improper ``d`` in path order its uniforms, binomials and multinomials.
+    presence column in the learner. The draws: ``t`` uniforms, then, for
+    each improper path point that some subset drew as ``d``, in path
+    order, its uniforms, binomials and multinomials.
     """
     tree = ctx.tree
     k = len(tree.tour)
@@ -122,7 +124,9 @@ def _draw_subsets(
     heads = np.concatenate(([np.argmax(codes <= k)], point_of[k + 1 + path]))
     points, ids = [heads[depth_index]], [np.arange(t)]
     improper = np.flatnonzero(~tree.proper_mask[tree.tour[path]]) + 1
-    for j in np.intersect1d(improper, depth_index):
+    drawn = np.zeros(len(path) + 1, dtype=bool)
+    drawn[depth_index] = True
+    for j in improper[drawn[improper]]:
         pos = path[j - 1]
         cells = pos + 1 + np.flatnonzero(zeros[pos + 1 : tree.tout[tree.tour[pos]]])
         if not len(cells):

@@ -15,7 +15,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .concepts import Concept, ConceptClass, Dataset, canonicalize
+from .concepts import Concept, ConceptClass, Dataset, _check_integer_fields, canonicalize
 from .oracles import Distribution
 from .rng import make_rng
 
@@ -32,6 +32,9 @@ class GeneratorSpec:
     max_children: int = 3
     concept_rate: float = 0.5
     seed: int = 0
+
+    def __post_init__(self) -> None:
+        _check_integer_fields(self)
 
 
 def thresholds_class(n: int) -> ConceptClass:

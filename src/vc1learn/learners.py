@@ -309,12 +309,15 @@ def _subset_summaries(
     summary, so that one changed example moves one summary and the learner
     never raises on the data. An empty subset gets -1, a one-example
     subset its code's ``tree.lone_deepest``, and only the subsets of two
-    or more examples get a presence column for :func:`forced_nodes`.
+    or more examples get a presence column for :func:`forced_nodes`,
+    which runs only when some subset holds two or more examples.
     """
     tree = ctx.tree
     many = np.bincount(ids, minlength=t) > 1
     deepest = np.full(t, -1)
     deepest[ids] = tree.lone_deepest[codes]  # kept where a subset has one example
+    if not many.any():
+        return deepest
     column = np.cumsum(many) - 1
     held = many[ids]
     pres = np.zeros((2 * len(tree.tour) + 2, column[-1] + 1), dtype=bool)
@@ -614,12 +617,13 @@ def proper_learn(
 ) -> ProperTrace:
     """Privately learn a hypothesis that is always a class member.
 
-    Splits the sample, runs the improper stage on one part, and
-    returns immediately when the selected node's root path is realized by
-    a concept. Otherwise it walks the pruned subtree for at most
-    ``ceil(2/alpha)`` iterations: each pass draws a Laplace-noised minimum
-    child weight and either selects a light child by weight (stopping) or
-    descends by minimum leaf value, both via the exponential mechanism.
+    Splits the sample, runs the improper stage on one part, and returns
+    that stage's own hypothesis, ``stage1.hypothesis``, when the selected
+    node's root path is realized by a concept or the selection abstained.
+    Otherwise it walks the pruned subtree for at most ``ceil(2/alpha)``
+    iterations: each pass draws a Laplace-noised minimum child weight and
+    either selects a light child by weight (stopping) or descends by
+    minimum leaf value, both via the exponential mechanism.
     The final hypothesis is the path of the smallest-id leaf in the last
     node's tour slice. As in :func:`improper_learn`, the hypothesis and
     its ``proper_index`` refer to ``cls`` as given. A point outside the
@@ -701,7 +705,11 @@ def proper_learn(
         lo, hi = ctx.tree.tin[flag], ctx.tree.tout[flag]
         leaf = min(q for q in sub.leaves if lo <= ctx.tree.tin[q] < hi)
 
-    hypothesis = _back_transform(ctx, leaf)
+    # the improper stage already lifted a node the run did not descend from
+    if trace1 is not None and leaf == chosen:
+        hypothesis = trace1.hypothesis
+    else:
+        hypothesis = _back_transform(ctx, leaf)
     assert hypothesis.proper_index is not None
     return ProperTrace(
         chosen_point=chosen,

@@ -7,7 +7,8 @@ checks read. Each workload's set-up, warm-up op and first op must run
 and pass its own checks. The module is loaded from its file without
 writing bytecode next to it. The sha256 of each op's check summary, as
 JSON with sorted keys, is pinned, so a change in fixed-seed behaviour on
-the benchmark's paths fails here.
+the benchmark's paths fails here. The toy runs cannot see every such
+change, so a few ops are also pinned at full scale.
 """
 
 import hashlib
@@ -36,6 +37,26 @@ PINNED_SUMMARY_DIGESTS = {
     ),
 }
 
+# at full scale, the summaries' digests of sweep-proper ops 0-9 and of
+# chain-improper op 0: the toy sweep's two trials on one 32-point tree land
+# on the same outputs whatever the subset draws, and at the toy chain's
+# thresholds(64) every subset forces the same point whatever the deal
+PINNED_FULL_SCALE_DIGESTS = {
+    "sweep-proper": (
+        "8b29ade8465f3a2af0c4752280496f931b55f7319cf5afd70b0bfc96cb98eaa8",
+        "02f184f226ef1bfee38b316893c06a877faac0fa52388a8af8afdf681be44e34",
+        "5a9743446345faddd569e3e3de7f1bdf2afa62b632b1032103ad88e6bd303b05",
+        "e6f0066e97256459cd360ede88ec73d6f9625fa73a74961dfba296e14b821f18",
+        "6899a2e8c197142bb6664e2d7c7306fb339176efb8611ec2bc8d992fbcf207e9",
+        "35b885b8d77fa6174effce19df16448a29020bac614fc67f532b74b9c613351c",
+        "034c55150e850ff461a903955d740f2706ef37b91cea56a6dbe683c0364fa59d",
+        "fc3aa36cbf868014c0b20fa84c59a695b05fb7e46d982e6e6a286c188a771dd3",
+        "ca576e437d248ddecabb582de2bd909a5fa32bfba30223b9fe9f9cc68fa90813",
+        "2f5de9f11433f894515317ac0ba14601d6348989682697d244dc31b301e129a6",
+    ),
+    "chain-improper": ("d9b753e1c80061d869c59112c79614774ed7fac751aa7b1234ef7a7fa13cff1f",),
+}
+
 
 @pytest.fixture(scope="module")
 def workloads():
@@ -50,16 +71,29 @@ def workloads():
     return module
 
 
+def _digests(w, ops):
+    """Run ops ``ops`` of set-up workload ``w``; the digest of each op's summary."""
+    digests = []
+    for i in ops:
+        rng = w.rng(i)
+        inputs = w.load(i, rng)
+        ok, good, total, summary = w.check(inputs, w.op(inputs, rng))
+        assert ok and 0 <= good <= total, (w.name, i)
+        digests.append(hashlib.sha256(json.dumps(summary, sort_keys=True).encode()).hexdigest())
+    return tuple(digests)
+
+
 @pytest.mark.parametrize("name", ["chain-improper", "sweep-proper", "audit-improper"])
 def test_benchmark_workload_passes_its_checks_at_toy_scale(workloads, name):
     w = workloads.WORKLOADS[name](1, toy=True)
     w.setup()
-    digests = []
-    for i in (None, 0):  # the warm-up op, then op 0
-        rng = w.rng(i)
-        inputs = w.load(i, rng)
-        ok, good, total, summary = w.check(inputs, w.op(inputs, rng))
-        assert ok and 0 <= good <= total, (name, i)
-        digests.append(hashlib.sha256(json.dumps(summary, sort_keys=True).encode()).hexdigest())
-    assert tuple(digests) == PINNED_SUMMARY_DIGESTS[name]
+    assert _digests(w, (None, 0)) == PINNED_SUMMARY_DIGESTS[name]  # the warm-up op, then op 0
     assert w.sizes()
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_FULL_SCALE_DIGESTS))
+def test_benchmark_workload_ops_match_their_full_scale_pins(workloads, name):
+    w = workloads.WORKLOADS[name](1)
+    w.setup()
+    pinned = PINNED_FULL_SCALE_DIGESTS[name]
+    assert _digests(w, range(len(pinned))) == pinned

@@ -26,6 +26,7 @@ from vc1learn import (
     proper_learn,
     random_tree_class,
     run_experiment,
+    sample_budget,
     thresholds_class,
     write_report_csv,
 )
@@ -228,6 +229,76 @@ def test_drawn_subset_summaries_follow_the_multinomial_law():
         if s < 10:
             ps += [_law_p(ctx, cls.row(c), hollow / hollow.sum(), m, (4, s, m)) for m in (3, 12)]
     assert len(ps) == 102 and min(ps) >= 0.01, sorted(ps)[:3]
+
+
+def _intersect_draw_subsets(ctx, concept_row, weights, t, m, rng):
+    """The reference form of :func:`_draw_subsets`: the improper path
+    points to draw for found by ``np.intersect1d`` of the improper indices
+    and the drawn ones, in place of a mask over the drawn ones."""
+    tree = ctx.tree
+    k = len(tree.tour)
+    codes = np.where(concept_row, ctx.tour_code[1], ctx.tour_code[0])
+    mass = np.bincount(codes, weights=weights, minlength=2 * k + 2)
+    zeros = mass[: k + 1]
+    path = np.flatnonzero(mass[k + 1 : 2 * k + 1])
+    kept = zeros.sum() + np.concatenate(([0.0], mass[k + 1 + path].cumsum()))
+    depth_index = np.searchsorted((kept / kept[-1]) ** m, rng.random(t), side="right")
+    point_of = np.zeros(2 * k + 2, dtype=np.int64)
+    point_of[codes] = np.arange(len(codes))
+    heads = np.concatenate(([np.argmax(codes <= k)], point_of[k + 1 + path]))
+    points, ids = [heads[depth_index]], [np.arange(t)]
+    improper = np.flatnonzero(~tree.proper_mask[tree.tour[path]]) + 1
+    for j in np.intersect1d(improper, depth_index):
+        pos = path[j - 1]
+        cells = pos + 1 + np.flatnonzero(zeros[pos + 1 : tree.tout[tree.tour[pos]]])
+        if not len(cells):
+            continue
+        rows = np.flatnonzero(depth_index == j)
+        miss = kept[j - 1] / kept[j]
+        log_miss = np.log(miss)
+        first = np.ceil(np.log1p(rng.random(len(rows)) * np.expm1(m * log_miss)) / log_miss)
+        first = np.clip(first, 1, m).astype(np.int64)
+        misses = first - 1 + rng.binomial(m - first, miss)
+        pvals = np.append(zeros[cells], 0.0) / kept[j - 1]
+        hit_row, hit_cell = np.nonzero(rng.multinomial(misses, pvals)[:, :-1])
+        points.append(point_of[cells[hit_cell]])
+        ids.append(rows[hit_row])
+    points = np.concatenate(points)
+    return Dataset(points, concept_row[points]), np.concatenate(ids)
+
+
+def test_drawn_subsets_match_the_intersect_reference():
+    # criterion 8's first random trees with an unrealized node, at targets
+    # whose path holds one, at the sweep's 0.15 ** depth weights and at 8
+    # times the weight on the path's improper points: the same examples,
+    # subset ids and stream state, at the budget's t and subset size and at
+    # sizes small enough to leave shallower improper points drawn
+    drawn = classes = 0
+    for i in range(30):
+        n, rate = (16, 32, 64, 128, 256)[i % 5], (0.2, 0.4, 0.6)[i % 3]
+        cls = random_tree_class(n, 2 + i % 4, rate, seed=300 + i)
+        ctx = prepare_context(cls)
+        tree, node = ctx.tree, ctx.point_map
+        improper = ~tree.proper_mask[node]
+        if not improper.any():
+            continue
+        classes += 1
+        budget = sample_budget(PARAMS, tree.height)
+        paths = [cls.row(c) ^ ctx.f_row.astype(bool) for c in range(len(cls))]
+        targets = [c for c, path in enumerate(paths) if (path & improper).any()]
+        c = targets[i % len(targets)]
+        sweep = 0.15 ** tree.depth[node]
+        heavy = sweep * np.where(paths[c] & improper, 8.0, 1.0)
+        for weights in (sweep / sweep.sum(), heavy / heavy.sum()):
+            for t, m in ((budget.t, budget.per_subset), (200, 3), (200, 12)):
+                a, b = make_rng([i, t, m]), make_rng([i, t, m])
+                got = _draw_subsets(ctx, cls.row(c), weights, t, m, a)
+                want = _intersect_draw_subsets(ctx, cls.row(c), weights, t, m, b)
+                assert np.array_equal(got[0].points, want[0].points), (i, t, m)
+                assert np.array_equal(got[1], want[1]), (i, t, m)
+                assert a.bit_generator.state == b.bit_generator.state
+                drawn += len(got[1]) > t  # 0-points drawn under an improper d
+    assert classes >= 10 and drawn >= 20, (classes, drawn)
 
 
 def test_run_experiment_reuses_the_class_and_checks_the_context():
@@ -829,9 +900,12 @@ def test_cli_sweep_reports_integer_weights_as_floats(tmp_path):
 
 
 def test_experiment_config_rejects_bad_sizes_and_empty_weights(tmp_path, capsys):
-    # checked when the config is built, before any class or data exists
+    # checked when the config is built, before any class or data exists;
+    # an integer field takes an int or numpy integer, never a bool or float
     bad = (("n_override", 0), ("n_override", -3), ("weights", ()))
     bad += (("mode", "both"), ("trials", 0))
+    bad += (("trials", 2.5), ("trials", 3.9), ("trials", True), ("seed", 1.5))
+    bad += (("concept_index", True), ("concept_index", 1.0), ("n_override", 2.5))
     for key, value in bad:
         with pytest.raises(ValueError, match=key):
             small_config(**{key: value})

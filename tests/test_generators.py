@@ -212,9 +212,16 @@ def test_distribution_rejects_nan_weights():
             ),
             "distribution support must match the domain",
         ),
+        (lambda: GeneratorSpec("thresholds", n=2.5), "n must be an integer, not 2.5"),
+        (
+            lambda: GeneratorSpec("random_tree", n=10, max_children=1.5),
+            "max_children must be an integer, not 1.5",
+        ),
+        (lambda: GeneratorSpec("random_tree", n=10, seed=True), "seed must be an integer"),
     ],
     ids=["thresholds-n", "points-n", "random-tree-n", "max-children", "rate-high",
-         "rate-low", "weights-2d", "weights-negative", "support"],
+         "rate-low", "weights-2d", "weights-negative", "support", "spec-n-float",
+         "spec-max-children-float", "spec-seed-bool"],
 )
 def test_generator_inputs_are_refused(build, message):
     with pytest.raises(ValueError, match=re.escape(message)):

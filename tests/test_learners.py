@@ -740,6 +740,38 @@ def test_subset_summaries_match_the_dense_reference(corpus):
     assert min(hits.values()) >= 100, hits
 
 
+def test_subset_summaries_call_forced_nodes_only_for_a_subset_of_two(corpus, monkeypatch):
+    # subsets of at most one example, or none at all, are read off
+    # tree.lone_deepest alone; one subset of two examples brings forced_nodes
+    # in, over that subset's column only
+    def refuse(tree, pres):
+        raise AssertionError("forced_nodes called with no subset of two")
+
+    def counted(tree, pres):
+        columns.append(pres.shape[1])
+        return forced_nodes(tree, pres)
+
+    columns = []
+    for i, cls in enumerate(corpus):
+        rng = make_rng([34, i])
+        ctx = prepare_context(cls, int(rng.integers(len(cls.concepts))))
+        n = int(rng.integers(2, 40))
+        codes = rng.integers(0, 2 * len(ctx.tree.tour) + 2, size=n).astype(ctx.tour_code.dtype)
+        t = n + int(rng.integers(0, 5))
+        single = rng.choice(t, size=n, replace=False)
+        pair = single.copy()
+        pair[-1] = pair[0]
+        monkeypatch.setattr(learners, "forced_nodes", refuse)
+        for c, ids in ((codes, single), (codes[:0], single[:0])):
+            got = learners._subset_summaries(ctx, c, ids, t)
+            assert np.array_equal(got, dense_subset_summaries(ctx, c, ids, t)[0]), i
+        monkeypatch.setattr(learners, "forced_nodes", counted)
+        got = learners._subset_summaries(ctx, codes, pair, t)
+        assert np.array_equal(got, dense_subset_summaries(ctx, codes, pair, t)[0]), i
+        assert columns == [1], i
+        columns.clear()
+
+
 def test_improper_learns_thresholds_statistically():
     cls = thresholds_class(64)
     dist = Distribution.uniform(64)
@@ -917,6 +949,30 @@ def test_proper_two_leaf_descent(modified_cls):
     # exact failure odds: gate miss P(Lap(1) > alpha*N - 0) = e^-10/2 plus
     # EM odds e^0 : e^-10; both far below beta
     assert wins >= (1 - params.beta) * trials
+
+
+def test_proper_lifts_its_hypothesis_once():
+    # a run that does not descend returns the improper stage's own
+    # hypothesis, the abstained root's included; a descent lifts its leaf
+    cls = random_tree_class(40, max_children=3, concept_rate=0.5, seed=7)
+    ctx = prepare_context(cls)
+    w = 0.6 ** ctx.tree.depth[ctx.point_map]
+    dist = Distribution(w / w.sum())
+    loose = LearnParams(alpha=0.3, beta=0.9, privacy=PrivacyParams(1.9, 0.5))
+    kinds = Counter()
+    for seed in range(40):
+        target = cls.concepts[seed % len(cls.concepts)]
+        data = sample_dataset(cls, target, dist, 300, make_rng([seed, 9]))
+        for greedy in (False, True):
+            trace = proper_learn(cls, data, loose, make_rng(seed), context=ctx, greedy=greedy)
+            if trace.subtree is None:
+                assert trace.leaf == trace.chosen_point
+                assert trace.hypothesis is trace.stage1.hypothesis
+                kinds["abstained" if trace.chosen_point is None else "realized"] += 1
+            else:
+                assert trace.hypothesis == learners._back_transform(ctx, trace.leaf)
+                kinds["descent"] += 1
+    assert len(kinds) == 3 and min(kinds.values()) >= 5, kinds
 
 
 def test_proper_always_outputs_member(rng):
