@@ -37,15 +37,41 @@ def _is_point(p: object) -> bool:
     return isinstance(p, (int, np.integer)) and type(p) is not bool
 
 
-def _check_integer_fields(obj: object) -> None:
-    """``ValueError`` unless every ``int`` field of dataclass ``obj`` holds an
-    integer by :func:`_is_point`'s rule; an ``int | None`` field may hold None."""
+def _is_number(x: object) -> bool:
+    """Whether ``x`` is an int, float or numpy number other than a bool."""
+    return isinstance(x, (int, float, np.integer, np.floating)) and not isinstance(x, bool)
+
+
+def _check_fields(obj: object) -> None:
+    """Check and normalise frozen dataclass ``obj``'s fields by their annotation
+    strings: ``int`` holds an integer by :func:`_is_point`'s rule, stored as
+    ``int``; ``float`` a number by :func:`_is_number`'s, stored as ``float``;
+    ``str`` a string; ``tuple[float, ...]`` a non-empty tuple or list of
+    numbers, stored as a tuple of floats; ``X | None`` may also hold None.
+    Other fields, the nested configs, are skipped. A bad value, or a number
+    past the float range, raises ``ValueError`` naming the field as ``'name'``.
+    The config classes call it first, so equal configs hash and print alike."""
     for f in fields(obj):
-        value = getattr(obj, f.name)
-        if f.type == "int | None" and value is None:
+        value, kind = getattr(obj, f.name), f.type.removesuffix(" | None")
+        if value is None and kind != f.type:
             continue
-        if f.type in ("int", "int | None") and not _is_point(value):
-            raise ValueError(f"{f.name} must be an integer, not {value!r}")
+        if kind == "int":
+            noun, ok, cast = "an integer", _is_point(value), int
+        elif kind == "float":
+            noun, ok, cast = "a number", _is_number(value), float
+        elif kind == "str":
+            noun, ok, cast = "a string", isinstance(value, str), str
+        elif kind == "tuple[float, ...]":
+            noun, cast = "a non-empty sequence of numbers", lambda v: tuple(map(float, v))
+            ok = isinstance(value, (tuple, list)) and bool(value) and all(map(_is_number, value))
+        else:
+            continue
+        if not ok:
+            raise ValueError(f"{f.name!r} must be {noun}, not {value!r}")
+        try:
+            object.__setattr__(obj, f.name, cast(value))
+        except OverflowError:
+            raise ValueError(f"{f.name!r} is past the float range") from None
 
 
 @dataclass(frozen=True)
@@ -199,8 +225,8 @@ class ConceptClass:
         name: str | None = None,
     ) -> "ConceptClass":
         """The class with the given 1-sets of ints, ids ``c0, c1, ...`` by default."""
-        if domain_size < 0:
-            raise ValueError("domain_size must be nonnegative")
+        if not _is_point(domain_size) or domain_size < 0:
+            raise ValueError(f"domain_size must be nonnegative and integral, not {domain_size!r}")
         if ids is not None and len(ids) != len(ones_sets):
             raise ValueError("one id per concept")
         m = np.zeros((len(ones_sets), domain_size), dtype=bool)

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .concepts import Dataset, _check_integer_fields
+from .concepts import Dataset, _check_fields
 from .generators import GeneratorSpec, generate_class, sample_dataset
 from .learners import (
     LearnParams,
@@ -33,7 +33,8 @@ from .rng import make_rng
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """One sweep: a class, a labeling policy, learner knobs, and trial count."""
+    """One sweep: a class, a labeling policy, learner knobs, and trial count;
+    its fields are checked when built (:func:`~vc1learn.concepts._check_fields`)."""
 
     generator: GeneratorSpec
     params: LearnParams
@@ -45,15 +46,13 @@ class ExperimentConfig:
     n_override: int | None = None  # None: the derived budget
 
     def __post_init__(self) -> None:
+        _check_fields(self)
         if self.mode not in ("improper", "proper"):
             raise ValueError("mode must be 'improper' or 'proper'")
-        _check_integer_fields(self)
         if self.trials < 1:
             raise ValueError("trials must be at least 1")
         if self.n_override is not None and self.n_override < 1:
             raise ValueError("n_override must be at least 1")
-        if self.weights is not None and not len(self.weights):
-            raise ValueError("weights must be non-empty")
 
 
 @dataclass(frozen=True)
@@ -159,7 +158,7 @@ def run_experiment(
     if config.weights is None:
         dist = Distribution.uniform(cls.domain_size)
     else:
-        dist = Distribution(np.array(config.weights))
+        dist = Distribution(config.weights)
     if len(dist) != cls.domain_size:
         raise ValueError("distribution support must match the domain")
     # numpy would wrap -1 onto the last concept
@@ -218,65 +217,32 @@ def config_to_json(config: ExperimentConfig) -> dict:
     return asdict(config)
 
 
-# the JSON types of each field annotation a config may hold (true is no number)
-_JSON_TYPES = {
-    "int": (int,), "int | None": (int, type(None)), "float": (float, int), "str": (str,)
-}
-
-
-def _json_object(value: object, name: str, kind: type) -> dict:
-    """A copy of ``value`` if it is a JSON object whose fields of dataclass
-    ``kind`` hold values of exactly their types; ``ValueError`` otherwise.
-    Nothing else is cast: a JSON integer in a float field becomes a float,
-    so that equal configs write equal reports."""
+def _json_object(value: object, name: str) -> dict:
+    """A copy of ``value`` if it is a JSON object; ``ValueError`` otherwise."""
     if not isinstance(value, dict):
         raise ValueError(f"malformed config: {name!r} must be an object")
-    value = dict(value)
-    for f in fields(kind):
-        key, types = f.name, _JSON_TYPES.get(f.type)
-        if key not in value or not types:
-            continue
-        if type(value[key]) not in types:
-            raise ValueError(f"malformed config: {key!r} in {name} must not be {value[key]!r}")
-        if f.type == "float":
-            value[key] = _json_float(value[key], key, name)
-    return value
-
-
-def _json_float(value: float | int, key: str, name: str) -> float:
-    """A JSON number as a float; ``ValueError`` for an integer past the float range."""
-    try:
-        return float(value)
-    except OverflowError:
-        raise ValueError(f"malformed config: {key!r} in {name} is out of range") from None
+    return dict(value)
 
 
 def config_from_json(data: dict) -> ExperimentConfig:
     """The config that ``config_to_json`` wrote as ``data``.
 
-    Keys with defaults may be left out. A key that ``config_to_json``
-    never writes, a missing one without a default, or a number or string
-    of the wrong JSON type raises ``ValueError`` (``KeyError`` for
-    a missing ``generator``, ``params`` or ``privacy``); ``weights`` is
-    null or a list of JSON numbers, each loaded as a float.
+    Keys with defaults may be left out. Each level must be a JSON object,
+    and a missing ``generator``, ``params`` or ``privacy`` raises ``KeyError``.
+    An unknown key, a missing one without a default, or a value that the
+    classes refuse however built raises ``ValueError`` (``malformed config: ...``).
     """
-    rest = _json_object(data, "config", ExperimentConfig)
-    gen = _json_object(rest.pop("generator"), "generator", GeneratorSpec)
-    pdata = _json_object(rest.pop("params"), "params", LearnParams)
-    privacy = _json_object(pdata.pop("privacy"), "privacy", PrivacyParams)
-    weights = rest.pop("weights", None)
-    if weights is not None:
-        if type(weights) is not list or any(type(w) not in (float, int) for w in weights):
-            raise ValueError(f"malformed config: 'weights' in config must not be {weights!r}")
-        weights = tuple(_json_float(w, "weights", "config") for w in weights)
+    rest = _json_object(data, "config")
+    gen = _json_object(rest.pop("generator"), "generator")
+    pdata = _json_object(rest.pop("params"), "params")
+    privacy = _json_object(pdata.pop("privacy"), "privacy")
     try:
         return ExperimentConfig(
             generator=GeneratorSpec(**gen),
             params=LearnParams(privacy=PrivacyParams(**privacy), **pdata),
-            weights=weights,
             **rest,
         )
-    except TypeError as exc:  # an unknown or missing key
+    except (TypeError, ValueError) as exc:  # TypeError: an unknown or missing key
         raise ValueError(f"malformed config: {exc}") from None
 
 

@@ -15,7 +15,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .concepts import Concept, ConceptClass, Dataset, _check_integer_fields, canonicalize
+from .concepts import Concept, ConceptClass, Dataset, _check_fields, _is_point, canonicalize
 from .oracles import Distribution
 from .rng import make_rng
 
@@ -25,7 +25,7 @@ SAMPLE_CHUNK = 1 << 16
 
 @dataclass(frozen=True)
 class GeneratorSpec:
-    """Recipe for one generated class."""
+    """Recipe for one generated class, checked by ``concepts._check_fields``."""
 
     kind: str  # a key of GENERATOR_KINDS
     n: int | None = None
@@ -34,7 +34,7 @@ class GeneratorSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        _check_integer_fields(self)
+        _check_fields(self)
 
 
 def thresholds_class(n: int) -> ConceptClass:
@@ -173,7 +173,10 @@ def sample_dataset(
     points are stored in the narrowest unsigned dtype that holds
     ``domain_size - 1`` (uint16 up to 65,536 points); the labels are the
     concept's bool row at the points, which the dataset holds as a uint8 view.
+    A non-integer or negative ``n`` raises ``ValueError`` before any draw.
     """
+    if not _is_point(n):
+        raise ValueError(f"n must be an integer, not {n!r}")
     if n < 0:
         raise ValueError("n must be nonnegative")
     i = cls.index_of(concept.ones)

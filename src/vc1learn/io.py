@@ -31,10 +31,10 @@ def class_from_json(data: dict) -> ConceptClass:
     if not isinstance(data, dict):
         raise ValueError("class JSON must be an object")
     entries, size = data["concepts"], data["domain_size"]
-    if type(size) is not int or not isinstance(entries, list) or not all(
+    if not isinstance(entries, list) or not all(
         isinstance(e, dict) and isinstance(e.get("ones"), list) for e in entries
     ):
-        raise ValueError("class JSON needs an int 'domain_size' and list-valued 'ones'")
+        raise ValueError("class JSON needs list-valued 'ones'")
     return ConceptClass.from_ones(
         size,
         [entry["ones"] for entry in entries],

@@ -38,6 +38,7 @@ from .concepts import (
     ConceptClass,
     Dataset,
     Hypothesis,
+    _check_fields,
     canonical_layout,
 )
 from .generators import SAMPLE_CHUNK
@@ -77,7 +78,7 @@ class LearnParams:
     The sizing constants are fixed by the analysis, not by these values:
     the selection gate's 16, the depth median's :data:`MEDIAN_ALPHA` of
     1/3 and a unit factor on the second-stage size (see
-    :func:`sample_budget`).
+    :func:`sample_budget`). ``concepts._check_fields`` checks the fields.
     """
 
     alpha: float
@@ -85,6 +86,7 @@ class LearnParams:
     privacy: PrivacyParams
 
     def __post_init__(self) -> None:
+        _check_fields(self)
         if not 0 < self.alpha < 1:
             raise ValueError("alpha must be in (0, 1)")
         if not 0 < self.beta < 1:

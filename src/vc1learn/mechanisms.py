@@ -14,7 +14,7 @@ from typing import Hashable, Mapping, Sequence
 
 import numpy as np
 
-from .concepts import _is_point
+from .concepts import _check_fields, _is_point
 
 # the gate of choosing_mechanism: noise scale and threshold factor, times 1 / eps
 GATE_NOISE_SCALE = 4.0
@@ -27,12 +27,14 @@ class PrivacyParams:
 
     Zero epsilon is allowed so that composition arithmetic can express a
     free stage; mechanisms that actually spend budget require it positive.
+    Both are checked and stored as floats by ``concepts._check_fields``.
     """
 
     epsilon: float
     delta: float = 0.0
 
     def __post_init__(self) -> None:
+        _check_fields(self)
         if not self.epsilon >= 0:  # false for NaN too
             raise ValueError("epsilon must be nonnegative")
         if not 0 <= self.delta < 1:

@@ -371,7 +371,7 @@ def dp_audit(
     least 1 (a bool included) or a ``delta`` outside [0, 1) (NaN included)
     raises ``ValueError`` before any draw.
     """
-    if isinstance(trials, bool) or not isinstance(trials, (int, np.integer)) or trials < 1:
+    if not _is_point(trials) or trials < 1:
         raise ValueError("trials must be an integer of at least 1")
     if not 0 <= delta < 1:  # false for NaN too
         raise ValueError("delta must be in [0, 1)")

@@ -11,7 +11,10 @@ from vc1learn import (
     ConceptClass,
     Dataset,
     Distribution,
+    ExperimentConfig,
     GeneratorSpec,
+    LearnParams,
+    PrivacyParams,
     canonicalize,
     comparable,
     example_class,
@@ -201,6 +204,8 @@ def test_index_of_finds_no_member_at_a_point_that_is_no_integer():
         (lambda: ConceptClass(np.zeros((2, 3), dtype=bool), ["a"]), "one id per concept"),
         (lambda: ConceptClass(np.zeros((1, 3), dtype=bool), ["a", "b"]), "one id per concept"),
         (lambda: ConceptClass.from_ones(-1, [set()]), "domain_size must be nonnegative"),
+        (lambda: ConceptClass.from_ones(2.5, [set()]), "integral, not 2.5"),
+        (lambda: ConceptClass.from_ones(True, [set()]), "integral, not True"),
         # the id count is checked before any id is read
         (lambda: ConceptClass.from_ones(3, [{0}, {1}], ids=["a"]), "one id per concept"),
         (lambda: Dataset(np.array([0, 1]), np.array([0])), "1-d arrays of equal length"),
@@ -208,12 +213,31 @@ def test_index_of_finds_no_member_at_a_point_that_is_no_integer():
         (lambda: leq(example_class(), 0, 7), "point 7 outside domain"),
         (lambda: leq(example_class(), -1, 0), "point -1 outside domain"),
     ],
-    ids=["matrix-1d", "ids-short", "ids-long", "negative-domain", "from-ones-ids",
-         "dataset-lengths", "dataset-2d", "order-point-past", "order-point-negative"],
+    ids=["matrix-1d", "ids-short", "ids-long", "negative-domain", "float-domain", "bool-domain",
+         "from-ones-ids", "dataset-lengths", "dataset-2d", "order-point-past",
+         "order-point-negative"],
 )
 def test_concept_inputs_are_refused(build, message):
     with pytest.raises(ValueError, match=re.escape(message)):
         build()
+
+
+def test_every_config_field_is_checked_by_its_annotation():
+    # _check_fields reads annotation strings, so a field of a kind it does
+    # not handle (a later ``bool``, say) or a module without ``from
+    # __future__ import annotations`` would leave the field unchecked: each
+    # field but the nested configs must refuse a value of no type by name
+    privacy = PrivacyParams(1.0, 1e-5)
+    params = LearnParams(0.25, 0.25, privacy)
+    spec = GeneratorSpec("example")
+    nested = {"generator", "params", "privacy"}
+    for obj in (privacy, params, spec, ExperimentConfig(spec, params)):
+        for f in dataclasses.fields(obj):
+            if f.name in nested:
+                assert dataclasses.is_dataclass(getattr(obj, f.name))
+                continue
+            with pytest.raises(ValueError, match=f"^'{f.name}' must be "):
+                dataclasses.replace(obj, **{f.name: object()})
 
 
 def test_leq_example_values(example_cls):

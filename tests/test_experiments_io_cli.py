@@ -774,6 +774,10 @@ def test_cli_validation_exit_codes(tmp_path, capsys):
         bad.write_text(json.dumps({"name": "x", "domain_size": 4, "concepts": concepts}))
         assert main(["dims", "--class", str(bad)]) == 2
         assert capsys.readouterr().err.startswith("error:")
+    for size in (4.0, True, "4", None):
+        bad.write_text(json.dumps({"name": "x", "domain_size": size, "concepts": []}))
+        assert main(["dims", "--class", str(bad)]) == 2
+        assert capsys.readouterr().err.startswith("error: domain_size must be")
     bad.write_text("[1]")
     assert main(["dims", "--class", str(bad)]) == 2
     # an empty domain has no uniform distribution to sample from
@@ -899,6 +903,26 @@ def test_cli_sweep_reports_integer_weights_as_floats(tmp_path):
     assert b'"weights": [0.0, 0.5' in reports[0]
 
 
+def test_configs_of_numpy_or_int_values_equal_their_plain_twins(tmp_path):
+    # numpy integers and floats, and an int epsilon, are stored as int and
+    # float, so each config compares, hashes and reports as its plain twin;
+    # an np.int64 seed used to run every trial and then fail the JSON echo
+    plain = small_config(trials=2, seed=3)
+    privacy = (PrivacyParams(np.float32(1.0), 1e-5), PrivacyParams(1, np.float64(1e-5)))
+    twins = [small_config(trials=np.int64(2), seed=np.int64(3))]
+    twins += [small_config(trials=2, seed=3, params=dataclasses.replace(PARAMS, privacy=p))
+              for p in privacy]
+    for twin in twins:
+        assert type(twin.seed) is int and type(twin.params.privacy.epsilon) is float
+        assert twin == plain and hash(twin) == hash(plain)
+        reports = []
+        for config in (plain, twin):
+            path = tmp_path / f"r{len(reports)}.csv"
+            write_report_csv(run_experiment(config), config, path)
+            reports.append(path.read_bytes())
+        assert reports[0] == reports[1]
+
+
 def test_experiment_config_rejects_bad_sizes_and_empty_weights(tmp_path, capsys):
     # checked when the config is built, before any class or data exists;
     # an integer field takes an int or numpy integer, never a bool or float
@@ -906,6 +930,7 @@ def test_experiment_config_rejects_bad_sizes_and_empty_weights(tmp_path, capsys)
     bad += (("mode", "both"), ("trials", 0))
     bad += (("trials", 2.5), ("trials", 3.9), ("trials", True), ("seed", 1.5))
     bad += (("concept_index", True), ("concept_index", 1.0), ("n_override", 2.5))
+    bad += (("weights", (True,) + (False,) * 6),)
     for key, value in bad:
         with pytest.raises(ValueError, match=key):
             small_config(**{key: value})

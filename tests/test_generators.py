@@ -212,16 +212,33 @@ def test_distribution_rejects_nan_weights():
             ),
             "distribution support must match the domain",
         ),
-        (lambda: GeneratorSpec("thresholds", n=2.5), "n must be an integer, not 2.5"),
+        (lambda: GeneratorSpec("thresholds", n=2.5), "'n' must be an integer, not 2.5"),
         (
             lambda: GeneratorSpec("random_tree", n=10, max_children=1.5),
-            "max_children must be an integer, not 1.5",
+            "'max_children' must be an integer, not 1.5",
         ),
-        (lambda: GeneratorSpec("random_tree", n=10, seed=True), "seed must be an integer"),
+        (lambda: GeneratorSpec("random_tree", n=10, seed=True), "'seed' must be an integer"),
+        (
+            lambda: GeneratorSpec("random_tree", n=10, concept_rate="x"),
+            "'concept_rate' must be a number, not 'x'",
+        ),
+        # was TypeError: unhashable type, inside generate_class
+        (lambda: GeneratorSpec(["x"]), "'kind' must be a string, not ['x']"),
+        *[
+            (
+                lambda n=n: sample_dataset(
+                    example_class(), example_class().concepts[0], Distribution.uniform(7), n,
+                    make_rng(0),
+                ),
+                f"n must be an integer, not {n!r}",
+            )
+            for n in (2.5, 3.0, True)
+        ],
     ],
     ids=["thresholds-n", "points-n", "random-tree-n", "max-children", "rate-high",
          "rate-low", "weights-2d", "weights-negative", "support", "spec-n-float",
-         "spec-max-children-float", "spec-seed-bool"],
+         "spec-max-children-float", "spec-seed-bool", "spec-rate-str", "spec-kind-list",
+         "sample-n-float", "sample-n-integral-float", "sample-n-bool"],
 )
 def test_generator_inputs_are_refused(build, message):
     with pytest.raises(ValueError, match=re.escape(message)):

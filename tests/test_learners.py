@@ -92,6 +92,8 @@ def test_sample_budget_monotonicity():
         (lambda: LearnParams(math.nan, 0.2, PARAMS.privacy), "alpha must be in (0, 1)"),
         (lambda: LearnParams(0.2, 0.0, PARAMS.privacy), "beta must be in (0, 1)"),
         (lambda: LearnParams(0.2, 1.5, PARAMS.privacy), "beta must be in (0, 1)"),
+        (lambda: LearnParams("0.3", 0.1, PARAMS.privacy), "'alpha' must be a number, not '0.3'"),
+        (lambda: PrivacyParams(True, 1e-5), "'epsilon' must be a number, not True"),
         (lambda: sample_budget(PARAMS, -1), "tree_depth_bound must be nonnegative"),
         (lambda: prepare_context(example_class(), -1), "f_index out of range"),
         (lambda: prepare_context(example_class(), 8), "f_index out of range"),
@@ -100,8 +102,8 @@ def test_sample_budget_monotonicity():
             "loop_iterations must be nonnegative",
         ),
     ],
-    ids=["alpha-0", "alpha-1", "alpha-nan", "beta-0", "beta-high", "negative-depth",
-         "f-index-negative", "f-index-past", "loop-iterations-negative"],
+    ids=["alpha-0", "alpha-1", "alpha-nan", "beta-0", "beta-high", "alpha-str", "epsilon-bool",
+         "negative-depth", "f-index-negative", "f-index-past", "loop-iterations-negative"],
 )
 def test_learner_inputs_are_refused(build, message):
     with pytest.raises(ValueError, match=re.escape(message)):
