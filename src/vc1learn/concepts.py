@@ -21,6 +21,7 @@ threads; operations are pure functions of their inputs.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, fields
 from functools import cached_property
 from typing import Iterable, Iterator, Sequence
@@ -32,9 +33,11 @@ class NotRealizableError(ValueError):
     """A labeled dataset is inconsistent with every concept in the class."""
 
 
-def _is_point(p: object) -> bool:
-    """Whether ``p`` is an int or numpy integer; no casts, so 1.5, True or "2" is not."""
-    return isinstance(p, (int, np.integer)) and type(p) is not bool
+def _all_integers(values: Iterable[object]) -> bool:
+    """Whether every value is an int or numpy integer; no casts, so 1.5,
+    True or "2" is not. Each distinct type is checked once, so the pass
+    makes no Python call per value."""
+    return all(issubclass(t, (int, np.integer)) and t is not bool for t in set(map(type, values)))
 
 
 def _is_number(x: object) -> bool:
@@ -42,21 +45,35 @@ def _is_number(x: object) -> bool:
     return isinstance(x, (int, float, np.integer, np.floating)) and not isinstance(x, bool)
 
 
+def _check_int(name: str, value: object, lo: int | None = None, hi: int | None = None) -> int:
+    """``value`` as an ``int``, if it is an integer by :func:`_all_integers`'s
+    rule, at least ``lo`` and at most ``hi`` where given; ``ValueError``
+    otherwise. The package's one rule for counts, sizes and indices."""
+    if _all_integers((value,)) and (lo is None or value >= lo) and (hi is None or value <= hi):
+        return int(value)
+    span = "" if lo is None else f" of at least {lo}" if hi is None else f" in [{lo}, {hi}]"
+    raise ValueError(f"{name!r} must be an integer{span}, not {value!r}")
+
+
 def _check_fields(obj: object) -> None:
     """Check and normalise frozen dataclass ``obj``'s fields by their annotation
-    strings: ``int`` holds an integer by :func:`_is_point`'s rule, stored as
-    ``int``; ``float`` a number by :func:`_is_number`'s, stored as ``float``;
-    ``str`` a string; ``tuple[float, ...]`` a non-empty tuple or list of
-    numbers, stored as a tuple of floats; ``X | None`` may also hold None.
-    Other fields, the nested configs, are skipped. A bad value, or a number
-    past the float range, raises ``ValueError`` naming the field as ``'name'``.
-    The config classes call it first, so equal configs hash and print alike."""
+    strings: ``int`` holds an integer by :func:`_check_int`, at least the
+    field's ``metadata["lo"]`` where given, stored as ``int``; ``float`` a
+    number by :func:`_is_number`'s rule, stored as ``float``; ``str`` a
+    string; ``tuple[float, ...]`` a non-empty tuple or list of numbers,
+    stored as a tuple of floats; ``frozenset[int]`` a set or frozenset of
+    integers by :func:`_all_integers`, stored as a frozenset. Any other
+    annotation names a class of ``obj``'s module, such as a nested config,
+    and the field holds an instance of it. ``X | None`` may also hold None.
+    A bad value, or a number past the float range, raises ``ValueError``
+    naming the field as ``'name'``. The value classes call it first, so
+    equal values hash and print alike."""
     for f in fields(obj):
         value, kind = getattr(obj, f.name), f.type.removesuffix(" | None")
         if value is None and kind != f.type:
             continue
-        if kind == "int":
-            noun, ok, cast = "an integer", _is_point(value), int
+        if kind == "int":  # _check_int raises itself
+            noun, ok, cast = "", True, lambda v: _check_int(f.name, v, f.metadata.get("lo"))
         elif kind == "float":
             noun, ok, cast = "a number", _is_number(value), float
         elif kind == "str":
@@ -64,8 +81,12 @@ def _check_fields(obj: object) -> None:
         elif kind == "tuple[float, ...]":
             noun, cast = "a non-empty sequence of numbers", lambda v: tuple(map(float, v))
             ok = isinstance(value, (tuple, list)) and bool(value) and all(map(_is_number, value))
+        elif kind == "frozenset[int]":
+            noun, cast = "a set of integers", frozenset
+            ok = isinstance(value, (set, frozenset)) and _all_integers(value)
         else:
-            continue
+            noun, cast = f"a {kind}", lambda v: v
+            ok = isinstance(value, vars(sys.modules[type(obj).__module__])[kind])
         if not ok:
             raise ValueError(f"{f.name!r} must be {noun}, not {value!r}")
         try:
@@ -76,10 +97,18 @@ def _check_fields(obj: object) -> None:
 
 @dataclass(frozen=True)
 class Concept:
-    """A single 0/1-valued function, stored as its set of 1-points."""
+    """A single 0/1-valued function, stored as its set of 1-points.
+
+    ``ones`` must hold integers, negative ones included: the support bound
+    is checked where the domain is known. Fields are checked when built
+    (:func:`_check_fields`).
+    """
 
     ones: frozenset[int]
     id: str | None = None
+
+    def __post_init__(self) -> None:
+        _check_fields(self)
 
     def __call__(self, point: int) -> int:
         return 1 if point in self.ones else 0
@@ -156,11 +185,15 @@ class Hypothesis:
     """A learned 0/1 labeling of the domain.
 
     ``proper_index`` is set when the hypothesis coincides with a class
-    member, in which case ``ones`` equals that concept's ones.
+    member, in which case ``ones`` equals that concept's ones. Fields are
+    checked as :class:`Concept`'s are.
     """
 
     ones: frozenset[int]
     proper_index: int | None = None
+
+    def __post_init__(self) -> None:
+        _check_fields(self)
 
 
 class _LazyConcepts:
@@ -175,7 +208,12 @@ class _LazyConcepts:
     def __getitem__(self, i):
         if isinstance(i, slice):
             return tuple(self[j] for j in range(*i.indices(len(self))))
-        return Concept(frozenset(np.flatnonzero(self._cls.row(i)).tolist()), self._cls.ids[i])
+        # built unchecked: a row's tolist holds ints by construction, and a
+        # type pass over every set would cost 40% of io.class_to_json
+        c = object.__new__(Concept)
+        ones = frozenset(np.flatnonzero(self._cls.row(i)).tolist())
+        vars(c).update(ones=ones, id=self._cls.ids[i])
+        return c
 
     def __iter__(self) -> Iterator[Concept]:
         return (self[i] for i in range(len(self)))
@@ -225,15 +263,14 @@ class ConceptClass:
         name: str | None = None,
     ) -> "ConceptClass":
         """The class with the given 1-sets of ints, ids ``c0, c1, ...`` by default."""
-        if not _is_point(domain_size) or domain_size < 0:
-            raise ValueError(f"domain_size must be nonnegative and integral, not {domain_size!r}")
+        domain_size = _check_int("domain_size", domain_size, 0)
         if ids is not None and len(ids) != len(ones_sets):
             raise ValueError("one id per concept")
         m = np.zeros((len(ones_sets), domain_size), dtype=bool)
         names = list(ids) if ids is not None else [f"c{i}" for i in range(len(m))]
         for i, ones in enumerate(ones_sets):
             ones = list(ones)
-            if not all(map(_is_point, ones)):
+            if not _all_integers(ones):
                 raise ValueError(f"concept {names[i]!r} has non-integer points")
             if ones and (min(ones) < 0 or max(ones) >= domain_size):
                 raise ValueError(f"concept {names[i]!r} has points outside the domain")
@@ -279,7 +316,7 @@ class ConceptClass:
         as no integer.
         """
         ones = list(ones)
-        if not all(map(_is_point, ones)):
+        if not _all_integers(ones):
             return None
         points = np.fromiter(ones, np.int64)
         if len(points) and (points.min() < 0 or points.max() >= self.domain_size):
@@ -424,9 +461,7 @@ def f_represent(cls: ConceptClass, f: Concept) -> ConceptClass:
 
 
 def _check_order_point(cls: ConceptClass, p: int) -> None:
-    if p < 0 or p >= cls.domain_size:
-        raise ValueError(f"point {p} outside domain")
-    if p in cls.constant_labels:
+    if _check_int("point", p, 0, cls.domain_size - 1) in cls.constant_labels:
         raise ValueError("point outside order universe")
 
 

@@ -11,13 +11,13 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, field, fields
 from functools import partial
 from pathlib import Path
 
 import numpy as np
 
-from .concepts import Dataset, _check_fields
+from .concepts import Dataset, _check_fields, _check_int
 from .generators import GeneratorSpec, generate_class, sample_dataset
 from .learners import (
     LearnParams,
@@ -39,20 +39,16 @@ class ExperimentConfig:
     generator: GeneratorSpec
     params: LearnParams
     mode: str = "improper"  # improper | proper
-    trials: int = 1
+    trials: int = field(default=1, metadata={"lo": 1})
     seed: int = 0
     concept_index: int | None = None  # None: a fresh random concept per trial
     weights: tuple[float, ...] | None = None  # None: uniform
-    n_override: int | None = None  # None: the derived budget
+    n_override: int | None = field(default=None, metadata={"lo": 1})  # None: the derived budget
 
     def __post_init__(self) -> None:
         _check_fields(self)
         if self.mode not in ("improper", "proper"):
             raise ValueError("mode must be 'improper' or 'proper'")
-        if self.trials < 1:
-            raise ValueError("trials must be at least 1")
-        if self.n_override is not None and self.n_override < 1:
-            raise ValueError("n_override must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -162,8 +158,8 @@ def run_experiment(
     if len(dist) != cls.domain_size:
         raise ValueError("distribution support must match the domain")
     # numpy would wrap -1 onto the last concept
-    if config.concept_index is not None and not 0 <= config.concept_index < len(cls):
-        raise ValueError(f"concept_index {config.concept_index} outside [0, {len(cls)})")
+    if config.concept_index is not None:
+        _check_int("concept_index", config.concept_index, 0, len(cls) - 1)
 
     rows: list[ReportRow] = []
     streams = make_rng(config.seed).spawn(config.trials)

@@ -10,12 +10,12 @@ dimension 1 by construction and is returned in canonical form.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
 
-from .concepts import Concept, ConceptClass, Dataset, _check_fields, _is_point, canonicalize
+from .concepts import Concept, ConceptClass, Dataset, _check_fields, _check_int, canonicalize
 from .oracles import Distribution
 from .rng import make_rng
 
@@ -25,22 +25,29 @@ SAMPLE_CHUNK = 1 << 16
 
 @dataclass(frozen=True)
 class GeneratorSpec:
-    """Recipe for one generated class, checked by ``concepts._check_fields``."""
+    """Recipe for one generated class, checked when built: the fields by
+    ``concepts._check_fields``, then the kind is known, ``n`` is given
+    when the kind needs it, and ``concept_rate`` is in [0, 1]."""
 
     kind: str  # a key of GENERATOR_KINDS
-    n: int | None = None
-    max_children: int = 3
+    n: int | None = field(default=None, metadata={"lo": 1})
+    max_children: int = field(default=3, metadata={"lo": 1})
     concept_rate: float = 0.5
     seed: int = 0
 
     def __post_init__(self) -> None:
         _check_fields(self)
+        if self.kind not in GENERATOR_KINDS:
+            raise ValueError(f"unknown generator kind {self.kind!r}")
+        if GENERATOR_KINDS[self.kind][0] and self.n is None:
+            raise ValueError(f"{self.kind} generator needs n")
+        if not 0.0 <= self.concept_rate <= 1.0:
+            raise ValueError("concept_rate must be in [0, 1]")
 
 
 def thresholds_class(n: int) -> ConceptClass:
     """Threshold functions x >= t over [0, n), including both boundary concepts."""
-    if n < 1:
-        raise ValueError("n must be at least 1")
+    n = GeneratorSpec("thresholds", n).n
     m = np.arange(n) >= np.arange(n + 1)[:, None]
     ids = [f"ge{t}" for t in range(n + 1)]
     return ConceptClass(m, ids, name=f"thresholds({n})")
@@ -48,8 +55,7 @@ def thresholds_class(n: int) -> ConceptClass:
 
 def point_functions_class(n: int) -> ConceptClass:
     """Indicator functions of single points plus the empty concept."""
-    if n < 1:
-        raise ValueError("n must be at least 1")
+    n = GeneratorSpec("points", n).n
     m = np.vstack([np.zeros(n, dtype=bool), np.eye(n, dtype=bool)])
     ids = ["empty"] + [f"pt{x}" for x in range(n)]
     return ConceptClass(m, ids, name=f"points({n})")
@@ -66,12 +72,8 @@ def random_tree_class(
     canonicalized, so indistinguishable points may merge and the domain
     may end up smaller than ``n``.
     """
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    if max_children < 1:
-        raise ValueError("max_children must be at least 1")
-    if not 0.0 <= concept_rate <= 1.0:
-        raise ValueError("concept_rate must be in [0, 1]")
+    spec = GeneratorSpec("random_tree", n, max_children, concept_rate, seed)
+    n, max_children, concept_rate, seed = spec.n, spec.max_children, spec.concept_rate, spec.seed
     rng = make_rng(seed)
     order = rng.permutation(n)
     # paths[x]: x's root path, filled as x attaches; row n is the virtual root
@@ -144,12 +146,7 @@ def generate_class(spec: GeneratorSpec) -> ConceptClass:
     The last 128 results are memoised: specs are frozen and classes
     immutable, so one recipe gives one class object.
     """
-    if spec.kind not in GENERATOR_KINDS:
-        raise ValueError(f"unknown generator kind {spec.kind!r}")
-    sized, build = GENERATOR_KINDS[spec.kind]
-    if sized and spec.n is None:
-        raise ValueError(f"{spec.kind} generator needs n")
-    return build(spec)
+    return GENERATOR_KINDS[spec.kind][1](spec)
 
 
 def sample_dataset(
@@ -175,10 +172,7 @@ def sample_dataset(
     concept's bool row at the points, which the dataset holds as a uint8 view.
     A non-integer or negative ``n`` raises ``ValueError`` before any draw.
     """
-    if not _is_point(n):
-        raise ValueError(f"n must be an integer, not {n!r}")
-    if n < 0:
-        raise ValueError("n must be nonnegative")
+    n = _check_int("n", n, 0)
     i = cls.index_of(concept.ones)
     if i is None:
         raise ValueError("labeling concept must belong to class")

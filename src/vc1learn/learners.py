@@ -39,6 +39,7 @@ from .concepts import (
     Dataset,
     Hypothesis,
     _check_fields,
+    _check_int,
     canonical_layout,
 )
 from .generators import SAMPLE_CHUNK
@@ -115,7 +116,7 @@ def uniform_convergence_size(alpha: float, beta: float) -> int:
     )
 
 
-@lru_cache
+@lru_cache(typed=True)
 def sample_budget(params: LearnParams, tree_depth_bound: int) -> SampleBudget:
     """Sizing for a class whose tree depth is at most ``tree_depth_bound``.
 
@@ -127,10 +128,10 @@ def sample_budget(params: LearnParams, tree_depth_bound: int) -> SampleBudget:
     ``N2 = (ln(1/alpha) + ln(1/beta)) / (alpha^2 eps)``. A size that
     overflows or is infinite raises ``ValueError``: the parameters are
     checked, so the sizing functions' own ``ValueError`` means one, as at
-    delta 0, whose gate log is infinite. Results are memoised.
+    delta 0, whose gate log is infinite. Results are memoised by argument
+    type too, so that a bool or a float never reads an integer's entry.
     """
-    if tree_depth_bound < 0:
-        raise ValueError("tree_depth_bound must be nonnegative")
+    tree_depth_bound = _check_int("tree_depth_bound", tree_depth_bound, 0)
     priv = params.privacy
     try:
         t_median = required_median_size(
@@ -221,8 +222,7 @@ def prepare_context(cls: ConceptClass, f_index: int = 0) -> LearnerContext:
     way. The tree is on the class's own points: ``point_map`` sends each
     point to its representative, the lowest point with the same column.
     """
-    if not 0 <= f_index < len(cls.concepts):
-        raise ValueError("f_index out of range")
+    f_index = _check_int("f_index", f_index, 0, len(cls) - 1)
     packed = cls.packed ^ cls.packed[f_index]
     rows, rep, count, first = canonical_layout(packed, cls.domain_size)
     rep.flags.writeable = False
@@ -444,6 +444,8 @@ def _improper_runs(
     n = len(examples[2])
     if n == 0:
         raise ValueError("dataset must be non-empty")
+    if force_median is not None:
+        force_median = _check_int("force_median", force_median, 0)
     if subset_ids is not None:
         ids = np.asarray(subset_ids)
         if ids.dtype.kind not in "iu":
@@ -459,7 +461,7 @@ def _improper_runs(
     deepest = deepest.reshape(runs, t)
     depths = np.where(deepest >= 0, tree.depth[deepest], 0)
     if force_median is not None:
-        medians = np.full(runs, int(force_median))
+        medians = np.full(runs, force_median)
     else:
         medians = _median_rows(depths, tree.height, params.privacy.epsilon, rng)
 
@@ -739,8 +741,7 @@ def total_privacy(
     proper-exit path cost (2 eps, 2 delta) exactly.
     """
     t_loop = budget.T if loop_iterations is None else loop_iterations
-    if t_loop < 0:
-        raise ValueError("loop_iterations must be nonnegative")
+    t_loop = _check_int("loop_iterations", t_loop, 0)
     eps = params.privacy.epsilon
     delta = params.privacy.delta
     if t_loop == 0:

@@ -14,7 +14,7 @@ from typing import Hashable, Mapping, Sequence
 
 import numpy as np
 
-from .concepts import _check_fields, _is_point
+from .concepts import _all_integers, _check_fields, _check_int
 
 # the gate of choosing_mechanism: noise scale and threshold factor, times 1 / eps
 GATE_NOISE_SCALE = 4.0
@@ -146,14 +146,11 @@ def choosing_mechanism(
     runs the exponential mechanism over the solutions with nonzero score
     (at most k*n of them). With probability at least 1 - beta the returned
     solution scores within :func:`choosing_utility_bound` of the maximum.
-    Raises ``ValueError`` before any draw unless k >= 1, n >= 0, every
-    score is nonnegative and finite, eps is in (0, 2), delta > 0 and beta
+    Raises ``ValueError`` before any draw unless k >= 1 and n >= 0 are
+    integers, every score is nonnegative and finite, eps is in (0, 2), delta > 0 and beta
     is in (0, 1).
     """
-    if k < 1:
-        raise ValueError("k must be at least 1")
-    if n < 0:
-        raise ValueError("n must be nonnegative")
+    k, n = _check_int("k", k, 1), _check_int("n", n, 0)
     # NaN would open the gate, and +inf fail the selection after the draws
     if any(not 0 <= v < math.inf for v in scores.values()):
         raise ValueError("scores must be nonnegative and finite")
@@ -260,7 +257,7 @@ def private_median(
     if not values:
         raise ValueError("empty values")
     _check_median(alpha, privacy)
-    if not all(map(_is_point, values)):
+    if not _all_integers(values):
         raise ValueError("values must be integers")
     if min(values) < 0 or max(values) > domain_max:
         raise ValueError("values outside [0, domain_max]")
@@ -308,8 +305,7 @@ def required_median_size(
     ``n >= (2 / (alpha * eps)) * ln((domain_max + 1) / beta)`` suffices.
     Grows additively by O(1 / (alpha * eps)) per doubling of the domain.
     """
-    if domain_max < 0:
-        raise ValueError("domain_max must be nonnegative")
+    domain_max = _check_int("domain_max", domain_max, 0)
     _check_median(alpha, privacy)
     if not 0 < beta < 1:
         raise ValueError("beta must be in (0, 1)")
@@ -345,7 +341,8 @@ def advanced_composition(
     below the exact optimum (30.3 against 37.9 at eps 1, k 40,
     delta' 1e-5), so it is not used.
     """
-    if not (epsilon_step >= 0 and delta_step >= 0 and k >= 0 and delta_prime > 0):
+    k = _check_int("k", k, 0)
+    if not (epsilon_step >= 0 and delta_step >= 0 and delta_prime > 0):
         raise ValueError("composition parameters must be positive")
     eps = float(k * epsilon_step)
     if epsilon_step < math.log(2.0):  # from ln 2 on, e^eps - 1 >= 1 and basic wins

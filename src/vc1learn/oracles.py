@@ -18,7 +18,7 @@ from typing import Callable, Hashable, Sequence
 
 import numpy as np
 
-from .concepts import Concept, ConceptClass, Dataset, Hypothesis, NotRealizableError, _is_point
+from .concepts import Concept, ConceptClass, Dataset, Hypothesis, NotRealizableError, _check_int
 
 VC_SCALE_LIMIT = 24
 TD_SCALE_LIMIT = 16
@@ -62,8 +62,7 @@ class Distribution:
 
     @classmethod
     def uniform(cls, n: int) -> "Distribution":
-        if n < 1:
-            raise ValueError("uniform distribution needs at least one point")
+        n = _check_int("n", n, 1)
         return cls(np.full(n, 1.0 / n))
 
     def __len__(self) -> int:
@@ -186,12 +185,11 @@ def error_on_distribution(
 ) -> float:
     """Probability mass of the symmetric difference of the two 1-sets.
 
-    Raises ``ValueError`` on a point of either 1-set that is no integer
-    (1.5 or True) or lies outside the support, even where both sets hold it.
+    Raises ``ValueError`` on a point of either 1-set that lies outside the
+    support, even where both sets hold it; both classes hold only integer
+    points, by their construction check.
     """
     ones = hypothesis.ones | concept.ones
-    if not all(map(_is_point, ones)):
-        raise ValueError("non-integer point")
     if ones and (min(ones) < 0 or max(ones) >= len(dist.weights)):
         raise ValueError("point outside distribution support")
     diff = hypothesis.ones ^ concept.ones
@@ -231,7 +229,8 @@ def optimal_composition(epsilon_step: float, k: int, delta_prime: float) -> floa
     which is never below the optimum by more than rounding.
     """
     # false for NaN too, on which the bisection below would never end
-    if not (epsilon_step >= 0 and k >= 0 and delta_prime > 0):
+    k = _check_int("k", k, 0)
+    if not (epsilon_step >= 0 and delta_prime > 0):
         raise ValueError("composition parameters must be positive")
     if k == 0 or epsilon_step == 0:
         return 0.0
@@ -371,8 +370,7 @@ def dp_audit(
     least 1 (a bool included) or a ``delta`` outside [0, 1) (NaN included)
     raises ``ValueError`` before any draw.
     """
-    if not _is_point(trials) or trials < 1:
-        raise ValueError("trials must be an integer of at least 1")
+    _check_int("trials", trials, 1)
     if not 0 <= delta < 1:  # false for NaN too
         raise ValueError("delta must be in [0, 1)")
     rng_a, rng_b = rng.spawn(2)

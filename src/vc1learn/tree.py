@@ -29,6 +29,7 @@ from .concepts import (
     ConceptClass,
     Dataset,
     NotRealizableError,
+    _check_int,
     canonical_layout,
     row_bytes,
 )
@@ -255,7 +256,7 @@ def tree_from_matrix(
 
 
 def _check_in_tree(tree: ClassTree, x: int) -> None:
-    if not (0 <= x < len(tree.tin) and tree.tin[x] >= 0):
+    if tree.tin[_check_int("point", x, 0, len(tree.tin) - 1)] < 0:
         raise ValueError(f"point {x} not in tree")
 
 

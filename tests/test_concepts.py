@@ -13,6 +13,7 @@ from vc1learn import (
     Distribution,
     ExperimentConfig,
     GeneratorSpec,
+    Hypothesis,
     LearnParams,
     PrivacyParams,
     canonicalize,
@@ -193,7 +194,8 @@ def test_index_of_finds_no_member_at_a_point_that_is_no_integer():
     assert cls.index_of([1]) == 1 and cls.index_of([np.int64(0), 4]) == 4
     for ones in ([1.5], [True], [0.0, 4.9], [np.float64(1)]):
         assert cls.index_of(ones) is None
-    with pytest.raises(ValueError, match="labeling concept must belong to class"):
+    # such a concept is refused when built, before it can reach sample_dataset
+    with pytest.raises(ValueError, match="'ones' must be a set of integers"):
         sample_dataset(cls, Concept(frozenset({0.5})), Distribution.uniform(7), 5, make_rng(0))
 
 
@@ -203,19 +205,34 @@ def test_index_of_finds_no_member_at_a_point_that_is_no_integer():
         (lambda: ConceptClass(np.zeros(3, dtype=bool), ["a"]), "matrix must be 2-d"),
         (lambda: ConceptClass(np.zeros((2, 3), dtype=bool), ["a"]), "one id per concept"),
         (lambda: ConceptClass(np.zeros((1, 3), dtype=bool), ["a", "b"]), "one id per concept"),
-        (lambda: ConceptClass.from_ones(-1, [set()]), "domain_size must be nonnegative"),
-        (lambda: ConceptClass.from_ones(2.5, [set()]), "integral, not 2.5"),
-        (lambda: ConceptClass.from_ones(True, [set()]), "integral, not True"),
+        (
+            lambda: ConceptClass.from_ones(-1, [set()]),
+            "'domain_size' must be an integer of at least 0, not -1",
+        ),
+        (lambda: ConceptClass.from_ones(2.5, [set()]), "of at least 0, not 2.5"),
+        (lambda: ConceptClass.from_ones(True, [set()]), "of at least 0, not True"),
         # the id count is checked before any id is read
         (lambda: ConceptClass.from_ones(3, [{0}, {1}], ids=["a"]), "one id per concept"),
         (lambda: Dataset(np.array([0, 1]), np.array([0])), "1-d arrays of equal length"),
         (lambda: Dataset(np.zeros((2, 1), int), np.zeros((2, 1), int)), "1-d arrays"),
-        (lambda: leq(example_class(), 0, 7), "point 7 outside domain"),
-        (lambda: leq(example_class(), -1, 0), "point -1 outside domain"),
+        (lambda: leq(example_class(), 0, 7), "'point' must be an integer in [0, 6], not 7"),
+        (lambda: leq(example_class(), -1, 0), "'point' must be an integer in [0, 6], not -1"),
+        # numpy raised IndexError at 1.5 and read True as point 1
+        (lambda: leq(example_class(), 1.5, 0), "'point' must be an integer in [0, 6], not 1.5"),
+        (lambda: leq(example_class(), 0, True), "'point' must be an integer in [0, 6], not True"),
+        # built before: a point that is no integer or a collection that is no set
+        (lambda: Concept(frozenset({0.5})), "'ones' must be a set of integers"),
+        (lambda: Concept(frozenset({True, 2})), "'ones' must be a set of integers"),
+        (lambda: Concept([0, 1]), "'ones' must be a set of integers, not [0, 1]"),
+        (lambda: Concept(frozenset({0}), id=3), "'id' must be a string, not 3"),
+        (lambda: Hypothesis(frozenset({"1"})), "'ones' must be a set of integers"),
+        (lambda: Hypothesis(frozenset({0}), proper_index=0.0), "'proper_index' must be an integer"),
     ],
     ids=["matrix-1d", "ids-short", "ids-long", "negative-domain", "float-domain", "bool-domain",
          "from-ones-ids", "dataset-lengths", "dataset-2d", "order-point-past",
-         "order-point-negative"],
+         "order-point-negative", "order-point-float", "order-point-bool", "concept-float-point",
+         "concept-bool-point", "concept-list", "concept-id-int", "hypothesis-str-point",
+         "hypothesis-index-float"],
 )
 def test_concept_inputs_are_refused(build, message):
     with pytest.raises(ValueError, match=re.escape(message)):
@@ -226,18 +243,28 @@ def test_every_config_field_is_checked_by_its_annotation():
     # _check_fields reads annotation strings, so a field of a kind it does
     # not handle (a later ``bool``, say) or a module without ``from
     # __future__ import annotations`` would leave the field unchecked: each
-    # field but the nested configs must refuse a value of no type by name
+    # field, the nested configs and the 1-sets among them, must refuse a
+    # value of no type by name
     privacy = PrivacyParams(1.0, 1e-5)
     params = LearnParams(0.25, 0.25, privacy)
     spec = GeneratorSpec("example")
-    nested = {"generator", "params", "privacy"}
-    for obj in (privacy, params, spec, ExperimentConfig(spec, params)):
+    values = (
+        privacy, params, spec, ExperimentConfig(spec, params), Concept(frozenset({0}), "c"),
+        Hypothesis(frozenset({0}), 0),
+    )
+    for obj in values:
         for f in dataclasses.fields(obj):
-            if f.name in nested:
-                assert dataclasses.is_dataclass(getattr(obj, f.name))
-                continue
             with pytest.raises(ValueError, match=f"^'{f.name}' must be "):
                 dataclasses.replace(obj, **{f.name: object()})
+    # a nested config of another class, or its fields as a tuple, built
+    # before and failed later with AttributeError
+    for bad in ((1.0, 1e-5), params):
+        with pytest.raises(ValueError, match="^'privacy' must be a PrivacyParams, not "):
+            LearnParams(0.2, 0.2, privacy=bad)
+    with pytest.raises(ValueError, match="^'generator' must be a GeneratorSpec, not "):
+        ExperimentConfig(params, params)
+    with pytest.raises(ValueError, match="^'params' must be a LearnParams, not "):
+        ExperimentConfig(spec, privacy)
 
 
 def test_leq_example_values(example_cls):

@@ -357,7 +357,7 @@ def test_run_experiment_rejects_concept_index_off_the_class(tmp_path, capsys):
     size = len(generate_class(spec))
     for index in (-1, size):
         cfg = small_config(generator=spec, trials=1, concept_index=index)
-        msg = rf"concept_index {index} outside \[0, {size}\)"
+        msg = re.escape(f"'concept_index' must be an integer in [0, {size - 1}], not {index}")
         with pytest.raises(ValueError, match=msg):
             run_experiment(cfg)
         cfg_path.write_text(json.dumps(config_to_json(cfg)))
@@ -777,7 +777,7 @@ def test_cli_validation_exit_codes(tmp_path, capsys):
     for size in (4.0, True, "4", None):
         bad.write_text(json.dumps({"name": "x", "domain_size": size, "concepts": []}))
         assert main(["dims", "--class", str(bad)]) == 2
-        assert capsys.readouterr().err.startswith("error: domain_size must be")
+        assert capsys.readouterr().err.startswith("error: 'domain_size' must be")
     bad.write_text("[1]")
     assert main(["dims", "--class", str(bad)]) == 2
     # an empty domain has no uniform distribution to sample from
@@ -789,7 +789,7 @@ def test_cli_validation_exit_codes(tmp_path, capsys):
     # a negative sample size is refused by name
     sample_args = ["sample", "--class", str(cls_path), "--concept", "pt0", "--n", "-5"]
     assert main([*sample_args, "--out", str(tmp_path / "n.csv")]) == 2
-    assert capsys.readouterr().err == "error: n must be nonnegative\n"
+    assert capsys.readouterr().err == "error: 'n' must be an integer of at least 0, not -5\n"
     # malformed data files: short or long rows, labels off {0, 1}, huge points
     data_path = tmp_path / "d.csv"
     for row in ("3", "0,1,1", "0,-1", "0,256", f"{10**20},0"):

@@ -103,7 +103,7 @@ def test_sample_dataset_basics(rng):
     with pytest.raises(ValueError):
         sample_dataset(cls, c, dist, -1, rng)
     state = rng.bit_generator.state
-    with pytest.raises(ValueError, match="n must be nonnegative"):
+    with pytest.raises(ValueError, match="'n' must be an integer of at least 0, not -5"):
         sample_dataset(cls, c, dist, -5, rng)
     assert rng.bit_generator.state == state
 
@@ -197,10 +197,30 @@ def test_distribution_rejects_nan_weights():
 @pytest.mark.parametrize(
     "build, message",
     [
-        (lambda: thresholds_class(0), "n must be at least 1"),
-        (lambda: point_functions_class(0), "n must be at least 1"),
-        (lambda: random_tree_class(0), "n must be at least 1"),
-        (lambda: random_tree_class(5, max_children=0), "max_children must be at least 1"),
+        (lambda: thresholds_class(0), "'n' must be an integer of at least 1, not 0"),
+        (lambda: point_functions_class(0), "'n' must be an integer of at least 1, not 0"),
+        (lambda: random_tree_class(0), "'n' must be an integer of at least 1, not 0"),
+        (
+            lambda: random_tree_class(5, max_children=0),
+            "'max_children' must be an integer of at least 1, not 0",
+        ),
+        # numpy's TypeError or AxisError before, and thresholds(True) was built
+        (lambda: thresholds_class(2.5), "'n' must be an integer of at least 1, not 2.5"),
+        (lambda: thresholds_class(True), "'n' must be an integer of at least 1, not True"),
+        (lambda: point_functions_class(2.5), "'n' must be an integer of at least 1, not 2.5"),
+        (lambda: random_tree_class(5.5), "'n' must be an integer of at least 1, not 5.5"),
+        # built a class named random_tree(5,1.5,0.5,0)
+        (
+            lambda: random_tree_class(5, max_children=1.5),
+            "'max_children' must be an integer of at least 1, not 1.5",
+        ),
+        (lambda: GeneratorSpec("thresholds", n=0), "'n' must be an integer of at least 1, not 0"),
+        (lambda: GeneratorSpec("nope"), "unknown generator kind 'nope'"),
+        (lambda: GeneratorSpec("points"), "points generator needs n"),
+        (
+            lambda: GeneratorSpec("random_tree", n=5, concept_rate=2.0),
+            "concept_rate must be in [0, 1]",
+        ),
         (lambda: random_tree_class(5, concept_rate=1.5), "concept_rate must be in [0, 1]"),
         (lambda: random_tree_class(5, concept_rate=-0.1), "concept_rate must be in [0, 1]"),
         (lambda: Distribution(np.full((2, 2), 0.25)), "weights must be a non-empty 1-d array"),
@@ -212,10 +232,13 @@ def test_distribution_rejects_nan_weights():
             ),
             "distribution support must match the domain",
         ),
-        (lambda: GeneratorSpec("thresholds", n=2.5), "'n' must be an integer, not 2.5"),
+        (
+            lambda: GeneratorSpec("thresholds", n=2.5),
+            "'n' must be an integer of at least 1, not 2.5",
+        ),
         (
             lambda: GeneratorSpec("random_tree", n=10, max_children=1.5),
-            "'max_children' must be an integer, not 1.5",
+            "'max_children' must be an integer of at least 1, not 1.5",
         ),
         (lambda: GeneratorSpec("random_tree", n=10, seed=True), "'seed' must be an integer"),
         (
@@ -230,13 +253,16 @@ def test_distribution_rejects_nan_weights():
                     example_class(), example_class().concepts[0], Distribution.uniform(7), n,
                     make_rng(0),
                 ),
-                f"n must be an integer, not {n!r}",
+                f"'n' must be an integer of at least 0, not {n!r}",
             )
             for n in (2.5, 3.0, True)
         ],
     ],
-    ids=["thresholds-n", "points-n", "random-tree-n", "max-children", "rate-high",
-         "rate-low", "weights-2d", "weights-negative", "support", "spec-n-float",
+    ids=["thresholds-n", "points-n", "random-tree-n", "max-children", "thresholds-n-float",
+         "thresholds-n-bool", "points-n-float", "random-tree-n-float",
+         "random-tree-max-children-float", "spec-n-zero", "spec-kind-unknown", "spec-needs-n",
+         "spec-rate-high", "rate-high", "rate-low", "weights-2d", "weights-negative", "support",
+         "spec-n-float",
          "spec-max-children-float", "spec-seed-bool", "spec-rate-str", "spec-kind-list",
          "sample-n-float", "sample-n-integral-float", "sample-n-bool"],
 )

@@ -94,16 +94,54 @@ def test_sample_budget_monotonicity():
         (lambda: LearnParams(0.2, 1.5, PARAMS.privacy), "beta must be in (0, 1)"),
         (lambda: LearnParams("0.3", 0.1, PARAMS.privacy), "'alpha' must be a number, not '0.3'"),
         (lambda: PrivacyParams(True, 1e-5), "'epsilon' must be a number, not True"),
-        (lambda: sample_budget(PARAMS, -1), "tree_depth_bound must be nonnegative"),
-        (lambda: prepare_context(example_class(), -1), "f_index out of range"),
-        (lambda: prepare_context(example_class(), 8), "f_index out of range"),
+        (
+            lambda: sample_budget(PARAMS, -1),
+            "'tree_depth_bound' must be an integer of at least 0, not -1",
+        ),
+        # ran silently, as did True once depth 1 was cached
+        (lambda: sample_budget(PARAMS, 2.5), "'tree_depth_bound' must be an integer"),
+        (lambda: sample_budget(PARAMS, True), "'tree_depth_bound' must be an integer"),
+        (
+            lambda: prepare_context(example_class(), -1),
+            "'f_index' must be an integer in [0, 7], not -1",
+        ),
+        (
+            lambda: prepare_context(example_class(), 8),
+            "'f_index' must be an integer in [0, 7], not 8",
+        ),
+        # numpy's IndexError or shape mismatch before
+        (lambda: prepare_context(example_class(), 1.5), "'f_index' must be an integer in [0, 7]"),
+        (lambda: prepare_context(example_class(), True), "'f_index' must be an integer in [0, 7]"),
         (
             lambda: total_privacy(PARAMS, sample_budget(PARAMS, 4), loop_iterations=-1),
-            "loop_iterations must be nonnegative",
+            "'loop_iterations' must be an integer of at least 0, not -1",
+        ),
+        # reported epsilon 5.0 for one and a half loop iterations
+        (
+            lambda: total_privacy(PARAMS, sample_budget(PARAMS, 4), loop_iterations=1.5),
+            "'loop_iterations' must be an integer of at least 0, not 1.5",
+        ),
+        # ran at median depth 1
+        (
+            lambda: improper_learn(
+                example_class(), Dataset.from_pairs([(0, 1)] * 4), PARAMS, make_rng(0),
+                force_median=1.5,
+            ),
+            "'force_median' must be an integer of at least 0, not 1.5",
+        ),
+        # numpy's IndexError before
+        (
+            lambda: proper_learn(
+                example_class(), Dataset.from_pairs([(0, 1)] * 4), PARAMS, make_rng(0),
+                force_chosen_point=1.5,
+            ),
+            "'point' must be an integer in [0, 6], not 1.5",
         ),
     ],
     ids=["alpha-0", "alpha-1", "alpha-nan", "beta-0", "beta-high", "alpha-str", "epsilon-bool",
-         "negative-depth", "f-index-negative", "f-index-past", "loop-iterations-negative"],
+         "negative-depth", "depth-float", "depth-bool", "f-index-negative", "f-index-past",
+         "f-index-float", "f-index-bool", "loop-iterations-negative", "loop-iterations-float",
+         "force-median-float", "force-chosen-point-float"],
 )
 def test_learner_inputs_are_refused(build, message):
     with pytest.raises(ValueError, match=re.escape(message)):
@@ -442,9 +480,10 @@ def test_proper_rejects_context_of_another_class(example_cls, modified_cls):
 def test_proper_rejects_forced_points_off_the_tree(example_cls):
     # negative ids must not wrap onto tree points (-1: the last, -7: the first)
     ctx = prepare_context(example_cls)
-    for bad in (-1, -7, 7, 99):
+    for bad in (-1, -7, 7, 99, 1.5, True):
         rng = make_rng(0)
-        with pytest.raises(ValueError, match=f"point {bad} not in tree"):
+        message = f"'point' must be an integer in [0, 6], not {bad}"
+        with pytest.raises(ValueError, match=re.escape(message)):
             proper_learn(
                 example_cls,
                 Dataset.from_pairs([(X1, 1)] * 4),

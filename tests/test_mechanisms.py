@@ -123,8 +123,11 @@ def test_choosing_mechanism_validates_parameters(rng):
     for scores, k, n, priv, message in [
         ({"a": 1}, 1, 10, PrivacyParams(2.5, 1e-6), "epsilon must be in (0, 2)"),
         ({"a": 1}, 1, 10, PrivacyParams(1.0, 0.0), "delta must be positive"),
-        ({"a": 1}, 0, 10, ok, "k must be at least 1"),
-        ({"a": 1}, 1, -1, ok, "n must be nonnegative"),
+        ({"a": 1}, 0, 10, ok, "'k' must be an integer of at least 1, not 0"),
+        ({"a": 1}, 1, -1, ok, "'n' must be an integer of at least 0, not -1"),
+        # both ran silently, the gate's threshold at the fractional count
+        ({"a": 1}, 1.5, 10, ok, "'k' must be an integer of at least 1, not 1.5"),
+        ({"a": 1}, 1, 2.5, ok, "'n' must be an integer of at least 0, not 2.5"),
         ({"a": 1, "b": -1}, 1, 10, ok, "scores must be nonnegative"),
         # a NaN maximum fails both gate comparisons, which would pass the gate
         ({"a": math.nan, "b": 3}, 1, 10, PrivacyParams(1.0, 1e-3), "scores must be nonnegative"),
@@ -243,8 +246,11 @@ def test_required_median_size_shape():
     assert required_median_size(100, 0.5, 0.1, priv) <= base
     assert required_median_size(100, 1 / 3, 0.1, PrivacyParams(2.0, 0)) <= base
     assert required_median_size(100, 1 / 3, 0.1, priv) == base  # deterministic
-    with pytest.raises(ValueError, match="domain_max must be nonnegative"):
-        required_median_size(-1, 1 / 3, 0.1, priv)
+    # 2.5 gave a size for 3.5 domain values
+    for bad in (-1, 2.5):
+        message = f"'domain_max' must be an integer of at least 0, not {bad}"
+        with pytest.raises(ValueError, match=message):
+            required_median_size(bad, 1 / 3, 0.1, priv)
     for beta in (0.0, 1.0, math.nan):
         with pytest.raises(ValueError, match=re.escape("beta must be in (0, 1)")):
             required_median_size(100, 1 / 3, beta, priv)
@@ -287,8 +293,16 @@ def test_advanced_composition_values():
     zero = advanced_composition(0.0, 0.0, 10, 1e-6)
     assert zero.epsilon == 0.0
 
-    for args in ((math.nan, 0.0, 3, 1e-5), (0.1, math.nan, 3, 1e-5), (0.1, 0.0, 3, math.nan)):
-        with pytest.raises(ValueError, match="composition parameters"):
+    for args, message in (
+        ((math.nan, 0.0, 3, 1e-5), "composition parameters"),
+        ((0.1, math.nan, 3, 1e-5), "composition parameters"),
+        ((0.1, 0.0, 3, math.nan), "composition parameters"),
+        ((0.1, 0.0, -1, 1e-5), "'k' must be an integer of at least 0, not -1"),
+        # reported epsilon 1.5 for one and a half runs
+        ((1.0, 0.0, 1.5, 1e-5), "'k' must be an integer of at least 0, not 1.5"),
+        ((1.0, 0.0, True, 1e-5), "'k' must be an integer of at least 0, not True"),
+    ):
+        with pytest.raises(ValueError, match=message):
             advanced_composition(*args)
 
 

@@ -218,15 +218,14 @@ def test_error_on_distribution():
 def test_error_on_distribution_refuses_a_point_that_is_no_integer():
     # cast to int64, 0.5 and True read as points 0 and 1 (0.25 each), and
     # {2.9} against {2} counted point 2 twice (0.5); with only the symmetric
-    # difference checked, {0.5} against {0.5} read 0.0
-    uniform = Distribution.uniform(4)
-    empty = Concept(frozenset())
-    half = Concept(frozenset({0.5}))
-    two = Concept(frozenset({2}))
-    for hyp, target in (({0.5}, empty), ({True}, empty), ({2.9}, two), ({0.5}, half)):
-        with pytest.raises(ValueError, match="non-integer point"):
-            error_on_distribution(Hypothesis(frozenset(hyp)), target, uniform)
+    # difference checked, {0.5} against {0.5} read 0.0. Each 1-set of these
+    # cases is now refused when its hypothesis or concept is built
+    for ones in ({0.5}, {True}, {2.9}):
+        for build in (Hypothesis, Concept):
+            with pytest.raises(ValueError, match="'ones' must be a set of integers"):
+                build(frozenset(ones))
     # numpy integers are points, as in from_ones
+    uniform, empty = Distribution.uniform(4), Concept(frozenset())
     hyp = Hypothesis(frozenset({np.int64(2), np.uint8(3)}))
     assert error_on_distribution(hyp, empty, uniform) == pytest.approx(0.5)
 
@@ -463,7 +462,7 @@ def test_dp_audit_rejects_bad_delta_and_trials_before_any_draw():
     # response at eps = 1, a false refutation) and a NaN one to give 0.0
     mech, d0, d1, _ = randomized_response_scenario(1.0)
     bad = [(2_000, delta, "delta must be in") for delta in (-0.5, 1.0, 1.5, math.nan)]
-    bad += [(trials, 0.0, "trials must be an integer") for trials in
+    bad += [(trials, 0.0, "'trials' must be an integer of at least 1") for trials in
             (0, -3, True, False, 10.0, "10", None, np.float64(10))]
     for trials, delta, msg in bad:
         rng = make_rng(5)
@@ -592,3 +591,7 @@ def test_optimal_composition_edges():
     for args in ((math.nan, 3, 1e-5), (1.0, 3, math.nan)):
         with pytest.raises(ValueError, match="composition parameters"):
             optimal_composition(*args)
+    # 1.5 steps read 1.5, the bound of one and a half steps
+    for k in (-1, 1.5, True):
+        with pytest.raises(ValueError, match=f"'k' must be an integer of at least 0, not {k}"):
+            optimal_composition(1.0, k, 1e-5)

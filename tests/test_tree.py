@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import re
 import sys
 
 import numpy as np
@@ -274,10 +275,15 @@ def test_upward_closure_examples(example_cls):
     assert upward_closure(tree, X5) == {X1, X5}
     assert upward_closure(tree, X7) == {X1, X5, X7}
     assert upward_closure(tree, X2) == {X2}
-    # -1 must not wrap onto the last point
-    for bad in (99, -1):
-        with pytest.raises(ValueError, match="not in tree"):
+    # -1 must not wrap onto the last point, and 1.5 raised numpy's IndexError
+    for bad in (99, -1, 1.5, True):
+        message = f"'point' must be an integer in [0, 6], not {bad}"
+        with pytest.raises(ValueError, match=re.escape(message)):
             upward_closure(tree, bad)
+    # a point of the domain that every concept labels 0 sits off the tree
+    off = make_tree(ConceptClass.from_ones(2, [set(), {0}]))
+    with pytest.raises(ValueError, match="point 1 not in tree"):
+        upward_closure(off, 1)
 
 
 def test_mark_proper_example_all_proper(example_cls):

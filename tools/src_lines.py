@@ -1,4 +1,4 @@
-"""Count the total and code lines of each module under ``src/``.
+"""Count the total lines, code lines and raise statements of each module under ``src/``.
 
 Usage: ``python3 tools/src_lines.py [ROOT]``, where ROOT defaults to the
 ``src`` directory beside this script's parent. It prints one row per
@@ -6,8 +6,8 @@ Usage: ``python3 tools/src_lines.py [ROOT]``, where ROOT defaults to the
 
 ``python3 tools/src_lines.py OLD_ROOT NEW_ROOT`` compares two trees, say
 a checkout of the parent commit and the working tree: each row holds a
-module's counts under both roots and the change, new minus old. A module
-found under one root only counts 0 lines under the other.
+module's counts under both roots and the changes, new minus old. A module
+found under one root only counts 0 under the other.
 
 Method. A file's *total* is its number of physical lines. A line is a
 *code* line when some token on it, as ``tokenize`` reads the file, is
@@ -16,7 +16,8 @@ docstring. A docstring is the string literal that opens a module, class
 or function body, as ``ast.get_docstring`` finds it; every line it spans
 is left out. So blank lines, comment-only lines and docstring lines are
 not code; a line holding code and a trailing comment is; every line of a
-string that is not a docstring is.
+string that is not a docstring is. A module's *raises* are its ``raise``
+statements, bare ones included, as ``ast.Raise`` nodes.
 """
 
 from __future__ import annotations
@@ -54,9 +55,10 @@ def docstring_starts(tree: ast.AST) -> set[tuple[int, int]]:
     return starts
 
 
-def count(source: str) -> tuple[int, int]:
-    """``(total, code)`` lines of one module's source."""
-    docstrings = docstring_starts(ast.parse(source))
+def count(source: str) -> tuple[int, int, int]:
+    """``(total, code, raises)`` of one module's source."""
+    tree = ast.parse(source)
+    docstrings = docstring_starts(tree)
     code: set[int] = set()
     for tok in tokenize.tokenize(io.BytesIO(source.encode()).readline):
         if tok.type in NOT_CODE:
@@ -64,11 +66,12 @@ def count(source: str) -> tuple[int, int]:
         if tok.type == tokenize.STRING and tok.start in docstrings:
             continue
         code.update(range(tok.start[0], tok.end[0] + 1))
-    return len(source.splitlines()), len(code)
+    raises = sum(isinstance(node, ast.Raise) for node in ast.walk(tree))
+    return len(source.splitlines()), len(code), raises
 
 
-def module_counts(root: Path) -> dict[str, tuple[int, int]]:
-    """``(total, code)`` lines of each ``.py`` file under ``root``, keyed by relative path."""
+def module_counts(root: Path) -> dict[str, tuple[int, int, int]]:
+    """:func:`count` of each ``.py`` file under ``root``, keyed by relative path."""
     return {str(path.relative_to(root)): count(path.read_text()) for path in root.rglob("*.py")}
 
 
@@ -79,11 +82,13 @@ def main(argv: list[str]) -> int:
     roots = [Path(a) for a in argv[1:]] or [Path(__file__).resolve().parent.parent / "src"]
     tables = [module_counts(root) for root in roots]
     names = sorted(set().union(*tables))
-    rows = [[n for table in tables for n in table.get(name, (0, 0))] for name in names]
-    header = ["total", "code"]
+    rows = [[n for table in tables for n in table.get(name, (0, 0, 0))] for name in names]
+    header = ["total", "code", "raises"]
     if len(roots) == 2:
-        header = ["old total", "old code", "new total", "new code", "change", "code change"]
-        rows = [row + [row[2] - row[0], row[3] - row[1]] for row in rows]
+        header = [f"{side} {h}" for side in ("old", "new") for h in header] + [
+            "change", "code change", "raises change"
+        ]
+        rows = [row + [new - old for old, new in zip(row[:3], row[3:])] for row in rows]
     names.append("total")
     rows.append([sum(column) for column in zip(*rows)])
     width = max(len(name) for name in names)
