@@ -247,6 +247,10 @@ class ConceptClass:
             raise ValueError("empty concept class")
         if len(ids) != len(m):
             raise ValueError("one id per concept")
+        # Concept's rule for its id, checked here once since concepts are built unchecked
+        bad = [i for i in ids if not isinstance(i, (str, type(None)))]
+        if bad:
+            raise ValueError(f"'id' must be a string, not {bad[0]!r}")
         packed = np.packbits(m, axis=1)
         packed.flags.writeable = False
         object.__setattr__(self, "packed", packed)

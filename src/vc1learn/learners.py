@@ -5,11 +5,13 @@ concept, reduce it (:func:`prepare_context`, for any class) and read off
 the order tree, and privately locate a node whose root path
 back-transforms to an accurate hypothesis on the class's own domain.
 
-* :func:`improper_learn` partitions the sample (see :func:`_deal`),
-  summarizes each subset by its deepest forced point, takes a private
-  median of those depths, and privately selects among the points at the
-  median depth. Its output may fall outside the class. It is one run of
-  the private batch core :func:`_improper_runs` (whose docstring gives
+* :func:`improper_learn` partitions the sample (see
+  :func:`_dealt_summaries`), summarizes each subset by its deepest forced
+  point, takes a private median of those depths, and privately selects
+  among the points at the median depth. A budget-sized partition is drawn
+  in count space: only the codes that settle the summaries are revealed
+  (:func:`_revealed_summaries`). Its output may fall outside the class.
+  It is one run of the private batch core :func:`_improper_runs` (whose docstring gives
   the order of the draws), through which the audit scenarios replay it.
 * :func:`proper_learn` draws its stage-2 examples as a uniform subset,
   runs the improper stage on the rest and, when the selected
@@ -291,12 +293,35 @@ def _examples(ctx: LearnerContext, dataset: Dataset | None) -> Examples:
     return ctx.tour_code, dataset.labels, dataset.points
 
 
-def _codes(examples: Examples) -> np.ndarray:
-    """Each example's ``table[label, point]``, as one flat take."""
+def _flat_index(examples: Examples) -> np.ndarray:
+    """Each example's index ``label * width + point`` into its table's flat view."""
     table, labels, points = examples
     index = np.multiply(labels, table.shape[1], dtype=np.intp)
     index += points
-    return table.reshape(-1).take(index)
+    return index
+
+
+def _codes(examples: Examples) -> np.ndarray:
+    """Each example's ``table[label, point]``, as one flat take."""
+    return examples[0].reshape(-1).take(_flat_index(examples))
+
+
+def _histogram(examples: Examples, rows: int) -> np.ndarray:
+    """How many examples have each of the ``rows`` codes, with no code per example.
+
+    The examples' (label, point) pairs are counted by one ``np.bincount``
+    of :func:`_flat_index` per ``SAMPLE_CHUNK`` examples, and the pair
+    counts are then added up by the code the table gives each pair.
+    """
+    table, labels, points = examples
+    pairs = np.zeros(table.size, dtype=np.int64)
+    for start in range(0, len(points), SAMPLE_CHUNK):
+        chunk = slice(start, start + SAMPLE_CHUNK)
+        pairs += np.bincount(
+            _flat_index((table, labels[chunk], points[chunk])), minlength=table.size
+        )
+    # float weights add up the counts exactly below 2**53
+    return np.bincount(table.reshape(-1), weights=pairs, minlength=rows).astype(np.int64)
 
 
 def _subset_summaries(
@@ -379,7 +404,9 @@ def improper_learn(
     which move one score). Given the budgeted sample size the output is
     alpha-accurate with probability about 1 - (t + 2) beta; with fewer
     examples the subset count is capped at the sample size, which keeps
-    the privacy guarantee and voids the accuracy one.
+    the privacy guarantee and voids the accuracy one. The partition is
+    uniform over those of the round-robin sizes (see
+    :func:`_dealt_summaries`).
 
     ``cls`` may be any class :func:`prepare_context` takes; the data and
     the hypothesis are on its domain, and ``proper_index`` is the first
@@ -417,6 +444,7 @@ def _improper_runs(
     subset_ids: np.ndarray | None = None,
     force_median: int | None = None,
     greedy: bool = False,
+    held_out: np.ndarray | None = None,
 ) -> tuple[np.ndarray, ...]:
     """The improper pipeline on :func:`_examples` for ``runs`` runs; hooks need ``runs`` 1.
 
@@ -430,18 +458,24 @@ def _improper_runs(
     partitions the data afresh and spends (2 eps, 2 delta), so a batch is
     for audits that replay the learner, not for releasing several
     hypotheses about one sample. The draws are the runs' deals in run
-    order (:func:`_dealt_summaries`), then one median uniform per run,
-    then each run's gate uniform and, when its gate passes, selection
-    uniform, in run order, in buffered ``rng.random`` calls; a hook skips
-    the draws of the stage it bypasses. ``examples`` is only read.
-    Working memory is ``runs`` presence matrices of the subset count times
-    the tree size, twice over for two or more runs, and what :func:`_deal`
-    holds; with one example per subset, ``runs`` datasets. Under
-    ``subset_ids`` a one-example subset is summarised by lookup, so its
-    one presence matrix covers only the subsets of two or more examples.
-    The scores and the mask add ``runs`` rows over the domain.
+    order (:func:`_dealt_summaries`: a shuffle, slot draws and a fill
+    shuffle, or hypergeometric reveals, by the sizes alone), then one
+    median uniform per run, then each run's gate uniform and, when its
+    gate passes, selection uniform, in run order, in buffered
+    ``rng.random`` calls; a hook skips the draws of the stage it
+    bypasses. ``examples`` is only read, and ``held_out`` indexes the
+    examples that are not dealt (the proper learner's stage-2 split).
+    Working memory for a deal by :func:`_deal` is ``runs`` presence
+    matrices of the subset count times the tree size, twice over for two
+    or more runs, and what :func:`_deal` holds; for a deal by revealed
+    codes, one chunk's pair indices, the code counts and what
+    :func:`_revealed_summaries` holds; with one example per subset,
+    ``runs`` datasets. Under ``subset_ids`` a one-example subset is
+    summarised by lookup, so its one presence matrix covers only the
+    subsets of two or more examples. The scores and the mask add ``runs``
+    rows over the domain.
     """
-    n = len(examples[2])
+    n = len(examples[2]) - (0 if held_out is None else len(held_out))
     if n == 0:
         raise ValueError("dataset must be non-empty")
     if force_median is not None:
@@ -456,7 +490,7 @@ def _improper_runs(
         deepest = _subset_summaries(ctx, _codes(examples), ids, t)
     else:
         t = min(sample_budget(params, ctx.tree.height).t, n)
-        deepest = _dealt_summaries(ctx, examples, t, rng, runs)
+        deepest = _dealt_summaries(ctx, examples, t, rng, runs, held_out)
     tree = ctx.tree
     deepest = deepest.reshape(runs, t)
     depths = np.where(deepest >= 0, tree.depth[deepest], 0)
@@ -508,21 +542,181 @@ def _trace(ctx: LearnerContext, batch: tuple[np.ndarray, ...]) -> ImproperTrace:
 
 
 def _dealt_summaries(
-    ctx: LearnerContext, examples: Examples, t: int, rng: np.random.Generator, runs: int
+    ctx: LearnerContext,
+    examples: Examples,
+    t: int,
+    rng: np.random.Generator,
+    runs: int,
+    held_out: np.ndarray | None = None,
 ) -> np.ndarray:
-    """:func:`_subset_summaries` of ``runs`` partitions of ``examples`` by
-    :func:`_deal`; with one example per subset, ``runs`` shuffles of the
-    examples' ``tree.lone_deepest`` summaries, drawing what ``runs`` calls
-    of ``rng.permutation(n)`` draw."""
-    if t == len(examples[2]):
-        dealt = np.tile(ctx.tree.lone_deepest[_codes(examples)], (runs, 1))
+    """:func:`_subset_summaries` of ``runs`` uniform partitions of ``examples``
+    into ``t`` subsets of the round-robin sizes, each run's row after the last.
+
+    ``held_out`` indexes examples that are not dealt. Which draws make the
+    partitions depends only on the sizes: with one example per subset,
+    ``runs`` shuffles of the examples' ``tree.lone_deepest`` summaries,
+    drawing what ``runs`` calls of ``rng.permutation(n)`` draw; where
+    :func:`_lazy` holds, :func:`_revealed_summaries` of the examples' code
+    histogram, which reveals only the codes that settle the summaries;
+    otherwise :func:`_deal`, the examples in their order.
+    """
+    table, labels, points = examples
+    tree = ctx.tree
+    rows = 2 * len(tree.tour) + 2
+    n = len(points) - (0 if held_out is None else len(held_out))
+    if t < n and _lazy(n, t, len(tree.tour)):
+        h = _histogram(examples, rows)
+        if held_out is not None:
+            h -= np.bincount(_codes((table, labels[held_out], points[held_out])), minlength=rows)
+        return _revealed_summaries(tree, h, t, rng, runs)
+    if held_out is not None:
+        keep = np.ones(len(points), dtype=bool)
+        keep[held_out] = False
+        examples = (table, labels[keep], points[keep])
+    if t == n:
+        dealt = np.tile(tree.lone_deepest[_codes(examples)], (runs, 1))
         rng.permuted(dealt, axis=1, out=dealt)
         return dealt.ravel()
-    pres = np.zeros((runs, 2 * len(ctx.tree.tour) + 2, t + 1), dtype=bool)
+    pres = np.zeros((runs, rows, t + 1), dtype=bool)
     _deal(pres, examples, rng)
     # point-major, a column per subset; a copy only for two or more runs
-    deepest = forced_nodes(ctx.tree, pres.transpose(1, 0, 2).reshape(pres.shape[1], -1))[0]
+    deepest = forced_nodes(tree, pres.transpose(1, 0, 2).reshape(rows, -1))[0]
     return deepest.reshape(runs, t + 1)[:, :t].ravel()
+
+
+# the examples per subset from which a deal goes by revealed codes, per
+# code it would reveal in the worst case, up to LAZY_REVEALS of them
+LAZY_EXAMPLES = 12
+LAZY_REVEALS = 32
+
+
+def _lazy(n: int, t: int, k: int) -> bool:
+    """Whether a deal of ``n`` examples into ``t`` subsets, on a tree of ``k``
+    points, goes by :func:`_revealed_summaries` rather than by :func:`_deal`.
+
+    It reads only these public sizes, never the sample. :func:`_deal` pays
+    per example; a reveal pays per subset, and at most every one of the
+    ``2 k + 2`` codes is revealed, a few on realizable data. So the
+    revealed deal is taken from :data:`LAZY_EXAMPLES` examples per subset
+    for each code it might reveal, counting at most :data:`LAZY_REVEALS`.
+    """
+    return n >= LAZY_EXAMPLES * t * min(2 * k + 2, LAZY_REVEALS)
+
+
+def _revealed_summaries(
+    tree: ClassTree, h: np.ndarray, t: int, rng: np.random.Generator, runs: int
+) -> np.ndarray:
+    """The subset summaries of ``runs`` deals of a sample whose code ``c``
+    has ``h[c]`` copies, revealing only the codes that settle them.
+
+    *The law.* A deal is uniform over the partitions into ``t`` subsets of
+    the round-robin sizes (:func:`_deal`). Given the copies already placed,
+    the ``h[c]`` copies of a further code ``c`` fall on the subsets as a
+    multivariate hypergeometric draw over their remaining capacities. So
+    the codes may be revealed one at a time, each by
+    ``rng.multivariate_hypergeometric(cap, h[c], method="marginals")``
+    with its draw then taken off ``cap``, in an order, and up to a stop,
+    that depend only on what is revealed so far: the revealed presences
+    have the law they have under a whole deal (the principle of deferred
+    decisions). A code with no copies is never revealed.
+
+    *The order.* With ``k`` tour positions, a 1-label at position ``j``
+    has code ``k + 1 + j`` and a 0-label code ``j``; ``2 k + 1`` and ``k``
+    are the labels off the tree. A subset is *full* when it has no
+    capacity left. First the on-tree 1-codes, from the last tour position
+    down, until every subset holds one or is full; a subset's ``d`` is
+    then the position of its first 1-code, -1 if it got none, as
+    :func:`forced_nodes` takes the last position of a 1-label. Then, for
+    each distinct ``d`` in ascending order, while some subset with that
+    ``d`` is neither full nor *refuted*, that is, holds none of the codes
+    that follow: the off-tree 1-code; in ascending order, the 0-codes at
+    or above ``d`` and the 1-codes before ``d`` that are not on ``d``'s
+    root path; then, when ``d`` is improper, the 0-codes in ``d``'s tour
+    slice. A code revealed before is read again, not drawn again.
+
+    *The stopping rule.* Let ``S`` be the codes revealed present in a
+    subset and ``U`` any set of unrevealed codes; then :func:`forced_nodes`
+    gives ``S`` and ``S`` with ``U`` the same summary. A subset with no
+    capacity left holds no unrevealed code. If ``d`` is -1, every on-tree
+    1-code with copies was revealed and none is in the subset, so it forces
+    nothing either way. Otherwise every 1-code after ``d`` was revealed and
+    is absent, so ``d`` stays the deepest 1-label. A refuted subset is
+    inconsistent whatever else it holds: a 1-label off the tree or off
+    ``d``'s root path breaks the chain test, and a 0-label at or above
+    ``d`` leaves no live node below it. Otherwise every code that ``d``
+    needs was revealed. The unrevealed 1-codes then lie on ``d``'s root
+    path, which keeps the chain test as it was. The consistent concepts
+    are the paths of the proper nodes in ``d``'s slice that no 0-label is
+    at or above, and a 0-label blocks its own slice: one off the tree
+    blocks nothing, and one outside ``d``'s root path and slice blocks no
+    node of the slice. When ``d`` is improper, the 0-labels in its slice
+    were revealed too, and the live nodes are as they were. When ``d`` is
+    proper and live, it is the first live node and the lowest common
+    ancestor with any other, so the summary is ``d`` whatever lies below
+    it.
+
+    :func:`forced_nodes` runs once, on the distinct revealed presence
+    columns of all the runs. Working memory is a row over the subsets per
+    revealed code and a presence matrix of the tree size by the distinct
+    columns.
+    """
+    k = len(tree.tour)
+    n = int(h.sum())
+    sizes = n // t + (np.arange(t) < n % t)
+    position = np.arange(k)
+    tout = tree.tout[tree.tour]
+    ones = (k + 1 + np.flatnonzero(h[k + 1 : 2 * k + 1])[::-1]).tolist()  # last first
+
+    @lru_cache(maxsize=None)
+    def needs(j):
+        """The codes with copies that can refute ``d = j``, then its slice's 0-codes."""
+        on_path = (position <= j) & (tout > j)
+        refuting = np.concatenate((
+            [2 * k + 1], np.flatnonzero(on_path), k + 1 + np.flatnonzero(~on_path & (position < j))
+        ))
+        below = [] if tree.proper_mask[tree.tour[j]] else j + 1 + np.flatnonzero(h[j + 1 : tout[j]])
+        return refuting[h[refuting] > 0].tolist(), list(below)
+
+    found = []
+    for _ in range(runs):
+        cap = sizes.copy()
+        present = {}
+
+        def read(c):
+            if c not in present:
+                x = rng.multivariate_hypergeometric(cap, h[c], method="marginals")
+                cap[:] -= x
+                present[c] = x > 0
+            return present[c]
+
+        d = np.full(t, -1)
+        for c in ones:
+            if ((d >= 0) | (cap == 0)).all():
+                break
+            d[read(c) & (d < 0)] = c - k - 1
+        for j in sorted(set(d[d >= 0].tolist())):
+            refuting, below = needs(j)
+            pending = d == j  # neither full nor refuted
+            for c in refuting:
+                pending &= cap > 0
+                if not pending.any():
+                    break
+                pending &= ~read(c)
+            for c in below:
+                pending &= cap > 0
+                if not pending.any():
+                    break
+                read(c)
+        found.append(present)
+    codes = sorted(set().union(*found))
+    columns = np.zeros((len(codes), runs * t), dtype=bool)
+    for r, present in enumerate(found):
+        for i, c in enumerate(codes):
+            columns[i, r * t : (r + 1) * t] = present.get(c, False)
+    distinct, inverse = np.unique(columns, axis=1, return_inverse=True)
+    pres = np.zeros((len(h), distinct.shape[1]), dtype=bool)
+    pres[codes] = distinct
+    return forced_nodes(tree, pres)[0][inverse.reshape(-1)]
 
 
 # the chance that a deal draws its slots again, at most
@@ -636,10 +830,12 @@ def proper_learn(
 
     The split gives the descent's weights ``min(N2, len(dataset) // 2)``
     examples, drawn as ``rng.choice(len(dataset), size, replace=False)``
-    before the improper stage's draws, and deals the rest, in their order,
-    to the improper stage. The stage-2 set is uniform over the subsets of
-    its size, and the deal's law does not depend on which examples it
-    gets, so the two are independent, as after one shuffle. ``stage2``
+    before the improper stage's draws, and deals the rest to the improper
+    stage: in their order, or, by revealed codes, as the whole sample's
+    code counts less the stage-2 codes, with no copy of the rest. The
+    stage-2 set is uniform over the subsets of its size, and the deal's
+    law does not depend on which examples it gets, so the two are
+    independent, as after one shuffle. ``stage2``
     bypasses it, and ``dataset`` is then the whole stage-1 sample; only
     with ``stage2`` may ``subset_ids`` be given, and it is passed to the
     improper stage. ``force_chosen_point``, a tree point, skips the
@@ -660,18 +856,18 @@ def proper_learn(
     table, labels, points = first = _examples(ctx, dataset)
     if len(points) == 0:
         raise ValueError("dataset must be non-empty")
+    second = None
     if codes2 is None:
         second = rng.choice(len(points), min(budget.N2, len(points) // 2), replace=False)
         codes2 = _codes((table, labels[second], points[second]))
-        keep = np.ones(len(points), dtype=bool)
-        keep[second] = False
-        first = (table, labels[keep], points[keep])
 
     trace1: ImproperTrace | None = None
     if force_chosen_point is not None:
         chosen: int | None = force_chosen_point
     else:
-        batch = _improper_runs(ctx, first, params, rng, 1, subset_ids, greedy=greedy)
+        batch = _improper_runs(
+            ctx, first, params, rng, 1, subset_ids, greedy=greedy, held_out=second
+        )
         trace1 = _trace(ctx, batch)
         chosen = trace1.chosen_point
 

@@ -223,8 +223,9 @@ def choosing_utility_bound(k: int, n: int, privacy: PrivacyParams, beta: float) 
     """``(16 / eps) * ln(4 k max(n, 1) / (beta eps delta))``: the score gap
     :func:`choosing_mechanism` guarantees with probability 1 - beta, for any
     eps > 0. A bound that is not finite raises ``ValueError``."""
-    if k < 1 or privacy.epsilon <= 0 or privacy.delta <= 0 or not 0 < beta < 1:
-        raise ValueError("the bound needs k >= 1, eps > 0, delta > 0 and beta in (0, 1)")
+    k = _check_int("k", k, 1)
+    if privacy.epsilon <= 0 or privacy.delta <= 0 or not 0 < beta < 1:
+        raise ValueError("the bound needs eps > 0, delta > 0 and beta in (0, 1)")
     try:
         bound = (16.0 / privacy.epsilon) * _gate_log(k, n, privacy, beta)
     except (OverflowError, ZeroDivisionError):
@@ -256,6 +257,7 @@ def private_median(
     values = list(values)
     if not values:
         raise ValueError("empty values")
+    domain_max = _check_int("domain_max", domain_max, 0)
     _check_median(alpha, privacy)
     if not _all_integers(values):
         raise ValueError("values must be integers")

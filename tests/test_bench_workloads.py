@@ -54,7 +54,7 @@ PINNED_FULL_SCALE_DIGESTS = {
         "ca576e437d248ddecabb582de2bd909a5fa32bfba30223b9fe9f9cc68fa90813",
         "2f5de9f11433f894515317ac0ba14601d6348989682697d244dc31b301e129a6",
     ),
-    "chain-improper": ("d9b753e1c80061d869c59112c79614774ed7fac751aa7b1234ef7a7fa13cff1f",),
+    "chain-improper": ("f9821a8fa68e83b31fdf86aac2064146a2d89471c9d4d243f52c4cf39d1f4e26",),
 }
 
 
@@ -91,9 +91,50 @@ def test_benchmark_workload_passes_its_checks_at_toy_scale(workloads, name):
     assert w.sizes()
 
 
+@pytest.fixture(scope="module")
+def full_scale(workloads):
+    """Each workload at full scale and seed 1, set up once."""
+    made = {}
+
+    def get(name):
+        if name not in made:
+            made[name] = workloads.WORKLOADS[name](1)
+            made[name].setup()
+        return made[name]
+
+    return get
+
+
 @pytest.mark.parametrize("name", sorted(PINNED_FULL_SCALE_DIGESTS))
-def test_benchmark_workload_ops_match_their_full_scale_pins(workloads, name):
-    w = workloads.WORKLOADS[name](1)
-    w.setup()
+def test_benchmark_workload_ops_match_their_full_scale_pins(full_scale, name):
     pinned = PINNED_FULL_SCALE_DIGESTS[name]
-    assert _digests(w, range(len(pinned))) == pinned
+    assert _digests(full_scale(name), range(len(pinned))) == pinned
+
+
+class _Reveals:
+    """A generator that counts the revealed deal's hypergeometric draws."""
+
+    def __init__(self, rng):
+        self.rng, self.reveals = rng, 0
+
+    def multivariate_hypergeometric(self, *args, **kwargs):
+        self.reveals += 1
+        return self.rng.multivariate_hypergeometric(*args, **kwargs)
+
+    def __getattr__(self, name):
+        return getattr(self.rng, name)
+
+
+def test_budget_sized_chain_op_reveals_few_codes(workloads, full_scale):
+    # a guard on the chain op's cost that reads no clock: its budget-sized
+    # deal of 5.3M examples into 325 subsets reveals 2 codes on op 0's
+    # sample, and none for the target that gives no relabeled 1-label
+    w = full_scale("chain-improper")
+    _, data = w.load(0, w.rng(0))
+    rng = _Reveals(w.rng(0))
+    trace = workloads.vl.improper_learn(w.cls, data, workloads.IMPROPER, rng, context=w.ctx)
+    assert 1 <= rng.reveals <= 8 and len(trace.subset_depths) == 325
+    flat = workloads.vl.sample_dataset(w.cls, w.ctx.f, w.dist, len(data), w.rng(0))
+    rng = _Reveals(w.rng(0))
+    trace = workloads.vl.improper_learn(w.cls, flat, workloads.IMPROPER, rng, context=w.ctx)
+    assert rng.reveals == 0 and set(trace.subset_deepest) == {None}

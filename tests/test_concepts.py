@@ -205,6 +205,8 @@ def test_index_of_finds_no_member_at_a_point_that_is_no_integer():
         (lambda: ConceptClass(np.zeros(3, dtype=bool), ["a"]), "matrix must be 2-d"),
         (lambda: ConceptClass(np.zeros((2, 3), dtype=bool), ["a"]), "one id per concept"),
         (lambda: ConceptClass(np.zeros((1, 3), dtype=bool), ["a", "b"]), "one id per concept"),
+        # the concepts are built unchecked, so the class checks their ids by Concept's rule
+        (lambda: ConceptClass(np.eye(2, dtype=bool), [0, 1]), "'id' must be a string, not 0"),
         (
             lambda: ConceptClass.from_ones(-1, [set()]),
             "'domain_size' must be an integer of at least 0, not -1",
@@ -228,7 +230,7 @@ def test_index_of_finds_no_member_at_a_point_that_is_no_integer():
         (lambda: Hypothesis(frozenset({"1"})), "'ones' must be a set of integers"),
         (lambda: Hypothesis(frozenset({0}), proper_index=0.0), "'proper_index' must be an integer"),
     ],
-    ids=["matrix-1d", "ids-short", "ids-long", "negative-domain", "float-domain", "bool-domain",
+    ids=["matrix-1d", "ids-short", "ids-long", "ids-int", "negative-domain", "float-domain", "bool-domain",
          "from-ones-ids", "dataset-lengths", "dataset-2d", "order-point-past",
          "order-point-negative", "order-point-float", "order-point-bool", "concept-float-point",
          "concept-bool-point", "concept-list", "concept-id-int", "hypothesis-str-point",

@@ -1165,8 +1165,8 @@ PINNED_TRACE_DIGESTS = {
     "tree90/force_median": "1548d8b7efc1ecf93088bf8227e6840b898686c28c0b20f1c3cf9574212d6806",
     "tree90/proper_greedy": "f278e653c28998fde8e6c80a2deede77f5329491d1b0c0c21a8683feff0fdf97",
     "tree90/descent": "2cfc6357ac85bb72bd4e9537cf9ed8a297ef58287fbb2d3631d569bc604f0260",
-    "thresholds4096/improper150k": "a8d7406eb86f815f109f71d3ef786e1ed53e158944bd78f95f9ca619f10d604a",
-    "thresholds4096/proper150k": "27c3ac368be126c5fe1752d1141d3e58390de445854c8387ed9b546b6081d5cf",
+    "thresholds4096/improper150k": "e896301bdc84cff3cc28fa2434545e795553227ec1d760e8f0df3c13a7ceb831",
+    "thresholds4096/proper150k": "13cbf475881929ffbcd1e610bb517f505c9558d8075da67195df3a410db9bd05",
 }
 
 
@@ -1303,10 +1303,11 @@ def test_improper_learn_traces_agree_across_point_dtypes():
 
 
 def test_improper_learn_memory_per_example():
-    # one budget-sized call holds the presence matrix, one chunk's cells
-    # and the reserved examples' cells, but no code per example: about 3.5
-    # bytes per example on thresholds(1024), against 5.1 with a gathered
-    # uint16 code per example and 10.7 with int32 codes dealt from a copy
+    # one budget-sized call deals by revealed codes: it holds one chunk's
+    # pair indices and the pair and code counts, but no code per example,
+    # about 0.6 bytes per example on thresholds(1024); the per-example deal
+    # took about 3.5, against 5.1 with a gathered uint16 code per example
+    # and 10.7 with int32 codes dealt from a copy
     cls = thresholds_class(1024)
     ctx = prepare_context(cls)
     n = 10**6
@@ -1318,7 +1319,7 @@ def test_improper_learn_memory_per_example():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 4.5 * n, peak / n
+    assert peak < 1.0 * n, peak / n
 
 
 class _Recorder:
@@ -1328,8 +1329,8 @@ class _Recorder:
     logged as the ``permutation(n)`` draws it equals (see
     ``test_shuffling_an_array_draws_what_permutation_draws``). Any other
     deal is logged as its slot draws, ``integers``, and its fill's
-    ``shuffle``, each a copy of what the deal got back, and a split as
-    its ``choice``.
+    ``shuffle``, each a copy of what the deal got back, a revealed code as
+    its ``reveal``, and a split as its ``choice``.
     """
 
     def __init__(self, rng):
@@ -1362,6 +1363,10 @@ class _Recorder:
 
     def random(self, size=None):
         self.log.append(("random", self.rng.random(size)))
+        return self.log[-1][1]
+
+    def multivariate_hypergeometric(self, *args, **kwargs):
+        self.log.append(("reveal", self.rng.multivariate_hypergeometric(*args, **kwargs)))
         return self.log[-1][1]
 
 
@@ -1554,11 +1559,14 @@ def test_dealt_summaries_are_those_of_the_drawn_partition():
         assert forced > 0, i
 
 
-def test_deal_reads_each_examples_code_across_chunks():
+def test_deal_reads_each_examples_code_across_chunks(monkeypatch):
     # the deal reads each example's code from the row table itself, a chunk
     # at a time: on a class whose point map merges points, so that the
     # table is wider than the tree, and over three chunks, each run's
-    # summaries are those of the two-index gather's codes under its draws
+    # summaries are those of the two-index gather's codes under its draws;
+    # these sizes would go by revealed codes, so the switch is held on _deal,
+    # and the revealed deal's histogram counts those same codes
+    monkeypatch.setattr(learners, "_lazy", lambda n, t, k: False)
     raw = _raw_variant(random_tree_class(40, max_children=3, concept_rate=0.5, seed=7), make_rng(2))
     ctx = prepare_context(raw)
     assert ctx.tour_code.shape[1] > len(ctx.tree.tour)
@@ -1570,6 +1578,8 @@ def test_deal_reads_each_examples_code_across_chunks():
     examples = learners._examples(ctx, Dataset(data.points, labels))
     codes = ctx.tour_code[labels, data.points]
     assert np.array_equal(learners._codes(examples), codes)
+    rows = 2 * len(ctx.tree.tour) + 2
+    assert np.array_equal(learners._histogram(examples, rows), np.bincount(codes, minlength=rows))
     for t in (46, 5000):
         for runs in (1, 2):
             rec = _Recorder(make_rng([t, runs]))
@@ -1579,6 +1589,122 @@ def test_deal_reads_each_examples_code_across_chunks():
             for r, ids in enumerate(deals):
                 assert np.array_equal(got[r], learners._subset_summaries(ctx, codes, ids, t))
             assert len(np.unique(got)) > 1, (t, runs)  # subsets disagree
+
+
+def dealt_summaries_reference(tree, examples, t, rng, runs):
+    """The learners' deal before it went by revealed codes, kept as the reference:
+    ``runs`` partitions by ``learners._deal`` and one ``forced_nodes`` call,
+    a row of ``t`` summaries per run."""
+    rows = 2 * len(tree.tour) + 2
+    pres = np.zeros((runs, rows, t + 1), dtype=bool)
+    learners._deal(pres, examples, rng)
+    deepest = forced_nodes(tree, pres.transpose(1, 0, 2).reshape(rows, -1))[0]
+    return deepest.reshape(runs, t + 1)[:, :t]
+
+
+def _multisets(summaries, t):
+    """How often each multiset of ``t`` subset summaries occurs among the runs."""
+    return Counter(map(tuple, np.sort(np.reshape(summaries, (-1, t)), axis=1).tolist()))
+
+
+def _same_law(a, b):
+    """Whether two samples of outcome counts pass a two-sample chi-square test
+    at level 1e-4, with the outcomes seen under 10 times in all pooled."""
+    cells = sorted(set(a) | set(b))
+    common = [c for c in cells if a[c] + b[c] >= 10]
+    table = [[a[c] for c in common], [b[c] for c in common]]
+    rare = [sum(x[c] for c in cells if c not in common) for x in (a, b)]
+    if sum(rare):
+        table[0].append(rare[0])
+        table[1].append(rare[1])
+    if len(table[0]) < 2:
+        return set(a) == set(b)
+    return stats.chi2_contingency(table)[1] > 1e-4
+
+
+# presence codes on the modified example class's tree (k = 7, positions =
+# points): a 0-label at position p is code p, a 1-label 8 + p; 7 and 15 are
+# the labels off the tree. Nodes 0 and 3 and 4 hang under the root, 1 and
+# 2 under 0, 5 and 6 under the improper node 4. The realizable sample is
+# the path of 5, so a subset whose deepest 1-label is the improper 4 is
+# summarised by which of 5 and 6 its 0-labels leave live.
+REALIZABLE_CODES = [12, 12, 12, 13, 13, 6, 6, 0, 1, 2, 3, 7, 5]
+LAW_CASES = {
+    "realizable": REALIZABLE_CODES,
+    # a 0-label on 4, above every deepest 1-label, and a 1-label at 1, off their path
+    "unrealizable": REALIZABLE_CODES + [4, 9],
+    "off-tree 1-label": REALIZABLE_CODES + [15, 15],
+    "only 0-labels": [0, 5, 6, 6, 7, 1],
+}
+
+
+@pytest.mark.parametrize("case", sorted(LAW_CASES))
+def test_revealed_summaries_follow_the_law_of_the_deal(case):
+    # the multiset of subset summaries has one law under the revealed deal
+    # and under the per-example deal, with 3 subsets of 4 or 5 examples
+    tree = prepare_context(modified_example_class()).tree
+    codes = np.array(LAW_CASES[case])
+    t, runs = 3, 1500
+    h = np.bincount(codes, minlength=16)
+    got = learners._revealed_summaries(tree, h, t, make_rng([1, len(codes)]), runs)
+    want = dealt_summaries_reference(tree, _as_examples(codes), t, make_rng([2, len(codes)]), runs)
+    a, b = _multisets(got, t), _multisets(want, t)
+    assert _same_law(a, b), (case, a, b)
+    if case != "only 0-labels":
+        assert len(b) > 2  # the law is not one point mass
+
+
+def test_revealed_summaries_follow_the_law_of_the_deal_on_a_random_tree():
+    # on a random tree with improper nodes, realizable and with two flipped labels
+    cls = random_tree_class(40, max_children=3, concept_rate=0.5, seed=7)
+    ctx = prepare_context(cls)
+    assert not ctx.tree.proper_mask[ctx.tree.tour].all()
+    w = 0.6 ** ctx.tree.depth[ctx.point_map]
+    target = cls.concepts[len(cls.concepts) // 2]
+    data = sample_dataset(cls, target, Distribution(w / w.sum()), 40, make_rng(4))
+    rows, t, runs = 2 * len(ctx.tree.tour) + 2, 4, 1000
+    for flips in (0, 2):
+        labels = data.labels.copy()
+        labels[:flips] ^= 1
+        examples = learners._examples(ctx, Dataset(data.points, labels))
+        got = learners._revealed_summaries(
+            ctx.tree, learners._histogram(examples, rows), t, make_rng([3, flips]), runs)
+        want = dealt_summaries_reference(ctx.tree, examples, t, make_rng([4, flips]), runs)
+        a, b = _multisets(got, t), _multisets(want, t)
+        assert _same_law(a, b), (flips, a, b)
+        assert len(b) > 2
+
+
+def test_dealt_summaries_follow_the_law_of_the_deal_on_both_sides_of_the_switch():
+    # at 2 subsets on a 7-point tree the switch lies at 384 examples: below
+    # it _dealt_summaries deals by _deal, from it by revealed codes, and on
+    # both sides the summaries have the reference law; the few 1-labels and
+    # 0-labels that matter sit among many 0-labels off the tree
+    ctx = prepare_context(modified_example_class())
+    t, runs = 2, 1500
+    for n in (383, 384):
+        assert learners._lazy(n, t, 7) == (n == 384)
+        codes = np.array(REALIZABLE_CODES + [4, 15] + [7] * (n - len(REALIZABLE_CODES) - 2))
+        got = learners._dealt_summaries(ctx, _as_examples(codes), t, make_rng([5, n]), runs)
+        want = dealt_summaries_reference(ctx.tree, _as_examples(codes), t, make_rng([6, n]), runs)
+        a, b = _multisets(got, t), _multisets(want, t)
+        assert _same_law(a, b), (n, a, b)
+        assert len(b) > 2
+
+
+def test_dealt_summaries_take_their_path_by_public_sizes_only(monkeypatch):
+    # two samples of equal n and t whose histograms differ, one with no
+    # 1-label, go the same way, on each side of the switch
+    ctx = prepare_context(example_class())
+    paths = []
+    monkeypatch.setattr(learners, "_deal", lambda *a: paths.append("deal"))
+    monkeypatch.setattr(learners, "_revealed_summaries", lambda *a: paths.append("revealed"))
+    monkeypatch.setattr(learners, "forced_nodes", lambda tree, pres: (np.zeros(pres.shape[1]),))
+    for n, t in ((383, 2), (384, 2), (2359, 337), (150_000, 337)):
+        for codes in (np.arange(n) % 16, np.zeros(n, dtype=np.int64)):
+            learners._dealt_summaries(ctx, _as_examples(codes), t, make_rng(0), 1)
+        assert paths == ["revealed" if learners._lazy(n, t, 7) else "deal"] * 2, (n, t)
+        paths.clear()
 
 
 def test_proper_split_is_uniform_and_independent_of_the_deal(example_cls, monkeypatch):
@@ -1601,6 +1727,29 @@ def test_proper_split_is_uniform_and_independent_of_the_deal(example_cls, monkey
         freq[tuple(sorted(second.tolist())), tuple(first[ids == 0].tolist())] += 1
     assert len(freq) == cells
     assert _chi2_below_bound(list(freq.values()), runs)
+
+
+def test_proper_stage_one_histogram_is_the_sample_minus_stage_two(example_cls, monkeypatch):
+    # past the switch the improper stage deals the codes of every example
+    # that the split did not draw, counted without a copy of the rest
+    small = learners.SampleBudget(t=2, N1=400, N2=3, T=2, per_subset=200)
+    monkeypatch.setattr(learners, "sample_budget", lambda params, height: small)
+    real, seen = learners._revealed_summaries, []
+    monkeypatch.setattr(
+        learners, "_revealed_summaries", lambda tree, h, *a: seen.append(h) or real(tree, h, *a)
+    )
+    ctx = prepare_context(example_cls)
+    target = example_cls.concepts[5]
+    data = sample_dataset(example_cls, target, Distribution.uniform(7), 400, make_rng(1))
+    rec = _Recorder(make_rng(2))
+    proper_learn(example_cls, data, PARAMS, rec, context=ctx)
+    (kind, second), *log = rec.log
+    assert kind == "choice" and len(second) == 3 and log[0][0] == "reveal"
+    keep = np.ones(len(data), dtype=bool)
+    keep[second] = False
+    codes = learners._codes(learners._examples(ctx, data))
+    assert learners._lazy(int(keep.sum()), 2, 7)
+    assert len(seen) == 1 and np.array_equal(seen[0], np.bincount(codes[keep], minlength=16))
 
 
 def test_improper_runs_of_one_is_improper_learn(example_cls):

@@ -153,9 +153,12 @@ def test_choosing_utility_bound_validates_parameters():
         (1, PrivacyParams(1.0, 1e-6), 0.0),
         (1, PrivacyParams(1.0, 1e-6), 1.0),
         (0, PrivacyParams(1.0, 1e-6), 0.1),
+        (1.5, PrivacyParams(1.0, 1e-6), 0.1),
     ]:
         with pytest.raises(ValueError):
             choosing_utility_bound(k, 10, priv, beta)
+    with pytest.raises(ValueError, match="'k' must be an integer of at least 1, not 1.5"):
+        choosing_utility_bound(1.5, 10, PrivacyParams(1.0, 1e-5), 0.1)
 
 
 def test_choosing_utility_bound_monte_carlo(rng):
@@ -211,6 +214,13 @@ def test_private_median_validation(rng):
         state = rng.bit_generator.state
         with pytest.raises(ValueError, match="values must be integers"):
             private_median(values, 4, 1 / 3, priv, 0.1, rng)
+        assert rng.bit_generator.state == state
+    # nor a non-integer domain_max, which a cast would read as 1 or fail on
+    for bad in (2.5, True):
+        state = rng.bit_generator.state
+        message = f"'domain_max' must be an integer of at least 0, not {bad}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            private_median([1, 2], bad, 1 / 3, priv, 0.1, rng)
         assert rng.bit_generator.state == state
     # an infinite epsilon, or one whose logits overflow, before the draw
     for eps, message in ((math.inf, "positive and finite"), (1e308, "overflows")):
