@@ -1118,8 +1118,8 @@ def test_trace_serialization(modified_cls):
 # change to any fixed-seed trace changes one of these. The runs that deal
 # with fewer subsets than examples or split were re-pinned when the deal
 # stopped shuffling (improper400, proper400, proper60, greedy,
-# force_median, proper_greedy); the thresholds4096 pins, whose deals span
-# several chunks, were recorded before the deal gathered its own codes; the
+# force_median, proper_greedy); the thresholds4096 pins, whose samples span
+# several chunks, were re-pinned when such deals went by revealed codes; the
 # others date from before the improper learner ran R runs per call
 PINNED_TRACE_DIGESTS = {
     "example/improper400": "914f712915aef6bb8483e0566eb5a9bab7ffd55631137b82541878b0371b34dd",
