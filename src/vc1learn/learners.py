@@ -8,9 +8,11 @@ back-transforms to an accurate hypothesis on the class's own domain.
 * :func:`improper_learn` partitions the sample (see
   :func:`_dealt_summaries`), summarizes each subset by its deepest forced
   point, takes a private median of those depths, and privately selects
-  among the points at the median depth. A budget-sized partition is drawn
-  in count space: only the codes that settle the summaries are revealed
-  (:func:`_revealed_summaries`). Its output may fall outside the class.
+  among the points at the median depth. A partition is a shuffle of the
+  examples' codes dealt round-robin, except that a budget-sized one is
+  drawn in count space: only the codes that settle the summaries are
+  revealed (:func:`_revealed_summaries`). Its output may fall outside the
+  class.
   It is one run of the private batch core :func:`_improper_runs` (whose docstring gives
   the order of the draws), through which the audit scenarios replay it.
 * :func:`proper_learn` draws its stage-2 examples as a uniform subset,
@@ -28,7 +30,6 @@ inspect every intermediate quantity.
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass, fields, is_dataclass
 from functools import cached_property, lru_cache
@@ -458,22 +459,21 @@ def _improper_runs(
     partitions the data afresh and spends (2 eps, 2 delta), so a batch is
     for audits that replay the learner, not for releasing several
     hypotheses about one sample. The draws are the runs' deals in run
-    order (:func:`_dealt_summaries`: a shuffle, slot draws and a fill
-    shuffle, or hypergeometric reveals, by the sizes alone), then one
-    median uniform per run, then each run's gate uniform and, when its
-    gate passes, selection uniform, in run order, in buffered
-    ``rng.random`` calls; a hook skips the draws of the stage it
-    bypasses. ``examples`` is only read, and ``held_out`` indexes the
-    examples that are not dealt (the proper learner's stage-2 split).
-    Working memory for a deal by :func:`_deal` is ``runs`` presence
-    matrices of the subset count times the tree size, twice over for two
-    or more runs, and what :func:`_deal` holds; for a deal by revealed
-    codes, one chunk's pair indices, the code counts and what
-    :func:`_revealed_summaries` holds; with one example per subset,
-    ``runs`` datasets. Under ``subset_ids`` a one-example subset is
-    summarised by lookup, so its one presence matrix covers only the
-    subsets of two or more examples. The scores and the mask add ``runs``
-    rows over the domain.
+    order (:func:`_dealt_summaries`: one shuffle of every run's codes, or
+    hypergeometric reveals, by the sizes alone), then one median uniform
+    per run, then each run's gate uniform and, when its gate passes,
+    selection uniform, in run order, in buffered ``rng.random`` calls; a
+    hook skips the draws of the stage it bypasses. ``examples`` is only
+    read, and ``held_out`` indexes the examples that are not dealt (the
+    proper learner's stage-2 split). Working memory for a shuffled deal is
+    ``runs`` rows of the dealt examples' intp codes and, with fewer
+    subsets than examples, one presence matrix of the tree size by
+    ``runs`` times the subset count; for a deal by revealed codes, one
+    chunk's pair indices, the code counts and what
+    :func:`_revealed_summaries` holds. Under ``subset_ids`` a one-example
+    subset is summarised by lookup, so its one presence matrix covers only
+    the subsets of two or more examples. The scores and the mask add
+    ``runs`` rows over the domain.
     """
     n = len(examples[2]) - (0 if held_out is None else len(held_out))
     if n == 0:
@@ -553,12 +553,16 @@ def _dealt_summaries(
     into ``t`` subsets of the round-robin sizes, each run's row after the last.
 
     ``held_out`` indexes examples that are not dealt. Which draws make the
-    partitions depends only on the sizes: with one example per subset,
-    ``runs`` shuffles of the examples' ``tree.lone_deepest`` summaries,
-    drawing what ``runs`` calls of ``rng.permutation(n)`` draw; where
-    :func:`_lazy` holds, :func:`_revealed_summaries` of the examples' code
-    histogram, which reveals only the codes that settle the summaries;
-    otherwise :func:`_deal`, the examples in their order.
+    partitions depends only on the sizes. Where :func:`_lazy` holds, they
+    are :func:`_revealed_summaries` of the examples' code histogram, which
+    reveals only the codes that settle the summaries. Otherwise the dealt
+    examples' codes, in their order, are tiled ``runs`` times and each row
+    is shuffled by one ``rng.permuted`` call, which draws what ``runs``
+    calls of ``rng.permutation(n)`` draw; a row's ``j``-th code goes to
+    subset ``j % t``. With one example per subset the summaries are then
+    the codes' ``tree.lone_deepest``; otherwise one :func:`forced_nodes`
+    call reads a presence column per subset of every run. The shuffle's
+    draws do not read the codes, so one changed example moves one subset.
     """
     table, labels, points = examples
     tree = ctx.tree
@@ -569,19 +573,18 @@ def _dealt_summaries(
         if held_out is not None:
             h -= np.bincount(_codes((table, labels[held_out], points[held_out])), minlength=rows)
         return _revealed_summaries(tree, h, t, rng, runs)
+    codes = _codes(examples)
     if held_out is not None:
-        keep = np.ones(len(points), dtype=bool)
-        keep[held_out] = False
-        examples = (table, labels[keep], points[keep])
+        codes = np.delete(codes, held_out)
+    # numpy shuffles 8-byte items on its fast path
+    dealt = np.broadcast_to(codes, (runs, n)).astype(np.intp)
+    rng.permuted(dealt, axis=1, out=dealt)
     if t == n:
-        dealt = np.tile(tree.lone_deepest[_codes(examples)], (runs, 1))
-        rng.permuted(dealt, axis=1, out=dealt)
-        return dealt.ravel()
-    pres = np.zeros((runs, rows, t + 1), dtype=bool)
-    _deal(pres, examples, rng)
-    # point-major, a column per subset; a copy only for two or more runs
-    deepest = forced_nodes(tree, pres.transpose(1, 0, 2).reshape(rows, -1))[0]
-    return deepest.reshape(runs, t + 1)[:, :t].ravel()
+        return tree.lone_deepest[dealt].ravel()
+    # run r's j-th dealt code sets column r * t + j % t
+    pres = np.zeros((rows, runs * t), dtype=bool)
+    pres[dealt, np.arange(0, runs * t, t)[:, None] + np.arange(n) % t] = True
+    return forced_nodes(tree, pres)[0]
 
 
 # the examples per subset from which a deal goes by revealed codes, per
@@ -592,10 +595,10 @@ LAZY_REVEALS = 32
 
 def _lazy(n: int, t: int, k: int) -> bool:
     """Whether a deal of ``n`` examples into ``t`` subsets, on a tree of ``k``
-    points, goes by :func:`_revealed_summaries` rather than by :func:`_deal`.
+    points, goes by :func:`_revealed_summaries` rather than by a shuffle.
 
-    It reads only these public sizes, never the sample. :func:`_deal` pays
-    per example; a reveal pays per subset, and at most every one of the
+    It reads only these public sizes, never the sample. A shuffle pays per
+    example; a reveal pays per subset, and at most every one of the
     ``2 k + 2`` codes is revealed, a few on realizable data. So the
     revealed deal is taken from :data:`LAZY_EXAMPLES` examples per subset
     for each code it might reveal, counting at most :data:`LAZY_REVEALS`.
@@ -610,7 +613,8 @@ def _revealed_summaries(
     has ``h[c]`` copies, revealing only the codes that settle them.
 
     *The law.* A deal is uniform over the partitions into ``t`` subsets of
-    the round-robin sizes (:func:`_deal`). Given the copies already placed,
+    the round-robin sizes, as a shuffle dealt round-robin
+    (:func:`_dealt_summaries`). Given the copies already placed,
     the ``h[c]`` copies of a further code ``c`` fall on the subsets as a
     multivariate hypergeometric draw over their remaining capacities. So
     the codes may be revealed one at a time, each by
@@ -719,88 +723,6 @@ def _revealed_summaries(
     return forced_nodes(tree, pres)[0][inverse.reshape(-1)]
 
 
-# the chance that a deal draws its slots again, at most
-REDRAW_BOUND = 1e-6
-
-
-@lru_cache
-def _reserve(n: int, t: int) -> int:
-    """The reserve slot count ``x`` of a deal of ``n`` examples into ``t`` subsets.
-
-    A deal redraws when some subset's count of examples, Binomial(n, p)
-    with ``p = 1 / (t + x)``, exceeds its size, at least ``m = n // t``.
-    By the union bound over the ``t`` subsets and the Chernoff bound
-    ``P(Binomial(n, p) >= k) <= exp(-n D(k / n || p))`` for ``k >= n p``,
-    with ``D`` the Bernoulli relative entropy, that has probability at
-    most ``t exp(-n D((m + 1) / n || p))``. ``x`` is the least positive
-    count that puts this at or below :data:`REDRAW_BOUND`; the bound falls
-    as ``x`` grows. At ``t`` 1 no deal redraws.
-    """
-    a = (n // t + 1) / n
-    limit = math.log(REDRAW_BOUND / t)
-
-    def bounded(x: int) -> bool:
-        if a >= 1:
-            return True
-        p = 1.0 / (t + x)
-        relative_entropy = a * math.log(a / p) + (1 - a) * math.log((1 - a) / (1 - p))
-        return -n * relative_entropy <= limit
-
-    return bisect.bisect_left(range(1, 2**62), True, key=bounded) + 1
-
-
-def _deal(pres: np.ndarray, examples: Examples, rng: np.random.Generator) -> None:
-    """Scatter ``examples`` into each run's block of ``pres`` as a fresh uniform partition.
-
-    ``pres`` is a zeroed C-contiguous bool array of shape ``(runs, rows,
-    t + 1)``, a row per code; run ``r``'s subset ``i`` sets ``pres[r, :,
-    i]`` and ``pres[r, :, t]`` is spare. Subset ``i`` gets its round-robin
-    size, ``n // t`` plus one for the first ``n % t``. The runs are dealt
-    in order. Each example draws a slot uniformly from the ``t`` subsets
-    and :func:`_reserve`'s ``x`` reserve slots, with ``rng.integers``
-    ``SAMPLE_CHUNK`` examples at a time, in the narrowest dtype that holds
-    ``t + x - 1``, and sets its cell, ``code * (t + 1) + slot`` in its
-    run's block (the spare column for a reserve slot). Only the reserved
-    cells are kept. If some subset got more than its size, the run's block
-    is cleared and every slot drawn again. Otherwise the reserved examples,
-    in order, take the missing places (``cell - t + fill``), put in the
-    order ``rng.shuffle`` gives them. Permuting the examples leaves the law
-    of this procedure unchanged, and it always lands on the round-robin
-    sizes, so its law is uniform over those partitions: that of a shuffle
-    dealt round-robin. Its draws do not depend on the examples, so one
-    changed example still moves one subset. Beside ``pres`` it holds one
-    chunk's cells and the reserved ones (5% of a budget-sized sample).
-    """
-    runs, _, width = pres.shape
-    table, labels, points = examples
-    n, t = len(points), width - 1
-    x = _reserve(n, t)
-    dtype = np.min_scalar_type(t + x - 1)
-    sizes = n // t + (np.arange(t) < n % t)
-    scaled = np.multiply(table, width, dtype=np.intp)
-    for flat in pres.reshape(runs, -1):
-        while True:
-            counts = np.zeros(width, dtype=np.int64)
-            reserved = []
-            for start in range(0, n, SAMPLE_CHUNK):
-                chunk = slice(start, start + SAMPLE_CHUNK)
-                cells = _codes((scaled, labels[chunk], points[chunk]))
-                slots = rng.integers(0, t + x, len(cells), dtype=dtype)
-                np.minimum(slots, t, out=slots)
-                cells += slots
-                flat[cells] = True
-                counts += np.bincount(slots, minlength=width)
-                reserved.append(cells[slots == t])
-            if (counts[:t] <= sizes).all():
-                break
-            flat[:] = False
-        fill = np.repeat(np.arange(t), sizes - counts[:t])
-        rng.shuffle(fill)
-        fill -= t
-        fill += np.concatenate(reserved)
-        flat[fill] = True
-
-
 def proper_learn(
     cls: ConceptClass,
     dataset: Dataset | None,
@@ -831,8 +753,9 @@ def proper_learn(
     The split gives the descent's weights ``min(N2, len(dataset) // 2)``
     examples, drawn as ``rng.choice(len(dataset), size, replace=False)``
     before the improper stage's draws, and deals the rest to the improper
-    stage: in their order, or, by revealed codes, as the whole sample's
-    code counts less the stage-2 codes, with no copy of the rest. The
+    stage: their codes less the stage-2 ones, in their order, to be
+    shuffled, or, by revealed codes, as the whole sample's code counts
+    less the stage-2 codes, with no copy of the rest. The
     stage-2 set is uniform over the subsets of its size, and the deal's
     law does not depend on which examples it gets, so the two are
     independent, as after one shuffle. ``stage2``

@@ -224,6 +224,7 @@ def choosing_utility_bound(k: int, n: int, privacy: PrivacyParams, beta: float) 
     :func:`choosing_mechanism` guarantees with probability 1 - beta, for any
     eps > 0. A bound that is not finite raises ``ValueError``."""
     k = _check_int("k", k, 1)
+    n = _check_int("n", n, 0)
     if privacy.epsilon <= 0 or privacy.delta <= 0 or not 0 < beta < 1:
         raise ValueError("the bound needs eps > 0, delta > 0 and beta in (0, 1)")
     try:

@@ -41,7 +41,6 @@ from vc1learn import (
 )
 from vc1learn import learners
 from vc1learn.audit_scenarios import improper_learner_scenario, unrealizable_neighbour_scenario
-from vc1learn.generators import SAMPLE_CHUNK
 from vc1learn.oracles import AUDIT_BATCH
 from vc1learn.tree import forced_nodes
 
@@ -153,9 +152,10 @@ def partition(dataset: Dataset, t: int, rng: np.random.Generator) -> np.ndarray:
 
     Returns the int32 subset id of every example: with ``perm`` the
     shuffle, the ``j``-th example dealt, ``perm[j]``, goes to subset
-    ``j % t``, so subset ``i`` holds the examples ``perm[i::t]``. The
-    learners' deal, ``learners._deal``, draws partitions of the same law
-    with other draws.
+    ``j % t``, so subset ``i`` holds the examples ``perm[i::t]``. Below
+    the revealed deal's switch the learners deal so too, by one
+    ``rng.permuted`` of the codes; past it they draw the same law in
+    count space.
     """
     if t < 1:
         raise ValueError("t must be at least 1")
@@ -1116,54 +1116,56 @@ def test_trace_serialization(modified_cls):
 
 # sha256 of the sorted-key JSON of each case's traces over seeds 0-2; a
 # change to any fixed-seed trace changes one of these. The runs that deal
-# with fewer subsets than examples or split were re-pinned when the deal
-# stopped shuffling (improper400, proper400, proper60, greedy,
-# force_median, proper_greedy); the thresholds4096 pins, whose samples span
-# several chunks, were re-pinned when such deals went by revealed codes; the
-# others date from before the improper learner ran R runs per call
+# fewer subsets than examples below the revealed deal's switch
+# (improper400, proper400, greedy, force_median, proper_greedy) were
+# re-pinned when every such deal became one shuffle; proper60 dates from
+# when the split stopped copying the sample; the thresholds4096 pins, whose
+# samples span several chunks, were re-pinned when such deals went by
+# revealed codes; the others date from before the improper learner ran R
+# runs per call
 PINNED_TRACE_DIGESTS = {
-    "example/improper400": "914f712915aef6bb8483e0566eb5a9bab7ffd55631137b82541878b0371b34dd",
-    "example/proper400": "3f5385e5c960fe281bb1cb3d5c3481b44f13de0eec8f0950b40f9141a41856c8",
+    "example/improper400": "82003fa4af4decc7dc0f2bd727efca3be42aed189381acafea5cf65dd81ae72f",
+    "example/proper400": "dae6b28c86ef4f28496e0ee3c8d67d541c9dc8f3ad4a6622c21a6c9c73624a74",
     "example/improper60": "4d8340359ba70277147496f652cbfc1000c7a4c18f1bafbbafccbbecaecdd4f1",
     "example/proper60": "c3b57208b113ab32bd47ba18e7a6542a8d6c0bafeb6c32488c859f1c27b40237",
     "example/subset_ids": "bf9a2f08b71373b4acbf0ddd8be96686a6468193d251c1ef02327632d81d9fc3",
-    "example/greedy": "6708a16d47034773da9c1c2ad049c886bb531215e4ef7626b93f480a02ae74cf",
-    "example/force_median": "7664924ebea58762336c55f76c1feb5408188a2deb722ea0201502425df782d6",
-    "example/proper_greedy": "09b643bdf4d4d5d8dc55daf6e78a09e35812f4aae94dd7fd976ef01e16e84a93",
-    "modified/improper400": "4b82530e57eb292793335335e2babae026d164d01ab8da4667b5fc57b74eed9e",
-    "modified/proper400": "91880b0836fe7cd446edfb103c248b7da934e98c9a3d6a56d98cee37d0043b79",
+    "example/greedy": "2683385d8c516abd07410b3ebd9f27f0baa00ed78be353e9d56df5bda06ec810",
+    "example/force_median": "1349a2f41669170bedd6815a0ee02fe38b6461ab2937e6aec6f74b9cd8be51d6",
+    "example/proper_greedy": "de757a1c7127880187b40387f7785a47c4237ef138e313a26633a78617c10d5e",
+    "modified/improper400": "7dcbbaec78d23bbaba46496a543b6c6c0228a33a15efe2c09ea889d5f887f4f4",
+    "modified/proper400": "67e6c08dad12f2d5b0eb7449d148fff46cdabcd0692b5309ad456129ebe38ed8",
     "modified/improper60": "c56875679b2ad954b9fc749646ad8b66f531dafeba2e42b58faa2a7ed70dc9ef",
     "modified/proper60": "67119541dc212a76261f19e8e6a06d8ba45e0344fc2206a142ba57357752ac41",
     "modified/subset_ids": "bb8815c3b3ee97ad684f7928a8365505b013bd2349c7baee39c3b13e8311537e",
-    "modified/greedy": "f0c766fc4ffde00ea8308c8becf2afa4f82f94aa7b36e44fe75df133e0b5df7b",
-    "modified/force_median": "821ebdd14cc830cc1a96c9d89b960d39b9b97522cbf0ff52b2c1959970ba4716",
-    "modified/proper_greedy": "1c8979f3b3b909c80cfdcdd895aa8a4e05a0181aedcfea8589afcdfad4ba99a9",
+    "modified/greedy": "2763fa399a28686784407cb45094e67a24a544dd172a9ca6bcd2fda6bcb5927c",
+    "modified/force_median": "84f9f16ad05b4da42dbb7fd15e1cfc14233ae4c5a73c84dcdbf64e16176a0820",
+    "modified/proper_greedy": "8a2eb62b1ad5a43696c60c3b0d69878fda9b3f58558f2357224035f3980073e7",
     "modified/descent": "29cf41150ce9c001659934ae589cd7e1010753eb2713a5e6eb7bd4c4fd1f5d28",
-    "thresholds64/improper400": "318d86ad1a0579bb5177fffe73c9a11583d374cf035b9934e8795e45eb0d0ca1",
-    "thresholds64/proper400": "9b7ae28d7cab5824c31ea46f00fbea6fac1a63ebad184ba3526d86ed31a377a0",
+    "thresholds64/improper400": "f1c39dadfd6daa6e4d41354902841db22354413a6291c05a276e59d34eb8d7e5",
+    "thresholds64/proper400": "ab374386fc5d266148772dc028bf31e31e2520360c01862ef158b0728532f8b8",
     "thresholds64/improper60": "039e1e3e3c05ca90f7a84adbdf8e0283db470e1a877d250d4e9746b2fce6bd48",
     "thresholds64/proper60": "8ba6bc26ccd2e78327a57dc3d571a3b6a4f982f568154be8480eaee0980bc387",
     "thresholds64/subset_ids": "0006709a22a533d4d5a88dca1f9f80124ffa990542ab923c2e3a995c6ca049f4",
-    "thresholds64/greedy": "3eef0f2bb498f30d48dbfc0c853714dedf8ec681d21f98e5dfb8d490c86746ec",
-    "thresholds64/force_median": "6a4b70d863f88b8f34e60976001c7dbf94ad0f0b81e3649b8fea823e67059ca7",
-    "thresholds64/proper_greedy": "6e09be7f03bb78f3da59caf36f80f75c5df5ec6281be6959d7e08507596e057c",
-    "tree40/improper400": "c378e98e12fcd79385250deb0b5dc09e6df7a0e90def62af0a80e52c2f482def",
-    "tree40/proper400": "4c44d3bdf9a6c6e77962c6bea076cafcf6678f056dc2c189e14d72d53af4b74c",
+    "thresholds64/greedy": "0289714ec06146ee26fd7ce0924cb0faad7a851e9339405d2d1c85cd4a02e206",
+    "thresholds64/force_median": "1a679338fd6419140a9419fae1e591ffb74074b43df2307a79616c2464c0064f",
+    "thresholds64/proper_greedy": "2bfb64dde9e79b9051cba1c177ce9c55b824c84cf2016ced2d79f47c7d916819",
+    "tree40/improper400": "cca38fd60395e2a3bef21107d39de8a109d2fb932163ac18873b8d0886dab17e",
+    "tree40/proper400": "3f6653e66460662366336082513d542b3aea6f6fefb0da2f651f24f688386863",
     "tree40/improper60": "fc47c3756c458079467e1b7cf0682012303524420359cff94d71ddd11f48f080",
     "tree40/proper60": "81ecdfd3a5a17cc8db0afcd8c2f0e0b0d07a9e8f176464ab912c77aad978c4cd",
     "tree40/subset_ids": "bfc3b1eb3fb8503e6d213195d0e7c4d16343c7abe3f0d75b6dcd0c300e87b7cb",
-    "tree40/greedy": "ad33981c340354de76ae4450475e77fca91506fba6842b789876ee394d5cd46b",
-    "tree40/force_median": "3e94daf2066d3166ee5825baad5341301cc71862c5153588c1d1d1e9c4aa9e12",
-    "tree40/proper_greedy": "4b2003259452d38a91c68cc9519878b9cc062296634c73194cb3f5e34740da85",
+    "tree40/greedy": "14ae13c57e8226cd6f24dd1421c647d17cfe8a0037eecdf49ac4d3289a053248",
+    "tree40/force_median": "a0e58d37651d0e6dea0b9f1cb1636863323499611889b6083c7b473a23714df4",
+    "tree40/proper_greedy": "d579eb0764fa8aede7f5380bfc52352f8d1c959e146c4657ec1e99d0f191bc4b",
     "tree40/descent": "01a56569a2950eee57034b7a661876ab6fc806a3fd040494c44bbdc0135e26cc",
-    "tree90/improper400": "7d5cbc9309b71f3849660670054e781dc47d0a925b8b872f8b8a8bcc1b3b6530",
-    "tree90/proper400": "b09abc329fcfae4c5bda24d60e9c924273f44219ba7279554df138cb7df52747",
+    "tree90/improper400": "bbf1accc2b8df26d4a43a86c628815d9db1ddea502a9336ea9ac99e21a6bc16a",
+    "tree90/proper400": "4a24a8c132ad1d51114b35a96c6faf88d15265721ca80b491bb9f4bcbc3fa58b",
     "tree90/improper60": "ce7011f6c400f43dc46eb11aba9e9474dbd861ba30ad54a303e4102b9b354ce0",
     "tree90/proper60": "2d6c4a95c2eec613345b6428a050e8f045cf4c4b9f3f97eecb7d03f7a2fd135d",
     "tree90/subset_ids": "6d711b2cbdde96b0895d26275ef9a78110da81df8b6cb84abe99b29e3f875165",
-    "tree90/greedy": "503cdafd1d7c822887bfd303e39badf4b65ead3d363b3a478134b56af0fa24ef",
-    "tree90/force_median": "1548d8b7efc1ecf93088bf8227e6840b898686c28c0b20f1c3cf9574212d6806",
-    "tree90/proper_greedy": "f278e653c28998fde8e6c80a2deede77f5329491d1b0c0c21a8683feff0fdf97",
+    "tree90/greedy": "4f88c2df817e978335cb3774f30253a4ddf16fab80af3bfbbd649cf49bd11fc1",
+    "tree90/force_median": "10191183a0b6a2bb67e2f026d253ccb275f8f3edaf478158233e24ae5e6ac12f",
+    "tree90/proper_greedy": "2c04104371c6c930d87380c75a398d4030e926a5d31f401ffb45896637717c2d",
     "tree90/descent": "2cfc6357ac85bb72bd4e9537cf9ed8a297ef58287fbb2d3631d569bc604f0260",
     "thresholds4096/improper150k": "e896301bdc84cff3cc28fa2434545e795553227ec1d760e8f0df3c13a7ceb831",
     "thresholds4096/proper150k": "13cbf475881929ffbcd1e610bb517f505c9558d8075da67195df3a410db9bd05",
@@ -1325,12 +1327,10 @@ def test_improper_learn_memory_per_example():
 class _Recorder:
     """A generator that logs every draw of a deal or a split and every uniform it hands out.
 
-    A shuffle of each row of an array, as the one-example path deals, is
-    logged as the ``permutation(n)`` draws it equals (see
-    ``test_shuffling_an_array_draws_what_permutation_draws``). Any other
-    deal is logged as its slot draws, ``integers``, and its fill's
-    ``shuffle``, each a copy of what the deal got back, a revealed code as
-    its ``reveal``, and a split as its ``choice``.
+    A shuffle of each row of an array, as a deal below the revealed deal's
+    switch draws, is logged as the ``permutation(n)`` draws it equals (see
+    ``test_shuffling_an_array_draws_what_permutation_draws``), a revealed
+    code as its ``reveal``, and a split as its ``choice``.
     """
 
     def __init__(self, rng):
@@ -1348,15 +1348,6 @@ class _Recorder:
             out[r] = row[self.permutation(len(row))]
         return out
 
-    def integers(self, *args, **kwargs):
-        out = self.rng.integers(*args, **kwargs)
-        self.log.append(("integers", out.copy()))  # the deal caps its slots in place
-        return out
-
-    def shuffle(self, x):
-        self.rng.shuffle(x)
-        self.log.append(("shuffle", x.copy()))
-
     def choice(self, *args, **kwargs):
         self.log.append(("choice", self.rng.choice(*args, **kwargs)))
         return self.log[-1][1]
@@ -1373,26 +1364,16 @@ class _Recorder:
 def _deals(log, n, t):
     """The subset ids of each deal at the head of a :class:`_Recorder` log, and the rest.
 
-    A deal is one ``permutation``, dealt round-robin, or slot draws and
-    then a ``shuffle``: its last ``ceil(n / SAMPLE_CHUNK)`` slot draws are
-    the ones it kept, and the shuffled fill gives the reserved examples,
-    those that drew a slot of ``t`` or more, their subsets in order.
+    A deal is one ``permutation`` of the ``n`` examples, dealt round-robin
+    into ``t`` subsets.
     """
-    deals, draws = [], []
+    deals = []
     for i, (kind, value) in enumerate(log):
-        if kind == "integers":
-            draws.append(value)
-            continue
-        if kind == "permutation":
-            ids = np.empty(n, dtype=np.int64)
-            ids[value] = np.arange(n) % t
-        elif kind == "shuffle":
-            ids = np.concatenate(draws[-math.ceil(n / SAMPLE_CHUNK) :]).astype(np.int64)
-            assert (ids >= t).sum() == len(value)
-            ids[ids >= t] = value
-            draws = []
-        else:
+        if kind != "permutation":
             return deals, log[i:]
+        assert len(value) == n
+        ids = np.empty(n, dtype=np.int64)
+        ids[value] = np.arange(n) % t
         deals.append(ids)
     return deals, []
 
@@ -1444,8 +1425,7 @@ def test_improper_runs_match_single_runs_on_their_draws():
             batch = _batch_traces(cls, data, params, rec, runs, context=ctx)
             assert len(batch) == runs
             kinds = [kind for kind, _ in rec.log]
-            deal = ["permutation"] if t == len(data) else ["integers", "shuffle"]
-            assert kinds[: len(deal) * runs + 1] == deal * runs + ["random"]
+            assert kinds[: runs + 1] == ["permutation"] * runs + ["random"]
             deals, (medians, *rest) = _deals(rec.log, len(data), t)
             assert len(medians[1]) == runs  # the medians' uniforms, at once
             later = [float(u) for _, u in rest for u in np.atleast_1d(u)]
@@ -1471,67 +1451,9 @@ def _chi2_below_bound(freq, runs):
     return ((np.asarray(freq) - expected) ** 2).sum() / expected < stats.chi2.isf(1e-4, len(freq) - 1)
 
 
-@pytest.mark.parametrize("reserve", ["bounded", "two slots"])
-def test_deal_is_uniform_over_round_robin_partitions(monkeypatch, reserve):
-    # every labelling of the examples with the round-robin sizes occurs,
-    # about equally often; with two reserve slots many deals redraw and few
-    # examples are reserved, so the slots' own draws shape most labellings
-    if reserve == "two slots":
-        monkeypatch.setattr(learners, "_reserve", lambda n, t: 2)
-    for (n, t), cells in (((5, 2), 10), ((6, 4), 180), ((7, 3), 210)):
-        runs = 25 * cells
-        pres = np.zeros((runs, n, t + 1), dtype=bool)  # example j's code is j
-        learners._deal(pres, _as_examples(np.arange(n)), make_rng([n, t]))
-        assert (pres[:, :, :t].sum(axis=2) == 1).all()
-        labels = pres[:, :, :t].argmax(axis=2)
-        sizes = (labels[:, :, None] == np.arange(t)).sum(axis=1)
-        assert (sizes == _round_robin_sizes(n, t)).all()
-        _, freq = np.unique(labels @ t ** np.arange(n), return_counts=True)
-        assert len(freq) == cells
-        assert _chi2_below_bound(freq, runs), (n, t)
-
-
-def test_deal_redraws_rarely():
-    # the reserve puts a redraw's chance at most REDRAW_BOUND: the exact
-    # union bound holds, and at small n / t no fixed-seed deal redraws
-    for n, t in ((7, 3), (60, 46), (400, 200), (400, 399), (2359, 337), (5_306_275, 325)):
-        x = learners._reserve(n, t)
-        assert t * stats.binom.sf(n // t, n, 1 / (t + x)) <= learners.REDRAW_BOUND
-    x = learners._reserve(5_306_275, 325)  # a budget-sized chain deal reserves under 6%
-    assert x / (325 + x) < 0.06
-    runs = 100
-    for n, t in ((60, 46), (400, 200), (400, 399), (2359, 337)):
-        rec = _Recorder(make_rng([n, t]))
-        pres = np.zeros((runs, 1, t + 1), dtype=bool)
-        learners._deal(pres, _as_examples(np.zeros(n, dtype=np.uint8)), rec)
-        draws = sum(kind == "integers" for kind, _ in rec.log)
-        assert len(rec.log) == runs + draws and draws / runs == 1.0, (n, t, draws)
-
-
-def _union_chernoff_bounded(n, t, x):
-    """Whether ``x`` reserve slots put the deal's union-Chernoff redraw bound
-    at or below ``REDRAW_BOUND`` (always, at ``t`` 1)."""
-    a = (n // t + 1) / n
-    if a >= 1:
-        return True
-    p = 1 / (t + x)
-    relative_entropy = a * math.log(a / p) + (1 - a) * math.log((1 - a) / (1 - p))
-    return -n * relative_entropy <= math.log(learners.REDRAW_BOUND / t)
-
-
-def test_reserve_is_the_least_count_that_meets_the_bound():
-    pairs = {(5_306_275, 325), (4_041_390, 321), (2_359, 337), (150_000, 337), (400, 200), (400, 399)}
-    for n in (2, 3, 7, 30, 60, 400, 2_359, 10_000, 150_000, 1_000_003):
-        pairs.update((n, t) for t in (1, 2, 3, 46, 199, 200, 325, 337, 399, n - 1) if t < n)
-    for n, t in sorted(pairs):
-        x = learners._reserve(n, t)
-        assert x >= 1 and _union_chernoff_bounded(n, t, x), (n, t, x)
-        assert x == 1 or not _union_chernoff_bounded(n, t, x - 1), (n, t, x)
-
-
 def test_dealt_summaries_are_those_of_the_drawn_partition():
     # each run's summaries are _subset_summaries of the ids its draws give,
-    # with n / t from 85 down to 2 and so reserves from a few to nearly all
+    # with n / t from 85 down to 2
     classes = (
         example_class(),
         thresholds_class(64),
@@ -1560,12 +1482,12 @@ def test_dealt_summaries_are_those_of_the_drawn_partition():
 
 
 def test_deal_reads_each_examples_code_across_chunks(monkeypatch):
-    # the deal reads each example's code from the row table itself, a chunk
-    # at a time: on a class whose point map merges points, so that the
-    # table is wider than the tree, and over three chunks, each run's
-    # summaries are those of the two-index gather's codes under its draws;
-    # these sizes would go by revealed codes, so the switch is held on _deal,
-    # and the revealed deal's histogram counts those same codes
+    # the deal reads each example's code from the row table itself: on a
+    # class whose point map merges points, so that the table is wider than
+    # the tree, and over three chunks, each run's summaries are those of the
+    # two-index gather's codes under its draws; these sizes would go by
+    # revealed codes, so the switch is held on the shuffle, and the revealed
+    # deal's histogram, read a chunk at a time, counts those same codes
     monkeypatch.setattr(learners, "_lazy", lambda n, t, k: False)
     raw = _raw_variant(random_tree_class(40, max_children=3, concept_rate=0.5, seed=7), make_rng(2))
     ctx = prepare_context(raw)
@@ -1591,15 +1513,15 @@ def test_deal_reads_each_examples_code_across_chunks(monkeypatch):
             assert len(np.unique(got)) > 1, (t, runs)  # subsets disagree
 
 
-def dealt_summaries_reference(tree, examples, t, rng, runs):
-    """The learners' deal before it went by revealed codes, kept as the reference:
-    ``runs`` partitions by ``learners._deal`` and one ``forced_nodes`` call,
-    a row of ``t`` summaries per run."""
-    rows = 2 * len(tree.tour) + 2
-    pres = np.zeros((runs, rows, t + 1), dtype=bool)
-    learners._deal(pres, examples, rng)
-    deepest = forced_nodes(tree, pres.transpose(1, 0, 2).reshape(rows, -1))[0]
-    return deepest.reshape(runs, t + 1)[:, :t]
+def dealt_summaries_reference(tree, codes, t, rng, runs):
+    """The summaries of ``runs`` deals of the examples of presence codes
+    ``codes`` by the tests' :func:`partition`, kept as the reference: one
+    ``forced_nodes`` call over a column per subset, a row of ``t`` per run."""
+    sample = Dataset(codes, np.zeros(len(codes), dtype=np.uint8))  # partition reads only its size
+    pres = np.zeros((2 * len(tree.tour) + 2, runs, t), dtype=bool)
+    for r in range(runs):
+        pres[codes, r, partition(sample, t, rng)] = True
+    return forced_nodes(tree, pres.reshape(len(pres), -1))[0].reshape(runs, t)
 
 
 def _multisets(summaries, t):
@@ -1641,13 +1563,13 @@ LAW_CASES = {
 @pytest.mark.parametrize("case", sorted(LAW_CASES))
 def test_revealed_summaries_follow_the_law_of_the_deal(case):
     # the multiset of subset summaries has one law under the revealed deal
-    # and under the per-example deal, with 3 subsets of 4 or 5 examples
+    # and under a shuffle dealt round-robin, with 3 subsets of 4 or 5 examples
     tree = prepare_context(modified_example_class()).tree
     codes = np.array(LAW_CASES[case])
     t, runs = 3, 1500
     h = np.bincount(codes, minlength=16)
     got = learners._revealed_summaries(tree, h, t, make_rng([1, len(codes)]), runs)
-    want = dealt_summaries_reference(tree, _as_examples(codes), t, make_rng([2, len(codes)]), runs)
+    want = dealt_summaries_reference(tree, codes, t, make_rng([2, len(codes)]), runs)
     a, b = _multisets(got, t), _multisets(want, t)
     assert _same_law(a, b), (case, a, b)
     if case != "only 0-labels":
@@ -1669,7 +1591,8 @@ def test_revealed_summaries_follow_the_law_of_the_deal_on_a_random_tree():
         examples = learners._examples(ctx, Dataset(data.points, labels))
         got = learners._revealed_summaries(
             ctx.tree, learners._histogram(examples, rows), t, make_rng([3, flips]), runs)
-        want = dealt_summaries_reference(ctx.tree, examples, t, make_rng([4, flips]), runs)
+        codes = learners._codes(examples)
+        want = dealt_summaries_reference(ctx.tree, codes, t, make_rng([4, flips]), runs)
         a, b = _multisets(got, t), _multisets(want, t)
         assert _same_law(a, b), (flips, a, b)
         assert len(b) > 2
@@ -1677,7 +1600,7 @@ def test_revealed_summaries_follow_the_law_of_the_deal_on_a_random_tree():
 
 def test_dealt_summaries_follow_the_law_of_the_deal_on_both_sides_of_the_switch():
     # at 2 subsets on a 7-point tree the switch lies at 384 examples: below
-    # it _dealt_summaries deals by _deal, from it by revealed codes, and on
+    # it _dealt_summaries deals by a shuffle, from it by revealed codes, and on
     # both sides the summaries have the reference law; the few 1-labels and
     # 0-labels that matter sit among many 0-labels off the tree
     ctx = prepare_context(modified_example_class())
@@ -1686,25 +1609,25 @@ def test_dealt_summaries_follow_the_law_of_the_deal_on_both_sides_of_the_switch(
         assert learners._lazy(n, t, 7) == (n == 384)
         codes = np.array(REALIZABLE_CODES + [4, 15] + [7] * (n - len(REALIZABLE_CODES) - 2))
         got = learners._dealt_summaries(ctx, _as_examples(codes), t, make_rng([5, n]), runs)
-        want = dealt_summaries_reference(ctx.tree, _as_examples(codes), t, make_rng([6, n]), runs)
+        want = dealt_summaries_reference(ctx.tree, codes, t, make_rng([6, n]), runs)
         a, b = _multisets(got, t), _multisets(want, t)
         assert _same_law(a, b), (n, a, b)
         assert len(b) > 2
 
 
-def test_dealt_summaries_take_their_path_by_public_sizes_only(monkeypatch):
-    # two samples of equal n and t whose histograms differ, one with no
-    # 1-label, go the same way, on each side of the switch
+def test_dealt_summaries_take_their_path_by_public_sizes_only():
+    # two samples of equal n and t whose histograms differ go the same way,
+    # on each side of the switch: by one shuffle, or by reveals, of which
+    # the sample with no 1-label needs none
     ctx = prepare_context(example_class())
-    paths = []
-    monkeypatch.setattr(learners, "_deal", lambda *a: paths.append("deal"))
-    monkeypatch.setattr(learners, "_revealed_summaries", lambda *a: paths.append("revealed"))
-    monkeypatch.setattr(learners, "forced_nodes", lambda tree, pres: (np.zeros(pres.shape[1]),))
     for n, t in ((383, 2), (384, 2), (2359, 337), (150_000, 337)):
+        draws = []
         for codes in (np.arange(n) % 16, np.zeros(n, dtype=np.int64)):
-            learners._dealt_summaries(ctx, _as_examples(codes), t, make_rng(0), 1)
-        assert paths == ["revealed" if learners._lazy(n, t, 7) else "deal"] * 2, (n, t)
-        paths.clear()
+            rec = _Recorder(make_rng(0))
+            learners._dealt_summaries(ctx, _as_examples(codes), t, rec, 1)
+            draws.append({kind for kind, _ in rec.log})
+        lazy = learners._lazy(n, t, 7)
+        assert draws == ([{"reveal"}, set()] if lazy else [{"permutation"}] * 2), (n, t)
 
 
 def test_proper_split_is_uniform_and_independent_of_the_deal(example_cls, monkeypatch):
@@ -1727,6 +1650,39 @@ def test_proper_split_is_uniform_and_independent_of_the_deal(example_cls, monkey
         freq[tuple(sorted(second.tolist())), tuple(first[ids == 0].tolist())] += 1
     assert len(freq) == cells
     assert _chi2_below_bound(list(freq.values()), runs)
+
+
+def test_proper_learn_deals_the_examples_it_did_not_hold_out():
+    # below the switch the improper stage shuffles the codes of exactly the
+    # examples that the split did not draw, in their order, and deals them
+    # round-robin: each run's summaries are _subset_summaries of those codes
+    # under the recorded permutation
+    loose = LearnParams(alpha=0.3, beta=0.9, privacy=PrivacyParams(1.9, 0.5))
+    cls = random_tree_class(40, max_children=3, concept_rate=0.5, seed=7)
+    ctx = prepare_context(cls)
+    w = 0.6 ** ctx.tree.depth[ctx.point_map]
+    target = cls.concepts[len(cls.concepts) // 2]
+    data = sample_dataset(cls, target, Distribution(w / w.sum()), 400, make_rng(8))
+    labels = data.labels.copy()
+    labels[::40] ^= 1  # some subsets no concept is consistent with
+    data = Dataset(data.points, labels)
+    codes = learners._codes(learners._examples(ctx, data))
+    budget = sample_budget(loose, ctx.tree.height)
+    kept = len(data) - min(budget.N2, len(data) // 2)
+    t = min(budget.t, kept)
+    assert t < kept and not learners._lazy(kept, t, len(ctx.tree.tour))
+    seen = set()
+    for seed in range(5):
+        rec = _Recorder(make_rng([8, seed]))
+        trace = proper_learn(cls, data, loose, rec, context=ctx)
+        (kind, second), *log = rec.log
+        assert kind == "choice" and len(second) == len(data) - kept
+        (ids,), _ = _deals(log, kept, t)
+        want = learners._subset_summaries(ctx, np.delete(codes, second), ids, t)
+        got = [-1 if q is None else q for q in trace.stage1.subset_deepest]
+        assert got == want.tolist(), seed
+        seen.update(got)
+    assert len(seen) > 2, seen  # the subsets' summaries differ
 
 
 def test_proper_stage_one_histogram_is_the_sample_minus_stage_two(example_cls, monkeypatch):

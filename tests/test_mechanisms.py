@@ -159,6 +159,10 @@ def test_choosing_utility_bound_validates_parameters():
             choosing_utility_bound(k, 10, priv, beta)
     with pytest.raises(ValueError, match="'k' must be an integer of at least 1, not 1.5"):
         choosing_utility_bound(1.5, 10, PrivacyParams(1.0, 1e-5), 0.1)
+    # each returned a bound, the last two the one at n = 1
+    for n in (10.5, True, -5):
+        with pytest.raises(ValueError, match=re.escape(f"'n' must be an integer of at least 0, not {n!r}")):
+            choosing_utility_bound(1, n, PrivacyParams(1.0, 1e-5), 0.1)
 
 
 def test_choosing_utility_bound_monte_carlo(rng):
