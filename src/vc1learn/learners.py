@@ -577,10 +577,11 @@ def _dealt_summaries(
     if held_out is not None:
         codes = np.delete(codes, held_out)
     # numpy shuffles 8-byte items on its fast path
-    dealt = np.broadcast_to(codes, (runs, n)).astype(np.intp)
+    dealt = np.empty((runs, n), dtype=np.intp)
+    dealt[:] = codes
     rng.permuted(dealt, axis=1, out=dealt)
     if t == n:
-        return tree.lone_deepest[dealt].ravel()
+        return tree.lone_deepest.take(dealt.ravel())
     # run r's j-th dealt code sets column r * t + j % t
     pres = np.zeros((rows, runs * t), dtype=bool)
     pres[dealt, np.arange(0, runs * t, t)[:, None] + np.arange(n) % t] = True
