@@ -295,10 +295,18 @@ def _examples(ctx: LearnerContext, dataset: Dataset | None) -> Examples:
 
 
 def _flat_index(examples: Examples) -> np.ndarray:
-    """Each example's index ``label * width + point`` into its table's flat view."""
+    """Each example's index ``label * width + point`` into its table's flat view.
+
+    The key is in the narrowest unsigned dtype that holds ``table.size -
+    1`` (uint16 on a 4,096-point domain, not intp), so it writes 2 bytes
+    an example rather than 8, and the points are added into it in place.
+    Labels are 0 or 1 and points lie below the width, so the casts lose
+    nothing.
+    """
     table, labels, points = examples
-    index = np.multiply(labels, table.shape[1], dtype=np.intp)
-    index += points
+    dtype = np.min_scalar_type(table.size - 1)
+    index = np.multiply(labels, table.shape[1], dtype=dtype, casting="unsafe")
+    np.add(index, points, out=index, casting="unsafe")
     return index
 
 
@@ -311,16 +319,18 @@ def _histogram(examples: Examples, rows: int) -> np.ndarray:
     """How many examples have each of the ``rows`` codes, with no code per example.
 
     The examples' (label, point) pairs are counted by one ``np.bincount``
-    of :func:`_flat_index` per ``SAMPLE_CHUNK`` examples, and the pair
-    counts are then added up by the code the table gives each pair.
+    of :func:`_flat_index`'s narrow key per ``SAMPLE_CHUNK`` examples, and
+    the pair counts are then added up by the code the table gives each
+    pair. ``np.bincount`` casts its input to intp first; chunk by chunk
+    that cast stays in cache, where on the whole sample it would write 8
+    bytes per example.
     """
     table, labels, points = examples
     pairs = np.zeros(table.size, dtype=np.int64)
     for start in range(0, len(points), SAMPLE_CHUNK):
         chunk = slice(start, start + SAMPLE_CHUNK)
-        pairs += np.bincount(
-            _flat_index((table, labels[chunk], points[chunk])), minlength=table.size
-        )
+        key = _flat_index((table, labels[chunk], points[chunk]))
+        pairs += np.bincount(key, minlength=table.size)
     # float weights add up the counts exactly below 2**53
     return np.bincount(table.reshape(-1), weights=pairs, minlength=rows).astype(np.int64)
 
@@ -469,11 +479,11 @@ def _improper_runs(
     ``runs`` rows of the dealt examples' intp codes and, with fewer
     subsets than examples, one presence matrix of the tree size by
     ``runs`` times the subset count; for a deal by revealed codes, one
-    chunk's pair indices, the code counts and what
-    :func:`_revealed_summaries` holds. Under ``subset_ids`` a one-example
-    subset is summarised by lookup, so its one presence matrix covers only
-    the subsets of two or more examples. The scores and the mask add
-    ``runs`` rows over the domain.
+    chunk's narrow pair keys and ``np.bincount``'s intp copy of them, the
+    pair and code counts and what :func:`_revealed_summaries` holds.
+    Under ``subset_ids`` a one-example subset is summarised by lookup, so
+    its one presence matrix covers only the subsets of two or more
+    examples. The scores and the mask add ``runs`` rows over the domain.
     """
     n = len(examples[2]) - (0 if held_out is None else len(held_out))
     if n == 0:

@@ -384,11 +384,12 @@ def forced_nodes(tree: ClassTree, pres: np.ndarray) -> tuple[np.ndarray, np.ndar
     end = k + 1 - np.maximum.reduce(on1 * (k + 1 - tout[:k, None]), axis=0, initial=0)
     chain = (end > d) & ~pres1[k]
 
-    # blocked[j]: a 0-label at j or above it, doubling the span per step
+    # blocked[j]: a 0-label at j or above it, doubling the span per step;
+    # np.take copies whole rows, where indexing pays per row on few columns
     blocked = pres0.copy()
     blocked[k] = False
     for a in up:
-        blocked |= blocked[a]
+        blocked |= np.take(blocked, a, axis=0)
     live = ~blocked[:k]
     live &= proper & (rank > d) & (rank <= tout[d])
     first = k - np.maximum.reduce(live * (k + 1 - rank), axis=0, initial=0)  # k: none

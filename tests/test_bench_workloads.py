@@ -38,9 +38,10 @@ PINNED_SUMMARY_DIGESTS = {
 }
 
 # at full scale, the summaries' digests of sweep-proper ops 0-9 and of
-# chain-improper op 0: the toy sweep's two trials on one 32-point tree land
-# on the same outputs whatever the subset draws, and at the toy chain's
-# thresholds(64) every subset forces the same point whatever the deal
+# chain-improper ops 0-7 (op 6 reveals 3 codes, the others 2): the toy
+# sweep's two trials on one 32-point tree land on the same outputs whatever
+# the subset draws, and at the toy chain's thresholds(64) every subset
+# forces the same point whatever the deal
 PINNED_FULL_SCALE_DIGESTS = {
     "sweep-proper": (
         "8b29ade8465f3a2af0c4752280496f931b55f7319cf5afd70b0bfc96cb98eaa8",
@@ -54,7 +55,16 @@ PINNED_FULL_SCALE_DIGESTS = {
         "ca576e437d248ddecabb582de2bd909a5fa32bfba30223b9fe9f9cc68fa90813",
         "2f5de9f11433f894515317ac0ba14601d6348989682697d244dc31b301e129a6",
     ),
-    "chain-improper": ("f9821a8fa68e83b31fdf86aac2064146a2d89471c9d4d243f52c4cf39d1f4e26",),
+    "chain-improper": (
+        "f9821a8fa68e83b31fdf86aac2064146a2d89471c9d4d243f52c4cf39d1f4e26",
+        "47624f6d2d1cdc6af62fcd738b63fd26424879d103ca647bcbcb6343563629e6",
+        "4279813a633c5d0423893673d672a12e48bd0c0ec892d6cf511a746db8416039",
+        "b04beac99d5c73837d28220b6cbf896c69f21acd1a108f025c63aad137bb169d",
+        "a6299728c63a8018bda4c894afdd310c0ea50e92ed660b8fe53532eaca76c716",
+        "9a2e6c61fe7aa51b028a46da5cd7e68e21bdb5a3c00f13aaeff07ed54dc8e792",
+        "55660d8502473a60fe1c89b965333196f0488e4fbf29fe988cf735a31df9cd44",
+        "402863e023495bfb2f0b7cb546011a230f7bbc22af483345843492bb94d6d8db",
+    ),
 }
 
 

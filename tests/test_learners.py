@@ -1513,6 +1513,35 @@ def test_deal_reads_each_examples_code_across_chunks(monkeypatch):
             assert len(np.unique(got)) > 1, (t, runs)  # subsets disagree
 
 
+@pytest.mark.parametrize(
+    "width, key", [(128, np.uint8), (129, np.uint16), (32768, np.uint16), (32769, np.uint32)]
+)
+def test_flat_index_is_the_narrowest_key_that_holds_the_table(width, key):
+    # at the edges of the key's dtype, on a four-concept chain whose top
+    # point is on the tree, so that a key one dtype too narrow wraps a
+    # 1-label near the top onto another code; points in each dtype that
+    # a sample may hand over, over lengths on both sides of SAMPLE_CHUNK
+    cls = ConceptClass.from_ones(width, [set(), {0}, {0, 1}, {0, 1, width - 1}])
+    ctx = prepare_context(cls)
+    rows = 2 * len(ctx.tree.tour) + 2
+    rng = make_rng(width)
+    chunk = learners.SAMPLE_CHUNK
+    for dtype in (np.uint8, np.uint16, np.uint32, np.int64):
+        top = min(width, np.iinfo(dtype).max + 1)
+        for n in (chunk - 1, chunk + 1, 2 * chunk + 3):
+            points = rng.integers(top - 300, top, n, endpoint=False).clip(0).astype(dtype)
+            labels = rng.integers(0, 2, n, dtype=np.uint8)
+            examples = learners._examples(ctx, Dataset(points, labels))
+            index = learners._flat_index(examples)
+            assert index.dtype == key, (dtype, n)
+            assert np.array_equal(index, labels * np.int64(width) + points)
+            codes = ctx.tour_code[labels, points]
+            assert np.array_equal(learners._codes(examples), codes)
+            assert np.array_equal(
+                learners._histogram(examples, rows), np.bincount(codes, minlength=rows)
+            )
+
+
 def dealt_summaries_reference(tree, codes, t, rng, runs):
     """The summaries of ``runs`` deals of the examples of presence codes
     ``codes`` by the tests' :func:`partition`, kept as the reference: one
