@@ -1529,7 +1529,7 @@ def test_flat_index_is_the_narrowest_key_that_holds_the_table(width, key):
     for dtype in (np.uint8, np.uint16, np.uint32, np.int64):
         top = min(width, np.iinfo(dtype).max + 1)
         for n in (chunk - 1, chunk + 1, 2 * chunk + 3):
-            points = rng.integers(top - 300, top, n, endpoint=False).clip(0).astype(dtype)
+            points = rng.integers(max(top - 300, 0), top, n).astype(dtype)
             labels = rng.integers(0, 2, n, dtype=np.uint8)
             examples = learners._examples(ctx, Dataset(points, labels))
             index = learners._flat_index(examples)
